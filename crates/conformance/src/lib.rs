@@ -883,7 +883,7 @@ fn run_one(
                 }
             }
             Ok(None) => {
-                // check_instance only returns Ok(None) on no-instances.
+                // The sweep answers Ok(None) only when ground truth is false.
                 result.status = CellStatus::Fail;
                 result.detail = "ground truth flipped between seal and check".into();
             }

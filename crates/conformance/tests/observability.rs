@@ -36,13 +36,19 @@ fn tmp(name: &str) -> String {
 /// Extracts a counter's value from the sidecar's embedded registry
 /// export (`"name": N`).
 fn counter_value(sidecar: &str, name: &str) -> u64 {
-    let key = format!("\"{name}\": ");
-    let start = sidecar
-        .find(&key)
-        .map(|i| i + key.len())
-        .unwrap_or_else(|| {
-            panic!("{name} missing from sidecar:\n{sidecar}");
-        });
+    number_after(sidecar, &format!("\"{name}\": "))
+}
+
+/// Extracts a histogram's observation count from the sidecar
+/// (`"name": { "count": N, ...`).
+fn histogram_count(sidecar: &str, name: &str) -> u64 {
+    number_after(sidecar, &format!("\"{name}\": {{ \"count\": "))
+}
+
+fn number_after(sidecar: &str, key: &str) -> u64 {
+    let start = sidecar.find(key).map(|i| i + key.len()).unwrap_or_else(|| {
+        panic!("{key} missing from sidecar:\n{sidecar}");
+    });
     sidecar[start..]
         .chars()
         .take_while(char::is_ascii_digit)
@@ -69,6 +75,11 @@ fn metrics_export_does_not_perturb_the_report() {
     assert!(sidecar.contains("\"phase\": \"completeness\""), "{sidecar}");
     assert!(counter_value(&sidecar, "lcp_campaign_cells_run_total") > 0);
     assert!(counter_value(&sidecar, "lcp_engine_prepares_total") > 0);
+    assert!(
+        counter_value(&sidecar, "lcp_engine_proves_total") > 0,
+        "the yes-cells of this config fill their honest proofs"
+    );
+    assert!(histogram_count(&sidecar, "lcp_engine_prove_ns") > 0);
     assert!(
         counter_value(&sidecar, "lcp_harness_exhaustive_candidates_total") > 0,
         "the no-cells of this config run the exhaustive search"

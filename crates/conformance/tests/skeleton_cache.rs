@@ -3,7 +3,7 @@
 //! report exactly what fresh cells report.
 
 use lcp_conformance::{campaign_registry, run_campaign, CampaignConfig, Profile};
-use lcp_core::SkeletonCache;
+use lcp_core::{ArtifactSource, SkeletonCache};
 use lcp_graph::families::GraphFamily;
 use lcp_schemes::registry::{CellRequest, Polarity};
 use std::sync::Arc;
@@ -43,7 +43,7 @@ fn cached_and_fresh_registry_cells_agree_and_the_cache_is_hit() {
         let cached = entry
             .build(&req)
             .expect("deterministic builder")
-            .with_cache(Arc::clone(&cache));
+            .with_source(ArtifactSource::Cache(Arc::clone(&cache)));
         // Verdicts and witnesses are identical through the cache.
         assert_eq!(
             cached.check_completeness(),
@@ -58,12 +58,21 @@ fn cached_and_fresh_registry_cells_agree_and_the_cache_is_hit() {
         checked += 1;
     }
     assert!(checked >= 5, "sample too small: {checked} cells");
-    // Cycle(8) is seed-independent, and most cycle schemes run at radius
-    // 1 over the unlabeled C₈ — those cells must have shared one build.
+    // Each cell looked its core up exactly once: the tamper probe ran on
+    // the core the completeness check kept.
+    assert_eq!(
+        cache.hits() + cache.misses(),
+        checked,
+        "one lookup per cell: {cache:?}"
+    );
+    // Cycle(8) is seed-independent, and many cycle schemes run at radius
+    // 1 over the unlabeled C₈ — those cells must have shared one build,
+    // and every distinct (instance, radius) was built exactly once.
     assert!(
-        cache.hits() > cache.misses(),
+        cache.hits() > 0,
         "cross-cell sharing did not happen: {cache:?}"
     );
+    assert_eq!(cache.misses(), cache.len(), "{cache:?}");
 }
 
 #[test]

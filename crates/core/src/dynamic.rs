@@ -7,11 +7,11 @@
 //! erases the types at the only moment they are all known (when the
 //! typed instance is constructed): it moves the scheme *and* its
 //! instance behind one `Arc` and exposes every harness operation as a
-//! boxed closure. Each heavy operation (completeness, exhaustive
-//! soundness, adversarial search, tamper probing) internally builds a
-//! [`PreparedInstance`] and runs entirely on the cached engine, so
-//! erasure costs one skeleton preparation per operation — never one per
-//! candidate proof.
+//! method of one object-safe handle. Each heavy operation (completeness,
+//! exhaustive soundness, adversarial search, tamper probing) runs
+//! entirely on the cached engine over a skeleton core the cell takes from
+//! its source once and keeps, so erasure costs one core lookup per cell —
+//! never one per operation, let alone per candidate proof.
 //!
 //! ```
 //! use lcp_core::dynamic::DynScheme;
@@ -49,21 +49,23 @@ use crate::artifact::{ArtifactSource, CoreProvenance};
 use crate::batch::BatchPolicy;
 use crate::bits::{AsBits, BitString};
 use crate::deadline::Deadline;
-use crate::engine::{PreparedInstance, SkeletonCache, SkeletonStore};
-use crate::frozen::PortableLabel;
+use crate::engine::{PreparedInstance, SkeletonStore};
+use crate::frozen::{FrozenCore, PortableLabel};
 use crate::harness::{
-    adversarial_proof_search_policy, check_instance_within, check_soundness_exhaustive_policy,
+    adversarial_proof_search_policy, check_honest, check_soundness_exhaustive_policy,
     CompletenessError, Soundness, SoundnessError,
 };
 use crate::instance::Instance;
+use crate::metrics;
 use crate::proof::Proof;
-use crate::scheme::{evaluate, evaluate_until_reject, Scheme, Verdict};
+use crate::scheme::{Scheme, Verdict};
 use lcp_graph::{Graph, GraphError};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::any::Any;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 /// Result of a seeded bit-flip tamper probe against the honest proof of
 /// a yes-instance (see [`DynScheme::tamper_probe`]).
@@ -222,48 +224,10 @@ where
     fn from_arc(cell: Arc<(S, Instance<S::Node, S::Edge>)>, proof: Option<Proof>) -> Self {
         let inst = cell.1.clone();
         let proof = proof.unwrap_or_else(|| {
-            cell.0
-                .prove(&inst)
-                .unwrap_or_else(|| Proof::empty(inst.n()))
+            run_prover(&cell.0, &inst).unwrap_or_else(|| Proof::empty(inst.n()))
         });
         assert_eq!(proof.n(), inst.n(), "proof must label every node");
         let store = SkeletonStore::new(&inst, cell.0.radius());
-        TypedCell {
-            cell,
-            inst,
-            proof,
-            store,
-        }
-    }
-
-    /// Like [`Self::from_arc`], but the initial skeleton store comes
-    /// from `source`'s shared tiers (cache hit or mapped artifact) via
-    /// [`SkeletonStore::from_frozen`] — churn cold starts skip the BFS
-    /// whenever a frozen core is already available.
-    fn from_source(
-        cell: Arc<(S, Instance<S::Node, S::Edge>)>,
-        proof: Option<Proof>,
-        source: &ArtifactSource,
-    ) -> Self
-    where
-        S::Node: PartialEq + PortableLabel,
-        S::Edge: PartialEq + PortableLabel,
-    {
-        if matches!(source, ArtifactSource::BuildFresh) {
-            // No shared tier: build per-node buckets directly instead of
-            // freezing a flat core only to thaw it again.
-            return TypedCell::from_arc(cell, proof);
-        }
-        let inst = cell.1.clone();
-        let proof = proof.unwrap_or_else(|| {
-            cell.0
-                .prove(&inst)
-                .unwrap_or_else(|| Proof::empty(inst.n()))
-        });
-        assert_eq!(proof.n(), inst.n(), "proof must label every node");
-        let (prep, _) = source.prepare(&inst, cell.0.radius());
-        let store = SkeletonStore::from_frozen(prep.core());
-        drop(prep);
         TypedCell {
             cell,
             inst,
@@ -312,7 +276,7 @@ where
     }
 
     fn prove_now(&self) -> Option<Proof> {
-        self.cell.0.prove(&self.inst)
+        run_prover(&self.cell.0, &self.inst)
     }
 
     fn insert_edge(&mut self, u: usize, v: usize) -> Result<Vec<usize>, CellMutationError> {
@@ -368,8 +332,10 @@ where
     }
 
     fn evaluate_full(&self) -> Verdict {
-        let prep = PreparedInstance::new(&self.inst, self.cell.0.radius());
-        prep.evaluate_seq(&self.cell.0, &self.proof)
+        // Sequential: churn runs many cells side by side.
+        PreparedInstance::new(&self.inst, self.cell.0.radius())
+            .evaluate_within(&self.cell.0, &self.proof, &Deadline::none())
+            .expect("an unbounded sweep runs to the end")
     }
 }
 
@@ -396,11 +362,30 @@ where
 }
 
 /// A type-erased `(scheme, instance)` cell: every associated-type-bound
-/// [`Scheme`] operation re-exposed behind boxed closures over the shared
-/// cell, plus engine-backed harness checks.
+/// [`Scheme`] operation re-exposed behind one object-safe handle, plus
+/// engine-backed harness checks.
 ///
 /// Build one with [`DynScheme::seal`]; collections of `DynScheme` are the
 /// currency of the scheme registry and the conformance campaign.
+///
+/// # Resident state
+///
+/// A sealed cell never changes, so it keeps what every request would
+/// otherwise recompute:
+///
+/// * the ground truth, computed once by [`Self::seal`];
+/// * the skeleton core, taken from the attached [`ArtifactSource`] by
+///   [`Self::prepare_skeletons`] or by the first engine-backed operation
+///   and never looked up again;
+/// * the honest proof, computed by the first operation that needs it
+///   ([`Self::check_completeness`], [`Self::tamper_probe`],
+///   [`Self::dynamic_cell`]) — never by [`Self::prepare_skeletons`], so
+///   loading a cell does not pay the prover.
+///
+/// A repeated completeness check is therefore the verifier sweep alone;
+/// every node's verifier still runs on every call. [`Self::with_source`]
+/// drops the kept core and proof; [`Self::prove`] always runs the prover
+/// afresh.
 pub struct DynScheme {
     name: String,
     radius: usize,
@@ -416,42 +401,205 @@ pub struct DynScheme {
     /// Routing policy for the batched evaluation layer
     /// ([`Self::with_batch`]); `Auto` by default.
     batch: BatchPolicy,
-    prove: Box<dyn Fn() -> Option<Proof> + Send + Sync>,
-    evaluate: Box<dyn Fn(&Proof) -> Verdict + Send + Sync>,
-    until_reject: Box<dyn Fn(&Proof) -> Option<usize> + Send + Sync>,
-    completeness: Box<
-        dyn Fn(&ArtifactSource, &Deadline) -> Result<Option<usize>, CompletenessError>
-            + Send
-            + Sync,
-    >,
-    soundness: Box<
-        dyn Fn(usize, &ArtifactSource, &Deadline, BatchPolicy) -> Result<Soundness, SoundnessError>
-            + Send
-            + Sync,
-    >,
-    adversarial: Box<
-        dyn Fn(usize, usize, u64, &ArtifactSource, &Deadline, BatchPolicy) -> Option<Proof>
-            + Send
-            + Sync,
-    >,
-    tamper: Box<dyn Fn(usize, u64, &ArtifactSource) -> Option<TamperProbe> + Send + Sync>,
-    dynamic: Box<dyn Fn(&ArtifactSource) -> Box<dyn MutableCell> + Send + Sync>,
-    prepare: Box<dyn Fn(&ArtifactSource) -> CoreProvenance + Send + Sync>,
-    evict: Box<dyn Fn(&ArtifactSource) -> bool + Send + Sync>,
+    /// The typed cell behind the erased surface.
+    cell: Box<dyn ErasedCell>,
 }
 
-/// Prepares `inst` through the attached source — the single dispatch
-/// point of every engine-backed `DynScheme` op.
-fn prep_for<'i, N, E>(
-    inst: &'i Instance<N, E>,
-    radius: usize,
-    source: &ArtifactSource,
-) -> PreparedInstance<'i, N, E>
+/// The operations of a sealed cell with its associated types erased
+/// (implemented by [`Sealed`]).
+trait ErasedCell: Send + Sync {
+    fn prove(&self) -> Option<Proof>;
+    fn evaluate(&self, source: &ArtifactSource, proof: &Proof) -> Verdict;
+    fn evaluate_until_reject(&self, source: &ArtifactSource, proof: &Proof) -> Option<usize>;
+    fn completeness(
+        &self,
+        holds: bool,
+        source: &ArtifactSource,
+        deadline: &Deadline,
+    ) -> Result<Option<usize>, CompletenessError>;
+    fn soundness(
+        &self,
+        max_bits: usize,
+        source: &ArtifactSource,
+        deadline: &Deadline,
+        policy: BatchPolicy,
+    ) -> Result<Soundness, SoundnessError>;
+    fn adversarial(
+        &self,
+        size_budget: usize,
+        iterations: usize,
+        seed: u64,
+        source: &ArtifactSource,
+        deadline: &Deadline,
+        policy: BatchPolicy,
+    ) -> Option<Proof>;
+    fn tamper_probe(
+        &self,
+        trials: usize,
+        seed: u64,
+        source: &ArtifactSource,
+    ) -> Option<TamperProbe>;
+    fn dynamic_cell(&self, source: &ArtifactSource) -> Box<dyn MutableCell>;
+    fn prepare(&self, source: &ArtifactSource) -> CoreProvenance;
+    fn evict(&self, source: &ArtifactSource) -> bool;
+    /// Drops the kept core and honest proof.
+    fn forget(&mut self);
+}
+
+/// The typed cell behind a [`DynScheme`]: the scheme and instance
+/// (shared with the mutable cells it opens) plus its resident state.
+struct Sealed<S: Scheme> {
+    cell: Arc<(S, Instance<S::Node, S::Edge>)>,
+    /// The skeleton core, kept from the first preparation.
+    core: OnceLock<Arc<FrozenCore<S::Node, S::Edge>>>,
+    /// The prover's output, kept from the first operation that needs it.
+    proof: OnceLock<Option<Proof>>,
+}
+
+/// Runs `scheme`'s prover on `inst`, recording it in the prover metrics.
+fn run_prover<S: Scheme>(scheme: &S, inst: &Instance<S::Node, S::Edge>) -> Option<Proof> {
+    let started = Instant::now();
+    let proof = scheme.prove(inst);
+    metrics::PROVES.inc();
+    metrics::PROVE_NS.observe(started.elapsed().as_nanos() as u64);
+    proof
+}
+
+impl<S> Sealed<S>
 where
-    N: Clone + PartialEq + Send + Sync + PortableLabel + 'static,
-    E: Clone + PartialEq + Send + Sync + PortableLabel + 'static,
+    S: Scheme + Send + Sync + 'static,
+    S::Node: Clone + PartialEq + Send + Sync + PortableLabel + 'static,
+    S::Edge: Clone + PartialEq + Send + Sync + PortableLabel + 'static,
 {
-    source.prepare(inst, radius).0
+    /// The sealed instance on its kept core, taking the core from
+    /// `source` on first use.
+    fn prep(&self, source: &ArtifactSource) -> PreparedInstance<'_, S::Node, S::Edge> {
+        let (scheme, inst) = &*self.cell;
+        let core = self
+            .core
+            .get_or_init(|| Arc::clone(source.prepare(inst, scheme.radius()).0.core()));
+        PreparedInstance::from_core(inst, Arc::clone(core))
+    }
+
+    /// The honest proof, proving on first use only.
+    fn honest(&self) -> Option<&Proof> {
+        self.proof
+            .get_or_init(|| run_prover(&self.cell.0, &self.cell.1))
+            .as_ref()
+    }
+}
+
+impl<S> ErasedCell for Sealed<S>
+where
+    S: Scheme + Send + Sync + 'static,
+    S::Node: Clone + PartialEq + Send + Sync + PortableLabel + 'static,
+    S::Edge: Clone + PartialEq + Send + Sync + PortableLabel + 'static,
+{
+    fn prove(&self) -> Option<Proof> {
+        run_prover(&self.cell.0, &self.cell.1)
+    }
+
+    fn evaluate(&self, source: &ArtifactSource, proof: &Proof) -> Verdict {
+        self.prep(source).evaluate(&self.cell.0, proof)
+    }
+
+    fn evaluate_until_reject(&self, source: &ArtifactSource, proof: &Proof) -> Option<usize> {
+        self.prep(source).evaluate_until_reject(&self.cell.0, proof)
+    }
+
+    fn completeness(
+        &self,
+        holds: bool,
+        source: &ArtifactSource,
+        deadline: &Deadline,
+    ) -> Result<Option<usize>, CompletenessError> {
+        check_honest(
+            &self.cell.0,
+            &self.prep(source),
+            holds,
+            self.honest(),
+            deadline,
+        )
+    }
+
+    fn soundness(
+        &self,
+        max_bits: usize,
+        source: &ArtifactSource,
+        deadline: &Deadline,
+        policy: BatchPolicy,
+    ) -> Result<Soundness, SoundnessError> {
+        check_soundness_exhaustive_policy(
+            &self.cell.0,
+            &self.prep(source),
+            max_bits,
+            deadline,
+            policy,
+        )
+    }
+
+    fn adversarial(
+        &self,
+        size_budget: usize,
+        iterations: usize,
+        seed: u64,
+        source: &ArtifactSource,
+        deadline: &Deadline,
+        policy: BatchPolicy,
+    ) -> Option<Proof> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        adversarial_proof_search_policy(
+            &self.cell.0,
+            &self.prep(source),
+            size_budget,
+            iterations,
+            &mut rng,
+            deadline,
+            policy,
+        )
+    }
+
+    fn tamper_probe(
+        &self,
+        trials: usize,
+        seed: u64,
+        source: &ArtifactSource,
+    ) -> Option<TamperProbe> {
+        let honest = self.honest()?;
+        tamper_probe(&self.cell.0, &self.prep(source), honest, trials, seed)
+    }
+
+    fn dynamic_cell(&self, source: &ArtifactSource) -> Box<dyn MutableCell> {
+        let store = SkeletonStore::from_frozen(self.prep(source).core());
+        let inst = self.cell.1.clone();
+        let proof = self
+            .honest()
+            .cloned()
+            .unwrap_or_else(|| Proof::empty(inst.n()));
+        Box::new(TypedCell {
+            cell: Arc::clone(&self.cell),
+            inst,
+            proof,
+            store,
+        })
+    }
+
+    fn prepare(&self, source: &ArtifactSource) -> CoreProvenance {
+        let (scheme, inst) = &*self.cell;
+        let (prep, provenance) = source.prepare(inst, scheme.radius());
+        // A core kept earlier is the same content; keep the first.
+        let _ = self.core.set(Arc::clone(prep.core()));
+        provenance
+    }
+
+    fn evict(&self, source: &ArtifactSource) -> bool {
+        source.evict(&self.cell.1, self.cell.0.radius())
+    }
+
+    fn forget(&mut self) {
+        self.core.take();
+        self.proof.take();
+    }
 }
 
 impl fmt::Debug for DynScheme {
@@ -467,7 +615,7 @@ impl fmt::Debug for DynScheme {
 
 impl DynScheme {
     /// Seals `scheme` together with one concrete `inst`, erasing the
-    /// associated types.
+    /// associated types. Ground truth is computed here, once.
     ///
     /// The `Send + Sync + 'static` bounds are required in both feature
     /// configurations on purpose (additive features — see
@@ -479,103 +627,34 @@ impl DynScheme {
         S::Node: Clone + PartialEq + Send + Sync + PortableLabel + 'static,
         S::Edge: Clone + PartialEq + Send + Sync + PortableLabel + 'static,
     {
-        let name = scheme.name();
-        let radius = scheme.radius();
-        let n = inst.n();
-        let holds = scheme.holds(&inst);
-        let cell = Arc::new((scheme, inst));
-
-        let c = Arc::clone(&cell);
-        let prove = Box::new(move || c.0.prove(&c.1));
-        let c = Arc::clone(&cell);
-        let eval = Box::new(move |proof: &Proof| evaluate(&c.0, &c.1, proof));
-        let c = Arc::clone(&cell);
-        let until_reject = Box::new(move |proof: &Proof| evaluate_until_reject(&c.0, &c.1, proof));
-        let c = Arc::clone(&cell);
-        let completeness = Box::new(move |source: &ArtifactSource, deadline: &Deadline| {
-            let prep = prep_for(&c.1, c.0.radius(), source);
-            check_instance_within(&c.0, &prep, deadline)
-        });
-        let c = Arc::clone(&cell);
-        let soundness = Box::new(
-            move |max_bits: usize,
-                  source: &ArtifactSource,
-                  deadline: &Deadline,
-                  policy: BatchPolicy| {
-                let prep = prep_for(&c.1, c.0.radius(), source);
-                check_soundness_exhaustive_policy(&c.0, &prep, max_bits, deadline, policy)
-            },
-        );
-        let c = Arc::clone(&cell);
-        let adversarial = Box::new(
-            move |budget: usize,
-                  iterations: usize,
-                  seed: u64,
-                  source: &ArtifactSource,
-                  deadline: &Deadline,
-                  policy: BatchPolicy| {
-                let prep = prep_for(&c.1, c.0.radius(), source);
-                let mut rng = StdRng::seed_from_u64(seed);
-                adversarial_proof_search_policy(
-                    &c.0, &prep, budget, iterations, &mut rng, deadline, policy,
-                )
-            },
-        );
-        let c = Arc::clone(&cell);
-        let tamper = Box::new(move |trials: usize, seed: u64, source: &ArtifactSource| {
-            tamper_probe(&c.0, &c.1, trials, seed, source)
-        });
-        let c = Arc::clone(&cell);
-        let dynamic = Box::new(move |source: &ArtifactSource| {
-            Box::new(TypedCell::from_source(Arc::clone(&c), None, source)) as Box<dyn MutableCell>
-        });
-        let c = Arc::clone(&cell);
-        let prepare = Box::new(move |source: &ArtifactSource| source.prepare(&c.1, c.0.radius()).1);
-        let c = Arc::clone(&cell);
-        let evict = Box::new(move |source: &ArtifactSource| source.evict(&c.1, c.0.radius()));
-
         DynScheme {
-            name,
-            radius,
-            n,
-            holds,
+            name: scheme.name(),
+            radius: scheme.radius(),
+            n: inst.n(),
+            holds: scheme.holds(&inst),
             source: ArtifactSource::BuildFresh,
             deadline: Deadline::none(),
             batch: BatchPolicy::default(),
-            prove,
-            evaluate: eval,
-            until_reject,
-            completeness,
-            soundness,
-            adversarial,
-            tamper,
-            dynamic,
-            prepare,
-            evict,
+            cell: Box::new(Sealed {
+                cell: Arc::new((scheme, inst)),
+                core: OnceLock::new(),
+                proof: OnceLock::new(),
+            }),
         }
     }
 
-    /// Attaches an [`ArtifactSource`]: every subsequent engine-backed
-    /// operation (completeness, soundness, adversarial search, tamper
-    /// probing, dynamic-cell cold starts) prepares the sealed instance
+    /// Attaches an [`ArtifactSource`]: the cell takes its skeleton core
     /// through it — an in-process cache, a two-tier artifact store, or
-    /// neither.
+    /// neither — at the next preparation or engine-backed operation.
+    /// Any core and honest proof kept so far are dropped.
     ///
     /// Results are identical across sources (pinned by the cache- and
     /// artifact-equivalence tests) — only the preparation work is
     /// shared.
     pub fn with_source(mut self, source: ArtifactSource) -> DynScheme {
         self.source = source;
+        self.cell.forget();
         self
-    }
-
-    /// Attaches a shared [`SkeletonCache`], so cells sealed over equal
-    /// instances share one skeleton build.
-    ///
-    /// Shim kept for existing callers: equivalent to
-    /// `with_source(ArtifactSource::Cache(cache))`.
-    pub fn with_cache(self, cache: Arc<SkeletonCache>) -> DynScheme {
-        self.with_source(ArtifactSource::Cache(cache))
     }
 
     /// Attaches a wall budget: every subsequent engine-backed check
@@ -618,23 +697,36 @@ impl DynScheme {
         self.holds
     }
 
-    /// Runs the sealed prover.
+    /// Runs the sealed prover afresh (the kept honest proof is neither
+    /// read nor filled).
     pub fn prove(&self) -> Option<Proof> {
-        (self.prove)()
+        self.cell.prove()
     }
 
-    /// Runs the verifier at every node (reference executor).
+    /// Runs the verifier at every node on the cell's kept core. Same
+    /// verdict as the naive [`crate::evaluate`], which stays the oracle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `proof` labels a different number of nodes.
     pub fn evaluate(&self, proof: &Proof) -> Verdict {
-        (self.evaluate)(proof)
+        self.cell.evaluate(&self.source, proof)
     }
 
-    /// First rejecting node, or `None` when every node accepts.
+    /// First rejecting node on the cell's kept core, or `None` when
+    /// every node accepts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `proof` labels a different number of nodes.
     pub fn evaluate_until_reject(&self, proof: &Proof) -> Option<usize> {
-        (self.until_reject)(proof)
+        self.cell.evaluate_until_reject(&self.source, proof)
     }
 
     /// Single-instance completeness check on the cached engine
-    /// ([`crate::harness::check_instance`]).
+    /// ([`crate::harness::check_honest`]): the verifier sweep over the
+    /// honest proof, which the first call computes and later calls
+    /// reuse.
     pub fn check_completeness(&self) -> Result<Option<usize>, CompletenessError> {
         self.check_completeness_within(&self.deadline)
     }
@@ -650,7 +742,7 @@ impl DynScheme {
         &self,
         deadline: &Deadline,
     ) -> Result<Option<usize>, CompletenessError> {
-        (self.completeness)(&self.source, deadline)
+        self.cell.completeness(self.holds, &self.source, deadline)
     }
 
     /// Exhaustive soundness check on the cached engine.
@@ -674,7 +766,8 @@ impl DynScheme {
         max_bits: usize,
         deadline: &Deadline,
     ) -> Result<Soundness, SoundnessError> {
-        (self.soundness)(max_bits, &self.source, deadline, self.batch)
+        self.cell
+            .soundness(max_bits, &self.source, deadline, self.batch)
     }
 
     /// Seeded adversarial proof search on the cached engine; `Some` is a
@@ -706,7 +799,7 @@ impl DynScheme {
         seed: u64,
         deadline: &Deadline,
     ) -> Option<Proof> {
-        (self.adversarial)(
+        self.cell.adversarial(
             size_budget,
             iterations,
             seed,
@@ -717,18 +810,17 @@ impl DynScheme {
     }
 
     /// Eagerly prepares the sealed instance's skeletons through the
-    /// attached [`ArtifactSource`], warming its in-process tier so that
-    /// later engine-backed operations hit instead of building, and
-    /// reports where the core came from.
+    /// attached [`ArtifactSource`], keeps the core for every later
+    /// operation, and reports where it came from.
     ///
-    /// This is how a resident service front-loads the one BFS a cell
-    /// ever needs: `prepare` once at load time, then every `verify` and
-    /// `tamper-probe` on the resident cell reuses the cached core
-    /// (observable through [`SkeletonCache::hits`] and the returned
-    /// [`CoreProvenance`]). With the default [`ArtifactSource::
-    /// BuildFresh`] the preparation is built and immediately dropped.
+    /// This is how a resident service front-loads the one core lookup a
+    /// cell ever needs: `prepare` once at load time, then every `verify`
+    /// and `tamper-probe` on the resident cell runs on the kept core
+    /// without touching the source. It never runs the prover. Each call
+    /// goes through the source (a second call reports
+    /// [`CoreProvenance::CacheHit`] on a caching source).
     pub fn prepare_skeletons(&self) -> CoreProvenance {
-        (self.prepare)(&self.source)
+        self.cell.prepare(&self.source)
     }
 
     /// Drops this cell's skeleton core from the attached source's
@@ -736,20 +828,22 @@ impl DynScheme {
     ///
     /// The counterpart of [`Self::prepare_skeletons`]: an instance table
     /// evicting this cell calls it so the shared cache does not pin the
-    /// core forever. `false` when the source has no in-process tier or
-    /// the core was never cached (or already evicted). Artifact *files*
-    /// are never deleted.
+    /// core forever (the cell's own kept core goes when the cell does).
+    /// `false` when the source has no in-process tier or the core was
+    /// never cached (or already evicted). Artifact *files* are never
+    /// deleted.
     pub fn evict_skeletons(&self) -> bool {
-        (self.evict)(&self.source)
+        self.cell.evict(&self.source)
     }
 
-    /// Seeded single-bit tamper probe against the honest proof.
+    /// Seeded single-bit tamper probe against the honest proof: flips
+    /// land on a copy, so the kept proof never changes.
     ///
     /// Returns `None` when there is nothing to probe: the prover refused,
     /// or the honest proof is not fully accepted (a completeness failure,
     /// reported by [`Self::check_completeness`] instead).
     pub fn tamper_probe(&self, trials: usize, seed: u64) -> Option<TamperProbe> {
-        (self.tamper)(trials, seed, &self.source)
+        self.cell.tamper_probe(trials, seed, &self.source)
     }
 
     /// Opens a fresh [`MutableCell`] over a private copy of the sealed
@@ -757,41 +851,34 @@ impl DynScheme {
     ///
     /// The cell starts from the honest proof when the prover certifies
     /// the sealed instance, else from the empty proof; mutations to the
-    /// cell never affect this `DynScheme` or sibling cells. The cell's
-    /// initial skeleton store thaws from the attached source's frozen
-    /// core when one is available.
+    /// cell never affect this `DynScheme` or sibling cells. Its initial
+    /// skeleton store thaws from the kept core.
     pub fn dynamic_cell(&self) -> Box<dyn MutableCell> {
-        (self.dynamic)(&self.source)
+        self.cell.dynamic_cell(&self.source)
     }
 }
 
-/// Engine-backed tamper probe: flip one random bit of the honest proof
-/// in its arena per trial, re-verify only the views containing the
+/// Engine-backed tamper probe: flip one random bit of a copy of the
+/// honest proof per trial, re-verify only the views containing the
 /// flipped node, and flip the bit back — zero allocations per trial.
-fn tamper_probe<S>(
+fn tamper_probe<S: Scheme>(
     scheme: &S,
-    inst: &Instance<S::Node, S::Edge>,
+    prep: &PreparedInstance<'_, S::Node, S::Edge>,
+    honest: &Proof,
     trials: usize,
     seed: u64,
-    source: &ArtifactSource,
-) -> Option<TamperProbe>
-where
-    S: Scheme,
-    S::Node: Clone + PartialEq + Send + Sync + PortableLabel + 'static,
-    S::Edge: Clone + PartialEq + Send + Sync + PortableLabel + 'static,
-{
-    let mut proof = scheme.prove(inst)?;
-    let prep = prep_for(inst, scheme.radius(), source);
-    if (0..prep.n()).any(|v| !scheme.verify(&prep.bind(v, &proof))) {
+) -> Option<TamperProbe> {
+    if (0..prep.n()).any(|v| !scheme.verify(&prep.bind(v, honest))) {
         return None; // honest proof rejected — that is a completeness failure
     }
     let flippable: Vec<usize> = (0..prep.n())
-        .filter(|&v| !proof.get(v).is_empty())
+        .filter(|&v| !honest.get(v).is_empty())
         .collect();
     let mut probe = TamperProbe::default();
     if flippable.is_empty() {
         return Some(probe); // LCP(0): no bits to tamper with
     }
+    let mut proof = honest.clone();
     let mut rng = StdRng::seed_from_u64(seed);
     for _ in 0..trials {
         let v = flippable[rng.random_range(0..flippable.len())];
@@ -819,6 +906,7 @@ where
 mod tests {
     use super::*;
     use crate::bits::BitString;
+    use crate::engine::SkeletonCache;
     use crate::view::View;
     use lcp_graph::generators;
 
@@ -976,7 +1064,7 @@ mod tests {
     fn prepare_and_evict_manage_the_shared_cache() {
         let cache = Arc::new(SkeletonCache::new());
         let cell = DynScheme::seal(Bipartite, Instance::unlabeled(generators::cycle(6)))
-            .with_cache(Arc::clone(&cache));
+            .with_source(ArtifactSource::Cache(Arc::clone(&cache)));
         assert!(!cell.evict_skeletons(), "nothing cached yet");
         assert_eq!(cell.prepare_skeletons(), CoreProvenance::Built);
         assert_eq!((cache.len(), cache.misses()), (1, 1));
@@ -991,6 +1079,63 @@ mod tests {
         let free = DynScheme::seal(Bipartite, Instance::unlabeled(generators::cycle(6)));
         assert_eq!(free.prepare_skeletons(), CoreProvenance::Built);
         assert!(!free.evict_skeletons());
+    }
+
+    #[test]
+    fn resident_cells_prove_once_and_never_at_prepare() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        /// Bipartite, counting its prover runs.
+        struct Counted(Arc<AtomicUsize>);
+        impl Scheme for Counted {
+            type Node = ();
+            type Edge = ();
+            fn name(&self) -> String {
+                Bipartite.name()
+            }
+            fn radius(&self) -> usize {
+                Bipartite.radius()
+            }
+            fn holds(&self, inst: &Instance) -> bool {
+                Bipartite.holds(inst)
+            }
+            fn prove(&self, inst: &Instance) -> Option<Proof> {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                Bipartite.prove(inst)
+            }
+            fn verify(&self, view: &View) -> bool {
+                Bipartite.verify(view)
+            }
+        }
+        let proves = Arc::new(AtomicUsize::new(0));
+        let cache = Arc::new(SkeletonCache::new());
+        let cell = DynScheme::seal(
+            Counted(Arc::clone(&proves)),
+            Instance::unlabeled(generators::cycle(8)),
+        )
+        .with_source(ArtifactSource::Cache(Arc::clone(&cache)));
+        assert_eq!(cell.prepare_skeletons(), CoreProvenance::Built);
+        assert_eq!(proves.load(Ordering::Relaxed), 0, "prepare never proves");
+
+        let probe = cell.tamper_probe(16, 3);
+        for _ in 0..2 {
+            assert_eq!(cell.check_completeness(), Ok(Some(1)));
+            assert_eq!(cell.tamper_probe(16, 3), probe, "flips land on a copy");
+        }
+        assert!(cell.dynamic_cell().evaluate_full().accepted());
+        assert_eq!(proves.load(Ordering::Relaxed), 1, "one fill serves all");
+        assert_eq!((cache.misses(), cache.hits()), (1, 0), "one lookup ever");
+
+        // An explicit prove always runs the prover.
+        let c8 = Instance::unlabeled(generators::cycle(8));
+        assert_eq!(cell.prove(), Bipartite.prove(&c8));
+        assert_eq!(proves.load(Ordering::Relaxed), 2);
+
+        // A new source drops the kept core and proof.
+        let other = Arc::new(SkeletonCache::new());
+        let cell = cell.with_source(ArtifactSource::Cache(Arc::clone(&other)));
+        assert_eq!(cell.check_completeness(), Ok(Some(1)));
+        assert_eq!(proves.load(Ordering::Relaxed), 3);
+        assert_eq!(other.misses(), 1);
     }
 
     #[test]

@@ -291,63 +291,40 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
         acc
     }
 
-    /// Always-sequential verifier sweep — used directly by contexts that
-    /// are already parallel at a coarser grain (e.g. the per-instance
-    /// completeness sweep), where nesting a second thread fan-out per
-    /// evaluation would only add spawn overhead.
-    pub(crate) fn evaluate_seq<S>(&self, scheme: &S, proof: &Proof) -> Verdict
-    where
-        S: Scheme<Node = N, Edge = E>,
-    {
-        let started = std::time::Instant::now();
-        let verdict = Verdict::from_outputs(
-            (0..self.n())
-                .map(|v| scheme.verify(&self.bind(v, proof)))
-                .collect(),
-        );
-        metrics::EVALUATE_SWEEPS.inc();
-        metrics::EVALUATE_NS.observe(started.elapsed().as_nanos() as u64);
-        metrics::BINDS.add(self.n() as u64);
-        verdict
-    }
-
     /// Runs `scheme`'s verifier at every node against cached skeletons.
     ///
     /// Semantically identical to [`crate::evaluate`] (property-tested in
     /// `tests/engine_equivalence.rs`), but per-proof cost drops from
-    /// `O(n · BFS · alloc)` to `O(Σ|ball|)` bit copies.
-    #[cfg(not(feature = "parallel"))]
-    pub fn evaluate<S>(&self, scheme: &S, proof: &Proof) -> Verdict
-    where
-        S: Scheme<Node = N, Edge = E>,
-    {
-        self.evaluate_seq(scheme, proof)
-    }
-
-    /// Runs `scheme`'s verifier at every node against cached skeletons,
-    /// fanning node verification out across cores for large instances.
-    #[cfg(feature = "parallel")]
+    /// `O(n · BFS · alloc)` to `O(Σ|ball|)` bit copies. With the
+    /// `parallel` feature, node verification fans out across cores for
+    /// large instances; outputs stay in node order either way. The
+    /// `Sync`/`Send` bounds apply in both feature configurations
+    /// (additive features).
     pub fn evaluate<S>(&self, scheme: &S, proof: &Proof) -> Verdict
     where
         S: Scheme<Node = N, Edge = E> + Sync,
         N: Send + Sync,
         E: Send + Sync,
     {
-        if self.n() >= PAR_THRESHOLD {
-            let started = std::time::Instant::now();
-            let verdict = Verdict::from_outputs(
-                (0..self.n())
-                    .into_par_iter()
-                    .map(|v| scheme.verify(&self.bind(v, proof)))
-                    .collect(),
-            );
-            metrics::EVALUATE_SWEEPS.inc();
-            metrics::EVALUATE_NS.observe(started.elapsed().as_nanos() as u64);
-            metrics::BINDS.add(self.n() as u64);
-            verdict
+        let started = std::time::Instant::now();
+        let verify = |v: usize| scheme.verify(&self.bind(v, proof));
+        #[cfg(feature = "parallel")]
+        let outputs = if self.n() >= PAR_THRESHOLD {
+            (0..self.n()).into_par_iter().map(verify).collect()
         } else {
-            self.evaluate_seq(scheme, proof)
-        }
+            (0..self.n()).map(verify).collect()
+        };
+        #[cfg(not(feature = "parallel"))]
+        let outputs = (0..self.n()).map(verify).collect();
+        self.record_sweep(started);
+        Verdict::from_outputs(outputs)
+    }
+
+    /// Counts one finished whole-instance sweep in the engine metrics.
+    fn record_sweep(&self, started: std::time::Instant) {
+        metrics::EVALUATE_SWEEPS.inc();
+        metrics::EVALUATE_NS.observe(started.elapsed().as_nanos() as u64);
+        metrics::BINDS.add(self.n() as u64);
     }
 
     /// Runs the verifier node by node and stops at the first rejection,
@@ -369,6 +346,11 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
     /// budgets cannot preempt scheme code). Identical outputs to
     /// [`Self::evaluate`] when the budget holds.
     ///
+    /// This is the sweep for callers that are already parallel at a
+    /// coarser grain — campaign cells, daemon connections — where a
+    /// per-node fan-out would take cores from their siblings. An
+    /// unbounded `deadline` never expires.
+    ///
     /// # Errors
     ///
     /// [`DeadlineExpired`] when the budget runs out before the sweep
@@ -382,6 +364,7 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
     where
         S: Scheme<Node = N, Edge = E>,
     {
+        let started = std::time::Instant::now();
         let mut outputs = Vec::with_capacity(self.n());
         for v in 0..self.n() {
             if deadline.expired() {
@@ -389,6 +372,7 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
             }
             outputs.push(scheme.verify(&self.bind(v, proof)));
         }
+        self.record_sweep(started);
         Ok(Verdict::from_outputs(outputs))
     }
 
@@ -438,7 +422,7 @@ struct CachedPrep<N, E> {
 /// graphs: every scheme asked about `(cycle, n = 32)` re-BFSes the same
 /// 32 balls. Graph preparation dominates cell cost on the full profile,
 /// so the campaign threads one `SkeletonCache` through all its cells
-/// ([`crate::dynamic::DynScheme::with_cache`]) and each distinct graph is
+/// ([`crate::dynamic::DynScheme::with_source`]) and each distinct graph is
 /// prepared exactly once. [`crate::artifact::ArtifactStore`] extends the
 /// same sharing across *processes*: it wraps this cache and backfills
 /// misses from mapped artifact files before falling back to a build.

@@ -111,96 +111,41 @@ where
     Ok(sizes)
 }
 
-/// Completeness check of one prepared instance: `Ok(Some(size))` for an
-/// accepted yes-instance, `Ok(None)` for a correctly handled no-instance.
+/// The verifier sweep of one completeness check: given the instance's
+/// ground truth `holds` and the prover's output `proof`, returns
+/// `Ok(Some(size))` for an accepted yes-instance and `Ok(None)` for a
+/// correctly handled no-instance.
 ///
-/// Public single-instance entry point for callers that hold exactly one
-/// prepared instance — the type-erased [`crate::dynamic::DynScheme`]
-/// layer and the conformance campaign runner. The sweep variant is
-/// [`check_completeness`].
+/// Ground truth and proving are the caller's: a resident
+/// [`crate::dynamic::DynScheme`] computes both once and then repeats only
+/// this sweep, and [`check_completeness`] runs both per instance. Every
+/// node's verifier still runs on every call.
 ///
-/// Per-node evaluation uses the engine's size-gated parallel path: it
-/// only fans out above [`crate::engine`]'s threshold (hundreds of
-/// nodes), so calling this from an already-parallel cell sweep does not
-/// nest thread fan-outs at typical campaign sizes.
-pub fn check_instance<S>(
+/// The sweep is [`PreparedInstance::evaluate_within`]: sequential,
+/// polling `deadline` between nodes, and bailing out with
+/// [`CompletenessError::DeadlineExpired`] when the budget runs out. It
+/// does not fan out over nodes because its callers already run in
+/// parallel at a coarser grain — [`check_completeness`] across
+/// instances, the campaign across cells, the daemon across connections —
+/// and a nested fan-out would take cores from those siblings.
+///
+/// # Errors
+///
+/// The [`CompletenessError`] the sweep observed.
+pub fn check_honest<S: Scheme>(
     scheme: &S,
     prep: &PreparedInstance<'_, S::Node, S::Edge>,
-) -> Result<Option<usize>, CompletenessError>
-where
-    S: Scheme + Sync,
-    S::Node: Send + Sync,
-    S::Edge: Send + Sync,
-{
-    check_one(scheme, prep, true)
-}
-
-/// Deadline-aware [`check_instance`]: the verifier sweeps poll `deadline`
-/// and bail out with [`CompletenessError::DeadlineExpired`] when the wall
-/// budget runs out mid-sweep.
-///
-/// An unbounded deadline takes exactly the [`check_instance`] path, so
-/// results (and any parallel fan-out) are unchanged when no budget is
-/// attached. A bounded deadline forces the sequential per-node sweep —
-/// identical outputs, checked node by node.
-pub fn check_instance_within<S>(
-    scheme: &S,
-    prep: &PreparedInstance<'_, S::Node, S::Edge>,
+    holds: bool,
+    proof: Option<&Proof>,
     deadline: &Deadline,
-) -> Result<Option<usize>, CompletenessError>
-where
-    S: Scheme + Sync,
-    S::Node: Send + Sync,
-    S::Edge: Send + Sync,
-{
-    if deadline.is_unbounded() {
-        return check_one(scheme, prep, true);
-    }
-    let inst = prep.instance();
-    match (scheme.holds(inst), scheme.prove(inst)) {
-        (true, None) => Err(CompletenessError::ProverRefused),
-        (true, Some(proof)) => match prep.evaluate_within(scheme, &proof, deadline) {
-            Err(_) => Err(CompletenessError::DeadlineExpired),
-            Ok(verdict) => {
-                if verdict.accepted() {
-                    Ok(Some(proof.size()))
-                } else {
-                    Err(CompletenessError::Rejected(verdict.rejecting()))
-                }
-            }
-        },
-        (false, Some(proof)) => match prep.evaluate_until_reject_within(scheme, &proof, deadline) {
-            Err(_) => Err(CompletenessError::DeadlineExpired),
-            Ok(None) => Err(CompletenessError::AcceptedNoInstance),
-            Ok(Some(_)) => Ok(None),
-        },
-        (false, None) => Ok(None),
-    }
-}
-
-/// Completeness check of one prepared instance: `Ok(Some(size))` for an
-/// accepted yes-instance, `Ok(None)` for a correctly handled no-instance.
-fn check_one<S>(
-    scheme: &S,
-    prep: &PreparedInstance<'_, S::Node, S::Edge>,
-    parallel_nodes: bool,
-) -> Result<Option<usize>, CompletenessError>
-where
-    S: Scheme + Sync,
-    S::Node: Send + Sync,
-    S::Edge: Send + Sync,
-{
-    let inst = prep.instance();
-    match (scheme.holds(inst), scheme.prove(inst)) {
+) -> Result<Option<usize>, CompletenessError> {
+    let expired = |_| CompletenessError::DeadlineExpired;
+    match (holds, proof) {
         (true, None) => Err(CompletenessError::ProverRefused),
         (true, Some(proof)) => {
-            // Inside an already-parallel instance sweep, a nested
-            // per-node fan-out would only pay thread-spawn overhead.
-            let verdict = if parallel_nodes {
-                prep.evaluate(scheme, &proof)
-            } else {
-                prep.evaluate_seq(scheme, &proof)
-            };
+            let verdict = prep
+                .evaluate_within(scheme, proof, deadline)
+                .map_err(expired)?;
             if verdict.accepted() {
                 Ok(Some(proof.size()))
             } else {
@@ -208,14 +153,33 @@ where
             }
         }
         (false, Some(proof)) => {
-            if prep.evaluate_until_reject(scheme, &proof).is_none() {
-                Err(CompletenessError::AcceptedNoInstance)
-            } else {
-                Ok(None)
+            match prep
+                .evaluate_until_reject_within(scheme, proof, deadline)
+                .map_err(expired)?
+            {
+                None => Err(CompletenessError::AcceptedNoInstance),
+                Some(_) => Ok(None),
             }
         }
         (false, None) => Ok(None),
     }
+}
+
+/// [`check_honest`] with this instance's ground truth and honest proof
+/// computed on the spot — one entry of a [`check_completeness`] sweep.
+fn check_prepared<S: Scheme>(
+    scheme: &S,
+    prep: &PreparedInstance<'_, S::Node, S::Edge>,
+) -> Result<Option<usize>, CompletenessError> {
+    let inst = prep.instance();
+    let proof = scheme.prove(inst);
+    check_honest(
+        scheme,
+        prep,
+        scheme.holds(inst),
+        proof.as_ref(),
+        &Deadline::none(),
+    )
 }
 
 #[cfg(not(feature = "parallel"))]
@@ -232,7 +196,7 @@ where
     // anyway, so checking them is wasted work.
     let mut out = Vec::with_capacity(prepared.len());
     for p in prepared {
-        let r = check_one(scheme, p, true);
+        let r = check_prepared(scheme, p);
         let failed = r.is_err();
         out.push(r);
         if failed {
@@ -253,19 +217,11 @@ where
     S::Edge: Send + Sync,
 {
     use rayon::prelude::*;
-    if prepared.len() > 1 {
-        // Parallel across instances; sequential within each (nested
-        // fan-out would oversubscribe the cores).
-        prepared
-            .par_iter()
-            .map(|p| check_one(scheme, p, false))
-            .collect()
-    } else {
-        prepared
-            .iter()
-            .map(|p| check_one(scheme, p, true))
-            .collect()
-    }
+    // Parallel across instances, sequential within each.
+    prepared
+        .par_iter()
+        .map(|p| check_prepared(scheme, p))
+        .collect()
 }
 
 /// Number of bit strings with at most `max_bits` bits
@@ -1339,14 +1295,20 @@ mod tests {
         let inst = Instance::unlabeled(generators::cycle(6));
         let prep = prepare(&Bipartite, &inst);
         let expired = Deadline::after(Duration::ZERO);
+        let proof = Bipartite.prove(&inst);
         assert_eq!(
-            check_instance_within(&Bipartite, &prep, &expired),
+            check_honest(&Bipartite, &prep, true, proof.as_ref(), &expired),
             Err(CompletenessError::DeadlineExpired)
         );
-        // Unbounded: byte-for-byte the default path.
+        // Unbounded and live budgets reach the same verdict.
+        let live = Deadline::after(Duration::from_secs(3600));
         assert_eq!(
-            check_instance_within(&Bipartite, &prep, &Deadline::none()),
-            check_instance(&Bipartite, &prep)
+            check_honest(&Bipartite, &prep, true, proof.as_ref(), &Deadline::none()),
+            Ok(Some(1))
+        );
+        assert_eq!(
+            check_honest(&Bipartite, &prep, true, proof.as_ref(), &live),
+            Ok(Some(1))
         );
     }
 }

@@ -17,10 +17,17 @@ use lcp_obs::{Counter, Histogram, Registry};
 pub static PREPARES: Counter = Counter::new();
 /// Wall time of each skeleton build, nanoseconds.
 pub static PREPARE_NS: Histogram = Histogram::new();
-/// Whole-instance verifier sweeps (`evaluate` / `evaluate_seq`).
+/// Whole-instance verifier sweeps that ran to the end
+/// (`PreparedInstance::evaluate` / `evaluate_within`).
 pub static EVALUATE_SWEEPS: Counter = Counter::new();
 /// Wall time of each whole-instance sweep, nanoseconds.
 pub static EVALUATE_NS: Histogram = Histogram::new();
+/// Prover runs in the type-erased layer: a resident `DynScheme`'s one
+/// honest-proof fill, every explicit `DynScheme::prove`, and a mutable
+/// cell's starting or `prove_now` proof.
+pub static PROVES: Counter = Counter::new();
+/// Wall time of each of those prover runs, nanoseconds.
+pub static PROVE_NS: Histogram = Histogram::new();
 /// View bindings performed by the sweeps and search loops (aggregated
 /// at loop exits, never per candidate).
 pub static BINDS: Counter = Counter::new();
@@ -97,6 +104,18 @@ pub fn register(reg: &Registry) {
         "",
         "whole-instance sweep wall time in nanoseconds",
         &EVALUATE_NS,
+    );
+    reg.counter(
+        "lcp_engine_proves_total",
+        "",
+        "prover runs (resident proof fills and explicit prove calls)",
+        &PROVES,
+    );
+    reg.histogram(
+        "lcp_engine_prove_ns",
+        "",
+        "prover wall time in nanoseconds",
+        &PROVE_NS,
     );
     reg.counter(
         "lcp_engine_binds_total",

@@ -4,7 +4,9 @@
 //! what actually happened.
 
 use lcp_core::dynamic::DynScheme;
-use lcp_core::{evaluate, Instance, PreparedInstance, Proof, Scheme, SkeletonCache, View};
+use lcp_core::{
+    evaluate, ArtifactSource, Instance, PreparedInstance, Proof, Scheme, SkeletonCache, View,
+};
 use lcp_graph::generators;
 use std::sync::Arc;
 
@@ -124,13 +126,14 @@ fn label_differences_are_never_shared() {
 }
 
 #[test]
-fn dyn_schemes_share_one_build_through_with_cache() {
+fn dyn_schemes_share_one_build_through_a_cache_source() {
     let cache = Arc::new(SkeletonCache::new());
+    let source = || ArtifactSource::Cache(Arc::clone(&cache));
     // Two different schemes sealed over equal instances — the campaign's
     // cross-cell sharing situation in miniature.
     let c6 = || Instance::unlabeled(generators::cycle(6));
-    let bip = DynScheme::seal(Bipartite, c6()).with_cache(Arc::clone(&cache));
-    let even = DynScheme::seal(EvenDegrees, c6()).with_cache(Arc::clone(&cache));
+    let bip = DynScheme::seal(Bipartite, c6()).with_source(source());
+    let even = DynScheme::seal(EvenDegrees, c6()).with_source(source());
 
     let uncached_bip = DynScheme::seal(Bipartite, c6());
     let uncached_even = DynScheme::seal(EvenDegrees, c6());
@@ -145,8 +148,12 @@ fn dyn_schemes_share_one_build_through_with_cache() {
         even.check_completeness(),
         uncached_even.check_completeness()
     );
-    // ...and one CSR build served all cached operations (both schemes
-    // have radius 1 over equal instances).
+    // ...one CSR build served both schemes (radius 1 over equal
+    // instances), and each cell looked its core up exactly once: the
+    // tamper probe and later checks run on the kept core.
     assert_eq!(cache.misses(), 1, "one build for the shared graph");
-    assert!(cache.hits() >= 2, "later operations hit ({:?})", cache);
+    assert_eq!(cache.hits(), 1, "the second cell's one lookup hit");
+    bip.check_completeness().unwrap();
+    even.tamper_probe(8, 3);
+    assert_eq!((cache.misses(), cache.hits()), (1, 1), "{cache:?}");
 }

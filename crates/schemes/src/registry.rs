@@ -1396,6 +1396,33 @@ mod tests {
     }
 
     #[test]
+    fn sealed_evaluation_agrees_with_the_naive_oracle_on_forged_proofs() {
+        let req = CellRequest {
+            family: GraphFamily::Grid,
+            n: 24,
+            seed: 7,
+            polarity: Polarity::Yes,
+        };
+        let cell = find("leader-election").unwrap().build(&req).unwrap();
+        // The same instance, typed, for the naive executor.
+        let g = base(&req);
+        let n = g.n();
+        let inst = Instance::with_node_data(g, (0..n).map(|v| v == n / 2).collect());
+        let mut forged = cell.prove().expect("yes-instance");
+        let v = (0..n).rev().find(|&v| !forged.get(v).is_empty()).unwrap();
+        forged.flip(v, 0);
+        let naive = lcp_core::evaluate(&LeaderElection, &inst, &forged);
+        assert!(!naive.accepted(), "the flip must be caught somewhere");
+        assert_eq!(cell.evaluate(&forged), naive);
+        assert_eq!(
+            cell.evaluate_until_reject(&forged),
+            lcp_core::evaluate_until_reject(&LeaderElection, &inst, &forged)
+        );
+        let honest = cell.prove().unwrap();
+        assert_eq!(cell.evaluate_until_reject(&honest), None);
+    }
+
+    #[test]
     fn find_round_trips() {
         assert_eq!(find("eulerian").unwrap().id, "eulerian");
         assert!(find("perpetual-motion").is_none());

@@ -23,7 +23,8 @@
 //! `--client-smoke ADDR` runs a tiny over-TCP exercise against an
 //! already-running daemon instead (prepare → verify → session → two
 //! mutations → close, with `metrics` scrapes asserting nonzero request
-//! counters and zero skeleton rebuilds across the resident verify) —
+//! counters, zero skeleton rebuilds and at most one prover run across
+//! two resident verifies) —
 //! the CI serve-smoke job's client half.
 
 use lcp_graph::families::GraphFamily;
@@ -181,18 +182,28 @@ fn run_client_smoke(addr: &str) -> ExitCode {
     let run = || -> Result<(), Box<dyn std::error::Error>> {
         let mut client = Client::connect(addr)?;
         client.prepare(&coord)?;
-        // A resident verify must be pure cache reuse: the skeleton-miss
-        // count (= skeleton builds) may not move across it.
-        let misses_before = prom_value(&client.metrics_text()?, "lcp_serve_skeleton_misses")
-            .ok_or("lcp_serve_skeleton_misses missing from the metrics export")?;
+        // Resident verifies must be pure reuse: the skeleton-miss count
+        // (= skeleton builds) may not move across them, and the prover
+        // runs at most once — the first verify fills the cell's proof.
+        let scrape = |client: &mut Client, series: &str| -> Result<i64, String> {
+            let text = client.metrics_text().map_err(|e| e.to_string())?;
+            prom_value(&text, series).ok_or(format!("{series} missing from the metrics export"))
+        };
+        let misses_before = scrape(&mut client, "lcp_serve_skeleton_misses")?;
+        let proves_before = scrape(&mut client, "lcp_engine_proves_total")?;
         client.verify(&coord, Some(5_000))?;
-        let misses_after = prom_value(&client.metrics_text()?, "lcp_serve_skeleton_misses")
-            .ok_or("lcp_serve_skeleton_misses missing from the metrics export")?;
+        client.verify(&coord, Some(5_000))?;
+        let misses_after = scrape(&mut client, "lcp_serve_skeleton_misses")?;
+        let proves_after = scrape(&mut client, "lcp_engine_proves_total")?;
         if misses_after != misses_before {
             return Err(format!(
                 "resident verify rebuilt skeletons ({misses_before} -> {misses_after} misses)"
             )
             .into());
+        }
+        let proves = proves_after - proves_before;
+        if proves > 1 {
+            return Err(format!("two resident verifies ran the prover {proves} times").into());
         }
         client.session_open(&coord)?;
         client.mutate(&WireMutation::EdgeInsert(0, 2))?;
@@ -214,7 +225,9 @@ fn run_client_smoke(addr: &str) -> ExitCode {
             }
         }
         println!("client-smoke: ok ({mutations} mutations applied)");
-        println!("client-smoke: metrics ok (skeleton rebuilds across resident verify: 0)");
+        println!(
+            "client-smoke: metrics ok (skeleton rebuilds across resident verifies: 0, prover runs: {proves})"
+        );
         Ok(())
     };
     match run() {

@@ -611,3 +611,83 @@ fn render_list(xs: &[usize]) -> String {
     s.push(']');
     s
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::CellCoord;
+    use lcp_core::ArtifactSource;
+    use lcp_graph::families::GraphFamily;
+    use lcp_schemes::registry::Polarity;
+
+    /// The serve benchmark's three schemes on two families, kept small.
+    fn cells() -> Vec<CellCoord> {
+        let mut out = Vec::new();
+        for scheme in ["bipartite", "spanning-tree", "leader-election"] {
+            for family in [GraphFamily::Cycle, GraphFamily::Grid] {
+                out.push(CellCoord {
+                    scheme: scheme.into(),
+                    family,
+                    n: 24,
+                    seed: 7,
+                    polarity: Polarity::Yes,
+                });
+            }
+        }
+        out
+    }
+
+    /// Dispatches one request payload on a fresh connection state and
+    /// returns the response bytes, error frames included.
+    fn ask(table: &InstanceTable, payload: &str) -> String {
+        let shutdown = AtomicBool::new(false);
+        let request = Request::parse(payload).expect("well-formed request");
+        dispatch(request, table, &mut None, &shutdown).unwrap_or_else(|e| e.render())
+    }
+
+    #[test]
+    fn resident_answers_match_freshly_sealed_cells() {
+        let resident = InstanceTable::new(8);
+        for cell in cells() {
+            let fields = cell.render_fields();
+            let requests = [
+                format!("{{\"op\":\"verify\",{fields}}}"),
+                format!("{{\"op\":\"tamper-probe\",{fields},\"trials\":16,\"seed\":3}}"),
+                format!("{{\"op\":\"session-open\",{fields}}}"),
+            ];
+            // Each request's first answer from a freshly sealed cell
+            // that shares nothing.
+            let fresh: Vec<String> = requests
+                .iter()
+                .map(|r| {
+                    ask(
+                        &InstanceTable::with_source(1, ArtifactSource::BuildFresh),
+                        r,
+                    )
+                })
+                .collect();
+            assert!(fresh[0].contains("\"accepted\":true"), "{}", fresh[0]);
+            // The resident cell answers byte-identically on every round:
+            // its kept proof and core never drift, and the tamper probes
+            // of earlier rounds never leak into later verifies (the last
+            // round's verify follows two probes and still accepts).
+            for round in 0..3 {
+                for (request, want) in requests.iter().zip(&fresh) {
+                    assert_eq!(
+                        &ask(&resident, request),
+                        want,
+                        "{} on {:?}, round {round}",
+                        cell.scheme,
+                        cell.family
+                    );
+                }
+            }
+            // A zero budget on the warm cell still expires.
+            let zero = ask(
+                &resident,
+                &format!("{{\"op\":\"verify\",{fields},\"budget_ms\":0}}"),
+            );
+            assert!(zero.contains("\"error\":\"deadline\""), "{zero}");
+        }
+    }
+}

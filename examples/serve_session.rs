@@ -30,8 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let prepared = client.prepare(&coord)?;
     println!("prepared: {prepared:?}");
 
-    // A resident verify reuses the cached skeletons (stats proves it:
-    // the miss counter stays put while hits grow).
+    // A resident verify runs on the skeleton core the cell kept at
+    // prepare (stats proves it: the hit and miss counters stay put).
     let verdict = client.verify(&coord, Some(5_000))?;
     println!("verify:   {verdict:?}");
     println!("stats:    {:?}", client.stats()?);
