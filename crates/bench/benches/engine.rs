@@ -25,8 +25,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lcp_core::engine::prepare;
-use lcp_core::harness::{all_bitstrings_up_to, check_soundness_exhaustive_policy, Soundness};
-use lcp_core::{evaluate, BatchPolicy, Deadline, Instance, Proof, Scheme};
+use lcp_core::harness::{all_bitstrings_up_to, check_soundness_exhaustive, Run, Soundness};
+use lcp_core::{evaluate, BatchPolicy, Instance, Proof, Scheme};
 use lcp_graph::generators;
 use lcp_schemes::chromatic::NonBipartite;
 use std::hint::black_box;
@@ -67,8 +67,11 @@ fn naive_exhaustive<S: Scheme>(
 /// One cached-engine exhaustive run under an explicit batch policy.
 fn engine_exhaustive(inst: &Instance, max_bits: usize, policy: BatchPolicy) -> Soundness {
     let prep = prepare(&NonBipartite, inst);
-    check_soundness_exhaustive_policy(&NonBipartite, &prep, max_bits, &Deadline::none(), policy)
-        .unwrap()
+    let run = Run {
+        policy,
+        ..Run::default()
+    };
+    check_soundness_exhaustive(&NonBipartite, &prep, max_bits, &run).unwrap()
 }
 
 fn workload(c: &Criterion) -> (usize, usize) {

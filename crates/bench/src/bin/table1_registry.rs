@@ -10,6 +10,7 @@
 
 use lcp_bench::{print_table, Row};
 use lcp_core::harness::{classify_growth, SizePoint};
+use lcp_core::Deadline;
 use lcp_schemes::registry::{self, CellRequest, Polarity};
 
 fn main() {
@@ -34,7 +35,7 @@ fn main() {
                 if !cell.holds() {
                     continue; // a random family member landed on the no side
                 }
-                match cell.check_completeness() {
+                match cell.check_completeness_within(&Deadline::none()) {
                     Ok(Some(bits)) => points.push(SizePoint { n: cell.n(), bits }),
                     _ => complete = false,
                 }

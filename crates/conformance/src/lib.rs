@@ -37,9 +37,7 @@ use lcp_core::dynamic::{DynScheme, TamperProbe};
 use lcp_core::harness::{
     classify_growth, CompletenessError, GrowthClass, SizePoint, Soundness, SoundnessError,
 };
-use lcp_core::{
-    ArtifactSource, ArtifactStore, BatchPolicy, CoreProvenance, Deadline, Scheme, SkeletonCache,
-};
+use lcp_core::{ArtifactSource, ArtifactStore, CoreProvenance, Deadline, Scheme, SkeletonCache};
 use lcp_graph::families::GraphFamily;
 use lcp_logic::{formulas, Sigma11Scheme};
 use lcp_schemes::registry::{self, CellRequest, Polarity, SchemeEntry};
@@ -47,9 +45,6 @@ use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-#[cfg(feature = "parallel")]
-use rayon::prelude::*;
 
 // ---------------------------------------------------------------------
 // Registry (lcp-schemes + out-of-crate schemes)
@@ -207,11 +202,6 @@ pub struct CampaignConfig {
     /// budget, a cell whose checks exceed it degrades to a `timed_out`
     /// verdict instead of hanging its shard.
     pub cell_budget_ms: Option<u64>,
-    /// Route the search checks through the batched evaluation layer
-    /// (`lcp_core::batch`). On by default in every profile; `--no-batch`
-    /// forces the scalar loops. Reports are byte-identical either way —
-    /// batching may never change a verdict, a witness, or an RNG stream.
-    pub batch: bool,
     /// Directory of persistent skeleton artifacts (CLI `--artifact-dir`).
     /// When set, cells prepare through a two-tier
     /// [`lcp_core::ArtifactStore`] instead of the plain in-process
@@ -236,7 +226,6 @@ impl CampaignConfig {
                 family_filter: None,
                 shard: None,
                 cell_budget_ms: None,
-                batch: true,
                 artifact_dir: None,
             },
             Profile::Full => CampaignConfig {
@@ -250,7 +239,6 @@ impl CampaignConfig {
                 family_filter: None,
                 shard: None,
                 cell_budget_ms: None,
-                batch: true,
                 artifact_dir: None,
             },
         }
@@ -789,21 +777,13 @@ pub(crate) fn filtered_entries(config: &CampaignConfig) -> Vec<SchemeEntry> {
 
 /// Maps `f` over the coordinates — across cores under the `parallel`
 /// feature, sequentially otherwise; results come back in matrix order
-/// either way.
-#[cfg(feature = "parallel")]
+/// either way. The crate's one rayon call site.
 pub(crate) fn map_coords<R: Send>(coords: &[Coord], f: impl Fn(&Coord) -> R + Sync) -> Vec<R> {
+    #[cfg(feature = "parallel")]
     if coords.len() > 1 {
-        coords.par_iter().map(f).collect()
-    } else {
-        coords.iter().map(f).collect()
+        use rayon::prelude::*;
+        return coords.par_iter().map(f).collect();
     }
-}
-
-/// Maps `f` over the coordinates — across cores under the `parallel`
-/// feature, sequentially otherwise; results come back in matrix order
-/// either way.
-#[cfg(not(feature = "parallel"))]
-pub(crate) fn map_coords<R: Send>(coords: &[Coord], f: impl Fn(&Coord) -> R + Sync) -> Vec<R> {
     coords.iter().map(f).collect()
 }
 
@@ -853,20 +833,13 @@ fn run_one(
     let deadline = config.cell_budget_ms.map_or_else(Deadline::none, |ms| {
         Deadline::after(Duration::from_millis(ms))
     });
-    let cell = cell
-        .with_source(source.clone())
-        .with_deadline(deadline.clone())
-        .with_batch(if config.batch {
-            BatchPolicy::Auto
-        } else {
-            BatchPolicy::Scalar
-        });
+    let cell = cell.with_source(source.clone());
     result.n = cell.n();
     result.holds = cell.holds();
 
     if cell.holds() {
         result.check = "completeness";
-        match cell.check_completeness() {
+        match cell.check_completeness_within(&deadline) {
             Ok(Some(bits)) => {
                 result.status = CellStatus::Pass;
                 result.proof_bits = Some(bits);
@@ -906,7 +879,7 @@ fn run_one(
         let space = strings.checked_pow(cell.n() as u32);
         if space.is_some_and(|s| s <= config.exhaustive_limit) {
             result.check = "soundness-exhaustive";
-            match cell.check_soundness_exhaustive(1) {
+            match cell.check_soundness_exhaustive_within(1, &deadline) {
                 Ok(Soundness::Holds(tried)) => {
                     result.status = CellStatus::Pass;
                     result.detail = format!("all {tried} proofs of ≤1 bit rejected");
@@ -931,7 +904,12 @@ fn run_one(
         } else {
             result.check = "soundness-adversarial";
             let budget = adversarial_budget(entry.claimed_growth, cell.n());
-            match cell.adversarial_search(budget, config.adversarial_iterations, seed ^ 0x5a5a) {
+            match cell.adversarial_search_within(
+                budget,
+                config.adversarial_iterations,
+                seed ^ 0x5a5a,
+                &deadline,
+            ) {
                 None if deadline.expired() => {
                     result.status = CellStatus::TimedOut;
                     result.detail = "wall budget expired during the adversarial search".into();

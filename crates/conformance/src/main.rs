@@ -58,9 +58,6 @@ OPTIONS:
     --churn-steps <n>        mutations per churn cell        [default: per profile]
     --cell-budget-ms <n>     wall budget per cell; over-budget cells
                              report timed_out instead of hanging the shard
-    --no-batch               force the scalar search loops instead of the
-                             batched (64-candidates-per-word) evaluation
-                             layer; reports are byte-identical either way
     --artifact-dir <dir>     persist frozen skeleton cores to <dir> and mmap
                              them back on later runs (see docs/FORMAT.md);
                              reports are byte-identical either way
@@ -121,7 +118,6 @@ fn parse_args() -> Result<Args, String> {
     let mut artifact_dir = None;
     let mut churn_steps = None;
     let mut cell_budget_ms = None;
-    let mut batch = true;
     let mut checkpoint = None;
     let mut resume = None;
     let mut inject_faults = false;
@@ -181,7 +177,6 @@ fn parse_args() -> Result<Args, String> {
                 let v = value("--cell-budget-ms")?;
                 cell_budget_ms = Some(v.parse().map_err(|_| format!("bad budget '{v}'"))?);
             }
-            "--no-batch" => batch = false,
             "--artifact-dir" => {
                 artifact_dir = Some(std::path::PathBuf::from(value("--artifact-dir")?));
             }
@@ -217,7 +212,6 @@ fn parse_args() -> Result<Args, String> {
     config.family_filter = family;
     config.shard = shard;
     config.cell_budget_ms = cell_budget_ms;
-    config.batch = batch;
     config.artifact_dir = artifact_dir;
     if warm_artifacts && config.artifact_dir.is_none() {
         return Err("--warm-artifacts requires --artifact-dir".into());

@@ -3,7 +3,7 @@
 //! report exactly what fresh cells report.
 
 use lcp_conformance::{campaign_registry, run_campaign, CampaignConfig, Profile};
-use lcp_core::{ArtifactSource, SkeletonCache};
+use lcp_core::{ArtifactSource, Deadline, SkeletonCache};
 use lcp_graph::families::GraphFamily;
 use lcp_schemes::registry::{CellRequest, Polarity};
 use std::sync::Arc;
@@ -46,8 +46,8 @@ fn cached_and_fresh_registry_cells_agree_and_the_cache_is_hit() {
             .with_source(ArtifactSource::Cache(Arc::clone(&cache)));
         // Verdicts and witnesses are identical through the cache.
         assert_eq!(
-            cached.check_completeness(),
-            fresh.check_completeness(),
+            cached.check_completeness_within(&Deadline::none()),
+            fresh.check_completeness_within(&Deadline::none()),
             "{id}: completeness drifted under caching"
         );
         assert_eq!(

@@ -33,8 +33,8 @@
 //!
 //! [`docs/FORMAT.md`]: https://github.com/../docs/FORMAT.md
 
-use crate::engine::{content_key, PreparedInstance, SkeletonCache};
-use crate::frozen::{build_all, ArtifactError, FrozenCore, PortableLabel};
+use crate::engine::{build_core, content_key, PreparedInstance, SkeletonCache};
+use crate::frozen::{ArtifactError, FrozenCore, PortableLabel};
 use crate::instance::Instance;
 use crate::metrics;
 use std::io::ErrorKind;
@@ -105,21 +105,6 @@ pub(crate) fn fingerprint<N: PortableLabel, E: PortableLabel>(
         }
     }
     (structural, h)
-}
-
-/// Builds a fresh frozen core, with the same metrics accounting as
-/// [`PreparedInstance::new`] — every from-scratch build in the process
-/// shows up in `lcp_engine_prepares_total`, whatever tier requested it.
-fn build_core<N, E>(inst: &Instance<N, E>, radius: usize) -> Arc<FrozenCore<N, E>>
-where
-    N: Clone + Send + Sync,
-    E: Clone + Send + Sync,
-{
-    let started = std::time::Instant::now();
-    let core = Arc::new(FrozenCore::from_built(radius, build_all(inst, radius)));
-    metrics::PREPARES.inc();
-    metrics::PREPARE_NS.observe(started.elapsed().as_nanos() as u64);
-    core
 }
 
 /// A directory of frozen-core artifact files fronted by an in-process

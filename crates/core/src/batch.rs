@@ -39,12 +39,12 @@
 //! `batch_equivalence` property tests pin both.
 //!
 //! Routing: [`BatchPolicy::Auto`] (the default everywhere) uses the
-//! batched paths whenever the `batch` feature is compiled in *and* the
-//! search shape fits (`2 ≤ R ≤ 64`, table budget, and — for the
-//! adversarial path — a kernel scheme with an unbounded deadline);
-//! everything else takes the unchanged scalar loops.
-//! [`BatchPolicy::Scalar`] (`--no-batch` in the conformance CLI) forces
-//! the scalar loops unconditionally.
+//! batched paths whenever the search shape fits (`2 ≤ R ≤ 64`, table
+//! budget, and — for the adversarial path — a kernel scheme with an
+//! unbounded deadline); everything else takes the unchanged scalar
+//! loops. [`BatchPolicy::Scalar`] forces the scalar loops
+//! unconditionally — they are the oracle the equivalence tests compare
+//! against.
 
 use crate::arena::BatchArena;
 use crate::bits::{AsBits, BitString};
@@ -62,22 +62,21 @@ use rand::RngExt;
 /// Whether the search loops may route through the batched layer.
 ///
 /// `Auto` is the default everywhere; the scalar loops remain reachable
-/// per call via `Scalar` (the conformance CLI's `--no-batch`), and
-/// building `lcp-core` with `--no-default-features` makes `Auto` behave
-/// as `Scalar` globally.
+/// per call via `Scalar` (a [`crate::harness::Run`] field), which is how
+/// the `batch_equivalence` tests reach their oracle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BatchPolicy {
-    /// Use the batched paths when compiled in and applicable; identical
-    /// results either way.
+    /// Use the batched paths when applicable; identical results either
+    /// way.
     #[default]
     Auto,
     /// Force the scalar loops.
     Scalar,
 }
 
-/// Whether `policy` routes through the batched layer in this build.
+/// Whether `policy` routes through the batched layer.
 pub(crate) fn enabled(policy: BatchPolicy) -> bool {
-    cfg!(feature = "batch") && policy == BatchPolicy::Auto
+    policy == BatchPolicy::Auto
 }
 
 /// A [`crate::View`] over 64 candidate proofs at once: the same cached
@@ -778,7 +777,7 @@ mod tests {
     use super::*;
     use crate::engine::prepare;
     use crate::harness::{
-        adversarial_proof_search_policy, all_bitstrings_up_to, check_soundness_exhaustive_policy,
+        adversarial_proof_search, all_bitstrings_up_to, check_soundness_exhaustive, Run,
     };
     use crate::instance::Instance;
     use crate::view::View;
@@ -863,21 +862,14 @@ mod tests {
         S::Edge: Clone + Send + Sync,
     {
         let prep = prepare(scheme, inst);
-        let auto = check_soundness_exhaustive_policy(
-            scheme,
-            &prep,
-            max_bits,
-            &Deadline::none(),
-            BatchPolicy::Auto,
-        );
-        let scalar = check_soundness_exhaustive_policy(
-            scheme,
-            &prep,
-            max_bits,
-            &Deadline::none(),
-            BatchPolicy::Scalar,
-        );
-        (auto, scalar)
+        let run = |policy| {
+            let run = Run {
+                policy,
+                ..Run::default()
+            };
+            check_soundness_exhaustive(scheme, &prep, max_bits, &run)
+        };
+        (run(BatchPolicy::Auto), run(BatchPolicy::Scalar))
     }
 
     #[test]
@@ -913,9 +905,11 @@ mod tests {
         let inst = Instance::unlabeled(generators::path(9));
         let prep = prepare(&GulliblePath, &inst);
         for policy in [BatchPolicy::Auto, BatchPolicy::Scalar] {
-            let expired = Deadline::after(Duration::ZERO);
-            let err = check_soundness_exhaustive_policy(&GulliblePath, &prep, 1, &expired, policy)
-                .unwrap_err();
+            let expired = Run {
+                deadline: Deadline::after(Duration::ZERO),
+                policy,
+            };
+            let err = check_soundness_exhaustive(&GulliblePath, &prep, 1, &expired).unwrap_err();
             assert_eq!(
                 err,
                 SoundnessError::DeadlineExpired {
@@ -931,10 +925,11 @@ mod tests {
         use std::time::Duration;
         let inst = Instance::unlabeled(generators::path(4));
         let prep = prepare(&GulliblePath, &inst);
-        let expired = Deadline::after(Duration::ZERO);
-        let got =
-            check_soundness_exhaustive_policy(&GulliblePath, &prep, 1, &expired, BatchPolicy::Auto)
-                .unwrap();
+        let expired = Run {
+            deadline: Deadline::after(Duration::ZERO),
+            policy: BatchPolicy::Auto,
+        };
+        let got = check_soundness_exhaustive(&GulliblePath, &prep, 1, &expired).unwrap();
         assert!(matches!(got, Soundness::Violated(_)));
     }
 
@@ -952,24 +947,19 @@ mod tests {
             for seed in 0..4u64 {
                 let mut rng_a = StdRng::seed_from_u64(seed);
                 let mut rng_s = StdRng::seed_from_u64(seed);
-                let a = adversarial_proof_search_policy(
+                let scalar = Run {
+                    policy: BatchPolicy::Scalar,
+                    ..Run::default()
+                };
+                let a = adversarial_proof_search(
                     &Bipartite,
                     &prep,
                     1,
                     450,
                     &mut rng_a,
-                    &Deadline::none(),
-                    BatchPolicy::Auto,
+                    &Run::default(),
                 );
-                let s = adversarial_proof_search_policy(
-                    &Bipartite,
-                    &prep,
-                    1,
-                    450,
-                    &mut rng_s,
-                    &Deadline::none(),
-                    BatchPolicy::Scalar,
-                );
+                let s = adversarial_proof_search(&Bipartite, &prep, 1, 450, &mut rng_s, &scalar);
                 assert_eq!(a, s, "n={n} seed={seed}");
                 assert_eq!(
                     rng_a.random_range(0..u32::MAX),

@@ -411,7 +411,14 @@ mod tests {
         g.add_edge(0, 1).unwrap();
         let inst = Instance::unlabeled(g);
         let prep = crate::engine::prepare(&TreeCertScheme, &inst);
-        match crate::harness::check_soundness_exhaustive(&TreeCertScheme, &prep, 2).unwrap() {
+        match crate::harness::check_soundness_exhaustive(
+            &TreeCertScheme,
+            &prep,
+            2,
+            &crate::harness::Run::default(),
+        )
+        .unwrap()
+        {
             crate::harness::Soundness::Holds(tried) => assert_eq!(tried, 7u64.pow(3)),
             crate::harness::Soundness::Violated(p) => panic!("fooled by {p:?}"),
         }
@@ -468,7 +475,9 @@ mod tests {
     /// randomized soundness search on the same broken scheme.
     #[test]
     fn ablation_exhaustive_vs_randomized_soundness() {
-        use crate::harness::{adversarial_proof_search, check_soundness_exhaustive, Soundness};
+        use crate::harness::{
+            adversarial_proof_search, check_soundness_exhaustive, Run, Soundness,
+        };
         /// Accepts iff every node holds the bit pattern `10`.
         struct Pattern;
         impl Scheme for Pattern {
@@ -494,13 +503,17 @@ mod tests {
         let inst = Instance::unlabeled(generators::cycle(5));
         let prep = crate::engine::prepare(&Pattern, &inst);
         // Exhaustive search finds the violation with certainty.
-        let Ok(Soundness::Violated(_)) = check_soundness_exhaustive(&Pattern, &prep, 2) else {
+        let Ok(Soundness::Violated(_)) =
+            check_soundness_exhaustive(&Pattern, &prep, 2, &Run::default())
+        else {
             panic!("exhaustive search must find the magic pattern");
         };
         // Randomized hill-climbing also finds it (the score gradient
         // leads straight there), with a fraction of the evaluations.
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(adversarial_proof_search(&Pattern, &prep, 2, 2000, &mut rng).is_some());
+        assert!(
+            adversarial_proof_search(&Pattern, &prep, 2, 2000, &mut rng, &Run::default()).is_some()
+        );
     }
 
     #[test]

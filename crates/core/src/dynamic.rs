@@ -15,7 +15,7 @@
 //!
 //! ```
 //! use lcp_core::dynamic::DynScheme;
-//! use lcp_core::{Instance, Proof, Scheme, View};
+//! use lcp_core::{Deadline, Instance, Proof, Scheme, View};
 //! use lcp_graph::generators;
 //!
 //! struct EvenDegrees;
@@ -42,18 +42,18 @@
 //! ];
 //! assert!(cells[0].holds());
 //! assert!(!cells[1].holds());
-//! assert_eq!(cells[0].check_completeness(), Ok(Some(0)));
+//! assert_eq!(cells[0].check_completeness_within(&Deadline::none()), Ok(Some(0)));
 //! ```
 
 use crate::artifact::{ArtifactSource, CoreProvenance};
 use crate::batch::BatchPolicy;
 use crate::bits::{AsBits, BitString};
 use crate::deadline::Deadline;
-use crate::engine::{PreparedInstance, SkeletonStore};
-use crate::frozen::{FrozenCore, PortableLabel};
+use crate::engine::PreparedInstance;
+use crate::frozen::{CoreBuilder, FrozenCore, PortableLabel};
 use crate::harness::{
-    adversarial_proof_search_policy, check_honest, check_soundness_exhaustive_policy,
-    CompletenessError, Soundness, SoundnessError,
+    adversarial_proof_search, check_honest, check_soundness_exhaustive, CompletenessError, Run,
+    Soundness, SoundnessError,
 };
 use crate::instance::Instance;
 use crate::metrics;
@@ -124,7 +124,7 @@ impl From<GraphError> for CellMutationError {
 ///
 /// Where [`DynScheme`] freezes its instance behind an `Arc`, a mutable
 /// cell owns a private copy of the instance and the current proof, plus
-/// an engine [`SkeletonStore`] that it repairs after every mutation. Each
+/// an engine [`CoreBuilder`] that it repairs after every mutation. Each
 /// mutator returns the **impact set** — the view centres whose verifier
 /// output can differ because of that mutation — which is exactly what a
 /// dirty-set tracker needs to mark; the cell itself keeps no dirty state,
@@ -212,7 +212,7 @@ struct TypedCell<S: Scheme> {
     cell: Arc<(S, Instance<S::Node, S::Edge>)>,
     inst: Instance<S::Node, S::Edge>,
     proof: Proof,
-    store: SkeletonStore<S::Node, S::Edge>,
+    core: CoreBuilder<S::Node, S::Edge>,
 }
 
 impl<S> TypedCell<S>
@@ -227,12 +227,12 @@ where
             run_prover(&cell.0, &inst).unwrap_or_else(|| Proof::empty(inst.n()))
         });
         assert_eq!(proof.n(), inst.n(), "proof must label every node");
-        let store = SkeletonStore::new(&inst, cell.0.radius());
+        let core = CoreBuilder::build(&inst, cell.0.radius());
         TypedCell {
             cell,
             inst,
             proof,
-            store,
+            core,
         }
     }
 
@@ -282,8 +282,8 @@ where
     fn insert_edge(&mut self, u: usize, v: usize) -> Result<Vec<usize>, CellMutationError> {
         self.inst.insert_edge(u, v)?;
         // Scope while the edge exists — here, after insertion.
-        let scope = self.store.edge_scope(&self.inst, u, v);
-        Ok(self.store.rebuild(&self.inst, &scope))
+        let scope = self.core.edge_scope(&self.inst, u, v);
+        Ok(self.core.rebuild(&self.inst, &scope))
     }
 
     fn remove_edge(&mut self, u: usize, v: usize) -> Result<Vec<usize>, CellMutationError> {
@@ -295,9 +295,9 @@ where
             );
         }
         // Scope while the edge exists — here, before removal.
-        let scope = self.store.edge_scope(&self.inst, u, v);
+        let scope = self.core.edge_scope(&self.inst, u, v);
         self.inst.remove_edge(u, v)?;
-        Ok(self.store.rebuild(&self.inst, &scope))
+        Ok(self.core.rebuild(&self.inst, &scope))
     }
 
     fn rewrite_proof(
@@ -310,7 +310,7 @@ where
             return Ok(Vec::new());
         }
         self.proof.set(v, bits);
-        Ok(self.store.dependents(v).collect())
+        Ok(self.core.dependents(v).collect())
     }
 
     fn set_node_label(
@@ -322,13 +322,13 @@ where
         let label = *label
             .downcast::<S::Node>()
             .map_err(|_| CellMutationError::LabelType)?;
-        let touched = self.store.set_node_label(v, &label);
+        let touched = self.core.set_node_label(v, &label);
         self.inst.set_node_label(v, label);
         Ok(touched)
     }
 
     fn verify(&self, v: usize) -> bool {
-        self.cell.0.verify(&self.store.bind(v, &self.proof))
+        self.cell.0.verify(&self.core.bind(v, &self.proof))
     }
 
     fn evaluate_full(&self) -> Verdict {
@@ -378,7 +378,7 @@ where
 ///   [`Self::prepare_skeletons`] or by the first engine-backed operation
 ///   and never looked up again;
 /// * the honest proof, computed by the first operation that needs it
-///   ([`Self::check_completeness`], [`Self::tamper_probe`],
+///   ([`Self::check_completeness_within`], [`Self::tamper_probe`],
 ///   [`Self::dynamic_cell`]) — never by [`Self::prepare_skeletons`], so
 ///   loading a cell does not pay the prover.
 ///
@@ -395,9 +395,6 @@ pub struct DynScheme {
     /// ([`Self::with_source`]); [`ArtifactSource::BuildFresh`] by
     /// default.
     source: ArtifactSource,
-    /// Wall budget the engine-backed checks poll, when attached
-    /// ([`Self::with_deadline`]); unbounded by default.
-    deadline: Deadline,
     /// Routing policy for the batched evaluation layer
     /// ([`Self::with_batch`]); `Auto` by default.
     batch: BatchPolicy,
@@ -421,8 +418,7 @@ trait ErasedCell: Send + Sync {
         &self,
         max_bits: usize,
         source: &ArtifactSource,
-        deadline: &Deadline,
-        policy: BatchPolicy,
+        run: &Run,
     ) -> Result<Soundness, SoundnessError>;
     fn adversarial(
         &self,
@@ -430,8 +426,7 @@ trait ErasedCell: Send + Sync {
         iterations: usize,
         seed: u64,
         source: &ArtifactSource,
-        deadline: &Deadline,
-        policy: BatchPolicy,
+        run: &Run,
     ) -> Option<Proof>;
     fn tamper_probe(
         &self,
@@ -526,16 +521,9 @@ where
         &self,
         max_bits: usize,
         source: &ArtifactSource,
-        deadline: &Deadline,
-        policy: BatchPolicy,
+        run: &Run,
     ) -> Result<Soundness, SoundnessError> {
-        check_soundness_exhaustive_policy(
-            &self.cell.0,
-            &self.prep(source),
-            max_bits,
-            deadline,
-            policy,
-        )
+        check_soundness_exhaustive(&self.cell.0, &self.prep(source), max_bits, run)
     }
 
     fn adversarial(
@@ -544,18 +532,16 @@ where
         iterations: usize,
         seed: u64,
         source: &ArtifactSource,
-        deadline: &Deadline,
-        policy: BatchPolicy,
+        run: &Run,
     ) -> Option<Proof> {
         let mut rng = StdRng::seed_from_u64(seed);
-        adversarial_proof_search_policy(
+        adversarial_proof_search(
             &self.cell.0,
             &self.prep(source),
             size_budget,
             iterations,
             &mut rng,
-            deadline,
-            policy,
+            run,
         )
     }
 
@@ -570,7 +556,7 @@ where
     }
 
     fn dynamic_cell(&self, source: &ArtifactSource) -> Box<dyn MutableCell> {
-        let store = SkeletonStore::from_frozen(self.prep(source).core());
+        let core = CoreBuilder::thaw(self.prep(source).core());
         let inst = self.cell.1.clone();
         let proof = self
             .honest()
@@ -580,7 +566,7 @@ where
             cell: Arc::clone(&self.cell),
             inst,
             proof,
-            store,
+            core,
         })
     }
 
@@ -633,7 +619,6 @@ impl DynScheme {
             n: inst.n(),
             holds: scheme.holds(&inst),
             source: ArtifactSource::BuildFresh,
-            deadline: Deadline::none(),
             batch: BatchPolicy::default(),
             cell: Box::new(Sealed {
                 cell: Arc::new((scheme, inst)),
@@ -657,21 +642,10 @@ impl DynScheme {
         self
     }
 
-    /// Attaches a wall budget: every subsequent engine-backed check
-    /// (completeness, exhaustive soundness, adversarial search) polls
-    /// `deadline` and degrades to a deadline error / early `None` when it
-    /// expires. The default is [`Deadline::none`], under which every
-    /// operation behaves exactly as before the budget machinery existed.
-    pub fn with_deadline(mut self, deadline: Deadline) -> DynScheme {
-        self.deadline = deadline;
-        self
-    }
-
     /// Sets the [`BatchPolicy`] for the engine-backed search checks
     /// (exhaustive soundness, adversarial search). The default is
-    /// [`BatchPolicy::Auto`]; `Scalar` is the campaign's `--no-batch`
-    /// escape hatch. Results are identical either way — only the
-    /// evaluation strategy changes.
+    /// [`BatchPolicy::Auto`]; `Scalar` forces the scalar loops. Results
+    /// are identical either way — only the evaluation strategy changes.
     pub fn with_batch(mut self, policy: BatchPolicy) -> DynScheme {
         self.batch = policy;
         self
@@ -727,17 +701,12 @@ impl DynScheme {
     /// ([`crate::harness::check_honest`]): the verifier sweep over the
     /// honest proof, which the first call computes and later calls
     /// reuse.
-    pub fn check_completeness(&self) -> Result<Option<usize>, CompletenessError> {
-        self.check_completeness_within(&self.deadline)
-    }
-
-    /// [`Self::check_completeness`] under an explicit per-call `deadline`
-    /// instead of the attached one.
     ///
-    /// [`Self::with_deadline`] consumes the cell, which is the right
-    /// shape for batch campaigns but not for a resident service where one
-    /// shared `Arc<DynScheme>` must serve many requests, each with its
-    /// own budget — this is the request-scoped entry point.
+    /// The sweep polls `deadline` and degrades to
+    /// [`CompletenessError::DeadlineExpired`] when it runs out; pass
+    /// [`Deadline::none`] for an unbounded check. The budget is per call,
+    /// so one shared `Arc<DynScheme>` can serve many requests, each with
+    /// its own.
     pub fn check_completeness_within(
         &self,
         deadline: &Deadline,
@@ -745,18 +714,9 @@ impl DynScheme {
         self.cell.completeness(self.holds, &self.source, deadline)
     }
 
-    /// Exhaustive soundness check on the cached engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sealed instance is a yes-instance (mirrors
-    /// [`crate::harness::check_soundness_exhaustive`]).
-    pub fn check_soundness_exhaustive(&self, max_bits: usize) -> Result<Soundness, SoundnessError> {
-        self.check_soundness_exhaustive_within(max_bits, &self.deadline)
-    }
-
-    /// [`Self::check_soundness_exhaustive`] under an explicit per-call
-    /// `deadline` (see [`Self::check_completeness_within`] for why).
+    /// Exhaustive soundness check on the cached engine
+    /// ([`crate::harness::check_soundness_exhaustive`]) under a per-call
+    /// `deadline` and the attached [`BatchPolicy`].
     ///
     /// # Panics
     ///
@@ -767,27 +727,14 @@ impl DynScheme {
         deadline: &Deadline,
     ) -> Result<Soundness, SoundnessError> {
         self.cell
-            .soundness(max_bits, &self.source, deadline, self.batch)
+            .soundness(max_bits, &self.source, &self.run(deadline))
     }
 
-    /// Seeded adversarial proof search on the cached engine; `Some` is a
-    /// soundness violation within the size budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sealed instance is a yes-instance (mirrors
-    /// [`crate::harness::adversarial_proof_search`]).
-    pub fn adversarial_search(
-        &self,
-        size_budget: usize,
-        iterations: usize,
-        seed: u64,
-    ) -> Option<Proof> {
-        self.adversarial_search_within(size_budget, iterations, seed, &self.deadline)
-    }
-
-    /// [`Self::adversarial_search`] under an explicit per-call `deadline`
-    /// (see [`Self::check_completeness_within`] for why).
+    /// Seeded adversarial proof search on the cached engine
+    /// ([`crate::harness::adversarial_proof_search`]) under a per-call
+    /// `deadline` and the attached [`BatchPolicy`]; `Some` is a soundness
+    /// violation within the size budget, and an expired `deadline` ends
+    /// the search with `None`.
     ///
     /// # Panics
     ///
@@ -804,9 +751,17 @@ impl DynScheme {
             iterations,
             seed,
             &self.source,
-            deadline,
-            self.batch,
+            &self.run(deadline),
         )
+    }
+
+    /// The search options of one call: its `deadline` and the attached
+    /// policy.
+    fn run(&self, deadline: &Deadline) -> Run {
+        Run {
+            deadline: deadline.clone(),
+            policy: self.batch,
+        }
     }
 
     /// Eagerly prepares the sealed instance's skeletons through the
@@ -841,7 +796,7 @@ impl DynScheme {
     ///
     /// Returns `None` when there is nothing to probe: the prover refused,
     /// or the honest proof is not fully accepted (a completeness failure,
-    /// reported by [`Self::check_completeness`] instead).
+    /// reported by [`Self::check_completeness_within`] instead).
     pub fn tamper_probe(&self, trials: usize, seed: u64) -> Option<TamperProbe> {
         self.cell.tamper_probe(trials, seed, &self.source)
     }
@@ -953,18 +908,26 @@ mod tests {
         assert_eq!(proof, Bipartite.prove(&inst).unwrap());
         assert!(dyn_cell.evaluate(&proof).accepted());
         assert_eq!(dyn_cell.evaluate_until_reject(&proof), None);
-        assert_eq!(dyn_cell.check_completeness(), Ok(Some(1)));
+        assert_eq!(
+            dyn_cell.check_completeness_within(&Deadline::none()),
+            Ok(Some(1))
+        );
     }
 
     #[test]
     fn sealed_soundness_checks_agree_with_harness() {
         let dyn_cell = DynScheme::seal(Bipartite, Instance::unlabeled(generators::cycle(5)));
         assert!(!dyn_cell.holds());
-        match dyn_cell.check_soundness_exhaustive(1).unwrap() {
+        match dyn_cell
+            .check_soundness_exhaustive_within(1, &Deadline::none())
+            .unwrap()
+        {
             Soundness::Holds(tried) => assert_eq!(tried, 3u64.pow(5)),
             Soundness::Violated(p) => panic!("odd cycle certified bipartite by {p:?}"),
         }
-        assert!(dyn_cell.adversarial_search(1, 400, 9).is_none());
+        assert!(dyn_cell
+            .adversarial_search_within(1, 400, 9, &Deadline::none())
+            .is_none());
     }
 
     #[test]
@@ -991,8 +954,12 @@ mod tests {
             }
         }
         let cell = DynScheme::seal(Gullible, Instance::unlabeled(generators::cycle(6)));
-        let a = cell.adversarial_search(1, 2000, 42).expect("breakable");
-        let b = cell.adversarial_search(1, 2000, 42).expect("breakable");
+        let a = cell
+            .adversarial_search_within(1, 2000, 42, &Deadline::none())
+            .expect("breakable");
+        let b = cell
+            .adversarial_search_within(1, 2000, 42, &Deadline::none())
+            .expect("breakable");
         assert_eq!(a, b, "same seed, same forged proof");
     }
 
@@ -1046,18 +1013,57 @@ mod tests {
     #[test]
     fn attached_deadlines_bound_the_sealed_checks() {
         use std::time::Duration;
-        let make = || DynScheme::seal(Bipartite, Instance::unlabeled(generators::cycle(6)));
-        // Unbounded (default): unchanged results.
-        assert_eq!(make().check_completeness(), Ok(Some(1)));
-        // Expired: the sweep degrades to a budget error, deterministically.
-        let cell = make().with_deadline(Deadline::after(Duration::ZERO));
+        let yes = DynScheme::seal(Bipartite, Instance::unlabeled(generators::cycle(6)));
+        // C9 has 3^9 ≤1-bit proofs: past the first poll of the odometer.
+        let no = DynScheme::seal(Bipartite, Instance::unlabeled(generators::cycle(9)));
+        // Expired: each op degrades to its budget outcome, deterministically.
+        let expired = Deadline::after(Duration::ZERO);
         assert_eq!(
-            cell.check_completeness(),
+            yes.check_completeness_within(&expired),
             Err(CompletenessError::DeadlineExpired)
         );
-        // A generous budget behaves like no budget at all.
-        let cell = make().with_deadline(Deadline::after(Duration::from_secs(3600)));
-        assert_eq!(cell.check_completeness(), Ok(Some(1)));
+        assert!(matches!(
+            no.check_soundness_exhaustive_within(1, &expired),
+            Err(SoundnessError::DeadlineExpired { .. })
+        ));
+        assert!(no.adversarial_search_within(1, 50, 7, &expired).is_none());
+        // Unbounded, and a generous budget, reach the same verdicts.
+        for deadline in [Deadline::none(), Deadline::after(Duration::from_secs(3600))] {
+            assert_eq!(yes.check_completeness_within(&deadline), Ok(Some(1)));
+            assert_eq!(
+                no.check_soundness_exhaustive_within(1, &deadline),
+                Ok(Soundness::Holds(3u64.pow(9)))
+            );
+            assert!(no.adversarial_search_within(1, 50, 7, &deadline).is_none());
+        }
+    }
+
+    #[test]
+    fn request_scoped_deadlines_leave_the_attached_one_alone() {
+        // The cell keeps no deadline: a cancelled request budget never
+        // sticks to it, so the next unbounded call runs in full.
+        let cell = DynScheme::seal(Bipartite, Instance::unlabeled(generators::cycle(6)));
+        let expired = Deadline::manual();
+        expired.cancel();
+        assert_eq!(
+            cell.check_completeness_within(&expired),
+            Err(CompletenessError::DeadlineExpired)
+        );
+        assert_eq!(
+            cell.check_completeness_within(&Deadline::none()),
+            Ok(Some(1)),
+            "later unbounded call unaffected by the request budget"
+        );
+        let no = DynScheme::seal(Bipartite, Instance::unlabeled(generators::cycle(5)));
+        assert!(
+            no.adversarial_search_within(1, 50, 7, &expired).is_none(),
+            "expired request budget degrades the search to None"
+        );
+        assert_eq!(
+            no.check_soundness_exhaustive_within(1, &Deadline::none()),
+            Ok(Soundness::Holds(3u64.pow(5))),
+            "later unbounded search unaffected by the request budget"
+        );
     }
 
     #[test]
@@ -1070,7 +1076,10 @@ mod tests {
         assert_eq!((cache.len(), cache.misses()), (1, 1));
         assert_eq!(cell.prepare_skeletons(), CoreProvenance::CacheHit);
         assert_eq!(cache.hits(), 1, "second preparation hits");
-        assert_eq!(cell.check_completeness(), Ok(Some(1)));
+        assert_eq!(
+            cell.check_completeness_within(&Deadline::none()),
+            Ok(Some(1))
+        );
         assert_eq!(cache.misses(), 1, "resident check rebuilds nothing");
         assert!(cell.evict_skeletons());
         assert!(!cell.evict_skeletons(), "already evicted");
@@ -1118,7 +1127,10 @@ mod tests {
 
         let probe = cell.tamper_probe(16, 3);
         for _ in 0..2 {
-            assert_eq!(cell.check_completeness(), Ok(Some(1)));
+            assert_eq!(
+                cell.check_completeness_within(&Deadline::none()),
+                Ok(Some(1))
+            );
             assert_eq!(cell.tamper_probe(16, 3), probe, "flips land on a copy");
         }
         assert!(cell.dynamic_cell().evaluate_full().accepted());
@@ -1133,7 +1145,10 @@ mod tests {
         // A new source drops the kept core and proof.
         let other = Arc::new(SkeletonCache::new());
         let cell = cell.with_source(ArtifactSource::Cache(Arc::clone(&other)));
-        assert_eq!(cell.check_completeness(), Ok(Some(1)));
+        assert_eq!(
+            cell.check_completeness_within(&Deadline::none()),
+            Ok(Some(1))
+        );
         assert_eq!(proves.load(Ordering::Relaxed), 3);
         assert_eq!(other.misses(), 1);
     }
@@ -1152,7 +1167,10 @@ mod tests {
         let cell = seal();
         assert_eq!(cell.prepare_skeletons(), CoreProvenance::Built);
         assert_eq!(cell.prepare_skeletons(), CoreProvenance::CacheHit);
-        assert_eq!(cell.check_completeness(), Ok(Some(1)));
+        assert_eq!(
+            cell.check_completeness_within(&Deadline::none()),
+            Ok(Some(1))
+        );
         assert!(cell.evict_skeletons());
         // Evicted from memory, but the artifact file remains: the next
         // preparation maps it instead of re-running the BFS.
@@ -1170,27 +1188,6 @@ mod tests {
         }
 
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn request_scoped_deadlines_leave_the_attached_one_alone() {
-        let cell = DynScheme::seal(Bipartite, Instance::unlabeled(generators::cycle(6)));
-        let expired = Deadline::manual();
-        expired.cancel();
-        assert_eq!(
-            cell.check_completeness_within(&expired),
-            Err(CompletenessError::DeadlineExpired)
-        );
-        assert_eq!(
-            cell.check_completeness(),
-            Ok(Some(1)),
-            "attached (unbounded) deadline unaffected by the request budget"
-        );
-        let no = DynScheme::seal(Bipartite, Instance::unlabeled(generators::cycle(5)));
-        assert!(
-            no.adversarial_search_within(1, 50, 7, &expired).is_none(),
-            "expired request budget degrades the search to None"
-        );
     }
 
     #[test]
@@ -1236,7 +1233,10 @@ mod tests {
 
         // The sealed parent cell never observed any of this.
         assert!(cell.holds());
-        assert_eq!(cell.check_completeness(), Ok(Some(1)));
+        assert_eq!(
+            cell.check_completeness_within(&Deadline::none()),
+            Ok(Some(1))
+        );
     }
 
     #[test]
@@ -1312,6 +1312,9 @@ mod tests {
             Instance::with_node_data(g, vec![false, true, false]),
         );
         assert!(cell.holds());
-        assert_eq!(cell.check_completeness(), Ok(Some(0)));
+        assert_eq!(
+            cell.check_completeness_within(&Deadline::none()),
+            Ok(Some(0))
+        );
     }
 }

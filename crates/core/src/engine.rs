@@ -45,10 +45,10 @@
 //! identically whether its core was **built** in process, adopted from a
 //! [`SkeletonCache`] hit, or **mapped** from an on-disk artifact file by
 //! [`crate::artifact::ArtifactStore`] (the `docs/FORMAT.md` format). The
-//! mutable sibling is [`SkeletonStore`], a thin wrapper over
-//! [`CoreBuilder`] whose
-//! [`SkeletonStore::freeze`] / [`SkeletonStore::from_frozen`] round-trip
-//! makes dynamic churn and frozen artifacts share one invariant surface.
+//! mutable sibling is [`CoreBuilder`](crate::frozen::CoreBuilder), whose
+//! [`freeze`](crate::frozen::CoreBuilder::freeze) /
+//! [`thaw`](crate::frozen::CoreBuilder::thaw) round-trip makes dynamic
+//! churn and frozen artifacts share one invariant surface.
 //!
 //! # Parallelism
 //!
@@ -91,7 +91,7 @@
 use crate::arena::BatchArena;
 use crate::batch::BatchView;
 use crate::deadline::{Deadline, DeadlineExpired};
-use crate::frozen::{build_all, CoreBuilder, FrozenCore};
+use crate::frozen::{build_all, FrozenCore};
 use crate::instance::Instance;
 use crate::metrics;
 use crate::proof::Proof;
@@ -102,13 +102,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-#[cfg(feature = "parallel")]
-use rayon::prelude::*;
-
 /// Below this node count, parallel paths fall back to sequential code:
 /// spawning workers costs more than the whole sweep.
-#[cfg(feature = "parallel")]
-const PAR_THRESHOLD: usize = 256;
+pub(crate) const PAR_THRESHOLD: usize = 256;
 
 /// An instance with every node's radius-`r` view skeleton precomputed,
 /// ready to bind candidate proofs cheaply.
@@ -136,11 +132,10 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
         N: Send + Sync,
         E: Send + Sync,
     {
-        let started = std::time::Instant::now();
-        let core = Arc::new(FrozenCore::from_built(radius, build_all(inst, radius)));
-        metrics::PREPARES.inc();
-        metrics::PREPARE_NS.observe(started.elapsed().as_nanos() as u64);
-        PreparedInstance { inst, core }
+        PreparedInstance {
+            inst,
+            core: build_core(inst, radius),
+        }
     }
 
     /// Pairs `inst` with an already-materialized core (a cache hit or a
@@ -307,15 +302,9 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
         E: Send + Sync,
     {
         let started = std::time::Instant::now();
-        let verify = |v: usize| scheme.verify(&self.bind(v, proof));
-        #[cfg(feature = "parallel")]
-        let outputs = if self.n() >= PAR_THRESHOLD {
-            (0..self.n()).into_par_iter().map(verify).collect()
-        } else {
-            (0..self.n()).map(verify).collect()
-        };
-        #[cfg(not(feature = "parallel"))]
-        let outputs = (0..self.n()).map(verify).collect();
+        let outputs = map_indices(self.n(), self.n() >= PAR_THRESHOLD, |v| {
+            scheme.verify(&self.bind(v, proof))
+        });
         self.record_sweep(started);
         Verdict::from_outputs(outputs)
     }
@@ -403,6 +392,21 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
     }
 }
 
+/// Builds a fresh frozen core, counted in the engine metrics — every
+/// from-scratch build in the process shows up in
+/// `lcp_engine_prepares_total`, whatever tier requested it.
+pub(crate) fn build_core<N, E>(inst: &Instance<N, E>, radius: usize) -> Arc<FrozenCore<N, E>>
+where
+    N: Clone + Send + Sync,
+    E: Clone + Send + Sync,
+{
+    let started = std::time::Instant::now();
+    let core = Arc::new(FrozenCore::from_built(radius, build_all(inst, radius)));
+    metrics::PREPARES.inc();
+    metrics::PREPARE_NS.observe(started.elapsed().as_nanos() as u64);
+    core
+}
+
 /// One cached `(instance, radius)` preparation: the instance copy is the
 /// collision-proof identity (hash keys only shortlist candidates), the
 /// core is what gets shared.
@@ -487,38 +491,6 @@ impl SkeletonCache {
     /// An empty cache.
     pub fn new() -> Self {
         SkeletonCache::default()
-    }
-
-    /// Prepares `inst` at `radius`, reusing a cached core when an equal
-    /// instance was prepared before (at the same radius), else building
-    /// one and caching it.
-    ///
-    /// The returned [`PreparedInstance`] behaves exactly like
-    /// [`PreparedInstance::new`]'s.
-    pub fn prepare<'i, N, E>(
-        &self,
-        inst: &'i Instance<N, E>,
-        radius: usize,
-    ) -> PreparedInstance<'i, N, E>
-    where
-        N: Clone + PartialEq + Send + Sync + 'static,
-        E: Clone + PartialEq + Send + Sync + 'static,
-    {
-        if let Some(core) = self.find_core::<N, E>(inst, radius) {
-            self.record_hit();
-            return PreparedInstance { inst, core };
-        }
-        // Build outside the lock: concurrent preparations of *different*
-        // graphs must not serialize. A racing twin may finish first; the
-        // insert below then adopts its copy so later hits share one
-        // allocation.
-        let started = std::time::Instant::now();
-        let core = Arc::new(FrozenCore::from_built(radius, build_all(inst, radius)));
-        metrics::PREPARES.inc();
-        metrics::PREPARE_NS.observe(started.elapsed().as_nanos() as u64);
-        self.record_miss();
-        let core = self.insert_core(inst, radius, core);
-        PreparedInstance { inst, core }
     }
 
     /// Looks up the cached core of exactly `(inst, radius)` — no counter
@@ -623,7 +595,7 @@ impl SkeletonCache {
     /// an instance table drops a cell, its skeleton core must leave the
     /// process-wide cache too, or evicted cells would pin their BFS
     /// results forever. Removal uses the same key and full structural
-    /// equality as [`Self::prepare`], so it never evicts a different
+    /// equality as a lookup, so it never evicts a different
     /// instance that merely collides on the content hash. Cores still
     /// borrowed by live [`PreparedInstance`]s stay valid — the `Arc` only
     /// drops once the last user does.
@@ -650,206 +622,6 @@ impl SkeletonCache {
     }
 }
 
-/// An owned, *repairable* skeleton cache — the engine substrate of
-/// dynamic-graph workloads.
-///
-/// [`PreparedInstance`] borrows its instance and is immutable: perfect
-/// for sweeping many proofs over one frozen graph, useless once the
-/// graph itself churns. A `SkeletonStore` owns the same per-node data
-/// (skeletons, membership table, inverted dependency table) but keeps
-/// them in per-node buckets instead of frozen CSR arrays, so after a
-/// topology mutation the affected balls can be **rebuilt in place**
-/// ([`Self::rebuild`]) — `O(Σ|changed ball|)` work — while every other
-/// node's cached skeleton survives untouched. Label changes are cheaper
-/// still: [`Self::set_node_label`] patches the stored label through the
-/// dependency table without any BFS.
-///
-/// The store deliberately knows nothing about *what* changed in the
-/// instance — callers (e.g. `lcp-dynamic`'s `DynamicInstance`) apply the
-/// mutation to their owned [`Instance`] first, compute the mutation's
-/// scope with [`Self::edge_scope`], and hand the scope to
-/// [`Self::rebuild`]. `rebuild` reports which views *structurally*
-/// changed, which is what makes exact dirty-set tracking possible.
-///
-/// Since the builder/frozen split, the store is a thin shell over
-/// [`CoreBuilder`]: repair runs on the
-/// builder, and [`Self::freeze`] / [`Self::from_frozen`] round-trip the
-/// builder through the immutable artifact representation. A store
-/// repaired after churn and refrozen renders the same word image as a
-/// fresh preparation of the mutated instance — dynamic churn and frozen
-/// artifacts share one invariant surface (pinned by the refreeze tests).
-pub struct SkeletonStore<N = (), E = ()> {
-    inner: CoreBuilder<N, E>,
-}
-
-impl<N, E> std::fmt::Debug for SkeletonStore<N, E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SkeletonStore")
-            .field("n", &self.inner.n())
-            .field("radius", &self.inner.radius())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<N: Clone, E: Clone> SkeletonStore<N, E> {
-    /// Builds the store for `inst` at `radius` — same cost as
-    /// [`PreparedInstance::new`] (one bounded BFS per node), paid once;
-    /// every later mutation repairs only its scope.
-    pub fn new(inst: &Instance<N, E>, radius: usize) -> Self {
-        SkeletonStore {
-            inner: CoreBuilder::build(inst, radius),
-        }
-    }
-
-    /// Reconstructs a repairable store from a frozen core (typically one
-    /// mapped from an artifact file) — the dynamic layer's cold-start
-    /// path: no BFS, just unpacking the flat sections into per-node
-    /// buckets.
-    pub fn from_frozen(core: &FrozenCore<N, E>) -> Self {
-        SkeletonStore {
-            inner: CoreBuilder::thaw(core),
-        }
-    }
-
-    /// Renders the store's current state as an immutable [`FrozenCore`]
-    /// — byte-identical to freshly preparing the mutated instance, so a
-    /// churned cell can be persisted as an artifact.
-    pub fn freeze(&self) -> FrozenCore<N, E> {
-        self.inner.freeze()
-    }
-
-    /// Number of nodes (`n(G)` at construction; mutations preserve it).
-    pub fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    /// The cache radius `r`.
-    pub fn radius(&self) -> usize {
-        self.inner.radius()
-    }
-
-    /// Global indices of node `v`'s ball members, in view-local order
-    /// (mirrors [`PreparedInstance::members`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn members(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
-        self.inner.members_of(v).iter().map(|&m| m as usize)
-    }
-
-    /// The centres whose views contain global node `v`, ascending
-    /// (mirrors [`PreparedInstance::dependents`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn dependents(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
-        self.inner
-            .dependents_of(v)
-            .iter()
-            .map(|&(owner, _)| owner as usize)
-    }
-
-    /// Binds `proof` to node `v`'s cached skeleton — the same zero-copy
-    /// arena binding as [`PreparedInstance::bind`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range or `proof.n()` mismatches.
-    #[inline]
-    pub fn bind<'s>(&'s self, v: usize, proof: &'s Proof) -> View<'s, N, E> {
-        assert_eq!(proof.n(), self.n(), "proof must label every node");
-        View::bind_arena(
-            self.inner.skel_view(v),
-            proof.arena(),
-            self.inner.members_of(v),
-        )
-    }
-
-    /// The scope of an edge mutation on `{u, v}`: the sorted union
-    /// `ball(u, r) ∪ ball(v, r)` in `inst`'s **current** graph — every
-    /// node whose view can differ between the graph with and without the
-    /// edge.
-    ///
-    /// Call it on the graph that *contains* the edge: after applying an
-    /// insertion, before applying a deletion. One multi-source BFS,
-    /// `O(Σ|ball|)` — no `O(n)` scans.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` or `v` is out of range.
-    pub fn edge_scope(&mut self, inst: &Instance<N, E>, u: usize, v: usize) -> Vec<usize> {
-        self.inner.edge_scope(inst, u, v)
-    }
-
-    /// Rebuilds the cached skeletons of `nodes` against the instance's
-    /// current topology and returns the subset whose views **changed
-    /// structurally** (membership, adjacency, or distances) — the exact
-    /// centres whose verifier output can differ, assuming unchanged
-    /// labels and proof bits.
-    ///
-    /// Cost: one bounded BFS per listed node plus `O(|ball|)` dependency
-    /// relinking — independent of `n`. Listing an unaffected node is
-    /// harmless (its rebuild is a no-op and it is not reported changed);
-    /// duplicates are tolerated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node index is out of range.
-    pub fn rebuild(&mut self, inst: &Instance<N, E>, nodes: &[usize]) -> Vec<usize> {
-        self.inner.rebuild(inst, nodes)
-    }
-
-    /// Patches node `v`'s label through the dependency table: every view
-    /// containing `v` gets the new label at `v`'s view-local slot. No
-    /// BFS, no membership change — `O(|dependents(v)| · |patch|)`.
-    ///
-    /// Returns the views that were patched (the centres whose verifier
-    /// output can change), ascending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn set_node_label(&mut self, v: usize, label: &N) -> Vec<usize> {
-        self.inner.set_node_label(v, label)
-    }
-
-    /// Fault-injection hook: structurally corrupts node `v`'s cached
-    /// skeleton in place — bumps its farthest cached distance and, when
-    /// the ball has at least two adjacency entries, reverses the CSR
-    /// neighbour array — without touching the instance. Returns a short
-    /// description of the damage.
-    ///
-    /// The corruption is exactly the kind of damage [`Self::rebuild`]
-    /// exists to repair: a rebuild over any scope containing `v` compares
-    /// against a freshly built skeleton and replaces the corrupted one.
-    /// Exposed (hidden) for `lcp-faults` and tests only — never called by
-    /// the engine itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[doc(hidden)]
-    pub fn corrupt_skeleton_for_tests(&mut self, v: usize) -> &'static str {
-        self.inner.corrupt_skeleton_for_tests(v)
-    }
-
-    /// Runs `scheme`'s verifier at every node against the cached
-    /// skeletons — the full-sweep counterpart of [`Self::bind`], used to
-    /// seed output caches and as the post-repair reference.
-    pub fn evaluate<S>(&self, scheme: &S, proof: &Proof) -> Verdict
-    where
-        S: Scheme<Node = N, Edge = E>,
-    {
-        Verdict::from_outputs(
-            (0..self.n())
-                .map(|v| scheme.verify(&self.bind(v, proof)))
-                .collect(),
-        )
-    }
-}
-
 /// Prepares an instance at `scheme`'s radius — the common entry point.
 ///
 /// The `Send + Sync` bounds are required in *both* feature
@@ -870,24 +642,6 @@ where
 
 /// Prepares a whole instance sweep (completeness checks, size
 /// measurements, Table 1 rows), in parallel under the `parallel` feature.
-#[cfg(not(feature = "parallel"))]
-pub fn prepare_sweep<'i, S: Scheme>(
-    scheme: &S,
-    instances: &'i [Instance<S::Node, S::Edge>],
-) -> Vec<PreparedInstance<'i, S::Node, S::Edge>>
-where
-    S::Node: Send + Sync,
-    S::Edge: Send + Sync,
-{
-    instances
-        .iter()
-        .map(|inst| PreparedInstance::new(inst, scheme.radius()))
-        .collect()
-}
-
-/// Prepares a whole instance sweep (completeness checks, size
-/// measurements, Table 1 rows), in parallel under the `parallel` feature.
-#[cfg(feature = "parallel")]
 pub fn prepare_sweep<'i, S: Scheme>(
     scheme: &S,
     instances: &'i [Instance<S::Node, S::Edge>],
@@ -897,23 +651,34 @@ where
     S::Edge: Send + Sync,
 {
     let radius = scheme.radius();
-    if instances.len() > 1 {
-        instances
-            .par_iter()
-            .map(|inst| PreparedInstance::new(inst, radius))
-            .collect()
-    } else {
-        instances
-            .iter()
-            .map(|inst| PreparedInstance::new(inst, radius))
-            .collect()
+    map_indices(instances.len(), instances.len() > 1, |i| {
+        PreparedInstance::new(&instances[i], radius)
+    })
+}
+
+/// Maps `f` over `0..len` and collects the results in index order —
+/// fanned out across cores when the `parallel` feature is compiled in
+/// and `fan_out` holds, sequentially otherwise. The crate's one rayon
+/// call site: callers decide `fan_out` from their input size.
+#[cfg_attr(not(feature = "parallel"), allow(unused_variables))]
+pub(crate) fn map_indices<R: Send>(
+    len: usize,
+    fan_out: bool,
+    f: impl Fn(usize) -> R + Sync,
+) -> Vec<R> {
+    #[cfg(feature = "parallel")]
+    if fan_out {
+        use rayon::prelude::*;
+        return (0..len).into_par_iter().map(f).collect();
     }
+    (0..len).map(f).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bits::BitString;
+    use crate::frozen::CoreBuilder;
     use crate::scheme::evaluate;
     use lcp_graph::generators;
 
@@ -1042,14 +807,18 @@ mod tests {
     fn skeleton_store_matches_prepared_instance_when_static() {
         let inst = Instance::unlabeled(generators::grid(3, 4));
         let prep = PreparedInstance::new(&inst, 2);
-        let store = SkeletonStore::new(&inst, 2);
+        let store = CoreBuilder::build(&inst, 2);
         let proof = Proof::from_fn(inst.n(), |v| {
             BitString::from_bits((0..v % 3).map(|i| i % 2 == 0))
         });
         for v in 0..inst.n() {
             assert_eq!(store.bind(v, &proof), prep.bind(v, &proof), "view {v}");
             assert_eq!(
-                store.members(v).collect::<Vec<_>>(),
+                store
+                    .members_of(v)
+                    .iter()
+                    .map(|&m| m as usize)
+                    .collect::<Vec<_>>(),
                 prep.members(v).collect::<Vec<_>>()
             );
             assert_eq!(
@@ -1066,7 +835,7 @@ mod tests {
     #[test]
     fn rebuild_repairs_exactly_the_changed_views() {
         let mut inst = Instance::unlabeled(generators::cycle(10));
-        let mut store = SkeletonStore::new(&inst, 2);
+        let mut store = CoreBuilder::build(&inst, 2);
         let proof = Proof::empty(10);
 
         // Insert a chord, rebuild its scope, and check against a fresh
@@ -1084,7 +853,7 @@ mod tests {
         let changed = store.rebuild(&inst, &scope);
         assert!(!changed.is_empty());
         assert!(changed.iter().all(|c| scope.contains(c)));
-        let fresh = SkeletonStore::new(&inst, 2);
+        let fresh = CoreBuilder::build(&inst, 2);
         for v in 0..10 {
             assert_eq!(store.bind(v, &proof), fresh.bind(v, &proof), "view {v}");
             assert_eq!(
@@ -1111,7 +880,7 @@ mod tests {
         inst.remove_edge(0, 5).unwrap();
         let changed = store.rebuild(&inst, &scope);
         assert!(!changed.is_empty());
-        let fresh = SkeletonStore::new(&inst, 2);
+        let fresh = CoreBuilder::build(&inst, 2);
         for v in 0..10 {
             assert_eq!(store.bind(v, &proof), fresh.bind(v, &proof), "view {v}");
         }
@@ -1120,9 +889,9 @@ mod tests {
     #[test]
     fn injected_skeleton_corruption_is_repaired_by_rebuild() {
         let inst = Instance::unlabeled(generators::grid(3, 4));
-        let mut store = SkeletonStore::new(&inst, 2);
+        let mut store = CoreBuilder::build(&inst, 2);
         let proof = Proof::empty(inst.n());
-        let fresh = SkeletonStore::new(&inst, 2);
+        let fresh = CoreBuilder::build(&inst, 2);
         let damage = store.corrupt_skeleton_for_tests(5);
         assert_ne!(damage, "empty skeleton: nothing to corrupt");
         // The corrupted view diverges from the truth...
@@ -1138,9 +907,9 @@ mod tests {
     #[test]
     fn store_round_trips_through_a_frozen_core() {
         let inst = Instance::unlabeled(generators::grid(3, 4));
-        let store = SkeletonStore::<(), ()>::new(&inst, 2);
+        let store = CoreBuilder::<(), ()>::build(&inst, 2);
         let frozen = store.freeze();
-        let thawed = SkeletonStore::from_frozen(&frozen);
+        let thawed = CoreBuilder::thaw(&frozen);
         let proof = Proof::empty(inst.n());
         for v in 0..inst.n() {
             assert_eq!(thawed.bind(v, &proof), store.bind(v, &proof), "view {v}");
@@ -1196,12 +965,12 @@ mod tests {
     fn label_patches_flow_through_dependents() {
         let g = generators::path(6);
         let mut inst: Instance<u8> = Instance::with_node_data(g, vec![0u8; 6]);
-        let mut store = SkeletonStore::new(&inst, 1);
+        let mut store = CoreBuilder::build(&inst, 1);
         inst.set_node_label(3, 9);
         let touched = store.set_node_label(3, &9);
         assert_eq!(touched, vec![2, 3, 4], "radius-1 dependents on a path");
         let proof = Proof::empty(6);
-        let fresh = SkeletonStore::new(&inst, 1);
+        let fresh = CoreBuilder::build(&inst, 1);
         for v in 0..6 {
             assert_eq!(store.bind(v, &proof), fresh.bind(v, &proof), "view {v}");
         }

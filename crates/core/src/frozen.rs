@@ -17,8 +17,8 @@
 //! is split in two:
 //!
 //! * [`CoreBuilder`] — the mutable build/repair side: per-node skeleton
-//!   buckets that can be rebuilt in place after topology churn (this is
-//!   the engine substrate [`crate::engine::SkeletonStore`] wraps);
+//!   buckets that can be rebuilt in place after topology churn (the
+//!   engine substrate of dynamic cells and fault injection);
 //! * [`FrozenCore`] — the immutable, borrow-only serving side: the word
 //!   image plus decoded label pools, handing out `SkelView`s that
 //!   borrow straight into the words.
@@ -39,15 +39,15 @@
 //! is rejected by [`FrozenCore::open`] with a file + byte-offset error
 //! ([`ArtifactError`]), never undefined behaviour.
 
+use crate::engine::{map_indices, PAR_THRESHOLD};
 use crate::instance::Instance;
-use crate::view::{build_skeleton, BallScratch, SkelView, Skeleton};
+use crate::proof::Proof;
+use crate::scheme::{Scheme, Verdict};
+use crate::view::{build_skeleton, BallScratch, SkelView, Skeleton, View};
 use lcp_graph::NodeId;
 use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-
-#[cfg(feature = "parallel")]
-use rayon::prelude::*;
 
 #[cfg(target_endian = "big")]
 compile_error!("lcp-core frozen artifacts require a little-endian target (docs/FORMAT.md)");
@@ -1232,70 +1232,62 @@ impl<N: PortableLabel, E: PortableLabel> FrozenCore<N, E> {
 // Building
 // ---------------------------------------------------------------------
 
-/// Below this node count, the parallel build falls back to sequential
-/// code: spawning workers costs more than the whole sweep.
-#[cfg(feature = "parallel")]
-const PAR_THRESHOLD: usize = 256;
-
-/// Builds every node's skeleton for `(inst, radius)` — sequential.
-#[cfg(not(feature = "parallel"))]
-pub(crate) fn build_all<N: Clone, E: Clone>(
-    inst: &Instance<N, E>,
-    radius: usize,
-) -> Vec<(Skeleton<N, E>, Vec<u32>)> {
-    let mut scratch = BallScratch::new(inst.graph().n());
-    (0..inst.n())
-        .map(|v| build_skeleton(inst, v, radius, &mut scratch))
-        .collect()
-}
-
-/// Builds every node's skeleton for `(inst, radius)`, fanning the
-/// per-node BFS out across cores for large instances.
-#[cfg(feature = "parallel")]
+/// Builds every node's skeleton for `(inst, radius)`. Under the
+/// `parallel` feature, large instances fan the per-node BFS out across
+/// cores.
 pub(crate) fn build_all<N: Clone + Send + Sync, E: Clone + Send + Sync>(
     inst: &Instance<N, E>,
     radius: usize,
 ) -> Vec<(Skeleton<N, E>, Vec<u32>)> {
     let n = inst.n();
-    if n >= PAR_THRESHOLD {
-        // One contiguous node range per worker, each reusing a single
-        // O(n) scratch — not one scratch per node, which would make
-        // preparation Θ(n²) in allocation alone.
-        let workers = std::thread::available_parallelism().map_or(1, |w| w.get());
-        let chunk = n.div_ceil(workers);
-        let ranges: Vec<(usize, usize)> = (0..workers)
-            .map(|i| (i * chunk, ((i + 1) * chunk).min(n)))
-            .filter(|&(start, end)| start < end)
-            .collect();
-        ranges
-            .into_par_iter()
-            .map(|(start, end)| {
-                let mut scratch = BallScratch::new(inst.graph().n());
-                (start..end)
-                    .map(|v| build_skeleton(inst, v, radius, &mut scratch))
-                    .collect::<Vec<_>>()
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flatten()
-            .collect()
+    // One contiguous node range per worker, each reusing a single O(n)
+    // scratch — not one scratch per node, which would make preparation
+    // Θ(n²) in allocation alone.
+    let workers = if cfg!(feature = "parallel") && n >= PAR_THRESHOLD {
+        std::thread::available_parallelism().map_or(1, |w| w.get())
     } else {
+        1
+    };
+    let chunk = n.div_ceil(workers).max(1);
+    let ranges = n.div_ceil(chunk);
+    map_indices(ranges, ranges > 1, |i| {
         let mut scratch = BallScratch::new(inst.graph().n());
-        (0..n)
+        (i * chunk..((i + 1) * chunk).min(n))
             .map(|v| build_skeleton(inst, v, radius, &mut scratch))
-            .collect()
-    }
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// The mutable build/repair half of the core split: per-node skeleton
 /// buckets plus the member/dependent tables, kept in repairable form so
 /// topology churn rebuilds only its scope.
 ///
-/// This is the engine substrate of [`crate::engine::SkeletonStore`]
-/// (which keeps the stable public API); the builder itself adds the
-/// round-trips: [`CoreBuilder::freeze`] renders the immutable serving
-/// form and [`CoreBuilder::thaw`] reconstructs a builder from one, so a
-/// churned store and a frozen artifact share one invariant surface.
+/// [`crate::engine::PreparedInstance`] borrows its instance and is
+/// immutable: perfect for sweeping many proofs over one frozen graph,
+/// useless once the graph itself churns. A `CoreBuilder` owns the same
+/// per-node data in per-node buckets instead of frozen CSR arrays, so
+/// after a topology mutation the affected balls are **rebuilt in place**
+/// ([`Self::rebuild`]) — `O(Σ|changed ball|)` work — while every other
+/// node's skeleton survives untouched. Label changes are cheaper still:
+/// [`Self::set_node_label`] patches the stored label through the
+/// dependency table without any BFS.
+///
+/// The builder knows nothing about *what* changed in the instance —
+/// callers (the mutable cells behind `lcp-dynamic`'s `DynamicInstance`)
+/// apply the mutation to their owned [`Instance`] first, compute its
+/// scope with [`Self::edge_scope`], and hand the scope to
+/// [`Self::rebuild`], which reports the views that *structurally*
+/// changed — what makes exact dirty-set tracking possible.
+///
+/// [`Self::freeze`] renders the immutable serving form and
+/// [`Self::thaw`] reconstructs a builder from one. A builder repaired
+/// after churn and refrozen renders the same word image as a fresh
+/// preparation of the mutated instance, so dynamic churn and frozen
+/// artifacts share one invariant surface (pinned by the refreeze
+/// tests).
 pub struct CoreBuilder<N = (), E = ()> {
     radius: usize,
     skeletons: Vec<Skeleton<N, E>>,
@@ -1407,6 +1399,44 @@ impl<N: Clone, E: Clone> CoreBuilder<N, E> {
         &self.members[v]
     }
 
+    /// The centres whose views contain global node `v`, ascending
+    /// (mirrors [`crate::engine::PreparedInstance::dependents`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn dependents(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
+        self.dependents_of(v)
+            .iter()
+            .map(|&(owner, _)| owner as usize)
+    }
+
+    /// Binds `proof` to node `v`'s skeleton — the same zero-copy arena
+    /// binding as [`crate::engine::PreparedInstance::bind`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range or `proof.n()` mismatches.
+    #[inline]
+    pub fn bind<'s>(&'s self, v: usize, proof: &'s Proof) -> View<'s, N, E> {
+        assert_eq!(proof.n(), self.n(), "proof must label every node");
+        View::bind_arena(self.skel_view(v), proof.arena(), self.members_of(v))
+    }
+
+    /// Runs `scheme`'s verifier at every node, sequentially — the
+    /// full-sweep counterpart of [`Self::bind`], used to seed output
+    /// caches and as the post-repair reference.
+    pub fn evaluate<S>(&self, scheme: &S, proof: &Proof) -> Verdict
+    where
+        S: Scheme<Node = N, Edge = E>,
+    {
+        Verdict::from_outputs(
+            (0..self.n())
+                .map(|v| scheme.verify(&self.bind(v, proof)))
+                .collect(),
+        )
+    }
+
     /// The `(owner, local)` pairs of views containing global node `v`.
     pub(crate) fn dependents_of(&self, v: usize) -> &[(u32, u32)] {
         &self.dependents[v]
@@ -1418,15 +1448,36 @@ impl<N: Clone, E: Clone> CoreBuilder<N, E> {
         self.skeletons[v].as_view()
     }
 
-    /// The scope of an edge mutation on `{u, v}` — see
-    /// [`crate::engine::SkeletonStore::edge_scope`].
+    /// The scope of an edge mutation on `{u, v}`: the sorted union
+    /// `ball(u, r) ∪ ball(v, r)` in `inst`'s **current** graph — every
+    /// node whose view can differ between the graph with and without the
+    /// edge.
+    ///
+    /// Call it on the graph that *contains* the edge: after applying an
+    /// insertion, before applying a deletion. One multi-source BFS,
+    /// `O(Σ|ball|)` — no `O(n)` scans.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` or `v` is out of range.
     pub fn edge_scope(&mut self, inst: &Instance<N, E>, u: usize, v: usize) -> Vec<usize> {
         self.scratch.ball_union(inst.graph(), &[u, v], self.radius)
     }
 
     /// Rebuilds the skeletons of `nodes` against the instance's current
-    /// topology; returns the structurally changed subset — see
-    /// [`crate::engine::SkeletonStore::rebuild`].
+    /// topology and returns the subset whose views **changed
+    /// structurally** (membership, adjacency, or distances) — the exact
+    /// centres whose verifier output can differ, assuming unchanged
+    /// labels and proof bits.
+    ///
+    /// Cost: one bounded BFS per listed node plus `O(|ball|)` dependency
+    /// relinking — independent of `n`. Listing an unaffected node is
+    /// harmless (its rebuild is a no-op and it is not reported changed);
+    /// duplicates are tolerated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node index is out of range.
     pub fn rebuild(&mut self, inst: &Instance<N, E>, nodes: &[usize]) -> Vec<usize> {
         let mut changed = Vec::new();
         for &w in nodes {
@@ -1461,8 +1512,16 @@ impl<N: Clone, E: Clone> CoreBuilder<N, E> {
         changed
     }
 
-    /// Patches node `v`'s label through the dependency table — see
-    /// [`crate::engine::SkeletonStore::set_node_label`].
+    /// Patches node `v`'s label through the dependency table: every view
+    /// containing `v` gets the new label at `v`'s view-local slot. No
+    /// BFS, no membership change — `O(|dependents(v)| · |patch|)`.
+    ///
+    /// Returns the views that were patched (the centres whose verifier
+    /// output can change), ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
     pub fn set_node_label(&mut self, v: usize, label: &N) -> Vec<usize> {
         let mut touched = Vec::with_capacity(self.dependents[v].len());
         for &(owner, local) in &self.dependents[v] {
@@ -1472,8 +1531,21 @@ impl<N: Clone, E: Clone> CoreBuilder<N, E> {
         touched
     }
 
-    /// Fault-injection hook — see
-    /// [`crate::engine::SkeletonStore::corrupt_skeleton_for_tests`].
+    /// Fault-injection hook: structurally corrupts node `v`'s skeleton in
+    /// place — bumps its farthest cached distance and, when the ball has
+    /// at least two adjacency entries, reverses the CSR neighbour array
+    /// — without touching the instance. Returns a short description of
+    /// the damage.
+    ///
+    /// The corruption is exactly the kind of damage [`Self::rebuild`]
+    /// exists to repair: a rebuild over any scope containing `v` compares
+    /// against a freshly built skeleton and replaces the corrupted one.
+    /// Exposed (hidden) for `lcp-faults` and tests only — never called by
+    /// the engine itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
     #[doc(hidden)]
     pub fn corrupt_skeleton_for_tests(&mut self, v: usize) -> &'static str {
         let skel = &mut self.skeletons[v];

@@ -18,13 +18,29 @@
 use crate::batch::BatchPolicy;
 use crate::bits::BitString;
 use crate::deadline::Deadline;
-use crate::engine::PreparedInstance;
+use crate::engine::{map_indices, PreparedInstance};
 use crate::metrics;
 use crate::proof::Proof;
 use crate::scheme::Scheme;
 use rand::rngs::StdRng;
 use rand::RngExt;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// How one soundness search runs: the wall budget it polls and the
+/// evaluation strategy it may use.
+///
+/// The [`Default`] is an unbounded deadline and [`BatchPolicy::Auto`].
+/// Neither field can change a verdict, a witness, or an RNG stream: an
+/// expired deadline only cuts the search short, and both policies give
+/// identical results.
+#[derive(Clone, Debug, Default)]
+pub struct Run {
+    /// Wall budget polled by the search loop.
+    pub deadline: Deadline,
+    /// Whether the batched evaluation layer may be used.
+    pub policy: BatchPolicy,
+}
 
 /// A completeness violation: a yes-instance the scheme failed on.
 #[derive(Clone, Debug)]
@@ -94,7 +110,20 @@ where
     S::Node: Send + Sync,
     S::Edge: Send + Sync,
 {
-    let results = check_each(scheme, prepared);
+    // Instances past a known failure are never reported, so they are
+    // skipped: sequentially the sweep stops at the first failure, and in
+    // parallel the lowest-index failure is still always checked.
+    let first_failure = AtomicUsize::new(usize::MAX);
+    let results = map_indices(prepared.len(), prepared.len() > 1, |i| {
+        if i > first_failure.load(Ordering::Relaxed) {
+            return Ok(None);
+        }
+        let r = check_prepared(scheme, &prepared[i]);
+        if r.is_err() {
+            first_failure.fetch_min(i, Ordering::Relaxed);
+        }
+        r
+    });
     let mut sizes = Vec::new();
     for (i, r) in results.into_iter().enumerate() {
         match r {
@@ -180,48 +209,6 @@ fn check_prepared<S: Scheme>(
         proof.as_ref(),
         &Deadline::none(),
     )
-}
-
-#[cfg(not(feature = "parallel"))]
-fn check_each<S>(
-    scheme: &S,
-    prepared: &[PreparedInstance<'_, S::Node, S::Edge>],
-) -> Vec<Result<Option<usize>, CompletenessError>>
-where
-    S: Scheme + Sync,
-    S::Node: Send + Sync,
-    S::Edge: Send + Sync,
-{
-    // Stop at the first failure: later instances are never reported
-    // anyway, so checking them is wasted work.
-    let mut out = Vec::with_capacity(prepared.len());
-    for p in prepared {
-        let r = check_prepared(scheme, p);
-        let failed = r.is_err();
-        out.push(r);
-        if failed {
-            break;
-        }
-    }
-    out
-}
-
-#[cfg(feature = "parallel")]
-fn check_each<S>(
-    scheme: &S,
-    prepared: &[PreparedInstance<'_, S::Node, S::Edge>],
-) -> Vec<Result<Option<usize>, CompletenessError>>
-where
-    S: Scheme + Sync,
-    S::Node: Send + Sync,
-    S::Edge: Send + Sync,
-{
-    use rayon::prelude::*;
-    // Parallel across instances, sequential within each.
-    prepared
-        .par_iter()
-        .map(|p| check_prepared(scheme, p))
-        .collect()
 }
 
 /// Number of bit strings with at most `max_bits` bits
@@ -398,11 +385,24 @@ impl OutputMemo {
 /// allocations per candidate (the arena-engine fast path that makes the
 /// `10^8`-proof budget practical).
 ///
+/// `run.deadline` is polled every [`crate::deadline::CHECK_INTERVAL`]
+/// candidates; when it expires the enumeration is abandoned with
+/// [`SoundnessError::DeadlineExpired`]. An unbounded deadline adds one
+/// branch per candidate and changes nothing else.
+///
+/// `run.policy` picks the evaluation strategy: `Auto` routes the
+/// enumeration through the batched block odometer of [`crate::batch`]
+/// when the shape fits, `Scalar` forces the classic per-candidate loop.
+/// **Identical results either way** — same verdict, same first
+/// violating proof, same `tried` counts, same deadline grid (pinned by
+/// the `batch_equivalence` property tests).
+///
 /// # Errors
 ///
 /// [`SoundnessError::SearchSpaceTooLarge`] when the space exceeds
 /// [`EXHAUSTIVE_PROOF_LIMIT`] proofs (checked in `u128`, no float
-/// saturation, no shift overflow for any `max_bits`).
+/// saturation, no shift overflow for any `max_bits`), and
+/// [`SoundnessError::DeadlineExpired`] on budget exhaustion.
 ///
 /// # Panics
 ///
@@ -412,54 +412,7 @@ pub fn check_soundness_exhaustive<S: Scheme>(
     scheme: &S,
     prep: &PreparedInstance<'_, S::Node, S::Edge>,
     max_bits: usize,
-) -> Result<Soundness, SoundnessError>
-where
-    S::Node: Send + Sync,
-    S::Edge: Send + Sync,
-{
-    check_soundness_exhaustive_within(scheme, prep, max_bits, &Deadline::none())
-}
-
-/// Deadline-aware [`check_soundness_exhaustive`]: the odometer polls
-/// `deadline` every [`crate::deadline::CHECK_INTERVAL`] candidates and
-/// abandons the enumeration with [`SoundnessError::DeadlineExpired`]
-/// when the wall budget runs out. Unbounded deadlines add one branch per
-/// candidate and change nothing else.
-///
-/// # Errors / Panics
-///
-/// As [`check_soundness_exhaustive`], plus
-/// [`SoundnessError::DeadlineExpired`] on budget exhaustion.
-pub fn check_soundness_exhaustive_within<S: Scheme>(
-    scheme: &S,
-    prep: &PreparedInstance<'_, S::Node, S::Edge>,
-    max_bits: usize,
-    deadline: &Deadline,
-) -> Result<Soundness, SoundnessError>
-where
-    S::Node: Send + Sync,
-    S::Edge: Send + Sync,
-{
-    check_soundness_exhaustive_policy(scheme, prep, max_bits, deadline, BatchPolicy::default())
-}
-
-/// [`check_soundness_exhaustive_within`] with an explicit
-/// [`BatchPolicy`]: `Auto` (the default everywhere else) routes the
-/// enumeration through the batched block odometer of [`crate::batch`]
-/// when compiled in and applicable, `Scalar` forces the classic
-/// per-candidate loop. **Identical results either way** — same verdict,
-/// same first violating proof, same `tried` counts, same deadline grid
-/// (pinned by the `batch_equivalence` property tests).
-///
-/// # Errors / Panics
-///
-/// As [`check_soundness_exhaustive_within`].
-pub fn check_soundness_exhaustive_policy<S: Scheme>(
-    scheme: &S,
-    prep: &PreparedInstance<'_, S::Node, S::Edge>,
-    max_bits: usize,
-    deadline: &Deadline,
-    policy: BatchPolicy,
+    run: &Run,
 ) -> Result<Soundness, SoundnessError>
 where
     S::Node: Send + Sync,
@@ -485,7 +438,8 @@ where
         return Ok(Soundness::Violated(Proof::empty(0)));
     }
     let strings = all_bitstrings_up_to(max_bits).expect("per-node table within the checked space");
-    if crate::batch::enabled(policy) {
+    let deadline = &run.deadline;
+    if crate::batch::enabled(run.policy) {
         // The block odometer declines shapes it cannot lay out (string
         // table outside 2..=64, mask tables over budget) — those fall
         // through to the scalar loop.
@@ -633,6 +587,21 @@ pub(crate) fn refill_random(proof: &mut Proof, max_bits: usize, rng: &mut StdRng
 /// Finding `None` is *evidence*, not proof, of soundness — use
 /// [`check_soundness_exhaustive`] for certainty on small instances.
 ///
+/// `run.deadline` is polled every 256 candidate steps (each step re-runs
+/// a ball's worth of verifiers, so the stride is finer than the
+/// enumeration loops'); when it expires the search gives up early and
+/// returns `None`. Callers that need to distinguish "no forgery found"
+/// from "ran out of budget" check `run.deadline.expired()` afterwards.
+///
+/// `run.policy` picks the evaluation strategy: `Auto` routes schemes
+/// with a bit-sliced kernel ([`Scheme::supports_batch`]) through the
+/// chunked 64-lane search of [`crate::batch`]; everything else (no
+/// kernel, zero size budget, bounded deadline, or `Scalar`) takes the
+/// classic per-flip loop. **Identical results either way** — same
+/// incumbent, same returned proof, and the RNG is left at the same
+/// stream position on every exit path (pinned by the
+/// `batch_equivalence` property tests).
+///
 /// # Panics
 ///
 /// Panics if the instance is a yes-instance.
@@ -642,74 +611,7 @@ pub fn adversarial_proof_search<S: Scheme>(
     size_budget: usize,
     iterations: usize,
     rng: &mut StdRng,
-) -> Option<Proof>
-where
-    S::Node: Send + Sync,
-    S::Edge: Send + Sync,
-{
-    adversarial_proof_search_within(
-        scheme,
-        prep,
-        size_budget,
-        iterations,
-        rng,
-        &Deadline::none(),
-    )
-}
-
-/// Deadline-aware [`adversarial_proof_search`]: polls `deadline` every
-/// 256 candidate steps (each step re-runs a ball's worth of verifiers,
-/// so the stride is finer than the enumeration loops') and gives up
-/// early — returning `None` — when the wall budget runs out. Callers
-/// that need to distinguish "no forgery found" from "ran out of budget"
-/// check `deadline.expired()` afterwards.
-///
-/// # Panics
-///
-/// Panics if the instance is a yes-instance.
-pub fn adversarial_proof_search_within<S: Scheme>(
-    scheme: &S,
-    prep: &PreparedInstance<'_, S::Node, S::Edge>,
-    size_budget: usize,
-    iterations: usize,
-    rng: &mut StdRng,
-    deadline: &Deadline,
-) -> Option<Proof>
-where
-    S::Node: Send + Sync,
-    S::Edge: Send + Sync,
-{
-    adversarial_proof_search_policy(
-        scheme,
-        prep,
-        size_budget,
-        iterations,
-        rng,
-        deadline,
-        BatchPolicy::default(),
-    )
-}
-
-/// [`adversarial_proof_search_within`] with an explicit [`BatchPolicy`]:
-/// `Auto` routes schemes with a bit-sliced kernel
-/// ([`Scheme::supports_batch`]) through the chunked 64-lane search of
-/// [`crate::batch`]; everything else (no kernel, zero size budget,
-/// bounded deadline, or `Scalar`) takes the classic per-flip loop.
-/// **Identical results either way** — same incumbent, same returned
-/// proof, and the RNG is left at the same stream position on every exit
-/// path (pinned by the `batch_equivalence` property tests).
-///
-/// # Panics
-///
-/// Panics if the instance is a yes-instance.
-pub fn adversarial_proof_search_policy<S: Scheme>(
-    scheme: &S,
-    prep: &PreparedInstance<'_, S::Node, S::Edge>,
-    size_budget: usize,
-    iterations: usize,
-    rng: &mut StdRng,
-    deadline: &Deadline,
-    policy: BatchPolicy,
+    run: &Run,
 ) -> Option<Proof>
 where
     S::Node: Send + Sync,
@@ -723,7 +625,8 @@ where
     if n == 0 {
         return None;
     }
-    if crate::batch::enabled(policy) {
+    let deadline = &run.deadline;
+    if crate::batch::enabled(run.policy) {
         if let Some(result) =
             crate::batch::adversarial(scheme, prep, size_budget, iterations, rng, deadline)
         {
@@ -994,7 +897,7 @@ mod tests {
     fn exhaustive_soundness_on_odd_cycle() {
         let inst = Instance::unlabeled(generators::cycle(5));
         let prep = prepare(&Bipartite, &inst);
-        match check_soundness_exhaustive(&Bipartite, &prep, 1).unwrap() {
+        match check_soundness_exhaustive(&Bipartite, &prep, 1, &Run::default()).unwrap() {
             Soundness::Holds(tried) => assert_eq!(tried, 3u64.pow(5)),
             Soundness::Violated(p) => panic!("bipartite scheme fooled by {p:?}"),
         }
@@ -1025,7 +928,7 @@ mod tests {
         }
         let inst = Instance::unlabeled(generators::path(4));
         let prep = prepare(&Gullible, &inst);
-        let engine = check_soundness_exhaustive(&Gullible, &prep, 1).unwrap();
+        let engine = check_soundness_exhaustive(&Gullible, &prep, 1, &Run::default()).unwrap();
         // Naive reference: enumerate in the same odometer order.
         let strings = all_bitstrings_up_to(1).unwrap();
         let mut indices = [0usize; 4];
@@ -1060,14 +963,14 @@ mod tests {
     fn exhaustive_soundness_rejects_yes_instances() {
         let inst = Instance::unlabeled(generators::cycle(4));
         let prep = prepare(&Bipartite, &inst);
-        let _ = check_soundness_exhaustive(&Bipartite, &prep, 1);
+        let _ = check_soundness_exhaustive(&Bipartite, &prep, 1, &Run::default());
     }
 
     #[test]
     fn exhaustive_soundness_refuses_oversized_spaces() {
         let inst = Instance::unlabeled(generators::cycle(65));
         let prep = prepare(&Bipartite, &inst);
-        let err = check_soundness_exhaustive(&Bipartite, &prep, 8).unwrap_err();
+        let err = check_soundness_exhaustive(&Bipartite, &prep, 8, &Run::default()).unwrap_err();
         let SoundnessError::SearchSpaceTooLarge { strings, n, space } = err else {
             panic!("expected a search-space refusal, got {err:?}");
         };
@@ -1080,7 +983,7 @@ mod tests {
     fn exhaustive_soundness_reports_exact_space_when_it_fits() {
         let inst = Instance::unlabeled(generators::cycle(17));
         let prep = prepare(&Bipartite, &inst);
-        let err = check_soundness_exhaustive(&Bipartite, &prep, 2).unwrap_err();
+        let err = check_soundness_exhaustive(&Bipartite, &prep, 2, &Run::default()).unwrap_err();
         let SoundnessError::SearchSpaceTooLarge { strings, n, space } = err.clone() else {
             panic!("expected a search-space refusal, got {err:?}");
         };
@@ -1094,7 +997,10 @@ mod tests {
         let inst = Instance::unlabeled(generators::cycle(7));
         let prep = prepare(&Bipartite, &inst);
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(adversarial_proof_search(&Bipartite, &prep, 1, 500, &mut rng).is_none());
+        assert!(
+            adversarial_proof_search(&Bipartite, &prep, 1, 500, &mut rng, &Run::default())
+                .is_none()
+        );
     }
 
     #[test]
@@ -1123,7 +1029,7 @@ mod tests {
         let inst = Instance::unlabeled(generators::cycle(6));
         let prep = prepare(&Gullible, &inst);
         let mut rng = StdRng::seed_from_u64(2);
-        let forged = adversarial_proof_search(&Gullible, &prep, 1, 2000, &mut rng)
+        let forged = adversarial_proof_search(&Gullible, &prep, 1, 2000, &mut rng, &Run::default())
             .expect("hill climbing finds the all-ones proof");
         assert!(evaluate(&Gullible, &inst, &forged).accepted());
         assert!(prep.evaluate(&Gullible, &forged).accepted());
@@ -1247,8 +1153,11 @@ mod tests {
         // the (final-candidate) violation.
         let inst = Instance::unlabeled(generators::path(9));
         let prep = prepare(&GulliblePath, &inst);
-        let expired = Deadline::after(Duration::ZERO);
-        let err = check_soundness_exhaustive_within(&GulliblePath, &prep, 1, &expired).unwrap_err();
+        let expired = Run {
+            deadline: Deadline::after(Duration::ZERO),
+            ..Run::default()
+        };
+        let err = check_soundness_exhaustive(&GulliblePath, &prep, 1, &expired).unwrap_err();
         assert_eq!(
             err,
             SoundnessError::DeadlineExpired {
@@ -1256,7 +1165,7 @@ mod tests {
             }
         );
         // The unbounded token enumerates to the genuine violation.
-        let ok = check_soundness_exhaustive_within(&GulliblePath, &prep, 1, &Deadline::none());
+        let ok = check_soundness_exhaustive(&GulliblePath, &prep, 1, &Run::default());
         assert!(matches!(ok, Ok(Soundness::Violated(_))));
     }
 
@@ -1267,8 +1176,11 @@ mod tests {
         // the poll stride, so even an expired deadline sees it first.
         let inst = Instance::unlabeled(generators::path(4));
         let prep = prepare(&GulliblePath, &inst);
-        let expired = Deadline::after(Duration::ZERO);
-        let got = check_soundness_exhaustive_within(&GulliblePath, &prep, 1, &expired).unwrap();
+        let expired = Run {
+            deadline: Deadline::after(Duration::ZERO),
+            ..Run::default()
+        };
+        let got = check_soundness_exhaustive(&GulliblePath, &prep, 1, &expired).unwrap();
         assert!(matches!(got, Soundness::Violated(_)));
     }
 
@@ -1279,14 +1191,19 @@ mod tests {
         let prep = prepare(&GulliblePath, &inst);
         // The unbounded search forges a proof from this seed...
         let mut rng = StdRng::seed_from_u64(2);
-        assert!(adversarial_proof_search(&GulliblePath, &prep, 1, 2000, &mut rng).is_some());
+        assert!(
+            adversarial_proof_search(&GulliblePath, &prep, 1, 2000, &mut rng, &Run::default())
+                .is_some()
+        );
         // ...the expired-deadline search stops before trying anything.
         let mut rng = StdRng::seed_from_u64(2);
-        let expired = Deadline::after(Duration::ZERO);
-        let got =
-            adversarial_proof_search_within(&GulliblePath, &prep, 1, 2000, &mut rng, &expired);
+        let expired = Run {
+            deadline: Deadline::after(Duration::ZERO),
+            ..Run::default()
+        };
+        let got = adversarial_proof_search(&GulliblePath, &prep, 1, 2000, &mut rng, &expired);
         assert!(got.is_none());
-        assert!(expired.expired());
+        assert!(expired.deadline.expired());
     }
 
     #[test]

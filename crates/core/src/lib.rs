@@ -86,7 +86,7 @@ pub use batch::{BatchPolicy, BatchView};
 pub use bits::{AsBits, BitReader, BitString, BitWriter, CodecError, ProofRef};
 pub use deadline::{Deadline, DeadlineExpired};
 pub use dynamic::{seal_mutable, CellMutationError, DynScheme, MutableCell, TamperProbe};
-pub use engine::{prepare, prepare_sweep, PreparedInstance, SkeletonCache, SkeletonStore};
+pub use engine::{prepare, prepare_sweep, PreparedInstance, SkeletonCache};
 pub use frozen::{ArtifactError, CoreBuilder, FrozenCore, PortableLabel};
 pub use instance::{EdgeMap, Instance};
 pub use proof::Proof;

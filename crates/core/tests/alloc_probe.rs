@@ -29,9 +29,9 @@
 
 use lcp_core::engine::PreparedInstance;
 use lcp_core::harness::{
-    adversarial_proof_search_policy, check_soundness_exhaustive_policy, random_proof, Soundness,
+    adversarial_proof_search, check_soundness_exhaustive, random_proof, Run, Soundness,
 };
-use lcp_core::{BatchArena, BatchPolicy, BatchView, Deadline, Instance, Proof, Scheme, View};
+use lcp_core::{BatchArena, BatchPolicy, BatchView, Instance, Proof, Scheme, View};
 use lcp_graph::generators;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -143,15 +143,15 @@ fn search_loops_do_not_allocate_per_candidate() {
     let prep_large = PreparedInstance::new(&large, 1);
 
     for policy in [BatchPolicy::Auto, BatchPolicy::Scalar] {
-        let (allocs_small, result) = min_allocs(|| {
-            check_soundness_exhaustive_policy(&Bipartite, &prep_small, 1, &Deadline::none(), policy)
-                .unwrap()
-        });
+        let run = Run {
+            policy,
+            ..Run::default()
+        };
+        let (allocs_small, result) =
+            min_allocs(|| check_soundness_exhaustive(&Bipartite, &prep_small, 1, &run).unwrap());
         assert!(matches!(result, Soundness::Holds(243)));
-        let (allocs_large, result) = min_allocs(|| {
-            check_soundness_exhaustive_policy(&Bipartite, &prep_large, 1, &Deadline::none(), policy)
-                .unwrap()
-        });
+        let (allocs_large, result) =
+            min_allocs(|| check_soundness_exhaustive(&Bipartite, &prep_large, 1, &run).unwrap());
         assert!(matches!(result, Soundness::Holds(2187)));
 
         assert!(
@@ -174,31 +174,17 @@ fn search_loops_do_not_allocate_per_candidate() {
     // the chunked 64-lane search; its per-chunk scratch is preallocated
     // once, so extra iterations are allocation-free there too.
     for policy in [BatchPolicy::Auto, BatchPolicy::Scalar] {
+        let run = Run {
+            policy,
+            ..Run::default()
+        };
         let (allocs_short, _) = min_allocs(|| {
             let mut rng = StdRng::seed_from_u64(11);
-            adversarial_proof_search_policy(
-                &Bipartite,
-                &prep_large,
-                1,
-                250,
-                &mut rng,
-                &Deadline::none(),
-                policy,
-            )
-            .is_some()
+            adversarial_proof_search(&Bipartite, &prep_large, 1, 250, &mut rng, &run).is_some()
         });
         let (allocs_long, _) = min_allocs(|| {
             let mut rng = StdRng::seed_from_u64(11);
-            adversarial_proof_search_policy(
-                &Bipartite,
-                &prep_large,
-                1,
-                2_250,
-                &mut rng,
-                &Deadline::none(),
-                policy,
-            )
-            .is_some()
+            adversarial_proof_search(&Bipartite, &prep_large, 1, 2_250, &mut rng, &run).is_some()
         });
         assert!(
             allocs_short < 60,

@@ -22,10 +22,8 @@
 //! exercised.
 
 use lcp_core::engine::PreparedInstance;
-use lcp_core::harness::{
-    adversarial_proof_search_policy, check_soundness_exhaustive_policy, Soundness,
-};
-use lcp_core::{BatchPolicy, BatchView, BitString, Deadline, Instance, Proof, Scheme, View};
+use lcp_core::harness::{adversarial_proof_search, check_soundness_exhaustive, Run, Soundness};
+use lcp_core::{BatchPolicy, BatchView, BitString, Instance, Proof, Scheme, View};
 use lcp_graph::generators;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -158,23 +156,17 @@ fn exhaustive_both<S: Scheme<Node = (), Edge = ()>>(
     max_bits: usize,
 ) -> (Soundness, Soundness) {
     let prep = PreparedInstance::new(inst, scheme.radius());
-    let batch = check_soundness_exhaustive_policy(
-        scheme,
-        &prep,
-        max_bits,
-        &Deadline::none(),
-        BatchPolicy::Auto,
-    )
-    .unwrap();
-    let scalar = check_soundness_exhaustive_policy(
-        scheme,
-        &prep,
-        max_bits,
-        &Deadline::none(),
-        BatchPolicy::Scalar,
-    )
-    .unwrap();
+    let batch = check_soundness_exhaustive(scheme, &prep, max_bits, &Run::default()).unwrap();
+    let scalar = check_soundness_exhaustive(scheme, &prep, max_bits, &scalar_run()).unwrap();
     (batch, scalar)
+}
+
+/// The scalar oracle's options: no deadline, batching off.
+fn scalar_run() -> Run {
+    Run {
+        policy: BatchPolicy::Scalar,
+        ..Run::default()
+    }
 }
 
 proptest! {
@@ -230,11 +222,11 @@ proptest! {
         let prep = PreparedInstance::new(&inst, 1);
         let mut rng_batch = StdRng::seed_from_u64(seed ^ 0x51ee);
         let mut rng_scalar = rng_batch.clone();
-        let batch = adversarial_proof_search_policy(
-            &Bipartite, &prep, budget, iters, &mut rng_batch, &Deadline::none(), BatchPolicy::Auto,
+        let batch = adversarial_proof_search(
+            &Bipartite, &prep, budget, iters, &mut rng_batch, &Run::default(),
         );
-        let scalar = adversarial_proof_search_policy(
-            &Bipartite, &prep, budget, iters, &mut rng_scalar, &Deadline::none(), BatchPolicy::Scalar,
+        let scalar = adversarial_proof_search(
+            &Bipartite, &prep, budget, iters, &mut rng_scalar, &scalar_run(),
         );
         prop_assert_eq!(batch, scalar);
         prop_assert_eq!(

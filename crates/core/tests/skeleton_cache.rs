@@ -5,7 +5,8 @@
 
 use lcp_core::dynamic::DynScheme;
 use lcp_core::{
-    evaluate, ArtifactSource, Instance, PreparedInstance, Proof, Scheme, SkeletonCache, View,
+    evaluate, ArtifactSource, Deadline, Instance, PreparedInstance, Proof, Scheme, SkeletonCache,
+    View,
 };
 use lcp_graph::generators;
 use std::sync::Arc;
@@ -66,9 +67,9 @@ impl Scheme for EvenDegrees {
 #[test]
 fn cached_preparation_is_indistinguishable_from_fresh() {
     let inst = Instance::unlabeled(generators::grid(3, 4));
-    let cache = SkeletonCache::new();
+    let cache = ArtifactSource::Cache(Arc::new(SkeletonCache::new()));
     let fresh = PreparedInstance::new(&inst, 1);
-    let cached = cache.prepare(&inst, 1);
+    let (cached, _) = cache.prepare(&inst, 1);
     let proof = Bipartite.prove(&inst).expect("grids are bipartite");
     for v in 0..inst.n() {
         assert_eq!(cached.bind(v, &proof), fresh.bind(v, &proof), "view {v}");
@@ -89,19 +90,20 @@ fn cached_preparation_is_indistinguishable_from_fresh() {
 
 #[test]
 fn equal_instances_share_a_build_and_count_hits() {
-    let cache = SkeletonCache::new();
+    let cache = Arc::new(SkeletonCache::new());
+    let source = ArtifactSource::Cache(Arc::clone(&cache));
     let a = Instance::unlabeled(generators::cycle(8));
     let b = Instance::unlabeled(generators::cycle(8)); // equal, distinct allocation
-    let _pa = cache.prepare(&a, 1);
+    let _pa = source.prepare(&a, 1);
     assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 1, 1));
-    let _pb = cache.prepare(&b, 1);
+    let _pb = source.prepare(&b, 1);
     assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 1, 1));
     // A different radius is a different preparation.
-    let _pc = cache.prepare(&a, 2);
+    let _pc = source.prepare(&a, 2);
     assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 2, 2));
     // A different topology never shares.
     let c = Instance::unlabeled(generators::cycle(9));
-    let _pd = cache.prepare(&c, 1);
+    let _pd = source.prepare(&c, 1);
     assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 3, 3));
     cache.clear();
     assert!(cache.is_empty());
@@ -109,12 +111,13 @@ fn equal_instances_share_a_build_and_count_hits() {
 
 #[test]
 fn label_differences_are_never_shared() {
-    let cache = SkeletonCache::new();
+    let cache = Arc::new(SkeletonCache::new());
+    let source = ArtifactSource::Cache(Arc::clone(&cache));
     let g = generators::path(6);
     let a: Instance<u8> = Instance::with_node_data(g.clone(), vec![0; 6]);
     let b: Instance<u8> = Instance::with_node_data(g, vec![0, 0, 0, 9, 0, 0]);
-    let pa = cache.prepare(&a, 1);
-    let pb = cache.prepare(&b, 1);
+    let (pa, _) = source.prepare(&a, 1);
+    let (pb, _) = source.prepare(&b, 1);
     // Same topology (same content hash bucket), different labels: the
     // equality check must fork the builds.
     assert_eq!(cache.misses(), 2);
@@ -139,21 +142,24 @@ fn dyn_schemes_share_one_build_through_a_cache_source() {
     let uncached_even = DynScheme::seal(EvenDegrees, c6());
 
     // Identical results with and without the cache...
-    assert_eq!(bip.check_completeness(), uncached_bip.check_completeness());
+    assert_eq!(
+        bip.check_completeness_within(&Deadline::none()),
+        uncached_bip.check_completeness_within(&Deadline::none())
+    );
     assert_eq!(
         bip.tamper_probe(8, 3).expect("bits to tamper"),
         uncached_bip.tamper_probe(8, 3).expect("bits to tamper")
     );
     assert_eq!(
-        even.check_completeness(),
-        uncached_even.check_completeness()
+        even.check_completeness_within(&Deadline::none()),
+        uncached_even.check_completeness_within(&Deadline::none())
     );
     // ...one CSR build served both schemes (radius 1 over equal
     // instances), and each cell looked its core up exactly once: the
     // tamper probe and later checks run on the kept core.
     assert_eq!(cache.misses(), 1, "one build for the shared graph");
     assert_eq!(cache.hits(), 1, "the second cell's one lookup hit");
-    bip.check_completeness().unwrap();
+    bip.check_completeness_within(&Deadline::none()).unwrap();
     even.tamper_probe(8, 3);
     assert_eq!((cache.misses(), cache.hits()), (1, 1), "{cache:?}");
 }

@@ -10,7 +10,7 @@
 //!
 //! * a [`DynamicInstance`] wraps a mutable `(instance, proof)` pair
 //!   behind the engine's repairable skeleton cache
-//!   ([`lcp_core::SkeletonStore`] via [`lcp_core::MutableCell`]),
+//!   ([`lcp_core::CoreBuilder`] via [`lcp_core::MutableCell`]),
 //!   applies [`Mutation`]s from a **mutation log**, and tracks the
 //!   **dirty set** — the exact view centres whose output can have
 //!   changed since the last verification;

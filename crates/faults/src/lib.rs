@@ -13,9 +13,9 @@
 //!   sweep must reject somewhere (detected); flipping the bit back must
 //!   restore acceptance everywhere (repaired).
 //! * [`FaultKind::SkeletonCorruption`] — corrupt one cached view
-//!   skeleton's CSR adjacency/distances inside a [`SkeletonStore`]. The
-//!   store's outputs must diverge from a freshly built store
-//!   (detected), and [`SkeletonStore::rebuild`] over the damaged node
+//!   skeleton's CSR adjacency/distances inside a [`CoreBuilder`]. The
+//!   builder's outputs must diverge from a freshly built one
+//!   (detected), and [`CoreBuilder::rebuild`] over the damaged node
 //!   must make every view match the fresh build again (repaired).
 //! * [`FaultKind::ChurnDrop`] / [`FaultKind::ChurnDuplicate`] /
 //!   [`FaultKind::ChurnReorder`] — perturb a valid churn mutation
@@ -32,7 +32,7 @@
 //! undetected and unrepaired.
 
 use lcp_core::bits::BitString;
-use lcp_core::{Instance, Proof, Scheme, SkeletonStore, View};
+use lcp_core::{CoreBuilder, Instance, Proof, Scheme, View};
 use lcp_dynamic::churn::{ChurnConfig, ChurnStream};
 use lcp_dynamic::{DynamicInstance, Mutation};
 use lcp_graph::{generators, traversal, Graph};
@@ -231,7 +231,7 @@ fn inject_arena_flip(site: &str, g: Graph, rng: &mut StdRng) -> FaultOutcome {
     let scheme = Bipartite;
     assert!(scheme.holds(&inst), "arena probes start from yes-instances");
     let mut proof = scheme.prove(&inst).expect("bipartition exists");
-    let store: SkeletonStore = SkeletonStore::new(&inst, scheme.radius());
+    let store: CoreBuilder = CoreBuilder::build(&inst, scheme.radius());
     let clean = store.evaluate(&scheme, &proof);
     debug_assert!(clean.accepted(), "honest proof accepted before the fault");
 
@@ -261,7 +261,7 @@ fn inject_arena_flip(site: &str, g: Graph, rng: &mut StdRng) -> FaultOutcome {
 /// Everything a verifier can observe in one bound view: node identity,
 /// distance-from-center, and adjacency order. Two stores agree on a
 /// node's verification iff these signatures match.
-fn view_signature(store: &SkeletonStore, v: usize, proof: &Proof) -> Vec<(u64, usize, Vec<u64>)> {
+fn view_signature(store: &CoreBuilder, v: usize, proof: &Proof) -> Vec<(u64, usize, Vec<u64>)> {
     let view = store.bind(v, proof);
     view.nodes()
         .map(|u| {
@@ -275,13 +275,13 @@ fn view_signature(store: &SkeletonStore, v: usize, proof: &Proof) -> Vec<(u64, u
 }
 
 /// Corrupt one cached skeleton, compare the store against a fresh
-/// build, then let [`SkeletonStore::rebuild`] repair it.
+/// build, then let [`CoreBuilder::rebuild`] repair it.
 fn inject_skeleton_corruption(site: &str, g: Graph, rng: &mut StdRng) -> FaultOutcome {
     let inst = Instance::unlabeled(g);
     let scheme = Fingerprint;
     let proof = scheme.prove(&inst).expect("fingerprint always proves");
-    let fresh: SkeletonStore = SkeletonStore::new(&inst, scheme.radius());
-    let mut store: SkeletonStore = SkeletonStore::new(&inst, scheme.radius());
+    let fresh: CoreBuilder = CoreBuilder::build(&inst, scheme.radius());
+    let mut store: CoreBuilder = CoreBuilder::build(&inst, scheme.radius());
 
     let victim = rng.random_range(0..inst.n());
     let damage = store.corrupt_skeleton_for_tests(victim);

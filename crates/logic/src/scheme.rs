@@ -137,7 +137,7 @@ mod tests {
     use crate::formulas;
     use lcp_core::evaluate;
     use lcp_core::harness::{
-        adversarial_proof_search, check_completeness, check_soundness_exhaustive, Soundness,
+        adversarial_proof_search, check_completeness, check_soundness_exhaustive, Run, Soundness,
     };
     use lcp_graph::generators;
     use rand::rngs::StdRng;
@@ -179,7 +179,8 @@ mod tests {
                 &lcp_core::engine::prepare(&scheme, &inst),
                 8,
                 800,
-                &mut rng
+                &mut rng,
+                &Run::default()
             )
             .is_none(),
             "no small proof should 3-colour K4"
@@ -206,8 +207,13 @@ mod tests {
         let no = Instance::unlabeled(generators::cycle(4));
         assert!(!scheme.holds(&no));
         // Budget 2: relation bit + tiny certs; the space stays feasible.
-        match check_soundness_exhaustive(&scheme, &lcp_core::engine::prepare(&scheme, &no), 2)
-            .unwrap()
+        match check_soundness_exhaustive(
+            &scheme,
+            &lcp_core::engine::prepare(&scheme, &no),
+            2,
+            &Run::default(),
+        )
+        .unwrap()
         {
             Soundness::Holds(_) => {}
             Soundness::Violated(p) => panic!("perfect-code scheme fooled by {p:?}"),
@@ -228,7 +234,8 @@ mod tests {
             &lcp_core::engine::prepare(&scheme, &no),
             6,
             500,
-            &mut rng
+            &mut rng,
+            &Run::default()
         )
         .is_none());
     }

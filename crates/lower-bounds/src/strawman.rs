@@ -277,11 +277,12 @@ mod tests {
         let g = generators::cycle(7);
         let inst = Instance::with_node_data(g, vec![false; 7]);
         assert!(!ParityLeader.holds(&inst));
-        use lcp_core::harness::{check_soundness_exhaustive, Soundness};
+        use lcp_core::harness::{check_soundness_exhaustive, Run, Soundness};
         match check_soundness_exhaustive(
             &ParityLeader,
             &lcp_core::engine::prepare(&ParityLeader, &inst),
             1,
+            &Run::default(),
         )
         .unwrap()
         {

@@ -53,7 +53,7 @@ mod tests {
     use lcp_core::evaluate;
     use lcp_core::harness::{
         adversarial_proof_search, check_completeness, check_soundness_exhaustive, classify_growth,
-        measure_sizes, GrowthClass, Soundness,
+        measure_sizes, GrowthClass, Run, Soundness,
     };
     use lcp_graph::generators;
     use rand::rngs::StdRng;
@@ -90,6 +90,7 @@ mod tests {
                 &Bipartite,
                 &lcp_core::engine::prepare(&Bipartite, &inst),
                 1,
+                &Run::default(),
             )
             .unwrap()
             {
@@ -108,7 +109,8 @@ mod tests {
             &lcp_core::engine::prepare(&Bipartite, &inst),
             3,
             1000,
-            &mut rng
+            &mut rng,
+            &Run::default()
         )
         .is_none());
     }

@@ -268,7 +268,7 @@ mod tests {
     use lcp_core::evaluate;
     use lcp_core::harness::{
         adversarial_proof_search, check_completeness, check_soundness_exhaustive, classify_growth,
-        measure_sizes, GrowthClass, Soundness,
+        measure_sizes, GrowthClass, Run, Soundness,
     };
     use lcp_graph::generators;
     use rand::rngs::StdRng;
@@ -306,8 +306,13 @@ mod tests {
         let scheme = ChromaticAtMost { k: 3 };
         let inst = Instance::unlabeled(generators::complete(4));
         assert!(!scheme.holds(&inst));
-        match check_soundness_exhaustive(&scheme, &lcp_core::engine::prepare(&scheme, &inst), 2)
-            .unwrap()
+        match check_soundness_exhaustive(
+            &scheme,
+            &lcp_core::engine::prepare(&scheme, &inst),
+            2,
+            &Run::default(),
+        )
+        .unwrap()
         {
             Soundness::Holds(_) => {}
             Soundness::Violated(p) => panic!("K4 3-coloured by {p:?}"),
@@ -323,8 +328,7 @@ mod tests {
         // legal colour; k = 3 and 5 exercise the lt/eq compare chains)
         // and with string budgets both below and above the record
         // width.
-        use lcp_core::harness::check_soundness_exhaustive_policy;
-        use lcp_core::{BatchPolicy, Deadline};
+        use lcp_core::BatchPolicy;
         for k in 2..=5usize {
             let scheme = ChromaticAtMost { k };
             let inst = Instance::unlabeled(generators::complete(k + 1));
@@ -333,14 +337,11 @@ mod tests {
             // at 7⁶ there to keep the test fast.
             for max_bits in 1..=(if k < 5 { 3usize } else { 2 }) {
                 let run = |policy| {
-                    check_soundness_exhaustive_policy(
-                        &scheme,
-                        &prep,
-                        max_bits,
-                        &Deadline::none(),
+                    let run = Run {
                         policy,
-                    )
-                    .unwrap()
+                        ..Run::default()
+                    };
+                    check_soundness_exhaustive(&scheme, &prep, max_bits, &run).unwrap()
                 };
                 let batch = run(BatchPolicy::Auto);
                 assert_eq!(
@@ -417,6 +418,7 @@ mod tests {
             &NonBipartite,
             &lcp_core::engine::prepare(&NonBipartite, &inst),
             2,
+            &Run::default(),
         )
         .unwrap()
         {
@@ -430,7 +432,8 @@ mod tests {
             &lcp_core::engine::prepare(&NonBipartite, &big),
             10,
             600,
-            &mut rng
+            &mut rng,
+            &Run::default()
         )
         .is_none());
     }

@@ -111,6 +111,7 @@ mod tests {
     use crate::line_graph::LineGraph;
     use lcp_core::harness::{
         adversarial_proof_search, check_completeness, classify_growth, measure_sizes, GrowthClass,
+        Run,
     };
     use lcp_graph::generators;
     use rand::rngs::StdRng;
@@ -144,7 +145,8 @@ mod tests {
             &lcp_core::engine::prepare(&scheme, &inst),
             10,
             700,
-            &mut rng
+            &mut rng,
+            &Run::default()
         )
         .is_none());
     }

@@ -247,7 +247,7 @@ mod tests {
     use lcp_core::evaluate;
     use lcp_core::harness::{
         check_completeness, check_soundness_exhaustive, classify_growth, measure_sizes,
-        GrowthClass, Soundness,
+        GrowthClass, Run, Soundness,
     };
     use lcp_graph::generators;
 
@@ -304,16 +304,26 @@ mod tests {
     fn odd_cycle_rejects_even_cycles_exhaustively() {
         let inst = Instance::unlabeled(generators::cycle(4));
         let c5 = Instance::unlabeled(generators::cycle(5));
-        match check_soundness_exhaustive(&EvenCycle, &lcp_core::engine::prepare(&EvenCycle, &c5), 1)
-            .unwrap()
+        match check_soundness_exhaustive(
+            &EvenCycle,
+            &lcp_core::engine::prepare(&EvenCycle, &c5),
+            1,
+            &Run::default(),
+        )
+        .unwrap()
         {
             Soundness::Holds(_) => {}
             Soundness::Violated(p) => panic!("C5 certified even by {p:?}"),
         }
         // OddCycle on C4: certificates don't fit in 2 bits, so this mainly
         // smoke-tests the harness; the real lower bound is the §5.3 attack.
-        match check_soundness_exhaustive(&OddCycle, &lcp_core::engine::prepare(&OddCycle, &inst), 2)
-            .unwrap()
+        match check_soundness_exhaustive(
+            &OddCycle,
+            &lcp_core::engine::prepare(&OddCycle, &inst),
+            2,
+            &Run::default(),
+        )
+        .unwrap()
         {
             Soundness::Holds(_) => {}
             Soundness::Violated(p) => panic!("C4 certified odd by {p:?}"),
@@ -349,6 +359,7 @@ mod tests {
             &MaxMatchingCycle,
             &lcp_core::engine::prepare(&MaxMatchingCycle, &inst),
             2,
+            &Run::default(),
         )
         .unwrap()
         {

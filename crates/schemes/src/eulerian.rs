@@ -48,7 +48,7 @@ impl Scheme for Eulerian {
 mod tests {
     use super::*;
     use lcp_core::evaluate;
-    use lcp_core::harness::{check_completeness, check_soundness_exhaustive, Soundness};
+    use lcp_core::harness::{check_completeness, check_soundness_exhaustive, Run, Soundness};
     use lcp_graph::generators;
 
     #[test]
@@ -77,8 +77,13 @@ mod tests {
     #[test]
     fn no_proof_can_help_a_non_eulerian_graph() {
         let inst = Instance::unlabeled(generators::star(3));
-        match check_soundness_exhaustive(&Eulerian, &lcp_core::engine::prepare(&Eulerian, &inst), 1)
-            .unwrap()
+        match check_soundness_exhaustive(
+            &Eulerian,
+            &lcp_core::engine::prepare(&Eulerian, &inst),
+            1,
+            &Run::default(),
+        )
+        .unwrap()
         {
             Soundness::Holds(_) => {}
             Soundness::Violated(p) => panic!("Eulerian scheme ignores proofs, got {p:?}"),

@@ -153,7 +153,7 @@ mod tests {
     use lcp_core::evaluate;
     use lcp_core::harness::{
         adversarial_proof_search, check_completeness, check_soundness_exhaustive, classify_growth,
-        measure_sizes, GrowthClass, Soundness,
+        measure_sizes, GrowthClass, Run, Soundness,
     };
     use lcp_graph::{generators, hamilton};
     use rand::rngs::StdRng;
@@ -209,7 +209,8 @@ mod tests {
             &lcp_core::engine::prepare(&HamiltonianCycle, &inst),
             10,
             800,
-            &mut rng
+            &mut rng,
+            &Run::default()
         )
         .is_none());
     }
@@ -225,6 +226,7 @@ mod tests {
             &HamiltonianCycle,
             &lcp_core::engine::prepare(&HamiltonianCycle, &inst),
             2,
+            &Run::default(),
         )
         .unwrap()
         {

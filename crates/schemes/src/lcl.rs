@@ -157,7 +157,7 @@ pub fn agreement() -> LclProblem<u64> {
 mod tests {
     use super::*;
     use lcp_core::evaluate;
-    use lcp_core::harness::{check_completeness, check_soundness_exhaustive, Soundness};
+    use lcp_core::harness::{check_completeness, check_soundness_exhaustive, Run, Soundness};
     use lcp_graph::generators;
 
     #[test]
@@ -185,8 +185,13 @@ mod tests {
         // Empty set on a path: nothing dominates.
         let inst = Instance::with_node_data(generators::path(4), vec![false; 4]);
         assert!(!mis().holds(&inst));
-        match check_soundness_exhaustive(&mis(), &lcp_core::engine::prepare(&mis(), &inst), 1)
-            .unwrap()
+        match check_soundness_exhaustive(
+            &mis(),
+            &lcp_core::engine::prepare(&mis(), &inst),
+            1,
+            &Run::default(),
+        )
+        .unwrap()
         {
             Soundness::Holds(_) => {}
             Soundness::Violated(p) => panic!("LCL fooled by proof {p:?} — it must ignore proofs"),

@@ -73,7 +73,7 @@ mod tests {
     use lcp_core::evaluate;
     use lcp_core::harness::{
         adversarial_proof_search, check_completeness, check_soundness_exhaustive, classify_growth,
-        measure_sizes, GrowthClass, Soundness,
+        measure_sizes, GrowthClass, Run, Soundness,
     };
     use lcp_graph::generators;
     use rand::rngs::StdRng;
@@ -125,6 +125,7 @@ mod tests {
             &LeaderElection,
             &lcp_core::engine::prepare(&LeaderElection, &inst),
             2,
+            &Run::default(),
         )
         .unwrap()
         {
@@ -144,7 +145,8 @@ mod tests {
             &lcp_core::engine::prepare(&LeaderElection, &inst),
             8,
             600,
-            &mut rng
+            &mut rng,
+            &Run::default()
         )
         .is_none());
     }

@@ -273,7 +273,7 @@ mod tests {
     use super::*;
     use lcp_core::evaluate;
     use lcp_core::harness::{
-        adversarial_proof_search, check_completeness, check_soundness_exhaustive, Soundness,
+        adversarial_proof_search, check_completeness, check_soundness_exhaustive, Run, Soundness,
     };
     use lcp_core::EdgeMap;
     use lcp_graph::generators;
@@ -306,6 +306,7 @@ mod tests {
             &MaximalMatching,
             &lcp_core::engine::prepare(&MaximalMatching, &inst),
             1,
+            &Run::default(),
         )
         .unwrap()
         {
@@ -356,6 +357,7 @@ mod tests {
             &MaximumMatchingBipartite,
             &lcp_core::engine::prepare(&MaximumMatchingBipartite, &inst),
             1,
+            &Run::default(),
         )
         .unwrap()
         {
@@ -374,7 +376,8 @@ mod tests {
             &lcp_core::engine::prepare(&MaximumMatchingBipartite, &inst),
             1,
             400,
-            &mut rng
+            &mut rng,
+            &Run::default()
         )
         .is_none());
     }
@@ -439,6 +442,7 @@ mod tests {
             &MaxWeightMatchingBipartite,
             &lcp_core::engine::prepare(&MaxWeightMatchingBipartite, &inst),
             3,
+            &Run::default(),
         )
         .unwrap()
         {

@@ -195,7 +195,7 @@ mod tests {
     use lcp_core::evaluate;
     use lcp_core::harness::{
         adversarial_proof_search, check_completeness, check_soundness_exhaustive, classify_growth,
-        measure_sizes, GrowthClass, Soundness,
+        measure_sizes, GrowthClass, Run, Soundness,
     };
     use lcp_graph::{generators, ops};
     use rand::rngs::StdRng;
@@ -249,6 +249,7 @@ mod tests {
             &SpanningTree,
             &lcp_core::engine::prepare(&SpanningTree, &inst),
             2,
+            &Run::default(),
         )
         .unwrap()
         {
@@ -270,7 +271,8 @@ mod tests {
             &lcp_core::engine::prepare(&SpanningTree, &inst),
             8,
             600,
-            &mut rng
+            &mut rng,
+            &Run::default()
         )
         .is_none());
     }
@@ -312,8 +314,13 @@ mod tests {
     #[test]
     fn cycles_rejected_exhaustively() {
         let inst = Instance::unlabeled(generators::cycle(3));
-        match check_soundness_exhaustive(&Acyclic, &lcp_core::engine::prepare(&Acyclic, &inst), 2)
-            .unwrap()
+        match check_soundness_exhaustive(
+            &Acyclic,
+            &lcp_core::engine::prepare(&Acyclic, &inst),
+            2,
+            &Run::default(),
+        )
+        .unwrap()
         {
             Soundness::Holds(_) => {}
             Soundness::Violated(p) => panic!("triangle certified acyclic by {p:?}"),
@@ -329,7 +336,8 @@ mod tests {
             &lcp_core::engine::prepare(&Acyclic, &inst),
             8,
             800,
-            &mut rng
+            &mut rng,
+            &Run::default()
         )
         .is_none());
     }

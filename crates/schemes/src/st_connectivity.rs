@@ -364,7 +364,7 @@ mod tests {
     use super::*;
     use lcp_core::evaluate;
     use lcp_core::harness::{
-        adversarial_proof_search, check_completeness, check_soundness_exhaustive, Soundness,
+        adversarial_proof_search, check_completeness, check_soundness_exhaustive, Run, Soundness,
     };
     use lcp_graph::generators;
     use rand::rngs::StdRng;
@@ -453,8 +453,13 @@ mod tests {
         let inst = instance(generators::cycle(4), 0, 2);
         let scheme = StConnectivity::general(1);
         assert!(!scheme.holds(&inst));
-        match check_soundness_exhaustive(&scheme, &lcp_core::engine::prepare(&scheme, &inst), 3)
-            .unwrap()
+        match check_soundness_exhaustive(
+            &scheme,
+            &lcp_core::engine::prepare(&scheme, &inst),
+            3,
+            &Run::default(),
+        )
+        .unwrap()
         {
             Soundness::Holds(_) => {}
             Soundness::Violated(p) => panic!("κ=1 forged on C4 by {p:?}"),
@@ -473,7 +478,8 @@ mod tests {
             &lcp_core::engine::prepare(&scheme, &inst),
             6,
             800,
-            &mut rng
+            &mut rng,
+            &Run::default()
         )
         .is_none());
     }

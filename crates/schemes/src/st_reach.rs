@@ -424,7 +424,7 @@ fn endpoints_de(inst: &Instance<StMark, ArcDir>) -> (Option<usize>, Option<usize
 mod tests {
     use super::*;
     use lcp_core::evaluate;
-    use lcp_core::harness::{check_soundness_exhaustive, Soundness};
+    use lcp_core::harness::{check_soundness_exhaustive, Run, Soundness};
     use lcp_graph::{generators, ops};
 
     fn reach_instance(g: lcp_graph::Graph, s: usize, t: usize) -> Instance<StMark> {
@@ -462,6 +462,7 @@ mod tests {
             &StReachability,
             &lcp_core::engine::prepare(&StReachability, &inst),
             1,
+            &Run::default(),
         )
         .unwrap()
         {
@@ -511,8 +512,13 @@ mod tests {
         let inst = undirected_unreach(generators::path(4), 0, 3);
         let scheme = StUnreachability::undirected();
         assert!(!scheme.holds(&inst));
-        match check_soundness_exhaustive(&scheme, &lcp_core::engine::prepare(&scheme, &inst), 1)
-            .unwrap()
+        match check_soundness_exhaustive(
+            &scheme,
+            &lcp_core::engine::prepare(&scheme, &inst),
+            1,
+            &Run::default(),
+        )
+        .unwrap()
         {
             Soundness::Holds(_) => {}
             Soundness::Violated(p) => panic!("unreachability forged by {p:?}"),
@@ -544,8 +550,13 @@ mod tests {
         let inst = Instance::with_data(g, marks, edges);
         let scheme = StUnreachability::directed();
         assert!(!scheme.holds(&inst));
-        match check_soundness_exhaustive(&scheme, &lcp_core::engine::prepare(&scheme, &inst), 1)
-            .unwrap()
+        match check_soundness_exhaustive(
+            &scheme,
+            &lcp_core::engine::prepare(&scheme, &inst),
+            1,
+            &Run::default(),
+        )
+        .unwrap()
         {
             Soundness::Holds(_) => {}
             Soundness::Violated(p) => panic!("directed unreachability forged by {p:?}"),
@@ -596,6 +607,7 @@ mod tests {
             &StReachabilityDirected,
             &lcp_core::engine::prepare(&StReachabilityDirected, &inst),
             3,
+            &Run::default(),
         )
         .unwrap()
         {

@@ -207,7 +207,7 @@ mod tests {
     use lcp_core::evaluate;
     use lcp_core::harness::{
         check_completeness, check_soundness_exhaustive, classify_growth, measure_sizes,
-        GrowthClass, Soundness,
+        GrowthClass, Run, Soundness,
     };
     use lcp_graph::{generators, ops, NodeId};
 
@@ -292,8 +292,13 @@ mod tests {
         // P3: every automorphism fixes the middle; no ≤2-bit proof helps.
         let scheme = tree_fixpoint_free();
         let inst = Instance::unlabeled(generators::path(3));
-        match check_soundness_exhaustive(&scheme, &lcp_core::engine::prepare(&scheme, &inst), 2)
-            .unwrap()
+        match check_soundness_exhaustive(
+            &scheme,
+            &lcp_core::engine::prepare(&scheme, &inst),
+            2,
+            &Run::default(),
+        )
+        .unwrap()
         {
             Soundness::Holds(_) => {}
             Soundness::Violated(p) => panic!("P3 forged by {p:?}"),

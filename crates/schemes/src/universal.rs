@@ -178,7 +178,7 @@ mod tests {
     use lcp_core::evaluate;
     use lcp_core::harness::{
         check_completeness, check_soundness_exhaustive, classify_growth, measure_sizes,
-        GrowthClass, Soundness,
+        GrowthClass, Run, Soundness,
     };
     use lcp_graph::generators;
 
@@ -259,6 +259,7 @@ mod tests {
             &prime_order(),
             &lcp_core::engine::prepare(&prime_order(), &inst),
             2,
+            &Run::default(),
         )
         .unwrap()
         {

@@ -14,6 +14,7 @@
 use crate::protocol::REQUEST_NAMES;
 use crate::table::TableStats;
 use lcp_obs::{Counter, Gauge, Histogram, Registry};
+use std::sync::{Mutex, PoisonError};
 
 /// Requests dispatched, one counter per op (indexed like
 /// [`REQUEST_NAMES`]).
@@ -73,16 +74,24 @@ pub(crate) fn op_index(op: &str) -> Option<usize> {
     REQUEST_NAMES.iter().position(|&name| name == op)
 }
 
-/// Copies a point-in-time [`TableStats`] into the export gauges. Called
-/// by the `metrics` handler so the exported text reflects the table at
-/// scrape time.
-pub(crate) fn snapshot_table(stats: &TableStats) {
+/// The Prometheus text of one `metrics` scrape: copies a point-in-time
+/// [`TableStats`] into the export gauges, then renders the whole
+/// registry, so the exported text reflects the table at scrape time.
+///
+/// The gauges are process-wide, so two servers in one process (tests
+/// run several) would otherwise interleave and render each other's
+/// table; one lock around copy and render keeps every scrape
+/// consistent with its own table.
+pub(crate) fn scrape(stats: &TableStats) -> String {
+    static SCRAPE: Mutex<()> = Mutex::new(());
+    let _scrape = SCRAPE.lock().unwrap_or_else(PoisonError::into_inner);
     let clamp = |v: usize| i64::try_from(v).unwrap_or(i64::MAX);
     RESIDENT_CELLS.set(clamp(stats.resident));
     TABLE_LOADS.set(clamp(stats.loads));
     TABLE_EVICTIONS.set(clamp(stats.evictions));
     SKELETON_HITS.set(clamp(stats.skeleton_hits));
     SKELETON_MISSES.set(clamp(stats.skeleton_misses));
+    global_registry().to_prometheus()
 }
 
 /// Registers the serve catalog into `reg` (idempotent).

@@ -434,10 +434,8 @@ fn dispatch(
         }
         Request::Metrics => {
             // Table and skeleton counters live in the table, not in
-            // statics; copy a point-in-time snapshot into the export
-            // gauges so the scrape reflects the table right now.
-            metrics::snapshot_table(&table.stats());
-            let text = metrics::global_registry().to_prometheus();
+            // statics; the scrape copies them into the export gauges.
+            let text = metrics::scrape(&table.stats());
             Ok(format!(
                 "{{\"ok\":true,\"op\":\"metrics\",\"format\":\"prometheus\",\"body\":{}}}",
                 escape(&text)

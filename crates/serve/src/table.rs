@@ -223,6 +223,7 @@ impl InstanceTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcp_core::Deadline;
     use lcp_graph::families::GraphFamily;
     use lcp_schemes::registry::Polarity;
 
@@ -247,10 +248,10 @@ mod tests {
 
         // Resident verifies run on the core the load kept: no rebuilds,
         // and no lookups either.
-        assert_eq!(a.check_completeness(), Ok(Some(1)));
+        assert_eq!(a.check_completeness_within(&Deadline::none()), Ok(Some(1)));
         let b = table.get_or_load(&coord(16)).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "same resident cell");
-        assert_eq!(b.check_completeness(), Ok(Some(1)));
+        assert_eq!(b.check_completeness_within(&Deadline::none()), Ok(Some(1)));
         let after = table.stats();
         assert_eq!((after.loads, after.skeleton_misses), (1, 1));
         assert_eq!(after.skeleton_hits, stats.skeleton_hits);
@@ -294,7 +295,10 @@ mod tests {
         let table = InstanceTable::with_source(4, source());
         let cell = table.get_or_load(&coord(16)).unwrap();
         assert!(cell.holds());
-        assert_eq!(cell.check_completeness(), Ok(Some(1)));
+        assert_eq!(
+            cell.check_completeness_within(&Deadline::none()),
+            Ok(Some(1))
+        );
         let stats = table.stats();
         assert_eq!((stats.cores_built, stats.cores_loaded), (0, 1));
         assert_eq!(
