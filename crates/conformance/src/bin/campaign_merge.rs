@@ -17,7 +17,8 @@
 //! Exit codes: `0` green, `1` usage/validation error, `2` the merged
 //! campaign has conformance failures.
 
-use lcp_conformance::merge::{merge_reports, Merged};
+use lcp_conformance::merge::merge_reports;
+use lcp_conformance::{write_artifact, CampaignReport};
 
 const USAGE: &str = "\
 campaign_merge — merge --shard i/N campaign reports into the whole-matrix report
@@ -82,8 +83,8 @@ fn main() {
     };
 
     let mode = match &merged {
-        Merged::Static(_) => "static",
-        Merged::Churn(_) => "churn",
+        CampaignReport::Static(_) => "static",
+        CampaignReport::Churn(_) => "churn",
     };
     println!(
         "merged {} {mode} shards: {} cells (seed {})",
@@ -102,14 +103,8 @@ fn main() {
         );
     }
 
-    let json = merged.to_json();
-    if out == "-" {
-        print!("{json}");
-    } else if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("error: cannot write {out}: {e}");
+    if !write_artifact(&out, "merged report", &merged.to_json(false)) {
         std::process::exit(1);
-    } else {
-        println!("merged report written to {out}");
     }
 
     std::process::exit(if merged.ok() { 0 } else { 2 });

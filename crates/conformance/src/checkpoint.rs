@@ -11,24 +11,26 @@
 //! by their global coordinate and recomputes every aggregate from the
 //! union, so a resumed run's report is **byte-identical** to an
 //! uninterrupted run of the same configuration (the standing policy
-//! `tests/fault_tolerance.rs` pins and the CI kill-and-resume job
-//! re-checks). `campaign_merge` accepts resumed shards unchanged — they
-//! are ordinary shard reports.
+//! `tests/fault_tolerance.rs` pins and the CI kill-and-resume jobs
+//! re-check for both modes). `campaign_merge` accepts resumed shards
+//! unchanged — they are ordinary shard reports.
 //!
-//! Cell lines reuse the exact serializers of the reports
+//! This module owns the file side only: the header, the writer and the
+//! loader, which together make a `Progress`. The crate's single runner
+//! (`sweep` in the crate root, reached through [`crate::run_matrix`])
+//! owns everything around a cell for both modes — splicing resumed
+//! cells in, running the rest in isolation, appending each to the
+//! checkpoint. Cell lines reuse the exact serializers of the reports
 //! (`cell_fields` / `churn_cell_fields`, with timings) and the merge
-//! parsers on the way back in, so the checkpoint format can never
-//! drift from the report format.
+//! parsers on the way back in, through each mode's `CampaignCell`
+//! impl, so the checkpoint format can never drift from the report
+//! format.
 
-use crate::churn::{churn_cell_fields, run_churn_campaign_inner, ChurnCellResult, ChurnReport};
-use crate::merge::{churn_cell, static_cell};
-use crate::{
-    cell_fields, filtered_entries, json_str, run_campaign_inner, split_timeout_detail,
-    CampaignConfig, CellResult, CellStatus, Report,
-};
+use crate::merge::{find_entry, str_field};
+use crate::{json_opt, json_str, CampaignCell, CampaignConfig, CellStatus, Mode};
 use lcp_core::json::Json;
 use lcp_schemes::registry::SchemeEntry;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -49,7 +51,11 @@ impl std::error::Error for CheckpointError {}
 /// The header line: every knob that affects cell results or the matrix
 /// enumeration. Two runs may share checkpoints iff their headers are
 /// byte-equal.
-fn header_line(config: &CampaignConfig, mode: &str, steps: Option<usize>) -> String {
+pub(crate) fn header_line(config: &CampaignConfig, mode: Mode) -> String {
+    let (mode, steps) = match mode {
+        Mode::Static => ("static", None),
+        Mode::Churn { steps } => ("churn", Some(steps)),
+    };
     let mut w = String::with_capacity(256);
     let _ = write!(
         w,
@@ -60,9 +66,7 @@ fn header_line(config: &CampaignConfig, mode: &str, steps: Option<usize>) -> Str
         config.seed,
         json_str(config.profile.name()),
         cfg!(feature = "parallel"),
-        config
-            .shard
-            .map_or_else(|| "null".into(), |s| json_str(&s.to_string())),
+        json_opt(config.shard.map(|s| json_str(&s.to_string()))),
         config
             .sizes
             .iter()
@@ -72,32 +76,15 @@ fn header_line(config: &CampaignConfig, mode: &str, steps: Option<usize>) -> Str
         config.tamper_trials,
         config.adversarial_iterations,
         config.exhaustive_limit,
-        config
-            .cell_budget_ms
-            .map_or_else(|| "null".into(), |ms| ms.to_string()),
-        config
-            .scheme_filter
-            .as_deref()
-            .map_or_else(|| "null".into(), json_str),
-        config
-            .family_filter
-            .map_or_else(|| "null".into(), |f| json_str(f.name())),
+        json_opt(config.cell_budget_ms),
+        json_opt(config.scheme_filter.as_deref().map(json_str)),
+        json_opt(config.family_filter.map(|f| json_str(f.name()))),
     );
     if let Some(steps) = steps {
         let _ = write!(w, ", \"steps\": {steps}");
     }
     w.push_str(" }");
     w
-}
-
-/// One static cell as a checkpoint line: the report's own cell fields
-/// (with timing) plus the scheme id resume needs to re-home the cell.
-pub(crate) fn static_cell_line(c: &CellResult) -> String {
-    format!(
-        "{{ \"scheme\": {}, {} }}",
-        json_str(c.scheme),
-        cell_fields(c, true)
-    )
 }
 
 /// Append-and-flush writer shared across worker threads. Write failures
@@ -116,7 +103,7 @@ impl CheckpointWriter {
     fn create(
         path: &str,
         header: &str,
-        initial: &[String],
+        initial: impl Iterator<Item = String>,
     ) -> Result<CheckpointWriter, CheckpointError> {
         let mut file = std::fs::File::create(path)
             .map_err(|e| CheckpointError(format!("cannot create checkpoint {path}: {e}")))?;
@@ -124,7 +111,7 @@ impl CheckpointWriter {
         text.push_str(header);
         text.push('\n');
         for line in initial {
-            text.push_str(line);
+            text.push_str(&line);
             text.push('\n');
         }
         file.write_all(text.as_bytes())
@@ -148,57 +135,54 @@ impl CheckpointWriter {
     }
 }
 
-/// Reads a checkpoint's lines, validating the header. `Ok(None)` when
-/// the file does not exist (a fresh `--resume` is a fresh run).
-fn read_cell_lines(
+/// Loads the cells a checkpoint recorded, validating its header and
+/// tolerating a torn (unparseable) **final** line — the signature a
+/// SIGKILL mid-append leaves behind. Any earlier damage refuses the
+/// resume. A missing file is a fresh run: nothing to resume.
+fn load<C: CampaignCell>(
     path: &str,
     header: &str,
-) -> Result<Option<Vec<(usize, String)>>, CheckpointError> {
+    entries: &[SchemeEntry],
+) -> Result<BTreeMap<usize, C>, CheckpointError> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(BTreeMap::new()),
         Err(e) => {
             return Err(CheckpointError(format!(
                 "cannot read checkpoint {path}: {e}"
             )))
         }
     };
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    match lines.next() {
-        Some((_, first)) if first == header => {}
-        Some(_) => {
-            return Err(CheckpointError(format!(
-                "checkpoint {path} was written by a different campaign configuration \
-                 (header mismatch); refusing to resume"
-            )))
-        }
-        None => return Ok(Some(Vec::new())),
+    // Non-blank lines with their 1-based line numbers in the file.
+    let lines: Vec<(usize, &str)> = (1..)
+        .zip(text.lines())
+        .filter(|(_, l)| !l.trim().is_empty())
+        .collect();
+    let Some(((_, first), lines)) = lines.split_first() else {
+        return Ok(BTreeMap::new());
+    };
+    if *first != header {
+        return Err(CheckpointError(format!(
+            "checkpoint {path} was written by a different campaign configuration \
+             (header mismatch); refusing to resume"
+        )));
     }
-    Ok(Some(lines.map(|(i, l)| (i + 1, l.to_string())).collect()))
-}
-
-/// Parses checkpoint cell lines through `parse`, tolerating a torn
-/// (unparseable) **final** line — the signature a SIGKILL mid-append
-/// leaves behind. Any earlier damage refuses the resume.
-fn collect_cells<T>(
-    path: &str,
-    lines: &[(usize, String)],
-    mut parse: impl FnMut(&str, &Json) -> Result<(usize, T), CheckpointError>,
-) -> Result<HashMap<usize, T>, CheckpointError> {
-    let mut cells = HashMap::new();
+    let mut cells = BTreeMap::new();
     for (pos, (line_no, line)) in lines.iter().enumerate() {
-        let name = format!("{path}:{}", line_no + 1);
+        let name = format!("{path}:{line_no}");
         let parsed = Json::parse(line)
             .map_err(|e| CheckpointError(format!("{name}: {e}")))
-            .and_then(|doc| parse(&name, &doc));
+            .and_then(|doc| {
+                str_field(&name, &doc, "scheme")
+                    .and_then(|id| find_entry(&name, entries, id))
+                    .and_then(|entry| C::from_checkpoint(&name, &doc, entry.id))
+                    .map_err(|e| CheckpointError(e.0))
+            });
         match parsed {
-            Ok((coord, cell)) => {
-                // Duplicate coords (an interrupted rewrite) resolve to
-                // the latest line, matching append order.
-                cells.insert(coord, cell);
+            // Duplicate coords (an interrupted rewrite) resolve to the
+            // latest line, matching append order.
+            Ok(cell) => {
+                cells.insert(cell.coord(), cell);
             }
             Err(e) if pos + 1 == lines.len() => {
                 eprintln!("note: dropping torn final checkpoint line ({e})");
@@ -209,143 +193,76 @@ fn collect_cells<T>(
     Ok(cells)
 }
 
-/// Resolves a checkpoint line's scheme id against the run's entries.
-fn scheme_id<'e>(
-    name: &str,
-    doc: &Json,
-    entries: &'e [SchemeEntry],
-) -> Result<&'e SchemeEntry, CheckpointError> {
-    let id = doc
-        .get("scheme")
-        .and_then(Json::as_str)
-        .ok_or_else(|| CheckpointError(format!("{name}: missing \"scheme\" id")))?;
-    entries
-        .iter()
-        .find(|e| e.id == id)
-        .ok_or_else(|| CheckpointError(format!("{name}: unknown scheme id \"{id}\"")))
-}
+/// The closed set of phase names a timed-out cell can report in its
+/// `timeout` field; keeping it closed is what lets the loader map a
+/// parsed phase back to a `&'static str`.
+const TIMEOUT_PHASES: [&str; 4] = ["completeness", "exhaustive", "adversarial", "churn"];
 
 /// Checkpoint lines are written in the timed form, so a timed-out
-/// cell's detail carries the timeout enrichment. Splitting it back into
-/// the structured `timeout` field restores the in-memory shape an
-/// uninterrupted run would have produced — the resumed `--no-timing`
-/// report stays byte-identical, and a timed re-serialization renders
-/// the enrichment (rather than doubling it).
-fn restore_timeout(
+/// cell's detail carries the enrichment [`crate::detail_json`] adds.
+/// Splitting it back into the structured `timeout` field restores the
+/// in-memory shape an uninterrupted run would have produced — the
+/// resumed `--no-timing` report stays byte-identical, and a timed
+/// re-serialization renders the enrichment (rather than doubling it). A
+/// detail without a well-formed suffix is kept untouched.
+pub(crate) fn restore_timeout(
     detail: &mut String,
     timeout: &mut Option<(&'static str, u64)>,
     status: CellStatus,
 ) {
-    if status == CellStatus::TimedOut {
-        if let Some((base, phase, polls)) = split_timeout_detail(detail) {
-            *detail = base;
-            *timeout = Some((phase, polls));
-        }
+    if status != CellStatus::TimedOut {
+        return;
+    }
+    let split = |detail: &str| {
+        let idx = detail.rfind(" [timed out in the ")?;
+        let rest = detail[idx..]
+            .strip_prefix(" [timed out in the ")?
+            .strip_suffix(" deadline polls]")?;
+        let (phase_raw, polls_raw) = rest.split_once(" phase after ")?;
+        let phase = TIMEOUT_PHASES.iter().find(|&&p| p == phase_raw)?;
+        Some((idx, *phase, polls_raw.parse().ok()?))
+    };
+    if let Some((idx, phase, polls)) = split(detail) {
+        detail.truncate(idx);
+        *timeout = Some((phase, polls));
     }
 }
 
-fn load_static_resume(
-    path: &str,
-    header: &str,
-    entries: &[SchemeEntry],
-) -> Result<HashMap<usize, CellResult>, CheckpointError> {
-    let Some(lines) = read_cell_lines(path, header)? else {
-        return Ok(HashMap::new());
-    };
-    collect_cells(path, &lines, |name, doc| {
-        let entry = scheme_id(name, doc, entries)?;
-        let mut cell =
-            static_cell(name, doc, entry.id).map_err(|e| CheckpointError(e.to_string()))?;
-        cell.wall_ms = doc.get("wall_ms").and_then(Json::as_u128).unwrap_or(0);
-        restore_timeout(&mut cell.detail, &mut cell.timeout, cell.status);
-        Ok((cell.coord, cell))
-    })
+/// A run's checkpoint state: the cells recovered from `--resume`, and
+/// the writer recording this run's progress (`--checkpoint`).
+pub(crate) struct Progress<C> {
+    pub(crate) resumed: BTreeMap<usize, C>,
+    pub(crate) writer: Option<CheckpointWriter>,
 }
 
-fn load_churn_resume(
-    path: &str,
-    header: &str,
-    entries: &[SchemeEntry],
-) -> Result<HashMap<usize, ChurnCellResult>, CheckpointError> {
-    let Some(lines) = read_cell_lines(path, header)? else {
-        return Ok(HashMap::new());
-    };
-    collect_cells(path, &lines, |name, doc| {
-        let entry = scheme_id(name, doc, entries)?;
-        let mut cell =
-            churn_cell(name, doc, entry.id).map_err(|e| CheckpointError(e.to_string()))?;
-        cell.incremental_ms = doc
-            .get("incremental_ms")
-            .and_then(Json::as_u128)
-            .unwrap_or(0);
-        cell.full_ms = doc.get("full_ms").and_then(Json::as_u128).unwrap_or(0);
-        restore_timeout(&mut cell.detail, &mut cell.timeout, cell.status);
-        Ok((cell.coord, cell))
-    })
-}
+impl<C: CampaignCell> Progress<C> {
+    /// No checkpoint files: nothing resumed, nothing recorded.
+    pub(crate) fn none() -> Self {
+        Progress {
+            resumed: BTreeMap::new(),
+            writer: None,
+        }
+    }
 
-/// Opens the checkpoint writer, seeding it with the resumed cells so
-/// the file stays self-contained (and any torn line is compacted away).
-fn open_writer<T>(
-    checkpoint: Option<&str>,
-    header: &str,
-    resumed: &HashMap<usize, T>,
-    line: impl Fn(&T) -> String,
-) -> Result<Option<CheckpointWriter>, CheckpointError> {
-    let Some(path) = checkpoint else {
-        return Ok(None);
-    };
-    let mut keyed: Vec<(usize, String)> =
-        resumed.iter().map(|(&coord, c)| (coord, line(c))).collect();
-    keyed.sort_by_key(|(coord, _)| *coord);
-    let lines: Vec<String> = keyed.into_iter().map(|(_, l)| l).collect();
-    CheckpointWriter::create(path, header, &lines).map(Some)
-}
-
-/// [`crate::run_campaign`] with checkpoint/resume: `resume` recovers
-/// completed cells from a prior (possibly killed) run of the **same**
-/// configuration, `checkpoint` records this run's progress. The two may
-/// name the same file — the usual `--checkpoint X --resume X` loop.
-/// Returns the report plus how many cells were resumed rather than run.
-pub fn run_campaign_checkpointed(
-    config: &CampaignConfig,
-    checkpoint: Option<&str>,
-    resume: Option<&str>,
-) -> Result<(Report, usize), CheckpointError> {
-    let header = header_line(config, "static", None);
-    let entries = filtered_entries(config);
-    let resumed = match resume {
-        Some(path) => load_static_resume(path, &header, &entries)?,
-        None => HashMap::new(),
-    };
-    let writer = open_writer(checkpoint, &header, &resumed, static_cell_line)?;
-    let count = resumed.len();
-    Ok((
-        run_campaign_inner(&entries, config, writer.as_ref(), &resumed),
-        count,
-    ))
-}
-
-/// [`crate::churn::run_churn_campaign`] with checkpoint/resume; see
-/// [`run_campaign_checkpointed`].
-pub fn run_churn_campaign_checkpointed(
-    config: &CampaignConfig,
-    steps: usize,
-    checkpoint: Option<&str>,
-    resume: Option<&str>,
-) -> Result<(ChurnReport, usize), CheckpointError> {
-    let header = header_line(config, "churn", Some(steps));
-    let entries = filtered_entries(config);
-    let resumed = match resume {
-        Some(path) => load_churn_resume(path, &header, &entries)?,
-        None => HashMap::new(),
-    };
-    let writer = open_writer(checkpoint, &header, &resumed, |c| {
-        format!("{{ {} }}", churn_cell_fields(c, true))
-    })?;
-    let count = resumed.len();
-    Ok((
-        run_churn_campaign_inner(&entries, config, steps, writer.as_ref(), &resumed),
-        count,
-    ))
+    /// Loads `resume` (a missing file is a fresh run), then opens
+    /// `checkpoint` seeded with the recovered cells, so the file stays
+    /// self-contained (and any torn line is compacted away). Both files
+    /// are identified by `header`.
+    pub(crate) fn open(
+        header: &str,
+        entries: &[SchemeEntry],
+        checkpoint: Option<&str>,
+        resume: Option<&str>,
+    ) -> Result<Self, CheckpointError> {
+        let resumed = match resume {
+            Some(path) => load(path, header, entries)?,
+            None => BTreeMap::new(),
+        };
+        let writer = checkpoint
+            .map(|path| {
+                CheckpointWriter::create(path, header, resumed.values().map(C::checkpoint_line))
+            })
+            .transpose()?;
+        Ok(Progress { resumed, writer })
+    }
 }

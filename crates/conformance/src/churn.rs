@@ -19,18 +19,20 @@
 //! JSON report with `include_timing = false` is byte-identical across
 //! runs, machines, and thread schedules.
 
+use crate::checkpoint::{restore_timeout, Progress};
+use crate::merge::MergeError;
 use crate::{
-    artifact_source_for, cell_seed, filtered_entries, map_coords, matrix_coords, panic_message,
-    CampaignConfig, CellStatus, Coord,
+    detail_json, filtered_entries, json_str, push_rows, push_shard_and_wall, push_summary, sweep,
+    CampaignCell, CampaignConfig, CellStatus, Coord,
 };
-use lcp_core::{ArtifactSource, Deadline};
-use lcp_dynamic::churn::{run_churn_within, ChurnConfig};
+use lcp_core::json::Json;
+use lcp_core::ArtifactSource;
+use lcp_dynamic::churn::{run_churn, ChurnConfig};
 use lcp_dynamic::{DynamicInstance, Mutation};
 use lcp_graph::families::GraphFamily;
-use lcp_schemes::registry::{CellRequest, Polarity, SchemeEntry};
+use lcp_obs::SpanId;
+use lcp_schemes::registry::{Polarity, SchemeEntry};
 use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
 
 /// How many mutations each churn cell applies, per profile.
 pub fn default_steps(profile: crate::Profile) -> usize {
@@ -135,12 +137,14 @@ impl ChurnReport {
         self.mismatches() == 0
     }
 
+    /// Cells with the given status.
+    pub fn count(&self, status: CellStatus) -> usize {
+        self.cells.iter().filter(|c| c.status == status).count()
+    }
+
     /// Cells that reached no verdict: crashed plus timed out.
     pub fn unresolved(&self) -> usize {
-        self.cells
-            .iter()
-            .filter(|c| matches!(c.status, CellStatus::Crashed | CellStatus::TimedOut))
-            .count()
+        self.count(CellStatus::Crashed) + self.count(CellStatus::TimedOut)
     }
 
     /// Human-readable failure lines.
@@ -171,56 +175,24 @@ impl ChurnReport {
         let _ = writeln!(w, "  \"version\": 1,");
         let _ = writeln!(w, "  \"mode\": \"churn\",");
         let _ = writeln!(w, "  \"seed\": {},", self.seed);
-        let _ = writeln!(w, "  \"profile\": {},", crate::json_str(self.profile));
+        let _ = writeln!(w, "  \"profile\": {},", json_str(self.profile));
         let _ = writeln!(w, "  \"steps_per_cell\": {},", self.steps);
         let _ = writeln!(w, "  \"parallel\": {},", self.parallel);
-        if let Some(shard) = self.shard {
-            let _ = writeln!(
-                w,
-                "  \"shard\": {{ \"index\": {}, \"count\": {} }},",
-                shard.index, shard.count
-            );
-        }
-        if include_timing {
-            let _ = writeln!(w, "  \"wall_ms\": {},", self.wall_ms);
-        }
-        // Optional keys appear only when nonzero so healthy reports keep
-        // their historical byte layout (the resume invariant depends on
-        // it).
-        let mut summary = format!(
+        push_shard_and_wall(&mut w, self.shard, include_timing.then_some(self.wall_ms));
+        let head = format!(
             "\"cells\": {}, \"ran\": {}, \"mismatches\": {}",
             self.cells.len(),
             self.ran(),
             self.mismatches()
         );
-        let crashed = self
-            .cells
-            .iter()
-            .filter(|c| c.status == CellStatus::Crashed)
-            .count();
-        if crashed > 0 {
-            let _ = write!(summary, ", \"crashed\": {crashed}");
-        }
-        let timed_out = self
-            .cells
-            .iter()
-            .filter(|c| c.status == CellStatus::TimedOut)
-            .count();
-        if timed_out > 0 {
-            let _ = write!(summary, ", \"timed_out\": {timed_out}");
-        }
-        let _ = writeln!(w, "  \"summary\": {{ {summary} }},");
+        let unresolved = [CellStatus::Crashed, CellStatus::TimedOut].map(|st| self.count(st));
+        push_summary(&mut w, &head, unresolved);
         w.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            w.push_str("    { ");
-            w.push_str(&churn_cell_fields(c, include_timing));
-            w.push_str(" }");
-            w.push_str(if i + 1 < self.cells.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
+        let cells = self.cells.iter();
+        push_rows(
+            &mut w,
+            cells.map(|c| format!("    {{ {} }}", churn_cell_fields(c, include_timing))),
+        );
         w.push_str("  ]\n}\n");
         w
     }
@@ -234,29 +206,30 @@ impl ChurnReport {
         w.push_str("{\n");
         let _ = writeln!(w, "  \"bench\": \"churn-campaign\",");
         let _ = writeln!(w, "  \"seed\": {},", self.seed);
-        let _ = writeln!(w, "  \"profile\": {},", crate::json_str(self.profile));
+        let _ = writeln!(w, "  \"profile\": {},", json_str(self.profile));
         let _ = writeln!(w, "  \"steps_per_cell\": {},", self.steps);
         let _ = writeln!(w, "  \"parallel\": {},", self.parallel);
         let _ = writeln!(w, "  \"wall_ms\": {},", self.wall_ms);
         w.push_str("  \"per_cell\": [\n");
-        let measured: Vec<&ChurnCellResult> = self.cells.iter().filter(|c| !c.skipped).collect();
-        for (i, c) in measured.iter().enumerate() {
-            let _ = write!(
-                w,
-                "    {{ \"scheme\": {}, \"family\": {}, \"n\": {}, \"polarity\": {}, \
-                 \"steps\": {}, \"reverified_permille\": {}, \"incremental_ms\": {}, \
-                 \"full_ms\": {} }}",
-                crate::json_str(c.scheme),
-                crate::json_str(c.family.name()),
-                c.n,
-                crate::json_str(c.polarity.name()),
-                c.steps,
-                c.reverified_permille,
-                c.incremental_ms,
-                c.full_ms,
-            );
-            w.push_str(if i + 1 < measured.len() { ",\n" } else { "\n" });
-        }
+        let measured = self.cells.iter().filter(|c| !c.skipped);
+        push_rows(
+            &mut w,
+            measured.map(|c| {
+                format!(
+                    "    {{ \"scheme\": {}, \"family\": {}, \"n\": {}, \"polarity\": {}, \
+                     \"steps\": {}, \"reverified_permille\": {}, \"incremental_ms\": {}, \
+                     \"full_ms\": {} }}",
+                    json_str(c.scheme),
+                    json_str(c.family.name()),
+                    c.n,
+                    json_str(c.polarity.name()),
+                    c.steps,
+                    c.reverified_permille,
+                    c.incremental_ms,
+                    c.full_ms,
+                )
+            }),
+        );
         w.push_str("  ]\n}\n");
         w
     }
@@ -269,15 +242,6 @@ impl ChurnReport {
 /// and omitting it preserves the historical byte layout.
 pub(crate) fn churn_cell_fields(c: &ChurnCellResult, include_timing: bool) -> String {
     let mut w = String::with_capacity(256);
-    let detail = match c.timeout {
-        // Timed form only, like the static campaign (see `cell_fields`).
-        Some((phase, polls)) if include_timing => crate::json_str(&format!(
-            "{}{}",
-            c.detail,
-            crate::timeout_suffix(phase, polls)
-        )),
-        _ => crate::json_str(&c.detail),
-    };
     let _ = write!(
         w,
         "\"coord\": {}, \"scheme\": {}, \"family\": {}, \"requested_n\": {}, \"n\": {}, \
@@ -286,11 +250,11 @@ pub(crate) fn churn_cell_fields(c: &ChurnCellResult, include_timing: bool) -> St
          \"max_impact\": {}, \"total_reverified\": {}, \"reverified_permille\": {}, \
          \"detail\": {}",
         c.coord,
-        crate::json_str(c.scheme),
-        crate::json_str(c.family.name()),
+        json_str(c.scheme),
+        json_str(c.family.name()),
         c.requested_n,
         c.n,
-        crate::json_str(c.polarity.name()),
+        json_str(c.polarity.name()),
         c.skipped,
         c.steps,
         c.kinds.0,
@@ -301,10 +265,10 @@ pub(crate) fn churn_cell_fields(c: &ChurnCellResult, include_timing: bool) -> St
         c.max_impact,
         c.total_reverified,
         c.reverified_permille,
-        detail,
+        detail_json(&c.detail, c.timeout, include_timing),
     );
     if matches!(c.status, CellStatus::Crashed | CellStatus::TimedOut) {
-        let _ = write!(w, ", \"status\": {}", crate::json_str(c.status.name()));
+        let _ = write!(w, ", \"status\": {}", json_str(c.status.name()));
     }
     if include_timing {
         let _ = write!(
@@ -316,44 +280,82 @@ pub(crate) fn churn_cell_fields(c: &ChurnCellResult, include_timing: bool) -> St
     w
 }
 
+impl ChurnCellResult {
+    /// A cell that churned nothing: skipped, or crashed in isolation.
+    fn unrun(entry: &SchemeEntry, coord: &Coord, status: CellStatus, detail: String) -> Self {
+        ChurnCellResult {
+            coord: coord.index,
+            scheme: entry.id,
+            family: coord.family,
+            requested_n: coord.n,
+            n: 0,
+            polarity: coord.polarity,
+            steps: 0,
+            kinds: (0, 0, 0),
+            checks: 0,
+            mismatches: 0,
+            max_impact: 0,
+            total_reverified: 0,
+            reverified_permille: 0,
+            skipped: status == CellStatus::Skip,
+            status,
+            incremental_ms: 0,
+            full_ms: 0,
+            detail,
+            timeout: None,
+        }
+    }
+}
+
+impl CampaignCell for ChurnCellResult {
+    fn span() -> SpanId {
+        crate::metrics::churn_cell_span()
+    }
+
+    fn crashed(entry: &SchemeEntry, coord: &Coord, detail: String) -> Self {
+        ChurnCellResult::unrun(entry, coord, CellStatus::Crashed, detail)
+    }
+
+    fn outcome(&self) -> (CellStatus, u128) {
+        (self.status, self.incremental_ms + self.full_ms)
+    }
+
+    fn detail_mut(&mut self) -> &mut String {
+        &mut self.detail
+    }
+
+    fn coord(&self) -> usize {
+        self.coord
+    }
+
+    fn checkpoint_line(&self) -> String {
+        format!("{{ {} }}", churn_cell_fields(self, true))
+    }
+
+    fn from_checkpoint(name: &str, doc: &Json, scheme: &'static str) -> Result<Self, MergeError> {
+        let mut cell = crate::merge::churn_cell(name, doc, scheme)?;
+        let ms = |key| doc.get(key).and_then(Json::as_u128).unwrap_or(0);
+        (cell.incremental_ms, cell.full_ms) = (ms("incremental_ms"), ms("full_ms"));
+        restore_timeout(&mut cell.detail, &mut cell.timeout, cell.status);
+        Ok(cell)
+    }
+}
+
 fn churn_one(
-    entries: &[SchemeEntry],
+    entry: &SchemeEntry,
     coord: &Coord,
     config: &CampaignConfig,
     source: &ArtifactSource,
     steps: usize,
 ) -> ChurnCellResult {
-    let entry = &entries[coord.entry_idx];
-    let seed = cell_seed(config.seed, entry.id, coord.family, coord.n, coord.polarity);
-    let req = CellRequest {
-        family: coord.family,
-        n: coord.n,
-        seed,
-        polarity: coord.polarity,
-    };
-    let mut result = ChurnCellResult {
-        coord: coord.index,
-        scheme: entry.id,
-        family: coord.family,
-        requested_n: coord.n,
-        n: 0,
-        polarity: coord.polarity,
-        steps: 0,
-        kinds: (0, 0, 0),
-        checks: 0,
-        mismatches: 0,
-        max_impact: 0,
-        total_reverified: 0,
-        reverified_permille: 0,
-        skipped: true,
-        status: CellStatus::Skip,
-        incremental_ms: 0,
-        full_ms: 0,
-        detail: String::new(),
-        timeout: None,
-    };
+    let req = coord.request(entry, config.seed);
+    let mut result = ChurnCellResult::unrun(
+        entry,
+        coord,
+        CellStatus::Skip,
+        "polarity not realizable on this family".into(),
+    );
     let Some(cell) = entry.build(&req) else {
-        result.detail = "polarity not realizable on this family".into();
         return result;
     };
     // The dynamic cell thaws its mutable store from the shared source,
@@ -364,11 +366,9 @@ fn churn_one(
     result.skipped = false;
     // Salted so the churn stream never collides with the static
     // campaign's adversarial/tamper streams for the same cell.
-    let churn_config = ChurnConfig::new(seed ^ 0xd1_5ea5e);
-    let deadline = config.cell_budget_ms.map_or_else(Deadline::none, |ms| {
-        Deadline::after(Duration::from_millis(ms))
-    });
-    let run = run_churn_within(&mut dynamic, &churn_config, steps, 1, &deadline);
+    let churn_config = ChurnConfig::new(req.seed ^ 0xd1_5ea5e);
+    let deadline = config.cell_deadline();
+    let run = run_churn(&mut dynamic, &churn_config, steps, 1, &deadline);
     result.steps = run.steps.len();
     for step in &run.steps {
         match step.mutation {
@@ -411,75 +411,24 @@ fn churn_one(
     result
 }
 
-/// The `crashed` verdict for a churn cell whose both attempts panicked.
-fn crashed_churn_cell(
-    entry: &SchemeEntry,
-    coord: &Coord,
-    first: String,
-    second: String,
-) -> ChurnCellResult {
-    ChurnCellResult {
-        coord: coord.index,
-        scheme: entry.id,
-        family: coord.family,
-        requested_n: coord.n,
-        n: 0,
-        polarity: coord.polarity,
-        steps: 0,
-        kinds: (0, 0, 0),
-        checks: 0,
-        mismatches: 0,
-        max_impact: 0,
-        total_reverified: 0,
-        reverified_permille: 0,
-        skipped: false,
-        status: CellStatus::Crashed,
-        incremental_ms: 0,
-        full_ms: 0,
-        detail: if first == second {
-            format!("panic: {first} (deterministic: retry panicked identically)")
-        } else {
-            format!("panic: {first} (retry panicked: {second})")
-        },
-        timeout: None,
-    }
-}
-
-/// [`churn_one`] inside the same panic boundary as the static runner:
-/// one same-seed retry, then a `crashed` verdict.
-fn churn_one_isolated(
+/// The churn campaign over `entries`, assembled into a [`ChurnReport`].
+pub(crate) fn churn_campaign(
     entries: &[SchemeEntry],
-    coord: &Coord,
     config: &CampaignConfig,
-    source: &ArtifactSource,
     steps: usize,
-) -> ChurnCellResult {
-    let attempt = || {
-        catch_unwind(AssertUnwindSafe(|| {
-            churn_one(entries, coord, config, source, steps)
-        }))
-    };
-    match attempt() {
-        Ok(result) => result,
-        Err(payload) => {
-            let first = panic_message(payload.as_ref());
-            match attempt() {
-                Ok(mut result) => {
-                    crate::metrics::FLAKE_RETRIES.inc();
-                    let _ = write!(
-                        result.detail,
-                        " [recovered: first attempt panicked: {first}]"
-                    );
-                    result
-                }
-                Err(payload) => crashed_churn_cell(
-                    &entries[coord.entry_idx],
-                    coord,
-                    first,
-                    panic_message(payload.as_ref()),
-                ),
-            }
-        }
+    progress: &Progress<ChurnCellResult>,
+) -> ChurnReport {
+    let swept = sweep(entries, config, progress, |entry, coord, source| {
+        churn_one(entry, coord, config, source, steps)
+    });
+    ChurnReport {
+        seed: config.seed,
+        profile: config.profile.name(),
+        steps,
+        parallel: cfg!(feature = "parallel"),
+        shard: config.shard,
+        cells: swept.cells,
+        wall_ms: swept.wall_ms,
     }
 }
 
@@ -488,64 +437,7 @@ fn churn_one_isolated(
 /// churn cells correspond one-to-one to static cells under the shared
 /// seed policy (and shard under `--shard i/N` identically).
 pub fn run_churn_campaign(config: &CampaignConfig, steps: usize) -> ChurnReport {
-    run_churn_campaign_with(&filtered_entries(config), config, steps)
-}
-
-/// [`run_churn_campaign`] over an explicit entry list — the injection
-/// seam the fault-tolerance tests use, mirroring
-/// [`crate::run_campaign_with`].
-pub fn run_churn_campaign_with(
-    entries: &[SchemeEntry],
-    config: &CampaignConfig,
-    steps: usize,
-) -> ChurnReport {
-    run_churn_campaign_inner(
-        entries,
-        config,
-        steps,
-        None,
-        &std::collections::HashMap::new(),
-    )
-}
-
-/// The full churn runner with checkpoint/resume hooks (see
-/// [`crate::run_campaign_inner`]).
-pub(crate) fn run_churn_campaign_inner(
-    entries: &[SchemeEntry],
-    config: &CampaignConfig,
-    steps: usize,
-    writer: Option<&crate::checkpoint::CheckpointWriter>,
-    resume: &std::collections::HashMap<usize, ChurnCellResult>,
-) -> ChurnReport {
-    let started = Instant::now();
-    let _campaign_span = lcp_obs::start_span(crate::metrics::campaign_span());
-    let coords = matrix_coords(entries, config);
-    let source = artifact_source_for(config);
-    let cells = map_coords(&coords, |c: &Coord| {
-        if let Some(done) = resume.get(&c.index) {
-            crate::metrics::CELLS_RESUMED.inc();
-            return done.clone();
-        }
-        let cell = {
-            let _cell_span = lcp_obs::start_span(crate::metrics::churn_cell_span());
-            churn_one_isolated(entries, c, config, &source, steps)
-        };
-        crate::metrics::record_cell(cell.status, cell.incremental_ms + cell.full_ms);
-        if let Some(w) = writer {
-            w.append(&format!("{{ {} }}", churn_cell_fields(&cell, true)));
-        }
-        cell
-    });
-
-    ChurnReport {
-        seed: config.seed,
-        profile: config.profile.name(),
-        steps,
-        parallel: cfg!(feature = "parallel"),
-        shard: config.shard,
-        cells,
-        wall_ms: started.elapsed().as_millis(),
-    }
+    churn_campaign(&filtered_entries(config), config, steps, &Progress::none())
 }
 
 #[cfg(test)]

@@ -33,14 +33,19 @@ pub mod churn;
 pub mod merge;
 pub mod metrics;
 
+use checkpoint::{CheckpointError, Progress};
+use churn::ChurnReport;
 use lcp_core::dynamic::{DynScheme, TamperProbe};
 use lcp_core::harness::{
     classify_growth, CompletenessError, GrowthClass, SizePoint, Soundness, SoundnessError,
 };
+use lcp_core::json::Json;
 use lcp_core::{ArtifactSource, ArtifactStore, CoreProvenance, Deadline, Scheme, SkeletonCache};
 use lcp_graph::families::GraphFamily;
 use lcp_logic::{formulas, Sigma11Scheme};
+use lcp_obs::SpanId;
 use lcp_schemes::registry::{self, CellRequest, Polarity, SchemeEntry};
+use merge::MergeError;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -243,6 +248,14 @@ impl CampaignConfig {
             },
         }
     }
+
+    /// The per-cell wall budget as a deadline starting now (unbounded
+    /// without `--cell-budget-ms`).
+    pub(crate) fn cell_deadline(&self) -> Deadline {
+        self.cell_budget_ms.map_or_else(Deadline::none, |ms| {
+            Deadline::after(Duration::from_millis(ms))
+        })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -322,6 +335,35 @@ pub struct CellResult {
     pub timeout: Option<(&'static str, u64)>,
     /// Wall time of the cell (excluded from deterministic JSON).
     pub wall_ms: u128,
+}
+
+impl CellResult {
+    /// A cell that reached no check: skipped, or crashed in isolation.
+    fn unrun(
+        entry: &SchemeEntry,
+        coord: &Coord,
+        status: CellStatus,
+        check: &'static str,
+        detail: String,
+    ) -> CellResult {
+        CellResult {
+            coord: coord.index,
+            scheme: entry.id,
+            family: coord.family,
+            requested_n: coord.n,
+            n: 0,
+            polarity: coord.polarity,
+            holds: false,
+            status,
+            check,
+            proof_bits: None,
+            witness_node: None,
+            tamper: None,
+            detail,
+            timeout: None,
+            wall_ms: 0,
+        }
+    }
 }
 
 /// Per-scheme aggregation: all cells plus the measured-vs-claimed
@@ -445,41 +487,23 @@ impl Report {
         let _ = writeln!(w, "  \"seed\": {},", self.seed);
         let _ = writeln!(w, "  \"profile\": {},", json_str(self.profile));
         let _ = writeln!(w, "  \"parallel\": {},", self.parallel);
-        if let Some(shard) = self.shard {
-            let _ = writeln!(
-                w,
-                "  \"shard\": {{ \"index\": {}, \"count\": {} }},",
-                shard.index, shard.count
-            );
-        }
+        push_shard_and_wall(&mut w, self.shard, include_timing.then_some(self.wall_ms));
         if include_timing {
-            let _ = writeln!(w, "  \"wall_ms\": {},", self.wall_ms);
             let _ = writeln!(
                 w,
                 "  \"skeleton_cache\": {{ \"hits\": {}, \"misses\": {} }},",
                 self.cache_hits, self.cache_misses
             );
         }
-        // The crashed/timed_out keys only appear when nonzero, so
-        // healthy reports stay byte-identical to pre-fault-tolerance
-        // output (the determinism and resume invariants both lean on
-        // this).
-        let mut summary = format!(
+        let head = format!(
             "\"cells\": {}, \"passed\": {}, \"failed\": {}, \"skipped\": {}",
             self.cell_count(),
             self.count(CellStatus::Pass),
             self.count(CellStatus::Fail),
             self.count(CellStatus::Skip)
         );
-        let crashed = self.count(CellStatus::Crashed);
-        if crashed > 0 {
-            let _ = write!(summary, ", \"crashed\": {crashed}");
-        }
-        let timed_out = self.count(CellStatus::TimedOut);
-        if timed_out > 0 {
-            let _ = write!(summary, ", \"timed_out\": {timed_out}");
-        }
-        let _ = writeln!(w, "  \"summary\": {{ {summary} }},");
+        let unresolved = [CellStatus::Crashed, CellStatus::TimedOut].map(|st| self.count(st));
+        push_summary(&mut w, &head, unresolved);
         w.push_str("  \"schemes\": [\n");
         for (i, s) in self.schemes.iter().enumerate() {
             w.push_str("    {\n");
@@ -492,22 +516,9 @@ impl Report {
                 "      \"claimed_class\": {},",
                 json_str(&s.claimed_growth.to_string())
             );
-            let _ = writeln!(
-                w,
-                "      \"measured_class\": {},",
-                match s.measured_growth {
-                    Some(g) => json_str(&g.to_string()),
-                    None => "null".into(),
-                }
-            );
-            let _ = writeln!(
-                w,
-                "      \"bound_ok\": {},",
-                match s.bound_ok {
-                    Some(b) => b.to_string(),
-                    None => "null".into(),
-                }
-            );
+            let measured = s.measured_growth.map(|g| json_str(&g.to_string()));
+            let _ = writeln!(w, "      \"measured_class\": {},", json_opt(measured));
+            let _ = writeln!(w, "      \"bound_ok\": {},", json_opt(s.bound_ok));
             let _ = writeln!(
                 w,
                 "      \"size_points\": [{}],",
@@ -518,12 +529,11 @@ impl Report {
                     .join(", ")
             );
             w.push_str("      \"cells\": [\n");
-            for (j, c) in s.cells.iter().enumerate() {
-                w.push_str("        { ");
-                w.push_str(&cell_fields(c, include_timing));
-                w.push_str(" }");
-                w.push_str(if j + 1 < s.cells.len() { ",\n" } else { "\n" });
-            }
+            let cells = s.cells.iter();
+            push_rows(
+                &mut w,
+                cells.map(|c| format!("        {{ {} }}", cell_fields(c, include_timing))),
+            );
             w.push_str("      ]\n");
             w.push_str("    }");
             w.push_str(if i + 1 < self.schemes.len() {
@@ -553,27 +563,27 @@ impl Report {
         let _ = writeln!(w, "  \"cells\": {},", self.cell_count());
         let _ = writeln!(w, "  \"wall_ms\": {},", self.wall_ms);
         w.push_str("  \"per_cell\": [\n");
-        let measured: Vec<&CellResult> = self
+        let measured = self
             .schemes
             .iter()
             .flat_map(|s| &s.cells)
-            .filter(|c| c.status != CellStatus::Skip)
-            .collect();
-        for (i, c) in measured.iter().enumerate() {
-            let _ = write!(
-                w,
-                "    {{ \"scheme\": {}, \"family\": {}, \"n\": {}, \"polarity\": {}, \
-                 \"check\": {}, \"proof_bits\": {}, \"wall_ms\": {} }}",
-                json_str(c.scheme),
-                json_str(c.family.name()),
-                c.n,
-                json_str(c.polarity.name()),
-                json_str(c.check),
-                json_opt(c.proof_bits),
-                c.wall_ms,
-            );
-            w.push_str(if i + 1 < measured.len() { ",\n" } else { "\n" });
-        }
+            .filter(|c| c.status != CellStatus::Skip);
+        push_rows(
+            &mut w,
+            measured.map(|c| {
+                format!(
+                    "    {{ \"scheme\": {}, \"family\": {}, \"n\": {}, \"polarity\": {}, \
+                     \"check\": {}, \"proof_bits\": {}, \"wall_ms\": {} }}",
+                    json_str(c.scheme),
+                    json_str(c.family.name()),
+                    c.n,
+                    json_str(c.polarity.name()),
+                    json_str(c.check),
+                    json_opt(c.proof_bits),
+                    c.wall_ms,
+                )
+            }),
+        );
         w.push_str("  ]\n}\n");
         w
     }
@@ -585,15 +595,6 @@ impl Report {
 /// uninterrupted one.
 pub(crate) fn cell_fields(c: &CellResult, include_timing: bool) -> String {
     let mut w = String::with_capacity(256);
-    let detail = match c.timeout {
-        // Poll counts are wall-clock-dependent, so the enrichment lives
-        // with the other timed fields; the checkpoint loader strips it
-        // back out (`split_timeout_detail`) to keep resume byte-exact.
-        Some((phase, polls)) if include_timing => {
-            json_str(&format!("{}{}", c.detail, timeout_suffix(phase, polls)))
-        }
-        _ => json_str(&c.detail),
-    };
     let _ = write!(
         w,
         "\"coord\": {}, \"family\": {}, \"requested_n\": {}, \"n\": {}, \"polarity\": {}, \
@@ -609,18 +610,14 @@ pub(crate) fn cell_fields(c: &CellResult, include_timing: bool) -> String {
         json_str(c.check),
         json_opt(c.proof_bits),
         json_opt(c.witness_node),
-        match &c.tamper {
-            Some(t) => format!(
-                "{{ \"trials\": {}, \"detected\": {}, \"undetected\": {}, \
-                 \"witness\": {} }}",
-                t.trials,
-                t.detected,
-                t.undetected,
-                json_opt(t.witness)
-            ),
-            None => "null".into(),
-        },
-        detail,
+        json_opt(c.tamper.as_ref().map(|t| format!(
+            "{{ \"trials\": {}, \"detected\": {}, \"undetected\": {}, \"witness\": {} }}",
+            t.trials,
+            t.detected,
+            t.undetected,
+            json_opt(t.witness)
+        ))),
+        detail_json(&c.detail, c.timeout, include_timing),
     );
     if include_timing {
         let _ = write!(w, ", \"wall_ms\": {}", c.wall_ms);
@@ -628,31 +625,63 @@ pub(crate) fn cell_fields(c: &CellResult, include_timing: bool) -> String {
     w
 }
 
-/// The closed set of phase names a timed-out cell can report in its
-/// [`CellResult::timeout`] field; keeping it closed is what lets the
-/// checkpoint loader map a parsed phase back to a `&'static str`.
-pub(crate) const TIMEOUT_PHASES: [&str; 4] = ["completeness", "exhaustive", "adversarial", "churn"];
-
-/// Renders the timed-report-only detail enrichment of a timed-out cell.
-pub(crate) fn timeout_suffix(phase: &str, polls: u64) -> String {
-    format!(" [timed out in the {phase} phase after {polls} deadline polls]")
+/// A cell's detail as a JSON string. In the timed form a timed-out
+/// cell's detail also names the phase its budget expired in and its
+/// deadline-poll count; poll counts are wall-clock-dependent, so the
+/// deterministic form never carries them, and the checkpoint loader
+/// strips them back off ([`checkpoint::restore_timeout`]).
+pub(crate) fn detail_json(
+    detail: &str,
+    timeout: Option<(&str, u64)>,
+    include_timing: bool,
+) -> String {
+    match timeout {
+        Some((phase, polls)) if include_timing => json_str(&format!(
+            "{detail} [timed out in the {phase} phase after {polls} deadline polls]"
+        )),
+        _ => json_str(detail),
+    }
 }
 
-/// Inverse of [`timeout_suffix`]: splits the enrichment back off a
-/// checkpointed detail string, returning the base detail plus the
-/// recovered `(phase, polls)`. `None` when the detail carries no
-/// (well-formed) suffix — resume then keeps the detail untouched.
-pub(crate) fn split_timeout_detail(detail: &str) -> Option<(String, &'static str, u64)> {
-    let idx = detail.rfind(" [timed out in the ")?;
-    let rest = detail[idx..]
-        .strip_prefix(" [timed out in the ")?
-        .strip_suffix(" deadline polls]")?;
-    let (phase_raw, polls_raw) = rest.split_once(" phase after ")?;
-    let phase = TIMEOUT_PHASES.iter().find(|&&p| p == phase_raw)?;
-    polls_raw
-        .parse()
-        .ok()
-        .map(|polls| (detail[..idx].to_string(), *phase, polls))
+/// Appends the report-head lines both modes share after their identity
+/// fields: the shard block (sharded runs only) and, when `wall_ms` is
+/// given (the timed form), the campaign wall time.
+pub(crate) fn push_shard_and_wall(w: &mut String, shard: Option<Shard>, wall_ms: Option<u128>) {
+    if let Some(shard) = shard {
+        let _ = writeln!(
+            w,
+            "  \"shard\": {{ \"index\": {}, \"count\": {} }},",
+            shard.index, shard.count
+        );
+    }
+    if let Some(ms) = wall_ms {
+        let _ = writeln!(w, "  \"wall_ms\": {ms},");
+    }
+}
+
+/// Appends the summary line: the mode's own `head` counts, then the
+/// `[crashed, timed_out]` counts. Those two keys only appear when
+/// nonzero, so healthy reports stay byte-identical to
+/// pre-fault-tolerance output (the determinism and resume invariants
+/// both lean on this).
+pub(crate) fn push_summary(w: &mut String, head: &str, [crashed, timed_out]: [usize; 2]) {
+    let _ = write!(w, "  \"summary\": {{ {head}");
+    for (key, count) in [("crashed", crashed), ("timed_out", timed_out)] {
+        if count > 0 {
+            let _ = write!(w, ", \"{key}\": {count}");
+        }
+    }
+    w.push_str(" },\n");
+}
+
+/// Appends `rows` as the body of a JSON array: comma-separated, one row
+/// per line.
+pub(crate) fn push_rows(w: &mut String, rows: impl Iterator<Item = String>) {
+    let rows: Vec<String> = rows.collect();
+    if !rows.is_empty() {
+        w.push_str(&rows.join(",\n"));
+        w.push('\n');
+    }
 }
 
 fn render_points(points: &[SizePoint]) -> String {
@@ -669,11 +698,10 @@ fn json_str(s: &str) -> String {
     lcp_core::json::escape(s)
 }
 
-fn json_opt(v: Option<usize>) -> String {
-    match v {
-        Some(x) => x.to_string(),
-        None => "null".into(),
-    }
+/// `null`, or the value's rendering (already JSON for numbers, booleans
+/// and [`json_str`] output).
+fn json_opt(v: Option<impl std::fmt::Display>) -> String {
+    v.map_or_else(|| "null".into(), |x| x.to_string())
 }
 
 // ---------------------------------------------------------------------
@@ -722,6 +750,19 @@ pub(crate) struct Coord {
     pub(crate) polarity: Polarity,
 }
 
+impl Coord {
+    /// The registry request for this cell of `entry`, carrying the cell's
+    /// own seed — what both cell bodies and the artifact warmer build.
+    pub(crate) fn request(&self, entry: &SchemeEntry, campaign_seed: u64) -> CellRequest {
+        CellRequest {
+            family: self.family,
+            n: self.n,
+            seed: cell_seed(campaign_seed, entry.id, self.family, self.n, self.polarity),
+            polarity: self.polarity,
+        }
+    }
+}
+
 /// Enumerates the campaign matrix for `entries` under `config`'s
 /// filters: families × sizes × polarities per entry, with sizes clamped
 /// by each entry's `max_n` and collapsed duplicates enumerated once.
@@ -762,8 +803,9 @@ pub(crate) fn matrix_coords(entries: &[SchemeEntry], config: &CampaignConfig) ->
     coords
 }
 
-/// The registry entries surviving `config`'s `--scheme` filter.
-pub(crate) fn filtered_entries(config: &CampaignConfig) -> Vec<SchemeEntry> {
+/// The campaign registry entries surviving `config`'s `--scheme` filter
+/// — what [`run_matrix`] is normally given.
+pub fn filtered_entries(config: &CampaignConfig) -> Vec<SchemeEntry> {
     campaign_registry()
         .into_iter()
         .filter(|e| {
@@ -778,7 +820,7 @@ pub(crate) fn filtered_entries(config: &CampaignConfig) -> Vec<SchemeEntry> {
 /// Maps `f` over the coordinates — across cores under the `parallel`
 /// feature, sequentially otherwise; results come back in matrix order
 /// either way. The crate's one rayon call site.
-pub(crate) fn map_coords<R: Send>(coords: &[Coord], f: impl Fn(&Coord) -> R + Sync) -> Vec<R> {
+fn map_coords<R: Send>(coords: &[Coord], f: impl Fn(&Coord) -> R + Sync) -> Vec<R> {
     #[cfg(feature = "parallel")]
     if coords.len() > 1 {
         use rayon::prelude::*;
@@ -788,39 +830,23 @@ pub(crate) fn map_coords<R: Send>(coords: &[Coord], f: impl Fn(&Coord) -> R + Sy
 }
 
 fn run_one(
-    entries: &[SchemeEntry],
+    entry: &SchemeEntry,
     coord: &Coord,
     config: &CampaignConfig,
     source: &ArtifactSource,
 ) -> CellResult {
-    let entry = &entries[coord.entry_idx];
     let started = Instant::now();
-    let seed = cell_seed(config.seed, entry.id, coord.family, coord.n, coord.polarity);
-    let req = CellRequest {
-        family: coord.family,
-        n: coord.n,
-        seed,
-        polarity: coord.polarity,
-    };
-    let mut result = CellResult {
-        coord: coord.index,
-        scheme: entry.id,
-        family: coord.family,
-        requested_n: coord.n,
-        n: 0,
-        polarity: coord.polarity,
-        holds: false,
-        status: CellStatus::Skip,
-        check: "inapplicable",
-        proof_bits: None,
-        witness_node: None,
-        tamper: None,
-        detail: String::new(),
-        timeout: None,
-        wall_ms: 0,
-    };
+    let req = coord.request(entry, config.seed);
+    let seed = req.seed;
+    // Every path below overwrites the check, status and detail.
+    let mut result = CellResult::unrun(
+        entry,
+        coord,
+        CellStatus::Skip,
+        "inapplicable",
+        "polarity not realizable on this family".into(),
+    );
     let Some(cell) = entry.build(&req) else {
-        result.detail = "polarity not realizable on this family".into();
         result.wall_ms = started.elapsed().as_millis();
         return result;
     };
@@ -830,9 +856,7 @@ fn run_one(
     // `--artifact-dir` that build may come straight off disk. The
     // per-cell deadline starts counting here — instance generation above
     // is not covered, but it is not where cells stall.
-    let deadline = config.cell_budget_ms.map_or_else(Deadline::none, |ms| {
-        Deadline::after(Duration::from_millis(ms))
-    });
+    let deadline = config.cell_deadline();
     let cell = cell.with_source(source.clone());
     result.n = cell.n();
     result.holds = cell.holds();
@@ -936,82 +960,6 @@ fn run_one(
     result
 }
 
-// ---------------------------------------------------------------------
-// Cell isolation
-// ---------------------------------------------------------------------
-
-/// Renders a `catch_unwind` payload (the argument to `panic!`).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".into()
-    }
-}
-
-/// The `crashed` verdict for a cell whose both attempts panicked.
-fn crashed_cell(entry: &SchemeEntry, coord: &Coord, first: String, second: String) -> CellResult {
-    CellResult {
-        coord: coord.index,
-        scheme: entry.id,
-        family: coord.family,
-        requested_n: coord.n,
-        n: 0,
-        polarity: coord.polarity,
-        holds: false,
-        status: CellStatus::Crashed,
-        check: "isolation",
-        proof_bits: None,
-        witness_node: None,
-        tamper: None,
-        detail: if first == second {
-            format!("panic: {first} (deterministic: retry panicked identically)")
-        } else {
-            format!("panic: {first} (retry panicked: {second})")
-        },
-        timeout: None,
-        wall_ms: 0,
-    }
-}
-
-/// [`run_one`] inside a panic boundary: a panicking cell becomes a
-/// `crashed` result instead of tearing down the whole shard. The cell is
-/// retried once with the same seed — a clean retry is kept (annotated as
-/// recovered-flaky), a second panic is classified deterministic or flaky
-/// by comparing the payloads.
-fn run_one_isolated(
-    entries: &[SchemeEntry],
-    coord: &Coord,
-    config: &CampaignConfig,
-    source: &ArtifactSource,
-) -> CellResult {
-    let attempt = || catch_unwind(AssertUnwindSafe(|| run_one(entries, coord, config, source)));
-    match attempt() {
-        Ok(result) => result,
-        Err(payload) => {
-            let first = panic_message(payload.as_ref());
-            match attempt() {
-                Ok(mut result) => {
-                    metrics::FLAKE_RETRIES.inc();
-                    let _ = write!(
-                        result.detail,
-                        " [recovered: first attempt panicked: {first}]"
-                    );
-                    result
-                }
-                Err(payload) => crashed_cell(
-                    &entries[coord.entry_idx],
-                    coord,
-                    first,
-                    panic_message(payload.as_ref()),
-                ),
-            }
-        }
-    }
-}
-
 /// Empty per-scheme report shells for `entries`, in registry order —
 /// shared by the live runner and the shard merger.
 pub(crate) fn scheme_shells(entries: &[SchemeEntry]) -> Vec<SchemeReport> {
@@ -1066,7 +1014,7 @@ pub(crate) fn fit_growth(schemes: &mut [SchemeReport]) {
 /// the plain in-process [`SkeletonCache`] otherwise. An unopenable
 /// artifact directory degrades (with a warning) to the cache — artifact
 /// persistence is a cold-start optimisation, never a correctness gate.
-pub(crate) fn artifact_source_for(config: &CampaignConfig) -> ArtifactSource {
+fn artifact_source_for(config: &CampaignConfig) -> ArtifactSource {
     match &config.artifact_dir {
         Some(dir) => match ArtifactStore::open(dir) {
             Ok(store) => ArtifactSource::MappedDir(Arc::new(store)),
@@ -1080,11 +1028,6 @@ pub(crate) fn artifact_source_for(config: &CampaignConfig) -> ArtifactSource {
         },
         None => ArtifactSource::Cache(Arc::new(SkeletonCache::new())),
     }
-}
-
-/// Runs the campaign described by `config` and assembles the [`Report`].
-pub fn run_campaign(config: &CampaignConfig) -> Report {
-    run_campaign_with(&filtered_entries(config), config)
 }
 
 /// Per-provenance cell counts from a [`warm_artifacts`] pass.
@@ -1125,18 +1068,10 @@ pub fn warm_artifacts(config: &CampaignConfig) -> WarmSummary {
         shard: None,
         ..config.clone()
     };
-    let coords = matrix_coords(&entries, &full);
     let mut summary = WarmSummary::default();
-    for coord in &coords {
+    for coord in &matrix_coords(&entries, &full) {
         let entry = &entries[coord.entry_idx];
-        let seed = cell_seed(config.seed, entry.id, coord.family, coord.n, coord.polarity);
-        let req = CellRequest {
-            family: coord.family,
-            n: coord.n,
-            seed,
-            polarity: coord.polarity,
-        };
-        let Some(cell) = entry.build(&req) else {
+        let Some(cell) = entry.build(&coord.request(entry, config.seed)) else {
             summary.skipped += 1;
             continue;
         };
@@ -1149,46 +1084,246 @@ pub fn warm_artifacts(config: &CampaignConfig) -> WarmSummary {
     summary
 }
 
-/// [`run_campaign`] over an explicit entry list instead of the filtered
-/// registry — the seam the fault-tolerance tests use to inject
-/// deliberately panicking or slow schemes into an otherwise normal
-/// matrix. Cells run inside the panic boundary either way.
-pub fn run_campaign_with(entries: &[SchemeEntry], config: &CampaignConfig) -> Report {
-    run_campaign_inner(entries, config, None, &std::collections::HashMap::new())
+// ---------------------------------------------------------------------
+// The runner: one path around a cell for both modes
+// ---------------------------------------------------------------------
+
+/// Which question a campaign asks of every matrix cell.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Mode {
+    /// Completeness on yes-instances, soundness on no-instances.
+    Static,
+    /// Incremental re-verification against a from-scratch sweep after
+    /// each of `steps` seeded mutations (`--churn`).
+    Churn {
+        /// Mutations per cell.
+        steps: usize,
+    },
 }
 
-/// The full runner: `resume` short-circuits cells already completed by a
-/// checkpointed predecessor run (spliced back in matrix order, so the
-/// report is byte-identical to an uninterrupted run), and `writer`
-/// appends every freshly computed cell to the checkpoint file.
-pub(crate) fn run_campaign_inner(
+/// A campaign outcome in either mode: what [`run_matrix`] and
+/// [`merge::merge_reports`] return.
+#[derive(Clone, Debug)]
+pub enum CampaignReport {
+    /// A static conformance campaign.
+    Static(Report),
+    /// A `--churn` campaign.
+    Churn(ChurnReport),
+}
+
+/// Evaluates `$body` with `$r` bound to whichever report `$report` holds
+/// (both report types share these method names).
+macro_rules! either {
+    ($report:expr, $r:ident => $body:expr) => {
+        match $report {
+            CampaignReport::Static($r) => $body,
+            CampaignReport::Churn($r) => $body,
+        }
+    };
+}
+
+impl CampaignReport {
+    /// Serializes the report; with `include_timing = false` the output is
+    /// the deterministic form CI diffs.
+    pub fn to_json(&self, include_timing: bool) -> String {
+        either!(self, r => r.to_json(include_timing))
+    }
+
+    /// The always-timed per-cell series (`--bench-out`).
+    pub fn to_bench_json(&self) -> String {
+        either!(self, r => r.to_bench_json())
+    }
+
+    /// Whether the campaign is green.
+    pub fn ok(&self) -> bool {
+        either!(self, r => r.ok())
+    }
+
+    /// Human-readable failure lines.
+    pub fn failures(&self) -> Vec<String> {
+        either!(self, r => r.failures())
+    }
+
+    /// Cells that reached no verdict: crashed plus timed out.
+    pub fn unresolved(&self) -> usize {
+        either!(self, r => r.unresolved())
+    }
+
+    /// The campaign seed (for replay messages).
+    pub fn seed(&self) -> u64 {
+        either!(self, r => r.seed)
+    }
+
+    /// Total matrix cells in the report.
+    pub fn cell_count(&self) -> usize {
+        match self {
+            CampaignReport::Static(r) => r.cell_count(),
+            CampaignReport::Churn(r) => r.cells.len(),
+        }
+    }
+}
+
+/// What the runner needs from a mode's cell result; everything else
+/// around a cell — matrix walk, resume splicing, isolation, metrics and
+/// the checkpoint append — is [`sweep`]'s, shared by both modes.
+pub(crate) trait CampaignCell: Clone + Send + Sync {
+    /// The per-cell child span of [`metrics::campaign_span`].
+    fn span() -> SpanId;
+    /// The `crashed` verdict of a cell whose both attempts panicked.
+    fn crashed(entry: &SchemeEntry, coord: &Coord, detail: String) -> Self;
+    /// Verdict and wall time, as [`metrics::record_cell`] takes them.
+    fn outcome(&self) -> (CellStatus, u128);
+    /// The detail a recovered flake is annotated on.
+    fn detail_mut(&mut self) -> &mut String;
+    /// The cell's global coordinate.
+    fn coord(&self) -> usize;
+    /// The cell as one checkpoint line: the report's own cell serializer,
+    /// with timings, plus the scheme id resume re-homes it by.
+    fn checkpoint_line(&self) -> String;
+    /// Parses a checkpoint line back through the merge parser, restoring
+    /// the timed fields and the structured timeout.
+    fn from_checkpoint(name: &str, doc: &Json, scheme: &'static str) -> Result<Self, MergeError>;
+}
+
+impl CampaignCell for CellResult {
+    fn span() -> SpanId {
+        metrics::cell_span()
+    }
+
+    fn crashed(entry: &SchemeEntry, coord: &Coord, detail: String) -> Self {
+        CellResult::unrun(entry, coord, CellStatus::Crashed, "isolation", detail)
+    }
+
+    fn outcome(&self) -> (CellStatus, u128) {
+        (self.status, self.wall_ms)
+    }
+
+    fn detail_mut(&mut self) -> &mut String {
+        &mut self.detail
+    }
+
+    fn coord(&self) -> usize {
+        self.coord
+    }
+
+    fn checkpoint_line(&self) -> String {
+        format!(
+            "{{ \"scheme\": {}, {} }}",
+            json_str(self.scheme),
+            cell_fields(self, true)
+        )
+    }
+
+    fn from_checkpoint(name: &str, doc: &Json, scheme: &'static str) -> Result<Self, MergeError> {
+        let mut cell = merge::static_cell(name, doc, scheme)?;
+        cell.wall_ms = doc.get("wall_ms").and_then(Json::as_u128).unwrap_or(0);
+        checkpoint::restore_timeout(&mut cell.detail, &mut cell.timeout, cell.status);
+        Ok(cell)
+    }
+}
+
+/// Renders a `catch_unwind` payload (the argument to `panic!`).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".into()
+    }
+}
+
+/// Runs one cell inside a panic boundary: a panicking cell becomes a
+/// `crashed` result instead of tearing down the whole shard. The cell is
+/// retried once with the same seed — a clean retry is kept (annotated as
+/// recovered-flaky), a second panic is classified deterministic or flaky
+/// by comparing the payloads.
+fn isolated<C: CampaignCell>(entry: &SchemeEntry, coord: &Coord, run: impl Fn() -> C) -> C {
+    let attempt = || catch_unwind(AssertUnwindSafe(&run));
+    let first = match attempt() {
+        Ok(cell) => return cell,
+        Err(payload) => panic_message(payload.as_ref()),
+    };
+    match attempt() {
+        Ok(mut cell) => {
+            metrics::FLAKE_RETRIES.inc();
+            let _ = write!(
+                cell.detail_mut(),
+                " [recovered: first attempt panicked: {first}]"
+            );
+            cell
+        }
+        Err(payload) => {
+            let second = panic_message(payload.as_ref());
+            let detail = if first == second {
+                format!("panic: {first} (deterministic: retry panicked identically)")
+            } else {
+                format!("panic: {first} (retry panicked: {second})")
+            };
+            C::crashed(entry, coord, detail)
+        }
+    }
+}
+
+/// A swept matrix: its coordinates and cells, in matrix order.
+pub(crate) struct Swept<C> {
+    coords: Vec<Coord>,
+    pub(crate) cells: Vec<C>,
+    source: ArtifactSource,
+    pub(crate) wall_ms: u128,
+}
+
+/// Walks the campaign matrix for either mode. Cells already recovered
+/// by `progress` are spliced back in place (so the report is
+/// byte-identical to an uninterrupted run); every other cell runs
+/// `run_cell` inside [`isolated`], is recorded in the metrics, and is
+/// appended to the checkpoint when one is open.
+pub(crate) fn sweep<C: CampaignCell>(
     entries: &[SchemeEntry],
     config: &CampaignConfig,
-    writer: Option<&checkpoint::CheckpointWriter>,
-    resume: &std::collections::HashMap<usize, CellResult>,
-) -> Report {
+    progress: &Progress<C>,
+    run_cell: impl Fn(&SchemeEntry, &Coord, &ArtifactSource) -> C + Sync,
+) -> Swept<C> {
     let started = Instant::now();
     let _campaign_span = lcp_obs::start_span(metrics::campaign_span());
     let coords = matrix_coords(entries, config);
     let source = artifact_source_for(config);
-    let results = map_coords(&coords, |c| {
-        if let Some(done) = resume.get(&c.index) {
+    let cells = map_coords(&coords, |coord| {
+        if let Some(done) = progress.resumed.get(&coord.index) {
             metrics::CELLS_RESUMED.inc();
             return done.clone();
         }
+        let entry = &entries[coord.entry_idx];
         let cell = {
-            let _cell_span = lcp_obs::start_span(metrics::cell_span());
-            run_one_isolated(entries, c, config, &source)
+            let _cell_span = lcp_obs::start_span(C::span());
+            isolated(entry, coord, || run_cell(entry, coord, &source))
         };
-        metrics::record_cell(cell.status, cell.wall_ms);
-        if let Some(w) = writer {
-            w.append(&checkpoint::static_cell_line(&cell));
+        let (status, wall_ms) = cell.outcome();
+        metrics::record_cell(status, wall_ms);
+        if let Some(w) = &progress.writer {
+            w.append(&cell.checkpoint_line());
         }
         cell
     });
+    Swept {
+        coords,
+        cells,
+        source,
+        wall_ms: started.elapsed().as_millis(),
+    }
+}
 
+/// The static campaign over `entries`, assembled into a [`Report`].
+fn static_campaign(
+    entries: &[SchemeEntry],
+    config: &CampaignConfig,
+    progress: &Progress<CellResult>,
+) -> Report {
+    let swept = sweep(entries, config, progress, |entry, coord, source| {
+        run_one(entry, coord, config, source)
+    });
     let mut schemes = scheme_shells(entries);
-    for (coord, cell) in coords.iter().zip(results) {
+    for (coord, cell) in swept.coords.iter().zip(swept.cells) {
         schemes[coord.entry_idx].cells.push(cell);
     }
     // Growth fitting is a whole-matrix judgement: a shard sees only a
@@ -1198,17 +1333,77 @@ pub(crate) fn run_campaign_inner(
     if config.shard.is_none() {
         fit_growth(&mut schemes);
     }
-
     Report {
         seed: config.seed,
         profile: config.profile.name(),
         parallel: cfg!(feature = "parallel"),
         shard: config.shard,
         schemes,
-        cache_hits: source.cache().map_or(0, SkeletonCache::hits),
-        cache_misses: source.cache().map_or(0, SkeletonCache::misses),
-        wall_ms: started.elapsed().as_millis(),
+        cache_hits: swept.source.cache().map_or(0, SkeletonCache::hits),
+        cache_misses: swept.source.cache().map_or(0, SkeletonCache::misses),
+        wall_ms: swept.wall_ms,
     }
+}
+
+/// Runs the static campaign described by `config` and assembles the
+/// [`Report`].
+pub fn run_campaign(config: &CampaignConfig) -> Report {
+    static_campaign(&filtered_entries(config), config, &Progress::none())
+}
+
+/// Runs the campaign matrix over `entries` in either mode, with optional
+/// checkpoint/resume — the one entry point the CLI and the
+/// fault-tolerance tests use; [`run_campaign`] and
+/// [`churn::run_churn_campaign`] are its checkpoint-free forms over the
+/// filtered registry.
+///
+/// `entries` is normally [`filtered_entries`]; the fault-tolerance tests
+/// pass extra entries here to inject panicking schemes. `resume`
+/// recovers completed cells from a prior (possibly killed) run of the
+/// **same** configuration and mode, `checkpoint` records this run's
+/// progress; the two may name the same file (the usual
+/// `--checkpoint X --resume X` loop). Returns the report plus how many
+/// cells were resumed rather than run.
+///
+/// # Errors
+///
+/// A resume file from another configuration or mode, damage before its
+/// final line, or a checkpoint file that cannot be created.
+pub fn run_matrix(
+    entries: &[SchemeEntry],
+    config: &CampaignConfig,
+    mode: Mode,
+    checkpoint: Option<&str>,
+    resume: Option<&str>,
+) -> Result<(CampaignReport, usize), CheckpointError> {
+    let header = checkpoint::header_line(config, mode);
+    Ok(match mode {
+        Mode::Static => {
+            let progress = Progress::open(&header, entries, checkpoint, resume)?;
+            let report = static_campaign(entries, config, &progress);
+            (CampaignReport::Static(report), progress.resumed.len())
+        }
+        Mode::Churn { steps } => {
+            let progress = Progress::open(&header, entries, checkpoint, resume)?;
+            let report = churn::churn_campaign(entries, config, steps, &progress);
+            (CampaignReport::Churn(report), progress.resumed.len())
+        }
+    })
+}
+
+/// Writes one output artifact to `path` (`-` for stdout) and announces
+/// it on stdout as `what`. Returns false, after printing the error, when
+/// the path is unwritable — shared by both binaries.
+pub fn write_artifact(path: &str, what: &str, text: &str) -> bool {
+    if path == "-" {
+        print!("{text}");
+    } else if let Err(e) = std::fs::write(path, text) {
+        eprintln!("error: cannot write {path}: {e}");
+        return false;
+    } else {
+        println!("{what} written to {path}");
+    }
+    true
 }
 
 #[cfg(test)]

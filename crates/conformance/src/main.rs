@@ -30,9 +30,11 @@
 //!
 //! See `docs/ARCHITECTURE.md` § "Where determinism is enforced".
 
-use lcp_conformance::checkpoint::{run_campaign_checkpointed, run_churn_campaign_checkpointed};
-use lcp_conformance::churn::{default_steps, run_churn_campaign, ChurnReport};
-use lcp_conformance::{run_campaign, CampaignConfig, CellStatus, Profile, Report, Shard};
+use lcp_conformance::churn::{default_steps, ChurnReport};
+use lcp_conformance::{
+    filtered_entries, run_matrix, write_artifact, CampaignConfig, CampaignReport, CellStatus, Mode,
+    Profile, Report, Shard,
+};
 use lcp_graph::families::GraphFamily;
 
 const USAGE: &str = "\
@@ -105,28 +107,27 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut profile = Profile::Smoke;
-    let mut seed = 7u64;
-    let mut sizes: Option<Vec<usize>> = None;
-    let mut scheme = None;
-    let mut family = None;
-    let mut tamper = None;
-    let mut adversarial = None;
-    let mut shard = None;
-    let mut churn = false;
-    let mut warm_artifacts = false;
-    let mut artifact_dir = None;
-    let mut churn_steps = None;
-    let mut cell_budget_ms = None;
-    let mut checkpoint = None;
-    let mut resume = None;
-    let mut inject_faults = false;
-    let mut json = None;
-    let mut bench_out = None;
-    let mut metrics_out = None;
-    let mut include_timing = true;
-    let mut list = false;
-    let mut quiet = false;
+    let (mut profile, mut seed) = (Profile::Smoke, 7u64);
+    let (mut sizes, mut tamper, mut adversarial) = (None, None, None);
+    let (mut scheme_filter, mut family_filter, mut shard) = (None, None, None);
+    let (mut cell_budget_ms, mut artifact_dir) = (None, None);
+    // Every other option lands in `parsed` directly; the configuration
+    // is resolved from the locals above once all flags are read.
+    let mut parsed = Args {
+        config: CampaignConfig::for_profile(profile, seed),
+        churn: false,
+        warm_artifacts: false,
+        churn_steps: None,
+        checkpoint: None,
+        resume: None,
+        inject_faults: false,
+        json: None,
+        bench_out: None,
+        metrics_out: None,
+        include_timing: true,
+        list: false,
+        quiet: false,
+    };
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -139,28 +140,21 @@ fn parse_args() -> Result<Args, String> {
                 let v = value("--profile")?;
                 profile = Profile::parse(&v).ok_or_else(|| format!("unknown profile '{v}'"))?;
             }
-            "--seed" => {
-                let v = value("--seed")?;
-                seed = v.parse().map_err(|_| format!("bad seed '{v}'"))?;
-            }
+            "--seed" => seed = number(value("--seed")?, "seed")?,
             "--sizes" => {
                 let v = value("--sizes")?;
                 let parsed: Result<Vec<usize>, _> = v.split(',').map(str::parse).collect();
                 sizes = Some(parsed.map_err(|_| format!("bad sizes '{v}'"))?);
             }
-            "--scheme" => scheme = Some(value("--scheme")?),
+            "--scheme" => scheme_filter = Some(value("--scheme")?),
             "--family" => {
                 let v = value("--family")?;
-                family =
+                family_filter =
                     Some(GraphFamily::parse(&v).ok_or_else(|| format!("unknown family '{v}'"))?);
             }
-            "--tamper-trials" => {
-                let v = value("--tamper-trials")?;
-                tamper = Some(v.parse().map_err(|_| format!("bad count '{v}'"))?);
-            }
+            "--tamper-trials" => tamper = Some(number(value("--tamper-trials")?, "count")?),
             "--adversarial-iters" => {
-                let v = value("--adversarial-iters")?;
-                adversarial = Some(v.parse().map_err(|_| format!("bad count '{v}'"))?);
+                adversarial = Some(number(value("--adversarial-iters")?, "count")?);
             }
             "--shard" => {
                 let v = value("--shard")?;
@@ -168,28 +162,26 @@ fn parse_args() -> Result<Args, String> {
                     Shard::parse(&v).ok_or_else(|| format!("bad shard '{v}' (want i/N, i < N)"))?,
                 );
             }
-            "--churn" => churn = true,
+            "--churn" => parsed.churn = true,
             "--churn-steps" => {
-                let v = value("--churn-steps")?;
-                churn_steps = Some(v.parse().map_err(|_| format!("bad count '{v}'"))?);
+                parsed.churn_steps = Some(number(value("--churn-steps")?, "count")?);
             }
             "--cell-budget-ms" => {
-                let v = value("--cell-budget-ms")?;
-                cell_budget_ms = Some(v.parse().map_err(|_| format!("bad budget '{v}'"))?);
+                cell_budget_ms = Some(number(value("--cell-budget-ms")?, "budget")?);
             }
             "--artifact-dir" => {
                 artifact_dir = Some(std::path::PathBuf::from(value("--artifact-dir")?));
             }
-            "--warm-artifacts" => warm_artifacts = true,
-            "--checkpoint" => checkpoint = Some(value("--checkpoint")?),
-            "--resume" => resume = Some(value("--resume")?),
-            "--inject-faults" => inject_faults = true,
-            "--json" => json = Some(value("--json")?),
-            "--bench-out" => bench_out = Some(value("--bench-out")?),
-            "--metrics-out" => metrics_out = Some(value("--metrics-out")?),
-            "--no-timing" => include_timing = false,
-            "--list" => list = true,
-            "--quiet" => quiet = true,
+            "--warm-artifacts" => parsed.warm_artifacts = true,
+            "--checkpoint" => parsed.checkpoint = Some(value("--checkpoint")?),
+            "--resume" => parsed.resume = Some(value("--resume")?),
+            "--inject-faults" => parsed.inject_faults = true,
+            "--json" => parsed.json = Some(value("--json")?),
+            "--bench-out" => parsed.bench_out = Some(value("--bench-out")?),
+            "--metrics-out" => parsed.metrics_out = Some(value("--metrics-out")?),
+            "--no-timing" => parsed.include_timing = false,
+            "--list" => parsed.list = true,
+            "--quiet" => parsed.quiet = true,
             "--help" | "-h" => {
                 print!("{USAGE}");
                 std::process::exit(0);
@@ -198,64 +190,28 @@ fn parse_args() -> Result<Args, String> {
         }
     }
 
-    let mut config = CampaignConfig::for_profile(profile, seed);
-    if let Some(s) = sizes {
-        config.sizes = s;
-    }
-    if let Some(t) = tamper {
-        config.tamper_trials = t;
-    }
-    if let Some(a) = adversarial {
-        config.adversarial_iterations = a;
-    }
-    config.scheme_filter = scheme;
-    config.family_filter = family;
-    config.shard = shard;
-    config.cell_budget_ms = cell_budget_ms;
-    config.artifact_dir = artifact_dir;
-    if warm_artifacts && config.artifact_dir.is_none() {
+    // The profile sets the defaults the other options override.
+    let defaults = CampaignConfig::for_profile(profile, seed);
+    parsed.config = CampaignConfig {
+        sizes: sizes.unwrap_or(defaults.sizes),
+        tamper_trials: tamper.unwrap_or(defaults.tamper_trials),
+        adversarial_iterations: adversarial.unwrap_or(defaults.adversarial_iterations),
+        scheme_filter,
+        family_filter,
+        shard,
+        cell_budget_ms,
+        artifact_dir,
+        ..defaults
+    };
+    if parsed.warm_artifacts && parsed.config.artifact_dir.is_none() {
         return Err("--warm-artifacts requires --artifact-dir".into());
     }
-    Ok(Args {
-        config,
-        churn,
-        warm_artifacts,
-        churn_steps,
-        checkpoint,
-        resume,
-        inject_faults,
-        json,
-        bench_out,
-        metrics_out,
-        include_timing,
-        list,
-        quiet,
-    })
+    Ok(parsed)
 }
 
-/// Writes the `--metrics-out` sidecar (`'-'` for stdout); shared by the
-/// static and churn paths. Returns false on an unwritable path.
-fn write_metrics_sidecar(path: &str, json: &str) -> bool {
-    if path == "-" {
-        print!("{json}");
-    } else if let Err(e) = std::fs::write(path, json) {
-        eprintln!("error: cannot write {path}: {e}");
-        return false;
-    } else {
-        println!("metrics sidecar written to {path}");
-    }
-    true
-}
-
-/// `2` for failures, `3` for crashed/timed-out-only, `0` otherwise.
-fn exit_code(ok: bool, unresolved: usize) -> i32 {
-    if !ok {
-        2
-    } else if unresolved > 0 {
-        3
-    } else {
-        0
-    }
+/// Parses a numeric option value, naming it `what` on failure.
+fn number<T: std::str::FromStr>(v: String, what: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("bad {what} '{v}'"))
 }
 
 /// `--inject-faults` mode: run the standard seeded fault plan and
@@ -289,14 +245,8 @@ fn run_fault_mode(args: &Args) -> i32 {
         eprintln!("UNHANDLED: {} at {}: {}", o.kind.name(), o.site, o.detail);
     }
     if let Some(path) = &args.json {
-        let json = report.to_json();
-        if path == "-" {
-            print!("{json}");
-        } else if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("error: cannot write {path}: {e}");
+        if !write_artifact(path, "fault report", &report.to_json()) {
             return 1;
-        } else {
-            println!("fault report written to {path}");
         }
     }
     i32::from(!report.all_handled()) * 2
@@ -323,92 +273,6 @@ fn print_churn_table(report: &ChurnReport) {
         );
     }
     println!();
-}
-
-fn run_churn_mode(args: &Args) -> i32 {
-    let steps = args
-        .churn_steps
-        .unwrap_or_else(|| default_steps(args.config.profile));
-    let report = if args.checkpoint.is_some() || args.resume.is_some() {
-        match run_churn_campaign_checkpointed(
-            &args.config,
-            steps,
-            args.checkpoint.as_deref(),
-            args.resume.as_deref(),
-        ) {
-            Ok((report, resumed)) => {
-                if resumed > 0 {
-                    println!(
-                        "resumed {resumed} cells from {}",
-                        args.resume.as_deref().unwrap_or("?")
-                    );
-                }
-                report
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        }
-    } else {
-        run_churn_campaign(&args.config, steps)
-    };
-    if !args.quiet {
-        print_churn_table(&report);
-    }
-    let shard_note = report
-        .shard
-        .map_or_else(String::new, |s| format!(", shard {s}"));
-    let unresolved = report.unresolved();
-    let unresolved_note = if unresolved > 0 {
-        format!(", {unresolved} crashed/timed out")
-    } else {
-        String::new()
-    };
-    println!(
-        "churn campaign: {} cells ({} ran) × {} mutations — {} mismatches{} ({} ms, seed {}{})",
-        report.cells.len(),
-        report.ran(),
-        report.steps,
-        report.mismatches(),
-        unresolved_note,
-        report.wall_ms,
-        report.seed,
-        shard_note,
-    );
-    for f in report.failures() {
-        eprintln!("FAIL: {f}");
-    }
-    if let Some(path) = &args.json {
-        let json = report.to_json(args.include_timing);
-        if path == "-" {
-            print!("{json}");
-        } else if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("error: cannot write {path}: {e}");
-            return 1;
-        } else {
-            println!("churn report written to {path}");
-        }
-    }
-    // Like the static campaign, --bench-out is the always-timed
-    // per-cell perf series.
-    if let Some(path) = &args.bench_out {
-        let json = report.to_bench_json();
-        if path == "-" {
-            print!("{json}");
-        } else if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("error: cannot write {path}: {e}");
-            return 1;
-        } else {
-            println!("bench series written to {path}");
-        }
-    }
-    if let Some(path) = &args.metrics_out {
-        if !write_metrics_sidecar(path, &lcp_conformance::metrics::churn_sidecar(&report)) {
-            return 1;
-        }
-    }
-    exit_code(report.ok(), report.unresolved())
 }
 
 fn print_table(report: &Report) {
@@ -494,95 +358,108 @@ fn main() {
         return;
     }
 
-    if args.churn {
-        std::process::exit(run_churn_mode(&args));
-    }
-
-    let report = if args.checkpoint.is_some() || args.resume.is_some() {
-        match run_campaign_checkpointed(
-            &args.config,
-            args.checkpoint.as_deref(),
-            args.resume.as_deref(),
-        ) {
-            Ok((report, resumed)) => {
-                if resumed > 0 {
-                    println!(
-                        "resumed {resumed} cells from {}",
-                        args.resume.as_deref().unwrap_or("?")
-                    );
-                }
-                report
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
+    let mode = if args.churn {
+        let steps = args
+            .churn_steps
+            .unwrap_or_else(|| default_steps(args.config.profile));
+        Mode::Churn { steps }
     } else {
-        run_campaign(&args.config)
+        Mode::Static
+    };
+    let entries = filtered_entries(&args.config);
+    let (checkpoint, resume) = (args.checkpoint.as_deref(), args.resume.as_deref());
+    let report = match run_matrix(&entries, &args.config, mode, checkpoint, resume) {
+        Ok((report, resumed)) => {
+            if resumed > 0 {
+                println!("resumed {resumed} cells from {}", resume.unwrap_or("?"));
+            }
+            report
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
     };
 
-    if !args.quiet {
-        print_table(&report);
-    }
-    let shard_note = report
-        .shard
-        .map_or_else(String::new, |s| format!(", shard {s}"));
+    let shard_note =
+        |shard: Option<Shard>| shard.map_or_else(String::new, |s| format!(", shard {s}"));
     let unresolved = report.unresolved();
     let unresolved_note = if unresolved > 0 {
         format!(", {unresolved} crashed/timed out")
     } else {
         String::new()
     };
-    println!(
-        "campaign: {} cells — {} passed, {} failed, {} inapplicable{} \
-         ({} ms, seed {}{}, skeleton cache {} hits / {} builds)",
-        report.cell_count(),
-        report.count(CellStatus::Pass),
-        report.count(CellStatus::Fail),
-        report.count(CellStatus::Skip),
-        unresolved_note,
-        report.wall_ms,
-        report.seed,
-        shard_note,
-        report.cache_hits,
-        report.cache_misses,
-    );
+    let what = match &report {
+        CampaignReport::Static(r) => {
+            if !args.quiet {
+                print_table(r);
+            }
+            println!(
+                "campaign: {} cells — {} passed, {} failed, {} inapplicable{} \
+                 ({} ms, seed {}{}, skeleton cache {} hits / {} builds)",
+                r.cell_count(),
+                r.count(CellStatus::Pass),
+                r.count(CellStatus::Fail),
+                r.count(CellStatus::Skip),
+                unresolved_note,
+                r.wall_ms,
+                r.seed,
+                shard_note(r.shard),
+                r.cache_hits,
+                r.cache_misses,
+            );
+            "report"
+        }
+        CampaignReport::Churn(r) => {
+            if !args.quiet {
+                print_churn_table(r);
+            }
+            println!(
+                "churn campaign: {} cells ({} ran) × {} mutations — {} mismatches{} \
+                 ({} ms, seed {}{})",
+                r.cells.len(),
+                r.ran(),
+                r.steps,
+                r.mismatches(),
+                unresolved_note,
+                r.wall_ms,
+                r.seed,
+                shard_note(r.shard),
+            );
+            "churn report"
+        }
+    };
     for f in report.failures() {
         eprintln!("FAIL: {f}");
     }
 
-    if let Some(path) = &args.json {
-        let json = report.to_json(args.include_timing);
-        if path == "-" {
-            print!("{json}");
-        } else if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        } else {
-            println!("report written to {path}");
-        }
-    }
-
     // The BENCH-style artifact always carries timings — it is the
     // perf-history series, not the diffable conformance report.
-    if let Some(path) = &args.bench_out {
-        let json = report.to_bench_json();
-        if path == "-" {
-            print!("{json}");
-        } else if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        } else {
-            println!("bench series written to {path}");
-        }
+    let written = args
+        .json
+        .as_deref()
+        .is_none_or(|p| write_artifact(p, what, &report.to_json(args.include_timing)))
+        && args
+            .bench_out
+            .as_deref()
+            .is_none_or(|p| write_artifact(p, "bench series", &report.to_bench_json()))
+        && args.metrics_out.as_deref().is_none_or(|p| {
+            write_artifact(
+                p,
+                "metrics sidecar",
+                &lcp_conformance::metrics::sidecar(&report),
+            )
+        });
+    if !written {
+        std::process::exit(1);
     }
-
-    if let Some(path) = &args.metrics_out {
-        if !write_metrics_sidecar(path, &lcp_conformance::metrics::static_sidecar(&report)) {
-            std::process::exit(1);
-        }
-    }
-
-    std::process::exit(exit_code(report.ok(), report.unresolved()));
+    // 2 for failures, 3 for crashed/timed-out only, 0 when green.
+    let code = if !report.ok() {
+        2
+    } else if unresolved > 0 {
+        3
+    } else {
+        0
+    };
+    std::process::exit(code);
 }

@@ -12,17 +12,20 @@
 //! aggregates (summary counts, size points, growth fits) from the
 //! *union* of cells rather than trusting any per-shard value.
 //!
-//! The output of [`Merged::to_json`] is byte-identical to what the
+//! The merged report's `to_json(false)` is byte-identical to what the
 //! unsharded campaign would have written with `--no-timing` — the
 //! invariant `tests/sharding.rs` pins and the nightly pipeline re-checks
 //! on every merge.
 
 use crate::churn::{ChurnCellResult, ChurnReport};
-use crate::{campaign_registry, fit_growth, scheme_shells, CellResult, CellStatus, Report};
+use crate::{
+    campaign_registry, fit_growth, scheme_shells, CampaignReport, CellResult, CellStatus, Report,
+};
 use lcp_core::dynamic::TamperProbe;
 use lcp_core::json::Json;
 use lcp_graph::families::GraphFamily;
 use lcp_schemes::registry::{Polarity, SchemeEntry};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Why a set of shard reports refused to merge.
@@ -37,58 +40,6 @@ impl fmt::Display for MergeError {
 
 impl std::error::Error for MergeError {}
 
-/// A merged whole-matrix report, in either campaign mode.
-#[derive(Clone, Debug)]
-pub enum Merged {
-    /// Static conformance shards (`lcp-campaign --shard i/N`).
-    Static(Report),
-    /// Churn shards (`lcp-campaign --churn --shard i/N`).
-    Churn(ChurnReport),
-}
-
-impl Merged {
-    /// Serializes the merged report in the deterministic (`--no-timing`)
-    /// form — byte-identical to the unsharded campaign's output.
-    pub fn to_json(&self) -> String {
-        match self {
-            Merged::Static(r) => r.to_json(false),
-            Merged::Churn(r) => r.to_json(false),
-        }
-    }
-
-    /// Whether the merged campaign is green.
-    pub fn ok(&self) -> bool {
-        match self {
-            Merged::Static(r) => r.ok(),
-            Merged::Churn(r) => r.ok(),
-        }
-    }
-
-    /// Human-readable failure lines of the merged campaign.
-    pub fn failures(&self) -> Vec<String> {
-        match self {
-            Merged::Static(r) => r.failures(),
-            Merged::Churn(r) => r.failures(),
-        }
-    }
-
-    /// The campaign seed all shards agreed on (for replay messages).
-    pub fn seed(&self) -> u64 {
-        match self {
-            Merged::Static(r) => r.seed,
-            Merged::Churn(r) => r.seed,
-        }
-    }
-
-    /// Total cells after the merge.
-    pub fn cell_count(&self) -> usize {
-        match self {
-            Merged::Static(r) => r.cell_count(),
-            Merged::Churn(r) => r.cells.len(),
-        }
-    }
-}
-
 /// Parses and merges shard reports; `inputs` pairs a display name (the
 /// file path) with the raw JSON text.
 ///
@@ -99,7 +50,7 @@ impl Merged {
 ///
 /// Any syntax error, header mismatch between shards, missing/duplicate
 /// shard, or coordinate-coverage gap refuses the whole merge.
-pub fn merge_reports(inputs: &[(String, String)]) -> Result<Merged, MergeError> {
+pub fn merge_reports(inputs: &[(String, String)]) -> Result<CampaignReport, MergeError> {
     if inputs.is_empty() {
         return Err(MergeError("no shard reports to merge".into()));
     }
@@ -121,9 +72,9 @@ pub fn merge_reports(inputs: &[(String, String)]) -> Result<Merged, MergeError> 
         }
     }
     if churn {
-        merge_churn(&docs).map(Merged::Churn)
+        merge_churn(&docs).map(CampaignReport::Churn)
     } else {
-        merge_static(&docs).map(Merged::Static)
+        merge_static(&docs).map(CampaignReport::Static)
     }
 }
 
@@ -140,7 +91,7 @@ fn field<'j>(name: &str, obj: &'j Json, key: &str) -> Result<&'j Json, MergeErro
         .ok_or_else(|| fail(name, format_args!("missing field \"{key}\"")))
 }
 
-fn str_field<'j>(name: &str, obj: &'j Json, key: &str) -> Result<&'j str, MergeError> {
+pub(crate) fn str_field<'j>(name: &str, obj: &'j Json, key: &str) -> Result<&'j str, MergeError> {
     field(name, obj, key)?
         .as_str()
         .ok_or_else(|| fail(name, format_args!("\"{key}\" is not a string")))
@@ -235,7 +186,9 @@ fn check_shard_set(docs: &[(&str, Json)]) -> Result<Vec<Header>, MergeError> {
         .map(|(name, doc)| header(name, doc))
         .collect::<Result<_, _>>()?;
     let first = &headers[0];
-    let mut seen = vec![false; first.shard_count];
+    // Sized by the inputs, never by a shard count read from them: a
+    // hostile count must not drive an allocation.
+    let mut seen = BTreeSet::new();
     for ((name, _), h) in docs.iter().zip(&headers) {
         if h.seed != first.seed || h.profile != first.profile {
             return Err(fail(
@@ -261,22 +214,29 @@ fn check_shard_set(docs: &[(&str, Json)]) -> Result<Vec<Header>, MergeError> {
         if h.shard_index >= h.shard_count {
             return Err(fail(name, "shard index out of range"));
         }
-        if std::mem::replace(&mut seen[h.shard_index], true) {
+        if !seen.insert(h.shard_index) {
             return Err(fail(
                 name,
                 format_args!("duplicate shard {}/{}", h.shard_index, h.shard_count),
             ));
         }
     }
+    // Distinct in-range indices: the set is complete iff there are
+    // `count` of them. Otherwise name the first few missing shards.
     if docs.len() != first.shard_count {
-        let missing: Vec<String> = seen
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| !s)
-            .map(|(i, _)| format!("{i}/{}", first.shard_count))
+        const LISTED: usize = 8;
+        let missing: Vec<String> = (0..first.shard_count)
+            .filter(|i| !seen.contains(i))
+            .take(LISTED)
+            .map(|i| format!("{i}/{}", first.shard_count))
             .collect();
+        let more = if first.shard_count - docs.len() > LISTED {
+            ", …"
+        } else {
+            ""
+        };
         return Err(MergeError(format!(
-            "incomplete shard set: got {} of {} shards (missing {})",
+            "incomplete shard set: got {} of {} shards (missing {}{more})",
             docs.len(),
             first.shard_count,
             missing.join(", ")
@@ -304,12 +264,25 @@ fn check_coverage(mut coords: Vec<usize>) -> Result<(), MergeError> {
     Ok(())
 }
 
-/// Looks a scheme id up in the campaign registry (the source of the
-/// `&'static` metadata a rebuilt report needs).
-fn registry_entry(name: &str, entries: &[SchemeEntry], id: &str) -> Result<usize, MergeError> {
+/// Per-shard invariant: a shard's summary matches its own cells.
+fn check_summary(name: &str, doc: &Json, shard_cells: usize) -> Result<(), MergeError> {
+    if usize_field(name, field(name, doc, "summary")?, "cells")? != shard_cells {
+        return Err(fail(name, "shard summary disagrees with its cell count"));
+    }
+    Ok(())
+}
+
+/// Looks a scheme id up among `entries` (the source of the `&'static`
+/// metadata a rebuilt cell needs).
+pub(crate) fn find_entry(
+    name: &str,
+    entries: &[SchemeEntry],
+    id: &str,
+) -> Result<SchemeEntry, MergeError> {
     entries
         .iter()
-        .position(|e| e.id == id)
+        .find(|e| e.id == id)
+        .copied()
         .ok_or_else(|| fail(name, format_args!("unknown scheme id \"{id}\"")))
 }
 
@@ -318,29 +291,25 @@ fn registry_entry(name: &str, entries: &[SchemeEntry], id: &str) -> Result<usize
 // ---------------------------------------------------------------------
 
 fn static_check(name: &str, raw: &str) -> Result<&'static str, MergeError> {
-    for known in [
+    let known = [
         "completeness",
         "soundness-exhaustive",
         "soundness-adversarial",
         "inapplicable",
         "isolation",
-    ] {
-        if raw == known {
-            return Ok(known);
-        }
-    }
-    Err(fail(name, format_args!("unknown check \"{raw}\"")))
+    ];
+    known
+        .into_iter()
+        .find(|&k| k == raw)
+        .ok_or_else(|| fail(name, format_args!("unknown check \"{raw}\"")))
 }
 
-pub(crate) fn cell_status(name: &str, raw: &str) -> Result<CellStatus, MergeError> {
-    match raw {
-        "pass" => Ok(CellStatus::Pass),
-        "fail" => Ok(CellStatus::Fail),
-        "skip" => Ok(CellStatus::Skip),
-        "crashed" => Ok(CellStatus::Crashed),
-        "timed_out" => Ok(CellStatus::TimedOut),
-        other => Err(fail(name, format_args!("unknown status \"{other}\""))),
-    }
+fn cell_status(name: &str, raw: &str) -> Result<CellStatus, MergeError> {
+    use CellStatus::*;
+    [Pass, Fail, Skip, Crashed, TimedOut]
+        .into_iter()
+        .find(|s| s.name() == raw)
+        .ok_or_else(|| fail(name, format_args!("unknown status \"{raw}\"")))
 }
 
 pub(crate) fn static_cell(
@@ -386,26 +355,23 @@ fn merge_static(docs: &[(&str, Json)]) -> Result<Report, MergeError> {
 
     // The scheme lists (ids, in order) must agree across shards — they
     // are the same filtered registry in every process.
-    let scheme_ids: Vec<String> = array_field(docs[0].0, &docs[0].1, "schemes")?
+    let (first, first_doc) = &docs[0];
+    let entries: Vec<SchemeEntry> = array_field(first, first_doc, "schemes")?
         .iter()
-        .map(|s| str_field(docs[0].0, s, "id").map(str::to_string))
-        .collect::<Result<_, _>>()?;
-    let entries: Vec<SchemeEntry> = scheme_ids
-        .iter()
-        .map(|id| registry_entry(docs[0].0, &registry, id).map(|i| copy_entry(&registry[i])))
+        .map(|s| find_entry(first, &registry, str_field(first, s, "id")?))
         .collect::<Result<_, _>>()?;
 
     let mut shells = scheme_shells(&entries);
     let mut coords = Vec::new();
     for (name, doc) in docs {
         let schemes = array_field(name, doc, "schemes")?;
-        if schemes.len() != scheme_ids.len() {
+        if schemes.len() != entries.len() {
             return Err(fail(name, "shard disagrees on the scheme list"));
         }
         let mut shard_cells = 0usize;
         for (idx, scheme) in schemes.iter().enumerate() {
             let id = str_field(name, scheme, "id")?;
-            if id != scheme_ids[idx] {
+            if id != entries[idx].id {
                 return Err(fail(
                     name,
                     format_args!("shard disagrees on the scheme list at #{idx} ({id})"),
@@ -418,11 +384,7 @@ fn merge_static(docs: &[(&str, Json)]) -> Result<Report, MergeError> {
                 shard_cells += 1;
             }
         }
-        // Per-shard invariant: its summary matches its own cells.
-        let summary = field(name, doc, "summary")?;
-        if usize_field(name, summary, "cells")? != shard_cells {
-            return Err(fail(name, "shard summary disagrees with its cell count"));
-        }
+        check_summary(name, doc, shard_cells)?;
     }
     check_coverage(coords)?;
     for shell in &mut shells {
@@ -450,22 +412,6 @@ fn profile_static(name: &str) -> &'static str {
         // Unknown profile names only arise from hand-edited reports;
         // keep the merge going with a recognizable marker.
         None => "unknown",
-    }
-}
-
-/// Field-by-field copy of a registry entry (every field is `Copy`, but
-/// `SchemeEntry` itself does not derive `Clone`).
-fn copy_entry(e: &SchemeEntry) -> SchemeEntry {
-    SchemeEntry {
-        id: e.id,
-        title: e.title,
-        paper_row: e.paper_row,
-        claimed_bound: e.claimed_bound,
-        claimed_growth: e.claimed_growth,
-        families: e.families,
-        radius: e.radius,
-        max_n: e.max_n,
-        builder: e.builder,
     }
 }
 
@@ -530,17 +476,12 @@ fn merge_churn(docs: &[(&str, Json)]) -> Result<ChurnReport, MergeError> {
         if usize_field(name, doc, "steps_per_cell")? != steps {
             return Err(fail(name, "shard disagrees on steps_per_cell"));
         }
-        let mut shard_cells = 0usize;
-        for cell in array_field(name, doc, "cells")? {
-            let id = str_field(name, cell, "scheme")?;
-            let idx = registry_entry(name, &registry, id)?;
-            cells.push(churn_cell(name, cell, registry[idx].id)?);
-            shard_cells += 1;
+        let shard_cells = array_field(name, doc, "cells")?;
+        for cell in shard_cells {
+            let entry = find_entry(name, &registry, str_field(name, cell, "scheme")?)?;
+            cells.push(churn_cell(name, cell, entry.id)?);
         }
-        let summary = field(name, doc, "summary")?;
-        if usize_field(name, summary, "cells")? != shard_cells {
-            return Err(fail(name, "shard summary disagrees with its cell count"));
-        }
+        check_summary(name, doc, shard_cells.len())?;
     }
     check_coverage(cells.iter().map(|c| c.coord).collect())?;
     cells.sort_by_key(|c| c.coord);
@@ -585,7 +526,7 @@ mod tests {
     fn merge_rebuilds_the_unsharded_bytes() {
         let whole = run_campaign(&tiny(7, None)).to_json(false);
         let merged = merge_reports(&shard_inputs(7, 2)).expect("mergeable");
-        assert_eq!(merged.to_json(), whole);
+        assert_eq!(merged.to_json(false), whole);
     }
 
     #[test]

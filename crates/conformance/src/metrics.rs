@@ -8,8 +8,7 @@
 //! separate artifact — `report.json` and checkpoint files never embed
 //! it.
 
-use crate::churn::ChurnReport;
-use crate::{json_str, CellStatus, Report};
+use crate::{json_opt, json_str, push_rows, CampaignReport, CellStatus};
 use lcp_obs::{Counter, Histogram, Registry, SpanId};
 use std::fmt::Write as _;
 use std::sync::OnceLock;
@@ -111,101 +110,75 @@ pub fn global_registry() -> &'static Registry {
     reg
 }
 
-/// Shared sidecar head: identity fields tying the metrics artifact to
-/// the campaign that produced it.
-fn sidecar_head(w: &mut String, mode: &str, seed: u64, profile: &str, wall_ms: u128) {
+/// The `--metrics-out` sidecar: identity fields tying it to the
+/// campaign, then per-cell phase and wall time — a static cell's phase
+/// is its check, a churn cell is one `churn` phase with its
+/// incremental-vs-full split, and timed-out cells also carry their
+/// deadline-poll count — then the full registry export, embedded
+/// verbatim (re-indented) so one artifact carries both the per-cell
+/// breakdown and every process-wide counter/histogram. Always timed;
+/// this artifact is never diffed for determinism.
+pub fn sidecar(report: &CampaignReport) -> String {
+    let polls = |timeout: Option<(&str, u64)>| json_opt(timeout.map(|(_, polls)| polls));
+    let (mode, seed, profile, wall_ms, rows): (_, _, _, _, Vec<String>) = match report {
+        CampaignReport::Static(r) => {
+            let cells = r.schemes.iter().flat_map(|s| &s.cells);
+            let rows = cells.map(|c| {
+                format!(
+                    "    {{ \"coord\": {}, \"scheme\": {}, \"family\": {}, \"n\": {}, \
+                     \"polarity\": {}, \"phase\": {}, \"status\": {}, \"wall_ms\": {}, \
+                     \"deadline_polls\": {} }}",
+                    c.coord,
+                    json_str(c.scheme),
+                    json_str(c.family.name()),
+                    c.n,
+                    json_str(c.polarity.name()),
+                    json_str(c.check),
+                    json_str(c.status.name()),
+                    c.wall_ms,
+                    polls(c.timeout),
+                )
+            });
+            ("static", r.seed, r.profile, r.wall_ms, rows.collect())
+        }
+        CampaignReport::Churn(r) => {
+            let rows = r.cells.iter().map(|c| {
+                format!(
+                    "    {{ \"coord\": {}, \"scheme\": {}, \"family\": {}, \"n\": {}, \
+                     \"polarity\": {}, \"phase\": \"churn\", \"status\": {}, \"steps\": {}, \
+                     \"checks\": {}, \"incremental_ms\": {}, \"full_ms\": {}, \
+                     \"deadline_polls\": {} }}",
+                    c.coord,
+                    json_str(c.scheme),
+                    json_str(c.family.name()),
+                    c.n,
+                    json_str(c.polarity.name()),
+                    json_str(c.status.name()),
+                    c.steps,
+                    c.checks,
+                    c.incremental_ms,
+                    c.full_ms,
+                    polls(c.timeout),
+                )
+            });
+            ("churn", r.seed, r.profile, r.wall_ms, rows.collect())
+        }
+    };
+    let mut w = String::with_capacity(1 << 14);
     w.push_str("{\n");
     let _ = writeln!(w, "  \"metrics\": 1,");
     let _ = writeln!(w, "  \"mode\": {},", json_str(mode));
     let _ = writeln!(w, "  \"seed\": {seed},");
     let _ = writeln!(w, "  \"profile\": {},", json_str(profile));
     let _ = writeln!(w, "  \"wall_ms\": {wall_ms},");
-}
-
-/// Shared sidecar tail: the full registry export, embedded verbatim
-/// (re-indented) so one artifact carries both the per-cell phase
-/// breakdown and every process-wide counter/histogram.
-fn sidecar_tail(w: &mut String) {
+    w.push_str("  \"per_cell\": [\n");
+    push_rows(&mut w, rows.into_iter());
+    w.push_str("  ],\n");
     let registry = global_registry().to_json();
     let _ = write!(
         w,
         "  \"registry\": {}\n}}\n",
         registry.trim_end().replace('\n', "\n  ")
     );
-}
-
-/// The `--metrics-out` sidecar for a static campaign: per-cell phase
-/// (`check`) and wall time — timed-out cells also carry their
-/// deadline-poll count — plus the full registry export. Always timed;
-/// this artifact is never diffed for determinism.
-pub fn static_sidecar(report: &Report) -> String {
-    let mut w = String::with_capacity(1 << 14);
-    sidecar_head(
-        &mut w,
-        "static",
-        report.seed,
-        report.profile,
-        report.wall_ms,
-    );
-    w.push_str("  \"per_cell\": [\n");
-    let cells: Vec<_> = report.schemes.iter().flat_map(|s| &s.cells).collect();
-    for (i, c) in cells.iter().enumerate() {
-        let _ = write!(
-            w,
-            "    {{ \"coord\": {}, \"scheme\": {}, \"family\": {}, \"n\": {}, \
-             \"polarity\": {}, \"phase\": {}, \"status\": {}, \"wall_ms\": {}, \
-             \"deadline_polls\": {} }}",
-            c.coord,
-            json_str(c.scheme),
-            json_str(c.family.name()),
-            c.n,
-            json_str(c.polarity.name()),
-            json_str(c.check),
-            json_str(c.status.name()),
-            c.wall_ms,
-            c.timeout
-                .map_or_else(|| "null".into(), |(_, polls)| polls.to_string()),
-        );
-        w.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    w.push_str("  ],\n");
-    sidecar_tail(&mut w);
-    w
-}
-
-/// The `--metrics-out` sidecar for a churn campaign; every cell is one
-/// `churn` phase with its incremental-vs-full wall split.
-pub fn churn_sidecar(report: &ChurnReport) -> String {
-    let mut w = String::with_capacity(1 << 14);
-    sidecar_head(&mut w, "churn", report.seed, report.profile, report.wall_ms);
-    w.push_str("  \"per_cell\": [\n");
-    for (i, c) in report.cells.iter().enumerate() {
-        let _ = write!(
-            w,
-            "    {{ \"coord\": {}, \"scheme\": {}, \"family\": {}, \"n\": {}, \
-             \"polarity\": {}, \"phase\": \"churn\", \"status\": {}, \"steps\": {}, \
-             \"checks\": {}, \"incremental_ms\": {}, \"full_ms\": {}, \
-             \"deadline_polls\": {} }}",
-            c.coord,
-            json_str(c.scheme),
-            json_str(c.family.name()),
-            c.n,
-            json_str(c.polarity.name()),
-            json_str(c.status.name()),
-            c.steps,
-            c.checks,
-            c.incremental_ms,
-            c.full_ms,
-            c.timeout
-                .map_or_else(|| "null".into(), |(_, polls)| polls.to_string()),
-        );
-        w.push_str(if i + 1 < report.cells.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    w.push_str("  ],\n");
-    sidecar_tail(&mut w);
     w
 }

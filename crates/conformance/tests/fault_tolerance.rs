@@ -2,7 +2,7 @@
 //!
 //! * a panicking cell becomes a `crashed` verdict (deterministic vs
 //!   flaky, classified by a same-seed retry) while the rest of the
-//!   matrix completes;
+//!   matrix completes — in both the static and the churn mode;
 //! * a cell over its `--cell-budget-ms` wall budget reports `timed_out`
 //!   instead of hanging the shard, and a generous budget leaves the
 //!   report byte-identical to an unbounded run;
@@ -10,10 +10,11 @@
 //!   **byte-for-byte**, tolerating exactly the torn final line a
 //!   SIGKILL leaves behind (the standing ROADMAP policy).
 
-use lcp_conformance::checkpoint::{run_campaign_checkpointed, run_churn_campaign_checkpointed};
-use lcp_conformance::churn::run_churn_campaign;
+use lcp_conformance::checkpoint::CheckpointError;
+use lcp_conformance::churn::{run_churn_campaign, ChurnReport};
 use lcp_conformance::{
-    campaign_registry, run_campaign, run_campaign_with, CampaignConfig, CellStatus, Profile,
+    campaign_registry, filtered_entries, run_campaign, run_matrix, CampaignConfig, CampaignReport,
+    CellStatus, Mode, Profile, Report,
 };
 use lcp_core::dynamic::DynScheme;
 use lcp_core::harness::GrowthClass;
@@ -32,6 +33,38 @@ fn config(seed: u64) -> CampaignConfig {
         exhaustive_limit: 10_000,
         scheme_filter: Some("eulerian".into()),
         ..CampaignConfig::for_profile(Profile::Smoke, seed)
+    }
+}
+
+/// The churn mode every churn case here runs in.
+const CHURN: Mode = Mode::Churn { steps: 6 };
+
+/// [`run_matrix`] over `config`'s own registry slice.
+fn checkpointed(
+    config: &CampaignConfig,
+    mode: Mode,
+    checkpoint: Option<&str>,
+    resume: Option<&str>,
+) -> Result<(CampaignReport, usize), CheckpointError> {
+    run_matrix(&filtered_entries(config), config, mode, checkpoint, resume)
+}
+
+/// A static run over an explicit entry list.
+fn static_over(entries: &[SchemeEntry], config: &CampaignConfig) -> Report {
+    match run_matrix(entries, config, Mode::Static, None, None)
+        .unwrap()
+        .0
+    {
+        CampaignReport::Static(report) => report,
+        CampaignReport::Churn(_) => panic!("static mode returned a churn report"),
+    }
+}
+
+/// A churn run over an explicit entry list.
+fn churn_over(entries: &[SchemeEntry], config: &CampaignConfig) -> ChurnReport {
+    match run_matrix(entries, config, CHURN, None, None).unwrap().0 {
+        CampaignReport::Churn(report) => report,
+        CampaignReport::Static(_) => panic!("churn mode returned a static report"),
     }
 }
 
@@ -91,7 +124,7 @@ fn b_panic(req: &CellRequest) -> Option<DynScheme> {
 fn a_panicking_scheme_crashes_its_cells_and_the_matrix_completes() {
     let cfg = config(7);
     let entries = vec![eulerian_entry(), entry("test-panics", b_panic)];
-    let report = run_campaign_with(&entries, &cfg);
+    let report = static_over(&entries, &cfg);
 
     let crashed: Vec<_> = report
         .schemes
@@ -118,7 +151,7 @@ fn a_panicking_scheme_crashes_its_cells_and_the_matrix_completes() {
     assert_eq!(report.unresolved(), crashed.len());
 
     // The healthy scheme is untouched: byte-identical to running alone.
-    let alone = run_campaign_with(&[eulerian_entry()], &cfg);
+    let alone = static_over(&[eulerian_entry()], &cfg);
     let healthy = report.schemes.iter().find(|s| s.id == "eulerian").unwrap();
     let baseline = alone.schemes.iter().find(|s| s.id == "eulerian").unwrap();
     for (a, b) in healthy.cells.iter().zip(&baseline.cells) {
@@ -126,12 +159,55 @@ fn a_panicking_scheme_crashes_its_cells_and_the_matrix_completes() {
     }
 }
 
-static FLAKY_CALLS: AtomicUsize = AtomicUsize::new(0);
+#[test]
+fn a_panicking_scheme_crashes_its_churn_cells_and_the_matrix_completes() {
+    let cfg = config(7);
+    let entries = vec![eulerian_entry(), entry("test-panics", b_panic)];
+    let report = churn_over(&entries, &cfg);
 
-fn b_flaky(req: &CellRequest) -> Option<DynScheme> {
+    let crashed: Vec<_> = report
+        .cells
+        .iter()
+        .filter(|c| c.status == CellStatus::Crashed)
+        .collect();
+    assert!(!crashed.is_empty(), "the panicking builder must crash");
+    for c in &crashed {
+        assert_eq!(c.scheme, "test-panics", "only the panicking scheme crashes");
+        assert!(!c.skipped, "a crashed cell is not a skipped one");
+        assert!(
+            c.detail.contains("injected panic for isolation test")
+                && c.detail
+                    .contains("deterministic: retry panicked identically"),
+            "payload recorded and classified: {}",
+            c.detail
+        );
+    }
+    assert_eq!(report.unresolved(), crashed.len());
+    assert!(report.ok(), "a crash is not a mismatch");
+
+    // The healthy scheme churns every cell, exactly as it does alone.
+    let alone = churn_over(&[eulerian_entry()], &cfg);
+    let healthy: Vec<_> = report
+        .cells
+        .iter()
+        .filter(|c| c.scheme == "eulerian")
+        .collect();
+    assert_eq!(healthy.len(), alone.cells.len());
+    for (a, b) in healthy.iter().zip(&alone.cells) {
+        assert_eq!(
+            (a.status, &a.detail, a.steps, a.checks),
+            (b.status, &b.detail, b.steps, b.checks)
+        );
+    }
+}
+
+/// Panics on the first yes-cell call through `calls`, then builds a
+/// trivially accepting cell. Each test gets its own counter, so tests
+/// running in parallel cannot take each other's panic.
+fn flaky(req: &CellRequest, calls: &AtomicUsize) -> Option<DynScheme> {
     match req.polarity {
         Polarity::Yes => {
-            if FLAKY_CALLS.fetch_add(1, Ordering::SeqCst) == 0 {
+            if calls.fetch_add(1, Ordering::SeqCst) == 0 {
                 panic!("flaky first attempt");
             }
             Some(DynScheme::seal(
@@ -143,13 +219,25 @@ fn b_flaky(req: &CellRequest) -> Option<DynScheme> {
     }
 }
 
+static FLAKY_CALLS: AtomicUsize = AtomicUsize::new(0);
+
+fn b_flaky(req: &CellRequest) -> Option<DynScheme> {
+    flaky(req, &FLAKY_CALLS)
+}
+
+static FLAKY_CHURN_CALLS: AtomicUsize = AtomicUsize::new(0);
+
+fn b_flaky_churn(req: &CellRequest) -> Option<DynScheme> {
+    flaky(req, &FLAKY_CHURN_CALLS)
+}
+
 #[test]
 fn a_flaky_panic_is_retried_and_annotated() {
     let cfg = CampaignConfig {
         sizes: vec![6],
         ..config(7)
     };
-    let report = run_campaign_with(&[entry("test-flaky", b_flaky)], &cfg);
+    let report = static_over(&[entry("test-flaky", b_flaky)], &cfg);
     let recovered: Vec<_> = report
         .schemes
         .iter()
@@ -158,6 +246,25 @@ fn a_flaky_panic_is_retried_and_annotated() {
         .collect();
     assert_eq!(recovered.len(), 1, "exactly one cell hit the flaky panic");
     assert_eq!(recovered[0].status, CellStatus::Pass);
+    assert!(recovered[0].detail.contains("flaky first attempt"));
+    assert_eq!(report.unresolved(), 0, "a recovered flake is not a crash");
+}
+
+#[test]
+fn a_flaky_churn_panic_is_retried_and_annotated() {
+    let cfg = CampaignConfig {
+        sizes: vec![6],
+        ..config(7)
+    };
+    let report = churn_over(&[entry("test-flaky-churn", b_flaky_churn)], &cfg);
+    let recovered: Vec<_> = report
+        .cells
+        .iter()
+        .filter(|c| c.detail.contains("[recovered: first attempt panicked:"))
+        .collect();
+    assert_eq!(recovered.len(), 1, "exactly one cell hit the flaky panic");
+    assert_eq!(recovered[0].status, CellStatus::Pass);
+    assert!(recovered[0].steps > 0, "the retry churned the cell");
     assert!(recovered[0].detail.contains("flaky first attempt"));
     assert_eq!(report.unresolved(), 0, "a recovered flake is not a crash");
 }
@@ -218,14 +325,14 @@ fn resuming_a_killed_static_shard_reproduces_the_report_bytes() {
     let baseline = run_campaign(&cfg).to_json(false);
 
     let full = tmp("static-full.jsonl");
-    let (complete, resumed) = run_campaign_checkpointed(&cfg, Some(&full), None).unwrap();
+    let (complete, resumed) = checkpointed(&cfg, Mode::Static, Some(&full), None).unwrap();
     assert_eq!(resumed, 0);
     assert_eq!(complete.to_json(false), baseline);
 
     let partial = tmp("static-partial.jsonl");
     truncate_checkpoint(&full, &partial, 5);
     let (report, resumed) =
-        run_campaign_checkpointed(&cfg, Some(&partial), Some(&partial)).unwrap();
+        checkpointed(&cfg, Mode::Static, Some(&partial), Some(&partial)).unwrap();
     assert_eq!(
         resumed, 5,
         "five recorded cells resume; the torn line is dropped"
@@ -238,7 +345,7 @@ fn resuming_a_killed_static_shard_reproduces_the_report_bytes() {
 
     // The rewritten checkpoint is complete and compacted: resuming from
     // it runs zero cells and still reproduces the bytes.
-    let (again, resumed) = run_campaign_checkpointed(&cfg, None, Some(&partial)).unwrap();
+    let (again, resumed) = checkpointed(&cfg, Mode::Static, None, Some(&partial)).unwrap();
     assert_eq!(resumed, again.cell_count());
     assert_eq!(again.to_json(false), baseline);
 
@@ -249,17 +356,15 @@ fn resuming_a_killed_static_shard_reproduces_the_report_bytes() {
 #[test]
 fn resuming_a_killed_churn_shard_reproduces_the_report_bytes() {
     let cfg = config(7);
-    let steps = 6;
-    let baseline = run_churn_campaign(&cfg, steps).to_json(false);
+    let baseline = run_churn_campaign(&cfg, 6).to_json(false);
 
     let full = tmp("churn-full.jsonl");
-    let (complete, _) = run_churn_campaign_checkpointed(&cfg, steps, Some(&full), None).unwrap();
+    let (complete, _) = checkpointed(&cfg, CHURN, Some(&full), None).unwrap();
     assert_eq!(complete.to_json(false), baseline);
 
     let partial = tmp("churn-partial.jsonl");
     truncate_checkpoint(&full, &partial, 4);
-    let (report, resumed) =
-        run_churn_campaign_checkpointed(&cfg, steps, None, Some(&partial)).unwrap();
+    let (report, resumed) = checkpointed(&cfg, CHURN, None, Some(&partial)).unwrap();
     assert_eq!(resumed, 4);
     assert_eq!(
         report.to_json(false),
@@ -274,14 +379,14 @@ fn resuming_a_killed_churn_shard_reproduces_the_report_bytes() {
 #[test]
 fn a_checkpoint_from_another_configuration_refuses_to_resume() {
     let path = tmp("mismatch.jsonl");
-    let (_, _) = run_campaign_checkpointed(&config(7), Some(&path), None).unwrap();
-    let err = run_campaign_checkpointed(&config(8), None, Some(&path)).unwrap_err();
+    let (_, _) = checkpointed(&config(7), Mode::Static, Some(&path), None).unwrap();
+    let err = checkpointed(&config(8), Mode::Static, None, Some(&path)).unwrap_err();
     assert!(
         err.to_string().contains("header mismatch"),
         "seed change must refuse the checkpoint: {err}"
     );
     // Mode changes are config changes too.
-    let err = run_churn_campaign_checkpointed(&config(7), 6, None, Some(&path)).unwrap_err();
+    let err = checkpointed(&config(7), CHURN, None, Some(&path)).unwrap_err();
     assert!(err.to_string().contains("header mismatch"), "{err}");
     let _ = std::fs::remove_file(&path);
 }
@@ -289,17 +394,19 @@ fn a_checkpoint_from_another_configuration_refuses_to_resume() {
 #[test]
 fn damage_before_the_final_checkpoint_line_refuses_to_resume() {
     let cfg = config(7);
-    let full = tmp("damaged.jsonl");
-    let _ = run_campaign_checkpointed(&cfg, Some(&full), None).unwrap();
-    let text = std::fs::read_to_string(&full).unwrap();
-    let mut lines: Vec<&str> = text.lines().collect();
-    lines[2] = "{ not json at all";
-    std::fs::write(&full, lines.join("\n")).unwrap();
-    let err = run_campaign_checkpointed(&cfg, None, Some(&full)).unwrap_err();
-    let msg = err.to_string();
-    assert!(
-        msg.contains(&full) && msg.contains("byte"),
-        "mid-file damage is named with file and byte offset: {msg}"
-    );
-    let _ = std::fs::remove_file(&full);
+    for mode in [Mode::Static, CHURN] {
+        let full = tmp("damaged.jsonl");
+        let _ = checkpointed(&cfg, mode, Some(&full), None).unwrap();
+        let text = std::fs::read_to_string(&full).unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines[2] = "{ not json at all";
+        std::fs::write(&full, lines.join("\n")).unwrap();
+        let err = checkpointed(&cfg, mode, None, Some(&full)).unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.starts_with(&format!("{full}:3: ")) && msg.contains("byte"),
+            "{mode:?}: mid-file damage is named with file, line 3 and byte offset: {msg}"
+        );
+        let _ = std::fs::remove_file(&full);
+    }
 }

@@ -79,3 +79,21 @@ fn an_incomplete_shard_set_is_rejected() {
     let err = merge_reports(&inputs).unwrap_err().to_string();
     assert!(!err.is_empty(), "a lone shard of two cannot merge: {err}");
 }
+
+#[test]
+fn a_hostile_shard_count_is_rejected_not_allocated() {
+    // A count this large would abort the process if the merge sized
+    // anything by it before validating the set.
+    let hostile = shard_json(7, "0/2").replace(
+        "\"shard\": { \"index\": 0, \"count\": 2 }",
+        "\"shard\": { \"index\": 0, \"count\": 4000000000000000000 }",
+    );
+    assert!(
+        hostile.contains("4000000000000000000"),
+        "the header was rewritten"
+    );
+    let inputs = vec![("hostile.json".to_string(), hostile)];
+    let err = merge_reports(&inputs).unwrap_err().to_string();
+    assert!(err.contains("incomplete shard set"), "{err}");
+    assert!(err.contains("got 1 of 4000000000000000000"), "{err}");
+}

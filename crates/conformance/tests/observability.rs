@@ -10,10 +10,12 @@
 //! * the sidecar itself carries the engine and campaign catalogs with
 //!   live (nonzero) values.
 
-use lcp_conformance::checkpoint::run_campaign_checkpointed;
 use lcp_conformance::churn::run_churn_campaign;
-use lcp_conformance::metrics::{churn_sidecar, static_sidecar};
-use lcp_conformance::{run_campaign, CampaignConfig, CellStatus, Profile};
+use lcp_conformance::metrics::sidecar;
+use lcp_conformance::{
+    filtered_entries, run_campaign, run_matrix, CampaignConfig, CampaignReport, CellStatus, Mode,
+    Profile,
+};
 
 /// Small but real: one honest scheme, two sizes, both polarities.
 fn config(seed: u64) -> CampaignConfig {
@@ -60,10 +62,10 @@ fn number_after(sidecar: &str, key: &str) -> u64 {
 #[test]
 fn metrics_export_does_not_perturb_the_report() {
     let baseline = run_campaign(&config(7)).to_json(false);
-    let report = run_campaign(&config(7));
+    let report = CampaignReport::Static(run_campaign(&config(7)));
     // Exporting registers every catalog and reads every metric — the
     // strongest observation the layer supports.
-    let sidecar = static_sidecar(&report);
+    let sidecar = sidecar(&report);
     assert_eq!(report.to_json(false), baseline);
     assert_eq!(
         run_campaign(&config(7)).to_json(false),
@@ -89,8 +91,8 @@ fn metrics_export_does_not_perturb_the_report() {
 #[test]
 fn churn_metrics_export_does_not_perturb_the_report() {
     let baseline = run_churn_campaign(&config(7), 8).to_json(false);
-    let report = run_churn_campaign(&config(7), 8);
-    let sidecar = churn_sidecar(&report);
+    let report = CampaignReport::Churn(run_churn_campaign(&config(7), 8));
+    let sidecar = sidecar(&report);
     assert_eq!(report.to_json(false), baseline);
 
     assert!(sidecar.contains("\"mode\": \"churn\""), "{sidecar}");
@@ -125,8 +127,12 @@ fn timeout_enrichment_is_timed_only_and_survives_resume() {
     // the deterministic bytes match and a timed re-serialization
     // renders the suffix exactly once per cell (never doubled).
     let path = tmp("timeout-resume.jsonl");
-    let (first, _) = run_campaign_checkpointed(&cfg, Some(&path), None).unwrap();
-    let (resumed, count) = run_campaign_checkpointed(&cfg, None, Some(&path)).unwrap();
+    let entries = filtered_entries(&cfg);
+    let (first, _) = run_matrix(&entries, &cfg, Mode::Static, Some(&path), None).unwrap();
+    let (resumed, count) = run_matrix(&entries, &cfg, Mode::Static, None, Some(&path)).unwrap();
+    let CampaignReport::Static(resumed) = resumed else {
+        panic!("static mode returned a churn report");
+    };
     assert_eq!(count, resumed.cell_count(), "everything resumes");
     assert_eq!(resumed.to_json(false), first.to_json(false));
     assert_eq!(
@@ -160,7 +166,7 @@ fn churn_timeout_enrichment_round_trips() {
     assert!(!report.to_json(false).contains("timed out in the"));
 
     // Timed-out churn cells surface their poll count in the sidecar.
-    let sidecar = churn_sidecar(&report);
+    let sidecar = sidecar(&CampaignReport::Churn(report));
     let timed_row = sidecar
         .lines()
         .find(|l| l.contains("\"status\": \"timed_out\""))

@@ -51,7 +51,7 @@ fn static_shard_union_is_byte_identical_for_two_and_four_shards() {
         let merged = merge_reports(&shards).expect("valid shard set");
         assert_eq!(merged.cell_count(), whole.cell_count(), "N={count}");
         // ...and reassemble to the exact unsharded bytes.
-        assert_eq!(merged.to_json(), whole_json, "N={count}");
+        assert_eq!(merged.to_json(false), whole_json, "N={count}");
     }
 }
 
@@ -61,7 +61,7 @@ fn churn_shard_union_is_byte_identical_for_two_and_four_shards() {
     let whole = run_churn_campaign(&config(7, None), steps).to_json(false);
     for count in [2, 4] {
         let merged = merge_reports(&churn_shards(7, count, steps)).expect("valid shard set");
-        assert_eq!(merged.to_json(), whole, "N={count}");
+        assert_eq!(merged.to_json(false), whole, "N={count}");
     }
 }
 
@@ -91,7 +91,7 @@ fn empty_shards_merge_cleanly() {
         .count();
     assert_eq!(empty, 2, "premise: two empty shards");
     let merged = merge_reports(&shards).expect("empty shards are valid");
-    assert_eq!(merged.to_json(), whole.to_json(false));
+    assert_eq!(merged.to_json(false), whole.to_json(false));
 }
 
 #[test]

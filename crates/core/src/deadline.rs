@@ -5,7 +5,7 @@
 //! verifier must degrade to a `timed_out` verdict instead of hanging the
 //! whole shard. Rust offers no safe preemption, so the budget is
 //! **cooperative**: the hot loops in [`crate::harness`],
-//! [`crate::engine`], and `lcp_dynamic::run_churn` poll a shared
+//! [`crate::engine`], and `lcp_dynamic::churn::run_churn` poll a shared
 //! [`Deadline`] token at a coarse stride and unwind cleanly when it has
 //! expired.
 //!

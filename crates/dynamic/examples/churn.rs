@@ -5,7 +5,7 @@
 //! cargo run -p lcp-dynamic --example churn
 //! ```
 
-use lcp_core::{BitString, Instance, Proof, Scheme, View};
+use lcp_core::{BitString, Deadline, Instance, Proof, Scheme, View};
 use lcp_dynamic::churn::{run_churn, ChurnConfig};
 use lcp_dynamic::DynamicInstance;
 use lcp_graph::generators;
@@ -46,7 +46,7 @@ fn main() {
     let mut dynamic = DynamicInstance::seal(Bipartite, inst);
     let n = dynamic.n();
 
-    let run = run_churn(&mut dynamic, &ChurnConfig::new(7), 24, 4);
+    let run = run_churn(&mut dynamic, &ChurnConfig::new(7), 24, 4, &Deadline::none());
     println!(
         "{:<28} {:>6} {:>10} verdict",
         "mutation", "impact", "reverified"

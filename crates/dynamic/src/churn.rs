@@ -198,8 +198,7 @@ pub struct ChurnRun {
     pub incremental_nanos: u128,
     /// Wall time spent in from-scratch cross-checks, in nanoseconds.
     pub full_nanos: u128,
-    /// Whether the run stopped early because its wall budget expired
-    /// (only possible through [`run_churn_within`]).
+    /// Whether the run stopped early because its `deadline` expired.
     pub timed_out: bool,
 }
 
@@ -214,23 +213,14 @@ pub struct ChurnRun {
 /// mismatch even when it cannot flip the global decision. This is the
 /// strongest form of the dirty-ball invariant: a node whose output
 /// changed but was never dirtied cannot escape detection.
+///
+/// The loop polls `deadline` before each step and stops early —
+/// flagging [`ChurnRun::timed_out`] — once it has expired (pass
+/// [`Deadline::none`] for an unbounded run). Everything applied before
+/// the stop is still cross-checked (the final-step check below runs
+/// regardless), so a timed-out run's partial trace remains a valid
+/// equivalence witness.
 pub fn run_churn(
-    target: &mut DynamicInstance,
-    config: &ChurnConfig,
-    steps: usize,
-    check_every: usize,
-) -> ChurnRun {
-    run_churn_within(target, config, steps, check_every, &Deadline::none())
-}
-
-/// [`run_churn`] under a cooperative wall budget: the mutation loop
-/// polls `deadline` before each step and stops early — flagging
-/// [`ChurnRun::timed_out`] — once it has expired. Everything applied
-/// before the stop is still cross-checked (the final-step check below
-/// runs regardless), so a timed-out run's partial trace remains a
-/// valid equivalence witness. With [`Deadline::none`] this is exactly
-/// [`run_churn`].
-pub fn run_churn_within(
     target: &mut DynamicInstance,
     config: &ChurnConfig,
     steps: usize,
@@ -352,8 +342,8 @@ mod tests {
         let mut a = build();
         let mut b = build();
         let config = ChurnConfig::new(7);
-        let ra = run_churn(&mut a, &config, 40, 8);
-        let rb = run_churn(&mut b, &config, 40, 8);
+        let ra = run_churn(&mut a, &config, 40, 8, &Deadline::none());
+        let rb = run_churn(&mut b, &config, 40, 8, &Deadline::none());
         assert_eq!(ra.steps.len(), rb.steps.len());
         for (x, y) in ra.steps.iter().zip(&rb.steps) {
             assert_eq!(x.mutation, y.mutation);
@@ -361,7 +351,7 @@ mod tests {
             assert_eq!(x.witness, y.witness);
         }
         assert_ne!(
-            run_churn(&mut build(), &ChurnConfig::new(8), 40, 8)
+            run_churn(&mut build(), &ChurnConfig::new(8), 40, 8, &Deadline::none())
                 .steps
                 .iter()
                 .map(|s| s.mutation.clone())
@@ -379,7 +369,7 @@ mod tests {
         for seed in 0..4 {
             let mut d =
                 DynamicInstance::seal(Fingerprint, Instance::unlabeled(generators::cycle(14)));
-            let run = run_churn(&mut d, &ChurnConfig::new(seed), 60, 1);
+            let run = run_churn(&mut d, &ChurnConfig::new(seed), 60, 1, &Deadline::none());
             assert_eq!(run.mismatches, 0, "seed {seed}: {run:?}");
             assert_eq!(run.checks, run.steps.len());
             assert!(run.total_reverified > 0);
@@ -390,7 +380,7 @@ mod tests {
     fn expired_deadlines_stop_the_churn_loop_cleanly() {
         use std::time::Duration;
         let mut d = DynamicInstance::seal(Fingerprint, Instance::unlabeled(generators::cycle(14)));
-        let run = run_churn_within(
+        let run = run_churn(
             &mut d,
             &ChurnConfig::new(5),
             60,
@@ -399,11 +389,12 @@ mod tests {
         );
         assert!(run.timed_out);
         assert!(run.steps.is_empty(), "expired before the first step");
-        // An unbounded token reproduces `run_churn` exactly.
+        // A budget that never expires reproduces the unbounded run exactly.
         let mut a = DynamicInstance::seal(Fingerprint, Instance::unlabeled(generators::cycle(14)));
         let mut b = DynamicInstance::seal(Fingerprint, Instance::unlabeled(generators::cycle(14)));
-        let full = run_churn(&mut a, &ChurnConfig::new(5), 20, 4);
-        let within = run_churn_within(&mut b, &ChurnConfig::new(5), 20, 4, &Deadline::none());
+        let full = run_churn(&mut a, &ChurnConfig::new(5), 20, 4, &Deadline::none());
+        let budget = Deadline::after(Duration::from_secs(3600));
+        let within = run_churn(&mut b, &ChurnConfig::new(5), 20, 4, &budget);
         assert!(!within.timed_out);
         assert_eq!(full.steps.len(), within.steps.len());
         assert_eq!(full.mismatches, within.mismatches);
@@ -416,7 +407,7 @@ mod tests {
     #[test]
     fn final_step_is_always_cross_checked() {
         let mut d = DynamicInstance::seal(Fingerprint, Instance::unlabeled(generators::path(6)));
-        let run = run_churn(&mut d, &ChurnConfig::new(3), 10, 0);
+        let run = run_churn(&mut d, &ChurnConfig::new(3), 10, 0, &Deadline::none());
         assert_eq!(run.checks, 1, "only the final check with check_every=0");
         assert_eq!(run.steps.last().unwrap().matched_full, Some(true));
         assert_eq!(run.mismatches, 0);

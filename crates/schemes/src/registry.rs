@@ -116,6 +116,7 @@ pub struct CellRequest {
 pub type CellBuilder = fn(&CellRequest) -> Option<DynScheme>;
 
 /// One registered scheme with its Table-1 metadata.
+#[derive(Clone, Copy)]
 pub struct SchemeEntry {
     /// Stable kebab-case identifier (report keys, `--scheme` filters).
     pub id: &'static str,

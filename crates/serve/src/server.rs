@@ -33,7 +33,7 @@ use crate::table::InstanceTable;
 use lcp_core::harness::CompletenessError;
 use lcp_core::json::escape;
 use lcp_core::{CellMutationError, Deadline};
-use lcp_dynamic::churn::{run_churn_within, ChurnConfig};
+use lcp_dynamic::churn::{run_churn, ChurnConfig};
 use lcp_dynamic::{Applied, DynamicInstance, Mutation};
 use std::collections::VecDeque;
 use std::io;
@@ -493,7 +493,7 @@ fn dispatch(
                 .as_mut()
                 .ok_or_else(|| ProtoError::new(ERR_NO_SESSION, "open a session first"))?;
             let config = ChurnConfig::new(seed);
-            let run = run_churn_within(
+            let run = run_churn(
                 &mut sess.inst,
                 &config,
                 steps,

@@ -5,6 +5,7 @@
 //! identical churn traces and identical per-mutation verdicts.
 
 use lcp_core::json::Json;
+use lcp_core::Deadline;
 use lcp_dynamic::churn::{run_churn, ChurnConfig};
 use lcp_dynamic::{DynamicInstance, Mutation};
 use lcp_graph::families::GraphFamily;
@@ -78,7 +79,13 @@ fn socket_churn_agrees_with_in_process_run() {
     handle.stop().expect("clean drain");
 
     let mut twin = local_twin(&coord);
-    let local = run_churn(&mut twin, &ChurnConfig::new(churn_seed), steps, check_every);
+    let local = run_churn(
+        &mut twin,
+        &ChurnConfig::new(churn_seed),
+        steps,
+        check_every,
+        &Deadline::none(),
+    );
 
     assert_eq!(local.mismatches, 0, "incremental == full locally");
     assert_eq!(
