@@ -282,284 +282,6 @@ impl ProofArena {
     }
 }
 
-// ---------------------------------------------------------------------
-// Transposed multi-candidate storage
-// ---------------------------------------------------------------------
-
-/// Transposed ("bit-sliced") storage for up to 64 candidate proofs at
-/// once: one `u64` word holds the *same* proof-bit position of every
-/// candidate, so a word op advances all lanes together.
-///
-/// Where a [`ProofArena`] lays a single proof out as `node → bits`, a
-/// `BatchArena` is indexed `(node, bit position) → lane word`: bit `i`
-/// of `bits[v][j]` is candidate `i`'s `j`-th bit at node `v`, and bit
-/// `i` of `has[v][j]` says whether candidate `i`'s string at `v` is
-/// longer than `j` bits (so lanes of different lengths coexist). The
-/// invariant `bits & !has == 0` — positions past a lane's length read
-/// as zero — makes content comparison a plain XOR.
-///
-/// This is the substrate of the batched search loops (`lcp_core::batch`)
-/// and of [`Scheme::verify_batch`](crate::Scheme::verify_batch)
-/// kernels, which fold lane words into a 64-bit accept mask. All
-/// storage is allocated up front; `broadcast`/`set_lane`/`flip` never
-/// allocate.
-///
-/// ```
-/// use lcp_core::{AsBits, BatchArena, BitString};
-///
-/// let mut a = BatchArena::new(2, 2);
-/// a.broadcast(0, BitString::from_bits([true, false]).as_bits());
-/// a.flip(7, 0, 1); // candidate 7 flips node 0's second bit
-/// assert_eq!(a.bit(0, 0), !0u64); // every lane agrees on bit 0
-/// assert_eq!(a.bit(0, 1), 1 << 7); // lane 7 alone differs at bit 1
-/// assert_eq!(a.len_eq(0, 2), !0u64); // all lanes hold 2-bit strings
-/// ```
-#[derive(Clone, Debug)]
-pub struct BatchArena {
-    n: usize,
-    cap: usize,
-    lanes: usize,
-    /// `bits[v * cap + j]` — lane word for node `v`, bit position `j`.
-    bits: Vec<u64>,
-    /// `has[v * cap + j]` — lanes whose string at `v` has length > `j`.
-    has: Vec<u64>,
-}
-
-impl BatchArena {
-    /// An arena for `n` nodes with room for `bits_per_node` bits per
-    /// lane string; all 64 lanes start at the empty string `ε`.
-    pub fn new(n: usize, bits_per_node: usize) -> Self {
-        BatchArena {
-            n,
-            cap: bits_per_node,
-            lanes: 64,
-            bits: vec![0u64; n * bits_per_node],
-            has: vec![0u64; n * bits_per_node],
-        }
-    }
-
-    /// Number of node slots.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Reserved bits per node per lane.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
-    /// Number of lanes currently in use (≤ 64).
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Restricts the arena to its low `lanes` lanes; kernels mask their
-    /// accept words with [`Self::active`], so the unused high lanes can
-    /// hold arbitrary garbage.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 ≤ lanes ≤ 64`.
-    pub fn set_lanes(&mut self, lanes: usize) {
-        assert!(
-            (1..=64).contains(&lanes),
-            "lane count {lanes} not in 1..=64"
-        );
-        self.lanes = lanes;
-    }
-
-    /// Mask of the in-use lanes: the low [`Self::lanes`] bits.
-    pub fn active(&self) -> u64 {
-        if self.lanes == 64 {
-            !0
-        } else {
-            (1u64 << self.lanes) - 1
-        }
-    }
-
-    /// Writes `bits` into every lane of node `v` at once (the incumbent
-    /// broadcast of the bit-flip search). Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range or `bits` exceeds the per-node
-    /// capacity.
-    pub fn broadcast(&mut self, v: usize, bits: ProofRef<'_>) {
-        let len = bits.len();
-        assert!(
-            len <= self.cap,
-            "{len} bits exceed lane capacity {}",
-            self.cap
-        );
-        let base = v * self.cap;
-        for j in 0..self.cap {
-            self.bits[base + j] = if bits.get(j) == Some(true) { !0 } else { 0 };
-            self.has[base + j] = if j < len { !0 } else { 0 };
-        }
-    }
-
-    /// Writes `bits` into a single lane of node `v`. Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane ≥ 64`, `v` is out of range, or `bits` exceeds
-    /// the per-node capacity.
-    pub fn set_lane(&mut self, lane: usize, v: usize, bits: ProofRef<'_>) {
-        assert!(lane < 64, "lane {lane} out of range");
-        let len = bits.len();
-        assert!(
-            len <= self.cap,
-            "{len} bits exceed lane capacity {}",
-            self.cap
-        );
-        let base = v * self.cap;
-        let m = 1u64 << lane;
-        for j in 0..self.cap {
-            if bits.get(j) == Some(true) {
-                self.bits[base + j] |= m;
-            } else {
-                self.bits[base + j] &= !m;
-            }
-            if j < len {
-                self.has[base + j] |= m;
-            } else {
-                self.has[base + j] &= !m;
-            }
-        }
-    }
-
-    /// Flips bit `j` of one lane's string at node `v` — one XOR, the
-    /// batched analogue of [`ProofArena::flip`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane ≥ 64` or `v`/`j` is out of range; debug builds
-    /// additionally assert that the lane's string is longer than `j`.
-    #[inline]
-    pub fn flip(&mut self, lane: usize, v: usize, j: usize) {
-        assert!(lane < 64, "lane {lane} out of range");
-        let idx = v * self.cap + j;
-        debug_assert!(
-            self.has[idx] & (1 << lane) != 0,
-            "flip at bit {j} beyond lane {lane}'s string at node {v}"
-        );
-        self.bits[idx] ^= 1 << lane;
-    }
-
-    /// Lane word for node `v`, bit position `j`: bit `i` is candidate
-    /// `i`'s `j`-th bit (0 past the lane's length).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` or `j` is out of range.
-    #[inline(always)]
-    pub fn bit(&self, v: usize, j: usize) -> u64 {
-        self.bits[v * self.cap + j]
-    }
-
-    /// Presence word for node `v`, bit position `j`: lanes whose string
-    /// at `v` is longer than `j` bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` or `j` is out of range.
-    #[inline(always)]
-    pub fn has_bit(&self, v: usize, j: usize) -> u64 {
-        self.has[v * self.cap + j]
-    }
-
-    /// Lanes whose string at node `v` has exactly `len` bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range or `len` exceeds the capacity.
-    pub fn len_eq(&self, v: usize, len: usize) -> u64 {
-        let at_least = if len == 0 {
-            !0
-        } else {
-            self.has_bit(v, len - 1)
-        };
-        let longer = if len < self.cap {
-            self.has_bit(v, len)
-        } else {
-            0
-        };
-        at_least & !longer
-    }
-
-    /// Lanes where the strings at nodes `u` and `v` differ — in content
-    /// or in length. The word-parallel inner loop of the verifier
-    /// kernels; uses AVX2 when the CPU has it (runtime-detected), with
-    /// a scalar `u64` fallback that is always available.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` or `v` is out of range.
-    pub fn ne(&self, u: usize, v: usize) -> u64 {
-        let (bu, bv) = (u * self.cap, v * self.cap);
-        ne_words(
-            &self.bits[bu..bu + self.cap],
-            &self.has[bu..bu + self.cap],
-            &self.bits[bv..bv + self.cap],
-            &self.has[bv..bv + self.cap],
-        )
-    }
-}
-
-/// `OR_j (bits_u[j] ^ bits_v[j]) | (has_u[j] ^ has_v[j])`, dispatching
-/// to the AVX2 kernel when the CPU supports it.
-#[inline]
-fn ne_words(bits_u: &[u64], has_u: &[u64], bits_v: &[u64], has_v: &[u64]) -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if bits_u.len() >= 4 && std::is_x86_feature_detected!("avx2") {
-            // SAFETY: the avx2 target feature was runtime-detected.
-            return unsafe { ne_words_avx2(bits_u, has_u, bits_v, has_v) };
-        }
-    }
-    ne_words_scalar(bits_u, has_u, bits_v, has_v)
-}
-
-/// Portable word-at-a-time fallback for [`ne_words`].
-fn ne_words_scalar(bits_u: &[u64], has_u: &[u64], bits_v: &[u64], has_v: &[u64]) -> u64 {
-    let mut acc = 0u64;
-    for j in 0..bits_u.len() {
-        acc |= (bits_u[j] ^ bits_v[j]) | (has_u[j] ^ has_v[j]);
-    }
-    acc
-}
-
-/// Four-words-per-step AVX2 variant of [`ne_words_scalar`].
-///
-/// # Safety
-///
-/// The caller must have verified that the CPU supports AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn ne_words_avx2(bits_u: &[u64], has_u: &[u64], bits_v: &[u64], has_v: &[u64]) -> u64 {
-    use std::arch::x86_64::*;
-    let n = bits_u.len();
-    let mut acc = _mm256_setzero_si256();
-    let mut j = 0;
-    while j + 4 <= n {
-        let a = _mm256_loadu_si256(bits_u.as_ptr().add(j).cast());
-        let b = _mm256_loadu_si256(bits_v.as_ptr().add(j).cast());
-        let c = _mm256_loadu_si256(has_u.as_ptr().add(j).cast());
-        let d = _mm256_loadu_si256(has_v.as_ptr().add(j).cast());
-        let diff = _mm256_or_si256(_mm256_xor_si256(a, b), _mm256_xor_si256(c, d));
-        acc = _mm256_or_si256(acc, diff);
-        j += 4;
-    }
-    let mut out = [0u64; 4];
-    _mm256_storeu_si256(out.as_mut_ptr().cast(), acc);
-    let mut r = out[0] | out[1] | out[2] | out[3];
-    while j < n {
-        r |= (bits_u[j] ^ bits_v[j]) | (has_u[j] ^ has_v[j]);
-        j += 1;
-    }
-    r
-}
-
 impl PartialEq for ProofArena {
     /// Content equality: same node count, same bits per node. Layout
     /// (slot order in the pool, capacities, slack) is not observable.
@@ -673,91 +395,5 @@ mod tests {
         assert_eq!(a.size(), 5);
         assert_eq!(a.total_bits(), 6);
         assert_eq!(format!("{a:?}"), r#"[bits"1", bits"10101", bits""]"#);
-    }
-
-    #[test]
-    fn batch_lane_roundtrip_against_scalar_strings() {
-        let strings = [bs(""), bs("0"), bs("1"), bs("10"), bs("011")];
-        let mut a = BatchArena::new(1, 3);
-        for (lane, s) in strings.iter().enumerate() {
-            a.set_lane(lane, 0, s.as_bits());
-        }
-        for (lane, s) in strings.iter().enumerate() {
-            for j in 0..3 {
-                let want_has = j < s.len();
-                assert_eq!(
-                    a.has_bit(0, j) >> lane & 1 == 1,
-                    want_has,
-                    "lane {lane} j {j}"
-                );
-                let want_bit = s.as_bits().get(j) == Some(true);
-                assert_eq!(a.bit(0, j) >> lane & 1 == 1, want_bit, "lane {lane} j {j}");
-            }
-            assert_eq!(a.len_eq(0, s.len()) >> lane & 1, 1, "lane {lane}");
-        }
-        // Unwritten lanes stay at ε.
-        assert_eq!(a.len_eq(0, 0) >> strings.len(), !0u64 >> strings.len());
-    }
-
-    #[test]
-    fn batch_broadcast_then_flip_diverges_one_lane() {
-        let mut a = BatchArena::new(2, 2);
-        a.broadcast(0, bs("10").as_bits());
-        a.broadcast(1, bs("10").as_bits());
-        assert_eq!(a.ne(0, 1), 0);
-        a.flip(5, 1, 0);
-        assert_eq!(a.ne(0, 1), 1 << 5);
-        a.flip(5, 1, 0);
-        assert_eq!(a.ne(0, 1), 0);
-    }
-
-    #[test]
-    fn batch_ne_sees_length_differences() {
-        let mut a = BatchArena::new(2, 2);
-        a.broadcast(0, bs("1").as_bits());
-        a.broadcast(1, bs("1").as_bits());
-        a.set_lane(3, 1, bs("10").as_bits());
-        // Lane 3's node-1 string is longer; its content prefix matches.
-        assert_eq!(a.ne(0, 1), 1 << 3);
-    }
-
-    #[test]
-    fn batch_active_masks_track_set_lanes() {
-        let mut a = BatchArena::new(1, 1);
-        assert_eq!(a.active(), !0);
-        a.set_lanes(5);
-        assert_eq!(a.active(), 0b11111);
-        assert_eq!(a.lanes(), 5);
-    }
-
-    #[test]
-    fn batch_ne_avx2_agrees_with_scalar_fallback() {
-        // A capacity wide enough to exercise the 4-words-per-step AVX2
-        // path plus its remainder loop (when the CPU has AVX2; the
-        // dispatch itself is exercised either way).
-        let cap = 11;
-        let mk = |seed: u64| BitString::from_bits((0..cap).map(|j| (seed >> (j % 64)) & 1 == 1));
-        let mut a = BatchArena::new(2, cap);
-        for lane in 0..64 {
-            a.set_lane(
-                lane,
-                0,
-                mk(0x9e3779b97f4a7c15u64.wrapping_mul(lane as u64 + 1)).as_bits(),
-            );
-            a.set_lane(
-                lane,
-                1,
-                mk(0xd1b54a32d192ed03u64.wrapping_mul(lane as u64 + 1)).as_bits(),
-            );
-        }
-        let (b0, h0) = (
-            (0..cap).map(|j| a.bit(0, j)).collect::<Vec<_>>(),
-            (0..cap).map(|j| a.has_bit(0, j)).collect::<Vec<_>>(),
-        );
-        let (b1, h1) = (
-            (0..cap).map(|j| a.bit(1, j)).collect::<Vec<_>>(),
-            (0..cap).map(|j| a.has_bit(1, j)).collect::<Vec<_>>(),
-        );
-        assert_eq!(a.ne(0, 1), ne_words_scalar(&b0, &h0, &b1, &h1));
     }
 }

@@ -395,7 +395,7 @@ pub struct DynScheme {
     /// ([`Self::with_source`]); [`ArtifactSource::BuildFresh`] by
     /// default.
     source: ArtifactSource,
-    /// Routing policy for the batched evaluation layer
+    /// Routing policy for the exhaustive search's block odometer
     /// ([`Self::with_batch`]); `Auto` by default.
     batch: BatchPolicy,
     /// The typed cell behind the erased surface.
@@ -642,10 +642,10 @@ impl DynScheme {
         self
     }
 
-    /// Sets the [`BatchPolicy`] for the engine-backed search checks
-    /// (exhaustive soundness, adversarial search). The default is
-    /// [`BatchPolicy::Auto`]; `Scalar` forces the scalar loops. Results
-    /// are identical either way — only the evaluation strategy changes.
+    /// Sets the [`BatchPolicy`] for the exhaustive soundness check. The
+    /// default is [`BatchPolicy::Auto`]; `Scalar` forces the scalar
+    /// odometer. Results are identical either way — only the evaluation
+    /// strategy changes.
     pub fn with_batch(mut self, policy: BatchPolicy) -> DynScheme {
         self.batch = policy;
         self
@@ -732,9 +732,8 @@ impl DynScheme {
 
     /// Seeded adversarial proof search on the cached engine
     /// ([`crate::harness::adversarial_proof_search`]) under a per-call
-    /// `deadline` and the attached [`BatchPolicy`]; `Some` is a soundness
-    /// violation within the size budget, and an expired `deadline` ends
-    /// the search with `None`.
+    /// `deadline`; `Some` is a soundness violation within the size
+    /// budget, and an expired `deadline` ends the search with `None`.
     ///
     /// # Panics
     ///

@@ -88,15 +88,13 @@
 //! assert_eq!(prep.evaluate_until_reject(&EvenDegrees, &proof), None);
 //! ```
 
-use crate::arena::BatchArena;
-use crate::batch::BatchView;
 use crate::deadline::{Deadline, DeadlineExpired};
 use crate::frozen::{build_all, FrozenCore};
 use crate::instance::Instance;
 use crate::metrics;
 use crate::proof::Proof;
 use crate::scheme::{Scheme, Verdict};
-use crate::view::{SkelView, View};
+use crate::view::View;
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -230,60 +228,6 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
     /// Binds `proof` to every node's skeleton at once.
     pub fn bind_all<'s>(&'s self, proof: &'s Proof) -> Vec<View<'s, N, E>> {
         (0..self.n()).map(|v| self.bind(v, proof)).collect()
-    }
-
-    /// Node `v`'s cached skeleton as a flat borrow — the batch layer
-    /// binds it against a transposed arena instead of a single proof.
-    pub(crate) fn skel_view_of(&self, v: usize) -> SkelView<'_, N, E> {
-        self.core.skel_view(v)
-    }
-
-    /// Binds a transposed candidate [`BatchArena`] to node `v`'s cached
-    /// skeleton: the 64-lane analogue of [`Self::bind`], consumed by
-    /// [`Scheme::verify_batch`] kernels.
-    ///
-    /// Free in the same sense as [`Self::bind`]: the view borrows the
-    /// cached skeleton and the arena's lane words through the membership
-    /// table — no traversal, no bit copies, no allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range or `arena.n()` mismatches.
-    #[inline]
-    pub fn bind_batch<'s>(&'s self, v: usize, arena: &'s BatchArena) -> BatchView<'s, N, E> {
-        assert_eq!(arena.n(), self.n(), "arena must cover every node");
-        BatchView::bind(self.core.skel_view(v), arena, self.members_of(v))
-    }
-
-    /// Runs `scheme`'s batched verifier at every node against up to 64
-    /// candidate proofs at once, returning the mask of candidates **all**
-    /// nodes accept (restricted to [`BatchArena::active`] lanes).
-    ///
-    /// The 64-lane analogue of [`Self::evaluate`]'s accept bit: bit `i`
-    /// of the result is `evaluate(scheme, lane i).accepted()`. Sweeps
-    /// stop as soon as every lane has a rejecting node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arena.n()` mismatches, or if `scheme` has no batch
-    /// kernel ([`Scheme::supports_batch`] is `false` — probe it first).
-    pub fn evaluate_batch<S>(&self, scheme: &S, arena: &BatchArena) -> u64
-    where
-        S: Scheme<Node = N, Edge = E>,
-    {
-        assert!(
-            scheme.supports_batch(),
-            "scheme '{}' has no batch kernel",
-            scheme.name()
-        );
-        let mut acc = arena.active();
-        for v in 0..self.n() {
-            if acc == 0 {
-                break;
-            }
-            acc &= scheme.verify_batch(&self.bind_batch(v, arena));
-        }
-        acc
     }
 
     /// Runs `scheme`'s verifier at every node against cached skeletons.

@@ -1694,4 +1694,120 @@ mod tests {
 
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// A labelled core (3×3 grid, radius 2, `u8` node and `u32` edge
+    /// labels) rendered as its on-disk image: the seed of the hostile
+    /// images below.
+    fn labelled_image() -> Vec<u64> {
+        let g = generators::grid(3, 3);
+        let edges: crate::instance::EdgeMap<u32> = g
+            .edges()
+            .map(|(u, v)| ((u, v), (10 * u + v) as u32))
+            .collect();
+        let inst = Instance::with_data(g, (0..9u8).collect(), edges);
+        CoreBuilder::build(&inst, 2)
+            .freeze()
+            .render_file((0xabcd, 0x1234))
+    }
+
+    /// A per-process temp file for one hostile-image test.
+    fn hostile_path(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("lcp-hostile-{}-{tag}.lcpc", std::process::id()))
+    }
+
+    /// Writes `words` to `path` and opens the file. A rejection must be
+    /// an [`ArtifactError::Invalid`] naming `path` and a byte offset
+    /// inside the file; an accepted core must serve every skeleton,
+    /// member and dependent read, and thaw into a builder whose bound
+    /// views read without panicking. Returns whether `open` accepted.
+    fn open_hostile(path: &Path, words: &[u64]) -> bool {
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        std::fs::write(path, &bytes).unwrap();
+        let core = match FrozenCore::<u8, u32>::open(path, None) {
+            Ok(core) => core,
+            Err(ArtifactError::Invalid {
+                path: named,
+                offset,
+                detail,
+            }) => {
+                assert_eq!(named, path, "{detail}");
+                assert!(offset <= bytes.len() as u64, "offset {offset}: {detail}");
+                return false;
+            }
+            Err(e) => panic!("unlocated rejection: {e}"),
+        };
+        let n = core.n();
+        for v in 0..n {
+            let sv = core.skel_view(v);
+            let _ = (sv.center, sv.ids, sv.adj_off, sv.adj, sv.dist);
+            let _ = (sv.node_data, sv.edge_labels);
+            let _ = core.members_of(v);
+            let _ = core.dependents_of(v).count();
+        }
+        let builder = CoreBuilder::thaw(&core);
+        let proof = Proof::empty(n);
+        for v in 0..n {
+            let view = builder.bind(v, &proof);
+            for u in view.nodes() {
+                let _ = (view.id(u), view.dist(u), view.node_label(u), view.proof(u));
+                for &w in view.neighbors(u) {
+                    let _ = (view.proof(w), view.edge_label(u, w));
+                }
+            }
+        }
+        true
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn mutated_images_are_located_errors_or_safe_cores(
+            edits in proptest::prelude::prop::collection::vec(
+                (proptest::prelude::any::<usize>(), proptest::prelude::any::<u64>(), 0u8..4),
+                1..4,
+            ),
+        ) {
+            let mut words = labelled_image();
+            // Words past the magic, version and header-size checks,
+            // less the total and checksum words (patched below), so
+            // the edit reaches the structural validation.
+            let targets: Vec<usize> = (3..words.len())
+                .filter(|&i| i != 14 && i != CHECKSUM_WORD)
+                .collect();
+            for (pick, val, mode) in edits {
+                let i = targets[pick % targets.len()];
+                words[i] = match mode {
+                    0 => val,
+                    1 => words[i] ^ (1 << (val % 64)),
+                    2 => val % 8,
+                    _ => words[i].wrapping_add(if val % 2 == 0 { 1 } else { u64::MAX }),
+                };
+            }
+            words[CHECKSUM_WORD] = 0;
+            words[CHECKSUM_WORD] = fnv_words(&words);
+            let path = hostile_path("mutated");
+            open_hostile(&path, &words);
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn truncated_images_are_located_errors() {
+        let words = labelled_image();
+        let path = hostile_path("truncated");
+        for len in 0..words.len() {
+            assert!(!open_hostile(&path, &words[..len]), "cut at word {len}");
+            // With the total and checksum words patched to match, the
+            // cut gets past the header to the section layout check.
+            if len > CHECKSUM_WORD {
+                let mut patched = words[..len].to_vec();
+                patched[14] = len as u64;
+                patched[CHECKSUM_WORD] = 0;
+                patched[CHECKSUM_WORD] = fnv_words(&patched);
+                assert!(!open_hostile(&path, &patched), "patched cut at word {len}");
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
 }

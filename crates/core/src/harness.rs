@@ -27,18 +27,19 @@ use rand::RngExt;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// How one soundness search runs: the wall budget it polls and the
-/// evaluation strategy it may use.
+/// How one soundness search runs: the wall budget it polls and, for
+/// the exhaustive search, the odometer it may use.
 ///
 /// The [`Default`] is an unbounded deadline and [`BatchPolicy::Auto`].
 /// Neither field can change a verdict, a witness, or an RNG stream: an
 /// expired deadline only cuts the search short, and both policies give
-/// identical results.
+/// identical results. The policy affects [`check_soundness_exhaustive`]
+/// only; [`adversarial_proof_search`] has one loop and ignores it.
 #[derive(Clone, Debug, Default)]
 pub struct Run {
     /// Wall budget polled by the search loop.
     pub deadline: Deadline,
-    /// Whether the batched evaluation layer may be used.
+    /// Whether the exhaustive search may use the block odometer.
     pub policy: BatchPolicy,
 }
 
@@ -564,8 +565,8 @@ pub fn random_proof(n: usize, max_bits: usize, rng: &mut StdRng) -> Proof {
 
 /// Regenerates every node's bits in place — same RNG stream as
 /// [`random_proof`], zero allocations (the restart path of
-/// [`adversarial_proof_search`], shared with the batched search).
-pub(crate) fn refill_random(proof: &mut Proof, max_bits: usize, rng: &mut StdRng) {
+/// [`adversarial_proof_search`]).
+fn refill_random(proof: &mut Proof, max_bits: usize, rng: &mut StdRng) {
     for v in 0..proof.n() {
         proof.write_bits(v, (0..max_bits).map(|_| rng.random_bool(0.5)));
     }
@@ -593,14 +594,9 @@ pub(crate) fn refill_random(proof: &mut Proof, max_bits: usize, rng: &mut StdRng
 /// returns `None`. Callers that need to distinguish "no forgery found"
 /// from "ran out of budget" check `run.deadline.expired()` afterwards.
 ///
-/// `run.policy` picks the evaluation strategy: `Auto` routes schemes
-/// with a bit-sliced kernel ([`Scheme::supports_batch`]) through the
-/// chunked 64-lane search of [`crate::batch`]; everything else (no
-/// kernel, zero size budget, bounded deadline, or `Scalar`) takes the
-/// classic per-flip loop. **Identical results either way** — same
-/// incumbent, same returned proof, and the RNG is left at the same
-/// stream position on every exit path (pinned by the
-/// `batch_equivalence` property tests).
+/// `run.policy` is ignored: there is one search loop. The same seed
+/// gives the same incumbent, the same returned proof and the same RNG
+/// stream position afterwards.
 ///
 /// # Panics
 ///
@@ -626,14 +622,6 @@ where
         return None;
     }
     let deadline = &run.deadline;
-    if crate::batch::enabled(run.policy) {
-        if let Some(result) =
-            crate::batch::adversarial(scheme, prep, size_budget, iterations, rng, deadline)
-        {
-            metrics::ADVERSARIAL_BATCHED.inc();
-            return result;
-        }
-    }
     metrics::ADVERSARIAL_SCALAR.inc();
     let mut proof = random_proof(n, size_budget, rng);
     let mut outputs: Vec<bool> = (0..n)

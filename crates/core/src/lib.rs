@@ -80,9 +80,9 @@ pub mod proof;
 pub mod scheme;
 pub mod view;
 
-pub use arena::{BatchArena, ProofArena};
+pub use arena::ProofArena;
 pub use artifact::{ArtifactSource, ArtifactStore, CoreProvenance};
-pub use batch::{BatchPolicy, BatchView};
+pub use batch::BatchPolicy;
 pub use bits::{AsBits, BitReader, BitString, BitWriter, CodecError, ProofRef};
 pub use deadline::{Deadline, DeadlineExpired};
 pub use dynamic::{seal_mutable, CellMutationError, DynScheme, MutableCell, TamperProbe};

@@ -58,18 +58,20 @@ pub static MEMO_MISSES: Counter = Counter::new();
 
 /// Exhaustive searches routed through the 64-lane block odometer.
 pub static EXHAUSTIVE_BATCHED: Counter = Counter::new();
-/// Exhaustive searches that ran the scalar odometer (policy `Scalar`,
-/// feature off, or a shape the block layout declined).
+/// Exhaustive searches that ran the scalar odometer (policy `Scalar`
+/// or a shape the block layout declined).
 pub static EXHAUSTIVE_SCALAR: Counter = Counter::new();
-/// Adversarial searches routed through the chunked 64-lane path.
+/// Always 0: the adversarial search has one loop. Kept because the
+/// benchmark's layer table reads it; drop it with that reader.
 pub static ADVERSARIAL_BATCHED: Counter = Counter::new();
-/// Adversarial searches that ran the scalar bit-flip loop.
+/// Adversarial searches run (all take the one bit-flip loop).
 pub static ADVERSARIAL_SCALAR: Counter = Counter::new();
-/// Block-odometer mask-table slots filled by one `verify_batch` kernel
-/// call.
+/// Always 0: every mask-table slot is filled by spread scalar verifier
+/// calls. Kept because the benchmark's layer table reads it; drop it
+/// with that reader.
 pub static MASK_FILLS_KERNEL: Counter = Counter::new();
 /// Block-odometer mask-table slots filled by spread scalar verifier
-/// calls (kernel-free schemes).
+/// calls.
 pub static MASK_FILLS_SCALAR: Counter = Counter::new();
 
 /// Bounded-deadline wall-clock checks actually performed (the strided

@@ -1,7 +1,6 @@
 //! The [`Scheme`] trait (prover + verifier + ground truth) and the
 //! acceptance semantics of the model.
 
-use crate::batch::BatchView;
 use crate::instance::Instance;
 use crate::proof::Proof;
 use crate::view::View;
@@ -45,37 +44,6 @@ pub trait Scheme {
 
     /// The verifier `A` at one node, given its extracted local view.
     fn verify(&self, view: &View<Self::Node, Self::Edge>) -> bool;
-
-    /// Capability probe for the batched evaluation layer: whether this
-    /// verifier has a bit-sliced kernel ([`Self::verify_batch`]).
-    ///
-    /// The batched search loops (`lcp_core::batch`) only call
-    /// [`Self::verify_batch`] on schemes that return `true` here; every
-    /// other scheme is routed to the scalar [`Self::verify`] path, so
-    /// the default `false` is always safe.
-    fn supports_batch(&self) -> bool {
-        false
-    }
-
-    /// The verifier `A` at one node, evaluated against up to 64
-    /// candidate proofs at once: bit `i` of the returned word is the
-    /// verifier's output on lane `i` of the [`BatchView`].
-    ///
-    /// Implementations must be *lane-exact*: bit `i` must equal what
-    /// [`Self::verify`] would return on lane `i`'s proof (the
-    /// `batch_equivalence` property tests pin this). Bits of inactive
-    /// lanes (outside [`BatchView::active`]) may be anything — callers
-    /// mask them.
-    ///
-    /// The default panics; it is only reachable when
-    /// [`Self::supports_batch`] is overridden without this method.
-    fn verify_batch(&self, view: &BatchView<'_, Self::Node, Self::Edge>) -> u64 {
-        let _ = view;
-        unreachable!(
-            "scheme '{}' advertises supports_batch() but has no verify_batch kernel",
-            self.name()
-        )
-    }
 }
 
 /// The outcome of running a verifier at every node.

@@ -77,9 +77,9 @@ impl<N, E> Skeleton<N, E> {
 /// section is a slice, so the backing storage can be an owned
 /// `Skeleton`'s vectors *or* contiguous pools inside a
 /// [`crate::engine::FrozenCore`] (possibly an `mmap`ed artifact file).
-/// Everything downstream of skeleton construction — [`View`],
-/// [`crate::batch::BatchView`], the verifier loops — consumes this type
-/// and is thereby agnostic to where the skeleton came from.
+/// Everything downstream of skeleton construction — [`View`], the
+/// verifier loops — consumes this type and is thereby agnostic to where
+/// the skeleton came from.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct SkelView<'c, N, E> {
     pub(crate) center: usize,

@@ -1,37 +1,28 @@
-//! Property tests: the batched search loops are observationally
-//! identical to the scalar ones.
+//! Property tests: the block odometer is observationally identical to
+//! the scalar one.
 //!
-//! The batch layer ([`lcp_core::BatchPolicy::Auto`]) may change *how*
-//! candidates are evaluated — 64 proofs per word through the block
-//! odometer and the chunked bit-flip search — but never *what* the
-//! harness reports. For random connected graphs, radii, string budgets,
-//! and seeds these tests pin the full contract against the scalar
-//! loops:
-//!
-//! * exhaustive: same verdict, same `tried` count on `Holds`, and the
-//!   same **first** violating proof (which pins the enumeration order,
-//!   not just the verdict — a trap scheme that accepts exactly one
-//!   random target proof must surface that exact proof first under
-//!   both policies);
-//! * adversarial: identical `Option<Proof>` incumbents and an
-//!   identical RNG stream position afterwards, so downstream draws in
-//!   a campaign are unaffected by the routing.
-//!
-//! Both the kernel path (a scheme with `verify_batch`) and the
-//! kernel-free path (scalar fills into the block mask tables) are
-//! exercised.
+//! The block odometer ([`lcp_core::BatchPolicy::Auto`]) may change *how*
+//! exhaustive candidates are evaluated — up to 64 proofs per word op,
+//! decided from mask tables filled by spread scalar verifier calls —
+//! but never *what* the harness reports. For random connected graphs,
+//! radii, and string budgets these tests pin the contract against the
+//! scalar odometer: same verdict, same `tried` count on `Holds`, and the
+//! same **first** violating proof (which pins the enumeration order,
+//! not just the verdict — a trap scheme that accepts exactly one random
+//! target proof must surface that exact proof first under both
+//! policies).
 
 use lcp_core::engine::PreparedInstance;
-use lcp_core::harness::{adversarial_proof_search, check_soundness_exhaustive, Run, Soundness};
-use lcp_core::{BatchPolicy, BatchView, BitString, Instance, Proof, Scheme, View};
+use lcp_core::harness::{check_soundness_exhaustive, Run, Soundness};
+use lcp_core::{BatchPolicy, BitString, Instance, Proof, Scheme, View};
 use lcp_graph::generators;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// 1-bit bipartiteness with a bit-sliced kernel: the canonical
-/// kernel-capable scheme (odd cycles and odd-cycle-containing random
-/// graphs are its no-instances).
+/// 1-bit bipartiteness: a sound scheme (odd cycles and
+/// odd-cycle-containing random graphs are its no-instances), so its
+/// searches enumerate the whole space and compare `Holds` counts.
 struct Bipartite;
 
 impl Scheme for Bipartite {
@@ -61,23 +52,11 @@ impl Scheme for Bipartite {
                 .iter()
                 .all(|&u| view.proof(u).first().is_some_and(|b| Some(b) != mine))
     }
-    fn supports_batch(&self) -> bool {
-        true
-    }
-    fn verify_batch(&self, view: &BatchView) -> u64 {
-        let c = view.center();
-        let mut acc = view.has_bit(c, 0);
-        for &u in view.neighbors(c) {
-            acc &= view.has_bit(u, 0) & (view.bit(c, 0) ^ view.bit(u, 0));
-        }
-        acc
-    }
 }
 
-/// Kernel-free verifier whose output depends on every proof bit it can
-/// see: routes through the block odometer's *scalar-fill* mask tables
-/// under `Auto` and stresses them with an irregular accept/reject
-/// pattern.
+/// A verifier whose output depends on every proof bit it can see:
+/// stresses the block odometer's mask tables with an irregular
+/// accept/reject pattern.
 struct Fingerprint {
     radius: usize,
 }
@@ -174,8 +153,9 @@ proptest! {
 
     #[test]
     fn kernel_odometer_equals_scalar((inst, _) in instance_seed(8), max_bits in 0usize..3) {
-        // Kernel path. Soundness checks require a no-instance; the
-        // scheme is sound, so `Holds` counts are what gets compared.
+        // A sound radius-1 verifier on n < 8. Soundness checks require a
+        // no-instance; every candidate is rejected, so whole-space
+        // `Holds` counts are what gets compared.
         prop_assume!(!lcp_graph::traversal::is_bipartite(inst.graph()));
         let (batch, scalar) = exhaustive_both(&Bipartite, &inst, max_bits);
         prop_assert_eq!(batch, scalar);
@@ -183,8 +163,7 @@ proptest! {
 
     #[test]
     fn scalar_fill_odometer_equals_scalar((inst, _) in instance_seed(6), radius in 0usize..3, max_bits in 0usize..3) {
-        // Kernel-free path: `Auto` still block-enumerates, filling mask
-        // tables from the scalar verifier.
+        // An irregular verifier over radii 0..3 on n < 6.
         let scheme = Fingerprint { radius };
         let (batch, scalar) = exhaustive_both(&scheme, &inst, max_bits);
         prop_assert_eq!(batch, scalar);
@@ -211,28 +190,5 @@ proptest! {
             Soundness::Violated(p) => prop_assert_eq!(p, expected),
             Soundness::Holds(t) => prop_assert!(false, "trap never sprung after {} proofs", t),
         }
-    }
-
-    #[test]
-    fn adversarial_matches_scalar_incumbent_and_stream((inst, seed) in instance_seed(10), budget in 1usize..3, iters in 0usize..500) {
-        // Chunked 64-lane search vs the scalar bit-flip loop: same
-        // returned proof, and the RNG must sit at the same stream
-        // position afterwards (campaigns draw from it next).
-        prop_assume!(!lcp_graph::traversal::is_bipartite(inst.graph()));
-        let prep = PreparedInstance::new(&inst, 1);
-        let mut rng_batch = StdRng::seed_from_u64(seed ^ 0x51ee);
-        let mut rng_scalar = rng_batch.clone();
-        let batch = adversarial_proof_search(
-            &Bipartite, &prep, budget, iters, &mut rng_batch, &Run::default(),
-        );
-        let scalar = adversarial_proof_search(
-            &Bipartite, &prep, budget, iters, &mut rng_scalar, &scalar_run(),
-        );
-        prop_assert_eq!(batch, scalar);
-        prop_assert_eq!(
-            rng_batch.random_range(0..u64::MAX),
-            rng_scalar.random_range(0..u64::MAX),
-            "RNG stream positions diverged"
-        );
     }
 }

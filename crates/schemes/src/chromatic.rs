@@ -2,7 +2,7 @@
 //! `χ(G) > 2` with `Θ(log n)` bits (§5.1).
 
 use lcp_core::components::TreeCert;
-use lcp_core::{BatchView, BitReader, BitWriter, Instance, Proof, Scheme, View};
+use lcp_core::{BitReader, BitWriter, Instance, Proof, Scheme, View};
 use lcp_graph::{coloring, traversal};
 
 /// `χ(G) ≤ k`: the proof is a proper `k`-colouring, `⌈log₂ k⌉` bits per
@@ -59,54 +59,6 @@ impl Scheme for ChromaticAtMost {
         view.neighbors(c)
             .iter()
             .all(|&u| color(u).is_some_and(|cu| cu != mine))
-    }
-
-    fn supports_batch(&self) -> bool {
-        // The bit-sliced compare below shifts by the colour width; a
-        // colour record of a word or more has no business in a 64-lane
-        // block anyway.
-        self.width() < 64
-    }
-
-    fn verify_batch(&self, view: &BatchView) -> u64 {
-        let width = self.width() as usize;
-        if view.cap() < width {
-            return 0; // no lane can hold a full colour record
-        }
-        // Lanes whose record at u is exactly `width` bits encoding a
-        // colour < k. The codec is MSB-first: record bit j carries the
-        // colour's bit of significance width−1−j, so an MSB-down
-        // constant compare against k works directly on lane words.
-        let valid = |u: usize| -> u64 {
-            let in_range = if (self.k as u64) >= 1u64 << width {
-                !0 // every width-bit value is a legal colour
-            } else {
-                let mut lt = 0u64;
-                let mut eq = !0u64;
-                for j in 0..width {
-                    let cb = view.bit(u, j);
-                    if (self.k as u64) >> (width - 1 - j) & 1 == 1 {
-                        lt |= eq & !cb;
-                        eq &= cb;
-                    } else {
-                        eq &= !cb;
-                    }
-                }
-                lt
-            };
-            view.len_eq(u, width) & in_range
-        };
-        let c = view.center();
-        let mut acc = valid(c);
-        for &u in view.neighbors(c) {
-            if acc == 0 {
-                break;
-            }
-            // Valid lanes hold exactly `width` bits at both nodes, so
-            // lane string inequality is exactly colour inequality.
-            acc &= valid(u) & view.ne(c, u);
-        }
-        acc
     }
 }
 
@@ -321,13 +273,12 @@ mod tests {
 
     #[test]
     fn batched_kernel_agrees_with_scalar_verifier() {
-        // The bit-sliced colour kernel (MSB-down compare against k)
-        // must reproduce the scalar verifier exactly: same exhaustive
-        // verdict under both batch policies, across k values on both
-        // sides of a power of two (k = 4 makes every width-bit value a
-        // legal colour; k = 3 and 5 exercise the lt/eq compare chains)
-        // and with string budgets both below and above the record
-        // width.
+        // The block odometer's spread mask fills must reproduce the
+        // scalar odometer exactly: same exhaustive verdict under both
+        // batch policies, across k values on both sides of a power of
+        // two (k = 4 makes every width-bit value a legal colour; k = 3
+        // and 5 leave out-of-range codes) and with string budgets both
+        // below and above the record width.
         use lcp_core::BatchPolicy;
         for k in 2..=5usize {
             let scheme = ChromaticAtMost { k };

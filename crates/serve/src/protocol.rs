@@ -502,6 +502,26 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
 /// prefix over [`MAX_FRAME`] or a non-UTF-8 payload is
 /// [`io::ErrorKind::InvalidData`].
 pub fn read_frame(r: &mut impl Read, should_stop: &dyn Fn() -> bool) -> io::Result<Option<String>> {
+    read_frame_bytes(r, should_stop)?
+        .map(|payload| {
+            String::from_utf8(payload).map_err(|_| {
+                io::Error::new(io::ErrorKind::InvalidData, "frame payload is not UTF-8")
+            })
+        })
+        .transpose()
+}
+
+/// [`read_frame`] without the UTF-8 check: the server reads a complete
+/// frame this way, so a payload that is not UTF-8 gets a `bad-request`
+/// answer instead of a dropped connection.
+///
+/// # Errors
+///
+/// As [`read_frame`], less the UTF-8 case.
+pub(crate) fn read_frame_bytes(
+    r: &mut impl Read,
+    should_stop: &dyn Fn() -> bool,
+) -> io::Result<Option<Vec<u8>>> {
     let mut header = [0u8; 4];
     if read_full(r, &mut header, true, should_stop)?.is_none() {
         return Ok(None);
@@ -517,9 +537,7 @@ pub fn read_frame(r: &mut impl Read, should_stop: &dyn Fn() -> bool) -> io::Resu
     if read_full(r, &mut payload, false, should_stop)?.is_none() {
         return Err(io::ErrorKind::UnexpectedEof.into());
     }
-    String::from_utf8(payload)
-        .map(Some)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame payload is not UTF-8"))
+    Ok(Some(payload))
 }
 
 /// Fills `buf` completely. `Ok(None)` only when `at_boundary` and the

@@ -26,8 +26,9 @@
 
 use crate::metrics;
 use crate::protocol::{
-    read_frame, write_frame, ProtoError, Request, WireLabel, WireMutation, ERR_BUSY, ERR_DEADLINE,
-    ERR_INAPPLICABLE, ERR_LABEL_TYPE, ERR_MUTATION, ERR_NO_SESSION, ERR_SESSION_ACTIVE,
+    read_frame_bytes, write_frame, ProtoError, Request, WireLabel, WireMutation, ERR_BAD_REQUEST,
+    ERR_BUSY, ERR_DEADLINE, ERR_INAPPLICABLE, ERR_LABEL_TYPE, ERR_MUTATION, ERR_NO_SESSION,
+    ERR_SESSION_ACTIVE,
 };
 use crate::table::InstanceTable;
 use lcp_core::harness::CompletenessError;
@@ -294,14 +295,20 @@ fn serve_connection(mut stream: TcpStream, table: &InstanceTable, shutdown: &Ato
         if stop() {
             return;
         }
-        let payload = match read_frame(&mut stream, &stop) {
+        // A complete frame whose payload is not UTF-8 is a bad request
+        // like any other non-JSON payload; only a broken frame (EOF
+        // inside it, an oversized length prefix) drops the connection.
+        let payload = match read_frame_bytes(&mut stream, &stop) {
             Ok(Some(payload)) => payload,
             Ok(None) | Err(_) => return,
         };
         // The latency window is parse + dispatch — the work the op name
         // describes — not socket I/O or the idle wait for the frame.
         let started = Instant::now();
-        let response = match Request::parse(&payload) {
+        let parsed = std::str::from_utf8(&payload)
+            .map_err(|_| ProtoError::new(ERR_BAD_REQUEST, "frame payload is not UTF-8"))
+            .and_then(Request::parse);
+        let response = match parsed {
             Ok(request) => {
                 let op = metrics::op_index(request.op());
                 let result = dispatch(request, table, &mut session, shutdown);

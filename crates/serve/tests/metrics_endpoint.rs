@@ -9,7 +9,10 @@
 
 use lcp_graph::families::GraphFamily;
 use lcp_schemes::registry::Polarity;
+use lcp_serve::protocol::{read_frame, write_frame};
 use lcp_serve::{CellCoord, Client, Server, ServerConfig, WireMutation};
+use std::io::Write;
+use std::net::TcpStream;
 
 fn coord() -> CellCoord {
     CellCoord {
@@ -100,9 +103,26 @@ fn typed_errors_and_bad_frames_are_counted() {
     client.prepare(&unknown).expect_err("typed error");
     client.request("not json at all").expect_err("bad frame");
 
+    // A well-framed payload that is not UTF-8 is a bad request too: it
+    // gets a typed answer and the connection keeps serving.
+    let mut raw = TcpStream::connect(handle.addr()).expect("connect raw");
+    let payload = [0xff, 0xfe, b'{'];
+    raw.write_all(&(payload.len() as u32).to_be_bytes())
+        .and_then(|()| raw.write_all(&payload))
+        .expect("send raw frame");
+    let reply = read_frame(&mut raw, &|| false)
+        .expect("read reply")
+        .expect("a reply, not a closed connection");
+    assert!(reply.contains("\"error\":\"bad-request\""), "{reply}");
+    write_frame(&mut raw, "{\"op\":\"stats\"}").expect("send stats");
+    let reply = read_frame(&mut raw, &|| false)
+        .expect("read stats")
+        .expect("the connection stays open after a bad frame");
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+
     let text = client.metrics_text().expect("metrics");
     assert_eq!(value(&text, "lcp_serve_error_responses_total"), errors + 1);
-    assert_eq!(value(&text, "lcp_serve_bad_requests_total"), bad + 1);
+    assert_eq!(value(&text, "lcp_serve_bad_requests_total"), bad + 2);
     // A failed dispatch still counts as a request of its op...
     assert!(value(&text, "lcp_serve_requests_total{op=\"prepare\"}") > 0);
     // ...but an unparseable frame has no op to attribute.
