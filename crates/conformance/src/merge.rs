@@ -14,7 +14,7 @@
 //!
 //! The merged report's `to_json(false)` is byte-identical to what the
 //! unsharded campaign would have written with `--no-timing` — the
-//! invariant `tests/sharding.rs` pins and the nightly pipeline re-checks
+//! invariant `tests/sharding.rs` pins and CI's 2-shard checks re-check
 //! on every merge.
 
 use crate::churn::{ChurnCellResult, ChurnReport};

@@ -12,12 +12,16 @@
 //! output on in-block candidate `c` — keyed by the mixed-radix
 //! signature of its high (block-invariant) members. A block is then
 //! decided by ANDing a handful of masks; the first violating candidate,
-//! if any, is `acc.trailing_zeros()`. Filling a mask costs exactly the
-//! scalar memo's `R^|ball|` verifier calls per owner (outputs are
-//! replicated over the low digits the owner cannot see, via a
-//! precomputed spread pattern), so batching never runs *more* verifiers
-//! than the scalar path — it removes the per-candidate loop overhead
-//! between them.
+//! if any, is `acc.trailing_zeros()`. Filling a mask costs `R^|own|`
+//! verifier calls, one per combination of the owner's own low digits
+//! (outputs are replicated over the low digits the owner cannot see,
+//! via a precomputed spread pattern); owners that see no low node are
+//! re-verified directly whenever a high digit they see changes.
+//!
+//! Every search shape fits: `k` is the largest count with `R^k ≤ 64`
+//! whose mask tables fit a 4 MiB budget, going down to `k = 0`,
+//! where a block is one candidate and the loop degenerates to the
+//! scalar odometer (this also covers `R = 1` and `R > 64`).
 //!
 //! **Determinism contract**: batching may never change a verdict or a
 //! witness. The block odometer reproduces the scalar enumeration order
@@ -25,45 +29,36 @@
 //! [`CHECK_INTERVAL`] deadline grid); the `batch_equivalence` property
 //! tests pin it.
 //!
-//! Routing: [`BatchPolicy::Auto`] (the default everywhere) uses the
-//! block odometer whenever the search shape fits (`2 ≤ R ≤ 64` and the
-//! table budget); everything else takes the scalar odometer.
-//! [`BatchPolicy::Scalar`] forces the scalar odometer unconditionally —
-//! it is the oracle the equivalence tests compare against. The policy
+//! Routing: [`BatchPolicy::Auto`] (the default everywhere) runs the
+//! block odometer; [`BatchPolicy::Scalar`] runs the scalar odometer —
+//! the plain oracle the equivalence tests compare against. The policy
 //! affects the exhaustive search only: the adversarial search has one
 //! loop.
 
 use crate::bits::BitString;
 use crate::deadline::{Deadline, CHECK_INTERVAL};
 use crate::engine::PreparedInstance;
-use crate::harness::{OutputMemo, Soundness, SoundnessError};
+use crate::harness::{Soundness, SoundnessError};
 use crate::metrics;
 use crate::proof::Proof;
 use crate::scheme::Scheme;
 
-/// Whether the exhaustive search may route through the block odometer.
+/// Which odometer the exhaustive search runs.
 ///
 /// `Auto` is the default everywhere; the scalar odometer remains
 /// reachable per call via `Scalar` (a [`crate::harness::Run`] field),
 /// which is how the `batch_equivalence` tests reach their oracle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BatchPolicy {
-    /// Use the block odometer when the shape fits; identical results
-    /// either way.
+    /// Use the block odometer; identical results either way.
     #[default]
     Auto,
     /// Force the scalar odometer.
     Scalar,
 }
 
-/// Whether `policy` routes through the block odometer.
-pub(crate) fn enabled(policy: BatchPolicy) -> bool {
-    policy == BatchPolicy::Auto
-}
-
-/// Byte budget for the per-owner block-mask tables, mirroring the
-/// scalar memo's cap; shapes that outgrow it fall back to the scalar
-/// odometer.
+/// Byte budget for the per-owner block-mask tables; a low-digit count
+/// whose tables outgrow it is lowered until they fit.
 const TABLE_BYTE_CAP: usize = 1 << 22;
 
 /// The smallest deadline-poll grid point the scalar odometer would hit
@@ -75,10 +70,95 @@ fn first_poll_in(base: u64, block: u64) -> Option<u64> {
     (m <= base + block).then_some(m)
 }
 
-/// The batched exhaustive odometer. Returns `None` when the search
-/// shape does not fit the block layout (caller falls back to the scalar
-/// loop); otherwise the result is exactly what the scalar loop would
-/// produce.
+/// The mask-table layout of one low-digit count `k`.
+struct Layout {
+    k: usize,
+    /// Candidates per block, `r^k`.
+    block: usize,
+    /// In-block digit weights: offset `c` has digit `(c / r_pow[p]) % r`
+    /// at low position `p`.
+    r_pow: Vec<usize>,
+    /// Whether each node's verifier sees a low node (and so owns a
+    /// mask table instead of a plain output).
+    is_low_owner: Vec<bool>,
+    low_owners: Vec<u32>,
+    /// Flattened low/high member partitions per low owner.
+    low_mem: Vec<u32>,
+    low_mem_off: Vec<usize>,
+    high_mem: Vec<u32>,
+    high_mem_off: Vec<usize>,
+    /// Table region offsets per low owner.
+    tbl_off: Vec<usize>,
+    /// Per low owner, the offsets whose digits at the owner's own low
+    /// members are all 0 — where one verifier output replicates.
+    pattern: Vec<u64>,
+}
+
+impl Layout {
+    /// The layout for `k` low digits, or `None` when its mask tables
+    /// exceed [`TABLE_BYTE_CAP`].
+    fn try_new<N: Clone, E: Clone>(
+        prep: &PreparedInstance<'_, N, E>,
+        r: usize,
+        k: usize,
+    ) -> Option<Layout> {
+        let n = prep.n();
+        let block = r.pow(k as u32);
+        let mut layout = Layout {
+            k,
+            block,
+            r_pow: (0..k as u32).map(|p| r.pow(p)).collect(),
+            is_low_owner: vec![false; n],
+            low_owners: Vec::new(),
+            low_mem: Vec::new(),
+            low_mem_off: vec![0],
+            high_mem: Vec::new(),
+            high_mem_off: vec![0],
+            tbl_off: vec![0],
+            pattern: Vec::new(),
+        };
+        for w in 0..n {
+            let members = prep.members_of(w);
+            if !members.iter().any(|&m| (m as usize) < k) {
+                continue;
+            }
+            layout.is_low_owner[w] = true;
+            layout.low_owners.push(w as u32);
+            let own_start = layout.low_mem.len();
+            let mut tbl = 1usize;
+            for &m in members {
+                if (m as usize) < k {
+                    layout.low_mem.push(m);
+                } else {
+                    layout.high_mem.push(m);
+                    tbl = tbl.checked_mul(r)?;
+                }
+            }
+            layout.low_mem_off.push(layout.low_mem.len());
+            layout.high_mem_off.push(layout.high_mem.len());
+            let total = layout.tbl_off.last().unwrap().checked_add(tbl)?;
+            if total > TABLE_BYTE_CAP / 8 {
+                return None;
+            }
+            layout.tbl_off.push(total);
+            let own = &layout.low_mem[own_start..];
+            let mut p = 0u64;
+            'c: for c in 0..block {
+                for &m in own {
+                    if !(c / layout.r_pow[m as usize]).is_multiple_of(r) {
+                        continue 'c;
+                    }
+                }
+                p |= 1u64 << c;
+            }
+            layout.pattern.push(p);
+        }
+        Some(layout)
+    }
+}
+
+/// The block odometer: exactly what the scalar loop would produce, for
+/// every search shape.
 ///
 /// The caller has already asserted the no-instance, rejected oversized
 /// spaces, handled `n == 0`, and built `strings` (shortest first).
@@ -88,136 +168,43 @@ pub(crate) fn exhaustive<S: Scheme>(
     max_bits: usize,
     strings: &[BitString],
     deadline: &Deadline,
-) -> Option<Result<Soundness, SoundnessError>> {
+) -> Result<Soundness, SoundnessError> {
     let n = prep.n();
     let r = strings.len();
-    if !(2..=64).contains(&r) || n == 0 {
-        return None;
-    }
-    // Split the odometer: the low k digit positions (r^k ≤ 64) form one
-    // lane block; positions k..n stay a conventional high odometer.
-    let mut k = 0usize;
-    let mut block = 1usize;
-    while k < n && block * r <= 64 {
-        block *= r;
-        k += 1;
-    }
-    let block_u64 = block as u64;
-    let active: u64 = if block == 64 { !0 } else { (1u64 << block) - 1 };
-    // In-block digit weights: candidate offset c has digit (c / r^p) % r
-    // at low position p.
-    let mut r_pow = vec![1usize; k];
-    for p in 1..k {
-        r_pow[p] = r_pow[p - 1] * r;
-    }
-
-    // Owners that can see a low node get mask tables; the rest are
-    // block-invariant and tracked by a plain rejecting counter.
-    let mut is_low_owner = vec![false; n];
-    let mut low_owners: Vec<u32> = Vec::new();
-    for w in 0..n {
-        if prep.members_of(w).iter().any(|&m| (m as usize) < k) {
-            is_low_owner[w] = true;
-            low_owners.push(w as u32);
+    // Split the odometer: the low k digit positions form one lane
+    // block; positions k..n stay a conventional high odometer.
+    let mut k_max = 0usize;
+    if r >= 2 {
+        while k_max < n && r.pow(k_max as u32 + 1) <= 64 {
+            k_max += 1;
         }
     }
-    // Flattened low/high member partitions per low owner, that owner's
-    // table region, and its spread pattern (bits whose digits at the
-    // owner's own low members are all 0 — the offsets over which one
-    // verifier output replicates).
-    let mut low_mem: Vec<u32> = Vec::new();
-    let mut low_mem_off = vec![0usize];
-    let mut high_mem: Vec<u32> = Vec::new();
-    let mut high_mem_off = vec![0usize];
-    let mut tbl_off = vec![0usize];
-    let mut pattern: Vec<u64> = Vec::new();
-    for &w in &low_owners {
-        let mut tbl = 1usize;
-        for &m in prep.members_of(w as usize) {
-            if (m as usize) < k {
-                low_mem.push(m);
-            } else {
-                high_mem.push(m);
-                tbl = tbl.checked_mul(r)?;
-            }
-        }
-        low_mem_off.push(low_mem.len());
-        high_mem_off.push(high_mem.len());
-        let total = tbl_off.last().unwrap().checked_add(tbl)?;
-        if total > TABLE_BYTE_CAP / 8 {
-            return None;
-        }
-        tbl_off.push(total);
-        let own = &low_mem[low_mem_off[low_mem_off.len() - 2]..];
-        let mut p = 0u64;
-        'c: for c in 0..block {
-            for &m in own {
-                if !(c / r_pow[m as usize]).is_multiple_of(r) {
-                    continue 'c;
-                }
-            }
-            p |= 1u64 << c;
-        }
-        pattern.push(p);
-    }
-    let mut tables = vec![0u64; *tbl_off.last().unwrap()];
+    let lay = (0..=k_max)
+        .rev()
+        .find_map(|k| Layout::try_new(prep, r, k))
+        .expect("k = 0 has no mask tables");
+    let block_u64 = lay.block as u64;
+    let active = !0u64 >> (64 - lay.block);
+    let mut tables = vec![0u64; *lay.tbl_off.last().unwrap()];
     let mut filled = vec![0u64; tables.len().div_ceil(64)];
 
-    // High owners reuse the scalar loop's verifier-output memo (their
-    // signatures range over high members only; low owners get size-0
-    // entries that are never consulted).
-    let mut memo = OutputMemo::try_new(
-        (0..n).map(|v| {
-            if is_low_owner[v] {
-                0
-            } else {
-                prep.members_of(v).len()
-            }
-        }),
-        r,
-    );
     let mut proof = Proof::with_capacity(n, max_bits);
     let mut indices = vec![0usize; n];
-    // Metric accumulators (`Cell`s shared by the closures below): the
-    // block loop touches plain locals only, flushed once at each exit.
-    let memo_hits = std::cell::Cell::new(0u64);
-    let memo_misses = std::cell::Cell::new(0u64);
-    let verifies = std::cell::Cell::new(0u64);
-    let scalar_fills = std::cell::Cell::new(0u64);
-    let flush = |tried: u64| {
+    // Metric accumulators: the block loop touches plain locals only,
+    // flushed once at each exit.
+    let mut verifies = 0u64;
+    let mut scalar_fills = 0u64;
+    let flush = |tried: u64, verifies: u64, scalar_fills: u64| {
         metrics::EXHAUSTIVE_CANDIDATES.add(tried);
-        metrics::BINDS.add(verifies.get());
-        metrics::MEMO_HITS.add(memo_hits.get());
-        metrics::MEMO_MISSES.add(memo_misses.get());
-        metrics::MASK_FILLS_SCALAR.add(scalar_fills.get());
+        metrics::BINDS.add(verifies);
+        metrics::MASK_FILLS_SCALAR.add(scalar_fills);
     };
-    let check_high =
-        |owner: usize, proof: &Proof, indices: &[usize], memo: &mut Option<OutputMemo>| -> bool {
-            if let Some(m) = memo {
-                let slot = m.slot(owner, prep.members_of(owner), indices);
-                match m.table[slot] {
-                    0 => {
-                        let now = scheme.verify(&prep.bind(owner, proof));
-                        m.table[slot] = 1 + now as u8;
-                        memo_misses.set(memo_misses.get() + 1);
-                        verifies.set(verifies.get() + 1);
-                        now
-                    }
-                    cached => {
-                        memo_hits.set(memo_hits.get() + 1);
-                        cached == 2
-                    }
-                }
-            } else {
-                verifies.set(verifies.get() + 1);
-                scheme.verify(&prep.bind(owner, proof))
-            }
-        };
     let mut high_out = vec![true; n];
     let mut reject_high = 0usize;
     for w in 0..n {
-        if !is_low_owner[w] {
-            let out = check_high(w, &proof, &indices, &mut memo);
+        if !lay.is_low_owner[w] {
+            let out = scheme.verify(&prep.bind(w, &proof));
+            verifies += 1;
             high_out[w] = out;
             if !out {
                 reject_high += 1;
@@ -231,18 +218,18 @@ pub(crate) fn exhaustive<S: Scheme>(
     loop {
         if reject_high == 0 {
             let mut acc = active;
-            for (li, &w) in low_owners.iter().enumerate() {
+            for (li, &w) in lay.low_owners.iter().enumerate() {
                 let w = w as usize;
                 let mut sig = 0usize;
-                for &m in &high_mem[high_mem_off[li]..high_mem_off[li + 1]] {
+                for &m in &lay.high_mem[lay.high_mem_off[li]..lay.high_mem_off[li + 1]] {
                     sig = sig * r + indices[m as usize];
                 }
-                let slot = tbl_off[li] + sig;
+                let slot = lay.tbl_off[li] + sig;
                 if filled[slot >> 6] & (1 << (slot & 63)) == 0 {
                     // Verify only the r^|own| combinations of the owner's
                     // own low digits; each output spreads over the digits
                     // the owner cannot see.
-                    let own = &low_mem[low_mem_off[li]..low_mem_off[li + 1]];
+                    let own = &lay.low_mem[lay.low_mem_off[li]..lay.low_mem_off[li + 1]];
                     let combos: usize = own.iter().fold(1, |a, _| a * r);
                     let mut mask = 0u64;
                     for combo in 0..combos {
@@ -252,14 +239,14 @@ pub(crate) fn exhaustive<S: Scheme>(
                             let d = rem % r;
                             rem /= r;
                             proof.set(p as usize, &strings[d]);
-                            offset += d * r_pow[p as usize];
+                            offset += d * lay.r_pow[p as usize];
                         }
                         if scheme.verify(&prep.bind(w, &proof)) {
-                            mask |= pattern[li] << offset;
+                            mask |= lay.pattern[li] << offset;
                         }
                     }
-                    scalar_fills.set(scalar_fills.get() + 1);
-                    verifies.set(verifies.get() + combos as u64);
+                    scalar_fills += 1;
+                    verifies += combos as u64;
                     tables[slot] = mask;
                     filled[slot >> 6] |= 1 << (slot & 63);
                 }
@@ -277,36 +264,36 @@ pub(crate) fn exhaustive<S: Scheme>(
                 if !deadline.is_unbounded() {
                     if let Some(m) = first_poll_in(base, block_u64) {
                         if m < t && deadline.expired() {
-                            flush(m);
-                            return Some(Err(SoundnessError::DeadlineExpired { tried: m }));
+                            flush(m, verifies, scalar_fills);
+                            return Err(SoundnessError::DeadlineExpired { tried: m });
                         }
                     }
                 }
                 let mut rem = c as usize;
-                for p in 0..k {
+                for p in 0..lay.k {
                     proof.set(p, &strings[rem % r]);
                     rem /= r;
                 }
-                flush(t);
-                return Some(Ok(Soundness::Violated(proof)));
+                flush(t, verifies, scalar_fills);
+                return Ok(Soundness::Violated(proof));
             }
         }
         if !deadline.is_unbounded() {
             if let Some(m) = first_poll_in(base, block_u64) {
                 if deadline.expired() {
-                    flush(m);
-                    return Some(Err(SoundnessError::DeadlineExpired { tried: m }));
+                    flush(m, verifies, scalar_fills);
+                    return Err(SoundnessError::DeadlineExpired { tried: m });
                 }
             }
         }
         base += block_u64;
         // Advance the high odometer by one; overflow means the whole
         // space was enumerated.
-        let mut pos = k;
+        let mut pos = lay.k;
         loop {
             if pos == n {
-                flush(base);
-                return Some(Ok(Soundness::Holds(base)));
+                flush(base, verifies, scalar_fills);
+                return Ok(Soundness::Holds(base));
             }
             indices[pos] += 1;
             let rolled = indices[pos] == r;
@@ -315,10 +302,11 @@ pub(crate) fn exhaustive<S: Scheme>(
             }
             proof.set(pos, &strings[indices[pos]]);
             for owner in prep.dependents(pos) {
-                if is_low_owner[owner] {
+                if lay.is_low_owner[owner] {
                     continue;
                 }
-                let now = check_high(owner, &proof, &indices, &mut memo);
+                let now = scheme.verify(&prep.bind(owner, &proof));
+                verifies += 1;
                 match (high_out[owner], now) {
                     (true, false) => reject_high += 1,
                     (false, true) => reject_high -= 1,
@@ -338,7 +326,7 @@ pub(crate) fn exhaustive<S: Scheme>(
 mod tests {
     use super::*;
     use crate::engine::prepare;
-    use crate::harness::{all_bitstrings_up_to, check_soundness_exhaustive, Run};
+    use crate::harness::{check_soundness_exhaustive, Run};
     use crate::instance::Instance;
     use crate::view::View;
     use lcp_graph::generators;
@@ -482,6 +470,24 @@ mod tests {
     }
 
     #[test]
+    fn over_budget_tables_narrow_the_block() {
+        // The hub shape of `batch_equivalence::mask_tables_over_budget_agree`:
+        // node 2 sees twelve nodes past index 2, so k = 3 needs a 3¹²-entry
+        // table; at k = 2 the hub sees no low node and the tables fit.
+        let mut g = lcp_graph::Graph::from_ids((1..=15).map(lcp_graph::NodeId)).unwrap();
+        for (u, w) in [(0, 1), (1, 3)] {
+            g.add_edge(u, w).unwrap();
+        }
+        for leaf in 3..15 {
+            g.add_edge(2, leaf).unwrap();
+        }
+        let inst = Instance::unlabeled(g);
+        let prep = prepare(&GulliblePath, &inst);
+        assert!(Layout::try_new(&prep, 3, 3).is_none());
+        assert!(Layout::try_new(&prep, 3, 2).is_some());
+    }
+
+    #[test]
     fn first_poll_grid_is_the_scalar_stride() {
         assert_eq!(first_poll_in(0, 64), None);
         assert_eq!(first_poll_in(CHECK_INTERVAL - 64, 64), Some(CHECK_INTERVAL));
@@ -490,14 +496,5 @@ mod tests {
         // The GulliblePath deadline test's geometry: base 16362, block
         // 27 covers candidates 16363..=16389 ∋ 16384.
         assert_eq!(first_poll_in(16_362, 27), Some(CHECK_INTERVAL));
-    }
-
-    #[test]
-    fn oversized_string_tables_fall_back_to_scalar() {
-        // r = 2^7 − 1 = 127 > 64 strings: exhaustive() must decline.
-        let inst = Instance::unlabeled(generators::cycle(3));
-        let prep = prepare(&GulliblePath, &inst);
-        let strings = all_bitstrings_up_to(6).unwrap();
-        assert!(exhaustive(&GulliblePath, &prep, 6, &strings, &Deadline::none()).is_none());
     }
 }

@@ -11,7 +11,7 @@
 //! lives at `words[i / 64] >> (i % 64) & 1`), so copying or comparing a
 //! proof string is a handful of word operations rather than a per-bit
 //! loop. [`ProofRef`] is the currency of the whole verification stack:
-//! views hand it to verifiers, [`crate::arena::ProofArena`] hands it to
+//! views hand it to verifiers, [`crate::Proof`] hands it to
 //! views, and [`BitReader`] decodes from it directly.
 
 use std::error::Error;
@@ -174,11 +174,11 @@ impl FromIterator<bool> for BitString {
 /// node's proof string.
 ///
 /// A `ProofRef` never owns its bits — it points into a [`BitString`] or
-/// into a [`crate::arena::ProofArena`] slot — so handing proofs to
+/// into a [`crate::Proof`] slot — so handing proofs to
 /// verifiers costs no allocation and no copying. It is `Copy`;
 /// comparisons, [`Self::iter`], and [`BitReader`] all mask any garbage
 /// beyond [`Self::len`] in the final partial word, so a slice into a
-/// partially overwritten arena slot still reads exactly its logical
+/// partially overwritten proof slot still reads exactly its logical
 /// bits.
 ///
 /// ```
@@ -214,7 +214,7 @@ impl<'a> ProofRef<'a> {
     }
 
     /// Crate-internal unchecked-by-release constructor for callers that
-    /// already sized the slice (the arena's slot reads).
+    /// already sized the slice (a proof's slot reads).
     #[inline(always)]
     pub(crate) fn raw(words: &'a [u64], len: usize) -> Self {
         debug_assert!(words.len() >= words_for(len), "slice shorter than len");
@@ -442,7 +442,7 @@ impl BitWriter {
 }
 
 /// Sequential reader over any word-packed bit source (a `&`[`BitString`]
-/// or a [`ProofRef`] straight out of a view or arena); see [`BitWriter`]
+/// or a [`ProofRef`] straight out of a view or proof); see [`BitWriter`]
 /// for a round-trip example.
 #[derive(Clone, Debug)]
 pub struct BitReader<'a> {

@@ -29,12 +29,12 @@
 //!
 //! Binding a proof ([`PreparedInstance::bind`] /
 //! [`PreparedInstance::bind_all`]) is then **free**: a bound view borrows
-//! slices of the proof's word-packed [`crate::ProofArena`] through the
+//! slices of the word-packed [`crate::Proof`] through the
 //! membership table — no graph traversal, no bit copies, no allocation.
 //! Incremental workloads (the odometer of
 //! [`crate::harness::check_soundness_exhaustive`], the single-bit flips
 //! of [`crate::harness::adversarial_proof_search`]) mutate one
-//! preallocated arena in place between candidates and re-run just the
+//! preallocated proof in place between candidates and re-run just the
 //! `O(|ball|)` verifiers listed in [`PreparedInstance::dependents`] —
 //! zero heap allocations per candidate proof (pinned by the
 //! `alloc_probe` test).
@@ -166,8 +166,8 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
 
     /// Global indices of node `v`'s ball members, in view-local order.
     ///
-    /// Crate-visible: the harness's exhaustive memo keys verifier
-    /// outputs on the member string indices.
+    /// Crate-visible: the block odometer splits each ball into the
+    /// block's low digits and the high odometer's digits.
     pub(crate) fn members_of(&self, v: usize) -> &[u32] {
         self.core.members_of(v)
     }
@@ -209,10 +209,10 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
 
     /// Binds `proof` to node `v`'s cached skeleton, producing its view.
     ///
-    /// Free: the view borrows both the cached skeleton and the proof's
-    /// arena (through the membership table) — no traversal, no bit
-    /// copies, no allocation, no refcount traffic. Because the binding
-    /// borrows, a bound view always reads the arena's *current* bits:
+    /// Free: the view borrows both the cached skeleton and the proof
+    /// (through the membership table) — no traversal, no bit copies, no
+    /// allocation, no refcount traffic. Because the binding borrows, a
+    /// bound view always reads the proof's *current* bits:
     /// mutate the proof in place, re-bind, and only the affected
     /// verifiers ([`Self::dependents`]) need re-running.
     ///
@@ -222,7 +222,7 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
     #[inline]
     pub fn bind<'s>(&'s self, v: usize, proof: &'s Proof) -> View<'s, N, E> {
         assert_eq!(proof.n(), self.n(), "proof must label every node");
-        View::bind_arena(self.core.skel_view(v), proof.arena(), self.members_of(v))
+        View::bind(self.core.skel_view(v), proof, self.members_of(v))
     }
 
     /// Binds `proof` to every node's skeleton at once.
@@ -708,7 +708,7 @@ mod tests {
         proof.set(3, BitString::from_bits([true, false]));
         let touched: Vec<usize> = prep.dependents(3).collect();
         assert_eq!(touched, vec![2, 3, 4], "radius-1 ball of node 3 on a path");
-        // Bound views read the arena's current bits: they agree with a
+        // Bound views read the proof's current bits: they agree with a
         // naive extraction of the mutated proof, with zero re-binding.
         for v in 0..7 {
             assert_eq!(

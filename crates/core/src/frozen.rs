@@ -1411,7 +1411,7 @@ impl<N: Clone, E: Clone> CoreBuilder<N, E> {
             .map(|&(owner, _)| owner as usize)
     }
 
-    /// Binds `proof` to node `v`'s skeleton — the same zero-copy arena
+    /// Binds `proof` to node `v`'s skeleton — the same zero-copy
     /// binding as [`crate::engine::PreparedInstance::bind`].
     ///
     /// # Panics
@@ -1420,7 +1420,7 @@ impl<N: Clone, E: Clone> CoreBuilder<N, E> {
     #[inline]
     pub fn bind<'s>(&'s self, v: usize, proof: &'s Proof) -> View<'s, N, E> {
         assert_eq!(proof.n(), self.n(), "proof must label every node");
-        View::bind_arena(self.skel_view(v), proof.arena(), self.members_of(v))
+        View::bind(self.skel_view(v), proof, self.members_of(v))
     }
 
     /// Runs `scheme`'s verifier at every node, sequentially — the

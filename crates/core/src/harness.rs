@@ -9,10 +9,10 @@
 //!   [`classify_growth`].
 //!
 //! All checks run on [`PreparedInstance`]s: view skeletons are built once
-//! per `(instance, radius)` and bound views borrow the candidate proof's
-//! word-packed arena (see [`crate::engine`]). The proof-enumeration
+//! per `(instance, radius)` and bound views borrow the word-packed
+//! candidate proof (see [`crate::engine`]). The proof-enumeration
 //! odometer and the adversarial bit-flipper mutate one preallocated
-//! arena in place and re-verify only the nodes whose views contain the
+//! proof in place and re-verify only the nodes whose views contain the
 //! changed bits — zero heap allocations per candidate proof.
 
 use crate::batch::BatchPolicy;
@@ -312,66 +312,6 @@ impl std::error::Error for SoundnessError {}
 /// will enumerate.
 pub const EXHAUSTIVE_PROOF_LIMIT: u128 = 100_000_000;
 
-/// Total byte budget for the exhaustive check's verifier-output memo
-/// (per-owner tables of `strings^|ball|` entries). Above this the
-/// odometer simply re-runs verifiers — same results, no table.
-const MEMO_BYTE_CAP: usize = 1 << 22;
-
-/// Verifier-output memo for the exhaustive odometer.
-///
-/// During enumeration, node `v`'s view content is fully determined by
-/// the string-table indices of its ball members (the topology is
-/// fixed), so each owner's output is a pure function of a mixed-radix
-/// signature over `indices[members(v)]`. Tables are preallocated once
-/// and filled lazily — a hit replaces a whole bind + verify with a few
-/// multiplies and a byte load, and the loop stays allocation-free.
-pub(crate) struct OutputMemo {
-    /// Table region offsets per owner (`off[v]..off[v + 1]`).
-    off: Vec<usize>,
-    /// 0 = unknown, 1 = rejected, 2 = accepted.
-    pub(crate) table: Vec<u8>,
-    /// Radix: the number of candidate strings per node.
-    radix: usize,
-}
-
-impl OutputMemo {
-    /// Builds the memo when every owner's signature space fits the byte
-    /// budget; `None` falls back to direct re-verification.
-    pub(crate) fn try_new(
-        ball_sizes: impl Iterator<Item = usize>,
-        radix: usize,
-    ) -> Option<OutputMemo> {
-        let mut off = vec![0usize];
-        let mut total = 0usize;
-        for b in ball_sizes {
-            let mut size = 1usize;
-            for _ in 0..b {
-                size = size.checked_mul(radix)?;
-            }
-            total = total.checked_add(size)?;
-            if total > MEMO_BYTE_CAP {
-                return None;
-            }
-            off.push(total);
-        }
-        Some(OutputMemo {
-            off,
-            table: vec![0u8; total],
-            radix,
-        })
-    }
-
-    /// The owner's table slot for the current odometer state.
-    #[inline(always)]
-    pub(crate) fn slot(&self, owner: usize, members: &[u32], indices: &[usize]) -> usize {
-        let mut sig = 0usize;
-        for &m in members {
-            sig = sig * self.radix + indices[m as usize];
-        }
-        self.off[owner] + sig
-    }
-}
-
 /// Exhaustively enumerates **every** proof of size ≤ `max_bits` on a
 /// prepared no-instance and checks that each is rejected somewhere.
 ///
@@ -381,9 +321,9 @@ impl OutputMemo {
 ///
 /// The enumeration is an odometer over per-node string indices: between
 /// consecutive candidates only the rolled-over nodes change. Each change
-/// is a word-level copy into one preallocated proof arena, and only the
+/// is a word-level copy into one preallocated proof, and only the
 /// verifiers whose views contain the changed node re-run — zero heap
-/// allocations per candidate (the arena-engine fast path that makes the
+/// allocations per candidate (the engine fast path that makes the
 /// `10^8`-proof budget practical).
 ///
 /// `run.deadline` is polled every [`crate::deadline::CHECK_INTERVAL`]
@@ -391,9 +331,9 @@ impl OutputMemo {
 /// [`SoundnessError::DeadlineExpired`]. An unbounded deadline adds one
 /// branch per candidate and changes nothing else.
 ///
-/// `run.policy` picks the evaluation strategy: `Auto` routes the
-/// enumeration through the batched block odometer of [`crate::batch`]
-/// when the shape fits, `Scalar` forces the classic per-candidate loop.
+/// `run.policy` picks the odometer: `Auto` runs the block odometer of
+/// [`crate::batch`] (every search shape fits it), `Scalar` the classic
+/// per-candidate loop.
 /// **Identical results either way** — same verdict, same first
 /// violating proof, same `tried` counts, same deadline grid (pinned by
 /// the `batch_equivalence` property tests).
@@ -439,22 +379,21 @@ where
         return Ok(Soundness::Violated(Proof::empty(0)));
     }
     let strings = all_bitstrings_up_to(max_bits).expect("per-node table within the checked space");
-    let deadline = &run.deadline;
-    if crate::batch::enabled(run.policy) {
-        // The block odometer declines shapes it cannot lay out (string
-        // table outside 2..=64, mask tables over budget) — those fall
-        // through to the scalar loop.
-        if let Some(result) = crate::batch::exhaustive(scheme, prep, max_bits, &strings, deadline) {
+    match run.policy {
+        BatchPolicy::Auto => {
             metrics::EXHAUSTIVE_BATCHED.inc();
-            return result;
+            crate::batch::exhaustive(scheme, prep, max_bits, &strings, &run.deadline)
+        }
+        BatchPolicy::Scalar => {
+            metrics::EXHAUSTIVE_SCALAR.inc();
+            exhaustive_scalar(scheme, prep, max_bits, &strings, &run.deadline)
         }
     }
-    metrics::EXHAUSTIVE_SCALAR.inc();
-    exhaustive_scalar(scheme, prep, max_bits, &strings, deadline)
 }
 
-/// The classic one-candidate-at-a-time odometer (the `Scalar` route and
-/// the fallback for shapes the batch layer declines).
+/// The classic one-candidate-at-a-time odometer (the `Scalar` route):
+/// the plain oracle that re-verifies every dependent of each changed
+/// node.
 fn exhaustive_scalar<S: Scheme>(
     scheme: &S,
     prep: &PreparedInstance<'_, S::Node, S::Edge>,
@@ -463,71 +402,39 @@ fn exhaustive_scalar<S: Scheme>(
     deadline: &Deadline,
 ) -> Result<Soundness, SoundnessError> {
     let n = prep.n();
-    // One preallocated arena holds the candidate; the all-ε start is
-    // verified once, then every later candidate mutates the arena in
+    // One preallocated proof holds the candidate; the all-ε start is
+    // verified once, then every later candidate mutates the proof in
     // place and re-runs only the affected verifiers.
     let mut proof = Proof::with_capacity(n, max_bits);
     let mut indices = vec![0usize; n];
-    // During enumeration a view's content is a pure function of its
-    // members' string indices, so verifier outputs can be memoized in a
-    // preallocated table (skipped when the signature spaces outgrow the
-    // byte budget). Identical results either way — only fewer verifier
-    // invocations.
-    let mut memo = OutputMemo::try_new((0..n).map(|v| prep.members_of(v).len()), strings.len());
-    // Metric accumulators: `Cell`s shared by the check closure and the
-    // exit-time flush, so the per-candidate path touches no shared atomic.
-    let memo_hits = std::cell::Cell::new(0u64);
-    let memo_misses = std::cell::Cell::new(0u64);
-    let verifies = std::cell::Cell::new(0u64);
-    let flush = |tried: u64| {
+    // Flushed once at exit, so the per-candidate path touches no shared
+    // atomic.
+    let mut verifies = n as u64;
+    let flush = |tried: u64, verifies: u64| {
         metrics::EXHAUSTIVE_CANDIDATES.add(tried);
-        metrics::BINDS.add(verifies.get());
-        metrics::MEMO_HITS.add(memo_hits.get());
-        metrics::MEMO_MISSES.add(memo_misses.get());
+        metrics::BINDS.add(verifies);
     };
-    let check =
-        |owner: usize, proof: &Proof, indices: &[usize], memo: &mut Option<OutputMemo>| -> bool {
-            if let Some(m) = memo {
-                let slot = m.slot(owner, prep.members_of(owner), indices);
-                match m.table[slot] {
-                    0 => {
-                        let now = scheme.verify(&prep.bind(owner, proof));
-                        m.table[slot] = 1 + now as u8;
-                        memo_misses.set(memo_misses.get() + 1);
-                        verifies.set(verifies.get() + 1);
-                        now
-                    }
-                    cached => {
-                        memo_hits.set(memo_hits.get() + 1);
-                        cached == 2
-                    }
-                }
-            } else {
-                verifies.set(verifies.get() + 1);
-                scheme.verify(&prep.bind(owner, proof))
-            }
-        };
     let mut outputs: Vec<bool> = (0..n)
-        .map(|v| check(v, &proof, &indices, &mut memo))
+        .map(|v| scheme.verify(&prep.bind(v, &proof)))
         .collect();
     let mut rejecting = outputs.iter().filter(|&&b| !b).count();
     let mut tried = 0u64;
     loop {
         tried += 1;
         if rejecting == 0 {
-            flush(tried);
+            flush(tried, verifies);
             return Ok(Soundness::Violated(proof));
         }
         if deadline.should_stop(tried) {
-            flush(tried);
+            flush(tried, verifies);
             return Err(SoundnessError::DeadlineExpired { tried });
         }
-        // Odometer increment; each changed node overwrites its arena
-        // slot (a word copy) and re-runs only its dependent verifiers.
+        // Odometer increment; each changed node overwrites its slot (a
+        // word copy) and re-runs only its dependent verifiers.
         let mut pos = 0;
         loop {
             if pos == n {
-                flush(tried);
+                flush(tried, verifies);
                 return Ok(Soundness::Holds(tried));
             }
             indices[pos] += 1;
@@ -537,7 +444,8 @@ fn exhaustive_scalar<S: Scheme>(
             }
             proof.set(pos, &strings[indices[pos]]);
             for owner in prep.dependents(pos) {
-                let now = check(owner, &proof, &indices, &mut memo);
+                let now = scheme.verify(&prep.bind(owner, &proof));
+                verifies += 1;
                 match (outputs[owner], now) {
                     (true, false) => rejecting += 1,
                     (false, true) => rejecting -= 1,
@@ -555,7 +463,7 @@ fn exhaustive_scalar<S: Scheme>(
 
 /// A uniformly random proof: each node gets `max_bits` random bits.
 ///
-/// The arena reserves exactly `max_bits` per node, so subsequent
+/// The proof reserves exactly `max_bits` per node, so subsequent
 /// in-budget mutations (bit flips, refills) never allocate.
 pub fn random_proof(n: usize, max_bits: usize, rng: &mut StdRng) -> Proof {
     let mut proof = Proof::with_capacity(n, max_bits);
@@ -577,11 +485,11 @@ fn refill_random(proof: &mut Proof, max_bits: usize, rng: &mut StdRng) {
 /// restarting from random proofs.
 ///
 /// Each candidate differs from the incumbent at a single node: the flip
-/// is one XOR in the preallocated proof arena, only the `O(|ball|)`
+/// is one XOR in the preallocated proof, only the `O(|ball|)`
 /// verifiers that can see it are re-scored, and a rejected candidate is
 /// reverted by flipping the bit back — zero heap allocations per
 /// candidate. Full sweeps happen only at restarts (and even those refill
-/// the arena in place).
+/// the proof in place).
 ///
 /// Returns a fully-accepted proof (a soundness violation for the given
 /// size budget) if one is found within `iterations` candidate steps.
@@ -644,7 +552,7 @@ where
             metrics::BINDS.add(verifies);
             return None;
         }
-        // Occasional restart to escape local optima: refill the arena in
+        // Occasional restart to escape local optima: refill the proof in
         // place and re-score everything.
         if iter % 200 == 199 {
             refill_random(&mut proof, size_budget, rng);

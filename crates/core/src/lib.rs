@@ -20,9 +20,9 @@
 //! Table 1). The [`engine`] module is the substrate those checks run on:
 //! a [`PreparedInstance`] caches every node's view *skeleton* (the
 //! proof-independent ball topology) once per `(instance, radius)`, and
-//! candidate proofs live in a word-packed [`ProofArena`] that bound
-//! views borrow directly — search loops mutate one preallocated arena in
-//! place, performing zero heap allocations per candidate — with
+//! candidate proofs are word-packed [`Proof`]s that bound views borrow
+//! directly — search loops mutate one preallocated proof in place,
+//! performing zero heap allocations per candidate — with
 //! node-level parallelism behind the `parallel` feature.
 //!
 //! ## Example: the bipartiteness scheme in miniature
@@ -63,7 +63,6 @@
 //! assert!(evaluate(&Bipartite, &yes, &proof).accepted());
 //! ```
 
-pub mod arena;
 pub mod artifact;
 pub mod batch;
 pub mod bits;
@@ -80,7 +79,6 @@ pub mod proof;
 pub mod scheme;
 pub mod view;
 
-pub use arena::ProofArena;
 pub use artifact::{ArtifactSource, ArtifactStore, CoreProvenance};
 pub use batch::BatchPolicy;
 pub use bits::{AsBits, BitReader, BitString, BitWriter, CodecError, ProofRef};

@@ -51,15 +51,17 @@ pub static EXHAUSTIVE_CANDIDATES: Counter = Counter::new();
 /// Bit-flip iterations executed by the adversarial searches, counted at
 /// search exit.
 pub static ADVERSARIAL_STEPS: Counter = Counter::new();
-/// `OutputMemo` lookups answered from the memo table.
+/// Always 0: the exhaustive search keeps no verifier-output memo. Kept
+/// because the benchmark's layer table reads it; drop it with that
+/// reader.
 pub static MEMO_HITS: Counter = Counter::new();
-/// `OutputMemo` lookups that ran the verifier and filled a slot.
+/// Always 0, like [`MEMO_HITS`].
 pub static MEMO_MISSES: Counter = Counter::new();
 
 /// Exhaustive searches routed through the 64-lane block odometer.
 pub static EXHAUSTIVE_BATCHED: Counter = Counter::new();
 /// Exhaustive searches that ran the scalar odometer (policy `Scalar`
-/// or a shape the block layout declined).
+/// only).
 pub static EXHAUSTIVE_SCALAR: Counter = Counter::new();
 /// Always 0: the adversarial search has one loop. Kept because the
 /// benchmark's layer table reads it; drop it with that reader.
@@ -170,13 +172,13 @@ pub fn register(reg: &Registry) {
     reg.counter(
         "lcp_harness_memo_total",
         "outcome=\"hit\"",
-        "OutputMemo lookups by outcome",
+        "verifier-output memo lookups by outcome (always 0)",
         &MEMO_HITS,
     );
     reg.counter(
         "lcp_harness_memo_total",
         "outcome=\"miss\"",
-        "OutputMemo lookups by outcome",
+        "verifier-output memo lookups by outcome (always 0)",
         &MEMO_MISSES,
     );
     reg.counter(

@@ -15,17 +15,16 @@
 //!   topology;
 //! * the **proof binding** — where the per-node bits come from, the only
 //!   part that changes between candidate proofs. A binding either *owns*
-//!   a word-packed [`ProofArena`] (the naive [`View::extract`] path and
-//!   the simulator's [`View::from_parts`]) or *borrows* slices of the
-//!   proof's arena (the engine path): binding a cached skeleton to a new
-//!   candidate proof then costs nothing at all — the view reads the
-//!   arena's current bits through [`View::proof`].
+//!   a word-packed [`Proof`] of the ball (the naive [`View::extract`]
+//!   path and the simulator's [`View::from_parts`]) or *borrows* slices
+//!   of the whole proof (the engine path): binding a cached skeleton to
+//!   a new candidate proof then costs nothing at all — the view reads
+//!   the proof's current bits through [`View::proof`].
 //!
 //! [`View::extract`] builds a fresh skeleton each call (the naive path);
 //! [`crate::engine::PreparedInstance`] precomputes every node's skeleton
-//! once and stamps out zero-copy arena bindings per candidate proof.
+//! once and stamps out zero-copy bindings per candidate proof.
 
-use crate::arena::ProofArena;
 use crate::bits::{BitString, ProofRef};
 use crate::instance::{EdgeMap, Instance};
 use crate::proof::Proof;
@@ -119,17 +118,17 @@ impl<'c, N, E> SkelView<'c, N, E> {
 
 /// Where a view's proof bits come from.
 ///
-/// Owned bindings copy the ball's bits into a private word-packed arena;
-/// borrowed bindings read straight out of the bound proof's arena
-/// through the ball-membership table — the engine's zero-copy path.
+/// Owned bindings copy the ball's bits into a private proof; borrowed
+/// bindings read straight out of the bound proof through the
+/// ball-membership table — the engine's zero-copy path.
 #[derive(Clone, Debug)]
 enum Binding<'p> {
-    /// A private arena, one slot per view-local node.
-    Owned(ProofArena),
-    /// Borrowed slices of a proof arena; view-local node `u` reads
+    /// A private proof, one slot per view-local node.
+    Owned(Proof),
+    /// Borrowed slices of a whole proof; view-local node `u` reads
     /// global slot `members[u]`.
-    Arena {
-        arena: &'p ProofArena,
+    Borrowed {
+        proof: &'p Proof,
         members: &'p [u32],
     },
 }
@@ -153,7 +152,7 @@ enum SkelRef<'p, N, E> {
 /// proof restriction, and the centre.
 ///
 /// The lifetime `'p` is the proof binding's: views produced by
-/// [`crate::engine::PreparedInstance::bind`] borrow the proof's arena,
+/// [`crate::engine::PreparedInstance::bind`] borrow the proof,
 /// while [`View::extract`] / [`View::from_parts`] own their bits and are
 /// `'static` in `'p`.
 #[derive(Clone, Debug)]
@@ -187,7 +186,7 @@ impl<'p, N: Clone, E: Clone> View<'p, N, E> {
         assert_eq!(proof.n(), inst.n(), "proof must label every node");
         let mut scratch = BallScratch::new(inst.graph().n());
         let (skel, members) = build_skeleton(inst, v, radius, &mut scratch);
-        let proofs = ProofArena::from_refs(members.iter().map(|&u| proof.get(u as usize)));
+        let proofs = Proof::from_refs(members.iter().map(|&u| proof.get(u as usize)));
         View {
             skel: SkelRef::Shared(Arc::new(skel)),
             binding: Binding::Owned(proofs),
@@ -351,16 +350,12 @@ pub(crate) fn build_skeleton<N: Clone, E: Clone>(
 
 impl<'p, N, E> View<'p, N, E> {
     /// Assembles a view from a borrowed flat skeleton and a borrowed
-    /// arena binding — the engine's zero-copy constructor.
-    pub(crate) fn bind_arena(
-        skel: SkelView<'p, N, E>,
-        arena: &'p ProofArena,
-        members: &'p [u32],
-    ) -> Self {
-        debug_assert_eq!(skel.n(), members.len(), "one arena slot per view node");
+    /// proof — the engine's zero-copy constructor.
+    pub(crate) fn bind(skel: SkelView<'p, N, E>, proof: &'p Proof, members: &'p [u32]) -> Self {
+        debug_assert_eq!(skel.n(), members.len(), "one proof slot per view node");
         View {
             skel: SkelRef::Flat(skel),
-            binding: Binding::Arena { arena, members },
+            binding: Binding::Borrowed { proof, members },
         }
     }
 
@@ -436,7 +431,7 @@ impl<'p, N, E> View<'p, N, E> {
                 node_data,
                 edge_labels: edge_data.into_iter().collect(),
             })),
-            binding: Binding::Owned(ProofArena::from_strings(&proofs)),
+            binding: Binding::Owned(Proof::from_strings(proofs)),
         }
     }
 
@@ -549,7 +544,7 @@ impl<'p, N, E> View<'p, N, E> {
     /// The proof string of `u` (the restriction `P[v,r]`), as a borrowed
     /// word-packed slice.
     ///
-    /// Borrowed bindings read the bound arena's *current* bits — no copy
+    /// Borrowed bindings read the bound proof's *current* bits — no copy
     /// ever happened, so this is always fresh.
     ///
     /// # Panics
@@ -558,8 +553,8 @@ impl<'p, N, E> View<'p, N, E> {
     #[inline(always)]
     pub fn proof(&self, u: usize) -> ProofRef<'_> {
         match &self.binding {
-            Binding::Owned(arena) => arena.get(u),
-            Binding::Arena { arena, members } => arena.get(members[u] as usize),
+            Binding::Owned(proof) => proof.get(u),
+            Binding::Borrowed { proof, members } => proof.get(members[u] as usize),
         }
     }
 
@@ -625,7 +620,7 @@ impl<'p, N, E> View<'p, N, E> {
                     .collect(),
                 edge_labels,
             })),
-            binding: Binding::Owned(ProofArena::from_refs(keep.iter().map(|&u| self.proof(u)))),
+            binding: Binding::Owned(Proof::from_refs(keep.iter().map(|&u| self.proof(u)))),
         }
     }
 
@@ -638,7 +633,7 @@ impl<'p, N, E> View<'p, N, E> {
     pub fn with_proofs_cleared(&self) -> View<'_, N, E> {
         View {
             skel: SkelRef::Flat(self.skeleton()),
-            binding: Binding::Owned(ProofArena::empty(self.n())),
+            binding: Binding::Owned(Proof::empty(self.n())),
         }
     }
 

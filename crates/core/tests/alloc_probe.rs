@@ -1,11 +1,11 @@
-//! Allocation probe: the arena-backed search loops perform **zero heap
+//! Allocation probe: the in-place search loops perform **zero heap
 //! allocations per candidate proof**.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the
 //! probes run the exhaustive odometer, the adversarial bit-flip search,
 //! and a view-binding loop inside a counting window and assert that the
 //! allocation totals are flat in the number of candidates — setup
-//! (string table, arena, output vectors) allocates a bounded amount,
+//! (string table, proof, output vectors) allocates a bounded amount,
 //! the per-candidate steady state allocates nothing.
 //!
 //! Every search-loop phase runs under **both** batch policies: `Auto`
@@ -188,7 +188,7 @@ fn search_loops_do_not_allocate_per_candidate() {
     }
 
     // --- Binding and in-place mutation -------------------------------
-    // bind + verify + flip on a live arena: strictly zero allocations.
+    // bind + verify + flip on a live proof: strictly zero allocations.
     let mut rng = StdRng::seed_from_u64(13);
     let mut proof = random_proof(prep_large.n(), 1, &mut rng);
     let (allocs, _) = min_allocs(|| {

@@ -1,12 +1,12 @@
-//! Property tests: `BitString ↔ ProofArena` slots round-trip exactly.
+//! Property tests: `BitString ↔ Proof` slots round-trip exactly.
 //!
-//! The arena packs every node's bits into shared `u64` words, so the
+//! A proof packs every node's bits into shared `u64` words, so the
 //! dangerous lengths are the word boundaries (63/64/65) and the
 //! shrink-then-read case where a slot's final word still carries stale
 //! bits from a longer previous value. Random walks over slot writes must
 //! always read back the logical bits, bit for bit.
 
-use lcp_core::{AsBits, BitString, Proof, ProofArena};
+use lcp_core::{AsBits, BitString, Proof};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -23,10 +23,10 @@ proptest! {
     #[test]
     fn slot_roundtrips_any_length(len in 0usize..200, seed in any::<u64>()) {
         let s = bitstring(len, seed);
-        let arena = ProofArena::from_strings(std::slice::from_ref(&s));
-        prop_assert_eq!(arena.get(0).to_bitstring(), s.clone());
-        prop_assert_eq!(arena.get(0), s.as_bits());
-        prop_assert_eq!(arena.len_of(0), len);
+        let proof = Proof::from_strings(vec![s.clone()]);
+        prop_assert_eq!(proof.get(0).to_bitstring(), s.clone());
+        prop_assert_eq!(proof.get(0), s.as_bits());
+        prop_assert_eq!(proof.get(0).len(), len);
     }
 
     #[test]
@@ -35,27 +35,27 @@ proptest! {
         writes in 1usize..24,
         seed in any::<u64>(),
     ) {
-        // Mirror every arena write in a Vec<BitString> and compare after
+        // Mirror every slot write in a Vec<BitString> and compare after
         // each step: overwrite shorter, longer, empty — all shapes.
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut arena = ProofArena::with_capacity(n, 8);
+        let mut proof = Proof::with_capacity(n, 8);
         let mut shadow = vec![BitString::new(); n];
         for step in 0..writes {
             let v = rng.random_range(0..n);
             let len = rng.random_range(0..130usize);
             let s = bitstring(len, seed ^ (step as u64) << 7);
-            arena.set(v, s.as_bits());
+            proof.set(v, &s);
             shadow[v] = s;
             for u in 0..n {
                 prop_assert_eq!(
-                    arena.get(u).to_bitstring(),
+                    proof.get(u).to_bitstring(),
                     shadow[u].clone(),
                     "slot {} drifted after writing slot {}", u, v
                 );
             }
         }
-        prop_assert_eq!(arena.size(), shadow.iter().map(BitString::len).max().unwrap());
-        prop_assert_eq!(arena.total_bits(), shadow.iter().map(BitString::len).sum::<usize>());
+        prop_assert_eq!(proof.size(), shadow.iter().map(BitString::len).max().unwrap());
+        prop_assert_eq!(proof.total_bits(), shadow.iter().map(BitString::len).sum::<usize>());
     }
 
     #[test]
@@ -80,28 +80,28 @@ fn word_boundary_lengths_roundtrip() {
     // short of, and one past a 64-bit lane.
     for len in [0, 1, 62, 63, 64, 65, 126, 127, 128, 129] {
         let s = bitstring(len, 0x1234 + len as u64);
-        let mut arena = ProofArena::with_capacity(2, 129);
-        arena.set(1, s.as_bits());
-        assert_eq!(arena.get(1).to_bitstring(), s, "len {len}");
+        let mut proof = Proof::with_capacity(2, 129);
+        proof.set(1, &s);
+        assert_eq!(proof.get(1).to_bitstring(), s, "len {len}");
         assert_eq!(
-            arena.get(1).iter().collect::<Vec<_>>(),
+            proof.get(1).iter().collect::<Vec<_>>(),
             s.iter().collect::<Vec<_>>(),
             "len {len}"
         );
         // Shrink to a boundary-1 length and confirm stale bits masked.
         let shorter = bitstring(len.saturating_sub(1), 0x9876 + len as u64);
-        arena.set(1, shorter.as_bits());
-        assert_eq!(arena.get(1).to_bitstring(), shorter, "shrunk from {len}");
+        proof.set(1, &shorter);
+        assert_eq!(proof.get(1).to_bitstring(), shorter, "shrunk from {len}");
     }
 }
 
 #[test]
 fn equality_and_flips_across_boundaries() {
     let s = bitstring(65, 42);
-    let mut arena = ProofArena::from_strings(std::slice::from_ref(&s));
-    assert_eq!(arena.get(0), s.as_bits());
-    arena.flip(0, 64); // the first bit of the second word
-    assert_ne!(arena.get(0), s.as_bits());
-    arena.flip(0, 64);
-    assert_eq!(arena.get(0), s.as_bits());
+    let mut proof = Proof::from_strings(vec![s.clone()]);
+    assert_eq!(proof.get(0), s.as_bits());
+    proof.flip(0, 64); // the first bit of the second word
+    assert_ne!(proof.get(0), s.as_bits());
+    proof.flip(0, 64);
+    assert_eq!(proof.get(0), s.as_bits());
 }

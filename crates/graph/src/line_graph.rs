@@ -3,12 +3,11 @@
 //!
 //! The paper's radius-2 verifier for "is a line graph" checks that no
 //! forbidden subgraph of Beineke's characterisation appears in the local
-//! view. Rather than hard-coding the nine graphs from a figure, this
-//! module *derives* them: it enumerates all graphs on ≤ 6 nodes, tests
-//! each for the Krausz clique-partition condition, and keeps the minimal
-//! non-line graphs. Beineke's theorem says exactly nine survive — a test
-//! asserts that, so the derivation doubles as a reproduction of the
-//! characterisation itself.
+//! view. The nine graphs ship as literal edge lists. A test re-derives
+//! them: it enumerates all graphs on ≤ 6 nodes, tests each for the
+//! Krausz clique-partition condition, keeps the minimal non-line graphs,
+//! and asserts that exactly this table survives — so the derivation
+//! still doubles as a reproduction of the characterisation itself.
 
 use crate::{Graph, NodeId};
 use std::sync::OnceLock;
@@ -200,33 +199,40 @@ pub fn find_induced_subgraph(host: &Graph, pattern: &Graph) -> Option<Vec<usize>
     rec(host, pattern, 0, &mut map, &mut used).then_some(map)
 }
 
-/// Beineke's nine minimal forbidden induced subgraphs, derived by
-/// exhaustive search over all graphs on ≤ 6 nodes (computed once, then
-/// cached).
+/// Beineke's nine graphs as `(node count, edges)`: node `i` has
+/// identifier `i + 1`. The order is the derivation's — by node count,
+/// then by the ≤ 6-node catalogue's order.
+#[rustfmt::skip]
+const BEINEKE: [(u64, &[(usize, usize)]); 9] = [
+    (4, &[(0, 1), (0, 2), (0, 3)]),
+    (5, &[(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)]),
+    (5, &[(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]),
+    (6, &[(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3)]),
+    (6, &[(0, 1), (0, 2), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),
+    (6, &[(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 5), (2, 3), (2, 4), (3, 4)]),
+    (6, &[(0, 3), (0, 4), (0, 5), (1, 2), (1, 5), (2, 3), (2, 4), (3, 4)]),
+    (6, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 5), (3, 4)]),
+    (6, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4)]),
+];
+
+/// Beineke's nine minimal forbidden induced subgraphs, built once from
+/// a literal table.
 ///
 /// A graph is a line graph **iff** it contains none of these as an induced
 /// subgraph.
 pub fn beineke_graphs() -> &'static [Graph] {
     static CACHE: OnceLock<Vec<Graph>> = OnceLock::new();
     CACHE.get_or_init(|| {
-        let mut out = Vec::new();
-        for k in 1..=6 {
-            for g in crate::enumerate::all_graphs_up_to_iso(k).expect("k <= 6") {
-                if is_line_graph(&g) {
-                    continue;
+        BEINEKE
+            .iter()
+            .map(|&(n, edges)| {
+                let mut g = Graph::from_ids((1..=n).map(NodeId)).expect("ids unique");
+                for &(u, v) in edges {
+                    g.add_edge(u, v).expect("fresh");
                 }
-                // Minimal: every vertex-deleted induced subgraph is a line
-                // graph.
-                let minimal = g.nodes().all(|v| {
-                    let keep: Vec<usize> = g.nodes().filter(|&u| u != v).collect();
-                    is_line_graph(&g.induced(&keep).0)
-                });
-                if minimal {
-                    out.push(g);
-                }
-            }
-        }
-        out
+                g
+            })
+            .collect()
     })
 }
 
@@ -307,6 +313,30 @@ mod tests {
             by_n[h.n()] += 1;
         }
         assert_eq!(&by_n[4..=6], &[1, 2, 6]);
+    }
+
+    #[test]
+    fn beineke_table_is_the_derived_minimal_non_line_graphs() {
+        // The minimal non-line graphs among all graphs on ≤ 6 nodes, in
+        // catalogue order, must be exactly the shipped table.
+        let mut derived = Vec::new();
+        for k in 1..=6 {
+            for g in crate::enumerate::all_graphs_up_to_iso(k).expect("k <= 6") {
+                if is_line_graph(&g) {
+                    continue;
+                }
+                // Minimal: every vertex-deleted induced subgraph is a line
+                // graph.
+                let minimal = g.nodes().all(|v| {
+                    let keep: Vec<usize> = g.nodes().filter(|&u| u != v).collect();
+                    is_line_graph(&g.induced(&keep).0)
+                });
+                if minimal {
+                    derived.push(g);
+                }
+            }
+        }
+        assert_eq!(derived, beineke_graphs());
     }
 
     #[test]

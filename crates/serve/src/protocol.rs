@@ -26,6 +26,12 @@ use std::io::{self, Read, Write};
 /// the peer to allocate gigabytes.
 pub const MAX_FRAME: usize = 16 << 20;
 
+/// Upper bound on the forged proof a `verify` soundness probe may
+/// allocate, in 64-bit words (32 MiB): a no-instance of `n` nodes takes
+/// `n · ⌈size_budget / 64⌉` words, and a request above the bound is a
+/// `bad-request` instead of an allocation the daemon cannot make.
+pub const MAX_FORGED_PROOF_WORDS: usize = 1 << 22;
+
 /// Every request name the dispatch table accepts, in documentation
 /// order. `docs/PROTOCOL.md` documents exactly this set (pinned by the
 /// doc-sync test).

@@ -28,7 +28,7 @@ use crate::metrics;
 use crate::protocol::{
     read_frame_bytes, write_frame, ProtoError, Request, WireLabel, WireMutation, ERR_BAD_REQUEST,
     ERR_BUSY, ERR_DEADLINE, ERR_INAPPLICABLE, ERR_LABEL_TYPE, ERR_MUTATION, ERR_NO_SESSION,
-    ERR_SESSION_ACTIVE,
+    ERR_SESSION_ACTIVE, MAX_FORGED_PROOF_WORDS,
 };
 use crate::table::InstanceTable;
 use lcp_core::harness::CompletenessError;
@@ -385,6 +385,17 @@ fn dispatch(
                     )),
                 }
             } else {
+                let words = cell.n().checked_mul(size_budget.div_ceil(64));
+                if words.is_none_or(|w| w > MAX_FORGED_PROOF_WORDS) {
+                    return Err(ProtoError::new(
+                        ERR_BAD_REQUEST,
+                        format!(
+                            "size_budget {size_budget} on {} nodes exceeds the forged-proof \
+                             ceiling of {MAX_FORGED_PROOF_WORDS} words",
+                            cell.n()
+                        ),
+                    ));
+                }
                 let forged =
                     cell.adversarial_search_within(size_budget, iterations, seed, &deadline);
                 if forged.is_none() && deadline.expired() {

@@ -1,11 +1,15 @@
 //! The concurrency contract: two sessions on distinct cells progress
 //! independently, a connection beyond the worker pool waits its turn in
 //! the bounded room, and one past the room gets the typed busy error —
-//! immediately, never a hang.
+//! immediately, never a hang. A hostile request cannot take a worker
+//! down with it.
 
 use lcp_graph::families::GraphFamily;
 use lcp_schemes::registry::Polarity;
+use lcp_serve::protocol::MAX_FORGED_PROOF_WORDS;
 use lcp_serve::{CellCoord, Client, ClientError, Server, ServerConfig, WireMutation};
+use std::sync::mpsc;
+use std::time::Duration;
 
 fn coord(n: usize) -> CellCoord {
     CellCoord {
@@ -89,4 +93,52 @@ fn shutdown_request_drains_the_daemon() {
         other => panic!("expected a drained connection, got {other:?}"),
     }
     handle.stop().expect("already-drained stop is clean");
+}
+
+#[test]
+fn hostile_size_budget_is_a_bad_request_and_the_worker_survives() {
+    // One worker: if the hostile request killed it, nothing would ever
+    // answer the follow-up `stats`.
+    let handle = Server::bind(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind")
+    .spawn()
+    .expect("spawn");
+    let addr = handle.addr();
+
+    // 2⁴⁰ bits per node on 65 nodes: 65 · 2³⁴ words, far past the
+    // forged-proof ceiling.
+    let hostile = CellCoord {
+        polarity: Polarity::No,
+        ..coord(65)
+    };
+    let size_budget: usize = 1 << 40;
+    assert!(65 * size_budget.div_ceil(64) > MAX_FORGED_PROOF_WORDS);
+    let mut client = Client::connect(addr).expect("connect");
+    let err = client
+        .request(&format!(
+            "{{\"op\":\"verify\",{},\"size_budget\":{size_budget}}}",
+            hostile.render_fields()
+        ))
+        .expect_err("a hostile size_budget must be refused");
+    match err {
+        ClientError::Protocol { ref kind, .. } => assert_eq!(kind, "bad-request"),
+        other => panic!("expected the typed bad-request error, got {other}"),
+    }
+    drop(client);
+
+    // A fresh connection is still served, within a bounded wait.
+    let (tx, rx) = mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let answered = Client::connect(addr).is_ok_and(|mut c| c.stats().is_ok());
+        let _ = tx.send(answered);
+    });
+    let answered = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("stats must be answered after the hostile request");
+    waiter.join().expect("stats thread panicked");
+    assert!(answered, "stats failed after the hostile request");
+    handle.stop().expect("clean drain");
 }
