@@ -49,13 +49,6 @@ struct Slot {
 /// assert_eq!(p.size(), 2);
 /// assert_eq!(p.total_bits(), 3);
 /// assert!(p.get(0).is_empty());
-///
-/// let mut q = Proof::with_capacity(3, 70);
-/// q.set(1, BitString::from_bits((0..70).map(|i| i % 3 == 0)));
-/// assert_eq!(q.get(1).len(), 70);
-/// assert_eq!(q.get(1).get(69), Some(true));
-/// q.flip(1, 69);
-/// assert_eq!(q.get(1).get(69), Some(false));
 /// ```
 #[derive(Clone, Default)]
 pub struct Proof {
@@ -88,6 +81,18 @@ impl Proof {
     ///
     /// Panics if the total reserved pool exceeds `u32::MAX` words (the
     /// slot-offset width).
+    ///
+    /// ```
+    /// use lcp_core::{BitString, Proof};
+    ///
+    /// let mut p = Proof::with_capacity(3, 70);
+    /// p.set(1, BitString::from_bits((0..70).map(|i| i % 3 == 0)));
+    /// assert_eq!(p.get(1).len(), 70);
+    /// assert_eq!(p.get(1).get(69), Some(true));
+    /// assert!(p.get(0).is_empty());
+    /// p.flip(1, 69);
+    /// assert_eq!(p.get(1).get(69), Some(false));
+    /// ```
     pub fn with_capacity(n: usize, bits_per_node: usize) -> Self {
         let cap_words = u32::try_from(words_for(bits_per_node)).expect("capacity fits u32");
         let total = n
@@ -313,7 +318,26 @@ mod tests {
     }
 
     #[test]
+    fn empty_proof_slots_are_epsilon() {
+        let p = Proof::empty(4);
+        assert_eq!(p.n(), 4);
+        assert_eq!(p.size(), 0);
+        assert!(p.iter().all(|r| r.is_empty()));
+    }
+
+    #[test]
     fn size_is_max_not_total() {
+        let p = Proof::from_strings(vec![
+            BitString::from_bits([true]),
+            BitString::from_bits([true, false, true]),
+            BitString::new(),
+        ]);
+        assert_eq!(p.size(), 3);
+        assert_eq!(p.total_bits(), 4);
+    }
+
+    #[test]
+    fn sizes_and_totals() {
         let p = Proof::from_strings(vec![bs("1"), bs("10101"), bs("")]);
         assert_eq!(p.size(), 5);
         assert_eq!(p.total_bits(), 6);
@@ -416,13 +440,23 @@ mod tests {
 
     #[test]
     fn equality_is_content_based() {
-        let a = Proof::from_strings(vec![bs("10"), bs("")]);
-        let mut b = Proof::with_capacity(2, 64);
-        b.set(0, bs("11"));
-        b.set(0, bs("10"));
+        let a = Proof::from_strings(vec![BitString::from_bits([true]), BitString::new()]);
+        let mut b = Proof::with_capacity(2, 8);
+        b.set(0, BitString::from_bits([true]));
         assert_eq!(a, b);
-        b.set(1, bs("0"));
+        b.set(1, BitString::from_bits([false]));
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn content_equality_ignores_layout() {
+        let tight = Proof::from_strings(vec![bs("10"), bs("")]);
+        let mut roomy = Proof::with_capacity(2, 64);
+        roomy.set(0, bs("11"));
+        roomy.set(0, bs("10"));
+        assert_eq!(tight, roomy);
+        roomy.set(1, bs("0"));
+        assert_ne!(tight, roomy);
     }
 
     #[test]
