@@ -83,6 +83,11 @@ fn metrics_export_does_not_perturb_the_report() {
     );
     assert!(histogram_count(&sidecar, "lcp_engine_prove_ns") > 0);
     assert!(
+        histogram_count(&sidecar, "lcp_core_identity_ns") > 0,
+        "every cell fingerprints its instance once on the campaign's cache, \
+         and the report above stayed byte-identical"
+    );
+    assert!(
         counter_value(&sidecar, "lcp_harness_exhaustive_candidates_total") > 0,
         "the no-cells of this config run the exhaustive search"
     );
@@ -98,6 +103,10 @@ fn churn_metrics_export_does_not_perturb_the_report() {
     assert!(sidecar.contains("\"mode\": \"churn\""), "{sidecar}");
     assert!(sidecar.contains("\"phase\": \"churn\""), "{sidecar}");
     assert!(counter_value(&sidecar, "lcp_dynamic_reverifies_total") > 0);
+    assert!(
+        histogram_count(&sidecar, "lcp_core_identity_ns") > 0,
+        "churn cells fingerprint their instance when they thaw a core"
+    );
 }
 
 #[test]

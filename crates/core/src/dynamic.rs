@@ -49,7 +49,7 @@ use crate::artifact::{ArtifactSource, CoreProvenance};
 use crate::batch::BatchPolicy;
 use crate::bits::{AsBits, BitString};
 use crate::deadline::Deadline;
-use crate::engine::PreparedInstance;
+use crate::engine::{Held, PreparedInstance};
 use crate::frozen::{CoreBuilder, FrozenCore, PortableLabel};
 use crate::harness::{
     adversarial_proof_search, check_honest, check_soundness_exhaustive, CompletenessError, Run,
@@ -206,10 +206,10 @@ pub trait MutableCell: Send {
     fn evaluate_full(&self) -> Verdict;
 }
 
-/// The typed implementation behind [`MutableCell`]: a shared `(scheme,
-/// seed instance)` cell plus privately owned mutable state.
+/// The typed implementation behind [`MutableCell`]: a shared scheme plus
+/// privately owned mutable state.
 struct TypedCell<S: Scheme> {
-    cell: Arc<(S, Instance<S::Node, S::Edge>)>,
+    scheme: Arc<S>,
     inst: Instance<S::Node, S::Edge>,
     proof: Proof,
     core: CoreBuilder<S::Node, S::Edge>,
@@ -221,15 +221,14 @@ where
     S::Node: Clone + Send + Sync + 'static,
     S::Edge: Clone + Send + Sync + 'static,
 {
-    fn from_arc(cell: Arc<(S, Instance<S::Node, S::Edge>)>, proof: Option<Proof>) -> Self {
-        let inst = cell.1.clone();
+    fn new(scheme: S, inst: Instance<S::Node, S::Edge>, proof: Option<Proof>) -> Self {
         let proof = proof.unwrap_or_else(|| {
-            run_prover(&cell.0, &inst).unwrap_or_else(|| Proof::empty(inst.n()))
+            run_prover(&scheme, &inst).unwrap_or_else(|| Proof::empty(inst.n()))
         });
         assert_eq!(proof.n(), inst.n(), "proof must label every node");
-        let core = CoreBuilder::build(&inst, cell.0.radius());
+        let core = CoreBuilder::build(&inst, scheme.radius());
         TypedCell {
-            cell,
+            scheme: Arc::new(scheme),
             inst,
             proof,
             core,
@@ -252,11 +251,11 @@ where
     S::Edge: Clone + Send + Sync + 'static,
 {
     fn name(&self) -> String {
-        self.cell.0.name()
+        self.scheme.name()
     }
 
     fn radius(&self) -> usize {
-        self.cell.0.radius()
+        self.scheme.radius()
     }
 
     fn n(&self) -> usize {
@@ -272,11 +271,11 @@ where
     }
 
     fn holds_now(&self) -> bool {
-        self.cell.0.holds(&self.inst)
+        self.scheme.holds(&self.inst)
     }
 
     fn prove_now(&self) -> Option<Proof> {
-        run_prover(&self.cell.0, &self.inst)
+        run_prover(&*self.scheme, &self.inst)
     }
 
     fn insert_edge(&mut self, u: usize, v: usize) -> Result<Vec<usize>, CellMutationError> {
@@ -328,13 +327,13 @@ where
     }
 
     fn verify(&self, v: usize) -> bool {
-        self.cell.0.verify(&self.core.bind(v, &self.proof))
+        self.scheme.verify(&self.core.bind(v, &self.proof))
     }
 
     fn evaluate_full(&self) -> Verdict {
         // Sequential: churn runs many cells side by side.
-        PreparedInstance::new(&self.inst, self.cell.0.radius())
-            .evaluate_within(&self.cell.0, &self.proof, &Deadline::none())
+        PreparedInstance::new(&self.inst, self.scheme.radius())
+            .evaluate_within(&*self.scheme, &self.proof, &Deadline::none())
             .expect("an unbounded sweep runs to the end")
     }
 }
@@ -358,7 +357,7 @@ where
     S::Node: Clone + Send + Sync + 'static,
     S::Edge: Clone + Send + Sync + 'static,
 {
-    Box::new(TypedCell::from_arc(Arc::new((scheme, inst)), proof))
+    Box::new(TypedCell::new(scheme, inst, proof))
 }
 
 /// A type-erased `(scheme, instance)` cell: every associated-type-bound
@@ -437,14 +436,20 @@ trait ErasedCell: Send + Sync {
     fn dynamic_cell(&self, source: &ArtifactSource) -> Box<dyn MutableCell>;
     fn prepare(&self, source: &ArtifactSource) -> CoreProvenance;
     fn evict(&self, source: &ArtifactSource) -> bool;
-    /// Drops the kept core and honest proof.
+    /// Drops the kept core and honest proof (the identity stays).
     fn forget(&mut self);
 }
 
-/// The typed cell behind a [`DynScheme`]: the scheme and instance
-/// (shared with the mutable cells it opens) plus its resident state.
+/// The typed cell behind a [`DynScheme`]: the scheme (shared with the
+/// mutable cells it opens), the instance (shared with the skeleton
+/// cache entry it inserts) and its resident state.
 struct Sealed<S: Scheme> {
-    cell: Arc<(S, Instance<S::Node, S::Edge>)>,
+    scheme: Arc<S>,
+    inst: Arc<Instance<S::Node, S::Edge>>,
+    /// The `(instance, radius)` fingerprint, computed by the first
+    /// preparation or eviction through a caching source. Identity does
+    /// not depend on the source, so [`ErasedCell::forget`] keeps it.
+    identity: OnceLock<(u64, u64)>,
     /// The skeleton core, kept from the first preparation.
     core: OnceLock<Arc<FrozenCore<S::Node, S::Edge>>>,
     /// The prover's output, kept from the first operation that needs it.
@@ -469,17 +474,26 @@ where
     /// The sealed instance on its kept core, taking the core from
     /// `source` on first use.
     fn prep(&self, source: &ArtifactSource) -> PreparedInstance<'_, S::Node, S::Edge> {
-        let (scheme, inst) = &*self.cell;
-        let core = self
-            .core
-            .get_or_init(|| Arc::clone(source.prepare(inst, scheme.radius()).0.core()));
-        PreparedInstance::from_core(inst, Arc::clone(core))
+        let core = self.core.get_or_init(|| self.core_from(source).0);
+        PreparedInstance::from_core(&self.inst, Arc::clone(core))
+    }
+
+    /// The sealed instance's core from `source`, under the kept identity.
+    fn core_from(
+        &self,
+        source: &ArtifactSource,
+    ) -> (Arc<FrozenCore<S::Node, S::Edge>>, CoreProvenance) {
+        source.prepare_held(
+            Held::Shared(&self.inst),
+            self.scheme.radius(),
+            &self.identity,
+        )
     }
 
     /// The honest proof, proving on first use only.
     fn honest(&self) -> Option<&Proof> {
         self.proof
-            .get_or_init(|| run_prover(&self.cell.0, &self.cell.1))
+            .get_or_init(|| run_prover(&*self.scheme, &self.inst))
             .as_ref()
     }
 }
@@ -491,15 +505,16 @@ where
     S::Edge: Clone + PartialEq + Send + Sync + PortableLabel + 'static,
 {
     fn prove(&self) -> Option<Proof> {
-        run_prover(&self.cell.0, &self.cell.1)
+        run_prover(&*self.scheme, &self.inst)
     }
 
     fn evaluate(&self, source: &ArtifactSource, proof: &Proof) -> Verdict {
-        self.prep(source).evaluate(&self.cell.0, proof)
+        self.prep(source).evaluate(&*self.scheme, proof)
     }
 
     fn evaluate_until_reject(&self, source: &ArtifactSource, proof: &Proof) -> Option<usize> {
-        self.prep(source).evaluate_until_reject(&self.cell.0, proof)
+        self.prep(source)
+            .evaluate_until_reject(&*self.scheme, proof)
     }
 
     fn completeness(
@@ -509,7 +524,7 @@ where
         deadline: &Deadline,
     ) -> Result<Option<usize>, CompletenessError> {
         check_honest(
-            &self.cell.0,
+            &*self.scheme,
             &self.prep(source),
             holds,
             self.honest(),
@@ -523,7 +538,7 @@ where
         source: &ArtifactSource,
         run: &Run,
     ) -> Result<Soundness, SoundnessError> {
-        check_soundness_exhaustive(&self.cell.0, &self.prep(source), max_bits, run)
+        check_soundness_exhaustive(&*self.scheme, &self.prep(source), max_bits, run)
     }
 
     fn adversarial(
@@ -536,7 +551,7 @@ where
     ) -> Option<Proof> {
         let mut rng = StdRng::seed_from_u64(seed);
         adversarial_proof_search(
-            &self.cell.0,
+            &*self.scheme,
             &self.prep(source),
             size_budget,
             iterations,
@@ -552,18 +567,18 @@ where
         source: &ArtifactSource,
     ) -> Option<TamperProbe> {
         let honest = self.honest()?;
-        tamper_probe(&self.cell.0, &self.prep(source), honest, trials, seed)
+        tamper_probe(&*self.scheme, &self.prep(source), honest, trials, seed)
     }
 
     fn dynamic_cell(&self, source: &ArtifactSource) -> Box<dyn MutableCell> {
         let core = CoreBuilder::thaw(self.prep(source).core());
-        let inst = self.cell.1.clone();
+        let inst = (*self.inst).clone();
         let proof = self
             .honest()
             .cloned()
             .unwrap_or_else(|| Proof::empty(inst.n()));
         Box::new(TypedCell {
-            cell: Arc::clone(&self.cell),
+            scheme: Arc::clone(&self.scheme),
             inst,
             proof,
             core,
@@ -571,15 +586,14 @@ where
     }
 
     fn prepare(&self, source: &ArtifactSource) -> CoreProvenance {
-        let (scheme, inst) = &*self.cell;
-        let (prep, provenance) = source.prepare(inst, scheme.radius());
+        let (core, provenance) = self.core_from(source);
         // A core kept earlier is the same content; keep the first.
-        let _ = self.core.set(Arc::clone(prep.core()));
+        let _ = self.core.set(core);
         provenance
     }
 
     fn evict(&self, source: &ArtifactSource) -> bool {
-        source.evict(&self.cell.1, self.cell.0.radius())
+        source.evict_held(&self.inst, self.scheme.radius(), &self.identity)
     }
 
     fn forget(&mut self) {
@@ -621,7 +635,9 @@ impl DynScheme {
             source: ArtifactSource::BuildFresh,
             batch: BatchPolicy::default(),
             cell: Box::new(Sealed {
-                cell: Arc::new((scheme, inst)),
+                scheme: Arc::new(scheme),
+                inst: Arc::new(inst),
+                identity: OnceLock::new(),
                 core: OnceLock::new(),
                 proof: OnceLock::new(),
             }),
@@ -1087,6 +1103,29 @@ mod tests {
         let free = DynScheme::seal(Bipartite, Instance::unlabeled(generators::cycle(6)));
         assert_eq!(free.prepare_skeletons(), CoreProvenance::Built);
         assert!(!free.evict_skeletons());
+    }
+
+    #[test]
+    fn equal_cells_share_one_entry_through_the_content_fallback() {
+        // Two separate seals of equal content hold distinct instance
+        // `Arc`s: the second preparation misses the pointer test and
+        // must hit through full equality.
+        let cache = Arc::new(SkeletonCache::new());
+        let source = ArtifactSource::Cache(Arc::clone(&cache));
+        let seal = || {
+            DynScheme::seal(Bipartite, Instance::unlabeled(generators::grid(3, 4)))
+                .with_source(source.clone())
+        };
+        let (first, second) = (seal(), seal());
+        assert_eq!(first.prepare_skeletons(), CoreProvenance::Built);
+        assert_eq!(second.prepare_skeletons(), CoreProvenance::CacheHit);
+        assert_eq!((cache.len(), cache.hits(), cache.misses()), (1, 1, 1));
+        // The entry holds the first cell's instance; the second removes
+        // it by content, and then nothing is left for either.
+        assert!(second.evict_skeletons());
+        assert!(cache.is_empty());
+        assert!(!second.evict_skeletons(), "already evicted");
+        assert!(!first.evict_skeletons(), "the shared entry is gone");
     }
 
     #[test]

@@ -88,6 +88,7 @@
 //! assert_eq!(prep.evaluate_until_reject(&EvenDegrees, &proof), None);
 //! ```
 
+use crate::artifact::CoreProvenance;
 use crate::deadline::{Deadline, DeadlineExpired};
 use crate::frozen::{build_all, FrozenCore};
 use crate::instance::Instance;
@@ -351,13 +352,81 @@ where
     core
 }
 
-/// One cached `(instance, radius)` preparation: the instance copy is the
+/// An instance handed to the keyed cache path: the sealed cell's own
+/// `Arc`, which an insert shares, or a plain borrow, which an insert
+/// copies.
+pub(crate) enum Held<'a, N, E> {
+    /// A sealed cell's instance.
+    Shared(&'a Arc<Instance<N, E>>),
+    /// A caller's borrow (the public `prepare(&Instance, r)` entry
+    /// points).
+    Lent(&'a Instance<N, E>),
+}
+
+impl<N, E> Clone for Held<'_, N, E> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<N, E> Copy for Held<'_, N, E> {}
+
+impl<'a, N: Clone, E: Clone> Held<'a, N, E> {
+    /// The instance itself.
+    pub(crate) fn get(self) -> &'a Instance<N, E> {
+        match self {
+            Held::Shared(inst) => inst,
+            Held::Lent(inst) => inst,
+        }
+    }
+
+    /// The `Arc` a cache entry keeps: the cell's own, or a copy of a
+    /// borrow.
+    fn to_shared(self) -> Arc<Instance<N, E>> {
+        match self {
+            Held::Shared(inst) => Arc::clone(inst),
+            Held::Lent(inst) => Arc::new(inst.clone()),
+        }
+    }
+}
+
+/// One cached `(instance, radius)` preparation: the instance is the
 /// collision-proof identity (hash keys only shortlist candidates), the
-/// core is what gets shared.
+/// core is what gets shared. The instance is the inserting cell's own
+/// `Arc`, not a copy, so a cell looking up or evicting its own entry
+/// matches by pointer before any content compare.
 struct CachedPrep<N, E> {
-    inst: Instance<N, E>,
+    inst: Arc<Instance<N, E>>,
     radius: usize,
     core: Arc<FrozenCore<N, E>>,
+}
+
+impl<N: PartialEq, E: PartialEq> CachedPrep<N, E> {
+    /// Whether this entry prepares exactly `(inst, radius)`: the same
+    /// allocation (`Arc::ptr_eq`) answers at once, anything else is
+    /// compared in full, so a key collision costs a compare and never a
+    /// wrong share.
+    fn is(&self, inst: &Instance<N, E>, radius: usize) -> bool {
+        self.radius == radius
+            && (std::ptr::eq(Arc::as_ptr(&self.inst), inst) || *self.inst == *inst)
+    }
+}
+
+/// The core of the entry for exactly `(inst, radius)` in `bucket`.
+fn lookup<N, E>(
+    bucket: &[Arc<dyn Any + Send + Sync>],
+    inst: &Instance<N, E>,
+    radius: usize,
+) -> Option<Arc<FrozenCore<N, E>>>
+where
+    N: PartialEq + Send + Sync + 'static,
+    E: PartialEq + Send + Sync + 'static,
+{
+    bucket.iter().find_map(|e| {
+        e.downcast_ref::<CachedPrep<N, E>>()
+            .filter(|c| c.is(inst, radius))
+            .map(|c| Arc::clone(&c.core))
+    })
 }
 
 /// A cross-instance skeleton cache: one CSR build per distinct
@@ -377,9 +446,13 @@ struct CachedPrep<N, E> {
 ///
 /// # Correctness
 ///
-/// A hit requires **full structural equality** of the instance (graph,
-/// node labels, edge labels) and an equal radius — the content hash only
-/// shortlists candidates, so a hash collision can cost a linear compare,
+/// Entries are bucketed by the structural half of the instance
+/// fingerprint (`docs/FORMAT.md` word 12), which a sealed cell computes
+/// once and passes in. A hit requires the same instance — the entry
+/// shares the inserting cell's `Arc`, so a pointer test (`Arc::ptr_eq`)
+/// answers first and **full structural equality** (graph, node labels,
+/// edge labels) decides otherwise — and an equal radius. The key only
+/// shortlists candidates, so a collision can cost a linear compare,
 /// never a wrong share. Cached cores are immutable; a
 /// [`PreparedInstance`] built from the cache is indistinguishable from a
 /// freshly built one (pinned by the cache-equivalence tests).
@@ -404,102 +477,58 @@ impl std::fmt::Debug for SkeletonCache {
     }
 }
 
-/// Structural content hash of `(inst, radius)`: radius, node ids,
-/// adjacency, and edge-label keys, FNV-folded. Node/edge label *values*
-/// are deliberately left out (they carry no trait bounds here); the
-/// equality check on lookup covers them.
-pub(crate) fn content_key<N, E>(inst: &Instance<N, E>, radius: usize) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |x: u64| {
-        h = (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    let g = inst.graph();
-    mix(radius as u64);
-    mix(g.n() as u64);
-    mix(g.m() as u64);
-    for v in g.nodes() {
-        mix(g.id(v).0);
-        mix(g.degree(v) as u64);
-        for &u in g.neighbors(v) {
-            mix(u as u64);
-        }
-    }
-    for (u, v) in g.edges() {
-        let labelled = u64::from(inst.edge_label(u, v).is_some());
-        mix(((u as u64) << 32) | (v as u64) | (labelled << 63));
-    }
-    h
-}
-
 impl SkeletonCache {
     /// An empty cache.
     pub fn new() -> Self {
         SkeletonCache::default()
     }
 
-    /// Looks up the cached core of exactly `(inst, radius)` — no counter
-    /// side effects, so composite stores can wrap the lookup in their
-    /// own hit/miss accounting.
-    pub(crate) fn find_core<N, E>(
+    /// The core of `(inst, radius)` under its structural `key`: the
+    /// cached one (a [`CoreProvenance::CacheHit`]), or on a miss the one
+    /// `fill` produces, inserted for later callers. Every source tier
+    /// goes through here, counting one hit or one miss per call.
+    ///
+    /// `fill` runs outside the lock; when a racing twin inserted first,
+    /// its core is returned instead, so every later hit shares one
+    /// `Arc`.
+    pub(crate) fn get_or_fill<N, E>(
         &self,
-        inst: &Instance<N, E>,
+        inst: Held<'_, N, E>,
         radius: usize,
-    ) -> Option<Arc<FrozenCore<N, E>>>
-    where
-        N: PartialEq + Send + Sync + 'static,
-        E: PartialEq + Send + Sync + 'static,
-    {
-        let key = (TypeId::of::<CachedPrep<N, E>>(), content_key(inst, radius));
-        let entries = self.entries.lock().expect("cache lock");
-        let bucket = entries.get(&key)?;
-        bucket.iter().find_map(|e| {
-            e.downcast_ref::<CachedPrep<N, E>>()
-                .filter(|c| c.radius == radius && c.inst == *inst)
-                .map(|c| Arc::clone(&c.core))
-        })
-    }
-
-    /// Inserts `core` for `(inst, radius)`, adopting a racing twin's
-    /// copy if one won the insert — the returned `Arc` is the one every
-    /// later hit will share.
-    pub(crate) fn insert_core<N, E>(
-        &self,
-        inst: &Instance<N, E>,
-        radius: usize,
-        core: Arc<FrozenCore<N, E>>,
-    ) -> Arc<FrozenCore<N, E>>
+        key: u64,
+        fill: impl FnOnce() -> (Arc<FrozenCore<N, E>>, CoreProvenance),
+    ) -> (Arc<FrozenCore<N, E>>, CoreProvenance)
     where
         N: Clone + PartialEq + Send + Sync + 'static,
         E: Clone + PartialEq + Send + Sync + 'static,
     {
-        let key = (TypeId::of::<CachedPrep<N, E>>(), content_key(inst, radius));
+        let key = (TypeId::of::<CachedPrep<N, E>>(), key);
+        let found = {
+            let entries = self.entries.lock().expect("cache lock");
+            entries
+                .get(&key)
+                .and_then(|bucket| lookup(bucket, inst.get(), radius))
+        };
+        if let Some(core) = found {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            metrics::SKELETON_CACHE_HITS.inc();
+            return (core, CoreProvenance::CacheHit);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        metrics::SKELETON_CACHE_MISSES.inc();
+
+        let (core, provenance) = fill();
         let mut entries = self.entries.lock().expect("cache lock");
         let bucket = entries.entry(key).or_default();
-        for e in bucket.iter() {
-            if let Some(c) = e.downcast_ref::<CachedPrep<N, E>>() {
-                if c.radius == radius && c.inst == *inst {
-                    return Arc::clone(&c.core);
-                }
-            }
+        if let Some(twin) = lookup(bucket, inst.get(), radius) {
+            return (twin, provenance);
         }
         bucket.push(Arc::new(CachedPrep {
-            inst: inst.clone(),
+            inst: inst.to_shared(),
             radius,
             core: Arc::clone(&core),
         }));
-        core
-    }
-
-    /// Counts one lookup served from memory.
-    pub(crate) fn record_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        metrics::SKELETON_CACHE_HITS.inc();
-    }
-
-    /// Counts one lookup that missed memory (whatever satisfied it).
-    pub(crate) fn record_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        metrics::SKELETON_CACHE_MISSES.inc();
+        (core, provenance)
     }
 
     /// Cached preparations (across all instance types).
@@ -532,23 +561,25 @@ impl SkeletonCache {
         self.entries.lock().expect("cache lock").clear();
     }
 
-    /// Drops the cached core of exactly `(inst, radius)`, if present, and
-    /// reports whether anything was removed.
+    /// Drops the cached core of exactly `(inst, radius)` under its
+    /// structural `key`, if present, and reports whether anything was
+    /// removed.
     ///
-    /// This is the eviction hook of resident services (`lcp-serve`): when
-    /// an instance table drops a cell, its skeleton core must leave the
+    /// This is the eviction hook of resident services (`lcp-serve`,
+    /// through [`crate::dynamic::DynScheme::evict_skeletons`]): when an
+    /// instance table drops a cell, its skeleton core must leave the
     /// process-wide cache too, or evicted cells would pin their BFS
-    /// results forever. Removal uses the same key and full structural
-    /// equality as a lookup, so it never evicts a different
-    /// instance that merely collides on the content hash. Cores still
-    /// borrowed by live [`PreparedInstance`]s stay valid — the `Arc` only
-    /// drops once the last user does.
-    pub fn remove<N, E>(&self, inst: &Instance<N, E>, radius: usize) -> bool
+    /// results forever. Removal matches entries exactly as a lookup
+    /// does, so it never evicts a different instance that merely
+    /// collides on the key. Cores still borrowed by live
+    /// [`PreparedInstance`]s stay valid — the `Arc` only drops once the
+    /// last user does.
+    pub(crate) fn remove<N, E>(&self, inst: &Instance<N, E>, radius: usize, key: u64) -> bool
     where
         N: PartialEq + Send + Sync + 'static,
         E: PartialEq + Send + Sync + 'static,
     {
-        let key = (TypeId::of::<CachedPrep<N, E>>(), content_key(inst, radius));
+        let key = (TypeId::of::<CachedPrep<N, E>>(), key);
         let mut entries = self.entries.lock().expect("cache lock");
         let Some(bucket) = entries.get_mut(&key) else {
             return false;
@@ -556,7 +587,7 @@ impl SkeletonCache {
         let before = bucket.len();
         bucket.retain(|e| {
             e.downcast_ref::<CachedPrep<N, E>>()
-                .is_none_or(|c| c.radius != radius || c.inst != *inst)
+                .is_none_or(|c| !c.is(inst, radius))
         });
         let removed = bucket.len() != before;
         if bucket.is_empty() {
@@ -625,6 +656,32 @@ mod tests {
     use crate::frozen::CoreBuilder;
     use crate::scheme::evaluate;
     use lcp_graph::generators;
+
+    #[test]
+    fn cache_entries_share_the_sealed_instance() {
+        let cache = SkeletonCache::new();
+        let inst = Arc::new(Instance::unlabeled(generators::cycle(8)));
+        let (core, provenance) = cache.get_or_fill(Held::Shared(&inst), 1, 7, || {
+            (build_core(&inst, 1), CoreProvenance::Built)
+        });
+        assert_eq!(provenance, CoreProvenance::Built);
+        assert_eq!(
+            Arc::strong_count(&inst),
+            2,
+            "the entry keeps the Arc, no copy"
+        );
+        let (again, provenance) = cache.get_or_fill(Held::Shared(&inst), 1, 7, || {
+            unreachable!("a hit never fills")
+        });
+        assert_eq!(provenance, CoreProvenance::CacheHit);
+        assert!(Arc::ptr_eq(&core, &again));
+        assert!(
+            !cache.remove(&inst, 2, 7),
+            "another radius is another entry"
+        );
+        assert!(cache.remove(&inst, 1, 7));
+        assert_eq!(Arc::strong_count(&inst), 1, "eviction drops the shared Arc");
+    }
 
     /// Radius-1 scheme exercising topology, labels, and proofs together.
     struct Fingerprint;

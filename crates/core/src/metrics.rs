@@ -36,6 +36,9 @@ pub static BINDS: Counter = Counter::new();
 pub static SKELETON_CACHE_HITS: Counter = Counter::new();
 /// `SkeletonCache` lookups that built (and inserted) a fresh skeleton.
 pub static SKELETON_CACHE_MISSES: Counter = Counter::new();
+/// Wall time of each `(instance, radius)` fingerprint computation,
+/// nanoseconds — once per sealed cell on a caching source.
+pub static IDENTITY_NS: Histogram = Histogram::new();
 
 /// Frozen cores served from on-disk artifact files (mmap or read).
 pub static ARTIFACT_LOADS: Counter = Counter::new();
@@ -138,6 +141,12 @@ pub fn register(reg: &Registry) {
         "outcome=\"miss\"",
         "SkeletonCache lookups by outcome",
         &SKELETON_CACHE_MISSES,
+    );
+    reg.histogram(
+        "lcp_core_identity_ns",
+        "",
+        "instance fingerprint (identity pass) wall time in nanoseconds",
+        &IDENTITY_NS,
     );
     reg.counter(
         "lcp_engine_artifact_loads_total",

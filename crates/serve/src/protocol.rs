@@ -32,6 +32,11 @@ pub const MAX_FRAME: usize = 16 << 20;
 /// `bad-request` instead of an allocation the daemon cannot make.
 pub const MAX_FORGED_PROOF_WORDS: usize = 1 << 22;
 
+/// Upper bound on a cell coordinate's requested `n` (2²⁰ nodes): a
+/// request above it is a `bad-request` instead of a registry build the
+/// daemon cannot finish, or a size its builders' rounding would wrap.
+pub const MAX_CELL_NODES: usize = 1 << 20;
+
 /// Every request name the dispatch table accepts, in documentation
 /// order. `docs/PROTOCOL.md` documents exactly this set (pinned by the
 /// doc-sync test).
@@ -161,10 +166,17 @@ impl CellCoord {
                 ))
             }
         };
+        let n = usize_field(doc, "n")?;
+        if n > MAX_CELL_NODES {
+            return Err(ProtoError::new(
+                ERR_BAD_REQUEST,
+                format!("n = {n} exceeds the ceiling of {MAX_CELL_NODES} nodes"),
+            ));
+        }
         Ok(CellCoord {
             scheme,
             family,
-            n: usize_field(doc, "n")?,
+            n,
             seed: u64_field(doc, "seed")?,
             polarity,
         })

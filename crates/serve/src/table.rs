@@ -20,7 +20,7 @@
 //! Eviction is the other half of residency: when the table exceeds its
 //! capacity the least-recently-used cell is dropped *and* its skeleton
 //! core is removed from the source's in-process tier
-//! (`DynScheme::evict_skeletons` → `SkeletonCache::remove`; artifact
+//! (`DynScheme::evict_skeletons`, under the cell's kept fingerprint; artifact
 //! *files* are durable and never deleted), so a long-lived daemon's
 //! memory is bounded by the capacity, not by the history of cells it
 //! ever served.

@@ -4,10 +4,12 @@
 //! immediately, never a hang. A hostile request cannot take a worker
 //! down with it.
 
+use lcp_core::json::Json;
 use lcp_graph::families::GraphFamily;
 use lcp_schemes::registry::Polarity;
-use lcp_serve::protocol::MAX_FORGED_PROOF_WORDS;
+use lcp_serve::protocol::{read_frame, write_frame, MAX_FORGED_PROOF_WORDS};
 use lcp_serve::{CellCoord, Client, ClientError, Server, ServerConfig, WireMutation};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -140,5 +142,58 @@ fn hostile_size_budget_is_a_bad_request_and_the_worker_survives() {
         .expect("stats must be answered after the hostile request");
     waiter.join().expect("stats thread panicked");
     assert!(answered, "stats failed after the hostile request");
+    handle.stop().expect("clean drain");
+}
+
+/// Sends one raw request on a fresh connection and returns the parsed
+/// reply. A reply that does not arrive within ten seconds fails the
+/// test instead of hanging it.
+fn request_within(addr: SocketAddr, payload: &str) -> Json {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set the read timeout");
+    write_frame(&mut stream, payload).expect("send");
+    let reply = read_frame(&mut stream, &|| true)
+        .expect("read")
+        .unwrap_or_else(|| panic!("no reply to {payload} within 10 s"));
+    Json::parse(&reply).expect("the reply is JSON")
+}
+
+#[test]
+fn hostile_cell_size_is_a_bad_request_and_the_worker_survives() {
+    // One worker: a request that pinned it building a huge cell would
+    // leave the follow-up `stats` unanswered.
+    let handle = Server::bind(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind")
+    .spawn()
+    .expect("spawn");
+    let addr = handle.addr();
+
+    // 10¹¹ nodes would never finish building; u64::MAX would wrap the
+    // bipartite builder's even rounding into a 3-node no-instance.
+    for n in [u64::MAX, 100_000_000_000] {
+        let reply = request_within(
+            addr,
+            &format!(
+                "{{\"op\":\"prepare\",\"scheme\":\"bipartite\",\"family\":\"cycle\",\
+                 \"n\":{n},\"seed\":1,\"polarity\":\"yes\"}}"
+            ),
+        );
+        assert_eq!(
+            reply.get("error").and_then(Json::as_str),
+            Some("bad-request"),
+            "n = {n}: {reply:?}"
+        );
+    }
+    let stats = request_within(addr, "{\"op\":\"stats\"}");
+    assert_eq!(
+        stats.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{stats:?}"
+    );
     handle.stop().expect("clean drain");
 }
