@@ -59,13 +59,12 @@ pub(crate) fn header_line(config: &CampaignConfig, mode: Mode) -> String {
     let mut w = String::with_capacity(256);
     let _ = write!(
         w,
-        "{{ \"checkpoint\": 1, \"mode\": {}, \"seed\": {}, \"profile\": {}, \"parallel\": {}, \
+        "{{ \"checkpoint\": 1, \"mode\": {}, \"seed\": {}, \"profile\": {}, \"parallel\": true, \
          \"shard\": {}, \"sizes\": [{}], \"tamper_trials\": {}, \"adversarial_iterations\": {}, \
          \"exhaustive_limit\": {}, \"cell_budget_ms\": {}, \"scheme\": {}, \"family\": {}",
         json_str(mode),
         config.seed,
         json_str(config.profile.name()),
-        cfg!(feature = "parallel"),
         json_opt(config.shard.map(|s| json_str(&s.to_string()))),
         config
             .sizes

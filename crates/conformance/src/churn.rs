@@ -106,7 +106,8 @@ pub struct ChurnReport {
     pub profile: &'static str,
     /// Mutation budget per cell.
     pub steps: usize,
-    /// Whether cells ran in parallel.
+    /// Whether cells ran in parallel: always `true` for a fresh run,
+    /// while a merged report keeps its shards' value.
     pub parallel: bool,
     /// The shard this report covers (`None` = the whole matrix; merged
     /// reports are whole again).
@@ -425,7 +426,7 @@ pub(crate) fn churn_campaign(
         seed: config.seed,
         profile: config.profile.name(),
         steps,
-        parallel: cfg!(feature = "parallel"),
+        parallel: true,
         shard: config.shard,
         cells: swept.cells,
         wall_ms: swept.wall_ms,

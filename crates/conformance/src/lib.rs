@@ -20,13 +20,12 @@
 //!   paper's claimed bound (an upper bound: measuring *smaller* passes).
 //!
 //! Everything runs on the cached-view engine through the type-erased
-//! [`DynScheme`] layer; with the `parallel` feature (default) the cells
-//! fan out across cores. The report is deterministic in the
-//! configuration: cells carry their own seeds (derived from the campaign
-//! seed and the cell coordinates), results are reassembled in matrix
-//! order, and [`Report::to_json`] with `include_timing = false` is
-//! byte-identical across runs, machines, and thread schedules — the
-//! property CI and the determinism test pin.
+//! [`DynScheme`] layer, and the cells fan out across cores. The report
+//! is deterministic in the configuration: cells carry their own seeds
+//! (derived from the campaign seed and the cell coordinates), results
+//! are reassembled in matrix order, and [`Report::to_json`] with
+//! `include_timing = false` is byte-identical across runs, machines, and
+//! thread schedules — the property CI and the determinism test pin.
 
 pub mod checkpoint;
 pub mod churn;
@@ -398,7 +397,8 @@ pub struct Report {
     pub seed: u64,
     /// Profile name.
     pub profile: &'static str,
-    /// Whether cells ran in parallel.
+    /// Whether cells ran in parallel: always `true` for a fresh run,
+    /// while a merged report keeps its shards' value.
     pub parallel: bool,
     /// The shard this report covers (`None` = the whole matrix; merged
     /// reports are whole again).
@@ -817,11 +817,10 @@ pub fn filtered_entries(config: &CampaignConfig) -> Vec<SchemeEntry> {
         .collect()
 }
 
-/// Maps `f` over the coordinates — across cores under the `parallel`
-/// feature, sequentially otherwise; results come back in matrix order
-/// either way. The crate's one rayon call site.
+/// Maps `f` over the coordinates — across cores when there is more than
+/// one, sequentially otherwise; results come back in matrix order either
+/// way. The crate's one rayon call site.
 fn map_coords<R: Send>(coords: &[Coord], f: impl Fn(&Coord) -> R + Sync) -> Vec<R> {
-    #[cfg(feature = "parallel")]
     if coords.len() > 1 {
         use rayon::prelude::*;
         return coords.par_iter().map(f).collect();
@@ -1336,7 +1335,7 @@ fn static_campaign(
     Report {
         seed: config.seed,
         profile: config.profile.name(),
-        parallel: cfg!(feature = "parallel"),
+        parallel: true,
         shard: config.shard,
         schemes,
         cache_hits: swept.source.cache().map_or(0, SkeletonCache::hits),

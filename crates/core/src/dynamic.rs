@@ -617,10 +617,9 @@ impl DynScheme {
     /// Seals `scheme` together with one concrete `inst`, erasing the
     /// associated types. Ground truth is computed here, once.
     ///
-    /// The `Send + Sync + 'static` bounds are required in both feature
-    /// configurations on purpose (additive features — see
-    /// [`crate::engine::prepare`]); every scheme in this workspace
-    /// satisfies them.
+    /// The `Send + Sync + 'static` bounds let campaign cells and daemon
+    /// workers share sealed cells across threads; every scheme in this
+    /// workspace satisfies them.
     pub fn seal<S>(scheme: S, inst: Instance<S::Node, S::Edge>) -> DynScheme
     where
         S: Scheme + Send + Sync + 'static,

@@ -27,10 +27,10 @@
 //!   exactly the verifiers whose output can change when `v`'s bits
 //!   change.
 //!
-//! Binding a proof ([`PreparedInstance::bind`] /
-//! [`PreparedInstance::bind_all`]) is then **free**: a bound view borrows
-//! slices of the word-packed [`crate::Proof`] through the
-//! membership table — no graph traversal, no bit copies, no allocation.
+//! Binding a proof ([`PreparedInstance::bind`]) is then **free**: a
+//! bound view borrows slices of the word-packed [`crate::Proof`] through
+//! the membership table — no graph traversal, no bit copies, no
+//! allocation.
 //! Incremental workloads (the odometer of
 //! [`crate::harness::check_soundness_exhaustive`], the single-bit flips
 //! of [`crate::harness::adversarial_proof_search`]) mutate one
@@ -52,11 +52,12 @@
 //!
 //! # Parallelism
 //!
-//! With the `parallel` feature, [`PreparedInstance::new`],
-//! [`PreparedInstance::evaluate`], and the sweep helper
-//! [`prepare_sweep`] fan out across cores (rayon) once the instance is
-//! large enough to amortize thread startup; the sequential semantics are
-//! unchanged (outputs stay in node order).
+//! [`PreparedInstance::new`], [`PreparedInstance::evaluate`], and the
+//! sweep helper [`prepare_sweep`] fan out across cores (rayon) once the
+//! input is large enough to amortize thread startup: at least
+//! `PAR_THRESHOLD` (256) nodes, or more than one instance. The choice is
+//! made from the input size alone and cannot change a verdict — every
+//! node's verifier is independent, and outputs stay in node order.
 //!
 //! ```
 //! use lcp_core::engine::PreparedInstance;
@@ -124,8 +125,7 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
     ///
     /// Cost: one bounded BFS per node (`O(Σ|ball|)` total work), done
     /// exactly once; every subsequent proof binding reuses the result.
-    /// With the `parallel` feature the per-node BFS fans out across
-    /// cores for large instances.
+    /// On large instances the per-node BFS fans out across cores.
     pub fn new(inst: &'i Instance<N, E>, radius: usize) -> Self
     where
         N: Send + Sync,
@@ -226,20 +226,13 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
         View::bind(self.core.skel_view(v), proof, self.members_of(v))
     }
 
-    /// Binds `proof` to every node's skeleton at once.
-    pub fn bind_all<'s>(&'s self, proof: &'s Proof) -> Vec<View<'s, N, E>> {
-        (0..self.n()).map(|v| self.bind(v, proof)).collect()
-    }
-
     /// Runs `scheme`'s verifier at every node against cached skeletons.
     ///
     /// Semantically identical to [`crate::evaluate`] (property-tested in
     /// `tests/engine_equivalence.rs`), but per-proof cost drops from
-    /// `O(n · BFS · alloc)` to `O(Σ|ball|)` bit copies. With the
-    /// `parallel` feature, node verification fans out across cores for
-    /// large instances; outputs stay in node order either way. The
-    /// `Sync`/`Send` bounds apply in both feature configurations
-    /// (additive features).
+    /// `O(n · BFS · alloc)` to `O(Σ|ball|)` bit copies. On large
+    /// instances node verification fans out across cores, hence the
+    /// `Sync`/`Send` bounds; outputs stay in node order either way.
     pub fn evaluate<S>(&self, scheme: &S, proof: &Proof) -> Verdict
     where
         S: Scheme<Node = N, Edge = E> + Sync,
@@ -599,11 +592,8 @@ impl SkeletonCache {
 
 /// Prepares an instance at `scheme`'s radius — the common entry point.
 ///
-/// The `Send + Sync` bounds are required in *both* feature
-/// configurations on purpose: Cargo features must be additive, so
-/// enabling `parallel` is not allowed to newly reject schemes that the
-/// sequential build accepted. Every scheme type in this workspace is
-/// trivially thread-safe.
+/// The `Send + Sync` bounds come from the fan-out on large instances.
+/// Every scheme type in this workspace is trivially thread-safe.
 pub fn prepare<'i, S: Scheme>(
     scheme: &S,
     inst: &'i Instance<S::Node, S::Edge>,
@@ -616,7 +606,8 @@ where
 }
 
 /// Prepares a whole instance sweep (completeness checks, size
-/// measurements, Table 1 rows), in parallel under the `parallel` feature.
+/// measurements, Table 1 rows), one instance per task when there is more
+/// than one.
 pub fn prepare_sweep<'i, S: Scheme>(
     scheme: &S,
     instances: &'i [Instance<S::Node, S::Edge>],
@@ -632,16 +623,14 @@ where
 }
 
 /// Maps `f` over `0..len` and collects the results in index order —
-/// fanned out across cores when the `parallel` feature is compiled in
-/// and `fan_out` holds, sequentially otherwise. The crate's one rayon
-/// call site: callers decide `fan_out` from their input size.
-#[cfg_attr(not(feature = "parallel"), allow(unused_variables))]
+/// fanned out across cores when `fan_out` holds, sequentially
+/// otherwise. The crate's one rayon call site: callers decide `fan_out`
+/// from their input size.
 pub(crate) fn map_indices<R: Send>(
     len: usize,
     fan_out: bool,
     f: impl Fn(usize) -> R + Sync,
 ) -> Vec<R> {
-    #[cfg(feature = "parallel")]
     if fan_out {
         use rayon::prelude::*;
         return (0..len).into_par_iter().map(f).collect();
@@ -734,16 +723,21 @@ mod tests {
 
     #[test]
     fn evaluate_matches_naive_executor() {
-        let inst = Instance::unlabeled(generators::cycle(9));
-        let prep = PreparedInstance::new(&inst, Fingerprint.radius());
-        for seed in 0..8u64 {
-            let proof = Proof::from_fn(inst.n(), |v| {
-                BitString::from_bits((0..3).map(|i| (seed >> i) & 1 == 1 && v % 2 == 0))
-            });
-            assert_eq!(
-                prep.evaluate(&Fingerprint, &proof),
-                evaluate(&Fingerprint, &inst, &proof)
-            );
+        // The 20 × 20 grid is past PAR_THRESHOLD, so its preparation and
+        // sweeps take the fanned-out paths.
+        for g in [generators::cycle(9), generators::grid(20, 20)] {
+            let inst = Instance::unlabeled(g);
+            let prep = PreparedInstance::new(&inst, Fingerprint.radius());
+            for seed in 0..8u64 {
+                let proof = Proof::from_fn(inst.n(), |v| {
+                    BitString::from_bits((0..3).map(|i| (seed >> i) & 1 == 1 && v % 2 == 0))
+                });
+                let verdict = prep.evaluate(&Fingerprint, &proof);
+                assert_eq!(verdict, evaluate(&Fingerprint, &inst, &proof));
+                if inst.n() >= PAR_THRESHOLD {
+                    assert!(!verdict.rejecting().is_empty(), "seed {seed}");
+                }
+            }
         }
     }
 

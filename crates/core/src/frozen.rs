@@ -1232,9 +1232,8 @@ impl<N: PortableLabel, E: PortableLabel> FrozenCore<N, E> {
 // Building
 // ---------------------------------------------------------------------
 
-/// Builds every node's skeleton for `(inst, radius)`. Under the
-/// `parallel` feature, large instances fan the per-node BFS out across
-/// cores.
+/// Builds every node's skeleton for `(inst, radius)`. Large instances
+/// fan the per-node BFS out across cores.
 pub(crate) fn build_all<N: Clone + Send + Sync, E: Clone + Send + Sync>(
     inst: &Instance<N, E>,
     radius: usize,
@@ -1243,7 +1242,7 @@ pub(crate) fn build_all<N: Clone + Send + Sync, E: Clone + Send + Sync>(
     // One contiguous node range per worker, each reusing a single O(n)
     // scratch — not one scratch per node, which would make preparation
     // Θ(n²) in allocation alone.
-    let workers = if cfg!(feature = "parallel") && n >= PAR_THRESHOLD {
+    let workers = if n >= PAR_THRESHOLD {
         std::thread::available_parallelism().map_or(1, |w| w.get())
     } else {
         1
@@ -1615,10 +1614,14 @@ mod tests {
 
     #[test]
     fn builder_freeze_matches_one_shot_freeze() {
-        let inst = Instance::unlabeled(generators::grid(3, 4));
-        let one_shot = FrozenCore::<(), ()>::from_built(2, build_all(&inst, 2));
-        let built = CoreBuilder::build(&inst, 2).freeze();
-        assert_eq!(one_shot.words(), built.words(), "byte-identical images");
+        // 20 × 20 is past PAR_THRESHOLD: `build_all` splits it into one
+        // node range per worker, while the builder goes node by node.
+        for g in [generators::grid(3, 4), generators::grid(20, 20)] {
+            let inst = Instance::unlabeled(g);
+            let one_shot = FrozenCore::<(), ()>::from_built(2, build_all(&inst, 2));
+            let built = CoreBuilder::build(&inst, 2).freeze();
+            assert_eq!(one_shot.words(), built.words(), "byte-identical images");
+        }
     }
 
     #[test]

@@ -96,8 +96,8 @@ impl fmt::Display for CompletenessError {
 /// Prepare the sweep once with [`crate::engine::prepare_sweep`] and reuse
 /// it across completeness, soundness, and size measurements.
 ///
-/// With the `parallel` feature, instances are checked concurrently; the
-/// reported failure is still the lowest-index one.
+/// Two or more instances are checked concurrently; the reported failure
+/// is still the lowest-index one.
 ///
 /// # Errors
 ///

@@ -22,8 +22,8 @@
 //! proof-independent ball topology) once per `(instance, radius)`, and
 //! candidate proofs are word-packed [`Proof`]s that bound views borrow
 //! directly — search loops mutate one preallocated proof in place,
-//! performing zero heap allocations per candidate — with
-//! node-level parallelism behind the `parallel` feature.
+//! performing zero heap allocations per candidate — and the engine fans
+//! large instances out across cores, a choice made from input size alone.
 //!
 //! ## Example: the bipartiteness scheme in miniature
 //!

@@ -3,7 +3,7 @@
 //!
 //! A [`GraphFamily`] is a *seeded, deterministic* recipe: the same
 //! `(family, n, seed)` triple always yields the same graph, including
-//! across the `parallel` feature and across processes — the property the
+//! across threads and across processes — the property the
 //! campaign's byte-identical-report guarantee rests on. Random families
 //! (trees, `G(n,p)`, bipartite) derive their RNG stream from a splitmix
 //! of the triple, so two cells of a campaign never share randomness by

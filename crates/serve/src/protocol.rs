@@ -37,6 +37,19 @@ pub const MAX_FORGED_PROOF_WORDS: usize = 1 << 22;
 /// daemon cannot finish, or a size its builders' rounding would wrap.
 pub const MAX_CELL_NODES: usize = 1 << 20;
 
+/// Upper bound on a `churn` request's `steps` (default 64). A trace
+/// entry renders to at most 123 bytes (the longest kind, three counts
+/// under 10⁷, two `false`s), so the longest reply fits in [`MAX_FRAME`].
+pub const MAX_CHURN_STEPS: usize = 1 << 16;
+const _: () = assert!(MAX_CHURN_STEPS * 128 < MAX_FRAME);
+
+/// Upper bound on a `tamper-probe` request's `trials` (default 64); the
+/// probe takes no `budget_ms`, so this cap is what bounds its run.
+pub const MAX_TAMPER_TRIALS: usize = 1 << 16;
+
+/// Upper bound on a `verify` request's `iterations` (default 256).
+pub const MAX_SEARCH_ITERATIONS: usize = 1 << 16;
+
 /// Every request name the dispatch table accepts, in documentation
 /// order. `docs/PROTOCOL.md` documents exactly this set (pinned by the
 /// doc-sync test).
@@ -412,7 +425,8 @@ impl Request {
     ///
     /// [`ERR_BAD_REQUEST`] for malformed JSON or missing fields,
     /// [`ERR_UNKNOWN_OP`] for an op outside [`REQUEST_NAMES`], and the
-    /// coordinate errors of [`CellCoord`].
+    /// coordinate errors of [`CellCoord`]; a work count above its `MAX_*`
+    /// ceiling is [`ERR_BAD_REQUEST`].
     pub fn parse(payload: &str) -> Result<Request, ProtoError> {
         let doc = Json::parse(payload)
             .map_err(|e| ProtoError::new(ERR_BAD_REQUEST, format!("invalid JSON: {e}")))?;
@@ -421,13 +435,13 @@ impl Request {
             "verify" => Ok(Request::Verify {
                 coord: CellCoord::parse(&doc)?,
                 budget_ms: opt_u64_field(&doc, "budget_ms")?,
-                iterations: opt_usize_field(&doc, "iterations")?.unwrap_or(256),
+                iterations: capped_field(&doc, "iterations", 256, MAX_SEARCH_ITERATIONS)?,
                 size_budget: opt_usize_field(&doc, "size_budget")?.unwrap_or(2),
                 seed: opt_u64_field(&doc, "seed")?.unwrap_or(0),
             }),
             "tamper-probe" => Ok(Request::TamperProbe {
                 coord: CellCoord::parse(&doc)?,
-                trials: opt_usize_field(&doc, "trials")?.unwrap_or(64),
+                trials: capped_field(&doc, "trials", 64, MAX_TAMPER_TRIALS)?,
                 seed: opt_u64_field(&doc, "seed")?.unwrap_or(0),
             }),
             "stats" => Ok(Request::Stats),
@@ -436,7 +450,7 @@ impl Request {
             "mutate" => Ok(Request::Mutate(WireMutation::parse(&doc)?)),
             "churn" => Ok(Request::Churn {
                 seed: opt_u64_field(&doc, "seed")?.unwrap_or(0),
-                steps: opt_usize_field(&doc, "steps")?.unwrap_or(64),
+                steps: capped_field(&doc, "steps", 64, MAX_CHURN_STEPS)?,
                 check_every: opt_usize_field(&doc, "check_every")?.unwrap_or(0),
                 budget_ms: opt_u64_field(&doc, "budget_ms")?,
             }),
@@ -484,6 +498,19 @@ fn opt_usize_field(doc: &Json, key: &str) -> Result<Option<usize>, ProtoError> {
             ProtoError::new(ERR_BAD_REQUEST, format!("field {key:?} must be an integer"))
         }),
     }
+}
+
+/// An optional work count: `default` when absent, [`ERR_BAD_REQUEST`]
+/// above `cap`.
+fn capped_field(doc: &Json, key: &str, default: usize, cap: usize) -> Result<usize, ProtoError> {
+    let value = opt_usize_field(doc, key)?.unwrap_or(default);
+    if value > cap {
+        return Err(ProtoError::new(
+            ERR_BAD_REQUEST,
+            format!("{key} = {value} exceeds the ceiling of {cap}"),
+        ));
+    }
+    Ok(value)
 }
 
 /// Writes one frame: 4-byte big-endian length, then the UTF-8 payload.

@@ -153,8 +153,13 @@ fn request_within(addr: SocketAddr, payload: &str) -> Json {
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("set the read timeout");
-    write_frame(&mut stream, payload).expect("send");
-    let reply = read_frame(&mut stream, &|| true)
+    reply_within(&mut stream, payload)
+}
+
+/// [`request_within`] on an open connection, for session requests.
+fn reply_within(stream: &mut TcpStream, payload: &str) -> Json {
+    write_frame(stream, payload).expect("send");
+    let reply = read_frame(stream, &|| true)
         .expect("read")
         .unwrap_or_else(|| panic!("no reply to {payload} within 10 s"));
     Json::parse(&reply).expect("the reply is JSON")
@@ -189,6 +194,72 @@ fn hostile_cell_size_is_a_bad_request_and_the_worker_survives() {
             "n = {n}: {reply:?}"
         );
     }
+    let stats = request_within(addr, "{\"op\":\"stats\"}");
+    assert_eq!(
+        stats.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{stats:?}"
+    );
+    handle.stop().expect("clean drain");
+}
+
+#[test]
+fn hostile_work_counts_are_bad_requests_and_the_worker_survives() {
+    // One worker: a request that pinned it for hours would leave every
+    // later request unanswered.
+    let handle = Server::bind(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind")
+    .spawn()
+    .expect("spawn");
+    let addr = handle.addr();
+    let huge: usize = 1 << 40;
+    let yes = coord(16).render_fields();
+    let no = CellCoord {
+        polarity: Polarity::No,
+        ..coord(17)
+    }
+    .render_fields();
+    let refused = |reply: &Json, what: &str| {
+        assert_eq!(
+            reply.get("error").and_then(Json::as_str),
+            Some("bad-request"),
+            "{what}: {reply:?}"
+        );
+    };
+
+    for (what, payload) in [
+        (
+            "verify iterations",
+            format!("{{\"op\":\"verify\",{no},\"iterations\":{huge}}}"),
+        ),
+        (
+            "tamper-probe trials",
+            format!("{{\"op\":\"tamper-probe\",{yes},\"trials\":{huge}}}"),
+        ),
+    ] {
+        refused(&request_within(addr, &payload), what);
+    }
+
+    let mut session = TcpStream::connect(addr).expect("connect");
+    session
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set the read timeout");
+    let opened = reply_within(&mut session, &format!("{{\"op\":\"session-open\",{yes}}}"));
+    assert_eq!(
+        opened.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{opened:?}"
+    );
+    let churn = reply_within(
+        &mut session,
+        &format!("{{\"op\":\"churn\",\"seed\":1,\"steps\":{huge}}}"),
+    );
+    refused(&churn, "churn steps");
+    drop(session);
+
     let stats = request_within(addr, "{\"op\":\"stats\"}");
     assert_eq!(
         stats.get("ok").and_then(Json::as_bool),
