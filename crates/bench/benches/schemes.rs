@@ -1,12 +1,13 @@
 //! Criterion micro-benches: prover and verifier cost for representative
 //! schemes across the hierarchy levels.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lcp_core::{evaluate, Instance, Scheme};
-use lcp_graph::generators;
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
+use lcp_core::{evaluate, prepare, Deadline, Instance, Scheme};
+use lcp_graph::{generators, spanning};
 use lcp_schemes::bipartite::Bipartite;
 use lcp_schemes::chromatic::NonBipartite;
 use lcp_schemes::leader::LeaderElection;
+use lcp_schemes::spanning_tree::SpanningTree;
 use lcp_schemes::universal::prime_order;
 use std::hint::black_box;
 
@@ -63,6 +64,50 @@ fn bench_verifiers(c: &mut Criterion) {
     group.finish();
 }
 
+/// The sequential sweep a resident daemon `verify` runs
+/// (`PreparedInstance::evaluate_within` on a prepared core and a held
+/// honest proof), per scheme, at n = 10⁴.
+fn bench_resident_sweep(c: &mut Criterion) {
+    let mut group = c.benchmark_group("verify-resident");
+    group.sample_size(50);
+    for (family, g) in [
+        ("cycle", generators::cycle(10_000)),
+        ("grid", generators::grid(100, 100)),
+    ] {
+        let tree = spanning::bfs_spanning_tree(&g, 0);
+        let edges = g.nodes().filter_map(|v| tree.parent(v).map(|p| (v, p)));
+        let leader = (0..g.n()).map(|v| v == 0).collect();
+        resident_sweep(
+            &mut group,
+            family,
+            &Bipartite,
+            &Instance::unlabeled(g.clone()),
+        );
+        let spanning = Instance::unlabeled(g.clone()).with_edge_set(edges);
+        resident_sweep(&mut group, family, &SpanningTree, &spanning);
+        resident_sweep(
+            &mut group,
+            family,
+            &LeaderElection,
+            &Instance::with_node_data(g, leader),
+        );
+    }
+    group.finish();
+}
+
+fn resident_sweep<S: Scheme<Node: Send + Sync, Edge: Send + Sync>>(
+    group: &mut BenchmarkGroup<'_>,
+    family: &str,
+    scheme: &S,
+    inst: &Instance<S::Node, S::Edge>,
+) {
+    let prep = prepare(scheme, inst);
+    let proof = scheme.prove(inst).expect("a yes-instance");
+    group.bench_function(format!("{}/{family}", scheme.name()), |b| {
+        b.iter(|| prep.evaluate_within(scheme, black_box(&proof), &Deadline::none()))
+    });
+}
+
 fn bench_simulator_ablation(c: &mut Criterion) {
     // Ablation: centralized view extraction vs full message passing.
     let mut group = c.benchmark_group("executor-ablation");
@@ -82,6 +127,7 @@ criterion_group!(
     benches,
     bench_provers,
     bench_verifiers,
+    bench_resident_sweep,
     bench_simulator_ablation
 );
 criterion_main!(benches);

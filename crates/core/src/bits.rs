@@ -498,22 +498,33 @@ impl<'a> BitReader<'a> {
 
     /// Reads an Elias-γ coded value (inverse of [`BitWriter::write_gamma`]).
     ///
-    /// The zero-run scan stays bit-by-bit (γ prefixes in proofs are a
-    /// few bits — chunked scanning costs more than it saves), but the
-    /// payload rides the word-level [`Self::read_u64`].
+    /// The zero run is found with one `trailing_zeros` over the next 64
+    /// bits, masked to the string's end (a shrunk proof slot keeps stale
+    /// bits past it); the payload rides the word-level
+    /// [`Self::read_u64`]. Only a window with no 1 in it — a run of 64+
+    /// zeros or a truncated prefix — falls back to the bit loop, so
+    /// errors and the reader position on error are the bit loop's.
     ///
     /// # Errors
     ///
     /// [`CodecError::OutOfBits`] / [`CodecError::Malformed`] on truncated
     /// or absurd prefixes.
     pub fn read_gamma(&mut self) -> Result<u64, CodecError> {
-        let mut k = 0u32;
-        while !self.read_bit()? {
-            k += 1;
-            if k > 64 {
-                return Err(CodecError::Malformed);
+        let window = peek_chunk(self.src.words(), self.pos) & low_mask(self.remaining().min(64));
+        let k = if window != 0 {
+            let k = window.trailing_zeros();
+            self.pos += k as usize + 1;
+            k
+        } else {
+            let mut k = 0u32;
+            while !self.read_bit()? {
+                k += 1;
+                if k > 64 {
+                    return Err(CodecError::Malformed);
+                }
             }
-        }
+            k
+        };
         // k payload bits, MSB-first under the implicit leading 1. A
         // hostile k = 64 overflows the implicit leading 1 out of u64
         // range; the only value it could ever round-trip is already
@@ -546,6 +557,7 @@ impl<'a> BitReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{any, Strategy};
 
     #[test]
     fn empty_string() {
@@ -666,6 +678,74 @@ mod tests {
         // payload minus one, the historical wrapping value).
         let s = BitString::from_bits((0..129).map(|i| i == 64 || i == 128));
         assert_eq!(BitReader::new(&s).read_gamma(), Ok(0));
+    }
+
+    #[test]
+    fn gamma_window_masks_the_stale_tail_of_a_shrunk_slot() {
+        // Rewriting the slot in place from `11` to `0` leaves the old
+        // second bit in its word; an unmasked window would see that stale
+        // 1 past the end and step beyond it.
+        let mut p = crate::Proof::with_capacity(1, 2);
+        p.write_bits(0, [true, true]);
+        p.write_bits(0, [false]);
+        assert_eq!(p.get(0).words()[0], 0b10, "the stale bit is there");
+        let mut r = BitReader::new(p.get(0));
+        assert_eq!(r.read_gamma(), Err(CodecError::OutOfBits));
+        assert_eq!(r.remaining(), 0);
+    }
+
+    /// The bit-loop γ decoder the window scan replaced, kept as the
+    /// oracle for its results and reader positions.
+    fn bit_loop_read_gamma(r: &mut BitReader<'_>) -> Result<u64, CodecError> {
+        let mut k = 0u32;
+        while !r.read_bit()? {
+            k += 1;
+            if k > 64 {
+                return Err(CodecError::Malformed);
+            }
+        }
+        let payload = r.read_u64(k)?;
+        let v = if k == 64 {
+            payload
+        } else {
+            (1u64 << k) | payload
+        };
+        v.checked_sub(1).ok_or(CodecError::Malformed)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// Arbitrary strings of up to 200 bits, each with a forced zero
+        /// run of 63, 64 or 65 (or none) somewhere, cut at an arbitrary
+        /// point — so payloads and prefixes get truncated — while the
+        /// bits past the cut stay in the last word as stale garbage.
+        #[test]
+        fn gamma_window_scan_matches_the_bit_loop(
+            head in proptest::collection::vec(any::<bool>(), 0..40),
+            run in (0usize..4).prop_map(|i| [0, 63, 64, 65][i]),
+            closed in any::<bool>(),
+            tail in proptest::collection::vec(any::<bool>(), 0..100),
+            cut in 0usize..=200,
+        ) {
+            let bits: BitString = head
+                .iter()
+                .copied()
+                .chain(std::iter::repeat_n(false, run))
+                .chain(closed.then_some(true))
+                .chain(tail.iter().copied())
+                .collect();
+            let src = ProofRef::from_words(bits.words(), cut.min(bits.len()));
+            let (mut fast, mut slow) = (BitReader::new(src), BitReader::new(src));
+            loop {
+                let got = fast.read_gamma();
+                proptest::prop_assert_eq!(&got, &bit_loop_read_gamma(&mut slow));
+                proptest::prop_assert_eq!(fast.remaining(), slow.remaining());
+                if got.is_err() || fast.is_exhausted() {
+                    break;
+                }
+            }
+        }
     }
 
     #[test]

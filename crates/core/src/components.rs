@@ -4,10 +4,14 @@
 //! [`TreeCert`] is that tool — root identity + parent pointer + distance,
 //! optionally extended with subtree counters so every node can be
 //! convinced of `n(G)` (the paper's node-counter trick). Schemes embed it
-//! at the front of their per-node proof strings and verify it through
-//! [`TreeCert::verify_at_center`].
+//! in their per-node proof strings and verify it through
+//! [`TreeCert::verify_at_center`] / [`CountingTreeCert::verify_at_center`]:
+//! one pass that decodes the centre's and each neighbour's whole proof
+//! once, runs the scheme's own per-neighbour clause on the decoded
+//! pair, and hands the centre's decoded proof back for the scheme's
+//! remaining centre checks.
 
-use crate::bits::{BitReader, BitWriter, CodecError};
+use crate::bits::{BitReader, BitWriter, CodecError, ProofRef};
 use crate::view::View;
 use lcp_graph::spanning::RootedTree;
 use lcp_graph::Graph;
@@ -70,9 +74,25 @@ impl TreeCert {
         })
     }
 
-    /// The §5.1 local check at the view's centre. `certs(u)` must decode
-    /// node `u`'s certificate (returning `None` rejects — malformed proofs
-    /// are invalid proofs).
+    /// Decodes a proof string that holds exactly one certificate;
+    /// `None` (malformed or trailing bits) means reject.
+    pub fn decode_exact(proof: ProofRef<'_>) -> Option<TreeCert> {
+        let mut r = BitReader::new(proof);
+        let c = TreeCert::decode(&mut r).ok()?;
+        r.is_exhausted().then_some(c)
+    }
+
+    /// The §5.1 local check at the view's centre, in one pass that
+    /// decodes each visible proof once. `decode(u)` decodes node `u`'s
+    /// whole proof (`None` rejects — malformed proofs are invalid
+    /// proofs); it is called for the centre, then for each neighbour.
+    /// `tree` finds the certificate inside a decoded proof.
+    /// `clause(mine, u, theirs)`, the scheme's own check on the edge to
+    /// neighbour `u`, runs on each decoded pair in the same pass (`false`
+    /// rejects); it may run before the centre's own checks pass, so it
+    /// must not rely on them. On acceptance the centre's decoded proof
+    /// is returned, so no caller decodes it again. Every clause is a
+    /// conjunct: the verdict is that of running the checks separately.
     ///
     /// Requires view radius ≥ 1. Accepting at *every* node implies that
     /// **each connected component** carries a consistent rooted spanning
@@ -84,37 +104,33 @@ impl TreeCert {
     /// disconnected graph can certify one tree per component, which is
     /// exactly why "connected graph" on the general family is unclassified
     /// ("—") in Table 1(a).
-    pub fn verify_at_center<N, E, F>(view: &View<N, E>, certs: F) -> bool
-    where
-        F: Fn(usize) -> Option<TreeCert>,
-    {
+    pub fn verify_at_center<N, E, C>(
+        view: &View<N, E>,
+        decode: impl Fn(usize) -> Option<C>,
+        tree: impl Fn(&C) -> &TreeCert,
+        mut clause: impl FnMut(&C, usize, &C) -> bool,
+    ) -> Option<C> {
         let c = view.center();
-        let Some(mine) = certs(c) else {
-            return false;
-        };
         let my_id = view.id(c).0;
-        // Root self-consistency.
-        if mine.dist == 0 {
-            if my_id != mine.root_id || mine.parent_id != my_id {
-                return false;
-            }
-        } else {
-            // Parent must be a *neighbour* with dist − 1 and the claimed id.
-            let parent_ok = view.neighbors(c).iter().any(|&u| {
-                view.id(u).0 == mine.parent_id
-                    && certs(u).is_some_and(|cu| cu.dist + 1 == mine.dist)
-            });
-            if !parent_ok {
-                return false;
-            }
-            if my_id == mine.root_id {
-                return false; // non-root node impersonating the root id
-            }
+        let mine = decode(c)?;
+        let t = tree(&mine);
+        // Root self-consistency: `dist = 0` exactly at the node carrying
+        // `root_id`, which points at itself — so no non-root impersonates it.
+        if (t.dist == 0) != (my_id == t.root_id) || (t.dist == 0 && t.parent_id != my_id) {
+            return None;
         }
-        // Neighbour agreement on the root identity.
-        view.neighbors(c)
-            .iter()
-            .all(|&u| certs(u).is_some_and(|cu| cu.root_id == mine.root_id))
+        // A non-root's parent must be a *neighbour* with dist − 1 and the
+        // claimed id; every neighbour must agree on the root identity.
+        let mut parent_ok = t.dist == 0;
+        for &u in view.neighbors(c) {
+            let theirs = decode(u)?;
+            let tu = tree(&theirs);
+            if tu.root_id != t.root_id || !clause(&mine, u, &theirs) {
+                return None;
+            }
+            parent_ok |= view.id(u).0 == t.parent_id && tu.dist + 1 == t.dist;
+        }
+        parent_ok.then_some(mine)
     }
 }
 
@@ -171,45 +187,52 @@ impl CountingTreeCert {
         })
     }
 
-    /// The counting extension of the §5.1 check. On top of
-    /// [`TreeCert::verify_at_center`], the centre checks its counting
-    /// equation (`subtree = 1 + Σ children`), neighbour agreement on
-    /// `n_claim`, and — at the root — `subtree = n_claim`.
+    /// Decodes a proof string that holds exactly one certificate;
+    /// `None` (malformed or trailing bits) means reject.
+    pub fn decode_exact(proof: ProofRef<'_>) -> Option<CountingTreeCert> {
+        let mut r = BitReader::new(proof);
+        let c = CountingTreeCert::decode(&mut r).ok()?;
+        r.is_exhausted().then_some(c)
+    }
+
+    /// The counting extension of the §5.1 check, in the same single pass
+    /// and under the same contract as [`TreeCert::verify_at_center`]
+    /// (`count` finds the counting certificate in a decoded proof). On
+    /// top of the tree clauses, each neighbour must agree on `n_claim`,
+    /// the children's `subtree` counters are summed as they are decoded,
+    /// and the centre then checks its counting equation
+    /// (`subtree = 1 + Σ children`) and — at the root — `subtree =
+    /// n_claim`. Counter sums are checked: a forged counter that
+    /// overflows `u64` rejects like any other malformed proof.
     ///
     /// All nodes accepting implies every node's `n_claim` equals the size
     /// of its *component* (the counters telescope up the certified tree);
     /// under the connectedness promise that is the true `n(G)` — the
     /// paper's "every node can be convinced of the value of n(G)".
-    pub fn verify_at_center<N, E, F>(view: &View<N, E>, certs: F) -> bool
-    where
-        F: Fn(usize) -> Option<CountingTreeCert>,
-    {
-        if !TreeCert::verify_at_center(view, |u| certs(u).map(|c| c.tree)) {
-            return false;
-        }
-        let c = view.center();
-        let mine = certs(c).expect("checked by tree verification");
-        let my_id = view.id(c).0;
+    pub fn verify_at_center<N, E, C>(
+        view: &View<N, E>,
+        decode: impl Fn(usize) -> Option<C>,
+        count: impl Fn(&C) -> &CountingTreeCert,
+        mut clause: impl FnMut(&C, usize, &C) -> bool,
+    ) -> Option<C> {
+        let my_id = view.id(view.center()).0;
         // Children: neighbours whose parent pointer names me, one level down.
-        let mut child_sum = 0u64;
-        for &u in view.neighbors(c) {
-            let Some(cu) = certs(u) else {
-                return false;
-            };
-            if cu.n_claim != mine.n_claim {
-                return false;
-            }
-            if cu.tree.parent_id == my_id && cu.tree.dist == mine.tree.dist + 1 {
-                child_sum += cu.subtree;
-            }
-        }
-        if mine.subtree != 1 + child_sum {
-            return false;
-        }
-        if mine.tree.dist == 0 && mine.subtree != mine.n_claim {
-            return false;
-        }
-        true
+        let mut child_sum = Some(0u64);
+        let mine = TreeCert::verify_at_center(
+            view,
+            decode,
+            |c| &count(c).tree,
+            |mine, u, theirs| {
+                let (m, cu) = (count(mine), count(theirs));
+                if cu.tree.parent_id == my_id && cu.tree.dist == m.tree.dist + 1 {
+                    child_sum = child_sum.and_then(|s| s.checked_add(cu.subtree));
+                }
+                cu.n_claim == m.n_claim && clause(mine, u, theirs)
+            },
+        )?;
+        let m = count(&mine);
+        let counted = child_sum.and_then(|s| s.checked_add(1)) == Some(m.subtree);
+        (counted && (m.tree.dist != 0 || m.subtree == m.n_claim)).then_some(mine)
     }
 }
 
@@ -251,9 +274,13 @@ mod tests {
             })
         }
         fn verify(&self, view: &View) -> bool {
-            TreeCert::verify_at_center(view, |u| {
-                TreeCert::decode(&mut BitReader::new(view.proof(u))).ok()
-            })
+            TreeCert::verify_at_center(
+                view,
+                |u| TreeCert::decode(&mut BitReader::new(view.proof(u))).ok(),
+                |c| c,
+                |_, _, _| true,
+            )
+            .is_some()
         }
     }
 
@@ -283,9 +310,13 @@ mod tests {
             })
         }
         fn verify(&self, view: &View) -> bool {
-            CountingTreeCert::verify_at_center(view, |u| {
-                CountingTreeCert::decode(&mut BitReader::new(view.proof(u))).ok()
-            })
+            CountingTreeCert::verify_at_center(
+                view,
+                |u| CountingTreeCert::decode(&mut BitReader::new(view.proof(u))).ok(),
+                |c| c,
+                |_, _, _| true,
+            )
+            .is_some()
         }
     }
 
@@ -392,6 +423,26 @@ mod tests {
             w.finish()
         });
         // The root's subtree count cannot match the inflated claim.
+        assert!(!evaluate(&CountScheme, &inst, &proof).accepted());
+    }
+
+    #[test]
+    fn overflowing_child_counters_reject_without_panicking() {
+        // A star rooted at its centre: both leaves claim a subtree of
+        // 2⁶³ under the honest tree and `n_claim`, so the centre's
+        // child sum overflows u64 — a forged proof, not a panic.
+        let g = generators::star(2);
+        let inst = Instance::unlabeled(g);
+        let tree = bfs_spanning_tree(inst.graph(), 0);
+        let mut certs = CountingTreeCert::prove(inst.graph(), &tree);
+        for c in &mut certs[1..] {
+            c.subtree = 1 << 63;
+        }
+        let proof = Proof::from_fn(inst.n(), |v| {
+            let mut w = BitWriter::new();
+            certs[v].encode(&mut w);
+            w.finish()
+        });
         assert!(!evaluate(&CountScheme, &inst, &proof).accepted());
     }
 

@@ -117,12 +117,11 @@ where
             let cert = TreeCert::decode(&mut r).ok()?;
             r.is_exhausted().then_some((bits, cert))
         };
-        let Some((_, my_cert)) = decode(view.center()) else {
+        let Some((_, my_cert)) =
+            TreeCert::verify_at_center(view, decode, |(_, c)| c, |_, _, _| true)
+        else {
             return false;
         };
-        if !TreeCert::verify_at_center(view, |u| decode(u).map(|(_, c)| c)) {
-            return false;
-        }
         // The witness x is the root; visible iff its identifier is in view.
         let x = view.index_of(NodeId(my_cert.root_id));
         evaluate_at(&self.sentence.matrix, view, x, |u, r| {

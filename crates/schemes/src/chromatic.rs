@@ -144,72 +144,39 @@ impl Scheme for NonBipartite {
     }
 
     fn verify(&self, view: &View) -> bool {
-        // Single pass, one decode per visible node: the conjunction of
-        // the §5.1 tree check (inlined from `TreeCert::verify_at_center`)
-        // and the odd-cycle checks. Logically identical to running the
-        // two passes separately — every clause is conjunctive — but the
-        // hot exhaustive/adversarial loops decode each neighbour once
-        // instead of three times.
-        let c = view.center();
-        let Some(mine) = decode_nb(view.proof(c)) else {
+        // One pass of the shared §5.1 tree check, with the cycle-neighbour
+        // count as its per-neighbour clause: each visible proof is
+        // decoded once.
+        let (mut preds, mut succs) = (0, 0);
+        let certs = |u: usize| decode_nb(view.proof(u));
+        let cycle_steps = |mine: &NbCert, _, cu: &NbCert| {
+            let (Some((p, len)), Some((q, lu))) = (mine.cycle, cu.cycle) else {
+                return true;
+            };
+            if lu != len || p >= len {
+                return false; // cycle nodes must agree on the length
+            }
+            // Predecessor p − 1 and successor p + 1, mod L.
+            preds += usize::from(q == p.checked_sub(1).unwrap_or(len - 1));
+            succs += usize::from(q == if p + 1 == len { 0 } else { p + 1 });
+            true
+        };
+        let Some(mine) = TreeCert::verify_at_center(view, certs, |nb| &nb.tree, cycle_steps) else {
             return false;
         };
-        let my_id = view.id(c).0;
-        let i_am_root = my_id == mine.tree.root_id;
-        // Root self-consistency.
-        if mine.tree.dist == 0 {
-            if !i_am_root || mine.tree.parent_id != my_id {
-                return false;
+        // The tree check pinned the root to `dist = 0`. Cycle sanity: odd
+        // length, position in range, position 0 reserved for the root,
+        // which must lie on the cycle.
+        match mine.cycle {
+            Some((p, len)) => {
+                len >= 3
+                    && len % 2 == 1
+                    && p < len
+                    && (p == 0) == (mine.tree.dist == 0)
+                    && preds == 1
+                    && succs == 1
             }
-        } else if i_am_root {
-            return false; // non-root node impersonating the root id
-        }
-        // Cycle sanity: odd length, position in range, root at position 0.
-        let cycle = if let Some((p, len)) = mine.cycle {
-            if len < 3 || len % 2 == 0 || p >= len {
-                return false;
-            }
-            if (p == 0) != i_am_root {
-                return false; // position 0 is reserved for the unique root
-            }
-            // Predecessor (p−1 mod L) and successor (p+1 mod L).
-            Some(((p + len - 1) % len, (p + 1) % len, len))
-        } else if i_am_root {
-            return false; // the root must lie on the cycle
-        } else {
-            None
-        };
-        let mut parent_ok = mine.tree.dist == 0;
-        let mut preds = 0;
-        let mut succs = 0;
-        for &u in view.neighbors(c) {
-            let Some(cu) = decode_nb(view.proof(u)) else {
-                return false; // malformed neighbours reject everywhere
-            };
-            if cu.tree.root_id != mine.tree.root_id {
-                return false; // neighbours must agree on the root
-            }
-            if view.id(u).0 == mine.tree.parent_id && cu.tree.dist + 1 == mine.tree.dist {
-                parent_ok = true;
-            }
-            if let (Some((prev, next, len)), Some((q, lu))) = (cycle, cu.cycle) {
-                if lu != len {
-                    return false; // cycle nodes must agree on the length
-                }
-                if q == prev {
-                    preds += 1;
-                }
-                if q == next {
-                    succs += 1;
-                }
-            }
-        }
-        if !parent_ok {
-            return false; // non-root: parent must be a visible neighbour
-        }
-        match cycle {
-            Some(_) => preds == 1 && succs == 1,
-            None => true, // off-cycle non-root with a consistent tree
+            None => mine.tree.dist != 0,
         }
     }
 }
@@ -251,6 +218,23 @@ mod tests {
             sizes_by_n.push(proof.size());
         }
         assert!(sizes_by_n.iter().all(|&s| s == 2), "⌈log₂ 4⌉ = 2 bits");
+    }
+
+    #[test]
+    fn huge_claimed_odd_cycle_length_rejects_without_panicking() {
+        // Every cycle node of C5 claims L = 2⁶⁴ − 3 (odd): position 4's
+        // p − 1 mod L must not be computed as an overflowing p + L − 1.
+        let inst = Instance::unlabeled(generators::cycle(5));
+        let proof = NonBipartite.prove(&inst).unwrap();
+        let forged = Proof::from_fn(5, |v| {
+            let cert = decode_nb(proof.get(v)).unwrap();
+            let mut w = BitWriter::new();
+            cert.tree.encode(&mut w);
+            let (p, _) = cert.cycle.expect("C5 is its own odd cycle");
+            w.write_bit(true).write_gamma(p).write_gamma(u64::MAX - 2);
+            w.finish()
+        });
+        assert!(!evaluate(&NonBipartite, &inst, &forged).accepted());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! root re-run the inner verifier locally.
 
 use lcp_core::components::TreeCert;
-use lcp_core::{evaluate, BitReader, BitWriter, Instance, Proof, Scheme, View};
+use lcp_core::{evaluate, BitWriter, Instance, Proof, Scheme, View};
 use lcp_graph::traversal;
 
 /// Wraps an `LCP(0)` scheme `S` and decides its complement on connected
@@ -83,16 +83,10 @@ where
     }
 
     fn verify(&self, view: &View<S::Node, S::Edge>) -> bool {
-        let certs = |u: usize| {
-            let mut r = BitReader::new(view.proof(u));
-            let c = TreeCert::decode(&mut r).ok()?;
-            r.is_exhausted().then_some(c)
-        };
-        if !TreeCert::verify_at_center(view, certs) {
+        let certs = |u: usize| TreeCert::decode_exact(view.proof(u));
+        let Some(mine) = TreeCert::verify_at_center(view, certs, |c| c, |_, _, _| true) else {
             return false;
-        }
-        let c = view.center();
-        let mine = certs(c).expect("decoded by the tree check");
+        };
         if mine.dist != 0 {
             return true;
         }

@@ -104,16 +104,9 @@ impl Scheme for OddCycle {
         if view.degree(view.center()) != 2 {
             return false;
         }
-        let certs = |u: usize| {
-            let mut r = BitReader::new(view.proof(u));
-            let c = CountingTreeCert::decode(&mut r).ok()?;
-            r.is_exhausted().then_some(c)
-        };
-        if !CountingTreeCert::verify_at_center(view, certs) {
-            return false;
-        }
-        let mine = certs(view.center()).expect("decoded by the counting check");
-        mine.n_claim % 2 == 1
+        let certs = |u: usize| CountingTreeCert::decode_exact(view.proof(u));
+        CountingTreeCert::verify_at_center(view, certs, |c| c, |_, _, _| true)
+            .is_some_and(|mine| mine.n_claim % 2 == 1)
     }
 }
 
@@ -214,30 +207,25 @@ impl Scheme for MaxMatchingCycle {
         if incident > 1 {
             return false;
         }
-        let certs = |u: usize| decode_mm(view.proof(u));
-        if !CountingTreeCert::verify_at_center(view, |u| certs(u).map(|m| m.count)) {
-            return false;
-        }
-        let mine = certs(c).expect("decoded");
-        // Counting equation for the unmatched counter.
+        // Counting equation for the unmatched counter, summed (checked:
+        // counters are prover-supplied) in the counting check's pass.
         let my_id = view.id(c).0;
-        let mut child_sum = 0u64;
-        for &u in view.neighbors(c) {
-            let Some(cu) = certs(u) else {
-                return false;
-            };
+        let mut child_sum = Some(0u64);
+        let certs = |u: usize| decode_mm(view.proof(u));
+        let children = |mine: &MmCert, _, cu: &MmCert| {
             if cu.count.tree.parent_id == my_id && cu.count.tree.dist == mine.count.tree.dist + 1 {
-                child_sum += cu.unmatched_subtree;
+                child_sum = child_sum.and_then(|s| s.checked_add(cu.unmatched_subtree));
             }
-        }
-        if mine.unmatched_subtree != u64::from(incident == 0) + child_sum {
+            true
+        };
+        let Some(mine) = CountingTreeCert::verify_at_center(view, certs, |m| &m.count, children)
+        else {
             return false;
-        }
+        };
+        let unmatched = child_sum.and_then(|s| s.checked_add(u64::from(incident == 0)));
         // Root decides optimality: unmatched total must be n mod 2.
-        if mine.count.tree.dist == 0 && mine.unmatched_subtree != mine.count.n_claim % 2 {
-            return false;
-        }
-        true
+        unmatched == Some(mine.unmatched_subtree)
+            && (mine.count.tree.dist != 0 || mine.unmatched_subtree == mine.count.n_claim % 2)
     }
 }
 
@@ -366,6 +354,22 @@ mod tests {
             Soundness::Holds(_) => {}
             Soundness::Violated(p) => panic!("submaximal matching certified by {p:?}"),
         }
+    }
+
+    #[test]
+    fn overflowing_unmatched_counters_reject_without_panicking() {
+        // Both children of the root claim 2⁶³ unmatched nodes under the
+        // honest counting tree: the root's sum overflows u64.
+        let inst = Instance::unlabeled(generators::cycle(6)).with_edge_set(alternating_matching(6));
+        let mut proof = MaxMatchingCycle.prove(&inst).unwrap();
+        for child in [1, 5] {
+            let cert = decode_mm(proof.get(child)).unwrap();
+            let mut w = BitWriter::new();
+            cert.count.encode(&mut w);
+            w.write_gamma(1 << 63);
+            proof.set(child, w.finish());
+        }
+        assert!(!evaluate(&MaxMatchingCycle, &inst, &proof).accepted());
     }
 
     #[test]

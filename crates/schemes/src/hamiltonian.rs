@@ -108,42 +108,35 @@ impl Scheme for HamiltonianCycle {
     }
 
     fn verify(&self, view: &View) -> bool {
-        let certs = |u: usize| decode_ham(view.proof(u));
-        if !CountingTreeCert::verify_at_center(view, |u| certs(u).map(|h| h.count)) {
-            return false;
-        }
         let c = view.center();
-        let mine = certs(c).expect("decoded by the counting check");
-        let n = mine.count.n_claim;
-        if n < 3 || mine.pos >= n {
-            return false;
-        }
-        // Position 0 is reserved for the unique tree root.
-        if (mine.pos == 0) != (mine.count.tree.dist == 0) {
-            return false;
-        }
-        let prev = (mine.pos + n - 1) % n;
-        let next = (mine.pos + 1) % n;
-        let mut preds = 0;
-        let mut succs = 0;
-        let mut labelled = 0;
-        for &u in view.neighbors(c) {
-            let on_edge = view.edge_label(c, u).is_some();
-            if !on_edge {
-                continue;
+        let (mut labelled, mut preds, mut succs) = (0, 0, 0);
+        let certs = |u: usize| decode_ham(view.proof(u));
+        let cycle_edges = |mine: &HamCert, u: usize, cu: &HamCert| {
+            if view.edge_label(c, u).is_none() {
+                return true;
             }
             labelled += 1;
-            let Some(cu) = certs(u) else {
-                return false;
-            };
-            if cu.pos == prev {
-                preds += 1;
+            let (p, n) = (mine.pos, mine.count.n_claim);
+            if p >= n {
+                return false; // the centre check below, run early
             }
-            if cu.pos == next {
-                succs += 1;
-            }
-        }
-        labelled == 2 && preds == 1 && succs == 1
+            // Predecessor p − 1 and successor p + 1, mod n.
+            preds += usize::from(cu.pos == p.checked_sub(1).unwrap_or(n - 1));
+            succs += usize::from(cu.pos == if p + 1 == n { 0 } else { p + 1 });
+            true
+        };
+        let Some(mine) = CountingTreeCert::verify_at_center(view, certs, |h| &h.count, cycle_edges)
+        else {
+            return false;
+        };
+        let n = mine.count.n_claim;
+        // Position 0 is reserved for the unique tree root.
+        n >= 3
+            && mine.pos < n
+            && (mine.pos == 0) == (mine.count.tree.dist == 0)
+            && labelled == 2
+            && preds == 1
+            && succs == 1
     }
 }
 
@@ -246,6 +239,28 @@ mod tests {
         bad.set(2, proof.get(4));
         bad.set(4, p2);
         assert!(!evaluate(&HamiltonianCycle, &inst, &bad).accepted());
+    }
+
+    #[test]
+    fn huge_claimed_cycle_length_rejects_without_panicking() {
+        // Every node claims n = 2⁶⁴ − 2 and one non-root sits at position
+        // n − 1: its counting checks pass, and p − 1 mod n must not be
+        // computed as an overflowing p + n − 1.
+        let inst = ham_instance(generators::cycle(6));
+        let proof = HamiltonianCycle.prove(&inst).unwrap();
+        let n = u64::MAX - 1;
+        let forged = Proof::from_fn(6, |v| {
+            let mut cert = decode_ham(proof.get(v)).unwrap();
+            cert.count.n_claim = n;
+            if cert.pos == 5 {
+                cert.pos = n - 1;
+            }
+            let mut w = BitWriter::new();
+            cert.count.encode(&mut w);
+            w.write_gamma(cert.pos);
+            w.finish()
+        });
+        assert!(!evaluate(&HamiltonianCycle, &inst, &forged).accepted());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Leader election (§5.1, Table 1(b)): `Θ(log n)` on connected graphs.
 
 use lcp_core::components::TreeCert;
-use lcp_core::{BitReader, BitWriter, Instance, Proof, Scheme, View};
+use lcp_core::{BitWriter, Instance, Proof, Scheme, View};
 use lcp_graph::traversal;
 
 /// The leader-election verification scheme: the input labels mark
@@ -53,17 +53,9 @@ impl Scheme for LeaderElection {
     }
 
     fn verify(&self, view: &View<bool>) -> bool {
-        let certs = |u: usize| {
-            let mut r = BitReader::new(view.proof(u));
-            let c = TreeCert::decode(&mut r).ok()?;
-            r.is_exhausted().then_some(c)
-        };
-        if !TreeCert::verify_at_center(view, certs) {
-            return false;
-        }
-        let c = view.center();
-        let mine = certs(c).expect("decoded by the tree check");
-        *view.node_label(c) == (mine.dist == 0)
+        let certs = |u: usize| TreeCert::decode_exact(view.proof(u));
+        TreeCert::verify_at_center(view, certs, |c| c, |_, _, _| true)
+            .is_some_and(|mine| *view.node_label(view.center()) == (mine.dist == 0))
     }
 }
 

@@ -55,31 +55,18 @@ impl Scheme for SpanningTree {
     }
 
     fn verify(&self, view: &View) -> bool {
-        let certs = |u: usize| {
-            let mut r = BitReader::new(view.proof(u));
-            let c = TreeCert::decode(&mut r).ok()?;
-            r.is_exhausted().then_some(c)
-        };
-        if !TreeCert::verify_at_center(view, certs) {
-            return false;
-        }
         let c = view.center();
-        let mine = certs(c).expect("decoded");
         let my_id = view.id(c).0;
-        for &u in view.neighbors(c) {
-            let Some(cu) = certs(u) else {
-                return false;
-            };
+        let certs = |u: usize| TreeCert::decode_exact(view.proof(u));
+        // Labelled edges are exactly the parent/child tree edges.
+        let tree_edges = |mine: &TreeCert, u: usize, cu: &TreeCert| {
             let labelled = view.edge_label(c, u).is_some();
             let u_is_my_parent =
                 mine.dist > 0 && view.id(u).0 == mine.parent_id && cu.dist + 1 == mine.dist;
             let i_am_us_parent = cu.dist > 0 && cu.parent_id == my_id && mine.dist + 1 == cu.dist;
-            // Labelled edges are exactly the parent/child tree edges.
-            if labelled != (u_is_my_parent || i_am_us_parent) {
-                return false;
-            }
-        }
-        true
+            labelled == (u_is_my_parent || i_am_us_parent)
+        };
+        TreeCert::verify_at_center(view, certs, |c| c, tree_edges).is_some()
     }
 }
 

@@ -79,11 +79,8 @@ impl Scheme for WeakLeaderElection {
     }
 
     fn verify(&self, view: &View) -> bool {
-        TreeCert::verify_at_center(view, |u| {
-            let mut r = BitReader::new(view.proof(u));
-            let c = TreeCert::decode(&mut r).ok()?;
-            r.is_exhausted().then_some(c)
-        })
+        let certs = |u: usize| TreeCert::decode_exact(view.proof(u));
+        TreeCert::verify_at_center(view, certs, |c| c, |_, _, _| true).is_some()
     }
 }
 
@@ -119,10 +116,7 @@ mod tests {
         let decodable: Vec<_> = all_bitstrings_up_to(10)
             .expect("10-bit table is in budget")
             .into_iter()
-            .filter(|s| {
-                let mut r = BitReader::new(s);
-                TreeCert::decode(&mut r).is_ok() && r.is_exhausted()
-            })
+            .filter(|s| TreeCert::decode_exact(s.into()).is_some())
             .collect();
         assert!(decodable.len() > 10, "enough certificate shapes to try");
         let mut accepted = 0u32;

@@ -148,7 +148,7 @@ where
             }
             r.is_exhausted().then_some((cert, inner))
         };
-        if !TreeCert::verify_at_center(view, |u| decode(u).map(|(c, _)| c)) {
+        if TreeCert::verify_at_center(view, decode, |(c, _)| c, |_, _, _| true).is_none() {
             return false;
         }
         // Rebuild the anonymous view: leader flag = (dist == 0), proofs =
@@ -520,15 +520,9 @@ mod tests {
         }
         fn verify(&self, view: &View) -> bool {
             use lcp_core::components::CountingTreeCert;
-            let certs = |u: usize| {
-                let mut r = BitReader::new(view.proof(u));
-                let c = CountingTreeCert::decode(&mut r).ok()?;
-                r.is_exhausted().then_some(c)
-            };
-            if !CountingTreeCert::verify_at_center(view, certs) {
-                return false;
-            }
-            certs(view.center()).expect("decoded").n_claim % 2 == 1
+            let certs = |u: usize| CountingTreeCert::decode_exact(view.proof(u));
+            CountingTreeCert::verify_at_center(view, certs, |c| c, |_, _, _| true)
+                .is_some_and(|mine| mine.n_claim % 2 == 1)
         }
     }
 

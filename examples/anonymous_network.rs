@@ -11,7 +11,7 @@
 //! ```
 
 use lcp::core::components::CountingTreeCert;
-use lcp::core::{BitReader, BitWriter, Instance, Proof, Scheme, View};
+use lcp::core::{BitWriter, Instance, Proof, Scheme, View};
 use lcp::graph::{generators, traversal};
 use lcp::sim::{evaluate_anonymous, AnonymousFromIdentified, AnonymousScheme};
 
@@ -44,13 +44,9 @@ impl Scheme for OddN {
         }))
     }
     fn verify(&self, view: &View) -> bool {
-        let certs = |u: usize| {
-            let mut r = BitReader::new(view.proof(u));
-            let c = CountingTreeCert::decode(&mut r).ok()?;
-            r.is_exhausted().then_some(c)
-        };
-        CountingTreeCert::verify_at_center(view, certs)
-            && certs(view.center()).expect("decoded").n_claim % 2 == 1
+        let certs = |u: usize| CountingTreeCert::decode_exact(view.proof(u));
+        CountingTreeCert::verify_at_center(view, certs, |c| c, |_, _, _| true)
+            .is_some_and(|mine| mine.n_claim % 2 == 1)
     }
 }
 
