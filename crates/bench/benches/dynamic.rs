@@ -20,7 +20,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lcp_core::engine::PreparedInstance;
-use lcp_core::{Instance, Proof, Scheme};
+use lcp_core::{Deadline, Instance, Proof, Scheme};
 use lcp_dynamic::DynamicInstance;
 use lcp_graph::families::GraphFamily;
 use lcp_schemes::chromatic::NonBipartite;
@@ -71,16 +71,20 @@ fn incremental_churn(dynamic: &mut DynamicInstance, mutations: usize, seed: u64)
 
 /// The same churn with from-scratch re-preparation after every mutation.
 fn full_churn(inst: &mut Instance, proof: &Proof, mutations: usize, seed: u64) -> u64 {
+    let accepted = |inst: &Instance| {
+        PreparedInstance::new(inst, NonBipartite.radius())
+            .evaluate(&NonBipartite, proof, &Deadline::none())
+            .expect("an unbounded sweep runs to the end")
+            .accepted() as u64
+    };
     let mut rng = StdRng::seed_from_u64(seed);
     let mut fold = 0u64;
     for step in 0..mutations {
         let (u, v) = pick_edge(inst.graph(), &mut rng);
         inst.remove_edge(u, v).expect("picked an existing edge");
-        let prep = PreparedInstance::new(&*inst, NonBipartite.radius());
-        fold ^= (prep.evaluate(&NonBipartite, proof).accepted() as u64) << (step % 63);
+        fold ^= accepted(inst) << (step % 63);
         inst.insert_edge(u, v).expect("was just removed");
-        let prep = PreparedInstance::new(&*inst, NonBipartite.radius());
-        fold ^= (prep.evaluate(&NonBipartite, proof).accepted() as u64) << ((step + 31) % 63);
+        fold ^= accepted(inst) << ((step + 31) % 63);
     }
     fold
 }

@@ -65,7 +65,7 @@ fn bench_verifiers(c: &mut Criterion) {
 }
 
 /// The sequential sweep a resident daemon `verify` runs
-/// (`PreparedInstance::evaluate_within` on a prepared core and a held
+/// (`PreparedInstance::evaluate` on a prepared core and a held
 /// honest proof), per scheme, at n = 10⁴.
 fn bench_resident_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("verify-resident");
@@ -104,7 +104,7 @@ fn resident_sweep<S: Scheme<Node: Send + Sync, Edge: Send + Sync>>(
     let prep = prepare(scheme, inst);
     let proof = scheme.prove(inst).expect("a yes-instance");
     group.bench_function(format!("{}/{family}", scheme.name()), |b| {
-        b.iter(|| prep.evaluate_within(scheme, black_box(&proof), &Deadline::none()))
+        b.iter(|| prep.evaluate(scheme, black_box(&proof), &Deadline::none()))
     });
 }
 

@@ -331,9 +331,8 @@ where
     }
 
     fn evaluate_full(&self) -> Verdict {
-        // Sequential: churn runs many cells side by side.
         PreparedInstance::new(&self.inst, self.scheme.radius())
-            .evaluate_within(&*self.scheme, &self.proof, &Deadline::none())
+            .evaluate(&*self.scheme, &self.proof, &Deadline::none())
             .expect("an unbounded sweep runs to the end")
     }
 }
@@ -405,8 +404,6 @@ pub struct DynScheme {
 /// (implemented by [`Sealed`]).
 trait ErasedCell: Send + Sync {
     fn prove(&self) -> Option<Proof>;
-    fn evaluate(&self, source: &ArtifactSource, proof: &Proof) -> Verdict;
-    fn evaluate_until_reject(&self, source: &ArtifactSource, proof: &Proof) -> Option<usize>;
     fn completeness(
         &self,
         holds: bool,
@@ -506,15 +503,6 @@ where
 {
     fn prove(&self) -> Option<Proof> {
         run_prover(&*self.scheme, &self.inst)
-    }
-
-    fn evaluate(&self, source: &ArtifactSource, proof: &Proof) -> Verdict {
-        self.prep(source).evaluate(&*self.scheme, proof)
-    }
-
-    fn evaluate_until_reject(&self, source: &ArtifactSource, proof: &Proof) -> Option<usize> {
-        self.prep(source)
-            .evaluate_until_reject(&*self.scheme, proof)
     }
 
     fn completeness(
@@ -692,26 +680,6 @@ impl DynScheme {
         self.cell.prove()
     }
 
-    /// Runs the verifier at every node on the cell's kept core. Same
-    /// verdict as the naive [`crate::evaluate`], which stays the oracle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `proof` labels a different number of nodes.
-    pub fn evaluate(&self, proof: &Proof) -> Verdict {
-        self.cell.evaluate(&self.source, proof)
-    }
-
-    /// First rejecting node on the cell's kept core, or `None` when
-    /// every node accepts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `proof` labels a different number of nodes.
-    pub fn evaluate_until_reject(&self, proof: &Proof) -> Option<usize> {
-        self.cell.evaluate_until_reject(&self.source, proof)
-    }
-
     /// Single-instance completeness check on the cached engine
     /// ([`crate::harness::check_honest`]): the verifier sweep over the
     /// honest proof, which the first call computes and later calls
@@ -837,7 +805,10 @@ fn tamper_probe<S: Scheme>(
     trials: usize,
     seed: u64,
 ) -> Option<TamperProbe> {
-    if (0..prep.n()).any(|v| !scheme.verify(&prep.bind(v, honest))) {
+    let rejected = prep
+        .evaluate_until_reject(scheme, honest, &Deadline::none())
+        .expect("an unbounded sweep runs to the end");
+    if rejected.is_some() {
         return None; // honest proof rejected — that is a completeness failure
     }
     let flippable: Vec<usize> = (0..prep.n())
@@ -920,8 +891,10 @@ mod tests {
         assert!(dyn_cell.holds());
         let proof = dyn_cell.prove().expect("even cycle provable");
         assert_eq!(proof, Bipartite.prove(&inst).unwrap());
-        assert!(dyn_cell.evaluate(&proof).accepted());
-        assert_eq!(dyn_cell.evaluate_until_reject(&proof), None);
+        assert_eq!(
+            dyn_cell.dynamic_cell().evaluate_full(),
+            crate::evaluate(&Bipartite, &inst, &proof)
+        );
         assert_eq!(
             dyn_cell.check_completeness_within(&Deadline::none()),
             Ok(Some(1))

@@ -52,16 +52,17 @@
 //!
 //! # Parallelism
 //!
-//! [`PreparedInstance::new`], [`PreparedInstance::evaluate`], and the
-//! sweep helper [`prepare_sweep`] fan out across cores (rayon) once the
-//! input is large enough to amortize thread startup: at least
-//! `PAR_THRESHOLD` (256) nodes, or more than one instance. The choice is
-//! made from the input size alone and cannot change a verdict — every
-//! node's verifier is independent, and outputs stay in node order.
+//! [`PreparedInstance::new`] and the sweep helper [`prepare_sweep`] fan
+//! out across cores (rayon) once the input is large enough to amortize
+//! thread startup: at least `PAR_THRESHOLD` (256) nodes, or more than
+//! one instance. The choice is made from the input size alone and
+//! cannot change a result. The verifier sweep itself is sequential: one
+//! local round over every node, as in the model, with its callers
+//! parallel at a coarser grain.
 //!
 //! ```
 //! use lcp_core::engine::PreparedInstance;
-//! use lcp_core::{evaluate, Instance, Proof, Scheme, View};
+//! use lcp_core::{evaluate, Deadline, Instance, Proof, Scheme, View};
 //! use lcp_graph::generators;
 //!
 //! struct EvenDegrees;
@@ -84,9 +85,13 @@
 //! let inst = Instance::unlabeled(generators::cycle(6));
 //! let prep = PreparedInstance::new(&inst, EvenDegrees.radius());
 //! let proof = Proof::empty(6);
+//! let unbounded = Deadline::none();
 //! // Same verdict as the naive executor, without re-extracting views.
-//! assert_eq!(prep.evaluate(&EvenDegrees, &proof), evaluate(&EvenDegrees, &inst, &proof));
-//! assert_eq!(prep.evaluate_until_reject(&EvenDegrees, &proof), None);
+//! assert_eq!(
+//!     prep.evaluate(&EvenDegrees, &proof, &unbounded),
+//!     Ok(evaluate(&EvenDegrees, &inst, &proof))
+//! );
+//! assert_eq!(prep.evaluate_until_reject(&EvenDegrees, &proof, &unbounded), Ok(None));
 //! ```
 
 use crate::artifact::CoreProvenance;
@@ -226,63 +231,22 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
         View::bind(self.core.skel_view(v), proof, self.members_of(v))
     }
 
-    /// Runs `scheme`'s verifier at every node against cached skeletons.
+    /// Runs `scheme`'s verifier at every node against cached skeletons,
+    /// in node order, polling `deadline` between nodes (a single
+    /// verifier may still overrun — cooperative budgets cannot preempt
+    /// scheme code). An unbounded `deadline` never expires.
     ///
     /// Semantically identical to [`crate::evaluate`] (property-tested in
     /// `tests/engine_equivalence.rs`), but per-proof cost drops from
-    /// `O(n · BFS · alloc)` to `O(Σ|ball|)` bit copies. On large
-    /// instances node verification fans out across cores, hence the
-    /// `Sync`/`Send` bounds; outputs stay in node order either way.
-    pub fn evaluate<S>(&self, scheme: &S, proof: &Proof) -> Verdict
-    where
-        S: Scheme<Node = N, Edge = E> + Sync,
-        N: Send + Sync,
-        E: Send + Sync,
-    {
-        let started = std::time::Instant::now();
-        let outputs = map_indices(self.n(), self.n() >= PAR_THRESHOLD, |v| {
-            scheme.verify(&self.bind(v, proof))
-        });
-        self.record_sweep(started);
-        Verdict::from_outputs(outputs)
-    }
-
-    /// Counts one finished whole-instance sweep in the engine metrics.
-    fn record_sweep(&self, started: std::time::Instant) {
-        metrics::EVALUATE_SWEEPS.inc();
-        metrics::EVALUATE_NS.observe(started.elapsed().as_nanos() as u64);
-        metrics::BINDS.add(self.n() as u64);
-    }
-
-    /// Runs the verifier node by node and stops at the first rejection,
-    /// returning the rejecting node — or `None` when every node accepts.
-    ///
-    /// The accept/reject decision (`∃` rejecting node) does not need the
-    /// remaining outputs, and on no-instances most candidate proofs are
-    /// rejected early, so this is the right primitive for soundness
-    /// search loops.
-    pub fn evaluate_until_reject<S>(&self, scheme: &S, proof: &Proof) -> Option<usize>
-    where
-        S: Scheme<Node = N, Edge = E>,
-    {
-        (0..self.n()).find(|&v| !scheme.verify(&self.bind(v, proof)))
-    }
-
-    /// Deadline-aware verifier sweep: sequential, polling `deadline`
-    /// between nodes (a single verifier may still overrun — cooperative
-    /// budgets cannot preempt scheme code). Identical outputs to
-    /// [`Self::evaluate`] when the budget holds.
-    ///
-    /// This is the sweep for callers that are already parallel at a
-    /// coarser grain — campaign cells, daemon connections — where a
-    /// per-node fan-out would take cores from their siblings. An
-    /// unbounded `deadline` never expires.
+    /// `O(n · BFS · alloc)` to `O(Σ|ball|)` bit copies. The sweep never
+    /// fans out over nodes: its callers are already parallel at a
+    /// coarser grain — instances, campaign cells, daemon connections.
     ///
     /// # Errors
     ///
     /// [`DeadlineExpired`] when the budget runs out before the sweep
     /// finishes.
-    pub fn evaluate_within<S>(
+    pub fn evaluate<S>(
         &self,
         scheme: &S,
         proof: &Proof,
@@ -299,17 +263,25 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
             }
             outputs.push(scheme.verify(&self.bind(v, proof)));
         }
-        self.record_sweep(started);
+        metrics::EVALUATE_SWEEPS.inc();
+        metrics::EVALUATE_NS.observe(started.elapsed().as_nanos() as u64);
+        metrics::BINDS.add(self.n() as u64);
         Ok(Verdict::from_outputs(outputs))
     }
 
-    /// Deadline-aware [`Self::evaluate_until_reject`]: polls `deadline`
-    /// between nodes.
+    /// Runs the verifier node by node and stops at the first rejection,
+    /// returning the rejecting node — or `None` when every node accepts.
+    /// Polls `deadline` between nodes, as [`Self::evaluate`] does.
+    ///
+    /// The accept/reject decision (`∃` rejecting node) does not need the
+    /// remaining outputs, and on no-instances most candidate proofs are
+    /// rejected early, so this is the right primitive for accept/reject
+    /// checks.
     ///
     /// # Errors
     ///
     /// [`DeadlineExpired`] when the budget runs out before a verdict.
-    pub fn evaluate_until_reject_within<S>(
+    pub fn evaluate_until_reject<S>(
         &self,
         scheme: &S,
         proof: &Proof,
@@ -643,7 +615,7 @@ mod tests {
     use super::*;
     use crate::bits::BitString;
     use crate::frozen::CoreBuilder;
-    use crate::scheme::evaluate;
+    use crate::scheme::{evaluate, evaluate_until_reject};
     use lcp_graph::generators;
 
     #[test]
@@ -723,8 +695,8 @@ mod tests {
 
     #[test]
     fn evaluate_matches_naive_executor() {
-        // The 20 × 20 grid is past PAR_THRESHOLD, so its preparation and
-        // sweeps take the fanned-out paths.
+        // The 20 × 20 grid is past PAR_THRESHOLD, so its preparation
+        // takes the fanned-out path.
         for g in [generators::cycle(9), generators::grid(20, 20)] {
             let inst = Instance::unlabeled(g);
             let prep = PreparedInstance::new(&inst, Fingerprint.radius());
@@ -732,7 +704,9 @@ mod tests {
                 let proof = Proof::from_fn(inst.n(), |v| {
                     BitString::from_bits((0..3).map(|i| (seed >> i) & 1 == 1 && v % 2 == 0))
                 });
-                let verdict = prep.evaluate(&Fingerprint, &proof);
+                let verdict = prep
+                    .evaluate(&Fingerprint, &proof, &Deadline::none())
+                    .unwrap();
                 assert_eq!(verdict, evaluate(&Fingerprint, &inst, &proof));
                 if inst.n() >= PAR_THRESHOLD {
                     assert!(!verdict.rejecting().is_empty(), "seed {seed}");
@@ -746,9 +720,10 @@ mod tests {
         let inst = Instance::unlabeled(generators::barbell(4));
         let prep = PreparedInstance::new(&inst, Fingerprint.radius());
         let proof = Proof::empty(inst.n());
-        let verdict = prep.evaluate(&Fingerprint, &proof);
-        let first = prep.evaluate_until_reject(&Fingerprint, &proof);
-        assert_eq!(first, verdict.rejecting().first().copied());
+        let unbounded = Deadline::none();
+        let verdict = prep.evaluate(&Fingerprint, &proof, &unbounded).unwrap();
+        let first = prep.evaluate_until_reject(&Fingerprint, &proof, &unbounded);
+        assert_eq!(first, Ok(verdict.rejecting().first().copied()));
     }
 
     #[test]
@@ -822,8 +797,8 @@ mod tests {
             );
         }
         assert_eq!(
-            store.evaluate(&Fingerprint, &proof),
-            prep.evaluate(&Fingerprint, &proof)
+            Ok(store.evaluate(&Fingerprint, &proof)),
+            prep.evaluate(&Fingerprint, &proof, &Deadline::none())
         );
     }
 
@@ -926,8 +901,8 @@ mod tests {
             assert_eq!(adopted.bind(v, &proof), prep.bind(v, &proof), "view {v}");
         }
         assert_eq!(
-            adopted.evaluate(&Fingerprint, &proof),
-            prep.evaluate(&Fingerprint, &proof)
+            adopted.evaluate(&Fingerprint, &proof, &Deadline::none()),
+            prep.evaluate(&Fingerprint, &proof, &Deadline::none())
         );
     }
 
@@ -936,22 +911,23 @@ mod tests {
         let inst = Instance::unlabeled(generators::cycle(9));
         let prep = PreparedInstance::new(&inst, Fingerprint.radius());
         let proof = Proof::empty(inst.n());
+        // The unbounded twins are the naive oracle's sweeps.
         let unbounded = Deadline::none();
         assert_eq!(
-            prep.evaluate_within(&Fingerprint, &proof, &unbounded),
-            Ok(prep.evaluate(&Fingerprint, &proof))
+            prep.evaluate(&Fingerprint, &proof, &unbounded),
+            Ok(evaluate(&Fingerprint, &inst, &proof))
         );
         assert_eq!(
-            prep.evaluate_until_reject_within(&Fingerprint, &proof, &unbounded),
-            Ok(prep.evaluate_until_reject(&Fingerprint, &proof))
+            prep.evaluate_until_reject(&Fingerprint, &proof, &unbounded),
+            Ok(evaluate_until_reject(&Fingerprint, &inst, &proof))
         );
         let expired = Deadline::after(std::time::Duration::ZERO);
         assert_eq!(
-            prep.evaluate_within(&Fingerprint, &proof, &expired),
+            prep.evaluate(&Fingerprint, &proof, &expired),
             Err(DeadlineExpired)
         );
         assert_eq!(
-            prep.evaluate_until_reject_within(&Fingerprint, &proof, &expired),
+            prep.evaluate_until_reject(&Fingerprint, &proof, &expired),
             Err(DeadlineExpired)
         );
     }
@@ -1027,8 +1003,8 @@ mod tests {
         let prep = PreparedInstance::new(&inst, 1);
         let proof = Proof::empty(4);
         assert_eq!(
-            prep.evaluate(&LabelSum, &proof),
-            evaluate(&LabelSum, &inst, &proof)
+            prep.evaluate(&LabelSum, &proof, &Deadline::none()),
+            Ok(evaluate(&LabelSum, &inst, &proof))
         );
     }
 }

@@ -119,7 +119,16 @@ where
         if i > first_failure.load(Ordering::Relaxed) {
             return Ok(None);
         }
-        let r = check_prepared(scheme, &prepared[i]);
+        let prep = &prepared[i];
+        let inst = prep.instance();
+        let proof = scheme.prove(inst);
+        let r = check_honest(
+            scheme,
+            prep,
+            scheme.holds(inst),
+            proof.as_ref(),
+            &Deadline::none(),
+        );
         if r.is_err() {
             first_failure.fetch_min(i, Ordering::Relaxed);
         }
@@ -151,13 +160,10 @@ where
 /// this sweep, and [`check_completeness`] runs both per instance. Every
 /// node's verifier still runs on every call.
 ///
-/// The sweep is [`PreparedInstance::evaluate_within`]: sequential,
-/// polling `deadline` between nodes, and bailing out with
-/// [`CompletenessError::DeadlineExpired`] when the budget runs out. It
-/// does not fan out over nodes because its callers already run in
-/// parallel at a coarser grain — [`check_completeness`] across
-/// instances, the campaign across cells, the daemon across connections —
-/// and a nested fan-out would take cores from those siblings.
+/// A yes-instance's proof is swept with [`PreparedInstance::evaluate`]
+/// and a no-instance's with [`PreparedInstance::evaluate_until_reject`]:
+/// both sequential, polling `deadline` between nodes, and bailing out
+/// with [`CompletenessError::DeadlineExpired`] when the budget runs out.
 ///
 /// # Errors
 ///
@@ -173,9 +179,7 @@ pub fn check_honest<S: Scheme>(
     match (holds, proof) {
         (true, None) => Err(CompletenessError::ProverRefused),
         (true, Some(proof)) => {
-            let verdict = prep
-                .evaluate_within(scheme, proof, deadline)
-                .map_err(expired)?;
+            let verdict = prep.evaluate(scheme, proof, deadline).map_err(expired)?;
             if verdict.accepted() {
                 Ok(Some(proof.size()))
             } else {
@@ -184,7 +188,7 @@ pub fn check_honest<S: Scheme>(
         }
         (false, Some(proof)) => {
             match prep
-                .evaluate_until_reject_within(scheme, proof, deadline)
+                .evaluate_until_reject(scheme, proof, deadline)
                 .map_err(expired)?
             {
                 None => Err(CompletenessError::AcceptedNoInstance),
@@ -193,23 +197,6 @@ pub fn check_honest<S: Scheme>(
         }
         (false, None) => Ok(None),
     }
-}
-
-/// [`check_honest`] with this instance's ground truth and honest proof
-/// computed on the spot — one entry of a [`check_completeness`] sweep.
-fn check_prepared<S: Scheme>(
-    scheme: &S,
-    prep: &PreparedInstance<'_, S::Node, S::Edge>,
-) -> Result<Option<usize>, CompletenessError> {
-    let inst = prep.instance();
-    let proof = scheme.prove(inst);
-    check_honest(
-        scheme,
-        prep,
-        scheme.holds(inst),
-        proof.as_ref(),
-        &Deadline::none(),
-    )
 }
 
 /// Number of bit strings with at most `max_bits` bits
@@ -354,11 +341,7 @@ pub fn check_soundness_exhaustive<S: Scheme>(
     prep: &PreparedInstance<'_, S::Node, S::Edge>,
     max_bits: usize,
     run: &Run,
-) -> Result<Soundness, SoundnessError>
-where
-    S::Node: Send + Sync,
-    S::Edge: Send + Sync,
-{
+) -> Result<Soundness, SoundnessError> {
     assert!(
         !scheme.holds(prep.instance()),
         "exhaustive soundness check requires a no-instance"
@@ -516,11 +499,7 @@ pub fn adversarial_proof_search<S: Scheme>(
     iterations: usize,
     rng: &mut StdRng,
     run: &Run,
-) -> Option<Proof>
-where
-    S::Node: Send + Sync,
-    S::Edge: Send + Sync,
-{
+) -> Option<Proof> {
     assert!(
         !scheme.holds(prep.instance()),
         "adversarial search requires a no-instance"
@@ -928,7 +907,10 @@ mod tests {
         let forged = adversarial_proof_search(&Gullible, &prep, 1, 2000, &mut rng, &Run::default())
             .expect("hill climbing finds the all-ones proof");
         assert!(evaluate(&Gullible, &inst, &forged).accepted());
-        assert!(prep.evaluate(&Gullible, &forged).accepted());
+        assert!(prep
+            .evaluate(&Gullible, &forged, &Deadline::none())
+            .unwrap()
+            .accepted());
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub static PREPARES: Counter = Counter::new();
 /// Wall time of each skeleton build, nanoseconds.
 pub static PREPARE_NS: Histogram = Histogram::new();
 /// Whole-instance verifier sweeps that ran to the end
-/// (`PreparedInstance::evaluate` / `evaluate_within`).
+/// (`PreparedInstance::evaluate`).
 pub static EVALUATE_SWEEPS: Counter = Counter::new();
 /// Wall time of each whole-instance sweep, nanoseconds.
 pub static EVALUATE_NS: Histogram = Histogram::new();

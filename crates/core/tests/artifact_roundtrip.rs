@@ -7,8 +7,8 @@
 //! never a silently different answer.
 
 use lcp_core::{
-    ArtifactSource, ArtifactStore, CoreProvenance, EdgeMap, FrozenCore, Instance, Proof, Scheme,
-    View,
+    ArtifactSource, ArtifactStore, CoreProvenance, Deadline, EdgeMap, FrozenCore, Instance, Proof,
+    Scheme, View,
 };
 use lcp_graph::generators;
 use std::path::PathBuf;
@@ -93,7 +93,7 @@ fn mapped_cores_are_observationally_identical_to_built_cores() {
     // Ground truth: a from-scratch in-process preparation.
     let (fresh, prov) = ArtifactSource::BuildFresh.prepare(&inst, RADIUS);
     assert_eq!(prov, CoreProvenance::Built);
-    let baseline = fresh.evaluate(&scheme, &proof);
+    let baseline = fresh.evaluate(&scheme, &proof, &Deadline::none());
 
     // First process: builds, and persists the frozen core on the way.
     {
@@ -101,7 +101,7 @@ fn mapped_cores_are_observationally_identical_to_built_cores() {
         let (prep, prov) = store.prepare(&inst, RADIUS);
         assert_eq!(prov, CoreProvenance::Built);
         assert_eq!((store.writes(), store.loads()), (1, 0));
-        assert_eq!(prep.evaluate(&scheme, &proof), baseline);
+        assert_eq!(prep.evaluate(&scheme, &proof, &Deadline::none()), baseline);
     }
 
     // "Restarted process": a fresh store over the same directory maps
@@ -110,7 +110,10 @@ fn mapped_cores_are_observationally_identical_to_built_cores() {
     let (mapped, prov) = store.prepare(&inst, RADIUS);
     assert_eq!(prov, CoreProvenance::ArtifactLoaded);
     assert_eq!((store.loads(), store.builds()), (1, 0));
-    assert_eq!(mapped.evaluate(&scheme, &proof), baseline);
+    assert_eq!(
+        mapped.evaluate(&scheme, &proof, &Deadline::none()),
+        baseline
+    );
     for v in 0..inst.n() {
         assert_eq!(
             mapped.members(v).collect::<Vec<_>>(),

@@ -10,7 +10,7 @@
 
 use lcp_core::engine::PreparedInstance;
 use lcp_core::harness::random_proof;
-use lcp_core::{evaluate, evaluate_until_reject, Instance, Proof, Scheme, View};
+use lcp_core::{evaluate, evaluate_until_reject, Deadline, Instance, Proof, Scheme, View};
 use lcp_graph::generators;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -73,7 +73,7 @@ proptest! {
         for bits in 0..4 {
             let proof = random_proof(inst.n(), bits, &mut rng);
             let naive = evaluate(&scheme, &inst, &proof);
-            let cached = prep.evaluate(&scheme, &proof);
+            let cached = prep.evaluate(&scheme, &proof, &Deadline::none()).unwrap();
             prop_assert_eq!(naive.outputs(), cached.outputs(), "outputs diverged at radius {}", radius);
         }
     }
@@ -98,7 +98,7 @@ proptest! {
         let prep = PreparedInstance::new(&inst, radius);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x77);
         let proof = random_proof(inst.n(), 2, &mut rng);
-        let first = prep.evaluate_until_reject(&scheme, &proof);
+        let first = prep.evaluate_until_reject(&scheme, &proof, &Deadline::none()).unwrap();
         let naive_first = evaluate_until_reject(&scheme, &inst, &proof);
         let full = evaluate(&scheme, &inst, &proof);
         prop_assert_eq!(first, full.rejecting().first().copied());
@@ -129,7 +129,7 @@ proptest! {
             shadow[v] = bits;
             let rebuilt = Proof::from_strings(shadow.clone());
             prop_assert_eq!(&proof, &rebuilt, "arena content drifted at node {}", v);
-            let cached = prep.evaluate(&scheme, &proof);
+            let cached = prep.evaluate(&scheme, &proof, &Deadline::none()).unwrap();
             let naive = evaluate(&scheme, &inst, &rebuilt);
             prop_assert_eq!(cached.outputs(), naive.outputs(), "outputs diverged at node {}", v);
         }

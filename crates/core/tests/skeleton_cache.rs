@@ -83,8 +83,8 @@ fn cached_preparation_is_indistinguishable_from_fresh() {
         );
     }
     assert_eq!(
-        cached.evaluate(&Bipartite, &proof),
-        evaluate(&Bipartite, &inst, &proof)
+        cached.evaluate(&Bipartite, &proof, &Deadline::none()),
+        Ok(evaluate(&Bipartite, &inst, &proof))
     );
 }
 

@@ -18,7 +18,7 @@
 //! differs at experimental scale.
 
 use crate::CounterExample;
-use lcp_core::{engine, BitString, Instance, Proof, Scheme};
+use lcp_core::{engine, BitString, Deadline, Instance, Proof, Scheme};
 use lcp_graph::{coloring, Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -314,7 +314,7 @@ pub fn fooling_attack<S>(
     seed: u64,
 ) -> FoolingOutcome
 where
-    S: Scheme<Node = (), Edge = ()> + Sync,
+    S: Scheme<Node = (), Edge = ()>,
 {
     assert!(
         layout.rows >= 2 * scheme.radius() + 3,
@@ -425,7 +425,9 @@ where
     );
     let hybrid = Instance::unlabeled(hybrid_graph);
     // One skeleton preparation, then a cached-view sweep (engine path).
-    let verdict = engine::prepare(scheme, &hybrid).evaluate(scheme, &proof);
+    let verdict = engine::prepare(scheme, &hybrid)
+        .evaluate(scheme, &proof, &Deadline::none())
+        .expect("an unbounded sweep runs to the end");
     if verdict.accepted() {
         FoolingOutcome::Fooled(Box::new(CounterExample {
             instance: hybrid,

@@ -19,7 +19,7 @@
 //! bound, exhibited.
 
 use crate::CounterExample;
-use lcp_core::{BitString, Instance, Proof, Scheme};
+use lcp_core::{BitString, Deadline, Instance, Proof, Scheme};
 use lcp_graph::traversal::{find_cycle_of_length, CycleSearch};
 use lcp_graph::{Graph, NodeId};
 use std::collections::BTreeMap;
@@ -126,7 +126,7 @@ pub fn glue_cycles<S, F>(
     junction_label: Option<S::Edge>,
 ) -> GluingOutcome<S::Node, S::Edge>
 where
-    S: Scheme + Sync,
+    S: Scheme,
     S::Node: Clone + Eq + Hash + Ord + Send + Sync,
     S::Edge: Clone + Eq + Hash + Ord + Send + Sync,
     F: FnMut(Graph) -> Instance<S::Node, S::Edge>,
@@ -229,7 +229,7 @@ fn build_glued<S>(
     junction_label: Option<S::Edge>,
 ) -> GluingOutcome<S::Node, S::Edge>
 where
-    S: Scheme + Sync,
+    S: Scheme,
     S::Node: Clone + Eq + Hash + Ord + Send + Sync,
     S::Edge: Clone + Eq + Hash + Ord + Send + Sync,
 {
@@ -275,7 +275,9 @@ where
     if scheme.holds(&glued) {
         return GluingOutcome::GluedInstanceIsYes;
     }
-    let verdict = lcp_core::engine::prepare(scheme, &glued).evaluate(scheme, &proof);
+    let verdict = lcp_core::engine::prepare(scheme, &glued)
+        .evaluate(scheme, &proof, &Deadline::none())
+        .expect("an unbounded sweep runs to the end");
     if verdict.accepted() {
         GluingOutcome::Fooled(Box::new(CounterExample {
             instance: glued,

@@ -13,7 +13,7 @@
 //!   even; `G ⊙ G` has a fixpoint-free symmetry, the hybrid does not.
 
 use crate::CounterExample;
-use lcp_core::{BitString, Instance, Proof, Scheme};
+use lcp_core::{BitString, Deadline, Instance, Proof, Scheme};
 use lcp_graph::{Graph, GraphError, NodeId};
 use std::collections::BTreeMap;
 
@@ -140,7 +140,7 @@ impl JoinOutcome {
 /// [`rooted_tree_family`]); the half size `k` must satisfy `k ≥ 2r + 1`.
 pub fn join_collision_attack<S>(scheme: &S, family: &[Graph]) -> JoinOutcome
 where
-    S: Scheme<Node = (), Edge = ()> + Sync,
+    S: Scheme<Node = (), Edge = ()>,
 {
     let r = scheme.radius();
     let window = 2 * r + 1;
@@ -206,7 +206,9 @@ where
     if scheme.holds(&hybrid) {
         return JoinOutcome::HybridIsYes;
     }
-    let verdict = lcp_core::engine::prepare(scheme, &hybrid).evaluate(scheme, &proof);
+    let verdict = lcp_core::engine::prepare(scheme, &hybrid)
+        .evaluate(scheme, &proof, &Deadline::none())
+        .expect("an unbounded sweep runs to the end");
     if verdict.accepted() {
         JoinOutcome::Fooled(Box::new(CounterExample {
             instance: hybrid,

@@ -248,14 +248,19 @@ impl Scheme for MaxWeightMatchingBipartite {
             let Some(u_y) = dual(u) else {
                 return false;
             };
+            // Honest duals are at most W, so a sum past u64 is forged;
+            // a wrapped sum could pass both checks below.
+            let Some(sum) = my_y.checked_add(u_y) else {
+                return false;
+            };
             // Dual feasibility.
-            if my_y + u_y < edge.weight {
+            if sum < edge.weight {
                 return false;
             }
             if edge.matched {
                 matched_count += 1;
                 // Tightness on matched edges.
-                if my_y + u_y != edge.weight {
+                if sum != edge.weight {
                     return false;
                 }
             }
@@ -449,6 +454,40 @@ mod tests {
             Soundness::Holds(_) => {}
             Soundness::Violated(p) => panic!("suboptimal matching certified by {p:?}"),
         }
+    }
+
+    #[test]
+    fn overflowing_forged_duals_reject_without_panicking() {
+        // Path a-b-c with w(ab) = 1, w(bc) = 10 and the claimed matching
+        // {ab}, which is not maximum. The duals (2⁶⁴ − 9, 10, 0) wrap
+        // y_a + y_b to 1, so wrapping arithmetic would find ab tight and
+        // accept at every node.
+        let g = generators::path(3);
+        let mut data = EdgeMap::new();
+        data.insert(
+            (0, 1),
+            WeightedEdge {
+                weight: 1,
+                matched: true,
+            },
+        );
+        data.insert(
+            (1, 2),
+            WeightedEdge {
+                weight: 10,
+                matched: false,
+            },
+        );
+        let inst = Instance::with_data(g, vec![(); 3], data);
+        assert!(!MaxWeightMatchingBipartite.holds(&inst));
+        let duals = [u64::MAX - 8, 10, 0];
+        let proof = Proof::from_fn(3, |v| {
+            let mut w = BitWriter::new();
+            w.write_gamma(duals[v]);
+            w.finish()
+        });
+        let verdict = evaluate(&MaxWeightMatchingBipartite, &inst, &proof);
+        assert_eq!(verdict.rejecting(), vec![0, 1]);
     }
 
     #[test]

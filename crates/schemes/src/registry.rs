@@ -1284,6 +1284,7 @@ pub fn all() -> Vec<SchemeEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcp_dynamic::DynamicInstance;
     use std::collections::BTreeSet;
 
     /// The crate's public scheme surface, as registry ids. Adding a
@@ -1414,13 +1415,25 @@ mod tests {
         forged.flip(v, 0);
         let naive = lcp_core::evaluate(&LeaderElection, &inst, &forged);
         assert!(!naive.accepted(), "the flip must be caught somewhere");
-        assert_eq!(cell.evaluate(&forged), naive);
+        // The sealed cell's kept core, thawed into a churn cell that
+        // starts from the honest proof; the flipped node is rewritten.
+        let mut dynamic = DynamicInstance::from_cell(cell.dynamic_cell());
+        let honest = cell.prove().unwrap();
+        assert_eq!(dynamic.proof(), &honest);
+        dynamic
+            .rewrite_proof(v, &forged.get(v).to_bitstring())
+            .unwrap();
+        let out = dynamic.reverify();
+        assert_eq!(dynamic.cached_verdict(), Some(naive.clone()));
+        assert_eq!(dynamic.full_check(), naive);
         assert_eq!(
-            cell.evaluate_until_reject(&forged),
+            out.witness,
             lcp_core::evaluate_until_reject(&LeaderElection, &inst, &forged)
         );
-        let honest = cell.prove().unwrap();
-        assert_eq!(cell.evaluate_until_reject(&honest), None);
+        dynamic
+            .rewrite_proof(v, &honest.get(v).to_bitstring())
+            .unwrap();
+        assert_eq!(dynamic.reverify().witness, None);
     }
 
     #[test]

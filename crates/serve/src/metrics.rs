@@ -24,8 +24,8 @@ pub static REQUESTS: [Counter; REQUEST_NAMES.len()] =
 /// I/O), one histogram per op (indexed like [`REQUEST_NAMES`]).
 pub static REQUEST_NS: [Histogram; REQUEST_NAMES.len()] =
     [const { Histogram::new() }; REQUEST_NAMES.len()];
-/// Frames that failed to parse into any op (answered with a typed
-/// error).
+/// Frames that failed to parse into any op, or stalled mid-frame past
+/// `FRAME_STALL` (answered with a typed error).
 pub static BAD_REQUESTS: Counter = Counter::new();
 /// Request dispatches that returned a typed protocol error.
 pub static ERROR_RESPONSES: Counter = Counter::new();
@@ -113,7 +113,7 @@ pub fn register(reg: &Registry) {
     reg.counter(
         "lcp_serve_bad_requests_total",
         "",
-        "frames that failed to parse into any op",
+        "frames that failed to parse into any op or stalled mid-frame",
         &BAD_REQUESTS,
     );
     reg.counter(

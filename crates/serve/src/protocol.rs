@@ -20,6 +20,7 @@ use lcp_core::BitString;
 use lcp_graph::families::GraphFamily;
 use lcp_schemes::registry::Polarity;
 use std::io::{self, Read, Write};
+use std::time::{Duration, Instant};
 
 /// Upper bound on a frame payload (16 MiB): large enough for a long
 /// churn trace, small enough that a corrupt length prefix cannot ask
@@ -49,6 +50,15 @@ pub const MAX_TAMPER_TRIALS: usize = 1 << 16;
 
 /// Upper bound on a `verify` request's `iterations` (default 256).
 pub const MAX_SEARCH_ITERATIONS: usize = 1 << 16;
+
+/// How long a frame that has started arriving may go without a new
+/// byte (2 s). A reader with a read timeout gives up on the frame after
+/// this long with [`io::ErrorKind::TimedOut`], and the daemon answers
+/// `bad-request` and closes the connection, so a client that stalls
+/// mid-frame cannot pin a worker or hang the drain. The wait for a
+/// frame's first byte is not bounded: a session may idle between
+/// requests.
+pub const FRAME_STALL: Duration = Duration::from_secs(2);
 
 /// Every request name the dispatch table accepts, in documentation
 /// order. `docs/PROTOCOL.md` documents exactly this set (pinned by the
@@ -537,15 +547,17 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
 /// pass `&|| false`).
 ///
 /// Read timeouts (`WouldBlock`/`TimedOut`) at a frame boundary re-poll
-/// `should_stop`; once any byte of a frame has arrived the frame is
-/// read to completion regardless, so an in-flight request survives a
-/// shutdown signal and gets its response.
+/// `should_stop`; once any byte of a frame has arrived it is no longer
+/// polled and the frame is read to completion, so an in-flight request
+/// survives a shutdown signal and gets its response — unless the frame
+/// makes no progress for [`FRAME_STALL`].
 ///
 /// # Errors
 ///
 /// EOF inside a frame is [`io::ErrorKind::UnexpectedEof`]; a length
 /// prefix over [`MAX_FRAME`] or a non-UTF-8 payload is
-/// [`io::ErrorKind::InvalidData`].
+/// [`io::ErrorKind::InvalidData`]; a started frame that stalls for
+/// [`FRAME_STALL`] is [`io::ErrorKind::TimedOut`].
 pub fn read_frame(r: &mut impl Read, should_stop: &dyn Fn() -> bool) -> io::Result<Option<String>> {
     read_frame_bytes(r, should_stop)?
         .map(|payload| {
@@ -587,6 +599,9 @@ pub(crate) fn read_frame_bytes(
 
 /// Fills `buf` completely. `Ok(None)` only when `at_boundary` and the
 /// connection closed (or `should_stop` fired) before any byte arrived.
+/// Once the frame has started (`!at_boundary`, or a byte arrived), a
+/// read timeout more than [`FRAME_STALL`] after the last progress is an
+/// [`io::ErrorKind::TimedOut`] error.
 fn read_full(
     r: &mut impl Read,
     buf: &mut [u8],
@@ -594,6 +609,7 @@ fn read_full(
     should_stop: &dyn Fn() -> bool,
 ) -> io::Result<Option<()>> {
     let mut filled = 0;
+    let mut progressed = Instant::now();
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
             Ok(0) => {
@@ -603,7 +619,10 @@ fn read_full(
                     Err(io::ErrorKind::UnexpectedEof.into())
                 };
             }
-            Ok(k) => filled += k,
+            Ok(k) => {
+                filled += k;
+                progressed = Instant::now();
+            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e)
                 if matches!(
@@ -611,8 +630,19 @@ fn read_full(
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                if at_boundary && filled == 0 && should_stop() {
-                    return Ok(None);
+                if at_boundary && filled == 0 {
+                    if should_stop() {
+                        return Ok(None);
+                    }
+                } else if progressed.elapsed() >= FRAME_STALL {
+                    return Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        format!(
+                            "frame stalled: no byte for {} ms after {filled} of {}",
+                            FRAME_STALL.as_millis(),
+                            buf.len()
+                        ),
+                    ));
                 }
             }
             Err(e) => return Err(e),

@@ -20,9 +20,14 @@
 //!
 //! A `shutdown` request (or the binary's SIGTERM handler) sets one
 //! shared flag. The acceptor stops accepting; each worker finishes the
-//! request it is currently serving — an in-flight frame is always read
-//! to completion and answered — then closes its connection and exits.
+//! request it is currently serving — an in-flight frame is read to
+//! completion and answered — then closes its connection and exits.
 //! Connections still in the waiting room are closed without a response.
+//!
+//! A frame that stops arriving part-way is given up on after
+//! [`FRAME_STALL`](crate::protocol::FRAME_STALL) without a new byte: the
+//! worker answers `bad-request` and closes the connection, so a stalled
+//! client pins its worker, and the drain, for at most that long.
 
 use crate::metrics;
 use crate::protocol::{
@@ -296,10 +301,18 @@ fn serve_connection(mut stream: TcpStream, table: &InstanceTable, shutdown: &Ato
             return;
         }
         // A complete frame whose payload is not UTF-8 is a bad request
-        // like any other non-JSON payload; only a broken frame (EOF
-        // inside it, an oversized length prefix) drops the connection.
+        // like any other non-JSON payload; a frame that stalls past
+        // FRAME_STALL gets a bad-request answer and the connection is
+        // closed; any other broken frame (EOF inside it, an oversized
+        // length prefix) drops the connection.
         let payload = match read_frame_bytes(&mut stream, &stop) {
             Ok(Some(payload)) => payload,
+            Err(e) if e.kind() == io::ErrorKind::TimedOut => {
+                metrics::BAD_REQUESTS.inc();
+                let stalled = ProtoError::new(ERR_BAD_REQUEST, e.to_string());
+                let _ = write_frame(&mut stream, &stalled.render());
+                return;
+            }
             Ok(None) | Err(_) => return,
         };
         // The latency window is parse + dispatch — the work the op name

@@ -2,13 +2,14 @@
 //! independently, a connection beyond the worker pool waits its turn in
 //! the bounded room, and one past the room gets the typed busy error —
 //! immediately, never a hang. A hostile request cannot take a worker
-//! down with it.
+//! down with it, and a client that stalls mid-frame cannot pin one.
 
 use lcp_core::json::Json;
 use lcp_graph::families::GraphFamily;
 use lcp_schemes::registry::Polarity;
-use lcp_serve::protocol::{read_frame, write_frame, MAX_FORGED_PROOF_WORDS};
+use lcp_serve::protocol::{read_frame, write_frame, FRAME_STALL, MAX_FORGED_PROOF_WORDS};
 use lcp_serve::{CellCoord, Client, ClientError, Server, ServerConfig, WireMutation};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -267,4 +268,76 @@ fn hostile_work_counts_are_bad_requests_and_the_worker_survives() {
         "{stats:?}"
     );
     handle.stop().expect("clean drain");
+}
+
+/// Opens a connection that a worker is serving (a `stats` round-trip
+/// proves it), then sends two of the four length-prefix bytes of the
+/// next frame and goes silent.
+fn stall_mid_frame(addr: SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set the read timeout");
+    let stats = reply_within(&mut stream, "{\"op\":\"stats\"}");
+    assert_eq!(
+        stats.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{stats:?}"
+    );
+    stream.write_all(&[0, 0]).expect("send half a header");
+    stream
+}
+
+#[test]
+fn a_client_stalled_mid_frame_is_dropped_and_the_drain_finishes() {
+    // One worker and a one-slot room: while the stalled client pins the
+    // worker, the follow-up `stats` waits in the room.
+    let handle = Server::bind(ServerConfig {
+        workers: 1,
+        queue: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind")
+    .spawn()
+    .expect("spawn");
+    let addr = handle.addr();
+    let bound = FRAME_STALL + Duration::from_secs(10);
+
+    let mut stalled = stall_mid_frame(addr);
+    let (tx, rx) = mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let _ = tx.send(Client::connect(addr).is_ok_and(|mut c| c.stats().is_ok()));
+    });
+    let answered = rx
+        .recv_timeout(bound)
+        .expect("stats must be answered once the stalled frame is given up");
+    waiter.join().expect("stats thread panicked");
+    assert!(answered, "stats failed behind the stalled client");
+
+    // The stalled client was told why before the close.
+    let reply = read_frame(&mut stalled, &|| true)
+        .expect("read")
+        .expect("a typed reply before the close");
+    let reply = Json::parse(&reply).expect("the reply is JSON");
+    assert_eq!(
+        reply.get("error").and_then(Json::as_str),
+        Some("bad-request"),
+        "{reply:?}"
+    );
+
+    // A client that stalls mid-frame while the daemon drains cannot
+    // hold the drain open. (The drain flag may also win the race with
+    // the worker's read of the two bytes; the drain then closes the
+    // connection between frames, and stop returns all the same.)
+    let stalled = stall_mid_frame(addr);
+    let (tx, rx) = mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        let _ = tx.send(handle.stop().is_ok());
+    });
+    let stopped = rx
+        .recv_timeout(bound)
+        .expect("stop must return while a client stalls mid-frame");
+    stopper.join().expect("stop thread panicked");
+    assert!(stopped, "the drain failed");
+    drop(stalled);
 }

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use lcp::core::{evaluate, BitString, Instance, Scheme};
+use lcp::core::{evaluate, BitString, Deadline, Instance, Scheme};
 use lcp::graph::generators;
 use lcp::schemes::bipartite::Bipartite;
 
@@ -35,10 +35,16 @@ fn main() {
 
     // When the same instance faces many candidate proofs, prepare it
     // once: the engine caches every node's view skeleton and each proof
-    // only swaps bit strings (see `lcp_core::engine`).
+    // only swaps bit strings (see `lcp_core::engine`). Its sweeps poll a
+    // wall budget between nodes; an unbounded one always finishes.
     let prep = lcp::core::prepare(&Bipartite, &inst);
-    assert!(prep.evaluate(&Bipartite, &proof).accepted());
-    let first_alarm = prep.evaluate_until_reject(&Bipartite, &forged);
+    let unbounded = Deadline::none();
+    assert!(prep
+        .evaluate(&Bipartite, &proof, &unbounded)
+        .is_ok_and(|v| v.accepted()));
+    let first_alarm = prep
+        .evaluate_until_reject(&Bipartite, &forged, &unbounded)
+        .expect("an unbounded sweep runs to the end");
     println!("engine: first alarm at node {first_alarm:?}");
     assert!(first_alarm.is_some());
 
