@@ -1,137 +1,20 @@
-//! # `lcp-bench` — the Table 1 / Figure 1 harness
+//! # `lcp-bench` — the Figure 1 harness and the perf tooling
 //!
-//! Binaries:
+//! Table 1 comes from the conformance campaign
+//! (`lcp-campaign --profile table1`), not from this crate. Binaries:
 //!
-//! * `table1a` — regenerates Table 1(a): local proof complexity of graph
-//!   *properties*, measured as honest proof sizes over instance sweeps
-//!   and classified into the hierarchy levels.
-//! * `table1b` — regenerates Table 1(b): graph *problems*.
 //! * `figure1` — regenerates Figure 1 and the §5.3/§6 lower-bound
 //!   experiments: the exact `C(3,12)`-style identifier patterns, plus the
 //!   gluing / join-collision / fooling attacks run against undersized
 //!   strawmen (fooled) and the honest schemes (survive).
+//! * `bench_diff` — compares a fresh BENCH snapshot against the committed
+//!   one with a regression bound.
+//! * `coldstart` / `serve_bench` — the artifact cold-start and serve
+//!   daemon benches behind `BENCH_coldstart.json` / `BENCH_serve.json`.
+//! * `trend` — folds campaign artifacts into a `TREND.json` series
+//!   ([`trend`]).
 //!
 //! The criterion benches (`benches/`) measure prover/verifier throughput
 //! and attack cost.
 
 pub mod trend;
-
-use lcp_core::engine::prepare_sweep;
-use lcp_core::harness::{check_completeness, classify_growth, measure_sizes, GrowthClass};
-use lcp_core::{Instance, Scheme};
-
-/// One printed row of a Table-1-style report.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// Experiment id (e.g. "T1a.7").
-    pub id: String,
-    /// Property / problem name.
-    pub what: String,
-    /// Graph family.
-    pub family: String,
-    /// The paper's bound (the "Proof size s" column).
-    pub paper: String,
-    /// Measured proof sizes over the sweep, rendered compactly.
-    pub measured: String,
-    /// Fitted growth class.
-    pub class: String,
-    /// ✓ when measured shape matches the paper's bound.
-    pub verdict: String,
-}
-
-/// Prints rows in the paper's table layout.
-pub fn print_table(title: &str, rows: &[Row]) {
-    println!("{title}");
-    println!("{}", "=".repeat(title.len()));
-    println!(
-        "{:<7} {:<34} {:<9} {:<14} {:<30} {:<10} ok",
-        "id", "property / problem", "family", "paper", "measured bits per node", "fit"
-    );
-    println!("{}", "-".repeat(112));
-    for r in rows {
-        println!(
-            "{:<7} {:<34} {:<9} {:<14} {:<30} {:<10} {}",
-            r.id, r.what, r.family, r.paper, r.measured, r.class, r.verdict
-        );
-    }
-    println!();
-}
-
-/// Runs one scheme over a sweep: checks completeness, measures sizes,
-/// classifies growth, and renders a [`Row`].
-///
-/// `expected` is the growth class the paper predicts; the verdict column
-/// reports the comparison.
-#[allow(clippy::too_many_arguments)]
-pub fn run_row<S>(
-    id: &str,
-    what: &str,
-    family: &str,
-    paper: &str,
-    scheme: &S,
-    instances: &[Instance<S::Node, S::Edge>],
-    expected: GrowthClass,
-) -> Row
-where
-    S: Scheme + Sync,
-    S::Node: Send + Sync,
-    S::Edge: Send + Sync,
-{
-    // One engine preparation per instance, shared by the completeness
-    // sweep and the size measurements.
-    let prepared = prepare_sweep(scheme, instances);
-    if let Err(f) = check_completeness(scheme, &prepared) {
-        return Row {
-            id: id.into(),
-            what: what.into(),
-            family: family.into(),
-            paper: paper.into(),
-            measured: format!("COMPLETENESS FAILURE: {}", f.reason),
-            class: "-".into(),
-            verdict: "✗".into(),
-        };
-    }
-    let points = measure_sizes(scheme, &prepared);
-    let class = classify_growth(&points);
-    let measured = points
-        .iter()
-        .map(|p| format!("{}→{}", p.n, p.bits))
-        .collect::<Vec<_>>()
-        .join(" ");
-    Row {
-        id: id.into(),
-        what: what.into(),
-        family: family.into(),
-        paper: paper.into(),
-        measured,
-        class: class.to_string(),
-        verdict: if class == expected { "✓" } else { "✗" }.into(),
-    }
-}
-
-/// Renders a row from raw `(parameter, bits)` pairs — for rows whose
-/// sweep parameter is not `n` (e.g. `k` or `W`).
-pub fn param_row(
-    id: &str,
-    what: &str,
-    family: &str,
-    paper: &str,
-    param_name: &str,
-    pairs: &[(usize, usize)],
-    ok: bool,
-) -> Row {
-    let measured = pairs
-        .iter()
-        .map(|(p, b)| format!("{param_name}={p}→{b}"))
-        .collect::<Vec<_>>()
-        .join(" ");
-    Row {
-        id: id.into(),
-        what: what.into(),
-        family: family.into(),
-        paper: paper.into(),
-        measured,
-        class: format!("grows with {param_name}"),
-        verdict: if ok { "✓" } else { "✗" }.into(),
-    }
-}

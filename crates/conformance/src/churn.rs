@@ -37,7 +37,7 @@ use std::fmt::Write as _;
 /// How many mutations each churn cell applies, per profile.
 pub fn default_steps(profile: crate::Profile) -> usize {
     match profile {
-        crate::Profile::Smoke => 32,
+        crate::Profile::Smoke | crate::Profile::Table1 => 32,
         crate::Profile::Full => 200,
     }
 }
@@ -356,7 +356,7 @@ fn churn_one(
         CellStatus::Skip,
         "polarity not realizable on this family".into(),
     );
-    let Some(cell) = entry.build(&req) else {
+    let Some(cell) = entry.build_capped(&req, config.profile.cap(entry)) else {
         return result;
     };
     // The dynamic cell thaws its mutable store from the shared source,

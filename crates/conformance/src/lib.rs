@@ -96,6 +96,7 @@ pub fn campaign_registry() -> Vec<SchemeEntry> {
         ],
         radius: sigma_radius,
         max_n: 32,
+        fit_max_n: None,
         builder: b_sigma11,
     });
     entries
@@ -113,6 +114,11 @@ pub enum Profile {
     /// The nightly profile: wider size spread, deeper adversarial
     /// searches.
     Full,
+    /// Table 1: yes cells only, from n = 8 to 512, each entry clamped at
+    /// its [`SchemeEntry::fit_cap`] so every row gets a fitted growth
+    /// class. It checks completeness and measures honest proof sizes;
+    /// soundness is left to `smoke` and `full`.
+    Table1,
 }
 
 impl Profile {
@@ -121,6 +127,7 @@ impl Profile {
         match self {
             Profile::Smoke => "smoke",
             Profile::Full => "full",
+            Profile::Table1 => "table1",
         }
     }
 
@@ -129,7 +136,24 @@ impl Profile {
         match s {
             "smoke" => Some(Profile::Smoke),
             "full" => Some(Profile::Full),
+            "table1" => Some(Profile::Table1),
             _ => None,
+        }
+    }
+
+    /// The polarities whose cells the profile enumerates.
+    fn polarities(self) -> &'static [Polarity] {
+        match self {
+            Profile::Table1 => &[Polarity::Yes],
+            Profile::Smoke | Profile::Full => &[Polarity::Yes, Polarity::No],
+        }
+    }
+
+    /// The size `entry`'s cells are clamped at under this profile.
+    pub(crate) fn cap(self, entry: &SchemeEntry) -> usize {
+        match self {
+            Profile::Table1 => entry.fit_cap(),
+            Profile::Smoke | Profile::Full => entry.max_n,
         }
     }
 }
@@ -244,6 +268,11 @@ impl CampaignConfig {
                 shard: None,
                 cell_budget_ms: None,
                 artifact_dir: None,
+            },
+            Profile::Table1 => CampaignConfig {
+                sizes: vec![8, 16, 32, 64, 128, 256, 512],
+                profile,
+                ..CampaignConfig::for_profile(Profile::Smoke, seed)
             },
         }
     }
@@ -390,6 +419,17 @@ pub struct SchemeReport {
     pub cells: Vec<CellResult>,
 }
 
+impl SchemeReport {
+    /// The measured points as `n→bits` pairs, smallest `n` first.
+    pub fn render_points(&self) -> String {
+        self.points
+            .iter()
+            .map(|p| format!("{}→{}", p.n, p.bits))
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
+}
+
 /// The whole campaign outcome.
 #[derive(Clone, Debug)]
 pub struct Report {
@@ -454,7 +494,7 @@ impl Report {
                     s.id,
                     s.measured_growth.expect("bound_ok implies a fit"),
                     s.claimed_bound,
-                    render_points(&s.points),
+                    s.render_points(),
                 ));
             }
         }
@@ -684,14 +724,6 @@ pub(crate) fn push_rows(w: &mut String, rows: impl Iterator<Item = String>) {
     }
 }
 
-fn render_points(points: &[SizePoint]) -> String {
-    points
-        .iter()
-        .map(|p| format!("{}→{}", p.n, p.bits))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
 /// The workspace-shared JSON string escaper (also what the merge's
 /// parser resolves, so reports round-trip byte-exactly).
 fn json_str(s: &str) -> String {
@@ -764,8 +796,9 @@ impl Coord {
 }
 
 /// Enumerates the campaign matrix for `entries` under `config`'s
-/// filters: families × sizes × polarities per entry, with sizes clamped
-/// by each entry's `max_n` and collapsed duplicates enumerated once.
+/// filters: families × sizes × the profile's polarities per entry, with
+/// sizes clamped by the profile's cap for each entry ([`Profile::cap`])
+/// and collapsed duplicates enumerated once.
 ///
 /// Global coordinate indices are assigned **before** shard selection, so
 /// every shard agrees on them; the returned list is restricted to
@@ -774,17 +807,18 @@ pub(crate) fn matrix_coords(entries: &[SchemeEntry], config: &CampaignConfig) ->
     let mut coords = Vec::new();
     let mut index = 0usize;
     for (entry_idx, entry) in entries.iter().enumerate() {
-        // Entries cap their sizes (max_n); after clamping, several
-        // requested sizes can collapse onto the same cell — enumerate
-        // each effective cell once instead of re-running duplicates.
+        // Entries cap their sizes; after clamping, several requested
+        // sizes can collapse onto the same cell — enumerate each
+        // effective cell once instead of re-running duplicates.
+        let cap = config.profile.cap(entry);
         let mut seen = std::collections::BTreeSet::new();
         for &family in entry.families {
             if config.family_filter.is_some_and(|want| want != family) {
                 continue;
             }
             for &n in &config.sizes {
-                for polarity in [Polarity::Yes, Polarity::No] {
-                    if seen.insert((family, n.min(entry.max_n), polarity)) {
+                for &polarity in config.profile.polarities() {
+                    if seen.insert((family, n.min(cap), polarity)) {
                         if config.shard.is_none_or(|s| s.owns(index)) {
                             coords.push(Coord {
                                 index,
@@ -845,7 +879,7 @@ fn run_one(
         "inapplicable",
         "polarity not realizable on this family".into(),
     );
-    let Some(cell) = entry.build(&req) else {
+    let Some(cell) = entry.build_capped(&req, config.profile.cap(entry)) else {
         result.wall_ms = started.elapsed().as_millis();
         return result;
     };
@@ -1070,7 +1104,8 @@ pub fn warm_artifacts(config: &CampaignConfig) -> WarmSummary {
     let mut summary = WarmSummary::default();
     for coord in &matrix_coords(&entries, &full) {
         let entry = &entries[coord.entry_idx];
-        let Some(cell) = entry.build(&coord.request(entry, config.seed)) else {
+        let req = coord.request(entry, config.seed);
+        let Some(cell) = entry.build_capped(&req, config.profile.cap(entry)) else {
             summary.skipped += 1;
             continue;
         };

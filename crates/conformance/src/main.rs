@@ -3,6 +3,7 @@
 //! ```text
 //! cargo run -p lcp-conformance --release -- --profile smoke --seed 7 --json report.json
 //! cargo run -p lcp-conformance --release -- --churn --seed 7 --json churn.json
+//! cargo run -p lcp-conformance --release -- --profile table1 --seed 7   # Table 1
 //! ```
 //!
 //! Exit codes: `0` green, `1` usage error, `2` conformance failures
@@ -44,7 +45,10 @@ USAGE:
     lcp-campaign [OPTIONS]
 
 OPTIONS:
-    --profile <smoke|full>   preset sizes and budgets        [default: smoke]
+    --profile <smoke|full|table1>
+                             preset sizes and budgets        [default: smoke];
+                             table1 measures every Table 1 row on yes cells
+                             up to n = 512 and takes no --churn
     --seed <u64>             campaign seed                   [default: 7]
     --sizes <a,b,c>          override instance sizes
     --scheme <id>            run one registry entry only
@@ -203,6 +207,9 @@ fn parse_args() -> Result<Args, String> {
         artifact_dir,
         ..defaults
     };
+    if parsed.churn && profile == Profile::Table1 {
+        return Err("--churn takes --profile smoke or full; table1 has no churn cells".into());
+    }
     if parsed.warm_artifacts && parsed.config.artifact_dir.is_none() {
         return Err("--warm-artifacts requires --artifact-dir".into());
     }
@@ -277,14 +284,14 @@ fn print_churn_table(report: &ChurnReport) {
 
 fn print_table(report: &Report) {
     println!(
-        "{:<32} {:<10} {:>4} {:>4} {:>4}  {:<12} {:<12} ok",
+        "{:<32} {:<10} {:>4} {:>4} {:>4}  {:<12} {:<12} ok  n→bits",
         "scheme", "row", "pass", "fail", "skip", "claimed", "measured"
     );
-    println!("{}", "-".repeat(92));
+    println!("{}", "-".repeat(100));
     for s in &report.schemes {
         let count = |st: CellStatus| s.cells.iter().filter(|c| c.status == st).count();
         println!(
-            "{:<32} {:<10} {:>4} {:>4} {:>4}  {:<12} {:<12} {}",
+            "{:<32} {:<10} {:>4} {:>4} {:>4}  {:<12} {:<12} {:<3} {}",
             s.id,
             s.paper_row,
             count(CellStatus::Pass),
@@ -297,7 +304,8 @@ fn print_table(report: &Report) {
                 Some(true) => "✓",
                 Some(false) => "✗",
                 None => "—",
-            }
+            },
+            s.render_points(),
         );
     }
     println!();

@@ -109,6 +109,7 @@ fn entry(id: &'static str, builder: fn(&CellRequest) -> Option<DynScheme>) -> Sc
         families: &[GraphFamily::Cycle],
         radius: 1,
         max_n: 64,
+        fit_max_n: None,
         builder,
     }
 }

@@ -38,6 +38,14 @@
 //! at open/freeze time; a corrupted, truncated, or version-skewed file
 //! is rejected by [`FrozenCore::open`] with a file + byte-offset error
 //! ([`ArtifactError`]), never undefined behaviour.
+//!
+//! That promise covers the bytes a file holds when it is mapped. Files
+//! have a single-writer rule: they are only ever replaced whole —
+//! [`FrozenCore::save`] writes a temp file and `rename`s it over the
+//! target, so an open mapping keeps the old inode. Truncating a file in
+//! place while another process has it mapped is outside the contract:
+//! the `MAP_PRIVATE` mapping then raises `SIGBUS` on a read past the new
+//! end (docs/FORMAT.md § *Failure mode contract*).
 
 use crate::engine::{map_indices, PAR_THRESHOLD};
 use crate::instance::Instance;

@@ -177,8 +177,9 @@ pub struct WeightedMatching {
     /// LP (§2.3): `y_u + y_v ≥ w_{uv}` for every edge, with complementary
     /// slackness against the returned matching.
     pub duals: Vec<u64>,
-    /// Total weight of the matching.
-    pub weight: u64,
+    /// Total weight of the matching (a `u128`: a sum of `u64` weights
+    /// can pass `u64::MAX`).
+    pub weight: u128,
 }
 
 impl WeightedMatching {
@@ -219,9 +220,11 @@ pub fn max_weight_bipartite_matching(
         "side must 2-colour g"
     );
     let n = g.n();
+    // Signed 128-bit arithmetic: weights span all of `u64`, and the
+    // slack `y_u + y_v − w` of a dual pair is up to `2W`.
     let w =
-        |u: usize, v: usize| -> i64 { weights.get(&norm_edge(u, v)).copied().unwrap_or(0) as i64 };
-    let mut y: Vec<i64> = vec![0; n];
+        |u: usize, v: usize| -> i128 { weights.get(&norm_edge(u, v)).copied().unwrap_or(0).into() };
+    let mut y: Vec<i128> = vec![0; n];
     // Left duals start at each node's largest incident weight: feasible,
     // and every heaviest edge starts tight.
     for u in g.nodes().filter(|&u| side[u] == 0) {
@@ -271,7 +274,7 @@ pub fn max_weight_bipartite_matching(
                 continue;
             }
             // No tight edge available: lower S-duals and raise T-duals by δ.
-            let mut delta = i64::MAX;
+            let mut delta = i128::MAX;
             for u in g.nodes().filter(|&u| in_left[u]) {
                 delta = delta.min(y[u]); // slack to the virtual null vertex
                 for &v in g.neighbors(u) {
@@ -301,11 +304,14 @@ pub fn max_weight_bipartite_matching(
         .iter()
         .enumerate()
         .filter_map(|(u, &m)| m.filter(|&v| u < v).map(|v| w(u, v)))
-        .sum::<i64>() as u64;
+        .sum::<i128>();
     WeightedMatching {
         mate,
-        duals: y.into_iter().map(|x| x.max(0) as u64).collect(),
-        weight,
+        duals: y
+            .into_iter()
+            .map(|x| u64::try_from(x.max(0)).expect("duals stay within 0..=W"))
+            .collect(),
+        weight: u128::try_from(weight).expect("weights are nonnegative"),
     }
 }
 
@@ -376,10 +382,10 @@ pub fn maximum_matching_bruteforce(g: &Graph) -> usize {
 
 /// Exhaustive maximum-weight matching value; exponential, for ground truth
 /// on small graphs only.
-pub fn max_weight_matching_bruteforce(g: &Graph, weights: &EdgeWeightMap) -> u64 {
+pub fn max_weight_matching_bruteforce(g: &Graph, weights: &EdgeWeightMap) -> u128 {
     let edges: Vec<(usize, usize)> = g.edges().collect();
     let mut used = vec![false; g.n()];
-    fn rec(edges: &[(usize, usize)], weights: &EdgeWeightMap, i: usize, used: &mut [bool]) -> u64 {
+    fn rec(edges: &[(usize, usize)], weights: &EdgeWeightMap, i: usize, used: &mut [bool]) -> u128 {
         if i == edges.len() {
             return 0;
         }
@@ -391,7 +397,7 @@ pub fn max_weight_matching_bruteforce(g: &Graph, weights: &EdgeWeightMap) -> u64
         used[u] = true;
         used[v] = true;
         let w = weights.get(&norm_edge(u, v)).copied().unwrap_or(0);
-        let take = w + rec(edges, weights, i + 1, used);
+        let take = u128::from(w) + rec(edges, weights, i + 1, used);
         used[u] = false;
         used[v] = false;
         skip.max(take)
@@ -480,14 +486,18 @@ mod tests {
         for (u, v) in g.edges() {
             let w = weights.get(&norm_edge(u, v)).copied().unwrap_or(0);
             assert!(
-                sol.duals[u] + sol.duals[v] >= w,
+                u128::from(sol.duals[u]) + u128::from(sol.duals[v]) >= u128::from(w),
                 "dual infeasible on edge ({u},{v})"
             );
         }
         // Tightness on matched edges.
         for (u, v) in sol.edges() {
             let w = weights.get(&norm_edge(u, v)).copied().unwrap_or(0);
-            assert_eq!(sol.duals[u] + sol.duals[v], w, "matched edge not tight");
+            assert_eq!(
+                u128::from(sol.duals[u]) + u128::from(sol.duals[v]),
+                u128::from(w),
+                "matched edge not tight"
+            );
         }
         // Positive duals only on matched nodes.
         for u in g.nodes() {
@@ -547,6 +557,25 @@ mod tests {
             let weights = random_weights(&g, 7, &mut rng);
             let sol = max_weight_bipartite_matching(&g, &side, &weights);
             assert!(sol.duals.iter().all(|&y| y <= 7));
+            check_duality(&g, &weights, &sol);
+        }
+    }
+
+    #[test]
+    fn weighted_matching_handles_weights_past_i64() {
+        // Every weight is ≥ 2⁶³: none fits an i64, and any two matched
+        // edges sum past u64::MAX.
+        let mut rng = StdRng::seed_from_u64(11);
+        for round in 0..10 {
+            let g = generators::random_bipartite(4, 4, 0.6, &mut rng);
+            let side = bipartition(&g).unwrap();
+            let weights: EdgeWeightMap = g
+                .edges()
+                .map(|(u, v)| ((u, v), rng.random_range(1u64 << 63..=u64::MAX)))
+                .collect();
+            let sol = max_weight_bipartite_matching(&g, &side, &weights);
+            let best = max_weight_matching_bruteforce(&g, &weights);
+            assert_eq!(sol.weight, best, "round {round}");
             check_duality(&g, &weights, &sol);
         }
     }

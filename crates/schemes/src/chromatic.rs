@@ -218,6 +218,15 @@ mod tests {
             sizes_by_n.push(proof.size());
         }
         assert!(sizes_by_n.iter().all(|&s| s == 2), "⌈log₂ 4⌉ = 2 bits");
+        // Sweeping k instead: K_k needs all k colours, each written in
+        // ⌊log₂(k − 1)⌋ + 1 bits.
+        for k in [2usize, 4, 8, 16] {
+            let inst = Instance::unlabeled(generators::complete(k));
+            let scheme = ChromaticAtMost { k };
+            let proof = scheme.prove(&inst).unwrap();
+            assert!(evaluate(&scheme, &inst, &proof).accepted());
+            assert_eq!(proof.size(), (k - 1).ilog2() as usize + 1, "k = {k}");
+        }
     }
 
     #[test]

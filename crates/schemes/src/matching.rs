@@ -203,9 +203,9 @@ impl Scheme for MaxWeightMatchingBipartite {
             .iter()
             .map(|(&k, e)| (k, e.weight))
             .collect();
-        let claimed: u64 = matched
+        let claimed: u128 = matched
             .iter()
-            .map(|&(u, v)| inst.edge_label(u, v).map_or(0, |e| e.weight))
+            .map(|&(u, v)| inst.edge_label(u, v).map_or(0, |e| e.weight.into()))
             .sum();
         let best = gm::max_weight_bipartite_matching(g, &side, &weights).weight;
         claimed == best
@@ -248,19 +248,19 @@ impl Scheme for MaxWeightMatchingBipartite {
             let Some(u_y) = dual(u) else {
                 return false;
             };
-            // Honest duals are at most W, so a sum past u64 is forged;
-            // a wrapped sum could pass both checks below.
-            let Some(sum) = my_y.checked_add(u_y) else {
-                return false;
-            };
+            // Exact in u128: honest duals are at most W < 2⁶⁴, but their
+            // sum can pass u64::MAX, and a wrapped sum could pass both
+            // checks below.
+            let sum = u128::from(my_y) + u128::from(u_y);
+            let weight = u128::from(edge.weight);
             // Dual feasibility.
-            if sum < edge.weight {
+            if sum < weight {
                 return false;
             }
             if edge.matched {
                 matched_count += 1;
                 // Tightness on matched edges.
-                if sum != edge.weight {
+                if sum != weight {
                     return false;
                 }
             }
@@ -420,6 +420,71 @@ mod tests {
         .unwrap();
         // γ-coded duals ≤ W = 9: at most 2·⌊log₂ 10⌋ + 1 = 7 bits.
         assert!(sizes.iter().all(|&s| s <= 7), "O(log W) bits: {sizes:?}");
+    }
+
+    #[test]
+    fn dual_size_grows_with_log_w_not_n() {
+        // K6,6 with weights in 0..=W: γ-coded duals ≤ W take at most
+        // 2·⌊log₂(W + 1)⌋ + 1 bits, and never shrink as W grows.
+        let g = generators::complete_bipartite(6, 6);
+        let side = traversal::bipartition(&g).unwrap();
+        let mut sizes = Vec::new();
+        for w_max in [3u64, 15, 255, 4095] {
+            let weights: gm::EdgeWeightMap = g
+                .edges()
+                .zip(0u64..)
+                .map(|(e, i)| (e, (i * 7 + 3) % (w_max + 1)))
+                .collect();
+            let sol = gm::max_weight_bipartite_matching(&g, &side, &weights);
+            let matched: std::collections::BTreeSet<_> = sol.edges().into_iter().collect();
+            let data: EdgeMap<WeightedEdge> = weights
+                .iter()
+                .map(|(&k, &weight)| {
+                    let matched = matched.contains(&k);
+                    (k, WeightedEdge { weight, matched })
+                })
+                .collect();
+            let inst = Instance::with_data(g.clone(), vec![(); 12], data);
+            let proof = MaxWeightMatchingBipartite
+                .prove(&inst)
+                .expect("optimal matching certifiable");
+            assert!(evaluate(&MaxWeightMatchingBipartite, &inst, &proof).accepted());
+            let bound = 2 * (w_max + 1).ilog2() as usize + 1;
+            assert!(proof.size() <= bound, "W = {w_max}: {} bits", proof.size());
+            sizes.push(proof.size());
+        }
+        assert!(sizes.windows(2).all(|w| w[0] <= w[1]), "{sizes:?}");
+    }
+
+    /// A path whose edges carry `weights` in order, with the listed
+    /// edges matched.
+    fn weighted_path(weights: &[u64], matched: &[usize]) -> Instance<(), WeightedEdge> {
+        let n = weights.len() + 1;
+        let data: EdgeMap<WeightedEdge> = weights
+            .iter()
+            .enumerate()
+            .map(|(i, &weight)| {
+                let matched = matched.contains(&i);
+                ((i, i + 1), WeightedEdge { weight, matched })
+            })
+            .collect();
+        Instance::with_data(generators::path(n), vec![(); n], data)
+    }
+
+    #[test]
+    fn weights_past_i64_hold_prove_and_verify() {
+        // a–b–c with w(ab) = 2⁶³ matched: 2⁶³ is no i64. a–b–c–d with
+        // two matched 2⁶³ edges: the optimum 2⁶⁴ is no u64.
+        let big = 1u64 << 63;
+        for inst in [
+            weighted_path(&[big, 1], &[0]),
+            weighted_path(&[big, 1, big], &[0, 2]),
+        ] {
+            assert!(MaxWeightMatchingBipartite.holds(&inst));
+            let proof = MaxWeightMatchingBipartite.prove(&inst).expect("optimal");
+            let verdict = evaluate(&MaxWeightMatchingBipartite, &inst, &proof);
+            assert!(verdict.accepted(), "rejected at {:?}", verdict.rejecting());
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! constructs every entry, so adding a scheme means adding one entry
 //! here (the registry test fails if a public scheme is forgotten). The
 //! conformance campaign (`lcp-conformance`) sweeps [`all`] × sizes ×
-//! families × polarities; the Table-1 bench bin renders the same
-//! metadata as a table.
+//! families × polarities, and its `table1` profile renders the same
+//! metadata as the paper's table.
 //!
 //! Builders are **deterministic in the request**: the same
 //! [`CellRequest`] always yields the same instance (random families
@@ -136,6 +136,12 @@ pub struct SchemeEntry {
     /// Size cap for schemes with expensive ground truth or `poly(n)`
     /// proofs (the campaign clamps requested sizes).
     pub max_n: usize,
+    /// The largest `n` the builders stay cheap at, where that is above
+    /// [`Self::max_n`]; `None` means `max_n`. The `table1` campaign
+    /// profile clamps here instead, so rows whose `max_n` keeps every
+    /// size below the 3× spread a growth fit needs still get a fitted
+    /// class.
+    pub fit_max_n: Option<usize>,
     /// The cell builder (public so downstream crates can append entries
     /// for schemes living outside `lcp-schemes`, e.g. `lcp-logic`'s
     /// Σ¹₁ scheme).
@@ -148,11 +154,24 @@ impl SchemeEntry {
     ///
     /// Requests above [`Self::max_n`] are clamped, not rejected.
     pub fn build(&self, req: &CellRequest) -> Option<DynScheme> {
+        self.build_capped(req, self.max_n)
+    }
+
+    /// [`Self::build`] with requests clamped at `cap` instead of
+    /// [`Self::max_n`] — for callers that size cells by
+    /// [`Self::fit_cap`].
+    pub fn build_capped(&self, req: &CellRequest, cap: usize) -> Option<DynScheme> {
         let clamped = CellRequest {
-            n: req.n.min(self.max_n),
+            n: req.n.min(cap),
             ..*req
         };
         (self.builder)(&clamped)
+    }
+
+    /// The size cap for growth fits: [`Self::fit_max_n`], else
+    /// [`Self::max_n`].
+    pub fn fit_cap(&self) -> usize {
+        self.fit_max_n.unwrap_or(self.max_n)
     }
 }
 
@@ -933,7 +952,7 @@ pub fn find(id: &str) -> Option<SchemeEntry> {
 /// problems).
 ///
 /// The list is the single source of truth for the conformance campaign
-/// and the registry-driven bench bin; `tests::registry_covers_every_public_scheme`
+/// and so for Table 1; `tests::registry_covers_every_public_scheme`
 /// pins it against the crate's public surface.
 pub fn all() -> Vec<SchemeEntry> {
     vec![
@@ -946,6 +965,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Cycle, Path, Grid, Tree, Barbell],
             radius: 1,
             max_n: UNCAPPED,
+            fit_max_n: None,
             builder: b_eulerian,
         },
         SchemeEntry {
@@ -957,6 +977,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Path, Cycle, Tree, Grid],
             radius: 2,
             max_n: 48,
+            fit_max_n: None,
             builder: b_line_graph,
         },
         SchemeEntry {
@@ -968,6 +989,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Path, Cycle, Grid, Tree, FBipartite, Barbell],
             radius: 1,
             max_n: UNCAPPED,
+            fit_max_n: None,
             builder: b_st_reachability,
         },
         SchemeEntry {
@@ -979,6 +1001,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Path, Cycle, Grid, Tree, FBipartite, Barbell],
             radius: 1,
             max_n: UNCAPPED,
+            fit_max_n: None,
             builder: b_st_unreachability_undirected,
         },
         SchemeEntry {
@@ -990,6 +1013,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Path, Cycle, Grid],
             radius: 1,
             max_n: UNCAPPED,
+            fit_max_n: None,
             builder: b_st_unreachability_directed,
         },
         SchemeEntry {
@@ -1001,6 +1025,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Path, Cycle, Grid],
             radius: 2,
             max_n: UNCAPPED,
+            fit_max_n: None,
             builder: b_st_reachability_directed,
         },
         SchemeEntry {
@@ -1012,6 +1037,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Cycle, Grid, Path, Tree, Barbell],
             radius: 1,
             max_n: UNCAPPED,
+            fit_max_n: None,
             builder: b_st_connectivity,
         },
         SchemeEntry {
@@ -1023,6 +1049,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Cycle, Grid, Path],
             radius: 1,
             max_n: UNCAPPED,
+            fit_max_n: None,
             builder: b_st_connectivity_planar,
         },
         SchemeEntry {
@@ -1034,6 +1061,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Cycle, Grid, FBipartite, Barbell, Gnp],
             radius: 1,
             max_n: UNCAPPED,
+            fit_max_n: None,
             builder: b_bipartite,
         },
         SchemeEntry {
@@ -1045,6 +1073,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Cycle, Path, Grid],
             radius: 1,
             max_n: UNCAPPED,
+            fit_max_n: None,
             builder: b_even_cycle,
         },
         SchemeEntry {
@@ -1056,6 +1085,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Cycle, Path, Grid],
             radius: 1,
             max_n: UNCAPPED,
+            fit_max_n: None,
             builder: b_odd_cycle,
         },
         SchemeEntry {
@@ -1067,6 +1097,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Cycle, Grid, Barbell, Gnp],
             radius: 1,
             max_n: 24,
+            fit_max_n: None,
             builder: b_chromatic_at_most,
         },
         SchemeEntry {
@@ -1078,6 +1109,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Cycle, Barbell, Grid, Path],
             radius: 1,
             max_n: UNCAPPED,
+            fit_max_n: None,
             builder: b_non_bipartite,
         },
         SchemeEntry {
@@ -1089,6 +1121,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Path, Grid, Tree, Cycle],
             radius: 1,
             max_n: UNCAPPED,
+            fit_max_n: None,
             builder: b_co_eulerian,
         },
         SchemeEntry {
@@ -1100,6 +1133,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Cycle, Path, Tree, Gnp],
             radius: 1,
             max_n: 16,
+            fit_max_n: Some(64),
             builder: b_symmetric_graph,
         },
         SchemeEntry {
@@ -1111,6 +1145,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Tree, Path, Grid],
             radius: 1,
             max_n: 20,
+            fit_max_n: Some(128),
             builder: b_tree_fixpoint_free,
         },
         SchemeEntry {
@@ -1122,6 +1157,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Barbell, Cycle, Grid, Tree],
             radius: 1,
             max_n: 16,
+            fit_max_n: Some(64),
             builder: b_non_three_colorable,
         },
         SchemeEntry {
@@ -1133,6 +1169,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Path, Cycle, Tree, Grid],
             radius: 1,
             max_n: 16,
+            fit_max_n: Some(64),
             builder: b_prime_order,
         },
         SchemeEntry {
@@ -1144,6 +1181,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Path, Cycle, Grid, Gnp],
             radius: 2,
             max_n: UNCAPPED,
+            fit_max_n: None,
             builder: b_maximal_matching,
         },
         SchemeEntry {
@@ -1155,6 +1193,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Path, Cycle, Grid, Tree],
             radius: 1,
             max_n: UNCAPPED,
+            fit_max_n: None,
             builder: b_lcl_mis,
         },
         SchemeEntry {
@@ -1166,6 +1205,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Path, Cycle, Grid, Tree],
             radius: 1,
             max_n: UNCAPPED,
+            fit_max_n: None,
             builder: b_lcl_agreement,
         },
         SchemeEntry {
@@ -1177,6 +1217,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Path, Cycle, Grid, Tree],
             radius: 1,
             max_n: UNCAPPED,
+            fit_max_n: None,
             builder: b_lcl_proper_coloring,
         },
         SchemeEntry {
@@ -1188,6 +1229,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[FBipartite, Grid, Path, Cycle],
             radius: 1,
             max_n: UNCAPPED,
+            fit_max_n: None,
             builder: b_maximum_matching_bipartite,
         },
         SchemeEntry {
@@ -1199,6 +1241,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[FBipartite, Grid, Path],
             radius: 1,
             max_n: UNCAPPED,
+            fit_max_n: None,
             builder: b_max_weight_matching_bipartite,
         },
         SchemeEntry {
@@ -1210,6 +1253,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Path, Cycle, Grid, Tree],
             radius: 2,
             max_n: UNCAPPED,
+            fit_max_n: None,
             builder: b_co_maximal_matching,
         },
         SchemeEntry {
@@ -1221,6 +1265,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Path, Cycle, Grid, Tree],
             radius: 1,
             max_n: UNCAPPED,
+            fit_max_n: None,
             builder: b_leader_election,
         },
         SchemeEntry {
@@ -1232,6 +1277,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Path, Cycle, Grid, Tree, Gnp],
             radius: 1,
             max_n: UNCAPPED,
+            fit_max_n: None,
             builder: b_spanning_tree,
         },
         SchemeEntry {
@@ -1243,6 +1289,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Tree, Path, Cycle, Grid, Barbell],
             radius: 1,
             max_n: UNCAPPED,
+            fit_max_n: None,
             builder: b_acyclic,
         },
         SchemeEntry {
@@ -1254,6 +1301,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Cycle, Path, Grid],
             radius: 1,
             max_n: UNCAPPED,
+            fit_max_n: None,
             builder: b_max_matching_cycle,
         },
         SchemeEntry {
@@ -1265,6 +1313,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Cycle, Grid, Path, Tree],
             radius: 1,
             max_n: 16,
+            fit_max_n: Some(64),
             builder: b_hamiltonian_cycle,
         },
         SchemeEntry {
@@ -1276,6 +1325,7 @@ pub fn all() -> Vec<SchemeEntry> {
             families: &[Path, Cycle, Grid, Tree],
             radius: 1,
             max_n: UNCAPPED,
+            fit_max_n: None,
             builder: b_weak_leader_election,
         },
     ]
