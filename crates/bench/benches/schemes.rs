@@ -95,7 +95,7 @@ fn bench_resident_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-fn resident_sweep<S: Scheme<Node: Send + Sync, Edge: Send + Sync>>(
+fn resident_sweep<S: Scheme>(
     group: &mut BenchmarkGroup<'_>,
     family: &str,
     scheme: &S,

@@ -359,7 +359,7 @@ fn churn_one(
     let Some(cell) = entry.build_capped(&req, config.profile.cap(entry)) else {
         return result;
     };
-    // The dynamic cell thaws its mutable store from the shared source,
+    // The dynamic cell opens its builder over a core from the shared source,
     // so with `--artifact-dir` even churn cells cold-start from mapped
     // cores — the mutation stream and verdicts are unaffected.
     let mut dynamic = DynamicInstance::from_cell(cell.with_source(source.clone()).dynamic_cell());

@@ -105,7 +105,7 @@ fn churn_metrics_export_does_not_perturb_the_report() {
     assert!(counter_value(&sidecar, "lcp_dynamic_reverifies_total") > 0);
     assert!(
         histogram_count(&sidecar, "lcp_core_identity_ns") > 0,
-        "churn cells fingerprint their instance when they thaw a core"
+        "churn cells fingerprint their instance when they open a core"
     );
 }
 

@@ -38,7 +38,7 @@
 //!
 //! [`docs/FORMAT.md`]: https://github.com/../docs/FORMAT.md
 
-use crate::engine::{build_core, Held, PreparedInstance, SkeletonCache};
+use crate::engine::{Held, PreparedInstance, SkeletonCache};
 use crate::frozen::{ArtifactError, FrozenCore, PortableLabel};
 use crate::instance::Instance;
 use crate::metrics;
@@ -262,8 +262,8 @@ impl ArtifactStore {
         fp: (u64, u64),
     ) -> (Arc<FrozenCore<N, E>>, CoreProvenance)
     where
-        N: Clone + Send + Sync + PortableLabel,
-        E: Clone + Send + Sync + PortableLabel,
+        N: Clone + PortableLabel,
+        E: Clone + PortableLabel,
     {
         let path = self.path_for(inst.n(), radius, fp);
         match FrozenCore::<N, E>::open(&path, Some(fp)) {
@@ -283,7 +283,7 @@ impl ArtifactStore {
             }
         }
 
-        let core = build_core(inst, radius);
+        let core = Arc::new(FrozenCore::build(inst, radius));
         self.builds.fetch_add(1, Ordering::Relaxed);
         match core.save(&path, fp) {
             Ok(()) => {
@@ -362,11 +362,13 @@ impl ArtifactSource {
         E: Clone + PartialEq + Send + Sync + PortableLabel + 'static,
     {
         let fp = || *identity.get_or_init(|| fingerprint(inst.get(), radius));
+        let build = || {
+            let core = FrozenCore::build(inst.get(), radius);
+            (Arc::new(core), CoreProvenance::Built)
+        };
         match self {
-            ArtifactSource::BuildFresh => (build_core(inst.get(), radius), CoreProvenance::Built),
-            ArtifactSource::Cache(cache) => cache.get_or_fill(inst, radius, fp().0, || {
-                (build_core(inst.get(), radius), CoreProvenance::Built)
-            }),
+            ArtifactSource::BuildFresh => build(),
+            ArtifactSource::Cache(cache) => cache.get_or_fill(inst, radius, fp().0, build),
             ArtifactSource::MappedDir(store) => store.prepare_held(inst, radius, fp()),
         }
     }

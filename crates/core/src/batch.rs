@@ -394,8 +394,8 @@ mod tests {
         Result<Soundness, SoundnessError>,
     )
     where
-        S::Node: Clone + Send + Sync,
-        S::Edge: Clone + Send + Sync,
+        S::Node: Clone,
+        S::Edge: Clone,
     {
         let prep = prepare(scheme, inst);
         let run = |policy| {

@@ -124,11 +124,12 @@ impl From<GraphError> for CellMutationError {
 ///
 /// Where [`DynScheme`] freezes its instance behind an `Arc`, a mutable
 /// cell owns a private copy of the instance and the current proof, plus
-/// an engine [`CoreBuilder`] that it repairs after every mutation. Each
-/// mutator returns the **impact set** — the view centres whose verifier
-/// output can differ because of that mutation — which is exactly what a
-/// dirty-set tracker needs to mark; the cell itself keeps no dirty state,
-/// so callers are free to batch mutations between re-verifications.
+/// an engine [`CoreBuilder`] over a shared core that it repairs after
+/// every mutation. Each mutator returns the **impact set** — the view
+/// centres whose verifier output can differ because of that mutation —
+/// which is exactly what a dirty-set tracker needs to mark; the cell
+/// itself keeps no dirty state, so callers are free to batch mutations
+/// between re-verifications.
 ///
 /// Obtain one from [`DynScheme::dynamic_cell`] (registry/campaign path)
 /// or [`seal_mutable`] (typed path).
@@ -226,7 +227,7 @@ where
             run_prover(&scheme, &inst).unwrap_or_else(|| Proof::empty(inst.n()))
         });
         assert_eq!(proof.n(), inst.n(), "proof must label every node");
-        let core = CoreBuilder::build(&inst, scheme.radius());
+        let core = CoreBuilder::new(Arc::new(FrozenCore::build(&inst, scheme.radius())));
         TypedCell {
             scheme: Arc::new(scheme),
             inst,
@@ -559,7 +560,7 @@ where
     }
 
     fn dynamic_cell(&self, source: &ArtifactSource) -> Box<dyn MutableCell> {
-        let core = CoreBuilder::thaw(self.prep(source).core());
+        let core = CoreBuilder::new(Arc::clone(self.prep(source).core()));
         let inst = (*self.inst).clone();
         let proof = self
             .honest()
@@ -788,8 +789,9 @@ impl DynScheme {
     ///
     /// The cell starts from the honest proof when the prover certifies
     /// the sealed instance, else from the empty proof; mutations to the
-    /// cell never affect this `DynScheme` or sibling cells. Its initial
-    /// skeleton store thaws from the kept core.
+    /// cell never affect this `DynScheme` or sibling cells. Its
+    /// [`CoreBuilder`] opens over the kept core, shared rather than
+    /// copied: the cell's repairs land in its own overlay.
     pub fn dynamic_cell(&self) -> Box<dyn MutableCell> {
         self.cell.dynamic_cell(&self.source)
     }
@@ -1186,7 +1188,7 @@ mod tests {
         // preparation maps it instead of re-running the BFS.
         assert_eq!(cell.prepare_skeletons(), CoreProvenance::ArtifactLoaded);
 
-        // A dynamic cell thawed from the mapped core behaves exactly
+        // A dynamic cell opened over the mapped core behaves exactly
         // like one built fresh.
         let mut dynamic = cell.dynamic_cell();
         assert!((0..6).all(|v| dynamic.verify(v)));
@@ -1247,6 +1249,82 @@ mod tests {
             cell.check_completeness_within(&Deadline::none()),
             Ok(Some(1))
         );
+    }
+
+    #[test]
+    fn sessions_never_write_the_shared_core() {
+        /// Bipartiteness with one more rule: every label in the ball is
+        /// even.
+        struct EvenLabelBipartite;
+        impl Scheme for EvenLabelBipartite {
+            type Node = u8;
+            type Edge = ();
+            fn name(&self) -> String {
+                "even-label-bipartite".into()
+            }
+            fn radius(&self) -> usize {
+                1
+            }
+            fn holds(&self, inst: &Instance<u8>) -> bool {
+                lcp_graph::traversal::is_bipartite(inst.graph())
+                    && (0..inst.n()).all(|v| inst.node_label(v).is_multiple_of(2))
+            }
+            fn prove(&self, inst: &Instance<u8>) -> Option<Proof> {
+                let colors = lcp_graph::traversal::bipartition(inst.graph())?;
+                Some(Proof::from_fn(inst.n(), |v| {
+                    BitString::from_bits([colors[v] == 1])
+                }))
+            }
+            fn verify(&self, view: &View<u8>) -> bool {
+                let c = view.center();
+                let mine = view.proof(c).first();
+                view.nodes().all(|u| view.node_label(u).is_multiple_of(2))
+                    && view
+                        .neighbors(c)
+                        .iter()
+                        .all(|&u| mine.is_some() && view.proof(u).first() != mine)
+            }
+        }
+
+        let inst = Instance::with_node_data(generators::cycle(8), vec![0u8; 8]);
+        let cache = Arc::new(SkeletonCache::new());
+        let cell = DynScheme::seal(EvenLabelBipartite, inst.clone())
+            .with_source(ArtifactSource::Cache(Arc::clone(&cache)));
+        assert_eq!(cell.prepare_skeletons(), CoreProvenance::Built);
+        let key = crate::artifact::fingerprint(&inst, 1).0;
+        let (core, _) = cache.get_or_fill(Held::Lent(&inst), 1, key, || {
+            unreachable!("the sealed cell's core is cached")
+        });
+        let words = core.words().to_vec();
+        let resident = cell.check_completeness_within(&Deadline::none());
+        assert_eq!(resident, Ok(Some(1)));
+
+        // One session applies an edge insert, a proof rewrite and a
+        // label change; its own views see all three.
+        let mut session = cell.dynamic_cell();
+        assert!((0..8).all(|v| session.verify(v)));
+        assert_eq!(session.insert_edge(0, 4).unwrap(), vec![0, 4]);
+        session
+            .rewrite_proof(2, &BitString::from_bits([true, true]))
+            .unwrap();
+        assert_eq!(
+            session.set_node_label(6, Box::new(1u8)).unwrap(),
+            vec![5, 6, 7]
+        );
+        let full = session.evaluate_full();
+        assert!(!full.accepted());
+        for v in 0..8 {
+            assert_eq!(session.verify(v), full.outputs()[v], "node {v}");
+        }
+
+        // Nothing of it reaches the resident cell, a second session on
+        // the same cell, or the cached core's words.
+        assert_eq!(cell.check_completeness_within(&Deadline::none()), resident);
+        let second = cell.dynamic_cell();
+        assert_eq!(second.graph(), inst.graph());
+        assert!((0..8).all(|v| second.verify(v)));
+        assert!(second.evaluate_full().accepted());
+        assert_eq!(core.words(), words.as_slice(), "cached core written");
     }
 
     #[test]

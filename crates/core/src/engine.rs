@@ -42,23 +42,25 @@
 //! # Core provenance
 //!
 //! The frozen core is origin-agnostic: a `PreparedInstance` binds views
-//! identically whether its core was **built** in process, adopted from a
-//! [`SkeletonCache`] hit, or **mapped** from an on-disk artifact file by
-//! [`crate::artifact::ArtifactStore`] (the `docs/FORMAT.md` format). The
-//! mutable sibling is [`CoreBuilder`](crate::frozen::CoreBuilder), whose
-//! [`freeze`](crate::frozen::CoreBuilder::freeze) /
-//! [`thaw`](crate::frozen::CoreBuilder::thaw) round-trip makes dynamic
-//! churn and frozen artifacts share one invariant surface.
+//! identically whether its core was **built** in process by
+//! [`FrozenCore::build`] (the one from-scratch build entry, counted in
+//! `lcp_engine_prepares_total`), adopted from a [`SkeletonCache`] hit,
+//! or **mapped** from an on-disk artifact file by
+//! [`crate::artifact::ArtifactStore`] (the `docs/FORMAT.md` format).
+//! Dynamic cells open a [`CoreBuilder`](crate::frozen::CoreBuilder)
+//! over the same shared core and repair churn in an overlay;
+//! [`freeze`](crate::frozen::CoreBuilder::freeze) renders it through the
+//! same writer as a fresh build, so dynamic churn and frozen artifacts
+//! share one invariant surface.
 //!
 //! # Parallelism
 //!
-//! [`PreparedInstance::new`] and the sweep helper [`prepare_sweep`] fan
-//! out across cores (rayon) once the input is large enough to amortize
-//! thread startup: at least `PAR_THRESHOLD` (256) nodes, or more than
-//! one instance. The choice is made from the input size alone and
-//! cannot change a result. The verifier sweep itself is sequential: one
-//! local round over every node, as in the model, with its callers
-//! parallel at a coarser grain.
+//! Preparing one instance is one sequential pass over its nodes. The
+//! sweep helper [`prepare_sweep`] fans out across cores (rayon) when it
+//! has more than one instance; the choice is made from the input size
+//! alone and cannot change a result. The verifier sweep is sequential
+//! too: one local round over every node, as in the model, with its
+//! callers parallel at a coarser grain.
 //!
 //! ```
 //! use lcp_core::engine::PreparedInstance;
@@ -96,7 +98,7 @@
 
 use crate::artifact::CoreProvenance;
 use crate::deadline::{Deadline, DeadlineExpired};
-use crate::frozen::{build_all, FrozenCore};
+use crate::frozen::FrozenCore;
 use crate::instance::Instance;
 use crate::metrics;
 use crate::proof::Proof;
@@ -106,10 +108,6 @@ use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Below this node count, parallel paths fall back to sequential code:
-/// spawning workers costs more than the whole sweep.
-pub(crate) const PAR_THRESHOLD: usize = 256;
 
 /// An instance with every node's radius-`r` view skeleton precomputed,
 /// ready to bind candidate proofs cheaply.
@@ -129,16 +127,12 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
     /// Precomputes every node's radius-`radius` view skeleton.
     ///
     /// Cost: one bounded BFS per node (`O(Σ|ball|)` total work), done
-    /// exactly once; every subsequent proof binding reuses the result.
-    /// On large instances the per-node BFS fans out across cores.
-    pub fn new(inst: &'i Instance<N, E>, radius: usize) -> Self
-    where
-        N: Send + Sync,
-        E: Send + Sync,
-    {
+    /// exactly once by [`FrozenCore::build`]; every subsequent proof
+    /// binding reuses the result.
+    pub fn new(inst: &'i Instance<N, E>, radius: usize) -> Self {
         PreparedInstance {
             inst,
-            core: build_core(inst, radius),
+            core: Arc::new(FrozenCore::build(inst, radius)),
         }
     }
 
@@ -300,21 +294,6 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
         }
         Ok(None)
     }
-}
-
-/// Builds a fresh frozen core, counted in the engine metrics — every
-/// from-scratch build in the process shows up in
-/// `lcp_engine_prepares_total`, whatever tier requested it.
-pub(crate) fn build_core<N, E>(inst: &Instance<N, E>, radius: usize) -> Arc<FrozenCore<N, E>>
-where
-    N: Clone + Send + Sync,
-    E: Clone + Send + Sync,
-{
-    let started = std::time::Instant::now();
-    let core = Arc::new(FrozenCore::from_built(radius, build_all(inst, radius)));
-    metrics::PREPARES.inc();
-    metrics::PREPARE_NS.observe(started.elapsed().as_nanos() as u64);
-    core
 }
 
 /// An instance handed to the keyed cache path: the sealed cell's own
@@ -563,23 +542,17 @@ impl SkeletonCache {
 }
 
 /// Prepares an instance at `scheme`'s radius — the common entry point.
-///
-/// The `Send + Sync` bounds come from the fan-out on large instances.
-/// Every scheme type in this workspace is trivially thread-safe.
 pub fn prepare<'i, S: Scheme>(
     scheme: &S,
     inst: &'i Instance<S::Node, S::Edge>,
-) -> PreparedInstance<'i, S::Node, S::Edge>
-where
-    S::Node: Send + Sync,
-    S::Edge: Send + Sync,
-{
+) -> PreparedInstance<'i, S::Node, S::Edge> {
     PreparedInstance::new(inst, scheme.radius())
 }
 
 /// Prepares a whole instance sweep (completeness checks, size
 /// measurements, Table 1 rows), one instance per task when there is more
-/// than one.
+/// than one — hence the `Send + Sync` bounds, which every scheme type in
+/// this workspace meets.
 pub fn prepare_sweep<'i, S: Scheme>(
     scheme: &S,
     instances: &'i [Instance<S::Node, S::Edge>],
@@ -623,7 +596,7 @@ mod tests {
         let cache = SkeletonCache::new();
         let inst = Arc::new(Instance::unlabeled(generators::cycle(8)));
         let (core, provenance) = cache.get_or_fill(Held::Shared(&inst), 1, 7, || {
-            (build_core(&inst, 1), CoreProvenance::Built)
+            (Arc::new(FrozenCore::build(&inst, 1)), CoreProvenance::Built)
         });
         assert_eq!(provenance, CoreProvenance::Built);
         assert_eq!(
@@ -693,10 +666,13 @@ mod tests {
         }
     }
 
+    /// A builder over a fresh core of `(inst, radius)`.
+    fn builder<N: Clone, E: Clone>(inst: &Instance<N, E>, radius: usize) -> CoreBuilder<N, E> {
+        CoreBuilder::new(Arc::new(FrozenCore::build(inst, radius)))
+    }
+
     #[test]
     fn evaluate_matches_naive_executor() {
-        // The 20 × 20 grid is past PAR_THRESHOLD, so its preparation
-        // takes the fanned-out path.
         for g in [generators::cycle(9), generators::grid(20, 20)] {
             let inst = Instance::unlabeled(g);
             let prep = PreparedInstance::new(&inst, Fingerprint.radius());
@@ -708,7 +684,8 @@ mod tests {
                     .evaluate(&Fingerprint, &proof, &Deadline::none())
                     .unwrap();
                 assert_eq!(verdict, evaluate(&Fingerprint, &inst, &proof));
-                if inst.n() >= PAR_THRESHOLD {
+                if inst.n() == 400 {
+                    // Some of the grid's 400 view hashes reject.
                     assert!(!verdict.rejecting().is_empty(), "seed {seed}");
                 }
             }
@@ -777,7 +754,7 @@ mod tests {
     fn skeleton_store_matches_prepared_instance_when_static() {
         let inst = Instance::unlabeled(generators::grid(3, 4));
         let prep = PreparedInstance::new(&inst, 2);
-        let store = CoreBuilder::build(&inst, 2);
+        let store = builder(&inst, 2);
         let proof = Proof::from_fn(inst.n(), |v| {
             BitString::from_bits((0..v % 3).map(|i| i % 2 == 0))
         });
@@ -805,7 +782,7 @@ mod tests {
     #[test]
     fn rebuild_repairs_exactly_the_changed_views() {
         let mut inst = Instance::unlabeled(generators::cycle(10));
-        let mut store = CoreBuilder::build(&inst, 2);
+        let mut store = builder(&inst, 2);
         let proof = Proof::empty(10);
 
         // Insert a chord, rebuild its scope, and check against a fresh
@@ -823,7 +800,7 @@ mod tests {
         let changed = store.rebuild(&inst, &scope);
         assert!(!changed.is_empty());
         assert!(changed.iter().all(|c| scope.contains(c)));
-        let fresh = CoreBuilder::build(&inst, 2);
+        let fresh = builder(&inst, 2);
         for v in 0..10 {
             assert_eq!(store.bind(v, &proof), fresh.bind(v, &proof), "view {v}");
             assert_eq!(
@@ -850,7 +827,7 @@ mod tests {
         inst.remove_edge(0, 5).unwrap();
         let changed = store.rebuild(&inst, &scope);
         assert!(!changed.is_empty());
-        let fresh = CoreBuilder::build(&inst, 2);
+        let fresh = builder(&inst, 2);
         for v in 0..10 {
             assert_eq!(store.bind(v, &proof), fresh.bind(v, &proof), "view {v}");
         }
@@ -859,9 +836,9 @@ mod tests {
     #[test]
     fn injected_skeleton_corruption_is_repaired_by_rebuild() {
         let inst = Instance::unlabeled(generators::grid(3, 4));
-        let mut store = CoreBuilder::build(&inst, 2);
+        let mut store = builder(&inst, 2);
         let proof = Proof::empty(inst.n());
-        let fresh = CoreBuilder::build(&inst, 2);
+        let fresh = builder(&inst, 2);
         let damage = store.corrupt_skeleton_for_tests(5);
         assert_ne!(damage, "empty skeleton: nothing to corrupt");
         // The corrupted view diverges from the truth...
@@ -877,18 +854,18 @@ mod tests {
     #[test]
     fn store_round_trips_through_a_frozen_core() {
         let inst = Instance::unlabeled(generators::grid(3, 4));
-        let store = CoreBuilder::<(), ()>::build(&inst, 2);
+        let store = builder::<(), ()>(&inst, 2);
         let frozen = store.freeze();
-        let thawed = CoreBuilder::thaw(&frozen);
+        let reopened = CoreBuilder::new(Arc::new(frozen));
         let proof = Proof::empty(inst.n());
         for v in 0..inst.n() {
-            assert_eq!(thawed.bind(v, &proof), store.bind(v, &proof), "view {v}");
+            assert_eq!(reopened.bind(v, &proof), store.bind(v, &proof), "view {v}");
             assert_eq!(
-                thawed.dependents(v).collect::<Vec<_>>(),
+                reopened.dependents(v).collect::<Vec<_>>(),
                 store.dependents(v).collect::<Vec<_>>()
             );
         }
-        assert_eq!(thawed.freeze().words(), frozen.words());
+        assert_eq!(reopened.freeze().words(), store.freeze().words());
     }
 
     #[test]
@@ -936,12 +913,12 @@ mod tests {
     fn label_patches_flow_through_dependents() {
         let g = generators::path(6);
         let mut inst: Instance<u8> = Instance::with_node_data(g, vec![0u8; 6]);
-        let mut store = CoreBuilder::build(&inst, 1);
+        let mut store = builder(&inst, 1);
         inst.set_node_label(3, 9);
         let touched = store.set_node_label(3, &9);
         assert_eq!(touched, vec![2, 3, 4], "radius-1 dependents on a path");
         let proof = Proof::empty(6);
-        let fresh = CoreBuilder::build(&inst, 1);
+        let fresh = builder(&inst, 1);
         for v in 0..6 {
             assert_eq!(store.bind(v, &proof), fresh.bind(v, &proof), "view {v}");
         }

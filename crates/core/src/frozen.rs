@@ -1,5 +1,5 @@
-//! The builder / frozen split of the prepared-core representation, plus
-//! the versioned on-disk artifact format (`docs/FORMAT.md`).
+//! The one prepared-core representation, its repair overlay, and the
+//! versioned on-disk artifact format (`docs/FORMAT.md`).
 //!
 //! # Why
 //!
@@ -13,21 +13,12 @@
 //! `mmap`ed from disk and served with **zero deserialization** of the
 //! numeric sections (only the typed label pools are decoded on open).
 //!
-//! Following the rustfst vector/const FST exemplar, the representation
-//! is split in two:
-//!
-//! * [`CoreBuilder`] — the mutable build/repair side: per-node skeleton
-//!   buckets that can be rebuilt in place after topology churn (the
-//!   engine substrate of dynamic cells and fault injection);
-//! * [`FrozenCore`] — the immutable, borrow-only serving side: the word
-//!   image plus decoded label pools, handing out `SkelView`s that
-//!   borrow straight into the words.
-//!
-//! `CoreBuilder::freeze` and `FrozenCore::from_built` render byte-
-//! identical word images for equal inputs (pinned by tests), so a core
-//! rebuilt after churn and refrozen matches a fresh freeze of the
-//! mutated instance — dynamic churn and frozen artifacts share one
-//! invariant surface.
+//! A [`FrozenCore`] is the only form a whole core takes: one pool
+//! writer fills it, ball by ball, both in a fresh
+//! [`FrozenCore::build`] and in [`CoreBuilder::freeze`]. A
+//! [`CoreBuilder`] repairs topology churn (dynamic cells, fault
+//! injection) as an overlay of touched balls over a shared, never
+//! written core.
 //!
 //! # Safety
 //!
@@ -47,15 +38,18 @@
 //! the `MAP_PRIVATE` mapping then raises `SIGBUS` on a read past the new
 //! end (docs/FORMAT.md § *Failure mode contract*).
 
-use crate::engine::{map_indices, PAR_THRESHOLD};
 use crate::instance::Instance;
+use crate::metrics;
 use crate::proof::Proof;
 use crate::scheme::{Scheme, Verdict};
 use crate::view::{build_skeleton, BallScratch, SkelView, Skeleton, View};
 use lcp_graph::NodeId;
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::Instant;
 
 #[cfg(target_endian = "big")]
 compile_error!("lcp-core frozen artifacts require a little-endian target (docs/FORMAT.md)");
@@ -663,124 +657,181 @@ impl<N, E> FrozenCore<N, E> {
     }
 }
 
-/// Writes packed `u32`s (two per word, low half first) into a zeroed
-/// word region starting at `sec`.
-#[inline]
-fn put_u32(words: &mut [u64], sec: usize, idx: usize, val: u32) {
-    words[sec + idx / 2] |= u64::from(val) << ((idx % 2) * 32);
-}
-
-fn push_u32s(out: &mut Vec<u64>, vals: &[u32]) {
-    for pair in vals.chunks(2) {
-        let lo = u64::from(pair[0]);
-        let hi = pair.get(1).map_or(0, |&v| u64::from(v));
-        out.push(lo | (hi << 32));
+/// Packs `u32`s two per word, low half first, into the front of `out`
+/// (the layout of every packed section).
+fn pack_u32s(out: &mut [u64], vals: &[u32]) {
+    for (w, pair) in out.iter_mut().zip(vals.chunks(2)) {
+        *w = u64::from(pair[0]) | pair.get(1).map_or(0, |&v| u64::from(v) << 32);
     }
 }
 
-impl<N, E> FrozenCore<N, E> {
-    /// Renders the word image from freshly built per-node skeletons —
-    /// the one-shot freeze used by [`crate::engine::PreparedInstance`].
+fn push_u32s(out: &mut Vec<u64>, vals: &[u32]) {
+    let at = out.len();
+    out.resize(at + w32(vals.len()), 0);
+    pack_u32s(&mut out[at..], vals);
+}
+
+/// The one writer of a core's word image. Balls are pushed in node
+/// order into growable section buffers; [`Self::finish`] lays the words
+/// out once and inverts the member table into the dependents table.
+///
+/// Deterministic: equal ball sequences render byte-identical images
+/// (dependents are counting-sorted by member with owners ascending),
+/// which is what lets racing campaign shards write interchangeable
+/// artifact files, and what makes a builder repaired after churn
+/// refreeze to the image of a fresh build.
+struct PoolWriter<N, E> {
+    radius: usize,
+    // One entry per ball; `finish` appends the closing offsets.
+    member_off: Vec<u32>,
+    centers: Vec<u32>,
+    skel_adj_off: Vec<u32>,
+    edge_off: Vec<u32>,
+    // One entry per ball member.
+    members: Vec<u32>,
+    ids: Vec<u64>,
+    dist: Vec<u32>,
+    node_labels: Vec<N>,
+    /// Each ball's `|ball| + 1` local CSR offsets, back to back.
+    adj_off_local: Vec<u32>,
+    adj: Vec<u64>,
+    edge_pool: Vec<((usize, usize), E)>,
+}
+
+impl<N: Clone, E: Clone> PoolWriter<N, E> {
+    /// A writer for `n` balls. Every ball holds its centre, so member
+    /// sections start at `n` entries: growing past that takes
+    /// O(log mean |ball|) reallocations, whatever `n` is.
+    fn new(radius: usize, n: usize) -> Self {
+        PoolWriter {
+            radius,
+            member_off: Vec::with_capacity(n + 1),
+            centers: Vec::with_capacity(n),
+            skel_adj_off: Vec::with_capacity(n + 1),
+            edge_off: Vec::with_capacity(n + 1),
+            members: Vec::with_capacity(n),
+            ids: Vec::with_capacity(n),
+            dist: Vec::with_capacity(n),
+            node_labels: Vec::with_capacity(n),
+            adj_off_local: Vec::with_capacity(2 * n),
+            adj: Vec::with_capacity(n),
+            edge_pool: Vec::new(),
+        }
+    }
+
+    /// Appends the next node's ball and its members (global indices in
+    /// view-local order).
+    fn push(&mut self, sv: SkelView<'_, N, E>, members: &[u32]) {
+        debug_assert_eq!(sv.n(), members.len());
+        // Offsets past u32 wrap here, but `finish` refuses such a core.
+        self.member_off.push(self.members.len() as u32);
+        self.centers.push(sv.center as u32);
+        self.skel_adj_off.push(self.adj.len() as u32);
+        self.edge_off.push(self.edge_pool.len() as u32);
+        self.members.extend_from_slice(members);
+        self.ids.extend(sv.ids.iter().map(|id| id.0));
+        self.dist.extend_from_slice(sv.dist);
+        self.node_labels.extend_from_slice(sv.node_data);
+        self.adj_off_local.extend_from_slice(sv.adj_off);
+        self.adj.extend(sv.adj.iter().map(|&w| w as u64));
+        self.edge_pool.extend_from_slice(sv.edge_labels);
+    }
+
+    /// Lays out the word image (label sections absent, as on every
+    /// in-process core) and hands the label pools over.
     ///
-    /// Deterministic: equal inputs render byte-identical images
-    /// (dependents are counting-sorted by member with owners ascending),
-    /// which is what lets racing campaign shards write interchangeable
-    /// artifact files.
+    /// # Panics
+    ///
+    /// Panics if the core exceeds the format's `u32` offset range
+    /// (Σ|ball|, Σ|adj| or the edge-label count ≥ 2³²).
+    fn finish(mut self) -> FrozenCore<N, E> {
+        let n = self.centers.len();
+        let (t, a, e) = (self.members.len(), self.adj.len(), self.edge_pool.len());
+        assert!(
+            u32::try_from(t.max(a).max(e)).is_ok(),
+            "core too large for the artifact format's u32 offsets"
+        );
+        self.member_off.push(t as u32);
+        self.skel_adj_off.push(a as u32);
+        self.edge_off.push(e as u32);
+        let lay = Layout::new(self.radius, n, t, a, 0, 0).expect("artifact layout overflow");
+        let mut words = vec![0u64; lay.total];
+        words[0] = MAGIC;
+        words[1] = FORMAT_VERSION;
+        words[2] = HEADER_WORDS as u64;
+        words[3] = self.radius as u64;
+        words[4] = n as u64;
+        words[5] = t as u64;
+        words[6] = a as u64;
+        words[7] = e as u64;
+        // Words 8–13 (label tags, label word counts, fingerprint) stay
+        // zero until `save` patches them; word 14 is the numeric total.
+        words[14] = lay.total as u64;
+        pack_u32s(&mut words[lay.member_off..], &self.member_off);
+        pack_u32s(&mut words[lay.members..], &self.members);
+        pack_u32s(&mut words[lay.centers..], &self.centers);
+        pack_u32s(&mut words[lay.skel_adj_off..], &self.skel_adj_off);
+        pack_u32s(&mut words[lay.adj_off_local..], &self.adj_off_local);
+        pack_u32s(&mut words[lay.dist..], &self.dist);
+        words[lay.ids..lay.ids + t].copy_from_slice(&self.ids);
+        words[lay.adj..lay.adj + a].copy_from_slice(&self.adj);
+
+        // Dependents by counting sort: owners ascend within each member
+        // bucket because owners are visited in ascending order.
+        let mut cursor = vec![0u32; n + 1];
+        for &m in &self.members {
+            cursor[m as usize + 1] += 1;
+        }
+        for v in 0..n {
+            cursor[v + 1] += cursor[v];
+        }
+        pack_u32s(&mut words[lay.dependent_off..], &cursor);
+        for owner in 0..n {
+            let ball = self.member_off[owner] as usize..self.member_off[owner + 1] as usize;
+            for (local, &m) in self.members[ball].iter().enumerate() {
+                let c = &mut cursor[m as usize];
+                words[lay.dependents + *c as usize] = ((owner as u64) << 32) | local as u64;
+                *c += 1;
+            }
+        }
+
+        self.node_labels.shrink_to_fit();
+        self.edge_pool.shrink_to_fit();
+        FrozenCore {
+            words: Words::Owned(words),
+            lay,
+            node_labels: self.node_labels,
+            edge_off: self.edge_off,
+            edge_pool: self.edge_pool,
+        }
+    }
+}
+
+impl<N: Clone, E: Clone> FrozenCore<N, E> {
+    /// Builds the core of `(inst, radius)` from scratch: one bounded BFS
+    /// per node into one reusable ball buffer, appended straight to the
+    /// pools — `O(Σ|ball|)` work, O(1) allocations. The one from-scratch
+    /// build entry, counted in `lcp_engine_prepares_total`.
     ///
     /// # Panics
     ///
     /// Panics if the core exceeds the format's `u32` offset range
     /// (Σ|ball| or Σ|adj| ≥ 2³²).
-    pub(crate) fn from_built(radius: usize, built: Vec<(Skeleton<N, E>, Vec<u32>)>) -> Self {
-        let n = built.len();
-        let t: usize = built.iter().map(|(_, m)| m.len()).sum();
-        let a: usize = built.iter().map(|(s, _)| s.adj.len()).sum();
-        assert!(
-            u32::try_from(t.max(a)).is_ok(),
-            "core too large for the artifact format's u32 offsets"
-        );
-        let lay = Layout::new(radius, n, t, a, 0, 0).expect("artifact layout overflow");
-        let mut words = vec![0u64; lay.total];
-
-        // Dependents by counting sort: owners ascend within each member
-        // bucket because owners are visited in ascending order.
-        let mut degree = vec![0u32; n];
-        for (_, ms) in &built {
-            for &m in ms {
-                degree[m as usize] += 1;
-            }
-        }
-        let mut dep_cursor = vec![0u32; n];
-        let mut acc = 0u32;
+    pub fn build(inst: &Instance<N, E>, radius: usize) -> Self {
+        let started = Instant::now();
+        let n = inst.n();
+        let mut scratch = BallScratch::new(n);
+        let mut skel = Skeleton::default();
+        let mut members = Vec::new();
+        let mut writer = PoolWriter::new(radius, n);
         for v in 0..n {
-            put_u32(&mut words, lay.dependent_off, v, acc);
-            dep_cursor[v] = acc;
-            acc += degree[v];
+            build_skeleton(inst, v, radius, &mut scratch, &mut skel, &mut members);
+            writer.push(skel.as_view(), &members);
         }
-        put_u32(&mut words, lay.dependent_off, n, acc);
-
-        let mut node_labels = Vec::with_capacity(t);
-        let mut edge_off = Vec::with_capacity(n + 1);
-        let mut edge_pool = Vec::new();
-        let mut member_cursor = 0usize;
-        let mut adj_cursor = 0usize;
-        for (owner, (skel, ms)) in built.into_iter().enumerate() {
-            debug_assert_eq!(skel.n(), ms.len());
-            put_u32(&mut words, lay.member_off, owner, member_cursor as u32);
-            put_u32(&mut words, lay.centers, owner, skel.center as u32);
-            put_u32(&mut words, lay.skel_adj_off, owner, adj_cursor as u32);
-            for (local, &m) in ms.iter().enumerate() {
-                put_u32(&mut words, lay.members, member_cursor + local, m);
-                let c = &mut dep_cursor[m as usize];
-                words[lay.dependents + *c as usize] = ((owner as u64) << 32) | local as u64;
-                *c += 1;
-                words[lay.ids + member_cursor + local] = skel.ids[local].0;
-                put_u32(
-                    &mut words,
-                    lay.dist,
-                    member_cursor + local,
-                    skel.dist[local],
-                );
-            }
-            for (i, &o) in skel.adj_off.iter().enumerate() {
-                put_u32(&mut words, lay.adj_off_local, member_cursor + owner + i, o);
-            }
-            for (i, &w) in skel.adj.iter().enumerate() {
-                words[lay.adj + adj_cursor + i] = w as u64;
-            }
-            member_cursor += ms.len();
-            adj_cursor += skel.adj.len();
-            node_labels.extend(skel.node_data);
-            edge_off.push(edge_pool.len() as u32);
-            edge_pool.extend(skel.edge_labels);
-        }
-        put_u32(&mut words, lay.member_off, n, t as u32);
-        put_u32(&mut words, lay.skel_adj_off, n, a as u32);
-        edge_off.push(edge_pool.len() as u32);
-        assert!(
-            u32::try_from(edge_pool.len()).is_ok(),
-            "edge-label pool too large for the artifact format"
-        );
-
-        words[0] = MAGIC;
-        words[1] = FORMAT_VERSION;
-        words[2] = HEADER_WORDS as u64;
-        words[3] = radius as u64;
-        words[4] = n as u64;
-        words[5] = t as u64;
-        words[6] = a as u64;
-        words[7] = edge_pool.len() as u64;
-        // Words 8–13 (label tags, label word counts, fingerprint) stay
-        // zero until `save` patches them; word 14 is the numeric total.
-        words[14] = lay.total as u64;
-
-        FrozenCore {
-            words: Words::Owned(words),
-            lay,
-            node_labels,
-            edge_off,
-            edge_pool,
-        }
+        let core = writer.finish();
+        metrics::PREPARES.inc();
+        metrics::PREPARE_NS.observe(started.elapsed().as_nanos() as u64);
+        core
     }
 }
 
@@ -1237,50 +1288,27 @@ impl<N: PortableLabel, E: PortableLabel> FrozenCore<N, E> {
 }
 
 // ---------------------------------------------------------------------
-// Building
+// Repair over a shared core
 // ---------------------------------------------------------------------
 
-/// Builds every node's skeleton for `(inst, radius)`. Large instances
-/// fan the per-node BFS out across cores.
-pub(crate) fn build_all<N: Clone + Send + Sync, E: Clone + Send + Sync>(
-    inst: &Instance<N, E>,
-    radius: usize,
-) -> Vec<(Skeleton<N, E>, Vec<u32>)> {
-    let n = inst.n();
-    // One contiguous node range per worker, each reusing a single O(n)
-    // scratch — not one scratch per node, which would make preparation
-    // Θ(n²) in allocation alone.
-    let workers = if n >= PAR_THRESHOLD {
-        std::thread::available_parallelism().map_or(1, |w| w.get())
-    } else {
-        1
-    };
-    let chunk = n.div_ceil(workers).max(1);
-    let ranges = n.div_ceil(chunk);
-    map_indices(ranges, ranges > 1, |i| {
-        let mut scratch = BallScratch::new(inst.graph().n());
-        (i * chunk..((i + 1) * chunk).min(n))
-            .map(|v| build_skeleton(inst, v, radius, &mut scratch))
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
+/// An owned ball: its skeleton and the global indices of its members,
+/// in view-local order.
+type Ball<N, E> = (Skeleton<N, E>, Vec<u32>);
 
-/// The mutable build/repair half of the core split: per-node skeleton
-/// buckets plus the member/dependent tables, kept in repairable form so
-/// topology churn rebuilds only its scope.
+/// A repairable core: a shared [`FrozenCore`] base plus an overlay of
+/// the balls that changed since it was opened.
 ///
-/// [`crate::engine::PreparedInstance`] borrows its instance and is
-/// immutable: perfect for sweeping many proofs over one frozen graph,
-/// useless once the graph itself churns. A `CoreBuilder` owns the same
-/// per-node data in per-node buckets instead of frozen CSR arrays, so
-/// after a topology mutation the affected balls are **rebuilt in place**
-/// ([`Self::rebuild`]) — `O(Σ|changed ball|)` work — while every other
-/// node's skeleton survives untouched. Label changes are cheaper still:
-/// [`Self::set_node_label`] patches the stored label through the
-/// dependency table without any BFS.
+/// [`crate::engine::PreparedInstance`] is immutable: perfect for
+/// sweeping many proofs over one frozen graph, useless once the graph
+/// itself churns. A `CoreBuilder` reads every ball from its base until
+/// a mutation touches it: [`Self::rebuild`] rebuilds the affected balls
+/// into the overlay (`O(Σ|changed ball|)` work) and
+/// [`Self::set_node_label`] patches labels through the dependency
+/// table without a BFS. The base is never written — every write copies
+/// the touched ball or dependents list into the overlay first — so one
+/// core can back the cache, a mapped artifact, resident verifies and any
+/// number of builders at once, and [`Self::new`] neither copies nor
+/// allocates.
 ///
 /// The builder knows nothing about *what* changed in the instance —
 /// callers (the mutable cells behind `lcp-dynamic`'s `DynamicInstance`)
@@ -1289,121 +1317,85 @@ pub(crate) fn build_all<N: Clone + Send + Sync, E: Clone + Send + Sync>(
 /// [`Self::rebuild`], which reports the views that *structurally*
 /// changed — what makes exact dirty-set tracking possible.
 ///
-/// [`Self::freeze`] renders the immutable serving form and
-/// [`Self::thaw`] reconstructs a builder from one. A builder repaired
-/// after churn and refrozen renders the same word image as a fresh
-/// preparation of the mutated instance, so dynamic churn and frozen
-/// artifacts share one invariant surface (pinned by the refreeze
-/// tests).
+/// [`Self::freeze`] renders the current balls through the same writer
+/// as a fresh build, so a builder repaired after churn and refrozen
+/// renders the same word image as a fresh build of the mutated
+/// instance: dynamic churn and frozen artifacts share one invariant
+/// surface (pinned by the refreeze tests).
 pub struct CoreBuilder<N = (), E = ()> {
-    radius: usize,
-    skeletons: Vec<Skeleton<N, E>>,
-    /// Global indices of each node's ball members, in view-local order.
-    members: Vec<Vec<u32>>,
-    /// For each global node `v`, the `(owner, local)` pairs of views
-    /// containing `v`, sorted by owner.
-    dependents: Vec<Vec<(u32, u32)>>,
-    scratch: BallScratch,
+    /// The shared core this builder was opened over; never written.
+    base: Arc<FrozenCore<N, E>>,
+    /// Balls rebuilt, relabelled or corrupted since the builder opened.
+    balls: HashMap<usize, Ball<N, E>>,
+    /// Dependents lists that rebuilds changed: for global node `v`, the
+    /// `(owner, local)` pairs of views containing `v`, sorted by owner.
+    dependents: HashMap<usize, Vec<(u32, u32)>>,
+    /// BFS scratch, made by the first scope or rebuild.
+    scratch: Option<BallScratch>,
+    /// The ball buffer rebuilds fill.
+    ball: Ball<N, E>,
 }
 
 impl<N, E> std::fmt::Debug for CoreBuilder<N, E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CoreBuilder")
-            .field("n", &self.skeletons.len())
-            .field("radius", &self.radius)
+            .field("n", &self.n())
+            .field("radius", &self.radius())
+            .field("overlay", &self.balls.len())
             .finish_non_exhaustive()
     }
 }
 
 impl<N, E> CoreBuilder<N, E> {
+    /// Opens a builder over `base` — a fresh [`FrozenCore::build`], a
+    /// cache hit or a mapped artifact alike. The base is shared, not
+    /// copied.
+    pub fn new(base: Arc<FrozenCore<N, E>>) -> Self {
+        CoreBuilder {
+            base,
+            balls: HashMap::new(),
+            dependents: HashMap::new(),
+            scratch: None,
+            ball: Ball::default(),
+        }
+    }
+
     /// Number of nodes (`n(G)` at construction; mutations preserve it).
     pub fn n(&self) -> usize {
-        self.skeletons.len()
+        self.base.n()
     }
 
     /// The build radius `r`.
     pub fn radius(&self) -> usize {
-        self.radius
-    }
-}
-
-impl<N: Clone, E: Clone> CoreBuilder<N, E> {
-    /// Builds the mutable core for `inst` at `radius`: one bounded BFS
-    /// per node, paid once; later mutations repair only their scope.
-    pub fn build(inst: &Instance<N, E>, radius: usize) -> Self {
-        let n = inst.n();
-        let mut scratch = BallScratch::new(inst.graph().n());
-        let mut skeletons = Vec::with_capacity(n);
-        let mut members = Vec::with_capacity(n);
-        for v in 0..n {
-            let (skel, ms) = build_skeleton(inst, v, radius, &mut scratch);
-            skeletons.push(skel);
-            members.push(ms);
-        }
-        let mut dependents: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-        for (owner, ms) in members.iter().enumerate() {
-            for (local, &m) in ms.iter().enumerate() {
-                dependents[m as usize].push((owner as u32, local as u32));
-            }
-        }
-        CoreBuilder {
-            radius,
-            skeletons,
-            members,
-            dependents,
-            scratch,
-        }
-    }
-
-    /// Reconstructs a mutable builder from a frozen core — the thaw
-    /// half of the round-trip, used when a dynamic session starts from
-    /// a preloaded artifact.
-    pub fn thaw(core: &FrozenCore<N, E>) -> Self {
-        let n = core.n();
-        let mut skeletons = Vec::with_capacity(n);
-        let mut members = Vec::with_capacity(n);
-        let mut dependents: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-        for v in 0..n {
-            let sv = core.skel_view(v);
-            skeletons.push(Skeleton {
-                center: sv.center,
-                radius: sv.radius,
-                ids: sv.ids.to_vec(),
-                adj_off: sv.adj_off.to_vec(),
-                adj: sv.adj.to_vec(),
-                dist: sv.dist.to_vec(),
-                node_data: sv.node_data.to_vec(),
-                edge_labels: sv.edge_labels.to_vec(),
-            });
-            members.push(core.members_of(v).to_vec());
-            dependents[v] = core.dependents_of(v).collect();
-        }
-        CoreBuilder {
-            radius: core.radius(),
-            skeletons,
-            members,
-            dependents,
-            scratch: BallScratch::new(n),
-        }
-    }
-
-    /// Renders the immutable serving form. Byte-identical to
-    /// `FrozenCore::from_built` over a fresh build of the same
-    /// (current) topology — the refreeze invariant the round-trip tests
-    /// pin.
-    pub fn freeze(&self) -> FrozenCore<N, E> {
-        let built: Vec<(Skeleton<N, E>, Vec<u32>)> = self
-            .skeletons
-            .iter()
-            .cloned()
-            .zip(self.members.iter().cloned())
-            .collect();
-        FrozenCore::from_built(self.radius, built)
+        self.base.radius()
     }
 
     /// Global indices of node `v`'s ball members, in view-local order.
     pub fn members_of(&self, v: usize) -> &[u32] {
-        &self.members[v]
+        match self.balls.get(&v) {
+            Some((_, members)) => members,
+            None => self.base.members_of(v),
+        }
+    }
+
+    /// Node `v`'s skeleton as a borrow-only view.
+    #[inline]
+    pub(crate) fn skel_view(&self, v: usize) -> SkelView<'_, N, E> {
+        match self.balls.get(&v) {
+            Some((skel, _)) => skel.as_view(),
+            None => self.base.skel_view(v),
+        }
+    }
+
+    /// The `(owner, local)` pairs of views containing global node `v`.
+    pub(crate) fn dependents_of(&self, v: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let overlay = self.dependents.get(&v);
+        let base = overlay.is_none().then(|| self.base.dependents_of(v));
+        overlay
+            .into_iter()
+            .flatten()
+            .copied()
+            .chain(base.into_iter().flatten())
     }
 
     /// The centres whose views contain global node `v`, ascending
@@ -1413,9 +1405,7 @@ impl<N: Clone, E: Clone> CoreBuilder<N, E> {
     ///
     /// Panics if `v` is out of range.
     pub fn dependents(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
-        self.dependents_of(v)
-            .iter()
-            .map(|&(owner, _)| owner as usize)
+        self.dependents_of(v).map(|(owner, _)| owner as usize)
     }
 
     /// Binds `proof` to node `v`'s skeleton — the same zero-copy
@@ -1444,17 +1434,6 @@ impl<N: Clone, E: Clone> CoreBuilder<N, E> {
         )
     }
 
-    /// The `(owner, local)` pairs of views containing global node `v`.
-    pub(crate) fn dependents_of(&self, v: usize) -> &[(u32, u32)] {
-        &self.dependents[v]
-    }
-
-    /// Node `v`'s skeleton as a borrow-only view.
-    #[inline]
-    pub(crate) fn skel_view(&self, v: usize) -> SkelView<'_, N, E> {
-        self.skeletons[v].as_view()
-    }
-
     /// The scope of an edge mutation on `{u, v}`: the sorted union
     /// `ball(u, r) ∪ ball(v, r)` in `inst`'s **current** graph — every
     /// node whose view can differ between the graph with and without the
@@ -1468,7 +1447,37 @@ impl<N: Clone, E: Clone> CoreBuilder<N, E> {
     ///
     /// Panics if `u` or `v` is out of range.
     pub fn edge_scope(&mut self, inst: &Instance<N, E>, u: usize, v: usize) -> Vec<usize> {
-        self.scratch.ball_union(inst.graph(), &[u, v], self.radius)
+        let n = self.n();
+        let radius = self.radius();
+        self.scratch
+            .get_or_insert_with(|| BallScratch::new(n))
+            .ball_union(inst.graph(), &[u, v], radius)
+    }
+}
+
+impl<N: Clone, E: Clone> CoreBuilder<N, E> {
+    /// Renders the current balls as a frozen core, through the same
+    /// writer as [`FrozenCore::build`]: byte-identical to a fresh build
+    /// of the same (current) instance — the refreeze invariant the
+    /// round-trip tests pin.
+    pub fn freeze(&self) -> FrozenCore<N, E> {
+        let mut writer = PoolWriter::new(self.radius(), self.n());
+        for v in 0..self.n() {
+            writer.push(self.skel_view(v), self.members_of(v));
+        }
+        writer.finish()
+    }
+
+    /// Node `v`'s ball in the overlay, copied from the base on first
+    /// touch.
+    fn ball_mut(&mut self, v: usize) -> &mut Ball<N, E> {
+        let base = &self.base;
+        self.balls.entry(v).or_insert_with(|| {
+            (
+                Skeleton::from_view(base.skel_view(v)),
+                base.members_of(v).to_vec(),
+            )
+        })
     }
 
     /// Rebuilds the skeletons of `nodes` against the instance's current
@@ -1486,42 +1495,56 @@ impl<N: Clone, E: Clone> CoreBuilder<N, E> {
     ///
     /// Panics if a node index is out of range.
     pub fn rebuild(&mut self, inst: &Instance<N, E>, nodes: &[usize]) -> Vec<usize> {
+        let n = self.n();
+        let radius = self.radius();
+        let mut scratch = self.scratch.take().unwrap_or_else(|| BallScratch::new(n));
+        let mut ball = std::mem::take(&mut self.ball);
         let mut changed = Vec::new();
         for &w in nodes {
-            let (skel, ms) = build_skeleton(inst, w, self.radius, &mut self.scratch);
-            let old = &self.skeletons[w];
-            let structurally_equal = self.members[w] == ms
-                && old.adj_off == skel.adj_off
-                && old.adj == skel.adj
-                && old.dist == skel.dist;
-            if structurally_equal {
+            let (skel, ms) = &mut ball;
+            build_skeleton(inst, w, radius, &mut scratch, skel, ms);
+            let old = self.skel_view(w);
+            if self.members_of(w) == ms.as_slice()
+                && old.adj_off == skel.adj_off.as_slice()
+                && old.adj == skel.adj.as_slice()
+                && old.dist == skel.dist.as_slice()
+            {
                 continue;
             }
             // Unlink the stale membership, then link the new one.
-            for &m in &self.members[w] {
-                let deps = &mut self.dependents[m as usize];
+            let stale = self.balls.remove(&w);
+            let stale_members = stale
+                .as_ref()
+                .map_or_else(|| self.base.members_of(w), |(_, m)| m.as_slice());
+            for &m in stale_members {
+                let deps = dependents_mut(&self.base, &mut self.dependents, m as usize);
                 if let Ok(pos) = deps.binary_search_by_key(&(w as u32), |&(o, _)| o) {
                     deps.remove(pos);
                 }
             }
             for (local, &m) in ms.iter().enumerate() {
-                let deps = &mut self.dependents[m as usize];
+                let deps = dependents_mut(&self.base, &mut self.dependents, m as usize);
                 let entry = (w as u32, local as u32);
                 match deps.binary_search_by_key(&(w as u32), |&(o, _)| o) {
                     Ok(pos) => deps[pos] = entry,
                     Err(pos) => deps.insert(pos, entry),
                 }
             }
-            self.skeletons[w] = skel;
-            self.members[w] = ms;
+            // The rebuilt ball moves into the overlay; the stale one, if
+            // any, becomes the buffer of the next rebuild.
+            let next = stale.unwrap_or_default();
+            self.balls.insert(w, std::mem::replace(&mut ball, next));
             changed.push(w);
         }
+        self.scratch = Some(scratch);
+        self.ball = ball;
         changed
     }
 
     /// Patches node `v`'s label through the dependency table: every view
     /// containing `v` gets the new label at `v`'s view-local slot. No
-    /// BFS, no membership change — `O(|dependents(v)| · |patch|)`.
+    /// BFS, no membership change — `O(|dependents(v)| · |patch|)`, plus
+    /// a one-time copy of each ball not yet in the overlay.
     ///
     /// Returns the views that were patched (the centres whose verifier
     /// output can change), ascending.
@@ -1530,19 +1553,18 @@ impl<N: Clone, E: Clone> CoreBuilder<N, E> {
     ///
     /// Panics if `v` is out of range.
     pub fn set_node_label(&mut self, v: usize, label: &N) -> Vec<usize> {
-        let mut touched = Vec::with_capacity(self.dependents[v].len());
-        for &(owner, local) in &self.dependents[v] {
-            self.skeletons[owner as usize].node_data[local as usize] = label.clone();
-            touched.push(owner as usize);
+        let slots: Vec<(u32, u32)> = self.dependents_of(v).collect();
+        for &(owner, local) in &slots {
+            self.ball_mut(owner as usize).0.node_data[local as usize] = label.clone();
         }
-        touched
+        slots.into_iter().map(|(owner, _)| owner as usize).collect()
     }
 
-    /// Fault-injection hook: structurally corrupts node `v`'s skeleton in
-    /// place — bumps its farthest cached distance and, when the ball has
-    /// at least two adjacency entries, reverses the CSR neighbour array
-    /// — without touching the instance. Returns a short description of
-    /// the damage.
+    /// Fault-injection hook: structurally corrupts node `v`'s skeleton
+    /// in the overlay — bumps its farthest cached distance and, when the
+    /// ball has at least two adjacency entries, reverses the CSR
+    /// neighbour array — without touching the instance or the base.
+    /// Returns a short description of the damage.
     ///
     /// The corruption is exactly the kind of damage [`Self::rebuild`]
     /// exists to repair: a rebuild over any scope containing `v` compares
@@ -1555,7 +1577,7 @@ impl<N: Clone, E: Clone> CoreBuilder<N, E> {
     /// Panics if `v` is out of range.
     #[doc(hidden)]
     pub fn corrupt_skeleton_for_tests(&mut self, v: usize) -> &'static str {
-        let skel = &mut self.skeletons[v];
+        let skel = &mut self.ball_mut(v).0;
         if skel.adj.len() >= 2 && skel.adj.first() != skel.adj.last() {
             skel.adj.reverse();
             if let Some(d) = skel.dist.last_mut() {
@@ -1569,6 +1591,18 @@ impl<N: Clone, E: Clone> CoreBuilder<N, E> {
             "empty skeleton: nothing to corrupt"
         }
     }
+}
+
+/// Node `v`'s dependents list in `overlay`, copied from `base` on first
+/// touch.
+fn dependents_mut<'a, N, E>(
+    base: &FrozenCore<N, E>,
+    overlay: &'a mut HashMap<usize, Vec<(u32, u32)>>,
+    v: usize,
+) -> &'a mut Vec<(u32, u32)> {
+    overlay
+        .entry(v)
+        .or_insert_with(|| base.dependents_of(v).collect())
 }
 
 #[cfg(test)]
@@ -1620,37 +1654,90 @@ mod tests {
         assert!(Layout::new(2, usize::MAX, usize::MAX, usize::MAX, 0, 0).is_none());
     }
 
+    /// A builder over a fresh core of `(inst, radius)`.
+    fn builder<N: Clone, E: Clone>(inst: &Instance<N, E>, radius: usize) -> CoreBuilder<N, E> {
+        CoreBuilder::new(Arc::new(FrozenCore::build(inst, radius)))
+    }
+
     #[test]
     fn builder_freeze_matches_one_shot_freeze() {
-        // 20 × 20 is past PAR_THRESHOLD: `build_all` splits it into one
-        // node range per worker, while the builder goes node by node.
+        // A fresh build feeds the writer from its BFS buffer, a freeze
+        // from the builder's views of its base.
         for g in [generators::grid(3, 4), generators::grid(20, 20)] {
             let inst = Instance::unlabeled(g);
-            let one_shot = FrozenCore::<(), ()>::from_built(2, build_all(&inst, 2));
-            let built = CoreBuilder::build(&inst, 2).freeze();
+            let one_shot = FrozenCore::<(), ()>::build(&inst, 2);
+            let built = builder(&inst, 2).freeze();
             assert_eq!(one_shot.words(), built.words(), "byte-identical images");
         }
+    }
+
+    /// FNV-1a over the bytes `core.save` writes, under a fixed
+    /// fingerprint.
+    fn saved_digest<N: PortableLabel, E: PortableLabel>(core: &FrozenCore<N, E>, tag: &str) -> u64 {
+        let path = hostile_path(&format!("golden-{tag}"));
+        core.save(&path, (0xabcd, 0x1234)).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        bytes.iter().fold(FNV_OFFSET, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+        })
+    }
+
+    /// A grid with `u8` node labels and `u32` edge labels.
+    fn labelled_grid(rows: usize, cols: usize) -> Instance<u8, u32> {
+        let g = generators::grid(rows, cols);
+        let edges: crate::instance::EdgeMap<u32> = g
+            .edges()
+            .map(|(u, v)| ((u, v), (10 * u + v) as u32))
+            .collect();
+        let n = g.n();
+        Instance::with_data(g, (0..n).map(|v| v as u8).collect(), edges)
+    }
+
+    #[test]
+    fn saved_images_match_the_pinned_golden_digests() {
+        // Captured from the images v1 writers have always produced; a
+        // change here orphans artifact directories and breaks the
+        // byte-identity of racing shard writes.
+        let labelled = FrozenCore::build(&labelled_grid(3, 3), 2);
+        assert_eq!(saved_digest(&labelled, "labelled"), 0xc90d_3dcb_b5c6_4839);
+
+        let grid = Instance::unlabeled(generators::grid(20, 20));
+        let unlabelled = FrozenCore::<(), ()>::build(&grid, 2);
+        assert_eq!(saved_digest(&unlabelled, "grid"), 0x90f0_7a07_cea3_dd7e);
+
+        let mut inst = labelled_grid(4, 5);
+        let mut store = builder(&inst, 2);
+        inst.insert_edge(0, 19).unwrap();
+        let scope = store.edge_scope(&inst, 0, 19);
+        store.rebuild(&inst, &scope);
+        inst.set_node_label(7, 42);
+        store.set_node_label(7, &42);
+        assert_eq!(
+            saved_digest(&store.freeze(), "refrozen"),
+            0x0dbf_c569_7e4b_c9fc
+        );
     }
 
     #[test]
     fn thaw_refreeze_is_identity() {
         let inst = Instance::unlabeled(generators::grid(3, 4));
-        let frozen = CoreBuilder::<(), ()>::build(&inst, 2).freeze();
-        let again = CoreBuilder::thaw(&frozen).freeze();
+        let frozen = Arc::new(FrozenCore::<(), ()>::build(&inst, 2));
+        let again = CoreBuilder::new(Arc::clone(&frozen)).freeze();
         assert_eq!(frozen.words(), again.words());
     }
 
     #[test]
     fn frozen_views_match_built_skeletons() {
         let inst = Instance::unlabeled(generators::grid(3, 4));
-        let builder = CoreBuilder::<(), ()>::build(&inst, 2);
+        let builder = builder::<(), ()>(&inst, 2);
         let frozen = builder.freeze();
         for v in 0..inst.n() {
             assert_eq!(frozen.skel_view(v), builder.skel_view(v), "skeleton {v}");
             assert_eq!(frozen.members_of(v), builder.members_of(v));
             assert_eq!(
                 frozen.dependents_of(v).collect::<Vec<_>>(),
-                builder.dependents_of(v).to_vec()
+                builder.dependents_of(v).collect::<Vec<_>>()
             );
         }
     }
@@ -1658,7 +1745,7 @@ mod tests {
     #[test]
     fn save_open_roundtrip_and_rejections() {
         let inst = Instance::unlabeled(generators::grid(3, 4));
-        let frozen = CoreBuilder::<(), ()>::build(&inst, 2).freeze();
+        let frozen = FrozenCore::<(), ()>::build(&inst, 2);
         let dir = std::env::temp_dir().join(format!("lcp-frozen-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("grid.lcpc");
@@ -1710,15 +1797,7 @@ mod tests {
     /// labels) rendered as its on-disk image: the seed of the hostile
     /// images below.
     fn labelled_image() -> Vec<u64> {
-        let g = generators::grid(3, 3);
-        let edges: crate::instance::EdgeMap<u32> = g
-            .edges()
-            .map(|(u, v)| ((u, v), (10 * u + v) as u32))
-            .collect();
-        let inst = Instance::with_data(g, (0..9u8).collect(), edges);
-        CoreBuilder::build(&inst, 2)
-            .freeze()
-            .render_file((0xabcd, 0x1234))
+        FrozenCore::build(&labelled_grid(3, 3), 2).render_file((0xabcd, 0x1234))
     }
 
     /// A per-process temp file for one hostile-image test.
@@ -1729,8 +1808,8 @@ mod tests {
     /// Writes `words` to `path` and opens the file. A rejection must be
     /// an [`ArtifactError::Invalid`] naming `path` and a byte offset
     /// inside the file; an accepted core must serve every skeleton,
-    /// member and dependent read, and thaw into a builder whose bound
-    /// views read without panicking. Returns whether `open` accepted.
+    /// member and dependent read, and open a builder whose bound views
+    /// read without panicking. Returns whether `open` accepted.
     fn open_hostile(path: &Path, words: &[u64]) -> bool {
         let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         std::fs::write(path, &bytes).unwrap();
@@ -1755,7 +1834,7 @@ mod tests {
             let _ = core.members_of(v);
             let _ = core.dependents_of(v).count();
         }
-        let builder = CoreBuilder::thaw(&core);
+        let builder = CoreBuilder::new(Arc::new(core));
         let proof = Proof::empty(n);
         for v in 0..n {
             let view = builder.bind(v, &proof);

@@ -13,7 +13,8 @@
 
 use lcp_obs::{Counter, Histogram, Registry};
 
-/// `PreparedInstance` skeleton builds (one per `(instance, radius)`).
+/// From-scratch core builds (`FrozenCore::build`), whatever tier
+/// requested them.
 pub static PREPARES: Counter = Counter::new();
 /// Wall time of each skeleton build, nanoseconds.
 pub static PREPARE_NS: Histogram = Histogram::new();
@@ -91,7 +92,7 @@ pub fn register(reg: &Registry) {
     reg.counter(
         "lcp_engine_prepares_total",
         "",
-        "PreparedInstance skeleton builds",
+        "from-scratch core builds",
         &PREPARES,
     );
     reg.histogram(

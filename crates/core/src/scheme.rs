@@ -3,7 +3,7 @@
 
 use crate::instance::Instance;
 use crate::proof::Proof;
-use crate::view::View;
+use crate::view::{BallScratch, View};
 
 /// A proof labelling scheme `(f, A)` for one graph property or problem
 /// (§2.2): a prover that labels yes-instances, a constant-radius local
@@ -87,7 +87,8 @@ impl Verdict {
 /// Runs the verifier of `scheme` at every node of `inst` with `proof`.
 ///
 /// This is the centralized **reference** executor: it re-extracts every
-/// view from scratch on each call. `lcp-sim` provides the message-passing
+/// view from scratch on each call, by its own BFS (one O(n) scratch per
+/// sweep, reused across nodes). `lcp-sim` provides the message-passing
 /// executor, and [`crate::engine::PreparedInstance::evaluate`] the cached
 /// fast path; all three must agree (property-tested in `lcp-sim` and
 /// `tests/engine_equivalence.rs`). Prefer the engine when the same
@@ -102,10 +103,11 @@ pub fn evaluate<S: Scheme>(
     proof: &Proof,
 ) -> Verdict {
     let r = scheme.radius();
+    let mut scratch = BallScratch::new(inst.n());
     let outputs = inst
         .graph()
         .nodes()
-        .map(|v| scheme.verify(&View::extract(inst, proof, v, r)))
+        .map(|v| scheme.verify(&View::extract_with(inst, proof, v, r, &mut scratch)))
         .collect();
     Verdict { outputs }
 }
@@ -128,9 +130,10 @@ pub fn evaluate_until_reject<S: Scheme>(
     proof: &Proof,
 ) -> Option<usize> {
     let r = scheme.radius();
+    let mut scratch = BallScratch::new(inst.n());
     inst.graph()
         .nodes()
-        .find(|&v| !scheme.verify(&View::extract(inst, proof, v, r)))
+        .find(|&v| !scheme.verify(&View::extract_with(inst, proof, v, r, &mut scratch)))
 }
 
 #[cfg(test)]

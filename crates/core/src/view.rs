@@ -51,11 +51,40 @@ pub(crate) struct Skeleton<N, E> {
     pub(crate) edge_labels: Vec<((usize, usize), E)>,
 }
 
-impl<N, E> Skeleton<N, E> {
-    pub(crate) fn n(&self) -> usize {
-        self.ids.len()
+// Manual Default: the derive would demand `N: Default`/`E: Default`,
+// but an empty skeleton holds no labels.
+impl<N, E> Default for Skeleton<N, E> {
+    fn default() -> Self {
+        Skeleton {
+            center: 0,
+            radius: 0,
+            ids: Vec::new(),
+            adj_off: Vec::new(),
+            adj: Vec::new(),
+            dist: Vec::new(),
+            node_data: Vec::new(),
+            edge_labels: Vec::new(),
+        }
     }
+}
 
+impl<N: Clone, E: Clone> Skeleton<N, E> {
+    /// An owned copy of a borrowed skeleton.
+    pub(crate) fn from_view(sv: SkelView<'_, N, E>) -> Self {
+        Skeleton {
+            center: sv.center,
+            radius: sv.radius,
+            ids: sv.ids.to_vec(),
+            adj_off: sv.adj_off.to_vec(),
+            adj: sv.adj.to_vec(),
+            dist: sv.dist.to_vec(),
+            node_data: sv.node_data.to_vec(),
+            edge_labels: sv.edge_labels.to_vec(),
+        }
+    }
+}
+
+impl<N, E> Skeleton<N, E> {
     /// This skeleton as a borrow-only [`SkelView`].
     #[inline]
     pub(crate) fn as_view(&self) -> SkelView<'_, N, E> {
@@ -183,20 +212,27 @@ impl<'p, N: Clone, E: Clone> View<'p, N, E> {
     ///
     /// Panics if `v` is out of range or `proof.n()` mismatches the graph.
     pub fn extract(inst: &Instance<N, E>, proof: &Proof, v: usize, radius: usize) -> Self {
-        assert_eq!(proof.n(), inst.n(), "proof must label every node");
         let mut scratch = BallScratch::new(inst.graph().n());
-        let (skel, members) = build_skeleton(inst, v, radius, &mut scratch);
+        Self::extract_with(inst, proof, v, radius, &mut scratch)
+    }
+
+    /// [`Self::extract`] over a caller's scratch (one per naive sweep).
+    pub(crate) fn extract_with(
+        inst: &Instance<N, E>,
+        proof: &Proof,
+        v: usize,
+        radius: usize,
+        scratch: &mut BallScratch,
+    ) -> Self {
+        assert_eq!(proof.n(), inst.n(), "proof must label every node");
+        let mut skel = Skeleton::default();
+        let mut members = Vec::new();
+        build_skeleton(inst, v, radius, scratch, &mut skel, &mut members);
         let proofs = Proof::from_refs(members.iter().map(|&u| proof.get(u as usize)));
         View {
             skel: SkelRef::Shared(Arc::new(skel)),
             binding: Binding::Owned(proofs),
         }
-    }
-}
-
-impl<N: PartialEq, E: PartialEq> PartialEq<Skeleton<N, E>> for SkelView<'_, N, E> {
-    fn eq(&self, other: &Skeleton<N, E>) -> bool {
-        *self == other.as_view()
     }
 }
 
@@ -225,18 +261,10 @@ impl BallScratch {
         }
     }
 
-    /// The sorted union of the radius-`r` balls around `sources` — one
-    /// multi-source BFS costing `O(Σ|ball|)`, not `O(n)` per call.
-    ///
-    /// This is the *scope* of an edge mutation: every node whose view can
-    /// change when an edge `{u, v}` appears or disappears lies in
-    /// `ball(u, r) ∪ ball(v, r)` of the graph that contains the edge.
-    pub(crate) fn ball_union(
-        &mut self,
-        g: &lcp_graph::Graph,
-        sources: &[usize],
-        r: usize,
-    ) -> Vec<usize> {
+    /// One multi-source BFS to depth `r`, costing `O(Σ|ball|)`: leaves
+    /// the stamped ball in `queue` (BFS order) with its distances in
+    /// `dist`, and returns the stamp.
+    fn bfs(&mut self, g: &Graph, sources: &[usize], r: usize) -> u64 {
         self.cur += 1;
         let cur = self.cur;
         self.queue.clear();
@@ -264,47 +292,41 @@ impl BallScratch {
                 }
             }
         }
+        cur
+    }
+
+    /// The sorted union of the radius-`r` balls around `sources`.
+    ///
+    /// This is the *scope* of an edge mutation: every node whose view can
+    /// change when an edge `{u, v}` appears or disappears lies in
+    /// `ball(u, r) ∪ ball(v, r)` of the graph that contains the edge.
+    pub(crate) fn ball_union(&mut self, g: &Graph, sources: &[usize], r: usize) -> Vec<usize> {
+        self.bfs(g, sources, r);
         let mut members = self.queue.clone();
         members.sort_unstable();
         members
     }
 }
 
-/// Builds the skeleton of `(G[v,r], v)` plus the sorted global indices of
-/// the ball members (the information needed to bind a proof later).
+/// Builds the skeleton of `(G[v,r], v)` into `skel`, and the sorted
+/// global indices of the ball members (the information needed to bind a
+/// proof later) into `members`. Both buffers are overwritten, so a
+/// caller that builds ball after ball reuses their allocations.
 pub(crate) fn build_skeleton<N: Clone, E: Clone>(
     inst: &Instance<N, E>,
     v: usize,
     radius: usize,
     scratch: &mut BallScratch,
-) -> (Skeleton<N, E>, Vec<u32>) {
+    skel: &mut Skeleton<N, E>,
+    members: &mut Vec<u32>,
+) {
     let g = inst.graph();
     assert!(v < g.n(), "view centre {v} out of range");
-    scratch.cur += 1;
-    let cur = scratch.cur;
-    scratch.queue.clear();
-    scratch.queue.push(v);
-    scratch.stamp[v] = cur;
-    scratch.dist[v] = 0;
-    let mut head = 0;
-    while head < scratch.queue.len() {
-        let u = scratch.queue[head];
-        head += 1;
-        let du = scratch.dist[u];
-        if du as usize == radius {
-            continue;
-        }
-        for &w in g.neighbors(u) {
-            if scratch.stamp[w] != cur {
-                scratch.stamp[w] = cur;
-                scratch.dist[w] = du + 1;
-                scratch.queue.push(w);
-            }
-        }
-    }
+    let cur = scratch.bfs(g, &[v], radius);
     // Sorted members give the view its dense index order (stable with the
     // historical `traversal::ball` contract).
-    let mut members: Vec<u32> = scratch.queue.iter().map(|&u| u as u32).collect();
+    members.clear();
+    members.extend(scratch.queue.iter().map(|&u| u as u32));
     members.sort_unstable();
     for (new, &old) in members.iter().enumerate() {
         scratch.local[old as usize] = new as u32;
@@ -312,40 +334,36 @@ pub(crate) fn build_skeleton<N: Clone, E: Clone>(
     // CSR adjacency over the induced ball; graph adjacency is sorted and
     // the member order is monotone in global index, so each local list
     // comes out sorted without an explicit sort.
-    let mut adj_off = Vec::with_capacity(members.len() + 1);
-    let mut adj = Vec::new();
+    skel.adj_off.clear();
+    skel.adj.clear();
+    skel.edge_labels.clear();
     let has_edge_labels = !inst.edge_labels().is_empty();
-    let mut edge_labels = Vec::new();
-    adj_off.push(0u32);
+    skel.adj_off.push(0u32);
     for (nu, &ou) in members.iter().enumerate() {
         for &ow in g.neighbors(ou as usize) {
             if scratch.stamp[ow] != cur {
                 continue; // beyond the horizon
             }
             let nw = scratch.local[ow] as usize;
-            adj.push(nw);
+            skel.adj.push(nw);
             if has_edge_labels && nu < nw {
                 if let Some(label) = inst.edge_label(ou as usize, ow) {
-                    edge_labels.push(((nu, nw), label.clone()));
+                    skel.edge_labels.push(((nu, nw), label.clone()));
                 }
             }
         }
-        adj_off.push(adj.len() as u32);
+        skel.adj_off.push(skel.adj.len() as u32);
     }
-    let skel = Skeleton {
-        center: scratch.local[v] as usize,
-        radius,
-        ids: members.iter().map(|&u| g.id(u as usize)).collect(),
-        adj_off,
-        adj,
-        dist: members.iter().map(|&u| scratch.dist[u as usize]).collect(),
-        node_data: members
-            .iter()
-            .map(|&u| inst.node_label(u as usize).clone())
-            .collect(),
-        edge_labels,
-    };
-    (skel, members)
+    skel.center = scratch.local[v] as usize;
+    skel.radius = radius;
+    skel.ids.clear();
+    skel.ids.extend(members.iter().map(|&u| g.id(u as usize)));
+    skel.dist.clear();
+    skel.dist
+        .extend(members.iter().map(|&u| scratch.dist[u as usize]));
+    skel.node_data.clear();
+    skel.node_data
+        .extend(members.iter().map(|&u| inst.node_label(u as usize).clone()));
 }
 
 impl<'p, N, E> View<'p, N, E> {

@@ -23,6 +23,10 @@
 //! loops flush into are single relaxed atomics and must be strictly
 //! allocation-free.
 //!
+//! Preparation is probed too: a fresh core build allocates a count
+//! that does not grow with `n`, and opening a `CoreBuilder` over an
+//! existing core allocates nothing.
+//!
 //! One `#[test]` drives all phases: the counter is process-global, so
 //! concurrent test functions would double-count.
 
@@ -30,12 +34,13 @@ use lcp_core::engine::PreparedInstance;
 use lcp_core::harness::{
     adversarial_proof_search, check_soundness_exhaustive, random_proof, Run, Soundness,
 };
-use lcp_core::{BatchPolicy, Instance, Proof, Scheme, View};
+use lcp_core::{BatchPolicy, CoreBuilder, FrozenCore, Instance, Proof, Scheme, View};
 use lcp_graph::generators;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// System allocator with an allocation-event counter.
 struct CountingAlloc;
@@ -207,6 +212,31 @@ fn search_loops_do_not_allocate_per_candidate() {
     assert_eq!(
         allocs, 0,
         "bind + verify + flip must be allocation-free, counted {allocs}"
+    );
+
+    // --- Core build and builder open ---------------------------------
+    // A fresh build writes each ball straight into the frozen pools from
+    // one reusable ball buffer: a 16x larger graph may not cost one more
+    // allocation. (Pool growth past the first n entries depends on the
+    // mean ball size alone, which is the same on every cycle.)
+    let small = Instance::unlabeled(generators::cycle(512));
+    let large = Instance::unlabeled(generators::cycle(8192));
+    let (build_small, _) = min_allocs(|| PreparedInstance::new(&small, 2));
+    let (build_large, _) = min_allocs(|| PreparedInstance::new(&large, 2));
+    assert!(
+        build_small < 64 && build_large <= build_small,
+        "a core build should allocate a bounded amount that does not grow with n: \
+         {build_small} for n = 512 vs {build_large} for n = 8192"
+    );
+    // Opening a builder shares the core instead of copying it.
+    let core_small = Arc::new(FrozenCore::build(&small, 2));
+    let core_large = Arc::new(FrozenCore::build(&large, 2));
+    let (open_small, _) = min_allocs(|| CoreBuilder::new(Arc::clone(&core_small)));
+    let (open_large, _) = min_allocs(|| CoreBuilder::new(Arc::clone(&core_large)));
+    assert_eq!(
+        (open_small, open_large),
+        (0, 0),
+        "opening a builder over a core must not allocate"
     );
 
     // --- Metric primitives -------------------------------------------

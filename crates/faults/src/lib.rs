@@ -14,9 +14,10 @@
 //!   restore acceptance everywhere (repaired).
 //! * [`FaultKind::SkeletonCorruption`] — corrupt one cached view
 //!   skeleton's CSR adjacency/distances inside a [`CoreBuilder`]. The
-//!   builder's outputs must diverge from a freshly built one
-//!   (detected), and [`CoreBuilder::rebuild`] over the damaged node
-//!   must make every view match the fresh build again (repaired).
+//!   builder's outputs must diverge from those of a second builder over
+//!   the same shared core, which the damage must not reach (detected),
+//!   and [`CoreBuilder::rebuild`] over the damaged node must make every
+//!   view match the untouched builder again (repaired).
 //! * [`FaultKind::ChurnDrop`] / [`FaultKind::ChurnDuplicate`] /
 //!   [`FaultKind::ChurnReorder`] — perturb a valid churn mutation
 //!   stream before replaying it into a [`DynamicInstance`]. Structurally
@@ -32,13 +33,14 @@
 //! undetected and unrepaired.
 
 use lcp_core::bits::BitString;
-use lcp_core::{CoreBuilder, Instance, Proof, Scheme, View};
+use lcp_core::{CoreBuilder, FrozenCore, Instance, Proof, Scheme, View};
 use lcp_dynamic::churn::{ChurnConfig, ChurnStream};
 use lcp_dynamic::{DynamicInstance, Mutation};
 use lcp_graph::{generators, traversal, Graph};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // Probe schemes
@@ -231,7 +233,7 @@ fn inject_arena_flip(site: &str, g: Graph, rng: &mut StdRng) -> FaultOutcome {
     let scheme = Bipartite;
     assert!(scheme.holds(&inst), "arena probes start from yes-instances");
     let mut proof = scheme.prove(&inst).expect("bipartition exists");
-    let store: CoreBuilder = CoreBuilder::build(&inst, scheme.radius());
+    let store: CoreBuilder = CoreBuilder::new(Arc::new(FrozenCore::build(&inst, scheme.radius())));
     let clean = store.evaluate(&scheme, &proof);
     debug_assert!(clean.accepted(), "honest proof accepted before the fault");
 
@@ -280,8 +282,9 @@ fn inject_skeleton_corruption(site: &str, g: Graph, rng: &mut StdRng) -> FaultOu
     let inst = Instance::unlabeled(g);
     let scheme = Fingerprint;
     let proof = scheme.prove(&inst).expect("fingerprint always proves");
-    let fresh: CoreBuilder = CoreBuilder::build(&inst, scheme.radius());
-    let mut store: CoreBuilder = CoreBuilder::build(&inst, scheme.radius());
+    let base = Arc::new(FrozenCore::build(&inst, scheme.radius()));
+    let fresh: CoreBuilder = CoreBuilder::new(Arc::clone(&base));
+    let mut store: CoreBuilder = CoreBuilder::new(base);
 
     let victim = rng.random_range(0..inst.n());
     let damage = store.corrupt_skeleton_for_tests(victim);

@@ -127,8 +127,8 @@ pub fn glue_cycles<S, F>(
 ) -> GluingOutcome<S::Node, S::Edge>
 where
     S: Scheme,
-    S::Node: Clone + Eq + Hash + Ord + Send + Sync,
-    S::Edge: Clone + Eq + Hash + Ord + Send + Sync,
+    S::Node: Clone + Eq + Hash + Ord,
+    S::Edge: Clone + Eq + Hash + Ord,
     F: FnMut(Graph) -> Instance<S::Node, S::Edge>,
 {
     let (n, k, r) = (attack.n, attack.k, scheme.radius());
@@ -230,8 +230,8 @@ fn build_glued<S>(
 ) -> GluingOutcome<S::Node, S::Edge>
 where
     S: Scheme,
-    S::Node: Clone + Eq + Hash + Ord + Send + Sync,
-    S::Edge: Clone + Eq + Hash + Ord + Send + Sync,
+    S::Node: Clone + Eq + Hash + Ord,
+    S::Edge: Clone + Eq + Hash + Ord,
 {
     let k = ab_pairs.len();
     // Node order of the glued cycle: C(a₁,b₁) in order, then C(a₂,b₂), …

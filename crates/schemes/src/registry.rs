@@ -1465,7 +1465,7 @@ mod tests {
         forged.flip(v, 0);
         let naive = lcp_core::evaluate(&LeaderElection, &inst, &forged);
         assert!(!naive.accepted(), "the flip must be caught somewhere");
-        // The sealed cell's kept core, thawed into a churn cell that
+        // A churn cell opened over the sealed cell's kept core, that
         // starts from the honest proof; the flipped node is rewritten.
         let mut dynamic = DynamicInstance::from_cell(cell.dynamic_cell());
         let honest = cell.prove().unwrap();
