@@ -19,8 +19,7 @@
 //! JSON report with `include_timing = false` is byte-identical across
 //! runs, machines, and thread schedules.
 
-use crate::checkpoint::{restore_timeout, Progress};
-use crate::merge::MergeError;
+use crate::checkpoint::{CheckpointError, Progress};
 use crate::{
     detail_json, filtered_entries, json_str, push_rows, push_shard_and_wall, push_summary, sweep,
     CampaignCell, CampaignConfig, CellStatus, Coord,
@@ -46,7 +45,7 @@ pub fn default_steps(profile: crate::Profile) -> usize {
 #[derive(Clone, Debug)]
 pub struct ChurnCellResult {
     /// Global index of this cell in the shared matrix enumeration —
-    /// stable across sharding, what `campaign_merge` orders by.
+    /// stable across sharding, what resume splices cells back in by.
     pub coord: usize,
     /// Registry id of the scheme.
     pub scheme: &'static str,
@@ -106,11 +105,7 @@ pub struct ChurnReport {
     pub profile: &'static str,
     /// Mutation budget per cell.
     pub steps: usize,
-    /// Whether cells ran in parallel: always `true` for a fresh run,
-    /// while a merged report keeps its shards' value.
-    pub parallel: bool,
-    /// The shard this report covers (`None` = the whole matrix; merged
-    /// reports are whole again).
+    /// The shard this report covers (`None` = the whole matrix).
     pub shard: Option<crate::Shard>,
     /// Per-cell results, in matrix order.
     pub cells: Vec<ChurnCellResult>,
@@ -178,7 +173,7 @@ impl ChurnReport {
         let _ = writeln!(w, "  \"seed\": {},", self.seed);
         let _ = writeln!(w, "  \"profile\": {},", json_str(self.profile));
         let _ = writeln!(w, "  \"steps_per_cell\": {},", self.steps);
-        let _ = writeln!(w, "  \"parallel\": {},", self.parallel);
+        w.push_str("  \"parallel\": true,\n");
         push_shard_and_wall(&mut w, self.shard, include_timing.then_some(self.wall_ms));
         let head = format!(
             "\"cells\": {}, \"ran\": {}, \"mismatches\": {}",
@@ -209,7 +204,7 @@ impl ChurnReport {
         let _ = writeln!(w, "  \"seed\": {},", self.seed);
         let _ = writeln!(w, "  \"profile\": {},", json_str(self.profile));
         let _ = writeln!(w, "  \"steps_per_cell\": {},", self.steps);
-        let _ = writeln!(w, "  \"parallel\": {},", self.parallel);
+        w.push_str("  \"parallel\": true,\n");
         let _ = writeln!(w, "  \"wall_ms\": {},", self.wall_ms);
         w.push_str("  \"per_cell\": [\n");
         let measured = self.cells.iter().filter(|c| !c.skipped);
@@ -333,12 +328,12 @@ impl CampaignCell for ChurnCellResult {
         format!("{{ {} }}", churn_cell_fields(self, true))
     }
 
-    fn from_checkpoint(name: &str, doc: &Json, scheme: &'static str) -> Result<Self, MergeError> {
-        let mut cell = crate::merge::churn_cell(name, doc, scheme)?;
-        let ms = |key| doc.get(key).and_then(Json::as_u128).unwrap_or(0);
-        (cell.incremental_ms, cell.full_ms) = (ms("incremental_ms"), ms("full_ms"));
-        restore_timeout(&mut cell.detail, &mut cell.timeout, cell.status);
-        Ok(cell)
+    fn from_checkpoint(
+        name: &str,
+        doc: &Json,
+        scheme: &'static str,
+    ) -> Result<Self, CheckpointError> {
+        crate::checkpoint::churn_cell(name, doc, scheme)
     }
 }
 
@@ -426,7 +421,6 @@ pub(crate) fn churn_campaign(
         seed: config.seed,
         profile: config.profile.name(),
         steps,
-        parallel: true,
         shard: config.shard,
         cells: swept.cells,
         wall_ms: swept.wall_ms,

@@ -29,7 +29,6 @@
 
 pub mod checkpoint;
 pub mod churn;
-pub mod merge;
 pub mod metrics;
 
 use checkpoint::{CheckpointError, Progress};
@@ -44,7 +43,6 @@ use lcp_graph::families::GraphFamily;
 use lcp_logic::{formulas, Sigma11Scheme};
 use lcp_obs::SpanId;
 use lcp_schemes::registry::{self, CellRequest, Polarity, SchemeEntry};
-use merge::MergeError;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -163,9 +161,9 @@ impl Profile {
 ///
 /// The partition is over the *shared* coordinate enumeration (identical
 /// for static and churn campaigns), and cell seeds depend only on cell
-/// coordinates, so the union of all `count` shard reports is
-/// byte-identical to the unsharded report (modulo timing) — the
-/// invariant `campaign_merge` rebuilds and the sharding test suite pins.
+/// coordinates, so an unsharded run resuming every shard's checkpoint
+/// reassembles a report byte-identical to the unsharded one (modulo
+/// timing) — the invariant the sharding test suite pins.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Shard {
     /// This shard's index, in `0..count`.
@@ -327,7 +325,7 @@ impl CellStatus {
 #[derive(Clone, Debug)]
 pub struct CellResult {
     /// Global index of this cell in the shared matrix enumeration —
-    /// stable across sharding, what `campaign_merge` orders by.
+    /// stable across sharding, what resume splices cells back in by.
     pub coord: usize,
     /// Registry id of the scheme.
     pub scheme: &'static str,
@@ -437,11 +435,7 @@ pub struct Report {
     pub seed: u64,
     /// Profile name.
     pub profile: &'static str,
-    /// Whether cells ran in parallel: always `true` for a fresh run,
-    /// while a merged report keeps its shards' value.
-    pub parallel: bool,
-    /// The shard this report covers (`None` = the whole matrix; merged
-    /// reports are whole again).
+    /// The shard this report covers (`None` = the whole matrix).
     pub shard: Option<Shard>,
     /// Per-scheme reports, in registry order.
     pub schemes: Vec<SchemeReport>,
@@ -526,7 +520,7 @@ impl Report {
         let _ = writeln!(w, "  \"version\": 1,");
         let _ = writeln!(w, "  \"seed\": {},", self.seed);
         let _ = writeln!(w, "  \"profile\": {},", json_str(self.profile));
-        let _ = writeln!(w, "  \"parallel\": {},", self.parallel);
+        w.push_str("  \"parallel\": true,\n");
         push_shard_and_wall(&mut w, self.shard, include_timing.then_some(self.wall_ms));
         if include_timing {
             let _ = writeln!(
@@ -599,7 +593,7 @@ impl Report {
         let _ = writeln!(w, "  \"bench\": \"conformance-campaign\",");
         let _ = writeln!(w, "  \"seed\": {},", self.seed);
         let _ = writeln!(w, "  \"profile\": {},", json_str(self.profile));
-        let _ = writeln!(w, "  \"parallel\": {},", self.parallel);
+        w.push_str("  \"parallel\": true,\n");
         let _ = writeln!(w, "  \"cells\": {},", self.cell_count());
         let _ = writeln!(w, "  \"wall_ms\": {},", self.wall_ms);
         w.push_str("  \"per_cell\": [\n");
@@ -724,8 +718,8 @@ pub(crate) fn push_rows(w: &mut String, rows: impl Iterator<Item = String>) {
     }
 }
 
-/// The workspace-shared JSON string escaper (also what the merge's
-/// parser resolves, so reports round-trip byte-exactly).
+/// The workspace-shared JSON string escaper (also what the checkpoint
+/// parser resolves, so cell lines round-trip byte-exactly).
 fn json_str(s: &str) -> String {
     lcp_core::json::escape(s)
 }
@@ -993,9 +987,8 @@ fn run_one(
     result
 }
 
-/// Empty per-scheme report shells for `entries`, in registry order —
-/// shared by the live runner and the shard merger.
-pub(crate) fn scheme_shells(entries: &[SchemeEntry]) -> Vec<SchemeReport> {
+/// Empty per-scheme report shells for `entries`, in registry order.
+fn scheme_shells(entries: &[SchemeEntry]) -> Vec<SchemeReport> {
     entries
         .iter()
         .map(|e| SchemeReport {
@@ -1013,10 +1006,9 @@ pub(crate) fn scheme_shells(entries: &[SchemeEntry]) -> Vec<SchemeReport> {
 }
 
 /// Recomputes each scheme's measured `(n, bits)` points and
-/// growth-class fit from its cells — the aggregation step shared by the
-/// live runner and the shard merger (so merged reports re-fit over the
-/// *union* of cells, never trust per-shard fits).
-pub(crate) fn fit_growth(schemes: &mut [SchemeReport]) {
+/// growth-class fit from its cells (resumed cells included, so a
+/// reassembled report re-fits over the *union* of cells).
+fn fit_growth(schemes: &mut [SchemeReport]) {
     for s in schemes {
         let mut points: Vec<SizePoint> = s
             .cells
@@ -1135,8 +1127,7 @@ pub enum Mode {
     },
 }
 
-/// A campaign outcome in either mode: what [`run_matrix`] and
-/// [`merge::merge_reports`] return.
+/// A campaign outcome in either mode: what [`run_matrix`] returns.
 #[derive(Clone, Debug)]
 pub enum CampaignReport {
     /// A static conformance campaign.
@@ -1183,11 +1174,6 @@ impl CampaignReport {
         either!(self, r => r.unresolved())
     }
 
-    /// The campaign seed (for replay messages).
-    pub fn seed(&self) -> u64 {
-        either!(self, r => r.seed)
-    }
-
     /// Total matrix cells in the report.
     pub fn cell_count(&self) -> usize {
         match self {
@@ -1214,9 +1200,13 @@ pub(crate) trait CampaignCell: Clone + Send + Sync {
     /// The cell as one checkpoint line: the report's own cell serializer,
     /// with timings, plus the scheme id resume re-homes it by.
     fn checkpoint_line(&self) -> String;
-    /// Parses a checkpoint line back through the merge parser, restoring
-    /// the timed fields and the structured timeout.
-    fn from_checkpoint(name: &str, doc: &Json, scheme: &'static str) -> Result<Self, MergeError>;
+    /// Parses a checkpoint line back, restoring the timed fields and the
+    /// structured timeout.
+    fn from_checkpoint(
+        name: &str,
+        doc: &Json,
+        scheme: &'static str,
+    ) -> Result<Self, CheckpointError>;
 }
 
 impl CampaignCell for CellResult {
@@ -1248,11 +1238,12 @@ impl CampaignCell for CellResult {
         )
     }
 
-    fn from_checkpoint(name: &str, doc: &Json, scheme: &'static str) -> Result<Self, MergeError> {
-        let mut cell = merge::static_cell(name, doc, scheme)?;
-        cell.wall_ms = doc.get("wall_ms").and_then(Json::as_u128).unwrap_or(0);
-        checkpoint::restore_timeout(&mut cell.detail, &mut cell.timeout, cell.status);
-        Ok(cell)
+    fn from_checkpoint(
+        name: &str,
+        doc: &Json,
+        scheme: &'static str,
+    ) -> Result<Self, CheckpointError> {
+        checkpoint::static_cell(name, doc, scheme)
     }
 }
 
@@ -1363,14 +1354,13 @@ fn static_campaign(
     // Growth fitting is a whole-matrix judgement: a shard sees only a
     // slice of each scheme's (n, bits) points, so fitting it would
     // produce spurious bound verdicts. Sharded runs leave the fits to
-    // `campaign_merge`, which re-fits over the union of cells.
+    // the unsharded run that resumes their checkpoints.
     if config.shard.is_none() {
         fit_growth(&mut schemes);
     }
     Report {
         seed: config.seed,
         profile: config.profile.name(),
-        parallel: true,
         shard: config.shard,
         schemes,
         cache_hits: swept.source.cache().map_or(0, SkeletonCache::hits),
@@ -1393,22 +1383,26 @@ pub fn run_campaign(config: &CampaignConfig) -> Report {
 ///
 /// `entries` is normally [`filtered_entries`]; the fault-tolerance tests
 /// pass extra entries here to inject panicking schemes. `resume`
-/// recovers completed cells from a prior (possibly killed) run of the
-/// **same** configuration and mode, `checkpoint` records this run's
-/// progress; the two may name the same file (the usual
-/// `--checkpoint X --resume X` loop). Returns the report plus how many
+/// recovers completed cells from prior (possibly killed, possibly
+/// sharded) runs of the **same** configuration and mode — the union of
+/// every file, a later file winning a coordinate recorded twice;
+/// `checkpoint` records this run's progress, and may name one of the
+/// resume files (the usual `--checkpoint X --resume X` loop). Resuming
+/// the checkpoints of all `--shard i/N` runs from an unsharded run
+/// reassembles the whole report. Returns the report plus how many
 /// cells were resumed rather than run.
 ///
 /// # Errors
 ///
-/// A resume file from another configuration or mode, damage before its
-/// final line, or a checkpoint file that cannot be created.
+/// A resume file from another configuration or mode (the error names
+/// the file), damage before a file's final line, or a checkpoint file
+/// that cannot be created.
 pub fn run_matrix(
     entries: &[SchemeEntry],
     config: &CampaignConfig,
     mode: Mode,
     checkpoint: Option<&str>,
-    resume: Option<&str>,
+    resume: &[&str],
 ) -> Result<(CampaignReport, usize), CheckpointError> {
     let header = checkpoint::header_line(config, mode);
     Ok(match mode {
@@ -1489,5 +1483,104 @@ mod tests {
             lcp_schemes::registry::all().len() + 1,
             "campaign registry = schemes registry + sigma11"
         );
+    }
+}
+
+/// Reassembling a sharded campaign — one unsharded [`run_matrix`]
+/// resuming every shard's checkpoint — pinned against the unsharded
+/// bytes at the unit level.
+#[cfg(test)]
+mod merge {
+    mod tests {
+        use crate::{
+            filtered_entries, run_campaign, run_matrix, CampaignConfig, Mode, Profile, Shard,
+        };
+
+        fn tiny(seed: u64, shard: Option<Shard>) -> CampaignConfig {
+            CampaignConfig {
+                sizes: vec![8],
+                tamper_trials: 4,
+                adversarial_iterations: 60,
+                scheme_filter: Some("bipartite".into()),
+                shard,
+                ..CampaignConfig::for_profile(Profile::Smoke, seed)
+            }
+        }
+
+        /// Checkpoints every shard of seed `seed` split `count` ways;
+        /// returns the checkpoint paths.
+        fn shard_checkpoints(seed: u64, count: usize, tag: &str) -> Vec<String> {
+            (0..count)
+                .map(|index| {
+                    let config = tiny(seed, Some(Shard { index, count }));
+                    let mut path = std::env::temp_dir();
+                    path.push(format!(
+                        "lcp-unit-merge-{}-{tag}-{index}.jsonl",
+                        std::process::id()
+                    ));
+                    let path = path.to_string_lossy().into_owned();
+                    let _ = std::fs::remove_file(&path);
+                    let entries = filtered_entries(&config);
+                    run_matrix(&entries, &config, Mode::Static, Some(&path), &[]).unwrap();
+                    path
+                })
+                .collect()
+        }
+
+        fn reassemble(seed: u64, paths: &[String]) -> Result<(String, usize), String> {
+            let config = tiny(seed, None);
+            let paths: Vec<&str> = paths.iter().map(String::as_str).collect();
+            run_matrix(
+                &filtered_entries(&config),
+                &config,
+                Mode::Static,
+                None,
+                &paths,
+            )
+            .map(|(report, resumed)| (report.to_json(false), resumed))
+            .map_err(|e| e.to_string())
+        }
+
+        fn remove(paths: &[String]) {
+            for p in paths {
+                let _ = std::fs::remove_file(p);
+            }
+        }
+
+        #[test]
+        fn merge_rebuilds_the_unsharded_bytes() {
+            let whole = run_campaign(&tiny(7, None));
+            let paths = shard_checkpoints(7, 2, "rebuild");
+            let (merged, resumed) = reassemble(7, &paths).expect("mergeable");
+            assert_eq!(merged, whole.to_json(false));
+            assert_eq!(resumed, whole.cell_count(), "every cell resumed");
+            remove(&paths);
+        }
+
+        #[test]
+        fn refuses_mixed_seeds_and_missing_shards() {
+            let mut paths = shard_checkpoints(7, 2, "seed7");
+            let seed8 = shard_checkpoints(8, 2, "seed8");
+            // A shard of another seed is refused, and named.
+            let mixed = vec![paths[0].clone(), seed8[1].clone()];
+            let err = reassemble(7, &mixed).unwrap_err();
+            assert!(err.contains("header mismatch"), "{err}");
+            assert!(err.contains(&seed8[1]), "{err}");
+            remove(&seed8);
+
+            // A missing shard never leaves the report short: its cells
+            // are run, so the bytes are still the unsharded ones.
+            let whole = run_campaign(&tiny(7, None));
+            let missing = paths.pop().unwrap();
+            let (merged, resumed) = reassemble(7, &paths).expect("a lone shard resumes");
+            assert_eq!(merged, whole.to_json(false));
+            assert!(resumed > 0, "the present shard's cells resumed");
+            assert!(
+                resumed < whole.cell_count(),
+                "the missing shard's cells ran"
+            );
+            remove(&paths);
+            remove(&[missing]);
+        }
     }
 }

@@ -24,10 +24,11 @@
 //!   `--scheme`/`--family`/`--sizes` filters) replays exactly the bits
 //!   it saw inside the full sweep;
 //! * `--shard i/N` partitions the same enumeration order without
-//!   perturbing any cell, so the union of shard reports is
-//!   byte-identical to the unsharded run;
+//!   perturbing any cell;
 //! * `--resume` can skip completed cells and still produce a report
-//!   byte-identical to an uninterrupted one.
+//!   byte-identical to an uninterrupted one — and since a checkpoint
+//!   names no shard, one unsharded run resuming every shard's
+//!   checkpoint reassembles the unsharded report.
 //!
 //! See `docs/ARCHITECTURE.md` § "Where determinism is enforced".
 
@@ -53,11 +54,9 @@ OPTIONS:
     --sizes <a,b,c>          override instance sizes
     --scheme <id>            run one registry entry only
     --family <name>          run one graph family only
-    --tamper-trials <n>      bit-flip probes per yes cell
-    --adversarial-iters <n>  hill-climb steps per no cell
-    --shard <i/N>            run only the cells of shard i out of N; the
-                             union of all N reports is byte-identical to
-                             the unsharded run (merge with campaign_merge)
+    --shard <i/N>            run only the cells of shard i out of N; an
+                             unsharded run resuming all N shards'
+                             checkpoints reassembles the unsharded report
     --churn                  dynamic mode: churn every cell with seeded
                              mutations, checking incremental reverify
                              against from-scratch evaluation
@@ -71,9 +70,10 @@ OPTIONS:
                              --artifact-dir, then exit (shard filter is
                              ignored: one pass serves all shards)
     --checkpoint <path>      append one JSON line per completed cell, so a
-                             killed shard can be resumed
+                             killed run can be resumed
     --resume <path>          skip cells recorded in a prior checkpoint of
-                             the same configuration; the resumed report is
+                             the same configuration (repeatable: the files'
+                             cells are unioned); the resumed report is
                              byte-identical to an uninterrupted run
     --inject-faults          run the seeded fault-injection plan (lcp-faults)
                              instead of a campaign; exit 2 if any injected
@@ -100,7 +100,7 @@ struct Args {
     warm_artifacts: bool,
     churn_steps: Option<usize>,
     checkpoint: Option<String>,
-    resume: Option<String>,
+    resume: Vec<String>,
     inject_faults: bool,
     json: Option<String>,
     bench_out: Option<String>,
@@ -112,7 +112,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let (mut profile, mut seed) = (Profile::Smoke, 7u64);
-    let (mut sizes, mut tamper, mut adversarial) = (None, None, None);
+    let mut sizes = None;
     let (mut scheme_filter, mut family_filter, mut shard) = (None, None, None);
     let (mut cell_budget_ms, mut artifact_dir) = (None, None);
     // Every other option lands in `parsed` directly; the configuration
@@ -123,7 +123,7 @@ fn parse_args() -> Result<Args, String> {
         warm_artifacts: false,
         churn_steps: None,
         checkpoint: None,
-        resume: None,
+        resume: Vec::new(),
         inject_faults: false,
         json: None,
         bench_out: None,
@@ -156,10 +156,6 @@ fn parse_args() -> Result<Args, String> {
                 family_filter =
                     Some(GraphFamily::parse(&v).ok_or_else(|| format!("unknown family '{v}'"))?);
             }
-            "--tamper-trials" => tamper = Some(number(value("--tamper-trials")?, "count")?),
-            "--adversarial-iters" => {
-                adversarial = Some(number(value("--adversarial-iters")?, "count")?);
-            }
             "--shard" => {
                 let v = value("--shard")?;
                 shard = Some(
@@ -178,7 +174,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--warm-artifacts" => parsed.warm_artifacts = true,
             "--checkpoint" => parsed.checkpoint = Some(value("--checkpoint")?),
-            "--resume" => parsed.resume = Some(value("--resume")?),
+            "--resume" => parsed.resume.push(value("--resume")?),
             "--inject-faults" => parsed.inject_faults = true,
             "--json" => parsed.json = Some(value("--json")?),
             "--bench-out" => parsed.bench_out = Some(value("--bench-out")?),
@@ -198,8 +194,6 @@ fn parse_args() -> Result<Args, String> {
     let defaults = CampaignConfig::for_profile(profile, seed);
     parsed.config = CampaignConfig {
         sizes: sizes.unwrap_or(defaults.sizes),
-        tamper_trials: tamper.unwrap_or(defaults.tamper_trials),
-        adversarial_iterations: adversarial.unwrap_or(defaults.adversarial_iterations),
         scheme_filter,
         family_filter,
         shard,
@@ -375,11 +369,12 @@ fn main() {
         Mode::Static
     };
     let entries = filtered_entries(&args.config);
-    let (checkpoint, resume) = (args.checkpoint.as_deref(), args.resume.as_deref());
-    let report = match run_matrix(&entries, &args.config, mode, checkpoint, resume) {
+    let resume: Vec<&str> = args.resume.iter().map(String::as_str).collect();
+    let checkpoint = args.checkpoint.as_deref();
+    let report = match run_matrix(&entries, &args.config, mode, checkpoint, &resume) {
         Ok((report, resumed)) => {
             if resumed > 0 {
-                println!("resumed {resumed} cells from {}", resume.unwrap_or("?"));
+                println!("resumed {resumed} cells from {}", resume.join(", "));
             }
             report
         }

@@ -44,14 +44,14 @@ fn checkpointed(
     config: &CampaignConfig,
     mode: Mode,
     checkpoint: Option<&str>,
-    resume: Option<&str>,
+    resume: &[&str],
 ) -> Result<(CampaignReport, usize), CheckpointError> {
     run_matrix(&filtered_entries(config), config, mode, checkpoint, resume)
 }
 
 /// A static run over an explicit entry list.
 fn static_over(entries: &[SchemeEntry], config: &CampaignConfig) -> Report {
-    match run_matrix(entries, config, Mode::Static, None, None)
+    match run_matrix(entries, config, Mode::Static, None, &[])
         .unwrap()
         .0
     {
@@ -62,7 +62,7 @@ fn static_over(entries: &[SchemeEntry], config: &CampaignConfig) -> Report {
 
 /// A churn run over an explicit entry list.
 fn churn_over(entries: &[SchemeEntry], config: &CampaignConfig) -> ChurnReport {
-    match run_matrix(entries, config, CHURN, None, None).unwrap().0 {
+    match run_matrix(entries, config, CHURN, None, &[]).unwrap().0 {
         CampaignReport::Churn(report) => report,
         CampaignReport::Static(_) => panic!("churn mode returned a static report"),
     }
@@ -326,14 +326,13 @@ fn resuming_a_killed_static_shard_reproduces_the_report_bytes() {
     let baseline = run_campaign(&cfg).to_json(false);
 
     let full = tmp("static-full.jsonl");
-    let (complete, resumed) = checkpointed(&cfg, Mode::Static, Some(&full), None).unwrap();
+    let (complete, resumed) = checkpointed(&cfg, Mode::Static, Some(&full), &[]).unwrap();
     assert_eq!(resumed, 0);
     assert_eq!(complete.to_json(false), baseline);
 
     let partial = tmp("static-partial.jsonl");
     truncate_checkpoint(&full, &partial, 5);
-    let (report, resumed) =
-        checkpointed(&cfg, Mode::Static, Some(&partial), Some(&partial)).unwrap();
+    let (report, resumed) = checkpointed(&cfg, Mode::Static, Some(&partial), &[&partial]).unwrap();
     assert_eq!(
         resumed, 5,
         "five recorded cells resume; the torn line is dropped"
@@ -346,7 +345,7 @@ fn resuming_a_killed_static_shard_reproduces_the_report_bytes() {
 
     // The rewritten checkpoint is complete and compacted: resuming from
     // it runs zero cells and still reproduces the bytes.
-    let (again, resumed) = checkpointed(&cfg, Mode::Static, None, Some(&partial)).unwrap();
+    let (again, resumed) = checkpointed(&cfg, Mode::Static, None, &[&partial]).unwrap();
     assert_eq!(resumed, again.cell_count());
     assert_eq!(again.to_json(false), baseline);
 
@@ -360,12 +359,12 @@ fn resuming_a_killed_churn_shard_reproduces_the_report_bytes() {
     let baseline = run_churn_campaign(&cfg, 6).to_json(false);
 
     let full = tmp("churn-full.jsonl");
-    let (complete, _) = checkpointed(&cfg, CHURN, Some(&full), None).unwrap();
+    let (complete, _) = checkpointed(&cfg, CHURN, Some(&full), &[]).unwrap();
     assert_eq!(complete.to_json(false), baseline);
 
     let partial = tmp("churn-partial.jsonl");
     truncate_checkpoint(&full, &partial, 4);
-    let (report, resumed) = checkpointed(&cfg, CHURN, None, Some(&partial)).unwrap();
+    let (report, resumed) = checkpointed(&cfg, CHURN, None, &[&partial]).unwrap();
     assert_eq!(resumed, 4);
     assert_eq!(
         report.to_json(false),
@@ -380,16 +379,31 @@ fn resuming_a_killed_churn_shard_reproduces_the_report_bytes() {
 #[test]
 fn a_checkpoint_from_another_configuration_refuses_to_resume() {
     let path = tmp("mismatch.jsonl");
-    let (_, _) = checkpointed(&config(7), Mode::Static, Some(&path), None).unwrap();
-    let err = checkpointed(&config(8), Mode::Static, None, Some(&path)).unwrap_err();
+    let (_, _) = checkpointed(&config(7), Mode::Static, Some(&path), &[]).unwrap();
+    let err = checkpointed(&config(8), Mode::Static, None, &[&path]).unwrap_err();
     assert!(
         err.to_string().contains("header mismatch"),
         "seed change must refuse the checkpoint: {err}"
     );
     // Mode changes are config changes too.
-    let err = checkpointed(&config(7), CHURN, None, Some(&path)).unwrap_err();
+    let err = checkpointed(&config(7), CHURN, None, &[&path]).unwrap_err();
     assert!(err.to_string().contains("header mismatch"), "{err}");
+    // Of several resume files, the one that mismatches is named.
+    let other = tmp("mismatch-seed8.jsonl");
+    let (_, _) = checkpointed(&config(8), Mode::Static, Some(&other), &[]).unwrap();
+    let err = checkpointed(&config(7), Mode::Static, None, &[&path, &other])
+        .unwrap_err()
+        .to_string();
+    assert!(
+        err.contains(&other) && err.contains("header mismatch"),
+        "the second file is named: {err}"
+    );
+    assert!(
+        !err.contains(&path),
+        "the matching file is not blamed: {err}"
+    );
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&other);
 }
 
 #[test]
@@ -397,17 +411,27 @@ fn damage_before_the_final_checkpoint_line_refuses_to_resume() {
     let cfg = config(7);
     for mode in [Mode::Static, CHURN] {
         let full = tmp("damaged.jsonl");
-        let _ = checkpointed(&cfg, mode, Some(&full), None).unwrap();
+        let _ = checkpointed(&cfg, mode, Some(&full), &[]).unwrap();
         let text = std::fs::read_to_string(&full).unwrap();
-        let mut lines: Vec<&str> = text.lines().collect();
-        lines[2] = "{ not json at all";
-        std::fs::write(&full, lines.join("\n")).unwrap();
-        let err = checkpointed(&cfg, mode, None, Some(&full)).unwrap_err();
-        let msg = err.to_string();
-        assert!(
-            msg.starts_with(&format!("{full}:3: ")) && msg.contains("byte"),
-            "{mode:?}: mid-file damage is named with file, line 3 and byte offset: {msg}"
-        );
+        // Well-formed JSON that lacks the cell's coordinate.
+        let line = text.lines().nth(2).unwrap();
+        let start = line.find("\"coord\": ").unwrap();
+        let end = start + line[start..].find(", ").unwrap() + 2;
+        let without_coord = format!("{}{}", &line[..start], &line[end..]);
+        for (damage, named) in [
+            ("{ not json at all", "byte"),
+            (without_coord.as_str(), "coord"),
+        ] {
+            let mut lines: Vec<&str> = text.lines().collect();
+            lines[2] = damage;
+            std::fs::write(&full, lines.join("\n")).unwrap();
+            let err = checkpointed(&cfg, mode, None, &[&full]).unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                msg.starts_with(&format!("{full}:3: ")) && msg.contains(named),
+                "{mode:?}: mid-file damage is named with file, line 3 and {named}: {msg}"
+            );
+        }
         let _ = std::fs::remove_file(&full);
     }
 }

@@ -8,11 +8,19 @@
 //! sees). After each rewrite the incremental `reverify()` and the
 //! from-scratch `full_check()` must both return, and agree on the
 //! verdict.
+//!
+//! Then the cell's node labels are forged: each round relabels a random
+//! node with every label type the registry uses, the sealed scheme
+//! keeping the one of its own type, with values from the honest range
+//! and from the top of `u64`. After each relabel `reverify()` and
+//! `full_check()` must return and agree, and the ground truth
+//! `holds_now()` must return.
 
 use lcp_conformance::campaign_registry;
-use lcp_core::{BitString, BitWriter};
+use lcp_core::{BitString, BitWriter, CellMutationError};
 use lcp_dynamic::DynamicInstance;
 use lcp_schemes::registry::{CellRequest, Polarity};
+use lcp_schemes::StMark;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -50,6 +58,54 @@ fn hostile_string(rng: &mut StdRng) -> BitString {
     w.finish()
 }
 
+/// A forged node-label value: the honest range or the top of `u64`.
+fn hostile_label(rng: &mut StdRng) -> u64 {
+    if rng.random_bool(0.5) {
+        rng.random_range(0..2 * N as u64)
+    } else {
+        u64::MAX - rng.random_range(0..2 * N as u64)
+    }
+}
+
+/// Relabels node `v` with one value of every node-label type the
+/// registry uses; returns how many the cell accepted (the others are
+/// refused as [`CellMutationError::LabelType`]).
+fn relabel(dynamic: &mut DynamicInstance, v: usize, rng: &mut StdRng) -> usize {
+    let value = hostile_label(rng);
+    let mark = [StMark::S, StMark::T, StMark::Plain][rng.random_range(0..3usize)];
+    let attempts = [
+        dynamic.set_node_label(v, ()),
+        dynamic.set_node_label(v, rng.random_bool(0.5)),
+        dynamic.set_node_label(v, value),
+        dynamic.set_node_label(v, value as usize),
+        dynamic.set_node_label(v, mark),
+    ];
+    attempts
+        .into_iter()
+        .filter(|attempt| match attempt {
+            Ok(_) => true,
+            Err(CellMutationError::LabelType) => false,
+            Err(e) => panic!("relabelling node {v}: {e}"),
+        })
+        .count()
+}
+
+/// Runs `reverify()` and `full_check()` and requires them to agree.
+fn check_agreement(dynamic: &mut DynamicInstance, what: &str) {
+    let out = dynamic.reverify();
+    let full = dynamic.full_check();
+    assert_eq!(
+        out.accepted,
+        full.accepted(),
+        "{what}: reverify and full_check disagree"
+    );
+    assert_eq!(
+        out.witness,
+        full.rejecting().first().copied(),
+        "{what}: first rejecting node differs"
+    );
+}
+
 #[test]
 fn forged_proofs_never_panic_and_reverify_agrees_with_full_check() {
     let mut failures = Vec::new();
@@ -77,18 +133,14 @@ fn forged_proofs_never_panic_and_reverify_agrees_with_full_check() {
                         dynamic
                             .rewrite_proof(v, &hostile_string(&mut rng))
                             .expect("node in range");
-                        let out = dynamic.reverify();
-                        let full = dynamic.full_check();
-                        assert_eq!(
-                            out.accepted,
-                            full.accepted(),
-                            "round {round}: reverify and full_check disagree"
-                        );
-                        assert_eq!(
-                            out.witness,
-                            full.rejecting().first().copied(),
-                            "round {round}: first rejecting node differs"
-                        );
+                        check_agreement(&mut dynamic, &format!("round {round}"));
+                    }
+                    for round in 0..ROUNDS {
+                        let v = rng.random_range(0..n);
+                        let accepted = relabel(&mut dynamic, v, &mut rng);
+                        assert_eq!(accepted, 1, "label round {round}: label types accepted");
+                        check_agreement(&mut dynamic, &format!("label round {round}"));
+                        let _ = dynamic.holds_now();
                     }
                 }));
                 if let Err(payload) = outcome {

@@ -137,8 +137,8 @@ fn timeout_enrichment_is_timed_only_and_survives_resume() {
     // renders the suffix exactly once per cell (never doubled).
     let path = tmp("timeout-resume.jsonl");
     let entries = filtered_entries(&cfg);
-    let (first, _) = run_matrix(&entries, &cfg, Mode::Static, Some(&path), None).unwrap();
-    let (resumed, count) = run_matrix(&entries, &cfg, Mode::Static, None, Some(&path)).unwrap();
+    let (first, _) = run_matrix(&entries, &cfg, Mode::Static, Some(&path), &[]).unwrap();
+    let (resumed, count) = run_matrix(&entries, &cfg, Mode::Static, None, &[&path]).unwrap();
     let CampaignReport::Static(resumed) = resumed else {
         panic!("static mode returned a churn report");
     };

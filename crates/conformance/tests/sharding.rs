@@ -1,14 +1,19 @@
 //! The shard-determinism contract: partitioning the campaign matrix with
-//! `--shard i/N` and merging the N reports yields **byte-identical**
-//! output to the unsharded run (modulo timing, which the deterministic
-//! JSON form excludes) — for the static and the churn campaign alike.
+//! `--shard i/N`, checkpointing each shard, and resuming every shard's
+//! checkpoint from one unsharded run yields **byte-identical** output to
+//! the unsharded run (modulo timing, which the deterministic JSON form
+//! excludes) — for the static and the churn campaign alike, with every
+//! cell resumed rather than re-run.
 //!
-//! This is what lets CI fan a campaign out across runners and still diff
-//! the merged artifact against any single-process run of the same seed.
+//! This is what lets a campaign fan out across processes and still diff
+//! the reassembled artifact against any single-process run of the same
+//! seed.
 
 use lcp_conformance::churn::run_churn_campaign;
-use lcp_conformance::merge::merge_reports;
-use lcp_conformance::{run_campaign, CampaignConfig, Profile, Shard};
+use lcp_conformance::{
+    filtered_entries, run_campaign, run_matrix, CampaignConfig, CampaignReport, Mode, Profile,
+    Shard,
+};
 use lcp_graph::families::GraphFamily;
 
 /// Small but representative: every scheme, two sizes, both polarities.
@@ -23,22 +28,45 @@ fn config(seed: u64, shard: Option<Shard>) -> CampaignConfig {
     }
 }
 
-fn static_shards(seed: u64, count: usize) -> Vec<(String, String)> {
-    (0..count)
-        .map(|index| {
-            let report = run_campaign(&config(seed, Some(Shard { index, count })));
-            (format!("shard-{index}.json"), report.to_json(false))
-        })
-        .collect()
+fn tmp(name: &str) -> String {
+    let mut p = std::env::temp_dir();
+    p.push(format!("lcp-shard-{}-{name}", std::process::id()));
+    p.to_string_lossy().into_owned()
 }
 
-fn churn_shards(seed: u64, count: usize, steps: usize) -> Vec<(String, String)> {
+/// Runs every shard of `config` split `count` ways with a checkpoint and
+/// returns the checkpoint paths plus the shard reports.
+fn run_shards(
+    config: &CampaignConfig,
+    mode: Mode,
+    count: usize,
+    tag: &str,
+) -> (Vec<String>, Vec<CampaignReport>) {
     (0..count)
         .map(|index| {
-            let report = run_churn_campaign(&config(seed, Some(Shard { index, count })), steps);
-            (format!("churn-shard-{index}.json"), report.to_json(false))
+            let shard = CampaignConfig {
+                shard: Some(Shard { index, count }),
+                ..config.clone()
+            };
+            let path = tmp(&format!("{tag}-{index}-of-{count}.jsonl"));
+            let (report, resumed) =
+                run_matrix(&filtered_entries(&shard), &shard, mode, Some(&path), &[]).unwrap();
+            assert_eq!(resumed, 0, "a fresh shard resumes nothing");
+            (path, report)
         })
-        .collect()
+        .unzip()
+}
+
+/// The unsharded run of `config` resuming every file in `paths`.
+fn reassemble(config: &CampaignConfig, mode: Mode, paths: &[String]) -> (CampaignReport, usize) {
+    let paths: Vec<&str> = paths.iter().map(String::as_str).collect();
+    run_matrix(&filtered_entries(config), config, mode, None, &paths).unwrap()
+}
+
+fn remove(paths: &[String]) {
+    for p in paths {
+        let _ = std::fs::remove_file(p);
+    }
 }
 
 #[test]
@@ -46,22 +74,36 @@ fn static_shard_union_is_byte_identical_for_two_and_four_shards() {
     let whole = run_campaign(&config(7, None));
     let whole_json = whole.to_json(false);
     for count in [2, 4] {
-        let shards = static_shards(7, count);
+        let (paths, shards) = run_shards(&config(7, None), Mode::Static, count, "static");
         // The shards genuinely partition the matrix...
-        let merged = merge_reports(&shards).expect("valid shard set");
-        assert_eq!(merged.cell_count(), whole.cell_count(), "N={count}");
-        // ...and reassemble to the exact unsharded bytes.
+        let cells: usize = shards.iter().map(CampaignReport::cell_count).sum();
+        assert_eq!(cells, whole.cell_count(), "N={count}");
+        // ...and reassemble to the exact unsharded bytes, every cell
+        // spliced back in rather than re-run.
+        let (merged, resumed) = reassemble(&config(7, None), Mode::Static, &paths);
+        assert_eq!(resumed, whole.cell_count(), "N={count}");
         assert_eq!(merged.to_json(false), whole_json, "N={count}");
+
+        // A missing shard is no error: its cells simply run again.
+        let (partial, resumed) = reassemble(&config(7, None), Mode::Static, &paths[..1]);
+        assert_eq!(resumed, shards[0].cell_count(), "N={count}");
+        assert_eq!(partial.to_json(false), whole_json, "N={count}");
+        remove(&paths);
     }
 }
 
 #[test]
 fn churn_shard_union_is_byte_identical_for_two_and_four_shards() {
     let steps = 8;
-    let whole = run_churn_campaign(&config(7, None), steps).to_json(false);
+    let whole = run_churn_campaign(&config(7, None), steps);
+    let whole_json = whole.to_json(false);
     for count in [2, 4] {
-        let merged = merge_reports(&churn_shards(7, count, steps)).expect("valid shard set");
-        assert_eq!(merged.to_json(false), whole, "N={count}");
+        let mode = Mode::Churn { steps };
+        let (paths, _) = run_shards(&config(7, None), mode, count, "churn");
+        let (merged, resumed) = reassemble(&config(7, None), mode, &paths);
+        assert_eq!(resumed, whole.cells.len(), "N={count}");
+        assert_eq!(merged.to_json(false), whole_json, "N={count}");
+        remove(&paths);
     }
 }
 
@@ -69,29 +111,22 @@ fn churn_shard_union_is_byte_identical_for_two_and_four_shards() {
 fn empty_shards_merge_cleanly() {
     // One scheme on one family at one size = exactly two matrix cells
     // (yes + no), so sharding 4 ways leaves two shards with no cells at
-    // all — their reports still carry the scheme list and must merge.
-    let tiny = |shard| CampaignConfig {
+    // all — their checkpoints hold a header only and must resume.
+    let tiny = CampaignConfig {
         sizes: vec![8],
         scheme_filter: Some("bipartite".into()),
         family_filter: Some(GraphFamily::Cycle),
-        shard,
-        ..config(7, shard)
+        ..config(7, None)
     };
-    let whole = run_campaign(&tiny(None));
+    let whole = run_campaign(&tiny);
     assert_eq!(whole.cell_count(), 2, "premise: two cells");
-    let shards: Vec<(String, String)> = (0..4)
-        .map(|index| {
-            let report = run_campaign(&tiny(Some(Shard { index, count: 4 })));
-            (format!("shard-{index}.json"), report.to_json(false))
-        })
-        .collect();
-    let empty = shards
-        .iter()
-        .filter(|(_, json)| json.contains("\"summary\": { \"cells\": 0"))
-        .count();
+    let (paths, shards) = run_shards(&tiny, Mode::Static, 4, "empty");
+    let empty = shards.iter().filter(|r| r.cell_count() == 0).count();
     assert_eq!(empty, 2, "premise: two empty shards");
-    let merged = merge_reports(&shards).expect("empty shards are valid");
+    let (merged, resumed) = reassemble(&tiny, Mode::Static, &paths);
+    assert_eq!(resumed, 2);
     assert_eq!(merged.to_json(false), whole.to_json(false));
+    remove(&paths);
 }
 
 #[test]

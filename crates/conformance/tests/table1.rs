@@ -3,11 +3,11 @@
 //! * it fits a growth class for the rows whose `max_n` keeps the smoke
 //!   and full profiles below the 3× spread a fit needs, and each fitted
 //!   class is the paper's, not merely one below the claim;
-//! * its reports shard, merge and resume byte-identically, like the
-//!   other profiles';
+//! * its shards' checkpoints resume into the unsharded report
+//!   byte-identically, like the other profiles', and so does a partial
+//!   checkpoint;
 //! * the CLI refuses `--churn` with it as a usage error.
 
-use lcp_conformance::merge::merge_reports;
 use lcp_conformance::{
     filtered_entries, run_campaign, run_matrix, CampaignConfig, CampaignReport, CellStatus, Mode,
     Profile, Shard,
@@ -66,34 +66,41 @@ fn table1_reports_shard_merge_and_resume_byte_identically() {
         Some(Profile::Table1)
     );
 
-    let shards: Vec<(String, String)> = (0..2)
-        .map(|index| {
-            let config = CampaignConfig {
-                shard: Some(Shard { index, count: 2 }),
-                ..table1("prime-order", None)
-            };
-            (
-                format!("shard-{index}.json"),
-                run_campaign(&config).to_json(false),
-            )
-        })
-        .collect();
-    let merged = merge_reports(&shards).expect("valid shard set");
-    assert_eq!(merged.to_json(false), whole_json);
-
-    // Resume from a checkpoint that kept only its first three cells.
     let config = table1("prime-order", None);
     let entries = filtered_entries(&config);
     let dir = std::env::temp_dir();
+    let shards: Vec<String> = (0..2)
+        .map(|index| {
+            let path = dir.join(format!(
+                "lcp-table1-{}-shard-{index}.jsonl",
+                std::process::id()
+            ));
+            let path = path.to_str().unwrap().to_string();
+            let shard = CampaignConfig {
+                shard: Some(Shard { index, count: 2 }),
+                ..table1("prime-order", None)
+            };
+            run_matrix(&entries, &shard, Mode::Static, Some(&path), &[]).unwrap();
+            path
+        })
+        .collect();
+    let paths: Vec<&str> = shards.iter().map(String::as_str).collect();
+    let (merged, count) = run_matrix(&entries, &config, Mode::Static, None, &paths).unwrap();
+    assert_eq!(count, whole.cell_count(), "every cell resumes");
+    assert_eq!(merged.to_json(false), whole_json);
+    for path in &shards {
+        let _ = std::fs::remove_file(path);
+    }
+
+    // Resume from a checkpoint that kept only its first three cells.
     let full = dir.join(format!("lcp-table1-{}-full.jsonl", std::process::id()));
     let partial = dir.join(format!("lcp-table1-{}-partial.jsonl", std::process::id()));
     let (full, partial) = (full.to_str().unwrap(), partial.to_str().unwrap());
-    run_matrix(&entries, &config, Mode::Static, Some(full), None).unwrap();
+    run_matrix(&entries, &config, Mode::Static, Some(full), &[]).unwrap();
     let text = std::fs::read_to_string(full).unwrap();
     let kept: Vec<&str> = text.lines().take(4).collect();
     std::fs::write(partial, kept.join("\n") + "\n").unwrap();
-    let (resumed, count) =
-        run_matrix(&entries, &config, Mode::Static, None, Some(partial)).unwrap();
+    let (resumed, count) = run_matrix(&entries, &config, Mode::Static, None, &[partial]).unwrap();
     assert_eq!(count, 3);
     let CampaignReport::Static(resumed) = resumed else {
         panic!("static mode returned a churn report");

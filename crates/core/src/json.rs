@@ -2,8 +2,8 @@
 //!
 //! The campaign, churn, and bench reports are *written* by hand (flat,
 //! deterministic layouts — see `lcp-conformance`); this module is the
-//! matching reader, used by the CI fan-in tools (`campaign_merge`, the
-//! `trend` history bin, `bench_diff`) to fold those artifacts back
+//! matching reader, used by the campaign's checkpoint loader, the
+//! `trend` history bin and `bench_diff` to fold those artifacts back
 //! together. It is deliberately tiny: a recursive-descent parser into a
 //! [`Json`] tree plus typed accessors, no serialization framework.
 //!
