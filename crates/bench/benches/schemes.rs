@@ -6,6 +6,7 @@ use lcp_core::{evaluate, prepare, Deadline, Instance, Scheme};
 use lcp_graph::{generators, spanning};
 use lcp_schemes::bipartite::Bipartite;
 use lcp_schemes::chromatic::NonBipartite;
+use lcp_schemes::cycles::OddCycle;
 use lcp_schemes::leader::LeaderElection;
 use lcp_schemes::spanning_tree::SpanningTree;
 use lcp_schemes::universal::prime_order;
@@ -66,7 +67,9 @@ fn bench_verifiers(c: &mut Criterion) {
 
 /// The sequential sweep a resident daemon `verify` runs
 /// (`PreparedInstance::evaluate` on a prepared core and a held
-/// honest proof), per scheme, at n = 10⁴.
+/// honest proof), per scheme, at n = 10⁴ (n = 10⁴ + 1 for the two
+/// odd-cycle rows: `chromatic>2` and the counting-certificate
+/// `odd-cycle`).
 fn bench_resident_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("verify-resident");
     group.sample_size(50);
@@ -92,6 +95,9 @@ fn bench_resident_sweep(c: &mut Criterion) {
             &Instance::with_node_data(g, leader),
         );
     }
+    let odd = Instance::unlabeled(generators::cycle(10_001));
+    resident_sweep(&mut group, "cycle", &NonBipartite, &odd);
+    resident_sweep(&mut group, "cycle", &OddCycle, &odd);
     group.finish();
 }
 

@@ -63,6 +63,12 @@ fn number_after(sidecar: &str, key: &str) -> u64 {
 fn metrics_export_does_not_perturb_the_report() {
     let baseline = run_campaign(&config(7)).to_json(false);
     let report = CampaignReport::Static(run_campaign(&config(7)));
+    // A tree-certificate scheme's completeness sweeps read decoded
+    // labels, which the eulerian verifier never does.
+    run_campaign(&CampaignConfig {
+        scheme_filter: Some("leader-election".into()),
+        ..config(7)
+    });
     // Exporting registers every catalog and reads every metric — the
     // strongest observation the layer supports.
     let sidecar = sidecar(&report);
@@ -90,6 +96,10 @@ fn metrics_export_does_not_perturb_the_report() {
     assert!(
         counter_value(&sidecar, "lcp_harness_exhaustive_candidates_total") > 0,
         "the no-cells of this config run the exhaustive search"
+    );
+    assert!(
+        counter_value(&sidecar, "lcp_engine_label_decodes_total") > 0,
+        "the leader-election yes-cells sweep with a label column"
     );
 }
 

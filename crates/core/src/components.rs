@@ -6,13 +6,15 @@
 //! convinced of `n(G)` (the paper's node-counter trick). Schemes embed it
 //! in their per-node proof strings and verify it through
 //! [`TreeCert::verify_at_center`] / [`CountingTreeCert::verify_at_center`]:
-//! one pass that decodes the centre's and each neighbour's whole proof
-//! once, runs the scheme's own per-neighbour clause on the decoded
-//! pair, and hands the centre's decoded proof back for the scheme's
-//! remaining centre checks.
+//! one pass that reads the centre's and each neighbour's decoded proof
+//! (a [`Label`]) once, runs the scheme's own per-neighbour clause on the
+//! decoded pair, and hands the centre's decoded proof back for the
+//! scheme's remaining centre checks. The labels come from
+//! [`View::label`], so inside a sweep each node's proof is decoded once
+//! per sweep, not once per view that sees it.
 
 use crate::bits::{BitReader, BitWriter, CodecError, ProofRef};
-use crate::view::View;
+use crate::view::{Label, View};
 use lcp_graph::spanning::RootedTree;
 use lcp_graph::Graph;
 
@@ -74,19 +76,10 @@ impl TreeCert {
         })
     }
 
-    /// Decodes a proof string that holds exactly one certificate;
-    /// `None` (malformed or trailing bits) means reject.
-    pub fn decode_exact(proof: ProofRef<'_>) -> Option<TreeCert> {
-        let mut r = BitReader::new(proof);
-        let c = TreeCert::decode(&mut r).ok()?;
-        r.is_exhausted().then_some(c)
-    }
-
-    /// The §5.1 local check at the view's centre, in one pass that
-    /// decodes each visible proof once. `decode(u)` decodes node `u`'s
-    /// whole proof (`None` rejects — malformed proofs are invalid
-    /// proofs); it is called for the centre, then for each neighbour.
-    /// `tree` finds the certificate inside a decoded proof.
+    /// The §5.1 local check at the view's centre, in one pass that reads
+    /// each visible proof once as a `C` ([`View::label`]; `None` rejects
+    /// — malformed proofs are invalid proofs): the centre's, then each
+    /// neighbour's. `tree` finds the certificate inside a decoded proof.
     /// `clause(mine, u, theirs)`, the scheme's own check on the edge to
     /// neighbour `u`, runs on each decoded pair in the same pass (`false`
     /// rejects); it may run before the centre's own checks pass, so it
@@ -104,15 +97,14 @@ impl TreeCert {
     /// disconnected graph can certify one tree per component, which is
     /// exactly why "connected graph" on the general family is unclassified
     /// ("—") in Table 1(a).
-    pub fn verify_at_center<N, E, C>(
+    pub fn verify_at_center<N, E, C: Label>(
         view: &View<N, E>,
-        decode: impl Fn(usize) -> Option<C>,
         tree: impl Fn(&C) -> &TreeCert,
         mut clause: impl FnMut(&C, usize, &C) -> bool,
     ) -> Option<C> {
         let c = view.center();
         let my_id = view.id(c).0;
-        let mine = decode(c)?;
+        let mine = view.label::<C>(c)?;
         let t = tree(&mine);
         // Root self-consistency: `dist = 0` exactly at the node carrying
         // `root_id`, which points at itself — so no non-root impersonates it.
@@ -123,7 +115,7 @@ impl TreeCert {
         // claimed id; every neighbour must agree on the root identity.
         let mut parent_ok = t.dist == 0;
         for &u in view.neighbors(c) {
-            let theirs = decode(u)?;
+            let theirs = view.label::<C>(u)?;
             let tu = tree(&theirs);
             if tu.root_id != t.root_id || !clause(&mine, u, &theirs) {
                 return None;
@@ -131,6 +123,15 @@ impl TreeCert {
             parent_ok |= view.id(u).0 == t.parent_id && tu.dist + 1 == t.dist;
         }
         parent_ok.then_some(mine)
+    }
+}
+
+impl Label for TreeCert {
+    /// Decodes a proof string that holds exactly one certificate.
+    fn decode(proof: ProofRef<'_>) -> Option<TreeCert> {
+        let mut r = BitReader::new(proof);
+        let c = TreeCert::decode(&mut r).ok()?;
+        r.is_exhausted().then_some(c)
     }
 }
 
@@ -187,14 +188,6 @@ impl CountingTreeCert {
         })
     }
 
-    /// Decodes a proof string that holds exactly one certificate;
-    /// `None` (malformed or trailing bits) means reject.
-    pub fn decode_exact(proof: ProofRef<'_>) -> Option<CountingTreeCert> {
-        let mut r = BitReader::new(proof);
-        let c = CountingTreeCert::decode(&mut r).ok()?;
-        r.is_exhausted().then_some(c)
-    }
-
     /// The counting extension of the §5.1 check, in the same single pass
     /// and under the same contract as [`TreeCert::verify_at_center`]
     /// (`count` finds the counting certificate in a decoded proof). On
@@ -209,9 +202,8 @@ impl CountingTreeCert {
     /// of its *component* (the counters telescope up the certified tree);
     /// under the connectedness promise that is the true `n(G)` — the
     /// paper's "every node can be convinced of the value of n(G)".
-    pub fn verify_at_center<N, E, C>(
+    pub fn verify_at_center<N, E, C: Label>(
         view: &View<N, E>,
-        decode: impl Fn(usize) -> Option<C>,
         count: impl Fn(&C) -> &CountingTreeCert,
         mut clause: impl FnMut(&C, usize, &C) -> bool,
     ) -> Option<C> {
@@ -220,7 +212,6 @@ impl CountingTreeCert {
         let mut child_sum = Some(0u64);
         let mine = TreeCert::verify_at_center(
             view,
-            decode,
             |c| &count(c).tree,
             |mine, u, theirs| {
                 let (m, cu) = (count(mine), count(theirs));
@@ -233,6 +224,15 @@ impl CountingTreeCert {
         let m = count(&mine);
         let counted = child_sum.and_then(|s| s.checked_add(1)) == Some(m.subtree);
         (counted && (m.tree.dist != 0 || m.subtree == m.n_claim)).then_some(mine)
+    }
+}
+
+impl Label for CountingTreeCert {
+    /// Decodes a proof string that holds exactly one certificate.
+    fn decode(proof: ProofRef<'_>) -> Option<CountingTreeCert> {
+        let mut r = BitReader::new(proof);
+        let c = CountingTreeCert::decode(&mut r).ok()?;
+        r.is_exhausted().then_some(c)
     }
 }
 
@@ -274,13 +274,7 @@ mod tests {
             })
         }
         fn verify(&self, view: &View) -> bool {
-            TreeCert::verify_at_center(
-                view,
-                |u| TreeCert::decode(&mut BitReader::new(view.proof(u))).ok(),
-                |c| c,
-                |_, _, _| true,
-            )
-            .is_some()
+            TreeCert::verify_at_center(view, |c| c, |_, _, _| true).is_some()
         }
     }
 
@@ -310,13 +304,7 @@ mod tests {
             })
         }
         fn verify(&self, view: &View) -> bool {
-            CountingTreeCert::verify_at_center(
-                view,
-                |u| CountingTreeCert::decode(&mut BitReader::new(view.proof(u))).ok(),
-                |c| c,
-                |_, _, _| true,
-            )
-            .is_some()
+            CountingTreeCert::verify_at_center(view, |c| c, |_, _, _| true).is_some()
         }
     }
 

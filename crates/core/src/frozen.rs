@@ -1417,7 +1417,7 @@ impl<N, E> CoreBuilder<N, E> {
     #[inline]
     pub fn bind<'s>(&'s self, v: usize, proof: &'s Proof) -> View<'s, N, E> {
         assert_eq!(proof.n(), self.n(), "proof must label every node");
-        View::bind(self.skel_view(v), proof, self.members_of(v))
+        View::bind(self.skel_view(v), proof, self.members_of(v), None)
     }
 
     /// Runs `scheme`'s verifier at every node, sequentially — the

@@ -89,4 +89,4 @@ pub use frozen::{ArtifactError, CoreBuilder, FrozenCore, PortableLabel};
 pub use instance::{EdgeMap, Instance};
 pub use proof::Proof;
 pub use scheme::{evaluate, evaluate_until_reject, Scheme, Verdict};
-pub use view::View;
+pub use view::{Label, View};

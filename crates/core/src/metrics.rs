@@ -32,6 +32,10 @@ pub static PROVE_NS: Histogram = Histogram::new();
 /// View bindings performed by the sweeps and search loops (aggregated
 /// at loop exits, never per candidate).
 pub static BINDS: Counter = Counter::new();
+/// Proof labels decoded into a sweep's label column (`View::label`),
+/// one per slot filled, flushed at sweep exit: a sweep over n nodes
+/// whose verifier reads labels decodes at most n.
+pub static LABEL_DECODES: Counter = Counter::new();
 
 /// `SkeletonCache` lookups that reused a cached CSR build.
 pub static SKELETON_CACHE_HITS: Counter = Counter::new();
@@ -130,6 +134,12 @@ pub fn register(reg: &Registry) {
         "",
         "view bindings, aggregated at loop exits",
         &BINDS,
+    );
+    reg.counter(
+        "lcp_engine_label_decodes_total",
+        "",
+        "proof labels decoded into sweep label columns, flushed at sweep exit",
+        &LABEL_DECODES,
     );
     reg.counter(
         "lcp_engine_skeleton_cache_total",

@@ -25,16 +25,21 @@
 //!
 //! Preparation is probed too: a fresh core build allocates a count
 //! that does not grow with `n`, and opening a `CoreBuilder` over an
-//! existing core allocates nothing.
+//! existing core allocates nothing. So is the resident sweep: one
+//! `evaluate` allocates its outputs vector and, when the verifier reads
+//! decoded labels, one label column — nothing per node.
 //!
 //! One `#[test]` drives all phases: the counter is process-global, so
 //! concurrent test functions would double-count.
 
+use lcp_core::components::TreeCert;
 use lcp_core::engine::PreparedInstance;
 use lcp_core::harness::{
     adversarial_proof_search, check_soundness_exhaustive, random_proof, Run, Soundness,
 };
-use lcp_core::{BatchPolicy, CoreBuilder, FrozenCore, Instance, Proof, Scheme, View};
+use lcp_core::{
+    BatchPolicy, BitWriter, CoreBuilder, Deadline, FrozenCore, Instance, Proof, Scheme, View,
+};
 use lcp_graph::generators;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -121,6 +126,35 @@ impl Scheme for Bipartite {
                 .neighbors(c)
                 .iter()
                 .all(|&u| view.proof(u).first().is_some_and(|b| Some(b) != mine))
+    }
+}
+
+/// The bare §5.1 tree certificate: its verifier reads every visible
+/// proof as a decoded `TreeCert` label.
+struct Tree;
+impl Scheme for Tree {
+    type Node = ();
+    type Edge = ();
+    fn name(&self) -> String {
+        "tree".into()
+    }
+    fn radius(&self) -> usize {
+        1
+    }
+    fn holds(&self, inst: &Instance) -> bool {
+        lcp_graph::traversal::is_connected(inst.graph())
+    }
+    fn prove(&self, inst: &Instance) -> Option<Proof> {
+        let tree = lcp_graph::spanning::bfs_spanning_tree(inst.graph(), 0);
+        let certs = TreeCert::prove(inst.graph(), &tree);
+        Some(Proof::from_fn(inst.n(), |v| {
+            let mut w = BitWriter::new();
+            certs[v].encode(&mut w);
+            w.finish()
+        }))
+    }
+    fn verify(&self, view: &View) -> bool {
+        TreeCert::verify_at_center(view, |c| c, |_, _, _| true).is_some()
     }
 }
 
@@ -212,6 +246,34 @@ fn search_loops_do_not_allocate_per_candidate() {
     assert_eq!(
         allocs, 0,
         "bind + verify + flip must be allocation-free, counted {allocs}"
+    );
+
+    // --- Resident sweep ----------------------------------------------
+    // One sweep of a tree-certificate scheme on a 10⁴-node cycle
+    // allocates its outputs vector plus one label column (the slot array
+    // and the box that erases its type); a verifier that reads no labels
+    // leaves only the outputs vector.
+    let cycle = Instance::unlabeled(generators::cycle(10_000));
+    let prep_cycle = PreparedInstance::new(&cycle, 1);
+    let unbounded = Deadline::none();
+    let tree_proof = Tree.prove(&cycle).expect("a cycle is connected");
+    let (allocs, verdict) =
+        min_allocs(|| prep_cycle.evaluate(&Tree, &tree_proof, &unbounded).unwrap());
+    assert!(verdict.accepted());
+    assert!(
+        allocs <= 3,
+        "a label-reading sweep allocates outputs + one column, counted {allocs}"
+    );
+    let colors = Bipartite.prove(&cycle).expect("an even cycle is bipartite");
+    let (allocs, verdict) = min_allocs(|| {
+        prep_cycle
+            .evaluate(&Bipartite, &colors, &unbounded)
+            .unwrap()
+    });
+    assert!(verdict.accepted());
+    assert!(
+        allocs <= 1,
+        "a sweep that reads no labels allocates its outputs only, counted {allocs}"
     );
 
     // --- Core build and builder open ---------------------------------

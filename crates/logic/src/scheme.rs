@@ -4,7 +4,7 @@
 use crate::eval::{evaluate_at, evaluate_global};
 use crate::formula::Sigma11;
 use lcp_core::components::TreeCert;
-use lcp_core::{BitReader, BitWriter, Instance, Proof, Scheme, View};
+use lcp_core::{BitReader, BitWriter, Instance, Label, Proof, ProofRef, Scheme, View};
 use lcp_graph::spanning::bfs_spanning_tree;
 use lcp_graph::{traversal, Graph, NodeId};
 
@@ -18,6 +18,9 @@ pub struct Witness {
     pub leader: usize,
 }
 
+/// The most relations a compiled sentence may quantify.
+pub const MAX_RELATIONS: usize = 8;
+
 /// The compiled LogLCP scheme for one sentence (§7.5): per node, `k`
 /// relation bits followed by a spanning-tree certificate rooted at the
 /// witness node.
@@ -28,6 +31,10 @@ pub struct Witness {
 ///
 /// The family promise is *connected* graphs (the tree certificate needs
 /// it, see `lcp_core::components::TreeCert`).
+///
+/// A compiled sentence has at most [`MAX_RELATIONS`] relations: the
+/// verifier reads each node's proof as a decoded [`Label`], and the
+/// label's type names the length of the relation-bit prefix.
 pub struct Sigma11Scheme<W> {
     sentence: Sigma11,
     witness_finder: W,
@@ -43,7 +50,17 @@ where
     /// witness for every graph satisfying the sentence and `None`
     /// otherwise (the constructors in [`crate::formulas`] pair sentences
     /// with complete finders).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sentence quantifies more than [`MAX_RELATIONS`]
+    /// relations.
     pub fn new(sentence: Sigma11, witness_finder: W) -> Self {
+        assert!(
+            sentence.relations <= MAX_RELATIONS,
+            "a compiled sentence has at most {MAX_RELATIONS} relations, not {}",
+            sentence.relations
+        );
         Sigma11Scheme {
             sentence,
             witness_finder,
@@ -106,26 +123,57 @@ where
     }
 
     fn verify(&self, view: &View) -> bool {
-        let k = self.sentence.relations;
-        // Decode every visible node's proof: k bits + tree certificate.
-        let decode = |u: usize| -> Option<(Vec<bool>, TreeCert)> {
-            let mut r = BitReader::new(view.proof(u));
-            let mut bits = Vec::with_capacity(k);
-            for _ in 0..k {
-                bits.push(r.read_bit().ok()?);
-            }
-            let cert = TreeCert::decode(&mut r).ok()?;
-            r.is_exhausted().then_some((bits, cert))
-        };
-        let Some((_, my_cert)) =
-            TreeCert::verify_at_center(view, decode, |(_, c)| c, |_, _, _| true)
+        match self.sentence.relations {
+            0 => self.verify_with::<0>(view),
+            1 => self.verify_with::<1>(view),
+            2 => self.verify_with::<2>(view),
+            3 => self.verify_with::<3>(view),
+            4 => self.verify_with::<4>(view),
+            5 => self.verify_with::<5>(view),
+            6 => self.verify_with::<6>(view),
+            7 => self.verify_with::<7>(view),
+            8 => self.verify_with::<8>(view),
+            k => unreachable!("Sigma11Scheme::new admits no sentence with {k} relations"),
+        }
+    }
+}
+
+/// One node's decoded proof for a sentence with `K` relations: `K`
+/// relation bits, then the tree certificate.
+#[derive(Clone, Copy, Debug)]
+struct Sigma11Cert<const K: usize> {
+    relations: [bool; K],
+    tree: TreeCert,
+}
+
+impl<const K: usize> Label for Sigma11Cert<K> {
+    fn decode(proof: ProofRef<'_>) -> Option<Sigma11Cert<K>> {
+        let mut r = BitReader::new(proof);
+        let mut relations = [false; K];
+        for bit in &mut relations {
+            *bit = r.read_bit().ok()?;
+        }
+        let tree = TreeCert::decode(&mut r).ok()?;
+        r.is_exhausted().then_some(Sigma11Cert { relations, tree })
+    }
+}
+
+impl<W> Sigma11Scheme<W>
+where
+    W: Fn(&Graph) -> Option<Witness>,
+{
+    /// The verifier for a sentence with `K` relations.
+    fn verify_with<const K: usize>(&self, view: &View) -> bool {
+        let Some(mine) =
+            TreeCert::verify_at_center(view, |c: &Sigma11Cert<K>| &c.tree, |_, _, _| true)
         else {
             return false;
         };
         // The witness x is the root; visible iff its identifier is in view.
-        let x = view.index_of(NodeId(my_cert.root_id));
+        let x = view.index_of(NodeId(mine.tree.root_id));
         evaluate_at(&self.sentence.matrix, view, x, |u, r| {
-            decode(u).is_some_and(|(bits, _)| bits[r])
+            view.label::<Sigma11Cert<K>>(u)
+                .is_some_and(|c| c.relations[r])
         })
     }
 }

@@ -2,7 +2,7 @@
 //! `χ(G) > 2` with `Θ(log n)` bits (§5.1).
 
 use lcp_core::components::TreeCert;
-use lcp_core::{BitReader, BitWriter, Instance, Proof, Scheme, View};
+use lcp_core::{BitReader, BitWriter, Instance, Label, Proof, ProofRef, Scheme, View};
 use lcp_graph::{coloring, traversal};
 
 /// `χ(G) ≤ k`: the proof is a proper `k`-colouring, `⌈log₂ k⌉` bits per
@@ -83,16 +83,18 @@ struct NbCert {
     cycle: Option<(u64, u64)>, // (position, length)
 }
 
-fn decode_nb(view_proof: lcp_core::ProofRef<'_>) -> Option<NbCert> {
-    let mut r = BitReader::new(view_proof);
-    let tree = TreeCert::decode(&mut r).ok()?;
-    let on_cycle = r.read_bit().ok()?;
-    let cycle = if on_cycle {
-        Some((r.read_gamma().ok()?, r.read_gamma().ok()?))
-    } else {
-        None
-    };
-    r.is_exhausted().then_some(NbCert { tree, cycle })
+impl Label for NbCert {
+    fn decode(proof: ProofRef<'_>) -> Option<NbCert> {
+        let mut r = BitReader::new(proof);
+        let tree = TreeCert::decode(&mut r).ok()?;
+        let on_cycle = r.read_bit().ok()?;
+        let cycle = if on_cycle {
+            Some((r.read_gamma().ok()?, r.read_gamma().ok()?))
+        } else {
+            None
+        };
+        r.is_exhausted().then_some(NbCert { tree, cycle })
+    }
 }
 
 impl Scheme for NonBipartite {
@@ -148,7 +150,6 @@ impl Scheme for NonBipartite {
         // count as its per-neighbour clause: each visible proof is
         // decoded once.
         let (mut preds, mut succs) = (0, 0);
-        let certs = |u: usize| decode_nb(view.proof(u));
         let cycle_steps = |mine: &NbCert, _, cu: &NbCert| {
             let (Some((p, len)), Some((q, lu))) = (mine.cycle, cu.cycle) else {
                 return true;
@@ -161,7 +162,8 @@ impl Scheme for NonBipartite {
             succs += usize::from(q == if p + 1 == len { 0 } else { p + 1 });
             true
         };
-        let Some(mine) = TreeCert::verify_at_center(view, certs, |nb| &nb.tree, cycle_steps) else {
+        let Some(mine) = TreeCert::verify_at_center(view, |nb: &NbCert| &nb.tree, cycle_steps)
+        else {
             return false;
         };
         // The tree check pinned the root to `dist = 0`. Cycle sanity: odd
@@ -236,7 +238,7 @@ mod tests {
         let inst = Instance::unlabeled(generators::cycle(5));
         let proof = NonBipartite.prove(&inst).unwrap();
         let forged = Proof::from_fn(5, |v| {
-            let cert = decode_nb(proof.get(v)).unwrap();
+            let cert = NbCert::decode(proof.get(v)).unwrap();
             let mut w = BitWriter::new();
             cert.tree.encode(&mut w);
             let (p, _) = cert.cycle.expect("C5 is its own odd cycle");

@@ -7,7 +7,7 @@
 //! of §5.3 shows both lower bounds — see `lcp-lower-bounds`.
 
 use lcp_core::components::CountingTreeCert;
-use lcp_core::{BitReader, BitString, BitWriter, Instance, Proof, ProofRef, Scheme, View};
+use lcp_core::{BitReader, BitString, BitWriter, Instance, Label, Proof, ProofRef, Scheme, View};
 use lcp_graph::traversal;
 
 /// Whether the graph is a single cycle.
@@ -104,8 +104,7 @@ impl Scheme for OddCycle {
         if view.degree(view.center()) != 2 {
             return false;
         }
-        let certs = |u: usize| CountingTreeCert::decode_exact(view.proof(u));
-        CountingTreeCert::verify_at_center(view, certs, |c| c, |_, _, _| true)
+        CountingTreeCert::verify_at_center(view, |c| c, |_, _, _| true)
             .is_some_and(|mine| mine.n_claim % 2 == 1)
     }
 }
@@ -126,14 +125,16 @@ struct MmCert {
     unmatched_subtree: u64,
 }
 
-fn decode_mm(proof: ProofRef<'_>) -> Option<MmCert> {
-    let mut r = BitReader::new(proof);
-    let count = CountingTreeCert::decode(&mut r).ok()?;
-    let unmatched_subtree = r.read_gamma().ok()?;
-    r.is_exhausted().then_some(MmCert {
-        count,
-        unmatched_subtree,
-    })
+impl Label for MmCert {
+    fn decode(proof: ProofRef<'_>) -> Option<MmCert> {
+        let mut r = BitReader::new(proof);
+        let count = CountingTreeCert::decode(&mut r).ok()?;
+        let unmatched_subtree = r.read_gamma().ok()?;
+        r.is_exhausted().then_some(MmCert {
+            count,
+            unmatched_subtree,
+        })
+    }
 }
 
 impl Scheme for MaxMatchingCycle {
@@ -211,14 +212,13 @@ impl Scheme for MaxMatchingCycle {
         // counters are prover-supplied) in the counting check's pass.
         let my_id = view.id(c).0;
         let mut child_sum = Some(0u64);
-        let certs = |u: usize| decode_mm(view.proof(u));
         let children = |mine: &MmCert, _, cu: &MmCert| {
             if cu.count.tree.parent_id == my_id && cu.count.tree.dist == mine.count.tree.dist + 1 {
                 child_sum = child_sum.and_then(|s| s.checked_add(cu.unmatched_subtree));
             }
             true
         };
-        let Some(mine) = CountingTreeCert::verify_at_center(view, certs, |m| &m.count, children)
+        let Some(mine) = CountingTreeCert::verify_at_center(view, |m: &MmCert| &m.count, children)
         else {
             return false;
         };
@@ -363,7 +363,7 @@ mod tests {
         let inst = Instance::unlabeled(generators::cycle(6)).with_edge_set(alternating_matching(6));
         let mut proof = MaxMatchingCycle.prove(&inst).unwrap();
         for child in [1, 5] {
-            let cert = decode_mm(proof.get(child)).unwrap();
+            let cert = MmCert::decode(proof.get(child)).unwrap();
             let mut w = BitWriter::new();
             cert.count.encode(&mut w);
             w.write_gamma(1 << 63);

@@ -1,7 +1,7 @@
 //! Hamiltonian cycles (§5.1, Table 1(b)): `Θ(log n)` on connected graphs.
 
 use lcp_core::components::CountingTreeCert;
-use lcp_core::{BitReader, BitWriter, Instance, Proof, ProofRef, Scheme, View};
+use lcp_core::{BitReader, BitWriter, Instance, Label, Proof, ProofRef, Scheme, View};
 use lcp_graph::traversal;
 
 /// Hamiltonian-cycle verification: edges labelled `1` must form a cycle
@@ -24,11 +24,13 @@ struct HamCert {
     pos: u64,
 }
 
-fn decode_ham(proof: ProofRef<'_>) -> Option<HamCert> {
-    let mut r = BitReader::new(proof);
-    let count = CountingTreeCert::decode(&mut r).ok()?;
-    let pos = r.read_gamma().ok()?;
-    r.is_exhausted().then_some(HamCert { count, pos })
+impl Label for HamCert {
+    fn decode(proof: ProofRef<'_>) -> Option<HamCert> {
+        let mut r = BitReader::new(proof);
+        let count = CountingTreeCert::decode(&mut r).ok()?;
+        let pos = r.read_gamma().ok()?;
+        r.is_exhausted().then_some(HamCert { count, pos })
+    }
 }
 
 /// Extracts the labelled cycle as an ordered node list, if the labels form
@@ -110,7 +112,6 @@ impl Scheme for HamiltonianCycle {
     fn verify(&self, view: &View) -> bool {
         let c = view.center();
         let (mut labelled, mut preds, mut succs) = (0, 0, 0);
-        let certs = |u: usize| decode_ham(view.proof(u));
         let cycle_edges = |mine: &HamCert, u: usize, cu: &HamCert| {
             if view.edge_label(c, u).is_none() {
                 return true;
@@ -125,7 +126,8 @@ impl Scheme for HamiltonianCycle {
             succs += usize::from(cu.pos == if p + 1 == n { 0 } else { p + 1 });
             true
         };
-        let Some(mine) = CountingTreeCert::verify_at_center(view, certs, |h| &h.count, cycle_edges)
+        let Some(mine) =
+            CountingTreeCert::verify_at_center(view, |h: &HamCert| &h.count, cycle_edges)
         else {
             return false;
         };
@@ -250,7 +252,7 @@ mod tests {
         let proof = HamiltonianCycle.prove(&inst).unwrap();
         let n = u64::MAX - 1;
         let forged = Proof::from_fn(6, |v| {
-            let mut cert = decode_ham(proof.get(v)).unwrap();
+            let mut cert = HamCert::decode(proof.get(v)).unwrap();
             cert.count.n_claim = n;
             if cert.pos == 5 {
                 cert.pos = n - 1;

@@ -1,7 +1,7 @@
 //! Spanning-tree verification and acyclicity (§5.1).
 
 use lcp_core::components::TreeCert;
-use lcp_core::{BitReader, BitWriter, Instance, Proof, Scheme, View};
+use lcp_core::{BitReader, BitWriter, Instance, Label, Proof, ProofRef, Scheme, View};
 use lcp_graph::spanning;
 use lcp_graph::traversal;
 
@@ -57,7 +57,6 @@ impl Scheme for SpanningTree {
     fn verify(&self, view: &View) -> bool {
         let c = view.center();
         let my_id = view.id(c).0;
-        let certs = |u: usize| TreeCert::decode_exact(view.proof(u));
         // Labelled edges are exactly the parent/child tree edges.
         let tree_edges = |mine: &TreeCert, u: usize, cu: &TreeCert| {
             let labelled = view.edge_label(c, u).is_some();
@@ -66,7 +65,7 @@ impl Scheme for SpanningTree {
             let i_am_us_parent = cu.dist > 0 && cu.parent_id == my_id && mine.dist + 1 == cu.dist;
             labelled == (u_is_my_parent || i_am_us_parent)
         };
-        TreeCert::verify_at_center(view, certs, |c| c, tree_edges).is_some()
+        TreeCert::verify_at_center(view, |c| c, tree_edges).is_some()
     }
 }
 
@@ -89,6 +88,15 @@ pub struct Acyclic;
 struct AcyclicCert {
     root_id: u64,
     dist: u64,
+}
+
+impl Label for AcyclicCert {
+    fn decode(proof: ProofRef<'_>) -> Option<AcyclicCert> {
+        let mut r = BitReader::new(proof);
+        let root_id = r.read_gamma().ok()?;
+        let dist = r.read_gamma().ok()?;
+        r.is_exhausted().then_some(AcyclicCert { root_id, dist })
+    }
 }
 
 impl Scheme for Acyclic {
@@ -144,14 +152,8 @@ impl Scheme for Acyclic {
     }
 
     fn verify(&self, view: &View) -> bool {
-        let certs = |u: usize| -> Option<AcyclicCert> {
-            let mut r = BitReader::new(view.proof(u));
-            let root_id = r.read_gamma().ok()?;
-            let dist = r.read_gamma().ok()?;
-            r.is_exhausted().then_some(AcyclicCert { root_id, dist })
-        };
         let c = view.center();
-        let Some(mine) = certs(c) else {
+        let Some(mine) = view.label::<AcyclicCert>(c) else {
             return false;
         };
         let my_id = view.id(c).0;
@@ -160,7 +162,7 @@ impl Scheme for Acyclic {
         }
         let mut parents = 0;
         for &u in view.neighbors(c) {
-            let Some(cu) = certs(u) else {
+            let Some(cu) = view.label::<AcyclicCert>(u) else {
                 return false;
             };
             if cu.root_id != mine.root_id {

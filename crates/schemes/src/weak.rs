@@ -79,8 +79,7 @@ impl Scheme for WeakLeaderElection {
     }
 
     fn verify(&self, view: &View) -> bool {
-        let certs = |u: usize| TreeCert::decode_exact(view.proof(u));
-        TreeCert::verify_at_center(view, certs, |c| c, |_, _, _| true).is_some()
+        TreeCert::verify_at_center(view, |c| c, |_, _, _| true).is_some()
     }
 }
 
@@ -89,6 +88,7 @@ mod tests {
     use super::*;
     use lcp_core::evaluate;
     use lcp_core::harness::all_bitstrings_up_to;
+    use lcp_core::Label;
     use lcp_graph::generators;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -116,7 +116,7 @@ mod tests {
         let decodable: Vec<_> = all_bitstrings_up_to(10)
             .expect("10-bit table is in budget")
             .into_iter()
-            .filter(|s| TreeCert::decode_exact(s.into()).is_some())
+            .filter(|s| <TreeCert as Label>::decode(s.into()).is_some())
             .collect();
         assert!(decodable.len() > 10, "enough certificate shapes to try");
         let mut accepted = 0u32;

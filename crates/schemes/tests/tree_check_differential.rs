@@ -1,7 +1,7 @@
 //! Differential test for the single-pass §5.1 tree check.
 //!
 //! `TreeCert::verify_at_center` and `CountingTreeCert::verify_at_center`
-//! decode each visible certificate once and fold the schemes' own
+//! read each visible certificate once (`View::label`) and fold the schemes' own
 //! per-neighbour rules into that pass. This file keeps a reference copy
 //! of the multi-decode rules they replaced — the two tree checks plus
 //! `SpanningTree::verify` and `LeaderElection::verify` written as
@@ -11,7 +11,7 @@
 //! id/dist ranges (so root agreement sometimes holds by accident).
 
 use lcp_core::components::{CountingTreeCert, TreeCert};
-use lcp_core::{BitString, BitWriter, Instance, Proof, Scheme, View};
+use lcp_core::{BitString, BitWriter, Instance, Label, Proof, Scheme, View};
 use lcp_graph::{generators, spanning, Graph};
 use lcp_schemes::leader::LeaderElection;
 use lcp_schemes::spanning_tree::SpanningTree;
@@ -77,7 +77,7 @@ fn ref_counting<N, E>(
 /// Reference: `SpanningTree::verify` as the tree check plus a second
 /// edge loop that decodes every neighbour again.
 fn ref_spanning_tree(view: &View) -> bool {
-    let certs = |u: usize| TreeCert::decode_exact(view.proof(u));
+    let certs = |u: usize| <TreeCert as Label>::decode(view.proof(u));
     if !ref_tree(view, certs) {
         return false;
     }
@@ -101,7 +101,7 @@ fn ref_spanning_tree(view: &View) -> bool {
 
 /// Reference: `LeaderElection::verify` re-decoding the centre.
 fn ref_leader(view: &View<bool>) -> bool {
-    let certs = |u: usize| TreeCert::decode_exact(view.proof(u));
+    let certs = |u: usize| <TreeCert as Label>::decode(view.proof(u));
     if !ref_tree(view, certs) {
         return false;
     }
@@ -245,13 +245,12 @@ fn single_pass_tree_checks_match_the_multi_decode_rules() {
                 i > 0,
                 "TreeCert::verify_at_center",
                 |view| {
-                    let certs = |u: usize| TreeCert::decode_exact(view.proof(u));
-                    let mine = TreeCert::verify_at_center(view, certs, |c| c, |_, _, _| true);
+                    let mine = TreeCert::verify_at_center(view, |c| c, |_, _, _| true);
                     // The returned certificate is the centre's own.
-                    assert!(mine.is_none() || mine == certs(view.center()));
+                    assert!(mine.is_none() || mine == view.label(view.center()));
                     mine.is_some()
                 },
-                |view| ref_tree(view, |u| TreeCert::decode_exact(view.proof(u))),
+                |view| ref_tree(view, |u| <TreeCert as Label>::decode(view.proof(u))),
             );
         }
 
@@ -268,13 +267,11 @@ fn single_pass_tree_checks_match_the_multi_decode_rules() {
                 i > 0,
                 "CountingTreeCert::verify_at_center",
                 |view| {
-                    let certs = |u: usize| CountingTreeCert::decode_exact(view.proof(u));
-                    let mine =
-                        CountingTreeCert::verify_at_center(view, certs, |c| c, |_, _, _| true);
-                    assert!(mine.is_none() || mine == certs(view.center()));
+                    let mine = CountingTreeCert::verify_at_center(view, |c| c, |_, _, _| true);
+                    assert!(mine.is_none() || mine == view.label(view.center()));
                     mine.is_some()
                 },
-                |view| ref_counting(view, |u| CountingTreeCert::decode_exact(view.proof(u))),
+                |view| ref_counting(view, |u| <CountingTreeCert as Label>::decode(view.proof(u))),
             );
         }
     }

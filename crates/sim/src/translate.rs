@@ -17,7 +17,11 @@
 //!   the synthesized identifiers.
 
 use crate::port::PortView;
-use lcp_core::{BitReader, BitString, BitWriter, EdgeMap, Instance, Proof, Scheme, Verdict, View};
+use lcp_core::components::TreeCert;
+use lcp_core::{
+    BitReader, BitString, BitWriter, EdgeMap, Instance, Label, Proof, ProofRef, Scheme, Verdict,
+    View,
+};
 use lcp_graph::NodeId;
 
 /// A proof labelling scheme in model `M2`: anonymous network with a port
@@ -83,6 +87,27 @@ fn flag_leader<N: Clone, E: Clone>(inst: &Instance<N, E>, leader: usize) -> Inst
 // Direction M2 → M1
 // ---------------------------------------------------------------------
 
+/// One node's `M1` proof, decoded: the tree certificate, then the inner
+/// `M2` proof (γ-coded length, then its bits), which runs to the end of
+/// the string from bit `inner_start` on.
+#[derive(Clone, Copy, Debug)]
+struct M1Cert {
+    tree: TreeCert,
+    inner_start: usize,
+}
+
+impl Label for M1Cert {
+    fn decode(proof: ProofRef<'_>) -> Option<M1Cert> {
+        let mut r = BitReader::new(proof);
+        let tree = TreeCert::decode(&mut r).ok()?;
+        let len = r.read_gamma().ok()?;
+        (r.remaining() as u64 == len).then_some(M1Cert {
+            tree,
+            inner_start: proof.len() - r.remaining(),
+        })
+    }
+}
+
 /// Wraps an `M2` scheme into an `M1` scheme (§7.1, first direction): the
 /// proof gains a spanning-tree certificate whose root plays the leader.
 pub struct IdentifiedFromAnonymous<S> {
@@ -124,7 +149,7 @@ where
         let leader = g.nodes().min_by_key(|&v| g.id(v)).expect("nonempty");
         let inner = self.inner.prove(inst, leader)?;
         let tree = lcp_graph::spanning::bfs_spanning_tree(g, leader);
-        let certs = lcp_core::components::TreeCert::prove(g, &tree);
+        let certs = TreeCert::prove(g, &tree);
         Some(Proof::from_fn(g.n(), |v| {
             let mut w = BitWriter::new();
             certs[v].encode(&mut w);
@@ -137,32 +162,24 @@ where
     }
 
     fn verify(&self, view: &View<S::Node, S::Edge>) -> bool {
-        use lcp_core::components::TreeCert;
-        let decode = |u: usize| -> Option<(TreeCert, BitString)> {
-            let mut r = BitReader::new(view.proof(u));
-            let cert = TreeCert::decode(&mut r).ok()?;
-            let len = r.read_gamma().ok()? as usize;
-            let mut inner = BitString::new();
-            for _ in 0..len {
-                inner.push(r.read_bit().ok()?);
-            }
-            r.is_exhausted().then_some((cert, inner))
-        };
-        if TreeCert::verify_at_center(view, decode, |(c, _)| c, |_, _, _| true).is_none() {
+        if TreeCert::verify_at_center(view, |c: &M1Cert| &c.tree, |_, _, _| true).is_none() {
             return false;
         }
         // Rebuild the anonymous view: leader flag = (dist == 0), proofs =
-        // the inner payload, identifiers erased.
+        // the inner payload, identifiers erased. The restricted view has
+        // its own indices, so its labels are read through it.
         let restricted = view.restrict(self.inner.radius().min(view.radius()));
         let n = restricted.n();
         let mut labels: Vec<(S::Node, bool)> = Vec::with_capacity(n);
         let mut proofs: Vec<BitString> = Vec::with_capacity(n);
         for u in restricted.nodes() {
-            let Some((cert, inner)) = decode(u) else {
+            let Some(cert) = restricted.label::<M1Cert>(u) else {
                 return false;
             };
-            labels.push((restricted.node_label(u).clone(), cert.dist == 0));
-            proofs.push(inner);
+            labels.push((restricted.node_label(u).clone(), cert.tree.dist == 0));
+            proofs.push(BitString::from_bits(
+                restricted.proof(u).iter().skip(cert.inner_start),
+            ));
         }
         let mut edge_data: EdgeMap<S::Edge> = EdgeMap::new();
         for (u, w) in restricted.edges() {
@@ -474,6 +491,46 @@ mod tests {
         }
     }
 
+    /// A radius-0 anonymous scheme: each node's proof bit repeats its own
+    /// input bit, so a verifier handed another node's proof rejects.
+    struct OwnBit;
+    impl AnonymousScheme for OwnBit {
+        type Node = bool;
+        type Edge = ();
+        fn name(&self) -> String {
+            "own-bit".into()
+        }
+        fn radius(&self) -> usize {
+            0
+        }
+        fn holds(&self, _: &Instance<bool>) -> bool {
+            true
+        }
+        fn prove(&self, inst: &Instance<bool>, _leader: usize) -> Option<Proof> {
+            Some(Proof::from_fn(inst.n(), |v| {
+                BitString::from_bits([*inst.node_label(v)])
+            }))
+        }
+        fn verify(&self, view: &PortView<(bool, bool), ()>) -> bool {
+            let c = view.center();
+            view.proof(c).first() == Some(view.node_label(c).0)
+        }
+    }
+
+    #[test]
+    fn a_radius_zero_inner_verifier_reads_its_own_centre() {
+        // The M1 view has radius 1 for the tree check; the inner view is
+        // the centre alone, and its proof must be the centre's, not that
+        // of the ball's first node.
+        let inst = Instance::with_node_data(
+            generators::path(6),
+            vec![true, false, true, true, false, false],
+        );
+        let scheme = IdentifiedFromAnonymous::new(OwnBit);
+        let proof = scheme.prove(&inst).unwrap();
+        assert!(evaluate(&scheme, &inst, &proof).accepted());
+    }
+
     #[test]
     fn m2_to_m1_translation_roundtrip() {
         let scheme = IdentifiedFromAnonymous::new(AnonBipartite);
@@ -520,8 +577,7 @@ mod tests {
         }
         fn verify(&self, view: &View) -> bool {
             use lcp_core::components::CountingTreeCert;
-            let certs = |u: usize| CountingTreeCert::decode_exact(view.proof(u));
-            CountingTreeCert::verify_at_center(view, certs, |c| c, |_, _, _| true)
+            CountingTreeCert::verify_at_center(view, |c| c, |_, _, _| true)
                 .is_some_and(|mine| mine.n_claim % 2 == 1)
         }
     }

@@ -44,8 +44,7 @@ impl Scheme for OddN {
         }))
     }
     fn verify(&self, view: &View) -> bool {
-        let certs = |u: usize| CountingTreeCert::decode_exact(view.proof(u));
-        CountingTreeCert::verify_at_center(view, certs, |c| c, |_, _, _| true)
+        CountingTreeCert::verify_at_center(view, |c| c, |_, _, _| true)
             .is_some_and(|mine| mine.n_claim % 2 == 1)
     }
 }
