@@ -10,8 +10,9 @@
 //! (a [`Label`]) once, runs the scheme's own per-neighbour clause on the
 //! decoded pair, and hands the centre's decoded proof back for the
 //! scheme's remaining centre checks. The labels come from
-//! [`View::label`], so inside a sweep each node's proof is decoded once
-//! per sweep, not once per view that sees it.
+//! [`View::label`], so on a view bound to a whole proof each node's proof
+//! is decoded once for as long as its bits stand (the proof keeps the
+//! decoded label), not once per view that sees it.
 
 use crate::bits::{BitReader, BitWriter, CodecError, ProofRef};
 use crate::view::{Label, View};

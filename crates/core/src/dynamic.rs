@@ -328,7 +328,9 @@ where
     }
 
     fn verify(&self, v: usize) -> bool {
-        self.scheme.verify(&self.core.bind(v, &self.proof))
+        let accepted = self.scheme.verify(&self.core.bind(v, &self.proof));
+        self.proof.flush_label_decodes();
+        accepted
     }
 
     fn evaluate_full(&self) -> Verdict {
@@ -381,8 +383,12 @@ where
 ///   [`Self::dynamic_cell`]) — never by [`Self::prepare_skeletons`], so
 ///   loading a cell does not pay the prover.
 ///
-/// A repeated completeness check is therefore the verifier sweep alone;
-/// every node's verifier still runs on every call. [`Self::with_source`]
+/// The kept proof also keeps its label column (see [`Proof`]): the
+/// first sweep decodes each node's certificate once, and later sweeps
+/// read the decoded labels. A repeated completeness check is therefore
+/// the verifier sweep alone, with no label decode; every node's
+/// verifier still runs on every call, as only labels are kept, never
+/// outputs or verdicts. [`Self::with_source`]
 /// drops the kept core and proof; [`Self::prove`] always runs the prover
 /// afresh.
 pub struct DynScheme {

@@ -39,14 +39,15 @@
 //! zero heap allocations per candidate proof (pinned by the
 //! `alloc_probe` test).
 //!
-//! A whole-instance sweep ([`PreparedInstance::evaluate`],
-//! [`PreparedInstance::evaluate_until_reject`]) also shares one **label
-//! column** across its views: a verifier that reads decoded labels
-//! ([`View::label`]) decodes each node's proof once per sweep, on first
-//! read, instead of once per view that contains the node. A sweep
-//! therefore costs Σ|ball| reads plus at most n label decodes. The
-//! column lives for one sweep and borrows its proof, so it cannot go
-//! stale; views bound any other way decode per call.
+//! Every bound view also reads the bound proof's **label column**
+//! ([`crate::Proof`]): a verifier that reads decoded labels
+//! ([`View::label`]) decodes each node's proof once, on first read,
+//! instead of once per view that contains the node, and the proof keeps
+//! the decoded value until a mutator rewrites that node. A first sweep
+//! therefore costs Σ|ball| reads plus at most n label decodes; a repeat
+//! sweep over the same proof (a resident cell's honest proof) decodes
+//! nothing, and a search loop that rewrites one node decodes that node
+//! again and no other.
 //!
 //! # Core provenance
 //!
@@ -112,7 +113,7 @@ use crate::instance::Instance;
 use crate::metrics;
 use crate::proof::Proof;
 use crate::scheme::{Scheme, Verdict};
-use crate::view::{LabelColumn, View};
+use crate::view::View;
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -221,9 +222,11 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
     /// Free: the view borrows both the cached skeleton and the proof
     /// (through the membership table) — no traversal, no bit copies, no
     /// allocation, no refcount traffic. Because the binding borrows, a
-    /// bound view always reads the proof's *current* bits:
-    /// mutate the proof in place, re-bind, and only the affected
-    /// verifiers ([`Self::dependents`]) need re-running.
+    /// bound view always reads the proof's *current* bits, and its
+    /// decoded labels ([`View::label`]) from the proof's label column,
+    /// which the proof's mutators keep in step with its bits: mutate the
+    /// proof in place, re-bind, and only the affected verifiers
+    /// ([`Self::dependents`]) need re-running.
     ///
     /// # Panics
     ///
@@ -231,30 +234,7 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
     #[inline]
     pub fn bind<'s>(&'s self, v: usize, proof: &'s Proof) -> View<'s, N, E> {
         assert_eq!(proof.n(), self.n(), "proof must label every node");
-        View::bind(self.core.skel_view(v), proof, self.members_of(v), None)
-    }
-
-    /// [`Self::bind`] for a sweep: the view reads decoded labels from
-    /// the sweep's `column`, which belongs to `proof`.
-    ///
-    /// Kept out of line so the view is built in place, as `bind` builds
-    /// it. Inlined into the sweep loop, it assembled the view by copying
-    /// the skeleton slice from an out-of-line `skel_view` call, and a
-    /// `bipartite` sweep of `cycle(10⁴)`, which reads no labels, took
-    /// 1.3–1.9× as long as with this one call.
-    #[inline(never)]
-    fn bind_in<'s>(
-        &'s self,
-        v: usize,
-        proof: &'s Proof,
-        column: &'s LabelColumn,
-    ) -> View<'s, N, E> {
-        View::bind(
-            self.core.skel_view(v),
-            proof,
-            self.members_of(v),
-            Some(column),
-        )
+        View::bind(self.core.skel_view(v), proof, self.members_of(v))
     }
 
     /// Runs `scheme`'s verifier at every node against cached skeletons,
@@ -266,9 +246,11 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
     /// `tests/engine_equivalence.rs`), but where the naive executor runs
     /// a BFS and copies the ball's bits per node, a sweep binds views for
     /// free and reads the proof in place: its cost is Σ|ball| reads plus
-    /// at most n label decodes, because the views share one label column
-    /// ([`View::label`]) that decodes each node's proof once, on first
-    /// read. The sweep never fans out over nodes: its callers are
+    /// at most n label decodes, because the views share the proof's label
+    /// column ([`View::label`]), which decodes each node's proof once, on
+    /// first read, and keeps it for later sweeps over the same bits.
+    /// Verdicts are never cached: every node's verifier runs on every
+    /// sweep. The sweep never fans out over nodes: its callers are
     /// already parallel at a coarser grain — instances, campaign cells,
     /// daemon connections.
     ///
@@ -287,26 +269,25 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
     {
         let started = std::time::Instant::now();
         assert_eq!(proof.n(), self.n(), "proof must label every node");
-        let column = LabelColumn::default();
         let mut outputs = Vec::with_capacity(self.n());
         for v in 0..self.n() {
             if deadline.expired() {
                 return Err(DeadlineExpired);
             }
-            outputs.push(scheme.verify(&self.bind_in(v, proof, &column)));
+            outputs.push(scheme.verify(&self.bind(v, proof)));
         }
         metrics::EVALUATE_SWEEPS.inc();
         metrics::EVALUATE_NS.observe(started.elapsed().as_nanos() as u64);
         metrics::BINDS.add(self.n() as u64);
-        metrics::LABEL_DECODES.add(column.decodes());
+        proof.flush_label_decodes();
         Ok(Verdict::from_outputs(outputs))
     }
 
     /// Runs the verifier node by node and stops at the first rejection,
     /// returning the rejecting node — or `None` when every node accepts.
-    /// Polls `deadline` between nodes and shares one label column across
-    /// its views, as [`Self::evaluate`] does; the column is filled on
-    /// first read, so an early rejection decodes only what it read.
+    /// Polls `deadline` between nodes and reads the proof's label column,
+    /// as [`Self::evaluate`] does; the column is filled on first read, so
+    /// an early rejection decodes only what it read.
     ///
     /// The accept/reject decision (`∃` rejecting node) does not need the
     /// remaining outputs, and on no-instances most candidate proofs are
@@ -326,19 +307,18 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
         S: Scheme<Node = N, Edge = E>,
     {
         assert_eq!(proof.n(), self.n(), "proof must label every node");
-        let column = LabelColumn::default();
         let mut rejecting = None;
         for v in 0..self.n() {
             if deadline.expired() {
                 return Err(DeadlineExpired);
             }
-            if !scheme.verify(&self.bind_in(v, proof, &column)) {
+            if !scheme.verify(&self.bind(v, proof)) {
                 rejecting = Some(v);
                 break;
             }
         }
         metrics::BINDS.add(rejecting.map_or(self.n(), |v| v + 1) as u64);
-        metrics::LABEL_DECODES.add(column.decodes());
+        proof.flush_label_decodes();
         Ok(rejecting)
     }
 }

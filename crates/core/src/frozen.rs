@@ -1417,7 +1417,7 @@ impl<N, E> CoreBuilder<N, E> {
     #[inline]
     pub fn bind<'s>(&'s self, v: usize, proof: &'s Proof) -> View<'s, N, E> {
         assert_eq!(proof.n(), self.n(), "proof must label every node");
-        View::bind(self.skel_view(v), proof, self.members_of(v), None)
+        View::bind(self.skel_view(v), proof, self.members_of(v))
     }
 
     /// Runs `scheme`'s verifier at every node, sequentially — the
@@ -1427,11 +1427,11 @@ impl<N, E> CoreBuilder<N, E> {
     where
         S: Scheme<Node = N, Edge = E>,
     {
-        Verdict::from_outputs(
-            (0..self.n())
-                .map(|v| scheme.verify(&self.bind(v, proof)))
-                .collect(),
-        )
+        let outputs = (0..self.n())
+            .map(|v| scheme.verify(&self.bind(v, proof)))
+            .collect();
+        proof.flush_label_decodes();
+        Verdict::from_outputs(outputs)
     }
 
     /// The scope of an edge mutation on `{u, v}`: the sorted union

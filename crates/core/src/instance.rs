@@ -54,9 +54,21 @@ impl Instance<(), ()> {
     where
         I: IntoIterator<Item = (usize, usize)>,
     {
-        for (u, v) in edges {
-            assert!(self.graph.has_edge(u, v), "({u}, {v}) is not an edge");
-            self.edge_data.insert(norm_edge(u, v), ());
+        let mut keys: Vec<(usize, usize)> = edges
+            .into_iter()
+            .map(|(u, v)| {
+                assert!(self.graph.has_edge(u, v), "({u}, {v}) is not an edge");
+                norm_edge(u, v)
+            })
+            .collect();
+        // Sorted keys let the map be built in bulk rather than by one
+        // insert per edge.
+        keys.sort_unstable();
+        let labelled: EdgeMap<()> = keys.into_iter().map(|key| (key, ())).collect();
+        if self.edge_data.is_empty() {
+            self.edge_data = labelled;
+        } else {
+            self.edge_data.extend(labelled);
         }
         self
     }

@@ -32,9 +32,12 @@ pub static PROVE_NS: Histogram = Histogram::new();
 /// View bindings performed by the sweeps and search loops (aggregated
 /// at loop exits, never per candidate).
 pub static BINDS: Counter = Counter::new();
-/// Proof labels decoded into a sweep's label column (`View::label`),
-/// one per slot filled, flushed at sweep exit: a sweep over n nodes
-/// whose verifier reads labels decodes at most n.
+/// Proof labels decoded into a proof's label column (`View::label`),
+/// one per slot filled. Flushed at sweep exit, at each churn-cell
+/// verify, and when the proof is dropped: a first sweep over n nodes
+/// whose verifier reads labels decodes at most n, a repeat sweep over
+/// the same proof decodes none, and a rewrite of k nodes costs at most k
+/// more.
 pub static LABEL_DECODES: Counter = Counter::new();
 
 /// `SkeletonCache` lookups that reused a cached CSR build.
@@ -138,7 +141,7 @@ pub fn register(reg: &Registry) {
     reg.counter(
         "lcp_engine_label_decodes_total",
         "",
-        "proof labels decoded into sweep label columns, flushed at sweep exit",
+        "proof labels decoded into proof label columns (a repeat sweep decodes none)",
         &LABEL_DECODES,
     );
     reg.counter(

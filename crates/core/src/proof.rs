@@ -21,10 +21,25 @@
 //! Search loops preallocate capacity ([`Proof::with_capacity`]) and
 //! therefore never allocate per candidate — the property the engine's
 //! allocation-probe test pins.
+//!
+//! A proof also keeps its **label column**: the decoded form of each
+//! node's bits, as a verifier reads them through
+//! [`crate::View::label`]. The column is allocated on the first label
+//! read and filled one slot at a time, on first read of that slot; every
+//! mutator clears the one slot it rewrote. So a proof that is verified
+//! again and again (a resident cell's honest proof) decodes each label
+//! once, and a proof rewritten one node at a time (a churn cell, a
+//! search loop) decodes again only the nodes it rewrote. Clones start
+//! with an empty column; equality and `Debug` ignore it.
 #![deny(missing_docs)]
 
 use crate::bits::{words_for, AsBits, BitString, ProofRef};
+use crate::metrics;
+use crate::view::Label;
+use std::any::Any;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Per-node slot: where in the word pool the node's bits live.
 #[derive(Clone, Copy, Debug)]
@@ -35,6 +50,50 @@ struct Slot {
     len: u32,
     /// Reserved capacity in whole words.
     cap_words: u32,
+}
+
+/// The typed slots of a [`LabelColumn`], with the label type erased so
+/// a mutator can clear a slot without knowing what the column decodes.
+trait LabelSlots: Any + Send + Sync {
+    /// Forgets node `v`'s decoded label.
+    fn clear(&mut self, v: usize);
+}
+
+impl<C: Label> LabelSlots for Box<[OnceLock<Option<C>>]> {
+    fn clear(&mut self, v: usize) {
+        self[v].take();
+    }
+}
+
+/// A proof's decoded labels: one slot per node, each filled on first
+/// read and cleared by the mutator that rewrites its node.
+///
+/// The first label read fixes the label type and allocates the slots, so
+/// a proof whose verifiers read no labels allocates nothing here. A read
+/// of another label type decodes on each call. Slots are `OnceLock`s:
+/// several threads may verify one shared proof at once.
+#[derive(Default)]
+struct LabelColumn {
+    slots: OnceLock<Box<dyn LabelSlots>>,
+    /// Slots filled since the last flush into
+    /// [`metrics::LABEL_DECODES`].
+    pending: AtomicU64,
+}
+
+impl LabelColumn {
+    /// Clears node `v`'s slot, if the column exists.
+    #[inline]
+    fn forget(&mut self, v: usize) {
+        if let Some(slots) = self.slots.get_mut() {
+            slots.clear(v);
+        }
+    }
+}
+
+impl Drop for LabelColumn {
+    fn drop(&mut self) {
+        metrics::LABEL_DECODES.add(*self.pending.get_mut());
+    }
 }
 
 /// A proof `P : V(G) → {0,1}*`, stored per node index.
@@ -50,10 +109,11 @@ struct Slot {
 /// assert_eq!(p.total_bits(), 3);
 /// assert!(p.get(0).is_empty());
 /// ```
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct Proof {
     words: Vec<u64>,
     slots: Vec<Slot>,
+    labels: LabelColumn,
 }
 
 impl Proof {
@@ -70,6 +130,7 @@ impl Proof {
                 };
                 n
             ],
+            labels: LabelColumn::default(),
         }
     }
 
@@ -109,6 +170,7 @@ impl Proof {
         Proof {
             words: vec![0u64; total],
             slots,
+            labels: LabelColumn::default(),
         }
     }
 
@@ -139,8 +201,10 @@ impl Proof {
         proof
     }
 
-    /// Appends one more node slot holding a copy of `bits`.
+    /// Appends one more node slot holding a copy of `bits` (construction
+    /// only: no label has been read yet).
     fn push(&mut self, bits: ProofRef<'_>) {
+        debug_assert!(self.labels.slots.get().is_none());
         let nw = words_for(bits.len());
         self.slots.push(Slot {
             off: u32::try_from(self.words.len()).expect("proof within u32 words"),
@@ -184,6 +248,7 @@ impl Proof {
     ///
     /// Panics if `v` is out of range.
     pub fn set(&mut self, v: usize, s: impl AsBits) {
+        self.labels.forget(v);
         let bits = s.as_bits();
         let len = u32::try_from(bits.len()).expect("slot within u32 bits");
         let nw = words_for(bits.len());
@@ -249,6 +314,7 @@ impl Proof {
     ///
     /// Panics if `v` is out of range.
     pub fn clear(&mut self, v: usize) {
+        self.labels.forget(v);
         self.slots[v].len = 0;
     }
 
@@ -264,6 +330,7 @@ impl Proof {
             "bit index {index} out of range for slot of {} bits",
             slot.len
         );
+        self.labels.forget(v);
         let pos = slot.off as usize * 64 + index;
         self.words[pos >> 6] ^= 1 << (pos & 63);
     }
@@ -281,6 +348,52 @@ impl Proof {
     /// Iterates over the per-node strings in index order.
     pub fn iter(&self) -> impl Iterator<Item = ProofRef<'_>> {
         (0..self.n()).map(|v| self.get(v))
+    }
+
+    /// Node `v`'s proof decoded as a `C` — `C::decode(self.get(v))`, read
+    /// from the label column, which decodes it on first read only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    #[inline]
+    pub(crate) fn label<C: Label>(&self, v: usize) -> Option<C> {
+        let slots = self.labels.slots.get_or_init(|| {
+            Box::new(
+                (0..self.n())
+                    .map(|_| OnceLock::new())
+                    .collect::<Box<[OnceLock<Option<C>>]>>(),
+            )
+        });
+        let slots: &dyn Any = &**slots;
+        match slots.downcast_ref::<Box<[OnceLock<Option<C>>]>>() {
+            Some(slots) => *slots[v].get_or_init(|| {
+                self.labels.pending.fetch_add(1, Ordering::Relaxed);
+                C::decode(self.get(v))
+            }),
+            None => C::decode(self.get(v)),
+        }
+    }
+
+    /// Adds the labels decoded since the last flush to
+    /// `lcp_engine_label_decodes_total` (a dropped proof adds the rest).
+    #[inline]
+    pub(crate) fn flush_label_decodes(&self) {
+        let pending = &self.labels.pending;
+        if pending.load(Ordering::Relaxed) != 0 {
+            metrics::LABEL_DECODES.add(pending.swap(0, Ordering::Relaxed));
+        }
+    }
+}
+
+impl Clone for Proof {
+    /// Copies the bits; the copy's label column starts empty.
+    fn clone(&self) -> Self {
+        Proof {
+            words: self.words.clone(),
+            slots: self.slots.clone(),
+            labels: LabelColumn::default(),
+        }
     }
 }
 
@@ -457,6 +570,72 @@ mod tests {
         assert_eq!(tight, roomy);
         roomy.set(1, bs("0"));
         assert_ne!(tight, roomy);
+    }
+
+    /// A label that counts a string's one bits.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct Ones(usize);
+
+    impl Label for Ones {
+        fn decode(proof: ProofRef<'_>) -> Option<Self> {
+            Some(Ones(proof.iter().filter(|&b| b).count()))
+        }
+    }
+
+    /// Every node's label, and how many slots the column has filled.
+    fn labels(p: &Proof) -> (Vec<usize>, u64) {
+        let labels = (0..p.n()).map(|v| p.label::<Ones>(v).unwrap().0);
+        (labels.collect(), p.labels.pending.load(Ordering::Relaxed))
+    }
+
+    #[test]
+    fn each_mutator_clears_the_one_slot_it_rewrote() {
+        let mut p = Proof::from_strings(vec![bs("11"), bs("1"), bs("")]);
+        assert_eq!(labels(&p), (vec![2, 1, 0], 3));
+        assert_eq!(
+            labels(&p),
+            (vec![2, 1, 0], 3),
+            "a repeat read decodes nothing"
+        );
+        p.flip(0, 0);
+        assert_eq!(labels(&p), (vec![1, 1, 0], 4));
+        p.set(1, bs("111"));
+        assert_eq!(labels(&p), (vec![1, 3, 0], 5));
+        p.write_bits(2, [true, true]);
+        assert_eq!(labels(&p), (vec![1, 3, 2], 6));
+        p.clear(0);
+        assert_eq!(labels(&p), (vec![0, 3, 2], 7));
+        // Another label type decodes per call and leaves the column be.
+        assert_eq!(p.label::<Len>(1), Some(Len(3)));
+        assert_eq!(labels(&p), (vec![0, 3, 2], 7));
+    }
+
+    /// A label that counts a string's bits.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct Len(usize);
+
+    impl Label for Len {
+        fn decode(proof: ProofRef<'_>) -> Option<Self> {
+            Some(Len(proof.len()))
+        }
+    }
+
+    #[test]
+    fn clones_start_with_an_empty_column_and_compare_by_bits() {
+        let p = Proof::from_strings(vec![bs("101"), bs("0")]);
+        assert_eq!(labels(&p), (vec![2, 0], 2));
+        let q = p.clone();
+        assert!(q.labels.slots.get().is_none());
+        assert_eq!(p, q, "equality ignores the column");
+        assert_eq!(format!("{p:?}"), format!("{q:?}"));
+        assert_eq!(labels(&q), (vec![2, 0], 2));
+    }
+
+    #[test]
+    fn proofs_and_bound_views_can_be_shared_across_threads() {
+        fn shared<T: Send + Sync>() {}
+        shared::<Proof>();
+        shared::<crate::View<'static>>();
     }
 
     #[test]

@@ -26,78 +26,31 @@
 //! once and stamps out zero-copy bindings per candidate proof.
 //!
 //! A verifier that reads its proofs as structured certificates asks for
-//! them decoded with [`View::label`]. Inside a
-//! [`crate::engine::PreparedInstance`] sweep the views share one
-//! **label column**, so each node's proof is decoded once per sweep
-//! rather than once per view that sees it (1 + deg times); every other
-//! view decodes on each call. Both run the same [`Label::decode`], so
-//! they give the same value.
+//! them decoded with [`View::label`]. A view bound to a whole proof
+//! reads the proof's own **label column** (see [`crate::Proof`]), so each
+//! node's proof is decoded once for as long as its bits stand, rather
+//! than once per view that sees it (1 + deg times) in every sweep; a
+//! view that owns its bits decodes on each call. Both run the same
+//! [`Label::decode`], so they give the same value.
 
 use crate::bits::{BitString, ProofRef};
 use crate::instance::{EdgeMap, Instance};
 use crate::proof::Proof;
 use lcp_graph::{norm_edge, Graph, NodeId};
-use std::any::Any;
-use std::cell::{Cell, OnceCell};
 use std::sync::Arc;
 
 /// A proof string's decoded form: the value a verifier reads out of one
 /// node's whole proof.
 ///
-/// Tying the type to its only decoder is what lets a sweep cache the
+/// Tying the type to its only decoder is what lets a proof cache the
 /// decoded value: [`View::label`] returns `decode` of the node's proof,
-/// whether it decoded it just now or earlier in the same sweep.
-pub trait Label: Copy + 'static {
+/// whether it decoded it just now or at an earlier read of the same
+/// bits. A label is `Send + Sync` because the cache is: several threads
+/// may verify one shared proof at once.
+pub trait Label: Copy + Send + Sync + 'static {
     /// Decodes one node's whole proof string. `None` (malformed, or bits
     /// left over) means the proof is invalid, and verifiers reject it.
     fn decode(proof: ProofRef<'_>) -> Option<Self>;
-}
-
-/// One sweep's decoded labels: a slot per node of the sweep's proof,
-/// filled on first read.
-///
-/// It is type-erased so a sweep need not know what its scheme decodes:
-/// the first [`View::label`] call fixes the label type and allocates the
-/// slots, so a sweep whose verifier reads no label allocates nothing
-/// here, and one that stops early decodes only what it read. A read of
-/// another label type in the same sweep decodes per view, as a view
-/// without a column does.
-#[derive(Default)]
-pub(crate) struct LabelColumn {
-    slots: OnceCell<Box<dyn Any>>,
-    decodes: Cell<u64>,
-}
-
-impl LabelColumn {
-    /// Slots filled so far (one decode each).
-    pub(crate) fn decodes(&self) -> u64 {
-        self.decodes.get()
-    }
-
-    /// Node `v`'s label, decoded from `proof` on first read.
-    #[inline]
-    fn get<C: Label>(&self, proof: &Proof, v: usize) -> Option<Option<C>> {
-        let slots = self.slots.get_or_init(|| {
-            Box::new(
-                (0..proof.n())
-                    .map(|_| OnceCell::new())
-                    .collect::<Box<[OnceCell<Option<C>>]>>(),
-            )
-        });
-        let slot = &slots.downcast_ref::<Box<[OnceCell<Option<C>>]>>()?[v];
-        Some(*slot.get_or_init(|| {
-            self.decodes.set(self.decodes.get() + 1);
-            C::decode(proof.get(v))
-        }))
-    }
-}
-
-impl std::fmt::Debug for LabelColumn {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LabelColumn")
-            .field("decodes", &self.decodes())
-            .finish()
-    }
 }
 
 /// The proof-independent part of a view: topology, identifiers, labels.
@@ -224,12 +177,11 @@ enum Binding<'p> {
     /// A private proof, one slot per view-local node.
     Owned(Proof),
     /// Borrowed slices of a whole proof; view-local node `u` reads
-    /// global slot `members[u]`, and its decoded label from `column`'s
-    /// slot `members[u]` when the view belongs to a sweep.
+    /// global slot `members[u]`, and its decoded label from the proof's
+    /// label column.
     Borrowed {
         proof: &'p Proof,
         members: &'p [u32],
-        column: Option<&'p LabelColumn>,
     },
 }
 
@@ -439,22 +391,12 @@ pub(crate) fn build_skeleton<N: Clone, E: Clone>(
 
 impl<'p, N, E> View<'p, N, E> {
     /// Assembles a view from a borrowed flat skeleton and a borrowed
-    /// proof — the engine's zero-copy constructor. A sweep passes its
-    /// label `column`, which must belong to `proof`.
-    pub(crate) fn bind(
-        skel: SkelView<'p, N, E>,
-        proof: &'p Proof,
-        members: &'p [u32],
-        column: Option<&'p LabelColumn>,
-    ) -> Self {
+    /// proof — the engine's zero-copy constructor.
+    pub(crate) fn bind(skel: SkelView<'p, N, E>, proof: &'p Proof, members: &'p [u32]) -> Self {
         debug_assert_eq!(skel.n(), members.len(), "one proof slot per view node");
         View {
             skel: SkelRef::Flat(skel),
-            binding: Binding::Borrowed {
-                proof,
-                members,
-                column,
-            },
+            binding: Binding::Borrowed { proof, members },
         }
     }
 
@@ -659,26 +601,21 @@ impl<'p, N, E> View<'p, N, E> {
 
     /// The proof of `u` decoded as a `C` — `C::decode(self.proof(u))`.
     ///
-    /// Views of a [`crate::engine::PreparedInstance`] sweep read it from
-    /// the sweep's label column, decoding each node once per sweep;
-    /// every other view decodes on each call.
+    /// Views bound to a whole proof ([`crate::engine::PreparedInstance::bind`],
+    /// [`crate::CoreBuilder::bind`] and the sweeps) read it from the
+    /// proof's label column, which decodes each node once until its bits
+    /// are rewritten; views that own their bits ([`View::extract`],
+    /// [`View::from_parts`]) decode on each call.
     ///
     /// # Panics
     ///
     /// Panics if `u` is out of range.
     #[inline]
     pub fn label<C: Label>(&self, u: usize) -> Option<C> {
-        if let Binding::Borrowed {
-            proof,
-            members,
-            column: Some(column),
-        } = &self.binding
-        {
-            if let Some(label) = column.get(proof, members[u] as usize) {
-                return label;
-            }
+        match &self.binding {
+            Binding::Owned(proof) => C::decode(proof.get(u)),
+            Binding::Borrowed { proof, members } => proof.label(members[u] as usize),
         }
-        C::decode(self.proof(u))
     }
 
     /// Restricts the view to a smaller radius `r' ≤ r`, producing the

@@ -25,9 +25,11 @@
 //!
 //! Preparation is probed too: a fresh core build allocates a count
 //! that does not grow with `n`, and opening a `CoreBuilder` over an
-//! existing core allocates nothing. So is the resident sweep: one
-//! `evaluate` allocates its outputs vector and, when the verifier reads
-//! decoded labels, one label column — nothing per node.
+//! existing core allocates nothing. So is the resident sweep: the first
+//! `evaluate` over a proof allocates its outputs vector and, when the
+//! verifier reads decoded labels, the proof's label column — nothing per
+//! node; a repeat verify of a resident cell, whose kept proof already
+//! holds its column, allocates the outputs vector alone.
 //!
 //! One `#[test]` drives all phases: the counter is process-global, so
 //! concurrent test functions would double-count.
@@ -38,7 +40,8 @@ use lcp_core::harness::{
     adversarial_proof_search, check_soundness_exhaustive, random_proof, Run, Soundness,
 };
 use lcp_core::{
-    BatchPolicy, BitWriter, CoreBuilder, Deadline, FrozenCore, Instance, Proof, Scheme, View,
+    BatchPolicy, BitWriter, CoreBuilder, Deadline, DynScheme, FrozenCore, Instance, Proof, Scheme,
+    View,
 };
 use lcp_graph::generators;
 use rand::rngs::StdRng;
@@ -249,20 +252,50 @@ fn search_loops_do_not_allocate_per_candidate() {
     );
 
     // --- Resident sweep ----------------------------------------------
-    // One sweep of a tree-certificate scheme on a 10⁴-node cycle
-    // allocates its outputs vector plus one label column (the slot array
-    // and the box that erases its type); a verifier that reads no labels
-    // leaves only the outputs vector.
+    // The first sweep of a tree-certificate scheme over a proof on a
+    // 10⁴-node cycle allocates its outputs vector plus the proof's label
+    // column (the slot array and the box that erases its type); a repeat
+    // sweep over the same proof finds the column filled and allocates
+    // the outputs vector alone, as does a verifier that reads no labels.
     let cycle = Instance::unlabeled(generators::cycle(10_000));
     let prep_cycle = PreparedInstance::new(&cycle, 1);
     let unbounded = Deadline::none();
     let tree_proof = Tree.prove(&cycle).expect("a cycle is connected");
-    let (allocs, verdict) =
-        min_allocs(|| prep_cycle.evaluate(&Tree, &tree_proof, &unbounded).unwrap());
+    // `min_allocs` runs five times: each run gets a fresh copy, whose
+    // column starts empty.
+    let fresh: Vec<Proof> = (0..5).map(|_| tree_proof.clone()).collect();
+    let mut fresh = fresh.iter();
+    let (allocs, verdict) = min_allocs(|| {
+        let proof = fresh.next().expect("one copy per run");
+        prep_cycle.evaluate(&Tree, proof, &unbounded).unwrap()
+    });
     assert!(verdict.accepted());
     assert!(
         allocs <= 3,
-        "a label-reading sweep allocates outputs + one column, counted {allocs}"
+        "a first label-reading sweep allocates outputs + one column, counted {allocs}"
+    );
+    prep_cycle.evaluate(&Tree, &tree_proof, &unbounded).unwrap();
+    let (allocs, verdict) =
+        min_allocs(|| prep_cycle.evaluate(&Tree, &tree_proof, &unbounded).unwrap());
+    assert!(verdict.accepted());
+    assert_eq!(
+        allocs, 1,
+        "a repeat label-reading sweep allocates its outputs only, counted {allocs}"
+    );
+    // The same through a resident cell: its kept honest proof decodes on
+    // the first verify, and every later verify allocates its outputs
+    // vector alone.
+    let resident = DynScheme::seal(Tree, cycle.clone());
+    let size = tree_proof.size();
+    assert_eq!(
+        resident.check_completeness_within(&unbounded),
+        Ok(Some(size))
+    );
+    let (allocs, complete) = min_allocs(|| resident.check_completeness_within(&unbounded));
+    assert_eq!(complete, Ok(Some(size)));
+    assert_eq!(
+        allocs, 1,
+        "a repeat resident verify allocates its outputs only, counted {allocs}"
     );
     let colors = Bipartite.prove(&cycle).expect("an even cycle is bipartite");
     let (allocs, verdict) = min_allocs(|| {

@@ -3,6 +3,7 @@
 use crate::{GraphError, NodeId};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A finite, simple, undirected graph whose nodes carry explicit
 /// [`NodeId`] identifiers.
@@ -11,6 +12,12 @@ use std::fmt;
 /// order); every node additionally has a unique identifier, as required by
 /// the LCP model (§2 of the paper). Adjacency lists are kept sorted so all
 /// iteration orders are deterministic.
+///
+/// The identifier → index map is built on first use (an identifier
+/// lookup, or a node added by identifier), so a graph made by
+/// [`Graph::with_contiguous_ids`] and wired by index, as the generators
+/// make theirs, never builds it. Equality compares identifiers,
+/// adjacency and edge count only.
 ///
 /// ```
 /// use lcp_graph::{Graph, NodeId};
@@ -26,13 +33,24 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 pub struct Graph {
     ids: Vec<NodeId>,
-    index: HashMap<NodeId, usize>,
+    /// `ids` inverted; built from `ids` on first use (see [`Self::index`]).
+    index: OnceLock<HashMap<NodeId, usize>>,
     adj: Vec<Vec<usize>>,
     m: usize,
 }
+
+impl PartialEq for Graph {
+    /// Same identifiers, adjacency and edge count; whether either side
+    /// has built its identifier map is not observable.
+    fn eq(&self, other: &Self) -> bool {
+        self.ids == other.ids && self.adj == other.adj && self.m == other.m
+    }
+}
+
+impl Eq for Graph {}
 
 impl Graph {
     /// Creates an empty graph.
@@ -44,13 +62,16 @@ impl Graph {
     pub fn with_capacity(n: usize) -> Self {
         Graph {
             ids: Vec::with_capacity(n),
-            index: HashMap::with_capacity(n),
+            index: OnceLock::from(HashMap::with_capacity(n)),
             adj: Vec::with_capacity(n),
             m: 0,
         }
     }
 
     /// Creates a graph with the given identifiers and no edges.
+    ///
+    /// Identifiers `1..=n` in order are unique by construction, so they
+    /// build no identifier map, as in [`Self::with_contiguous_ids`].
     ///
     /// # Errors
     ///
@@ -59,7 +80,11 @@ impl Graph {
     where
         I: IntoIterator<Item = NodeId>,
     {
-        let mut g = Graph::new();
+        let ids: Vec<NodeId> = ids.into_iter().collect();
+        if ids.iter().zip(1..).all(|(id, k)| id.0 == k) {
+            return Ok(Graph::with_contiguous_ids(ids.len()));
+        }
+        let mut g = Graph::with_capacity(ids.len());
         for id in ids {
             g.add_node(id)?;
         }
@@ -70,8 +95,15 @@ impl Graph {
     ///
     /// This is the "contiguous identifiers" convention used by most
     /// generators; the LCP model allows any `poly(n)`-bounded identifiers.
+    /// The identifiers are unique by construction, so no identifier map
+    /// is built here.
     pub fn with_contiguous_ids(n: usize) -> Self {
-        Graph::from_ids((1..=n as u64).map(NodeId)).expect("contiguous ids are unique")
+        Graph {
+            ids: (1..=n as u64).map(NodeId).collect(),
+            index: OnceLock::new(),
+            adj: vec![Vec::new(); n],
+            m: 0,
+        }
     }
 
     /// Creates a graph from identifiers and identifier pairs.
@@ -142,12 +174,14 @@ impl Graph {
     ///
     /// Returns [`GraphError::DuplicateNode`] if the identifier is taken.
     pub fn add_node(&mut self, id: NodeId) -> Result<usize, GraphError> {
-        if self.index.contains_key(&id) {
+        self.index();
+        let index = self.index.get_mut().expect("built just above");
+        if index.contains_key(&id) {
             return Err(GraphError::DuplicateNode(id));
         }
         let idx = self.ids.len();
+        index.insert(id, idx);
         self.ids.push(id);
-        self.index.insert(id, idx);
         self.adj.push(Vec::new());
         Ok(idx)
     }
@@ -260,14 +294,25 @@ impl Graph {
         &self.ids
     }
 
+    /// The identifier → index map, built from `ids` on first use.
+    fn index(&self) -> &HashMap<NodeId, usize> {
+        self.index.get_or_init(|| {
+            self.ids
+                .iter()
+                .enumerate()
+                .map(|(idx, &id)| (id, idx))
+                .collect()
+        })
+    }
+
     /// Index of the node carrying identifier `id`, if present.
     pub fn index_of(&self, id: NodeId) -> Option<usize> {
-        self.index.get(&id).copied()
+        self.index().get(&id).copied()
     }
 
     /// Whether some node carries identifier `id`.
     pub fn contains_id(&self, id: NodeId) -> bool {
-        self.index.contains_key(&id)
+        self.index().contains_key(&id)
     }
 
     /// Sorted neighbour indices of `u`.
@@ -528,6 +573,74 @@ mod tests {
         g.add_edge(0, 1).unwrap();
         g.add_edge(0, 3).unwrap();
         assert_eq!(g.neighbors(0), &[1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn duplicate_ids_rejected_before_and_after_the_map_is_built() {
+        // `from_ids` builds the map as it adds other identifiers;
+        // contiguous ones leave it unbuilt until `add_node` needs it.
+        assert_eq!(
+            Graph::from_ids([NodeId(3), NodeId(1), NodeId(3)]),
+            Err(GraphError::DuplicateNode(NodeId(3)))
+        );
+        assert_eq!(
+            Graph::from_ids([NodeId(1), NodeId(2), NodeId(2)]),
+            Err(GraphError::DuplicateNode(NodeId(2)))
+        );
+        assert!(Graph::from_ids((1..=4).map(NodeId))
+            .unwrap()
+            .index
+            .get()
+            .is_none());
+        let mut g = Graph::with_contiguous_ids(4);
+        assert!(g.index.get().is_none());
+        assert_eq!(
+            g.add_node(NodeId(2)),
+            Err(GraphError::DuplicateNode(NodeId(2)))
+        );
+        assert_eq!(g.n(), 4, "a refused node is not added");
+        assert_eq!(g.add_node(NodeId(9)), Ok(4));
+        assert_eq!(
+            g.add_node(NodeId(9)),
+            Err(GraphError::DuplicateNode(NodeId(9)))
+        );
+    }
+
+    #[test]
+    fn index_of_is_right_before_and_after_the_map_is_built() {
+        let mut g = Graph::with_contiguous_ids(5);
+        g.add_edge(0, 4).unwrap();
+        assert!(g.index.get().is_none(), "index-wired graphs build no map");
+        for u in g.nodes() {
+            assert_eq!(g.index_of(g.id(u)), Some(u));
+        }
+        assert!(g.index.get().is_some());
+        assert_eq!(g.index_of(NodeId(0)), None);
+        assert_eq!(g.index_of(NodeId(6)), None);
+        let idx = g.add_node(NodeId(40)).unwrap();
+        assert_eq!(g.index_of(NodeId(40)), Some(idx));
+        assert!(g.contains_id(NodeId(5)) && !g.contains_id(NodeId(41)));
+        let mut fresh = Graph::with_contiguous_ids(3);
+        fresh.add_edge_ids(NodeId(1), NodeId(3)).unwrap();
+        assert!(fresh.has_edge(0, 2));
+    }
+
+    #[test]
+    fn equality_ignores_whether_the_map_is_built() {
+        let lazy = Graph::with_contiguous_ids(6);
+        let eager = Graph::with_capacity(6);
+        let eager = (1..=6).fold(eager, |mut g, id| {
+            g.add_node(NodeId(id)).unwrap();
+            g
+        });
+        assert!(lazy.index.get().is_none() && eager.index.get().is_some());
+        assert_eq!(lazy, eager);
+        let built = lazy.clone();
+        assert!(built.contains_id(NodeId(1)));
+        assert_eq!(built, lazy);
+        let mut wired = Graph::with_contiguous_ids(6);
+        wired.add_edge(1, 2).unwrap();
+        assert_ne!(wired, lazy);
     }
 
     #[test]

@@ -525,6 +525,11 @@ fn capped_field(doc: &Json, key: &str, default: usize, cap: usize) -> Result<usi
 
 /// Writes one frame: 4-byte big-endian length, then the UTF-8 payload.
 ///
+/// The frame is assembled in one buffer and handed to `w` in one
+/// `write_all`, so an unbuffered `TCP_NODELAY` stream sends it as one
+/// segment rather than a header segment followed by a payload segment,
+/// and the reader wakes once per frame.
+///
 /// # Errors
 ///
 /// Propagates I/O errors; payloads over [`MAX_FRAME`] are refused with
@@ -536,8 +541,10 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
             format!("frame of {} bytes exceeds MAX_FRAME", payload.len()),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload.as_bytes())?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload.as_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -668,6 +675,42 @@ mod tests {
         );
         assert_eq!(read_frame(&mut r, &never).unwrap().as_deref(), Some(""));
         assert_eq!(read_frame(&mut r, &never).unwrap(), None, "clean EOF");
+    }
+
+    /// A sink that takes every byte offered and counts the `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let mut sink = CountingWriter::default();
+        let payloads = ["{\"op\":\"stats\"}", "", &"x".repeat(70_000)];
+        for (i, payload) in payloads.iter().enumerate() {
+            write_frame(&mut sink, payload).unwrap();
+            assert_eq!(sink.writes, i + 1, "frame {i} took more than one write");
+        }
+        // The bytes are the same header-then-payload layout as ever.
+        let mut expected = Vec::new();
+        for payload in payloads {
+            expected.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+            expected.extend_from_slice(payload.as_bytes());
+        }
+        assert_eq!(sink.bytes, expected);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! `DynScheme::with_source`) once, when `prepare_skeletons` warms the
 //! cell at load; the cell keeps it, so a resident `verify` issues **zero**
 //! skeleton rebuilds and zero cache lookups. The cell also keeps its
-//! honest proof from the first request that needs it, so a repeated
-//! `verify` is the verifier sweep alone.
+//! honest proof from the first request that needs it, and the proof
+//! keeps the labels the first sweep decoded, so a repeated `verify` is
+//! the verifier sweep alone, with no prover run and no label decode.
 //! With `--preload <dir>` the source is a two-tier
 //! [`ArtifactStore`](lcp_core::ArtifactStore), so even a *restarted*
 //! daemon skips the BFS: cores come back by `mmap` from the artifact
