@@ -29,7 +29,9 @@
 //! `evaluate` over a proof allocates its outputs vector and, when the
 //! verifier reads decoded labels, the proof's label column — nothing per
 //! node; a repeat verify of a resident cell, whose kept proof already
-//! holds its column, allocates the outputs vector alone.
+//! holds its column, allocates the outputs vector alone. Generating a
+//! cycle, path or grid, and cloning one, allocates two vectors whatever
+//! the size: the identifiers and the per-node neighbour slots.
 //!
 //! One `#[test]` drives all phases: the counter is process-global, so
 //! concurrent test functions would double-count.
@@ -333,6 +335,23 @@ fn search_loops_do_not_allocate_per_candidate() {
         (0, 0),
         "opening a builder over a core must not allocate"
     );
+
+    // --- Graph generation and clone ----------------------------------
+    // Cycles, paths and grids keep every neighbour list in its node's
+    // slot: building or cloning one allocates the identifier vector and
+    // the slot vector, at 10³ nodes and at 10⁵ alike.
+    for n in [1_000, 100_000] {
+        let side = (n as f64).sqrt() as usize;
+        let (cycle, _) = min_allocs(|| generators::cycle(n));
+        let (path, _) = min_allocs(|| generators::path(n));
+        let (grid, square) = min_allocs(|| generators::grid(side, side));
+        let (clone, _) = min_allocs(|| square.clone());
+        assert_eq!(
+            (cycle, path, grid, clone),
+            (2, 2, 2, 2),
+            "cycle, path, grid and clone at n = {n} should allocate ids + slots only"
+        );
+    }
 
     // --- Metric primitives -------------------------------------------
     // What the loops above flush into at their exits. A counter add and

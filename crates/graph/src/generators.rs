@@ -5,6 +5,10 @@
 //! otherwise; use [`crate::Graph::relabel`] or the `*_with_ids`
 //! constructors for custom identifier patterns (the §5.3 construction needs
 //! them).
+//!
+//! [`path`], [`cycle`] and [`grid`] know every node's neighbours up front
+//! and write each sorted list once; the other generators add their edges
+//! one at a time.
 
 use crate::{Graph, NodeId};
 use rand::rngs::StdRng;
@@ -70,19 +74,17 @@ pub fn star(leaves: usize) -> Graph {
 /// Panics if either dimension is zero.
 pub fn grid(rows: usize, cols: usize) -> Graph {
     assert!(rows >= 1 && cols >= 1, "grid needs positive dimensions");
-    let mut g = Graph::with_contiguous_ids(rows * cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            let u = r * cols + c;
-            if c + 1 < cols {
-                g.add_edge(u, u + 1).expect("distinct indices");
-            }
-            if r + 1 < rows {
-                g.add_edge(u, u + cols).expect("distinct indices");
-            }
-        }
-    }
-    g
+    Graph::with_contiguous_ids(rows * cols).with_sorted_neighbors(|u| {
+        let (r, c) = (u / cols, u % cols);
+        [
+            (r > 0).then(|| u - cols),
+            (c > 0).then(|| u - 1),
+            (c + 1 < cols).then(|| u + 1),
+            (r + 1 < rows).then(|| u + cols),
+        ]
+        .into_iter()
+        .flatten()
+    })
 }
 
 /// Erdős–Rényi `G(n, p)`: every pair becomes an edge independently with

@@ -1,4 +1,10 @@
 //! Simple undirected graphs with first-class node identifiers.
+//!
+//! Each node's sorted neighbour list lives in one fixed-size slot of the
+//! graph's slot vector: up to four neighbours in place, a heap vector
+//! beyond that. Every node of a cycle, path or grid fits in place, so
+//! building, cloning or dropping one of those makes two allocations (the
+//! identifiers and the slots) however large it is.
 
 use crate::{GraphError, NodeId};
 use std::collections::HashMap;
@@ -12,6 +18,12 @@ use std::sync::OnceLock;
 /// order); every node additionally has a unique identifier, as required by
 /// the LCP model (§2 of the paper). Adjacency lists are kept sorted so all
 /// iteration orders are deterministic.
+///
+/// A node keeps up to four neighbours in place and moves its list to the
+/// heap at the fifth; four covers every node of a cycle (degree 2), a path
+/// (at most 2) and a grid (at most 4), the families the serve daemon
+/// loads at 10⁵ nodes. A list that moved to the heap stays there when it
+/// shrinks again; only the sorted neighbour slice is observable.
 ///
 /// The identifier → index map is built on first use (an identifier
 /// lookup, or a node added by identifier), so a graph made by
@@ -38,8 +50,87 @@ pub struct Graph {
     ids: Vec<NodeId>,
     /// `ids` inverted; built from `ids` on first use (see [`Self::index`]).
     index: OnceLock<HashMap<NodeId, usize>>,
-    adj: Vec<Vec<usize>>,
+    adj: Vec<Slot>,
     m: usize,
+}
+
+/// Neighbours a [`Slot`] holds in place before it moves to the heap.
+const INLINE: usize = 4;
+
+/// One node's sorted neighbour list: up to [`INLINE`] entries in place,
+/// a heap vector beyond that. Equality compares the lists, so a slot that
+/// spilled and shrank again equals one that never spilled.
+#[derive(Clone)]
+enum Slot {
+    Inline { len: u8, nbrs: [usize; INLINE] },
+    Spilled(Vec<usize>),
+}
+
+impl Default for Slot {
+    fn default() -> Self {
+        Slot::Inline {
+            len: 0,
+            nbrs: [0; INLINE],
+        }
+    }
+}
+
+impl PartialEq for Slot {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Slot {}
+
+impl Slot {
+    fn as_slice(&self) -> &[usize] {
+        match self {
+            Slot::Inline { len, nbrs } => &nbrs[..usize::from(*len)],
+            Slot::Spilled(list) => list,
+        }
+    }
+
+    /// Inserts `v` at `pos`, moving the list to the heap when it outgrows
+    /// the slot.
+    fn insert(&mut self, pos: usize, v: usize) {
+        match self {
+            Slot::Inline { len, nbrs } if usize::from(*len) < INLINE => {
+                nbrs.copy_within(pos..usize::from(*len), pos + 1);
+                nbrs[pos] = v;
+                *len += 1;
+            }
+            Slot::Inline { nbrs, .. } => {
+                let mut list = Vec::with_capacity(2 * INLINE);
+                list.extend_from_slice(nbrs);
+                list.insert(pos, v);
+                *self = Slot::Spilled(list);
+            }
+            Slot::Spilled(list) => list.insert(pos, v),
+        }
+    }
+
+    fn push(&mut self, v: usize) {
+        match self {
+            Slot::Inline { len, nbrs } if usize::from(*len) < INLINE => {
+                nbrs[usize::from(*len)] = v;
+                *len += 1;
+            }
+            _ => self.insert(self.as_slice().len(), v),
+        }
+    }
+
+    fn remove(&mut self, pos: usize) {
+        match self {
+            Slot::Inline { len, nbrs } => {
+                nbrs.copy_within(pos + 1..usize::from(*len), pos);
+                *len -= 1;
+            }
+            Slot::Spilled(list) => {
+                list.remove(pos);
+            }
+        }
+    }
 }
 
 impl PartialEq for Graph {
@@ -80,9 +171,10 @@ impl Graph {
     where
         I: IntoIterator<Item = NodeId>,
     {
-        let ids: Vec<NodeId> = ids.into_iter().collect();
+        let mut ids: Vec<NodeId> = ids.into_iter().collect();
         if ids.iter().zip(1..).all(|(id, k)| id.0 == k) {
-            return Ok(Graph::with_contiguous_ids(ids.len()));
+            ids.shrink_to_fit();
+            return Ok(Graph::with_unique_ids(ids));
         }
         let mut g = Graph::with_capacity(ids.len());
         for id in ids {
@@ -98,10 +190,17 @@ impl Graph {
     /// The identifiers are unique by construction, so no identifier map
     /// is built here.
     pub fn with_contiguous_ids(n: usize) -> Self {
+        Graph::with_unique_ids((1..=n as u64).map(NodeId).collect())
+    }
+
+    /// A graph with no edges over identifiers known to be unique, so it
+    /// builds no identifier map.
+    fn with_unique_ids(ids: Vec<NodeId>) -> Self {
+        let n = ids.len();
         Graph {
-            ids: (1..=n as u64).map(NodeId).collect(),
+            ids,
             index: OnceLock::new(),
-            adj: vec![Vec::new(); n],
+            adj: vec![Slot::default(); n],
             m: 0,
         }
     }
@@ -133,16 +232,18 @@ impl Graph {
     where
         I: IntoIterator<Item = NodeId>,
     {
-        let mut g = Graph::from_ids(ids)?;
-        if g.n() == 0 {
+        let g = Graph::from_ids(ids)?;
+        let n = g.n();
+        if n == 0 {
             return Err(GraphError::InvalidConstruction(
                 "path needs at least 1 node".into(),
             ));
         }
-        for u in 1..g.n() {
-            g.add_edge(u - 1, u)?;
-        }
-        Ok(g)
+        Ok(g.with_sorted_neighbors(|u| {
+            [u.checked_sub(1), (u + 1 < n).then_some(u + 1)]
+                .into_iter()
+                .flatten()
+        }))
     }
 
     /// Builds the cycle `ids[0] – ids[1] – … – ids[k-1] – ids[0]`.
@@ -155,17 +256,51 @@ impl Graph {
     where
         I: IntoIterator<Item = NodeId>,
     {
-        let mut g = Graph::from_ids(ids)?;
-        if g.n() < 3 {
+        let g = Graph::from_ids(ids)?;
+        let n = g.n();
+        if n < 3 {
             return Err(GraphError::InvalidConstruction(
                 "cycle needs at least 3 nodes".into(),
             ));
         }
-        for u in 1..g.n() {
-            g.add_edge(u - 1, u)?;
+        Ok(g.with_sorted_neighbors(|u| {
+            let (prev, next) = ((u + n - 1) % n, (u + 1) % n);
+            [prev.min(next), prev.max(next)]
+        }))
+    }
+
+    /// Wires a graph that has no edges yet: node `u` gets the neighbours
+    /// `nbrs(u)` yields, in the order it yields them, and `m` is counted
+    /// from them. The generators whose degrees are known use this instead
+    /// of an [`Self::add_edge`] loop: it writes each slot once and never
+    /// searches it.
+    ///
+    /// `nbrs` must describe a simple undirected graph: each list sorted,
+    /// in range and free of `u`, and `v` in `u`'s list exactly when `u` is
+    /// in `v`'s. Debug builds check this.
+    pub(crate) fn with_sorted_neighbors<F, I>(mut self, mut nbrs: F) -> Graph
+    where
+        F: FnMut(usize) -> I,
+        I: IntoIterator<Item = usize>,
+    {
+        debug_assert_eq!(self.m, 0, "only a graph with no edges is wired");
+        let mut ends = 0;
+        for (u, slot) in self.adj.iter_mut().enumerate() {
+            for v in nbrs(u) {
+                slot.push(v);
+                ends += 1;
+            }
         }
-        g.add_edge(g.n() - 1, 0)?;
-        Ok(g)
+        self.m = ends / 2;
+        debug_assert!(
+            self.nodes().all(|u| {
+                let list = self.neighbors(u);
+                list.windows(2).all(|w| w[0] < w[1])
+                    && list.iter().all(|&v| v != u && self.has_edge(v, u))
+            }),
+            "neighbour lists must be sorted, loop-free and symmetric"
+        );
+        self
     }
 
     /// Adds a node with the given identifier and returns its index.
@@ -182,7 +317,7 @@ impl Graph {
         let idx = self.ids.len();
         index.insert(id, idx);
         self.ids.push(id);
-        self.adj.push(Vec::new());
+        self.adj.push(Slot::default());
         Ok(idx)
     }
 
@@ -201,11 +336,12 @@ impl Graph {
         if u == v {
             return Err(GraphError::SelfLoop(self.ids[u]));
         }
-        match self.adj[u].binary_search(&v) {
+        match self.neighbors(u).binary_search(&v) {
             Ok(_) => return Err(GraphError::DuplicateEdge(self.ids[u], self.ids[v])),
             Err(pos) => self.adj[u].insert(pos, v),
         }
-        let pos = self.adj[v]
+        let pos = self
+            .neighbors(v)
             .binary_search(&u)
             .expect_err("edge sets must stay symmetric");
         self.adj[v].insert(pos, u);
@@ -242,11 +378,12 @@ impl Graph {
         if v >= self.n() {
             return Err(GraphError::IndexOutOfRange(v));
         }
-        let Ok(pos_u) = self.adj[u].binary_search(&v) else {
+        let Ok(pos_u) = self.neighbors(u).binary_search(&v) else {
             return Err(GraphError::UnknownEdge(self.ids[u], self.ids[v]));
         };
         self.adj[u].remove(pos_u);
-        let pos_v = self.adj[v]
+        let pos_v = self
+            .neighbors(v)
             .binary_search(&u)
             .expect("edge sets must stay symmetric");
         self.adj[v].remove(pos_v);
@@ -321,7 +458,7 @@ impl Graph {
     ///
     /// Panics if `u` is out of range.
     pub fn neighbors(&self, u: usize) -> &[usize] {
-        &self.adj[u]
+        self.adj[u].as_slice()
     }
 
     /// Degree of `u`.
@@ -330,17 +467,17 @@ impl Graph {
     ///
     /// Panics if `u` is out of range.
     pub fn degree(&self, u: usize) -> usize {
-        self.adj[u].len()
+        self.neighbors(u).len()
     }
 
     /// Maximum degree, or 0 for the empty graph.
     pub fn max_degree(&self) -> usize {
-        self.adj.iter().map(Vec::len).max().unwrap_or(0)
+        self.nodes().map(|u| self.degree(u)).max().unwrap_or(0)
     }
 
     /// Whether the edge `{u, v}` is present (by index).
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        u < self.n() && v < self.n() && self.adj[u].binary_search(&v).is_ok()
+        u < self.n() && v < self.n() && self.neighbors(u).binary_search(&v).is_ok()
     }
 
     /// Iterates over all node indices.
@@ -378,7 +515,7 @@ impl Graph {
             g.add_node(self.ids[old]).expect("ids unique in source");
         }
         for (new_u, &old_u) in picked.iter().enumerate() {
-            for &old_v in &self.adj[old_u] {
+            for &old_v in self.neighbors(old_u) {
                 let new_v = old_to_new[old_v];
                 if new_v != usize::MAX && new_u < new_v {
                     g.add_edge(new_u, new_v).expect("source graph is simple");
@@ -413,7 +550,7 @@ impl Graph {
 
     /// The degree sequence in non-increasing order.
     pub fn degree_sequence(&self) -> Vec<usize> {
-        let mut d: Vec<usize> = self.adj.iter().map(Vec::len).collect();
+        let mut d: Vec<usize> = self.nodes().map(|u| self.degree(u)).collect();
         d.sort_unstable_by(|a, b| b.cmp(a));
         d
     }
@@ -443,7 +580,7 @@ impl Iterator for Edges<'_> {
 
     fn next(&mut self) -> Option<(usize, usize)> {
         while self.u < self.graph.n() {
-            let nbrs = &self.graph.adj[self.u];
+            let nbrs = self.graph.neighbors(self.u);
             while self.pos < nbrs.len() {
                 let v = nbrs[self.pos];
                 self.pos += 1;
@@ -719,5 +856,210 @@ mod tests {
     fn with_contiguous_ids_starts_at_one() {
         let g = Graph::with_contiguous_ids(4);
         assert_eq!(g.ids(), &[NodeId(1), NodeId(2), NodeId(3), NodeId(4)]);
+    }
+
+    fn spilled(g: &Graph, u: usize) -> bool {
+        matches!(g.adj[u], Slot::Spilled(_))
+    }
+
+    /// A star on `1 + leaves` nodes, centre 0, wired by `add_edge` in
+    /// descending order so every insert lands at the front of the list.
+    fn star_descending(leaves: usize) -> Graph {
+        let mut g = Graph::with_contiguous_ids(leaves + 1);
+        for v in (1..=leaves).rev() {
+            g.add_edge(0, v).unwrap();
+        }
+        g
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_slot_is_forty_bytes() {
+        assert_eq!(std::mem::size_of::<Slot>(), 40);
+    }
+
+    #[test]
+    fn lists_spill_at_the_fifth_neighbour_and_stay_sorted_back_down() {
+        let g = star_descending(4);
+        assert!(!spilled(&g, 0));
+        assert_eq!(g.neighbors(0), &[1, 2, 3, 4]);
+        // The fifth neighbour spills the slot whether it lands at the
+        // back, the front or the middle of the list.
+        for order in [[1, 2, 3, 4, 5], [5, 4, 3, 2, 1], [1, 2, 4, 5, 3]] {
+            let mut g = Graph::with_contiguous_ids(6);
+            for (k, v) in order.into_iter().enumerate() {
+                g.add_edge(0, v).unwrap();
+                assert_eq!(spilled(&g, 0), k >= INLINE, "{order:?}");
+            }
+            assert_eq!(g.neighbors(0), &[1, 2, 3, 4, 5]);
+            assert_eq!(g.m(), 5);
+        }
+        // Back down through the spill point, from the middle, the front
+        // and the back.
+        let mut g = star_descending(5);
+        for (v, left) in [
+            (3, &[1, 2, 4, 5][..]),
+            (1, &[2, 4, 5]),
+            (5, &[2, 4]),
+            (2, &[4]),
+        ] {
+            g.remove_edge(v, 0).unwrap();
+            assert_eq!(g.neighbors(0), left);
+            assert!(!g.has_edge(0, v) && !g.has_edge(v, 0));
+        }
+        assert!(spilled(&g, 0), "a shrunk list stays on the heap");
+        assert_eq!(g.m(), 1);
+        g.remove_edge(0, 4).unwrap();
+        assert!(g.neighbors(0).is_empty());
+        assert_eq!(g, Graph::with_contiguous_ids(6));
+        // And up again on the heap.
+        for v in [5, 1, 3] {
+            g.add_edge(0, v).unwrap();
+        }
+        assert_eq!(g.neighbors(0), &[1, 3, 5]);
+        // In-place removal from every position.
+        let mut g = star_descending(4);
+        for (v, left) in [(2, &[1, 3, 4][..]), (4, &[1, 3]), (1, &[3]), (3, &[])] {
+            g.remove_edge(0, v).unwrap();
+            assert_eq!(g.neighbors(0), left);
+        }
+        assert!(!spilled(&g, 0));
+        assert_eq!(g.m(), 0);
+    }
+
+    #[test]
+    fn edge_errors_are_the_same_in_place_and_spilled() {
+        for leaves in [4, 6] {
+            let mut g = star_descending(leaves);
+            assert_eq!(spilled(&g, 0), leaves > INLINE);
+            let id = |u: usize| NodeId(u as u64 + 1);
+            assert_eq!(
+                g.add_edge(0, 2),
+                Err(GraphError::DuplicateEdge(id(0), id(2)))
+            );
+            assert_eq!(
+                g.add_edge(leaves, 0),
+                Err(GraphError::DuplicateEdge(id(leaves), id(0)))
+            );
+            assert_eq!(
+                g.remove_edge(1, 2),
+                Err(GraphError::UnknownEdge(id(1), id(2)))
+            );
+            g.remove_edge(0, 1).unwrap();
+            assert_eq!(
+                g.remove_edge(0, 1),
+                Err(GraphError::UnknownEdge(id(0), id(1)))
+            );
+            assert_eq!(
+                g.remove_edge(1, 0),
+                Err(GraphError::UnknownEdge(id(1), id(0)))
+            );
+            assert_eq!(g.m(), leaves - 1, "failed edits leave the graph intact");
+            assert_eq!(g.neighbors(0), (2..=leaves).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn queries_do_not_see_the_representation() {
+        // The same star twice: one never spilled, one spilled and shrank.
+        let mut fresh = star_descending(4);
+        fresh.add_node(NodeId(6)).unwrap();
+        let mut shrunk = fresh.clone();
+        shrunk.add_edge(0, 5).unwrap();
+        shrunk.remove_edge(0, 5).unwrap();
+        assert!(spilled(&shrunk, 0) && !spilled(&fresh, 0));
+        assert_eq!(fresh, shrunk);
+        assert_eq!(shrunk, fresh);
+        for u in fresh.nodes() {
+            assert_eq!(fresh.neighbors(u), shrunk.neighbors(u));
+            assert_eq!(fresh.degree(u), shrunk.degree(u));
+        }
+        assert_eq!(fresh.max_degree(), 4);
+        assert_eq!(shrunk.max_degree(), 4);
+        assert_eq!(fresh.degree_sequence(), shrunk.degree_sequence());
+        assert_eq!(fresh.degree_sequence(), vec![4, 1, 1, 1, 1, 0]);
+        assert_eq!(
+            fresh.edges().collect::<Vec<_>>(),
+            shrunk.edges().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            shrunk.edges().collect::<Vec<_>>(),
+            vec![(0, 1), (0, 2), (0, 3), (0, 4)]
+        );
+        shrunk.add_edge(1, 5).unwrap();
+        assert_ne!(fresh, shrunk);
+        let big = star_descending(7);
+        assert_eq!(big.max_degree(), 7);
+        assert_eq!(big.degree_sequence(), vec![7, 1, 1, 1, 1, 1, 1, 1]);
+        assert_eq!(big.edges().count(), 7);
+    }
+
+    #[test]
+    fn a_clone_of_a_spilled_graph_is_independent() {
+        let g = star_descending(6);
+        let mut copy = g.clone();
+        assert!(spilled(&copy, 0));
+        assert_eq!(copy, g);
+        copy.remove_edge(0, 3).unwrap();
+        assert_eq!(g.neighbors(0), &[1, 2, 3, 4, 5, 6]);
+        assert_eq!(copy.neighbors(0), &[1, 2, 4, 5, 6]);
+        assert_ne!(copy, g);
+    }
+
+    /// The graph `edges` describes, wired one `add_edge` at a time.
+    fn by_add_edge(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Graph {
+        let mut g = Graph::with_contiguous_ids(n);
+        for (u, v) in edges {
+            g.add_edge(u, v).unwrap();
+        }
+        g
+    }
+
+    #[test]
+    fn directly_filled_generators_equal_the_add_edge_construction() {
+        use crate::generators::{cycle, grid, path};
+        for n in [1, 2, 3, 5, 17] {
+            let want = by_add_edge(n, (1..n).map(|u| (u - 1, u)));
+            let got = path(n);
+            assert_eq!((got.n(), got.m()), (want.n(), want.m()));
+            assert_eq!(got, want, "path({n})");
+        }
+        for n in [3, 4, 5, 17] {
+            let want = by_add_edge(n, (1..n).map(|u| (u - 1, u)).chain([(n - 1, 0)]));
+            let got = cycle(n);
+            assert_eq!((got.n(), got.m()), (want.n(), want.m()));
+            assert_eq!(got, want, "cycle({n})");
+        }
+        for (rows, cols) in [(1, 1), (1, 5), (5, 1), (2, 3), (3, 2), (4, 4)] {
+            let mut edges = Vec::new();
+            for r in 0..rows {
+                for c in 0..cols {
+                    let u = r * cols + c;
+                    if c + 1 < cols {
+                        edges.push((u, u + 1));
+                    }
+                    if r + 1 < rows {
+                        edges.push((u, u + cols));
+                    }
+                }
+            }
+            let want = by_add_edge(rows * cols, edges);
+            let got = grid(rows, cols);
+            assert_eq!((got.n(), got.m()), (want.n(), want.m()));
+            assert_eq!(got, want, "grid({rows}, {cols})");
+        }
+        // The `*_with_ids` forms fill after their identifier check.
+        let ids = [NodeId(7), NodeId(3), NodeId(11)];
+        let mut want = Graph::from_ids(ids).unwrap();
+        for (u, v) in [(0, 1), (1, 2), (2, 0)] {
+            want.add_edge(u, v).unwrap();
+        }
+        assert_eq!(Graph::cycle_with_ids(ids).unwrap(), want);
+        want.remove_edge(2, 0).unwrap();
+        assert_eq!(Graph::path_with_ids(ids).unwrap(), want);
+        assert_eq!(
+            Graph::cycle_with_ids([NodeId(1), NodeId(2), NodeId(1)]),
+            Err(GraphError::DuplicateNode(NodeId(1)))
+        );
     }
 }

@@ -844,15 +844,15 @@ fn b_spanning_tree(req: &CellRequest) -> Option<DynScheme> {
         return None;
     }
     let g = base(req);
-    if !traversal::is_connected(&g) {
+    let tree_edges: Vec<(usize, usize)> = spanning::bfs_spanning_tree(&g, 0).edges();
+    if tree_edges.len() + 1 < g.n() {
         return None; // G(n, p) stragglers: outside the connected promise
     }
-    let tree_edges: Vec<(usize, usize)> = spanning::bfs_spanning_tree(&g, 0).edges();
     let edges: Vec<(usize, usize)> = match (req.family, req.polarity) {
         (_, Polarity::Yes) => tree_edges,
         // A full cycle is not a tree; elsewhere drop an edge so the
         // labelled forest no longer spans.
-        (Cycle, Polarity::No) => base(req).edges().collect(),
+        (Cycle, Polarity::No) => g.edges().collect(),
         (_, Polarity::No) => {
             let mut e = tree_edges;
             e.pop()?;

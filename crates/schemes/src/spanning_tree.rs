@@ -29,9 +29,11 @@ impl Scheme for SpanningTree {
         1
     }
 
+    /// A spanning tree already connects the graph: `n − 1` graph edges,
+    /// acyclic, every node in one class. So no separate connectivity
+    /// pass runs.
     fn holds(&self, inst: &Instance) -> bool {
-        traversal::is_connected(inst.graph())
-            && inst.n() > 0
+        inst.n() > 0
             && spanning::is_spanning_tree(inst.graph(), &inst.labelled_edges()).unwrap_or(false)
     }
 
@@ -195,6 +197,80 @@ mod tests {
         let tree = lcp_graph::spanning::random_spanning_tree(&g, 0, &mut rng);
         let edges = tree.edges();
         Instance::unlabeled(g).with_edge_set(edges.iter().map(|&(c, p)| (c, p)))
+    }
+
+    /// `holds` as it read with its own connectivity pass.
+    fn holds_with_connectivity_pass(inst: &Instance) -> bool {
+        traversal::is_connected(inst.graph())
+            && inst.n() > 0
+            && spanning::is_spanning_tree(inst.graph(), &inst.labelled_edges()).unwrap_or(false)
+    }
+
+    #[test]
+    fn holds_needs_no_separate_connectivity_pass() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let connected = [
+            generators::path(6),
+            generators::cycle(7),
+            generators::grid(3, 4),
+            generators::random_connected(12, 6, &mut rng),
+        ];
+        // Two halves side by side, the second's identifiers shifted out of
+        // the way: the registry's canonical disconnected instance.
+        let halves = |a: &lcp_graph::Graph, b: &lcp_graph::Graph| {
+            ops::disjoint_union(a, &ops::shift_ids(b, 1_000_000)).unwrap()
+        };
+        let disconnected = [
+            halves(&generators::cycle(4), &generators::cycle(4)),
+            halves(&generators::path(3), &generators::grid(2, 3)),
+            halves(&generators::cycle(5), &generators::path(1)),
+        ];
+        let (mut trees, mut others) = (0, 0);
+        for g in connected.iter().chain(&disconnected) {
+            let all: Vec<(usize, usize)> = g.edges().collect();
+            let bfs = spanning::bfs_spanning_tree(g, 0).edges();
+            // One BFS tree per component, rooted at its first node.
+            let comp = traversal::connected_components(g);
+            let forest: Vec<(usize, usize)> = g
+                .nodes()
+                .filter(|&v| g.nodes().position(|u| comp[u] == comp[v]) == Some(v))
+                .flat_map(|root| spanning::bfs_spanning_tree(g, root).edges())
+                .collect();
+            let random = spanning::random_spanning_tree(g, 0, &mut rng).edges();
+            let in_bfs = |&(u, v): &(usize, usize)| {
+                bfs.iter()
+                    .any(|&(c, p)| lcp_graph::norm_edge(c, p) == lcp_graph::norm_edge(u, v))
+            };
+            let mut plus_chord = bfs.clone();
+            plus_chord.extend(all.iter().find(|e| !in_bfs(e)));
+            let mut minus_one = bfs.clone();
+            minus_one.pop();
+            // The first `n − 1` edges: a tree on some graphs; on others,
+            // and on both halves of a split graph, a cycle that leaves
+            // some node out.
+            let mut first_edges: Vec<(usize, usize)> = all.clone();
+            first_edges.truncate(g.n() - 1);
+            for edges in [
+                all,
+                bfs,
+                forest,
+                random,
+                plus_chord,
+                minus_one,
+                first_edges,
+                vec![],
+            ] {
+                let inst = Instance::unlabeled(g.clone()).with_edge_set(edges.clone());
+                let want = holds_with_connectivity_pass(&inst);
+                assert_eq!(SpanningTree.holds(&inst), want, "{g:?} with {edges:?}");
+                if want {
+                    trees += 1;
+                } else {
+                    others += 1;
+                }
+            }
+        }
+        assert!(trees >= 8 && others >= 30, "{trees} trees, {others} others");
     }
 
     #[test]
