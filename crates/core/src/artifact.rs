@@ -75,8 +75,9 @@ impl CoreProvenance {
 ///
 /// * `.0`, the structural content key — an FNV fold of the radius, the
 ///   node and edge counts, every node's id, degree and neighbour list,
-///   then every edge's endpoints and label *presence*. The
-///   [`SkeletonCache`] buckets by it.
+///   then one word per edge: its endpoint pair shifted up a bit, with
+///   label *presence* in bit 0, where an FNV step carries it into every
+///   higher bit. The [`SkeletonCache`] buckets by it.
 /// * `.1`, an FNV fold of what the structural key omits: both label
 ///   type tags, every node label's encoded words (length-prefixed, node
 ///   order), then every present edge label's endpoints and encoded
@@ -124,7 +125,7 @@ pub(crate) fn fingerprint<N: PortableLabel, E: PortableLabel>(
         while labelled.next_if(|&(&e, _)| e < (u, v)).is_some() {}
         let label = labelled.next_if(|&(&e, _)| e == (u, v)).map(|(_, l)| l);
         let pair = ((u as u64) << 32) | v as u64;
-        key(pair | (u64::from(label.is_some()) << 63));
+        key((pair << 1) | u64::from(label.is_some()));
         if let Some(label) = label {
             buf.clear();
             label.encode(&mut buf);
@@ -419,7 +420,7 @@ mod tests {
     use crate::proof::Proof;
     use lcp_graph::{generators, Graph};
 
-    /// The structural key as `docs/FORMAT.md` v1 first defined it: one
+    /// The structural key as `docs/FORMAT.md` v2 defines it, with one
     /// `edge_label` lookup per edge. Kept verbatim as the reference the
     /// one-pass [`fingerprint`] must reproduce bit for bit.
     fn reference_content_key<N, E>(inst: &Instance<N, E>, radius: usize) -> u64 {
@@ -440,13 +441,13 @@ mod tests {
         }
         for (u, v) in g.edges() {
             let labelled = u64::from(inst.edge_label(u, v).is_some());
-            mix(((u as u64) << 32) | (v as u64) | (labelled << 63));
+            mix(((((u as u64) << 32) | v as u64) << 1) | labelled);
         }
         h
     }
 
-    /// The v1 fingerprint as first defined: the reference structural key
-    /// plus a separate label fold that looks every edge up.
+    /// The v2 fingerprint by its definition: the reference structural
+    /// key plus a separate label fold that looks every edge up.
     fn reference_fingerprint<N: PortableLabel, E: PortableLabel>(
         inst: &Instance<N, E>,
         radius: usize,
@@ -502,7 +503,7 @@ mod tests {
     }
 
     #[test]
-    fn one_pass_fingerprint_matches_the_v1_definition() {
+    fn one_pass_fingerprint_matches_the_v2_definition() {
         let graphs = [
             ("grid", generators::grid(4, 5)),
             ("cycle", generators::cycle(9)),
@@ -543,11 +544,9 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_matches_the_pinned_v1_golden() {
-        // Computed by the v1 per-edge-lookup definition; an artifact
-        // directory written under it must keep loading. The label
-        // presence bit (bit 63) only ever reaches bit 63 of an FNV fold,
-        // so an odd number of labelled edges keeps it visible in word 12.
+    fn fingerprint_matches_the_pinned_v2_golden() {
+        // Computed by the v2 per-edge-lookup definition; an artifact
+        // directory written under it must keep loading.
         let mut edges = EdgeMap::new();
         edges.insert((0, 1), 5u64);
         edges.insert((1, 5), 9u64);
@@ -556,8 +555,21 @@ mod tests {
         let inst = Instance::with_data(generators::grid(3, 4), nodes, edges);
         assert_eq!(
             fingerprint(&inst, 2),
-            (0xbdf1_1cc3_5ead_180d, 0x632a_5d9b_1be7_c4f5)
+            (0xdf19_2970_659c_b12c, 0x632a_5d9b_1be7_c4f5)
         );
+    }
+
+    #[test]
+    fn structural_key_sees_which_edges_are_labelled() {
+        // Two labelled edges either way: the same count, and so the same
+        // parity. A presence bit folded in at bit 63 would leave word 12
+        // equal; folded in at bit 0 it reaches every bit.
+        let g = generators::cycle(6);
+        let near = Instance::unlabeled(g.clone()).with_edge_set([(0, 1), (1, 2)]);
+        let far = Instance::unlabeled(g.clone()).with_edge_set([(2, 3), (4, 5)]);
+        let (a, b) = (fingerprint(&near, 1).0, fingerprint(&far, 1).0);
+        assert_ne!(a, b, "labelled-edge sets of equal parity");
+        assert_ne!(a, fingerprint(&Instance::unlabeled(g), 1).0);
     }
 
     fn scratch_dir(tag: &str) -> PathBuf {

@@ -18,14 +18,13 @@
 //!
 //! * every node's view **skeleton** — the radius-`r` ball in CSR form
 //!   (flat adjacency + offsets), distance arrays, identifiers, labels,
-//!   and sorted edge-label slices — packed into one contiguous word
-//!   image;
+//!   and sorted edge-label keys — packed into one contiguous word image;
 //! * the flat **membership table** (`members`): which global nodes appear
-//!   in each ball, in view-local order;
-//! * the inverted **dependency table** (`dependents`): for each global
-//!   node `v`, the views that contain `v` and `v`'s local index in each —
-//!   exactly the verifiers whose output can change when `v`'s bits
-//!   change.
+//!   in each ball, in view-local order. Read the other way it is also
+//!   the **dependency** relation (`dependents`): distance is symmetric,
+//!   so the views that contain global node `v` — exactly the verifiers
+//!   whose output can change when `v`'s bits change — are the nodes of
+//!   `v`'s own ball.
 //!
 //! Binding a proof ([`PreparedInstance::bind`]) is then **free**: a
 //! bound view borrows slices of the word-packed [`crate::Proof`] through
@@ -119,6 +118,14 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+/// How often a verifier sweep polls an attached deadline: at node 0,
+/// then every `SWEEP_POLL_STRIDE` nodes — finer than the enumeration
+/// loops' [`crate::deadline::CHECK_INTERVAL`], since one verifier costs
+/// far more than one candidate step, yet coarse enough that a sweep with
+/// a budget pays a clock read per 64 nodes rather than per node. A power
+/// of two, so the poll guard is a mask-and-branch.
+const SWEEP_POLL_STRIDE: u64 = 64;
+
 /// An instance with every node's radius-`r` view skeleton precomputed,
 /// ready to bind candidate proofs cheaply.
 ///
@@ -205,16 +212,16 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
     ///
     /// Inverse of [`Self::members`]: `w ∈ dependents(v)` iff
     /// `v ∈ members(w)` (pinned by the `members_and_dependents_are_
-    /// inverse_tables` test). On an undirected graph both relations are
-    /// the radius-`r` ball, but callers should not rely on that symmetry
-    /// — it is an artefact of distance being symmetric, not part of the
-    /// contract.
+    /// inverse_tables` test). Distance is symmetric, so both relations
+    /// are the radius-`r` ball, and the core stores it once: this walks
+    /// `v`'s own member slice. Opening an artifact checks the symmetry
+    /// (`docs/FORMAT.md`), so a mapped core answers the same.
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range.
     pub fn dependents(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
-        self.core.dependents_of(v).map(|(owner, _)| owner as usize)
+        self.members(v)
     }
 
     /// Binds `proof` to node `v`'s cached skeleton, producing its view.
@@ -238,9 +245,10 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
     }
 
     /// Runs `scheme`'s verifier at every node against cached skeletons,
-    /// in node order, polling `deadline` between nodes (a single
-    /// verifier may still overrun — cooperative budgets cannot preempt
-    /// scheme code). An unbounded `deadline` never expires.
+    /// in node order, polling `deadline` before node 0 and every 64
+    /// nodes after it (a single verifier may still overrun — cooperative
+    /// budgets cannot preempt scheme code). An unbounded `deadline`
+    /// never expires.
     ///
     /// Semantically identical to [`crate::evaluate`] (property-tested in
     /// `tests/engine_equivalence.rs`), but where the naive executor runs
@@ -271,7 +279,7 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
         assert_eq!(proof.n(), self.n(), "proof must label every node");
         let mut outputs = Vec::with_capacity(self.n());
         for v in 0..self.n() {
-            if deadline.expired() {
+            if deadline.poll(v as u64, SWEEP_POLL_STRIDE - 1) {
                 return Err(DeadlineExpired);
             }
             outputs.push(scheme.verify(&self.bind(v, proof)));
@@ -285,8 +293,8 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
 
     /// Runs the verifier node by node and stops at the first rejection,
     /// returning the rejecting node — or `None` when every node accepts.
-    /// Polls `deadline` between nodes and reads the proof's label column,
-    /// as [`Self::evaluate`] does; the column is filled on first read, so
+    /// Polls `deadline` at the same stride and reads the proof's label
+    /// column, as [`Self::evaluate`] does; the column is filled on first read, so
     /// an early rejection decodes only what it read.
     ///
     /// The accept/reject decision (`∃` rejecting node) does not need the
@@ -309,7 +317,7 @@ impl<'i, N: Clone, E: Clone> PreparedInstance<'i, N, E> {
         assert_eq!(proof.n(), self.n(), "proof must label every node");
         let mut rejecting = None;
         for v in 0..self.n() {
-            if deadline.expired() {
+            if deadline.poll(v as u64, SWEEP_POLL_STRIDE - 1) {
                 return Err(DeadlineExpired);
             }
             if !scheme.verify(&self.bind(v, proof)) {
@@ -934,6 +942,61 @@ mod tests {
             prep.evaluate_until_reject(&Fingerprint, &proof, &expired),
             Err(DeadlineExpired)
         );
+    }
+
+    #[test]
+    fn sweeps_poll_the_deadline_once_per_64_nodes() {
+        /// Accepts everywhere, counting the verifiers that ran.
+        struct Counting(AtomicUsize);
+        impl Scheme for Counting {
+            type Node = ();
+            type Edge = ();
+            fn name(&self) -> String {
+                "counting".into()
+            }
+            fn radius(&self) -> usize {
+                1
+            }
+            fn holds(&self, _: &Instance) -> bool {
+                true
+            }
+            fn prove(&self, inst: &Instance) -> Option<Proof> {
+                Some(Proof::empty(inst.n()))
+            }
+            fn verify(&self, _: &View) -> bool {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                true
+            }
+        }
+        let scheme = Counting(AtomicUsize::new(0));
+        for n in [1, 63, 64, 65, 200] {
+            let inst = Instance::unlabeled(generators::path(n));
+            let prep = PreparedInstance::new(&inst, 1);
+            let proof = Proof::empty(n);
+            let budget = Deadline::after(std::time::Duration::from_secs(3600));
+            let per_sweep = n.div_ceil(64) as u64;
+            assert!(prep.evaluate(&scheme, &proof, &budget).unwrap().accepted());
+            assert_eq!(budget.polls(), per_sweep, "evaluate at n = {n}");
+            assert_eq!(
+                prep.evaluate_until_reject(&scheme, &proof, &budget),
+                Ok(None)
+            );
+            assert_eq!(budget.polls(), 2 * per_sweep, "until-reject at n = {n}");
+
+            // Node 0 polls, so an expired token stops every sweep
+            // before its first verifier runs.
+            scheme.0.store(0, Ordering::Relaxed);
+            let expired = Deadline::after(std::time::Duration::ZERO);
+            assert_eq!(
+                prep.evaluate(&scheme, &proof, &expired),
+                Err(DeadlineExpired)
+            );
+            assert_eq!(
+                prep.evaluate_until_reject(&scheme, &proof, &expired),
+                Err(DeadlineExpired)
+            );
+            assert_eq!(scheme.0.load(Ordering::Relaxed), 0, "n = {n}");
+        }
     }
 
     #[test]

@@ -5,13 +5,21 @@
 //!
 //! Every process that verifies proofs — campaign shards, nightly matrix
 //! workers, the `lcp-serve` daemon — used to re-BFS every skeleton from
-//! scratch on startup, even though the prepared data (CSR balls,
-//! member/dependent tables, sorted edge labels) is already flat and
+//! scratch on startup, even though the prepared data (CSR balls, the
+//! member table, sorted edge-label keys) is already flat and
 //! offset-indexed. This module makes the prepared core a *persistent
 //! artifact*: a [`FrozenCore`] is one contiguous little-endian `u64`
 //! word image whose sections are consumed in place, so a core can be
 //! `mmap`ed from disk and served with **zero deserialization** of the
-//! numeric sections (only the typed label pools are decoded on open).
+//! numeric sections (only the typed label pools are decoded on open, so
+//! a core whose labels are `()` decodes nothing and allocates nothing).
+//!
+//! Each fact of a core is stored once. The verifiers that read node `v`
+//! are exactly the nodes of `v`'s own ball — distance is symmetric — so
+//! the member table is its own inverse: there is no dependents table,
+//! and [`FrozenCore::open`] checks the symmetry instead. A node's label
+//! is stored once per node, not once per ball that contains it, and
+//! expanded per ball member on open.
 //!
 //! A [`FrozenCore`] is the only form a whole core takes: one pool
 //! writer fills it, ball by ball, both in a fresh
@@ -62,7 +70,7 @@ compile_error!("lcp-core frozen artifacts require a 64-bit target (adjacency wor
 pub const MAGIC: u64 = u64::from_le_bytes(*b"LCPCORE1");
 
 /// Bumped whenever the section layout changes incompatibly.
-pub const FORMAT_VERSION: u64 = 1;
+pub const FORMAT_VERSION: u64 = 2;
 
 /// Words in the fixed header (see `docs/FORMAT.md` for the word map).
 pub const HEADER_WORDS: usize = 16;
@@ -440,16 +448,18 @@ struct Layout {
     t: usize,
     /// Total adjacency entries across all skeletons.
     a: usize,
+    /// Total edge-label entries across all skeletons.
+    e: usize,
     member_off: usize,
     members: usize,
-    dependent_off: usize,
-    dependents: usize,
     centers: usize,
     skel_adj_off: usize,
     adj_off_local: usize,
     ids: usize,
     dist: usize,
     adj: usize,
+    edge_off: usize,
+    edge_keys: usize,
     node_labels: usize,
     edge_labels: usize,
     total: usize,
@@ -458,7 +468,7 @@ struct Layout {
 impl Layout {
     /// Computes the layout; `None` on arithmetic overflow (a hostile
     /// header must not panic or wrap into accepting bogus bounds).
-    fn new(radius: usize, n: usize, t: usize, a: usize, nlw: usize, elw: usize) -> Option<Layout> {
+    fn new(radius: usize, [n, t, a, e]: [usize; 4], nlw: usize, elw: usize) -> Option<Layout> {
         let mut off = HEADER_WORDS;
         let mut sec = |len: usize| -> Option<usize> {
             let here = off;
@@ -471,16 +481,17 @@ impl Layout {
             n,
             t,
             a,
+            e,
             member_off: sec(w32(np1))?,
             members: sec(w32(t))?,
-            dependent_off: sec(w32(np1))?,
-            dependents: sec(t)?,
             centers: sec(w32(n))?,
             skel_adj_off: sec(w32(np1))?,
             adj_off_local: sec(w32(t.checked_add(n)?))?,
             ids: sec(t)?,
             dist: sec(w32(t))?,
             adj: sec(a)?,
+            edge_off: sec(w32(np1))?,
+            edge_keys: sec(e)?,
             node_labels: sec(nlw)?,
             edge_labels: sec(elw)?,
             total: 0,
@@ -490,6 +501,27 @@ impl Layout {
             ..layout
         })
     }
+
+    /// Every section in file order: its name, its entry count as
+    /// `docs/FORMAT.md` writes it, and its word offset. The format doc's
+    /// section table is checked against this list.
+    #[cfg(test)]
+    fn sections(&self) -> [(&'static str, &'static str, usize); 12] {
+        [
+            ("member_off", "n + 1", self.member_off),
+            ("members", "T", self.members),
+            ("centers", "n", self.centers),
+            ("skel_adj_off", "n + 1", self.skel_adj_off),
+            ("adj_off_local", "T + n", self.adj_off_local),
+            ("ids", "T", self.ids),
+            ("dist", "T", self.dist),
+            ("adj", "A", self.adj),
+            ("edge_off", "n + 1", self.edge_off),
+            ("edge_keys", "E", self.edge_keys),
+            ("node_labels", "n", self.node_labels),
+            ("edge_labels", "E", self.edge_labels),
+        ]
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -497,9 +529,9 @@ impl Layout {
 // ---------------------------------------------------------------------
 
 /// The immutable serving half of a prepared core: every node's view
-/// skeleton plus the member/dependent locality tables, stored as one
-/// contiguous little-endian word image (plus decoded label pools) with
-/// no reference back to the instance it was built from.
+/// skeleton plus the member table, stored as one contiguous
+/// little-endian word image (plus decoded label pools) with no
+/// reference back to the instance it was built from.
 ///
 /// A `FrozenCore` is what [`crate::engine::PreparedInstance`] binds
 /// views from, what [`crate::engine::SkeletonCache`] shares across
@@ -513,10 +545,9 @@ pub struct FrozenCore<N = (), E = ()> {
     /// Decoded node labels, one per ball member, in pool order
     /// (skeleton `v`'s slice is `member_off[v]..member_off[v+1]`).
     node_labels: Vec<N>,
-    /// Per-skeleton offsets into `edge_pool` (`n + 1` entries).
-    edge_off: Vec<u32>,
-    /// Decoded edge labels in pool order, key-sorted per skeleton.
-    edge_pool: Vec<((usize, usize), E)>,
+    /// Decoded edge labels, one per entry of the `edge_keys` section,
+    /// in the same order.
+    edge_labels: Vec<E>,
 }
 
 impl<N, E> std::fmt::Debug for FrozenCore<N, E> {
@@ -577,16 +608,6 @@ impl<N, E> FrozenCore<N, E> {
     }
 
     #[inline]
-    fn dependent_off(&self) -> &[u32] {
-        self.u32_sec(self.lay.dependent_off, self.lay.n + 1)
-    }
-
-    #[inline]
-    fn dependents_packed(&self) -> &[u64] {
-        self.u64_sec(self.lay.dependents, self.lay.t)
-    }
-
-    #[inline]
     fn centers(&self) -> &[u32] {
         self.u32_sec(self.lay.centers, self.lay.n)
     }
@@ -620,20 +641,24 @@ impl<N, E> FrozenCore<N, E> {
         unsafe { std::slice::from_raw_parts(w.as_ptr().cast::<usize>(), w.len()) }
     }
 
+    #[inline]
+    fn edge_off(&self) -> &[u32] {
+        self.u32_sec(self.lay.edge_off, self.lay.n + 1)
+    }
+
+    #[inline]
+    fn edge_keys(&self) -> &[u64] {
+        self.u64_sec(self.lay.edge_keys, self.lay.e)
+    }
+
     /// Global indices of node `v`'s ball members, in view-local order.
+    ///
+    /// By symmetry these are also the owners of the views that contain
+    /// `v` (checked on open), which is why no dependents table exists.
     #[inline]
     pub(crate) fn members_of(&self, v: usize) -> &[u32] {
         let off = self.member_off();
         &self.members_sec()[off[v] as usize..off[v + 1] as usize]
-    }
-
-    /// The `(owner, local)` pairs of views containing global node `v`.
-    #[inline]
-    pub(crate) fn dependents_of(&self, v: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let off = self.dependent_off();
-        self.dependents_packed()[off[v] as usize..off[v + 1] as usize]
-            .iter()
-            .map(|&p| ((p >> 32) as u32, p as u32))
     }
 
     /// Node `v`'s skeleton as a borrow-only [`SkelView`] straight into
@@ -644,6 +669,8 @@ impl<N, E> FrozenCore<N, E> {
         let (lo, hi) = (off[v] as usize, off[v + 1] as usize);
         let sa = self.skel_adj_off();
         let (alo, ahi) = (sa[v] as usize, sa[v + 1] as usize);
+        let eo = self.edge_off();
+        let (elo, ehi) = (eo[v] as usize, eo[v + 1] as usize);
         SkelView {
             center: self.centers()[v] as usize,
             radius: self.lay.radius,
@@ -652,7 +679,8 @@ impl<N, E> FrozenCore<N, E> {
             adj: &self.adj_sec()[alo..ahi],
             dist: &self.dist_sec()[lo..hi],
             node_data: &self.node_labels[lo..hi],
-            edge_labels: &self.edge_pool[self.edge_off[v] as usize..self.edge_off[v + 1] as usize],
+            edge_keys: &self.edge_keys()[elo..ehi],
+            edge_labels: &self.edge_labels[elo..ehi],
         }
     }
 }
@@ -665,18 +693,11 @@ fn pack_u32s(out: &mut [u64], vals: &[u32]) {
     }
 }
 
-fn push_u32s(out: &mut Vec<u64>, vals: &[u32]) {
-    let at = out.len();
-    out.resize(at + w32(vals.len()), 0);
-    pack_u32s(&mut out[at..], vals);
-}
-
 /// The one writer of a core's word image. Balls are pushed in node
 /// order into growable section buffers; [`Self::finish`] lays the words
-/// out once and inverts the member table into the dependents table.
+/// out once.
 ///
-/// Deterministic: equal ball sequences render byte-identical images
-/// (dependents are counting-sorted by member with owners ascending),
+/// Deterministic: equal ball sequences render byte-identical images,
 /// which is what lets racing campaign shards write interchangeable
 /// artifact files, and what makes a builder repaired after churn
 /// refreeze to the image of a fresh build.
@@ -695,7 +716,9 @@ struct PoolWriter<N, E> {
     /// Each ball's `|ball| + 1` local CSR offsets, back to back.
     adj_off_local: Vec<u32>,
     adj: Vec<u64>,
-    edge_pool: Vec<((usize, usize), E)>,
+    // One entry per labelled edge of a ball.
+    edge_keys: Vec<u64>,
+    edge_labels: Vec<E>,
 }
 
 impl<N: Clone, E: Clone> PoolWriter<N, E> {
@@ -715,7 +738,8 @@ impl<N: Clone, E: Clone> PoolWriter<N, E> {
             node_labels: Vec::with_capacity(n),
             adj_off_local: Vec::with_capacity(2 * n),
             adj: Vec::with_capacity(n),
-            edge_pool: Vec::new(),
+            edge_keys: Vec::new(),
+            edge_labels: Vec::new(),
         }
     }
 
@@ -727,18 +751,19 @@ impl<N: Clone, E: Clone> PoolWriter<N, E> {
         self.member_off.push(self.members.len() as u32);
         self.centers.push(sv.center as u32);
         self.skel_adj_off.push(self.adj.len() as u32);
-        self.edge_off.push(self.edge_pool.len() as u32);
+        self.edge_off.push(self.edge_keys.len() as u32);
         self.members.extend_from_slice(members);
         self.ids.extend(sv.ids.iter().map(|id| id.0));
         self.dist.extend_from_slice(sv.dist);
         self.node_labels.extend_from_slice(sv.node_data);
         self.adj_off_local.extend_from_slice(sv.adj_off);
         self.adj.extend(sv.adj.iter().map(|&w| w as u64));
-        self.edge_pool.extend_from_slice(sv.edge_labels);
+        self.edge_keys.extend_from_slice(sv.edge_keys);
+        self.edge_labels.extend_from_slice(sv.edge_labels);
     }
 
-    /// Lays out the word image (label sections absent, as on every
-    /// in-process core) and hands the label pools over.
+    /// Lays out the numeric word image (label sections absent, as on
+    /// every in-process core) and hands the label pools over.
     ///
     /// # Panics
     ///
@@ -746,7 +771,7 @@ impl<N: Clone, E: Clone> PoolWriter<N, E> {
     /// (Σ|ball|, Σ|adj| or the edge-label count ≥ 2³²).
     fn finish(mut self) -> FrozenCore<N, E> {
         let n = self.centers.len();
-        let (t, a, e) = (self.members.len(), self.adj.len(), self.edge_pool.len());
+        let (t, a, e) = (self.members.len(), self.adj.len(), self.edge_keys.len());
         assert!(
             u32::try_from(t.max(a).max(e)).is_ok(),
             "core too large for the artifact format's u32 offsets"
@@ -754,7 +779,7 @@ impl<N: Clone, E: Clone> PoolWriter<N, E> {
         self.member_off.push(t as u32);
         self.skel_adj_off.push(a as u32);
         self.edge_off.push(e as u32);
-        let lay = Layout::new(self.radius, n, t, a, 0, 0).expect("artifact layout overflow");
+        let lay = Layout::new(self.radius, [n, t, a, e], 0, 0).expect("artifact layout overflow");
         let mut words = vec![0u64; lay.total];
         words[0] = MAGIC;
         words[1] = FORMAT_VERSION;
@@ -775,34 +800,16 @@ impl<N: Clone, E: Clone> PoolWriter<N, E> {
         pack_u32s(&mut words[lay.dist..], &self.dist);
         words[lay.ids..lay.ids + t].copy_from_slice(&self.ids);
         words[lay.adj..lay.adj + a].copy_from_slice(&self.adj);
-
-        // Dependents by counting sort: owners ascend within each member
-        // bucket because owners are visited in ascending order.
-        let mut cursor = vec![0u32; n + 1];
-        for &m in &self.members {
-            cursor[m as usize + 1] += 1;
-        }
-        for v in 0..n {
-            cursor[v + 1] += cursor[v];
-        }
-        pack_u32s(&mut words[lay.dependent_off..], &cursor);
-        for owner in 0..n {
-            let ball = self.member_off[owner] as usize..self.member_off[owner + 1] as usize;
-            for (local, &m) in self.members[ball].iter().enumerate() {
-                let c = &mut cursor[m as usize];
-                words[lay.dependents + *c as usize] = ((owner as u64) << 32) | local as u64;
-                *c += 1;
-            }
-        }
+        pack_u32s(&mut words[lay.edge_off..], &self.edge_off);
+        words[lay.edge_keys..lay.edge_keys + e].copy_from_slice(&self.edge_keys);
 
         self.node_labels.shrink_to_fit();
-        self.edge_pool.shrink_to_fit();
+        self.edge_labels.shrink_to_fit();
         FrozenCore {
             words: Words::Owned(words),
             lay,
             node_labels: self.node_labels,
-            edge_off: self.edge_off,
-            edge_pool: self.edge_pool,
+            edge_labels: self.edge_labels,
         }
     }
 }
@@ -837,22 +844,22 @@ impl<N: Clone, E: Clone> FrozenCore<N, E> {
 
 impl<N: PortableLabel, E: PortableLabel> FrozenCore<N, E> {
     /// Renders the complete on-disk image: the numeric word sections
-    /// verbatim, the label pools `PortableLabel`-encoded, and the header
-    /// patched with tags, counts, `fingerprint`, and checksum.
+    /// verbatim, one `PortableLabel`-encoded node label per node (the
+    /// copy at the centre of the node's own ball), the edge-label pool,
+    /// and the header patched with tags, counts, `fingerprint`, and
+    /// checksum.
     fn render_file(&self, fingerprint: (u64, u64)) -> Vec<u64> {
         let numeric_end = self.lay.node_labels;
-        let mut out = Vec::with_capacity(numeric_end + self.node_labels.len() + 64);
+        let mut out = Vec::with_capacity(numeric_end + self.lay.n + self.lay.e + 64);
         out.extend_from_slice(&self.words.as_slice()[..numeric_end]);
-        let nl_start = out.len();
-        for l in &self.node_labels {
-            l.encode(&mut out);
+        let (member_off, centers) = (self.member_off(), self.centers());
+        for v in 0..self.lay.n {
+            self.node_labels[member_off[v] as usize + centers[v] as usize].encode(&mut out);
         }
-        let nlw = out.len() - nl_start;
+        let nlw = out.len() - numeric_end;
         let el_start = out.len();
-        push_u32s(&mut out, &self.edge_off);
-        for ((u, w), e) in &self.edge_pool {
-            out.push(((*u as u64) << 32) | *w as u64);
-            e.encode(&mut out);
+        for l in &self.edge_labels {
+            l.encode(&mut out);
         }
         let elw = out.len() - el_start;
         out[8] = N::TAG;
@@ -895,14 +902,16 @@ impl<N: PortableLabel, E: PortableLabel> FrozenCore<N, E> {
             io_err(path, e)
         })
     }
+}
 
+impl<N: PortableLabel + Clone, E: PortableLabel> FrozenCore<N, E> {
     /// Opens an artifact file: `mmap`s it read-only (falling back to a
     /// plain read into a `Vec<u64>` when mapping is unavailable) and
     /// validates it structurally — magic, version, checksum, section
-    /// bounds, offset monotonicity, index ranges, label decode — before
-    /// any slice is served. When `expect` is given, the embedded
-    /// fingerprint must match (the caller pairing an artifact with its
-    /// instance).
+    /// bounds, offset monotonicity, index ranges, ball symmetry, edge-key
+    /// order, label decode — before any slice is served. When `expect`
+    /// is given, the embedded fingerprint must match (the caller pairing
+    /// an artifact with its instance).
     ///
     /// # Errors
     ///
@@ -1009,10 +1018,10 @@ impl<N: PortableLabel, E: PortableLabel> FrozenCore<N, E> {
         let n = as_usize(4)?;
         let t = as_usize(5)?;
         let a = as_usize(6)?;
-        let edge_count = as_usize(7)?;
+        let e = as_usize(7)?;
         let nlw = as_usize(10)?;
         let elw = as_usize(11)?;
-        let lay = Layout::new(radius, n, t, a, nlw, elw)
+        let lay = Layout::new(radius, [n, t, a, e], nlw, elw)
             .ok_or_else(|| invalid(path, 3, "section layout overflows"))?;
         if lay.total != w.len() {
             return Err(invalid(
@@ -1025,18 +1034,17 @@ impl<N: PortableLabel, E: PortableLabel> FrozenCore<N, E> {
                 ),
             ));
         }
-        if t > u32::MAX as usize || a > u32::MAX as usize || edge_count > u32::MAX as usize {
+        if t > u32::MAX as usize || a > u32::MAX as usize || e > u32::MAX as usize {
             return Err(invalid(path, 5, "counts exceed the format's u32 offsets"));
         }
         let core = FrozenCore {
             words,
             lay,
             node_labels: Vec::new(),
-            edge_off: Vec::new(),
-            edge_pool: Vec::new(),
+            edge_labels: Vec::new(),
         };
         core.validate_structure(path)?;
-        let (node_labels, edge_off, edge_pool) = core.decode_labels(path, edge_count)?;
+        let (node_labels, edge_labels) = core.decode_labels(path)?;
         if let Some(fp) = expect {
             let stored = (core.words.as_slice()[12], core.words.as_slice()[13]);
             if stored != fp {
@@ -1053,19 +1061,19 @@ impl<N: PortableLabel, E: PortableLabel> FrozenCore<N, E> {
         }
         Ok(FrozenCore {
             node_labels,
-            edge_off,
-            edge_pool,
+            edge_labels,
             ..core
         })
     }
 
     /// Structural validation of the numeric sections: every offset
     /// array is monotone and ends on its pool length, every index is in
-    /// range, the dependent table is the exact inverse of the member
-    /// table, and centers sit at distance 0 of their own ball.
+    /// range, centers sit at distance 0 of their own ball, the member
+    /// table is symmetric, and each ball's edge keys are strictly
+    /// ascending pairs `u < w` of its members.
     fn validate_structure(&self, path: &Path) -> Result<(), ArtifactError> {
         let lay = &self.lay;
-        let (n, t, a) = (lay.n, lay.t, lay.a);
+        let (n, t, a, e) = (lay.n, lay.t, lay.a, lay.e);
         let bad = |sec: usize, idx: usize, detail: String| invalid(path, sec + idx / 2, detail);
 
         let check_offsets = |sec: usize, off: &[u32], pool: usize, name: &str| {
@@ -1087,12 +1095,15 @@ impl<N: PortableLabel, E: PortableLabel> FrozenCore<N, E> {
             Ok(())
         };
         check_offsets(lay.member_off, self.member_off(), t, "member_off")?;
-        check_offsets(lay.dependent_off, self.dependent_off(), t, "dependent_off")?;
         check_offsets(lay.skel_adj_off, self.skel_adj_off(), a, "skel_adj_off")?;
+        check_offsets(lay.edge_off, self.edge_off(), e, "edge_off")?;
 
         let member_off = self.member_off();
         let members = self.members_sec();
         let dist = self.dist_sec();
+        // Pairs (v, u) with u in ball(v), counted by which side of v the
+        // member falls: the symmetry check below needs them equal.
+        let (mut above, mut below) = (0usize, 0usize);
         for v in 0..n {
             let (lo, hi) = (member_off[v] as usize, member_off[v + 1] as usize);
             if lo == hi {
@@ -1146,34 +1157,42 @@ impl<N: PortableLabel, E: PortableLabel> FrozenCore<N, E> {
             if dist[lo + c] != 0 {
                 return Err(bad(lay.dist, lo + c, "center at nonzero distance".into()));
             }
+            // The ball is sorted and holds `v` at `c`: `c` members lie
+            // below `v`, the rest above.
+            below += c;
+            above += hi - lo - c - 1;
         }
-        // Dependents: exact inverse of the member table.
-        let dep_off = self.dependent_off();
-        let deps = self.dependents_packed();
+        // Symmetry: every `u > v` in ball(v) has `v` in ball(u). That
+        // maps the pairs above the diagonal one-to-one onto pairs below
+        // it, so equal counts leave no pair below unmatched either.
         for v in 0..n {
-            for i in dep_off[v] as usize..dep_off[v + 1] as usize {
-                let (owner, local) = ((deps[i] >> 32) as usize, deps[i] as u32 as usize);
-                if owner >= n {
-                    return Err(invalid(
-                        path,
-                        lay.dependents + i,
-                        format!("dependent owner {owner} out of range"),
-                    ));
-                }
-                let (lo, hi) = (member_off[owner] as usize, member_off[owner + 1] as usize);
-                if local >= hi - lo || members[lo + local] as usize != v {
-                    return Err(invalid(
-                        path,
-                        lay.dependents + i,
-                        format!("dependent ({owner}, {local}) is not the inverse of member {v}"),
+            let (lo, hi) = (member_off[v] as usize, member_off[v + 1] as usize);
+            let c = self.centers()[v] as usize;
+            for i in lo + c + 1..hi {
+                let u = members[i] as usize;
+                let ball_u = &members[member_off[u] as usize..member_off[u + 1] as usize];
+                if ball_u.binary_search(&(v as u32)).is_err() {
+                    return Err(bad(
+                        lay.members,
+                        i,
+                        format!("node {u} is in node {v}'s ball, but {v} is not in {u}'s"),
                     ));
                 }
             }
         }
-        // Per-skeleton local CSR offsets and adjacency indices.
+        if above != below {
+            return Err(bad(
+                lay.members,
+                0,
+                format!("member table is not symmetric: {above} pairs above the diagonal, {below} below"),
+            ));
+        }
+        // Per-skeleton local CSR offsets, adjacency indices and edge keys.
         let sa = self.skel_adj_off();
         let aol = self.adj_off_local();
         let adj = self.adj_sec();
+        let eo = self.edge_off();
+        let keys = self.edge_keys();
         for v in 0..n {
             let ball = (member_off[v + 1] - member_off[v]) as usize;
             let base = member_off[v] as usize + v;
@@ -1204,27 +1223,40 @@ impl<N: PortableLabel, E: PortableLabel> FrozenCore<N, E> {
                     ));
                 }
             }
+            for i in eo[v] as usize..eo[v + 1] as usize {
+                let (u, w) = (keys[i] >> 32, keys[i] & u64::from(u32::MAX));
+                if u >= w || w >= ball as u64 {
+                    return Err(invalid(
+                        path,
+                        lay.edge_keys + i,
+                        format!("edge key ({u}, {w}) invalid in ball of size {ball}"),
+                    ));
+                }
+                if i > eo[v] as usize && keys[i] <= keys[i - 1] {
+                    return Err(invalid(
+                        path,
+                        lay.edge_keys + i,
+                        "edge keys not strictly sorted",
+                    ));
+                }
+            }
         }
         Ok(())
     }
 
     /// Decodes the label sections into typed pools, consuming exactly
-    /// the advertised word counts.
-    #[allow(clippy::type_complexity)]
-    fn decode_labels(
-        &self,
-        path: &Path,
-        edge_count: usize,
-    ) -> Result<(Vec<N>, Vec<u32>, Vec<((usize, usize), E)>), ArtifactError> {
+    /// the advertised word counts: `n` node labels, expanded to one per
+    /// ball member, then one edge label per edge key.
+    fn decode_labels(&self, path: &Path) -> Result<(Vec<N>, Vec<E>), ArtifactError> {
         let lay = &self.lay;
         let w = self.words.as_slice();
-        let nl_words = &w[lay.node_labels..lay.node_labels + (lay.edge_labels - lay.node_labels)];
+        let nl_words = &w[lay.node_labels..lay.edge_labels];
         let mut r = WordReader::new(nl_words);
-        let mut node_labels = Vec::with_capacity(lay.t);
-        for i in 0..lay.t {
+        let mut per_node = Vec::with_capacity(lay.n);
+        for v in 0..lay.n {
             let at = lay.node_labels + r.consumed();
-            node_labels.push(N::decode(&mut r).ok_or_else(|| {
-                invalid(path, at, format!("node label {i} of {} malformed", lay.t))
+            per_node.push(N::decode(&mut r).ok_or_else(|| {
+                invalid(path, at, format!("node label {v} of {} malformed", lay.n))
             })?);
         }
         if r.consumed() != nl_words.len() {
@@ -1234,47 +1266,20 @@ impl<N: PortableLabel, E: PortableLabel> FrozenCore<N, E> {
                 "node label section has trailing words",
             ));
         }
+        let node_labels = self
+            .members_sec()
+            .iter()
+            .map(|&m| per_node[m as usize].clone())
+            .collect();
         let el_words = &w[lay.edge_labels..lay.total];
         let mut r = WordReader::new(el_words);
-        let edge_off = r
-            .read_u32s(lay.n + 1)
-            .ok_or_else(|| invalid(path, lay.edge_labels, "edge offset table truncated"))?;
-        if edge_off[0] != 0 || edge_off[lay.n] as usize != edge_count {
-            return Err(invalid(
-                path,
-                lay.edge_labels,
-                format!("edge offsets do not span {edge_count} entries"),
-            ));
-        }
-        if edge_off.windows(2).any(|p| p[1] < p[0]) {
-            return Err(invalid(path, lay.edge_labels, "edge offsets decrease"));
-        }
-        let mut edge_pool = Vec::with_capacity(edge_count);
-        let member_off = self.member_off();
-        for v in 0..lay.n {
-            let ball = (member_off[v + 1] - member_off[v]) as usize;
-            for i in edge_off[v] as usize..edge_off[v + 1] as usize {
-                let at = lay.edge_labels + r.consumed();
-                let key = r
-                    .next()
-                    .ok_or_else(|| invalid(path, at, "edge label key truncated"))?;
-                let (u, wn) = ((key >> 32) as usize, key as u32 as usize);
-                if u >= wn || wn >= ball {
-                    return Err(invalid(
-                        path,
-                        at,
-                        format!("edge key ({u}, {wn}) invalid in ball of size {ball}"),
-                    ));
-                }
-                if let Some(((pu, pw), _)) = edge_pool.get(i.wrapping_sub(1)) {
-                    if i > edge_off[v] as usize && (*pu, *pw) >= (u, wn) {
-                        return Err(invalid(path, at, "edge keys not strictly sorted"));
-                    }
-                }
-                let label = E::decode(&mut r)
-                    .ok_or_else(|| invalid(path, at, format!("edge label {i} malformed")))?;
-                edge_pool.push(((u, wn), label));
-            }
+        let mut edge_labels = Vec::with_capacity(lay.e);
+        for i in 0..lay.e {
+            let at = lay.edge_labels + r.consumed();
+            edge_labels.push(
+                E::decode(&mut r)
+                    .ok_or_else(|| invalid(path, at, format!("edge label {i} malformed")))?,
+            );
         }
         if r.consumed() != el_words.len() {
             return Err(invalid(
@@ -1283,7 +1288,7 @@ impl<N: PortableLabel, E: PortableLabel> FrozenCore<N, E> {
                 "edge label section has trailing words",
             ));
         }
-        Ok((node_labels, edge_off, edge_pool))
+        Ok((node_labels, edge_labels))
     }
 }
 
@@ -1303,9 +1308,10 @@ type Ball<N, E> = (Skeleton<N, E>, Vec<u32>);
 /// itself churns. A `CoreBuilder` reads every ball from its base until
 /// a mutation touches it: [`Self::rebuild`] rebuilds the affected balls
 /// into the overlay (`O(Σ|changed ball|)` work) and
-/// [`Self::set_node_label`] patches labels through the dependency
-/// table without a BFS. The base is never written — every write copies
-/// the touched ball or dependents list into the overlay first — so one
+/// [`Self::set_node_label`] patches labels through the views that
+/// contain the node, without a BFS. The base is never written — every
+/// write copies the touched ball or dependents list into the overlay
+/// first — so one
 /// core can back the cache, a mapped artifact, resident verifies and any
 /// number of builders at once, and [`Self::new`] neither copies nor
 /// allocates.
@@ -1328,8 +1334,10 @@ pub struct CoreBuilder<N = (), E = ()> {
     /// Balls rebuilt, relabelled or corrupted since the builder opened.
     balls: HashMap<usize, Ball<N, E>>,
     /// Dependents lists that rebuilds changed: for global node `v`, the
-    /// `(owner, local)` pairs of views containing `v`, sorted by owner.
-    dependents: HashMap<usize, Vec<(u32, u32)>>,
+    /// owners of the views containing `v`, ascending. A node without an
+    /// entry has its base dependents, which by symmetry are its base
+    /// ball's members.
+    dependents: HashMap<usize, Vec<u32>>,
     /// BFS scratch, made by the first scope or rebuild.
     scratch: Option<BallScratch>,
     /// The ball buffer rebuilds fill.
@@ -1387,15 +1395,12 @@ impl<N, E> CoreBuilder<N, E> {
         }
     }
 
-    /// The `(owner, local)` pairs of views containing global node `v`.
-    pub(crate) fn dependents_of(&self, v: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let overlay = self.dependents.get(&v);
-        let base = overlay.is_none().then(|| self.base.dependents_of(v));
-        overlay
-            .into_iter()
-            .flatten()
-            .copied()
-            .chain(base.into_iter().flatten())
+    /// The owners of the views containing global node `v`, ascending.
+    fn dependents_of(&self, v: usize) -> &[u32] {
+        match self.dependents.get(&v) {
+            Some(owners) => owners,
+            None => self.base.members_of(v),
+        }
     }
 
     /// The centres whose views contain global node `v`, ascending
@@ -1405,7 +1410,7 @@ impl<N, E> CoreBuilder<N, E> {
     ///
     /// Panics if `v` is out of range.
     pub fn dependents(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
-        self.dependents_of(v).map(|(owner, _)| owner as usize)
+        self.dependents_of(v).iter().map(|&owner| owner as usize)
     }
 
     /// Binds `proof` to node `v`'s skeleton — the same zero-copy
@@ -1518,16 +1523,14 @@ impl<N: Clone, E: Clone> CoreBuilder<N, E> {
                 .map_or_else(|| self.base.members_of(w), |(_, m)| m.as_slice());
             for &m in stale_members {
                 let deps = dependents_mut(&self.base, &mut self.dependents, m as usize);
-                if let Ok(pos) = deps.binary_search_by_key(&(w as u32), |&(o, _)| o) {
+                if let Ok(pos) = deps.binary_search(&(w as u32)) {
                     deps.remove(pos);
                 }
             }
-            for (local, &m) in ms.iter().enumerate() {
+            for &m in ms.iter() {
                 let deps = dependents_mut(&self.base, &mut self.dependents, m as usize);
-                let entry = (w as u32, local as u32);
-                match deps.binary_search_by_key(&(w as u32), |&(o, _)| o) {
-                    Ok(pos) => deps[pos] = entry,
-                    Err(pos) => deps.insert(pos, entry),
+                if let Err(pos) = deps.binary_search(&(w as u32)) {
+                    deps.insert(pos, w as u32);
                 }
             }
             // The rebuilt ball moves into the overlay; the stale one, if
@@ -1541,10 +1544,10 @@ impl<N: Clone, E: Clone> CoreBuilder<N, E> {
         changed
     }
 
-    /// Patches node `v`'s label through the dependency table: every view
-    /// containing `v` gets the new label at `v`'s view-local slot. No
-    /// BFS, no membership change — `O(|dependents(v)| · |patch|)`, plus
-    /// a one-time copy of each ball not yet in the overlay.
+    /// Patches node `v`'s label in every view containing `v`, at `v`'s
+    /// view-local slot (a binary search in the owner's sorted ball). No
+    /// BFS, no membership change — `O(|dependents(v)| · log |ball|)`,
+    /// plus a one-time copy of each ball not yet in the overlay.
     ///
     /// Returns the views that were patched (the centres whose verifier
     /// output can change), ascending.
@@ -1553,11 +1556,15 @@ impl<N: Clone, E: Clone> CoreBuilder<N, E> {
     ///
     /// Panics if `v` is out of range.
     pub fn set_node_label(&mut self, v: usize, label: &N) -> Vec<usize> {
-        let slots: Vec<(u32, u32)> = self.dependents_of(v).collect();
-        for &(owner, local) in &slots {
-            self.ball_mut(owner as usize).0.node_data[local as usize] = label.clone();
+        let owners: Vec<usize> = self.dependents(v).collect();
+        for &owner in &owners {
+            let (skel, members) = self.ball_mut(owner);
+            let local = members
+                .binary_search(&(v as u32))
+                .expect("a view that depends on a node holds it");
+            skel.node_data[local] = label.clone();
         }
-        slots.into_iter().map(|(owner, _)| owner as usize).collect()
+        owners
     }
 
     /// Fault-injection hook: structurally corrupts node `v`'s skeleton
@@ -1593,16 +1600,16 @@ impl<N: Clone, E: Clone> CoreBuilder<N, E> {
     }
 }
 
-/// Node `v`'s dependents list in `overlay`, copied from `base` on first
-/// touch.
+/// Node `v`'s dependents list in `overlay`, copied from `base` (whose
+/// dependents are the members of `v`'s own ball) on first touch.
 fn dependents_mut<'a, N, E>(
     base: &FrozenCore<N, E>,
-    overlay: &'a mut HashMap<usize, Vec<(u32, u32)>>,
+    overlay: &'a mut HashMap<usize, Vec<u32>>,
     v: usize,
-) -> &'a mut Vec<(u32, u32)> {
+) -> &'a mut Vec<u32> {
     overlay
         .entry(v)
-        .or_insert_with(|| base.dependents_of(v).collect())
+        .or_insert_with(|| base.members_of(v).to_vec())
 }
 
 #[cfg(test)]
@@ -1612,8 +1619,8 @@ mod tests {
 
     #[test]
     fn packed_u32_roundtrip() {
-        let mut out = Vec::new();
-        push_u32s(&mut out, &[1, 2, 3]);
+        let mut out = vec![0; w32(3)];
+        pack_u32s(&mut out, &[1, 2, 3]);
         assert_eq!(out, vec![1 | (2 << 32), 3]);
         let mut r = WordReader::new(&out);
         assert_eq!(r.read_u32s(3), Some(vec![1, 2, 3]));
@@ -1651,7 +1658,8 @@ mod tests {
 
     #[test]
     fn layout_overflow_is_none_not_panic() {
-        assert!(Layout::new(2, usize::MAX, usize::MAX, usize::MAX, 0, 0).is_none());
+        assert!(Layout::new(2, [usize::MAX; 4], 0, 0).is_none());
+        assert!(Layout::new(2, [1, 1, 1, usize::MAX - 8], 0, 0).is_none());
     }
 
     /// A builder over a fresh core of `(inst, radius)`.
@@ -1696,15 +1704,15 @@ mod tests {
 
     #[test]
     fn saved_images_match_the_pinned_golden_digests() {
-        // Captured from the images v1 writers have always produced; a
+        // Captured from the images v2 writers produce; a
         // change here orphans artifact directories and breaks the
         // byte-identity of racing shard writes.
         let labelled = FrozenCore::build(&labelled_grid(3, 3), 2);
-        assert_eq!(saved_digest(&labelled, "labelled"), 0xc90d_3dcb_b5c6_4839);
+        assert_eq!(saved_digest(&labelled, "labelled"), 0xdba7_1b96_ebd0_4c61);
 
         let grid = Instance::unlabeled(generators::grid(20, 20));
         let unlabelled = FrozenCore::<(), ()>::build(&grid, 2);
-        assert_eq!(saved_digest(&unlabelled, "grid"), 0x90f0_7a07_cea3_dd7e);
+        assert_eq!(saved_digest(&unlabelled, "grid"), 0x91b9_dbf6_1eda_66af);
 
         let mut inst = labelled_grid(4, 5);
         let mut store = builder(&inst, 2);
@@ -1715,7 +1723,7 @@ mod tests {
         store.set_node_label(7, &42);
         assert_eq!(
             saved_digest(&store.freeze(), "refrozen"),
-            0x0dbf_c569_7e4b_c9fc
+            0xa614_b967_7bb4_bc9b
         );
     }
 
@@ -1735,10 +1743,7 @@ mod tests {
         for v in 0..inst.n() {
             assert_eq!(frozen.skel_view(v), builder.skel_view(v), "skeleton {v}");
             assert_eq!(frozen.members_of(v), builder.members_of(v));
-            assert_eq!(
-                frozen.dependents_of(v).collect::<Vec<_>>(),
-                builder.dependents_of(v).collect::<Vec<_>>()
-            );
+            assert_eq!(frozen.members_of(v), builder.dependents_of(v));
         }
     }
 
@@ -1807,8 +1812,8 @@ mod tests {
 
     /// Writes `words` to `path` and opens the file. A rejection must be
     /// an [`ArtifactError::Invalid`] naming `path` and a byte offset
-    /// inside the file; an accepted core must serve every skeleton,
-    /// member and dependent read, and open a builder whose bound views
+    /// inside the file; an accepted core must serve every skeleton and
+    /// member read, and open a builder whose bound views and dependents
     /// read without panicking. Returns whether `open` accepted.
     fn open_hostile(path: &Path, words: &[u64]) -> bool {
         let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
@@ -1830,13 +1835,13 @@ mod tests {
         for v in 0..n {
             let sv = core.skel_view(v);
             let _ = (sv.center, sv.ids, sv.adj_off, sv.adj, sv.dist);
-            let _ = (sv.node_data, sv.edge_labels);
+            let _ = (sv.node_data, sv.edge_keys, sv.edge_labels);
             let _ = core.members_of(v);
-            let _ = core.dependents_of(v).count();
         }
         let builder = CoreBuilder::new(Arc::new(core));
         let proof = Proof::empty(n);
         for v in 0..n {
+            let _ = builder.dependents(v).count();
             let view = builder.bind(v, &proof);
             for u in view.nodes() {
                 let _ = (view.id(u), view.dist(u), view.node_label(u), view.proof(u));
@@ -1899,5 +1904,171 @@ mod tests {
             }
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The layout a rendered image's header describes.
+    fn layout_of(words: &[u64]) -> Layout {
+        let c = |i: usize| words[i] as usize;
+        Layout::new(c(3), [c(4), c(5), c(6), c(7)], c(10), c(11)).unwrap()
+    }
+
+    /// Re-seals `words` (checksum patched) and opens it, returning the
+    /// rejection's byte offset and detail; panics if `open` accepts.
+    fn rejection(tag: &str, words: &mut [u64]) -> (u64, String) {
+        words[CHECKSUM_WORD] = 0;
+        words[CHECKSUM_WORD] = fnv_words(words);
+        let path = hostile_path(tag);
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        std::fs::write(&path, bytes).unwrap();
+        let err = FrozenCore::<u8, u32>::open(&path, None);
+        std::fs::remove_file(&path).ok();
+        match err {
+            Err(ArtifactError::Invalid { offset, detail, .. }) => (offset, detail),
+            Err(e) => panic!("unlocated rejection: {e}"),
+            Ok(_) => panic!("{tag}: a hostile image was accepted"),
+        }
+    }
+
+    /// An image whose balls are `(instance, radius)` pairs, one per node:
+    /// mixing balls of different graphs or radii breaks the symmetry a
+    /// real core has.
+    fn mixed_image(balls: &[(&Instance<u8, u32>, usize)], radius: usize) -> Vec<u64> {
+        let n = balls.len();
+        let mut writer = PoolWriter::new(radius, n);
+        let mut scratch = BallScratch::new(n);
+        let (mut skel, mut members) = (Skeleton::default(), Vec::new());
+        for (v, &(inst, r)) in balls.iter().enumerate() {
+            build_skeleton(inst, v, r, &mut scratch, &mut skel, &mut members);
+            writer.push(skel.as_view(), &members);
+        }
+        writer.finish().render_file((0xabcd, 0x1234))
+    }
+
+    #[test]
+    fn asymmetric_member_tables_are_located_errors() {
+        let unlabelled = |g: lcp_graph::Graph| {
+            let n = g.n();
+            Instance::with_data(g, vec![0u8; n], crate::instance::EdgeMap::new())
+        };
+        let (path, triangle) = (
+            unlabelled(generators::path(3)),
+            unlabelled(generators::cycle(3)),
+        );
+        // Node 0 sees the triangle's ball {0, 1, 2}, but node 2's path
+        // ball {1, 2} does not hold 0: named at the entry for 2.
+        let mut words = mixed_image(&[(&triangle, 1), (&path, 1), (&path, 1)], 1);
+        let lay = layout_of(&words);
+        let (offset, detail) = rejection("asymmetric", &mut words);
+        assert_eq!(offset, 8 * (lay.members as u64 + 1), "{detail}");
+        assert!(detail.contains("not in 2's"), "{detail}");
+
+        // Node 1's ball {0, 1} holds 0, but node 0 sees only itself:
+        // no pair above the diagonal goes unmatched, so the counts do.
+        let pair = unlabelled(generators::path(2));
+        let mut words = mixed_image(&[(&pair, 0), (&pair, 1)], 1);
+        let lay = layout_of(&words);
+        let (offset, detail) = rejection("lopsided", &mut words);
+        assert_eq!(offset, 8 * lay.members as u64, "{detail}");
+        assert!(detail.contains("not symmetric"), "{detail}");
+    }
+
+    #[test]
+    fn bad_edge_keys_are_located_errors() {
+        let words = labelled_image();
+        let lay = layout_of(&words);
+        let eo: Vec<u32> = {
+            let mut r = WordReader::new(&words[lay.edge_off..lay.edge_keys]);
+            r.read_u32s(lay.n + 1).unwrap()
+        };
+        let mo: Vec<u32> = {
+            let mut r = WordReader::new(&words[lay.member_off..lay.members]);
+            r.read_u32s(lay.n + 1).unwrap()
+        };
+        let v = (0..lay.n).find(|&v| eo[v + 1] - eo[v] >= 2).unwrap();
+        let first = lay.edge_keys + eo[v] as usize;
+        let at = |word: usize| 8 * word as u64;
+
+        let mut swapped = words.clone();
+        swapped.swap(first, first + 1);
+        let (offset, detail) = rejection("unsorted-keys", &mut swapped);
+        assert_eq!(offset, at(first + 1), "{detail}");
+        assert!(detail.contains("not strictly sorted"), "{detail}");
+
+        let ball = u64::from(mo[v + 1] - mo[v]);
+        let mut outside = words.clone();
+        outside[first] = ball;
+        let (offset, detail) = rejection("key-outside-ball", &mut outside);
+        assert_eq!(offset, at(first), "{detail}");
+        assert!(detail.contains("invalid in ball"), "{detail}");
+
+        let mut reversed = words.clone();
+        let key = reversed[first];
+        reversed[first] = key.rotate_right(32);
+        let (offset, _) = rejection("reversed-key", &mut reversed);
+        assert_eq!(offset, at(first));
+    }
+
+    #[test]
+    fn node_labels_are_stored_once_per_node() {
+        // A 3×3 grid at radius 2: Σ|ball| is far above n, yet the label
+        // section holds n one-word `u8` labels, and open expands them
+        // back to the per-member pool a fresh build holds.
+        let inst = labelled_grid(3, 3);
+        let core = FrozenCore::build(&inst, 2);
+        let words = core.render_file((0xabcd, 0x1234));
+        let lay = layout_of(&words);
+        assert!(lay.t > 2 * lay.n);
+        assert_eq!(lay.edge_labels - lay.node_labels, lay.n);
+        let path = hostile_path("per-node-labels");
+        core.save(&path, (0xabcd, 0x1234)).unwrap();
+        let opened = FrozenCore::<u8, u32>::open(&path, None).unwrap();
+        std::fs::remove_file(&path).ok();
+        for v in 0..inst.n() {
+            assert_eq!(opened.skel_view(v), core.skel_view(v), "skeleton {v}");
+        }
+    }
+
+    /// `docs/FORMAT.md` must list the image's sections in file order,
+    /// each with its entry count, as `Layout` lays them out.
+    mod format_doc_sync {
+        use super::*;
+
+        /// The `(name, entries)` rows of the doc's section table: lines
+        /// `| k | \`name\` | \`count\` ... |`.
+        fn documented_sections(doc: &str) -> Vec<(String, String)> {
+            doc.lines()
+                .filter_map(|line| {
+                    let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+                    cells.get(1)?.parse::<usize>().ok()?;
+                    let name = cells.get(2)?.strip_prefix('`')?.strip_suffix('`')?;
+                    let entries = cells.get(3)?.strip_prefix('`')?.split('`').next()?;
+                    Some((name.to_string(), entries.to_string()))
+                })
+                .collect()
+        }
+
+        #[test]
+        fn section_table_matches_the_layout() {
+            let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/FORMAT.md");
+            let doc = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| panic!("docs/FORMAT.md must exist (tried {path}): {e}"));
+            // Distinct, nonzero counts, so no two sections share an offset.
+            let lay = Layout::new(1, [5, 17, 23, 7], 11, 13).unwrap();
+            let sections = lay.sections();
+            assert!(
+                sections.windows(2).all(|p| p[0].2 < p[1].2),
+                "Layout::sections must list the sections in file order"
+            );
+            let want: Vec<(String, String)> = sections
+                .iter()
+                .map(|&(name, entries, _)| (name.to_string(), entries.to_string()))
+                .collect();
+            assert_eq!(
+                documented_sections(&doc),
+                want,
+                "docs/FORMAT.md's section table and Layout must list the same \
+                 sections, in the same order, with the same entry counts"
+            );
+        }
     }
 }

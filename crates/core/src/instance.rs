@@ -54,7 +54,7 @@ impl Instance<(), ()> {
     where
         I: IntoIterator<Item = (usize, usize)>,
     {
-        let mut keys: Vec<(usize, usize)> = edges
+        let keys: Vec<(usize, usize)> = edges
             .into_iter()
             .map(|(u, v)| {
                 assert!(self.graph.has_edge(u, v), "({u}, {v}) is not an edge");
@@ -62,8 +62,8 @@ impl Instance<(), ()> {
             })
             .collect();
         // Sorted keys let the map be built in bulk rather than by one
-        // insert per edge.
-        keys.sort_unstable();
+        // insert per edge; duplicates collapse in the bulk build.
+        let keys = sort_by_lower_endpoint(keys, self.graph.n());
         let labelled: EdgeMap<()> = keys.into_iter().map(|key| (key, ())).collect();
         if self.edge_data.is_empty() {
             self.edge_data = labelled;
@@ -72,6 +72,31 @@ impl Instance<(), ()> {
         }
         self
     }
+}
+
+/// Sorts normalized edge keys `(u, v)`, `u < v < n`: a counting sort
+/// by the lower endpoint, then a sort of each bucket by the upper one.
+/// A bucket holds at most `deg(u)` distinct keys, so the per-bucket
+/// sorts are tiny, and the whole pass is `O(n + m)` rather than
+/// `O(m log m)`.
+fn sort_by_lower_endpoint(keys: Vec<(usize, usize)>, n: usize) -> Vec<(usize, usize)> {
+    let mut start = vec![0usize; n + 1];
+    for &(u, _) in &keys {
+        start[u + 1] += 1;
+    }
+    for u in 0..n {
+        start[u + 1] += start[u];
+    }
+    let mut sorted = vec![(0, 0); keys.len()];
+    let mut next = start.clone();
+    for key in keys {
+        sorted[next[key.0]] = key;
+        next[key.0] += 1;
+    }
+    for u in 0..n {
+        sorted[start[u]..start[u + 1]].sort_unstable_by_key(|&(_, v)| v);
+    }
+    sorted
 }
 
 impl<N, E> Instance<N, E> {
@@ -209,6 +234,41 @@ mod tests {
         assert!(inst.edge_label(0, 1).is_some());
         assert!(inst.edge_label(1, 0).is_some());
         assert_eq!(inst.labelled_edges(), vec![(0, 1)]);
+    }
+
+    #[test]
+    fn edge_set_matches_a_comparison_sort_build() {
+        // The map `with_edge_set` built with `sort_unstable`, on random
+        // subsets of a grid's edges, given in random order and with
+        // repeats (both orientations), which must collapse to one key.
+        let g = generators::grid(7, 9);
+        let all: Vec<(usize, usize)> = g.edges().collect();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for round in 0..64 {
+            let picks = next(2 * all.len() + 1);
+            let edges: Vec<(usize, usize)> = (0..picks)
+                .map(|_| {
+                    let (u, v) = all[next(all.len())];
+                    if round % 2 == 0 && next(2) == 0 {
+                        (v, u)
+                    } else {
+                        (u, v)
+                    }
+                })
+                .collect();
+            let mut keys: Vec<(usize, usize)> =
+                edges.iter().map(|&(u, v)| norm_edge(u, v)).collect();
+            keys.sort_unstable();
+            let want: EdgeMap<()> = keys.into_iter().map(|key| (key, ())).collect();
+            let inst = Instance::unlabeled(g.clone()).with_edge_set(edges);
+            assert_eq!(inst.edge_labels(), &want, "round {round}");
+        }
     }
 
     #[test]

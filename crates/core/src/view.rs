@@ -9,10 +9,10 @@
 //! Internally a view is split into two parts:
 //!
 //! * a skeleton — everything that depends only on `(instance, radius)`:
-//!   identifiers, CSR adjacency, distances, node labels, and sorted edge
-//!   labels. Skeletons are shared behind an [`Arc`], so cloning a view or
-//!   re-binding it to a new proof never re-runs a BFS or re-copies the
-//!   topology;
+//!   identifiers, CSR adjacency, distances, node labels, and edge labels
+//!   behind a sorted key column. Skeletons are shared behind an [`Arc`],
+//!   so cloning a view or re-binding it to a new proof never re-runs a
+//!   BFS or re-copies the topology;
 //! * the **proof binding** — where the per-node bits come from, the only
 //!   part that changes between candidate proofs. A binding either *owns*
 //!   a word-packed [`Proof`] of the ball (the naive [`View::extract`]
@@ -56,8 +56,9 @@ pub trait Label: Copy + Send + Sync + 'static {
 /// The proof-independent part of a view: topology, identifiers, labels.
 ///
 /// Adjacency is stored in CSR form (one flat neighbour array plus
-/// offsets) and edge labels as a key-sorted slice, so a skeleton is a
-/// handful of contiguous allocations regardless of ball size.
+/// offsets) and edge labels as a sorted key column beside a label
+/// column, so a skeleton is a handful of contiguous allocations
+/// regardless of ball size.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Skeleton<N, E> {
     pub(crate) center: usize,
@@ -69,8 +70,11 @@ pub(crate) struct Skeleton<N, E> {
     pub(crate) adj: Vec<usize>,
     pub(crate) dist: Vec<u32>,
     pub(crate) node_data: Vec<N>,
-    /// Normalized-key-sorted edge labels (binary-searched on access).
-    pub(crate) edge_labels: Vec<((usize, usize), E)>,
+    /// Labelled edges as [`edge_key`]s, strictly ascending
+    /// (binary-searched on access).
+    pub(crate) edge_keys: Vec<u64>,
+    /// The label of each key in `edge_keys`, in the same order.
+    pub(crate) edge_labels: Vec<E>,
 }
 
 // Manual Default: the derive would demand `N: Default`/`E: Default`,
@@ -85,6 +89,7 @@ impl<N, E> Default for Skeleton<N, E> {
             adj: Vec::new(),
             dist: Vec::new(),
             node_data: Vec::new(),
+            edge_keys: Vec::new(),
             edge_labels: Vec::new(),
         }
     }
@@ -101,6 +106,7 @@ impl<N: Clone, E: Clone> Skeleton<N, E> {
             adj: sv.adj.to_vec(),
             dist: sv.dist.to_vec(),
             node_data: sv.node_data.to_vec(),
+            edge_keys: sv.edge_keys.to_vec(),
             edge_labels: sv.edge_labels.to_vec(),
         }
     }
@@ -118,6 +124,7 @@ impl<N, E> Skeleton<N, E> {
             adj: &self.adj,
             dist: &self.dist,
             node_data: &self.node_data,
+            edge_keys: &self.edge_keys,
             edge_labels: &self.edge_labels,
         }
     }
@@ -141,8 +148,11 @@ pub(crate) struct SkelView<'c, N, E> {
     pub(crate) adj: &'c [usize],
     pub(crate) dist: &'c [u32],
     pub(crate) node_data: &'c [N],
-    /// Normalized-key-sorted edge labels (binary-searched on access).
-    pub(crate) edge_labels: &'c [((usize, usize), E)],
+    /// Labelled edges as [`edge_key`]s, strictly ascending
+    /// (binary-searched on access).
+    pub(crate) edge_keys: &'c [u64],
+    /// The label of each key in `edge_keys`, in the same order.
+    pub(crate) edge_labels: &'c [E],
 }
 
 // Manual Copy/Clone: the derives would demand `N: Copy`/`E: Copy`, but
@@ -165,6 +175,14 @@ impl<'c, N, E> SkelView<'c, N, E> {
     pub(crate) fn neighbors(&self, u: usize) -> &'c [usize] {
         &self.adj[self.adj_off[u] as usize..self.adj_off[u + 1] as usize]
     }
+}
+
+/// The key of the view-local edge `{u, w}` with `u < w`: `(u << 32) | w`,
+/// so keys sort as the pairs do. Ball-local indices fit in 32 bits (the
+/// skeleton's CSR offsets are `u32`).
+#[inline]
+pub(crate) fn edge_key(u: usize, w: usize) -> u64 {
+    ((u as u64) << 32) | w as u64
 }
 
 /// Where a view's proof bits come from.
@@ -359,6 +377,7 @@ pub(crate) fn build_skeleton<N: Clone, E: Clone>(
     // comes out sorted without an explicit sort.
     skel.adj_off.clear();
     skel.adj.clear();
+    skel.edge_keys.clear();
     skel.edge_labels.clear();
     let has_edge_labels = !inst.edge_labels().is_empty();
     skel.adj_off.push(0u32);
@@ -371,7 +390,8 @@ pub(crate) fn build_skeleton<N: Clone, E: Clone>(
             skel.adj.push(nw);
             if has_edge_labels && nu < nw {
                 if let Some(label) = inst.edge_label(ou as usize, ow) {
-                    skel.edge_labels.push(((nu, nw), label.clone()));
+                    skel.edge_keys.push(edge_key(nu, nw));
+                    skel.edge_labels.push(label.clone());
                 }
             }
         }
@@ -470,7 +490,8 @@ impl<'p, N, E> View<'p, N, E> {
                 adj: flat,
                 dist: dist.into_iter().map(|d| d as u32).collect(),
                 node_data,
-                edge_labels: edge_data.into_iter().collect(),
+                edge_keys: edge_data.keys().map(|&(u, w)| edge_key(u, w)).collect(),
+                edge_labels: edge_data.into_values().collect(),
             })),
             binding: Binding::Owned(Proof::from_strings(proofs)),
         }
@@ -574,12 +595,13 @@ impl<'p, N, E> View<'p, N, E> {
 
     /// The edge label of `{u, w}` within the view, if present.
     pub fn edge_label(&self, u: usize, w: usize) -> Option<&E> {
-        let key = norm_edge(u, w);
-        self.skeleton()
-            .edge_labels
-            .binary_search_by(|(k, _)| k.cmp(&key))
-            .ok()
-            .map(|i| &self.skeleton().edge_labels[i].1)
+        let (u, w) = norm_edge(u, w);
+        if w >= self.n() {
+            return None;
+        }
+        let skel = self.skeleton();
+        let i = skel.edge_keys.binary_search(&edge_key(u, w)).ok()?;
+        Some(&skel.edge_labels[i])
     }
 
     /// The proof string of `u` (the restriction `P[v,r]`), as a borrowed
@@ -648,6 +670,7 @@ impl<'p, N, E> View<'p, N, E> {
         }
         let mut adj_off = vec![0u32];
         let mut adj = Vec::new();
+        let mut edge_keys = Vec::new();
         let mut edge_labels = Vec::new();
         for (nu, &ou) in keep.iter().enumerate() {
             for &ow in self.neighbors(ou) {
@@ -658,7 +681,8 @@ impl<'p, N, E> View<'p, N, E> {
                 adj.push(nw);
                 if nu < nw {
                     if let Some(l) = self.edge_label(ou, ow) {
-                        edge_labels.push(((nu, nw), l.clone()));
+                        edge_keys.push(edge_key(nu, nw));
+                        edge_labels.push(l.clone());
                     }
                 }
             }
@@ -678,6 +702,7 @@ impl<'p, N, E> View<'p, N, E> {
                     .iter()
                     .map(|&u| self.skeleton().node_data[u].clone())
                     .collect(),
+                edge_keys,
                 edge_labels,
             })),
             binding: Binding::Owned(Proof::from_refs(keep.iter().map(|&u| self.proof(u)))),

@@ -25,7 +25,8 @@
 //!
 //! Preparation is probed too: a fresh core build allocates a count
 //! that does not grow with `n`, and opening a `CoreBuilder` over an
-//! existing core allocates nothing. So is the resident sweep: the first
+//! existing core allocates nothing; opening a mapped artifact allocates
+//! a fixed few bytes (no edge-key pool). So is the resident sweep: the first
 //! `evaluate` over a proof allocates its outputs vector and, when the
 //! verifier reads decoded labels, the proof's label column — nothing per
 //! node; a repeat verify of a resident cell, whose kept proof already
@@ -57,9 +58,13 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
+/// Bytes requested by allocations and reallocations.
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -69,6 +74,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -97,6 +103,23 @@ fn min_allocs<R>(mut f: impl FnMut() -> R) -> (usize, R) {
         if allocs < best {
             best = allocs;
         }
+        out = run_out;
+    }
+    (best, out)
+}
+
+/// Minimum bytes allocated by `f` over several runs (the noise argument
+/// of [`min_allocs`] holds for bytes as well).
+fn min_alloc_bytes<R>(mut f: impl FnMut() -> R) -> (usize, R) {
+    let mut run = || {
+        let before = BYTES.load(Ordering::Relaxed);
+        let out = f();
+        (BYTES.load(Ordering::Relaxed) - before, out)
+    };
+    let (mut best, mut out) = run();
+    for _ in 0..4 {
+        let (bytes, run_out) = run();
+        best = best.min(bytes);
         out = run_out;
     }
     (best, out)
@@ -334,6 +357,38 @@ fn search_loops_do_not_allocate_per_candidate() {
         (open_small, open_large),
         (0, 0),
         "opening a builder over a core must not allocate"
+    );
+
+    // --- Mapped core open ---------------------------------------------
+    // A core image serves its edge-label keys in place and decodes only
+    // typed labels, so opening a mapped spanning-tree core (a unit label
+    // on each of n − 1 tree edges) allocates no key pool: what it
+    // allocates is the same at 10² and 10⁴ nodes, and at most a path
+    // buffer (nothing, when the path fits std's stack buffer).
+    let dir = std::env::temp_dir().join(format!("lcp-alloc-probe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let mut opened = Vec::new();
+    for (tag, side) in [("small", 10), ("large", 100)] {
+        let g = generators::grid(side, side);
+        let tree = lcp_graph::spanning::bfs_spanning_tree(&g, 0).edges();
+        let inst = Instance::unlabeled(g).with_edge_set(tree);
+        let path = dir.join(format!("{tag}.lcpc"));
+        FrozenCore::build(&inst, 1)
+            .save(&path, (1, 2))
+            .expect("save core");
+        let (bytes, core) =
+            min_alloc_bytes(|| FrozenCore::<(), ()>::open(&path, None).expect("open core"));
+        assert_eq!(core.n(), side * side);
+        opened.push((bytes, std::fs::metadata(&path).expect("core file").len()));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let [(small, _), (large, file)] = opened[..] else {
+        unreachable!()
+    };
+    assert!(
+        large == small && large < 1024,
+        "opening a mapped core should allocate a fixed few bytes: {small} B at n = 100, \
+         {large} B at n = 10⁴ (file {file} B)"
     );
 
     // --- Graph generation and clone ----------------------------------

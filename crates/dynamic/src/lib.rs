@@ -32,7 +32,8 @@
 //!   cached skeleton actually changed structurally (membership,
 //!   adjacency, or distances); the engine rebuilds exactly those balls;
 //! * **proof rewrite / label change at `v`** — the centres whose balls
-//!   contain `v` (the engine's `dependents(v)` table).
+//!   contain `v` (the engine's `dependents(v)`: by symmetry, the nodes
+//!   of `v`'s own ball).
 //!
 //! A node outside the impact set has a byte-identical view before and
 //! after the mutation, so its cached output is still correct — the

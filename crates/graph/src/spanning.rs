@@ -169,24 +169,31 @@ pub fn is_spanning_tree(g: &Graph, edges: &[(usize, usize)]) -> Result<bool, Gra
     if edges.len() != g.n() - 1 {
         return Ok(false);
     }
-    // Union-find connectivity over the edge set.
-    let mut uf: Vec<usize> = (0..g.n()).collect();
-    fn find(uf: &mut [usize], mut x: usize) -> usize {
-        while uf[x] != x {
-            uf[x] = uf[uf[x]];
-            x = uf[x];
+    // Union by size with path halving, in one array: a root holds
+    // −(its class size), any other node its parent. Each of the n − 1
+    // edges joins two classes or closes a cycle; n − 1 joins leave one
+    // class, so no separate connectivity pass is needed.
+    let mut up = vec![-1isize; g.n()];
+    fn find(up: &mut [isize], mut x: usize) -> usize {
+        while up[x] >= 0 {
+            let parent = up[x] as usize;
+            if up[parent] >= 0 {
+                up[x] = up[parent];
+            }
+            x = parent;
         }
         x
     }
     for &(u, v) in edges {
-        let (ru, rv) = (find(&mut uf, u), find(&mut uf, v));
+        let (ru, rv) = (find(&mut up, u), find(&mut up, v));
         if ru == rv {
             return Ok(false); // cycle
         }
-        uf[ru] = rv;
+        let (big, small) = if up[ru] <= up[rv] { (ru, rv) } else { (rv, ru) };
+        up[big] += up[small];
+        up[small] = big as isize;
     }
-    let r0 = find(&mut uf, 0);
-    Ok((1..g.n()).all(|u| find(&mut uf, u) == r0))
+    Ok(true)
 }
 
 /// BFS spanning tree restricted to a caller-supplied edge subset.

@@ -190,7 +190,8 @@ mod tests {
     };
     use lcp_graph::{generators, ops};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::seq::SliceRandom;
+    use rand::{RngExt, SeedableRng};
 
     fn spanning_tree_instance(g: lcp_graph::Graph, seed: u64) -> Instance {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -204,6 +205,31 @@ mod tests {
         traversal::is_connected(inst.graph())
             && inst.n() > 0
             && spanning::is_spanning_tree(inst.graph(), &inst.labelled_edges()).unwrap_or(false)
+    }
+
+    /// The spanning-tree test as it was before union by size: naive
+    /// linking, then a final pass that finds every node's root.
+    fn union_find_with_root_pass(n: usize, edges: &[(usize, usize)]) -> bool {
+        if n == 0 || edges.len() != n - 1 {
+            return n == 0 && edges.is_empty();
+        }
+        let mut uf: Vec<usize> = (0..n).collect();
+        fn find(uf: &mut [usize], mut x: usize) -> usize {
+            while uf[x] != x {
+                uf[x] = uf[uf[x]];
+                x = uf[x];
+            }
+            x
+        }
+        for &(u, v) in edges {
+            let (ru, rv) = (find(&mut uf, u), find(&mut uf, v));
+            if ru == rv {
+                return false;
+            }
+            uf[ru] = rv;
+        }
+        let r0 = find(&mut uf, 0);
+        (1..n).all(|u| find(&mut uf, u) == r0)
     }
 
     #[test]
@@ -271,6 +297,37 @@ mod tests {
             }
         }
         assert!(trees >= 8 && others >= 30, "{trees} trees, {others} others");
+
+        // Random edge sets, mostly of the n − 1 edges a tree needs, so
+        // the cycle and the component outcomes both occur often.
+        let (mut trees, mut others) = (0, 0);
+        for g in connected.iter().chain(&disconnected) {
+            let all: Vec<(usize, usize)> = g.edges().collect();
+            for _ in 0..200 {
+                let mut edges = all.clone();
+                edges.shuffle(&mut rng);
+                let len = match rng.random_range(0..4usize) {
+                    0 => rng.random_range(0..=all.len()),
+                    _ => (g.n() - 1).min(all.len()),
+                };
+                edges.truncate(len);
+                let want = union_find_with_root_pass(g.n(), &edges);
+                assert_eq!(
+                    spanning::is_spanning_tree(g, &edges).unwrap(),
+                    want,
+                    "{g:?} with {edges:?}"
+                );
+                if want {
+                    trees += 1;
+                } else {
+                    others += 1;
+                }
+            }
+        }
+        assert!(
+            trees >= 100 && others >= 100,
+            "{trees} trees, {others} others"
+        );
     }
 
     #[test]

@@ -310,6 +310,57 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The bipartite cycle(16) cell's core as a version-1 writer saved
+    /// it (`docs/FORMAT.md`).
+    const V1_IMAGE: &[u8] = include_bytes!("../tests/fixtures/bipartite-cycle16-r1.v1.lcpc");
+
+    #[test]
+    fn v1_artifacts_in_a_preload_dir_are_rebuilt_then_mapped() {
+        use lcp_core::{ArtifactSource, ArtifactStore};
+
+        assert_eq!(V1_IMAGE[8..16], 1u64.to_le_bytes(), "a version-1 image");
+        let dir = std::env::temp_dir().join(format!("lcp-serve-v1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = || Arc::new(ArtifactStore::open(&dir).expect("open store"));
+        let table = |store: &Arc<ArtifactStore>| {
+            InstanceTable::with_source(4, ArtifactSource::MappedDir(Arc::clone(store)))
+        };
+
+        // Lay down the cell's file, then overwrite it with the same
+        // cell's core as a version-1 writer saved it.
+        table(&store()).get_or_load(&coord(16)).unwrap();
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .collect();
+        assert_eq!(files.len(), 1, "{files:?}");
+        std::fs::write(&files[0], V1_IMAGE).unwrap();
+
+        // The version-1 file is rejected, and the core rebuilt.
+        let v1 = store();
+        let first = table(&v1);
+        let cell = first.get_or_load(&coord(16)).unwrap();
+        assert_eq!(
+            cell.check_completeness_within(&Deadline::none()),
+            Ok(Some(1))
+        );
+        let stats = first.stats();
+        assert_eq!((stats.cores_built, stats.cores_loaded), (1, 0));
+        assert_eq!((v1.rejects(), v1.writes()), (1, 1));
+
+        // The rebuild overwrote it: the next daemon maps the file.
+        let next = table(&store());
+        let cell = next.get_or_load(&coord(16)).unwrap();
+        assert_eq!(
+            cell.check_completeness_within(&Deadline::none()),
+            Ok(Some(1))
+        );
+        let stats = next.stats();
+        assert_eq!((stats.cores_built, stats.cores_loaded), (0, 1));
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn unknown_cells_are_typed_errors() {
         let table = InstanceTable::new(2);
