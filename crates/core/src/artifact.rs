@@ -73,20 +73,30 @@ impl CoreProvenance {
 /// The full `(instance, radius)` identity an artifact file is checked
 /// against before it may be shared (`docs/FORMAT.md` words 12–13):
 ///
-/// * `.0`, the structural content key — an FNV fold of the radius, the
-///   node and edge counts, every node's id, degree and neighbour list,
-///   then one word per edge: its endpoint pair shifted up a bit, with
-///   label *presence* in bit 0, where an FNV step carries it into every
-///   higher bit. The [`SkeletonCache`] buckets by it.
+/// * `.0`, the structural content key, the [`SkeletonCache`]'s bucket
+///   key. Six FNV lanes, each fed the words at fixed positions, are
+///   folded in lane order at the end:
+///   - lane 0: the radius, the node and edge counts, then each node's id;
+///   - lane 1: each node's degree;
+///   - lanes 2 and 3: the neighbours at even and odd positions of each
+///     node's sorted neighbour list;
+///   - lanes 4 and 5: one word per edge `{v, u}`, `v < u`, met at an
+///     even or odd position of `v`'s list: the endpoint pair shifted up a
+///     bit, with label *presence* in bit 0, where an FNV step carries it
+///     into every higher bit.
+///
+///   A single FNV chain waits on every multiply; lanes whose words are
+///   fixed by position run side by side.
 /// * `.1`, an FNV fold of what the structural key omits: both label
 ///   type tags, every node label's encoded words (length-prefixed, node
 ///   order), then every present edge label's endpoints and encoded
 ///   words (edge order).
 ///
-/// One pass computes both: the node loop feeds both folds, and the edge
-/// loop merge-walks the sorted edge labelling against `g.edges()` —
-/// sorted adjacency makes both run in `(u, v)` order with `u < v` — so
-/// no edge is looked up. Collisions in either word cannot cause a wrong
+/// One pass over the nodes computes both node parts and every edge
+/// word: an edge is met at its lower endpoint, in `(v, u)` order, so a
+/// walk along the sorted edge labelling finds its presence with no
+/// lookup. The edge labels' fold then walks that labelling alone (its
+/// keys are edges). Collisions in either word cannot cause a wrong
 /// share: the cache compares full content on a hit, and the fingerprint
 /// is embedded in (and re-derived from) the file name, so a mismatched
 /// file is never opened as this instance's artifact.
@@ -96,44 +106,66 @@ pub(crate) fn fingerprint<N: PortableLabel, E: PortableLabel>(
 ) -> (u64, u64) {
     const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
+    #[inline(always)]
+    fn step(h: u64, x: u64) -> u64 {
+        (h ^ x).wrapping_mul(PRIME)
+    }
+    /// Folds an encoded label, length first.
+    fn fold_encoded(h: u64, words: &[u64]) -> u64 {
+        words
+            .iter()
+            .fold(step(h, words.len() as u64), |h, &w| step(h, w))
+    }
     let started = Instant::now();
-    let (mut structural, mut labels) = (BASIS, BASIS);
-    let mut key = |x: u64| structural = (structural ^ x).wrapping_mul(PRIME);
-    let mut fold = |x: u64| labels = (labels ^ x).wrapping_mul(PRIME);
     let g = inst.graph();
-    key(radius as u64);
-    key(g.n() as u64);
-    key(g.m() as u64);
-    fold(N::TAG);
-    fold(E::TAG);
+    let [mut ids, mut degrees, mut even, mut odd, mut even_edges, mut odd_edges] = [BASIS; 6];
+    ids = step(ids, radius as u64);
+    ids = step(ids, g.n() as u64);
+    ids = step(ids, g.m() as u64);
+    let mut labels = step(step(BASIS, N::TAG), E::TAG);
+    let mut labelled = inst.edge_labels().keys().peekable();
+    let mut edge_word = |v: usize, u: usize| -> u64 {
+        let e = (v, u);
+        while labelled.next_if(|&&k| k < e).is_some() {}
+        let present = labelled.next_if(|&&k| k == e).is_some();
+        ((((v as u64) << 32) | u as u64) << 1) | u64::from(present)
+    };
     let mut buf = Vec::new();
     for v in g.nodes() {
-        key(g.id(v).0);
-        key(g.degree(v) as u64);
-        for &u in g.neighbors(v) {
-            key(u as u64);
+        ids = step(ids, g.id(v).0);
+        let nbrs = g.neighbors(v);
+        degrees = step(degrees, nbrs.len() as u64);
+        let mut pairs = nbrs.chunks_exact(2);
+        for pair in &mut pairs {
+            let (a, b) = (pair[0], pair[1]);
+            even = step(even, a as u64);
+            odd = step(odd, b as u64);
+            if a > v {
+                even_edges = step(even_edges, edge_word(v, a));
+            }
+            if b > v {
+                odd_edges = step(odd_edges, edge_word(v, b));
+            }
+        }
+        if let [a] = *pairs.remainder() {
+            even = step(even, a as u64);
+            if a > v {
+                even_edges = step(even_edges, edge_word(v, a));
+            }
         }
         buf.clear();
         inst.node_label(v).encode(&mut buf);
-        fold(buf.len() as u64);
-        buf.iter().for_each(|&w| fold(w));
+        labels = fold_encoded(labels, &buf);
     }
-    let mut labelled = inst.edge_labels().iter().peekable();
-    for (u, v) in g.edges() {
-        // Keys are edges, so nothing is skipped here; skipping keeps the
-        // definition exact (edge-driven) regardless.
-        while labelled.next_if(|&(&e, _)| e < (u, v)).is_some() {}
-        let label = labelled.next_if(|&(&e, _)| e == (u, v)).map(|(_, l)| l);
-        let pair = ((u as u64) << 32) | v as u64;
-        key((pair << 1) | u64::from(label.is_some()));
-        if let Some(label) = label {
-            buf.clear();
-            label.encode(&mut buf);
-            fold(pair);
-            fold(buf.len() as u64);
-            buf.iter().for_each(|&w| fold(w));
-        }
+    for (&(u, v), label) in inst.edge_labels() {
+        buf.clear();
+        label.encode(&mut buf);
+        labels = step(labels, ((u as u64) << 32) | v as u64);
+        labels = fold_encoded(labels, &buf);
     }
+    let structural = [ids, degrees, even, odd, even_edges, odd_edges]
+        .into_iter()
+        .fold(BASIS, step);
     metrics::IDENTITY_NS.observe(started.elapsed().as_nanos() as u64);
     (structural, labels)
 }
@@ -420,34 +452,38 @@ mod tests {
     use crate::proof::Proof;
     use lcp_graph::{generators, Graph};
 
-    /// The structural key as `docs/FORMAT.md` v2 defines it, with one
-    /// `edge_label` lookup per edge. Kept verbatim as the reference the
-    /// one-pass [`fingerprint`] must reproduce bit for bit.
+    /// The structural key as `docs/FORMAT.md` v3 defines it: each lane's
+    /// words collected in order, with one `edge_label` lookup per edge,
+    /// each lane folded alone, then the lane digests folded in order.
+    /// Kept as the reference the one-pass [`fingerprint`] must reproduce
+    /// bit for bit.
     fn reference_content_key<N, E>(inst: &Instance<N, E>, radius: usize) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |x: u64| {
-            h = (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+        let fnv = |words: &[u64]| {
+            words.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &x| {
+                (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
+            })
         };
         let g = inst.graph();
-        mix(radius as u64);
-        mix(g.n() as u64);
-        mix(g.m() as u64);
+        let mut lanes: [Vec<u64>; 6] = Default::default();
+        lanes[0].extend([radius as u64, g.n() as u64, g.m() as u64]);
         for v in g.nodes() {
-            mix(g.id(v).0);
-            mix(g.degree(v) as u64);
-            for &u in g.neighbors(v) {
-                mix(u as u64);
+            lanes[0].push(g.id(v).0);
+            lanes[1].push(g.degree(v) as u64);
+            for (j, &u) in g.neighbors(v).iter().enumerate() {
+                lanes[2 + j % 2].push(u as u64);
+                if u > v {
+                    let labelled = u64::from(inst.edge_label(v, u).is_some());
+                    lanes[4 + j % 2].push(((((v as u64) << 32) | u as u64) << 1) | labelled);
+                }
             }
         }
-        for (u, v) in g.edges() {
-            let labelled = u64::from(inst.edge_label(u, v).is_some());
-            mix(((((u as u64) << 32) | v as u64) << 1) | labelled);
-        }
-        h
+        let digests: Vec<u64> = lanes.iter().map(|lane| fnv(lane)).collect();
+        fnv(&digests)
     }
 
-    /// The v2 fingerprint by its definition: the reference structural
-    /// key plus a separate label fold that looks every edge up.
+    /// The v3 fingerprint by its definition: the reference structural
+    /// key plus a separate label fold that looks every edge up (word 13
+    /// is as version 2 defined it).
     fn reference_fingerprint<N: PortableLabel, E: PortableLabel>(
         inst: &Instance<N, E>,
         radius: usize,
@@ -503,7 +539,7 @@ mod tests {
     }
 
     #[test]
-    fn one_pass_fingerprint_matches_the_v2_definition() {
+    fn one_pass_fingerprint_matches_the_v3_definition() {
         let graphs = [
             ("grid", generators::grid(4, 5)),
             ("cycle", generators::cycle(9)),
@@ -544,8 +580,8 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_matches_the_pinned_v2_golden() {
-        // Computed by the v2 per-edge-lookup definition; an artifact
+    fn fingerprint_matches_the_pinned_v3_golden() {
+        // Computed by the v3 per-edge-lookup definition; an artifact
         // directory written under it must keep loading.
         let mut edges = EdgeMap::new();
         edges.insert((0, 1), 5u64);
@@ -555,7 +591,7 @@ mod tests {
         let inst = Instance::with_data(generators::grid(3, 4), nodes, edges);
         assert_eq!(
             fingerprint(&inst, 2),
-            (0xdf19_2970_659c_b12c, 0x632a_5d9b_1be7_c4f5)
+            (0xd705_856c_30b7_86ce, 0x632a_5d9b_1be7_c4f5)
         );
     }
 

@@ -116,6 +116,7 @@ impl TreeCert {
         // claimed id; every neighbour must agree on the root identity.
         let mut parent_ok = t.dist == 0;
         for &u in view.neighbors(c) {
+            let u = u as usize;
             let theirs = view.label::<C>(u)?;
             let tu = tree(&theirs);
             if tu.root_id != t.root_id || !clause(&mine, u, &theirs) {
@@ -498,6 +499,7 @@ mod tests {
             let Some(mine) = certs(c) else { return false };
             let mut child_sum = 0;
             for &u in view.neighbors(c) {
+                let u = u as usize;
                 let cu = certs(u).expect("honest proof decodes");
                 if cu.tree.dist == mine.tree.dist + 1 {
                     child_sum += cu.subtree; // no parent check: the bug

@@ -882,10 +882,11 @@ mod tests {
             let c = view.center();
             let mine = view.proof(c).first();
             mine.is_some()
-                && view
-                    .neighbors(c)
-                    .iter()
-                    .all(|&u| view.proof(u).first().is_some_and(|b| Some(b) != mine))
+                && view.neighbors(c).iter().all(|&u| {
+                    view.proof(u as usize)
+                        .first()
+                        .is_some_and(|b| Some(b) != mine)
+                })
         }
     }
 
@@ -1288,7 +1289,7 @@ mod tests {
                     && view
                         .neighbors(c)
                         .iter()
-                        .all(|&u| mine.is_some() && view.proof(u).first() != mine)
+                        .all(|&u| mine.is_some() && view.proof(u as usize).first() != mine)
             }
         }
 

@@ -17,9 +17,11 @@
 //! Each fact of a core is stored once. The verifiers that read node `v`
 //! are exactly the nodes of `v`'s own ball — distance is symmetric — so
 //! the member table is its own inverse: there is no dependents table,
-//! and [`FrozenCore::open`] checks the symmetry instead. A node's label
-//! is stored once per node, not once per ball that contains it, and
-//! expanded per ball member on open.
+//! and [`FrozenCore::open`] checks the symmetry instead. A node's id is
+//! stored once per node, not once per ball that contains it: a view
+//! reads it through the ball's member table. A node's label is stored
+//! once per node too, and expanded per ball member on open. Adjacency
+//! entries are view-local indices below `|ball|`, packed as `u32`s.
 //!
 //! A [`FrozenCore`] is the only form a whole core takes: one pool
 //! writer fills it, ball by ball, both in a fresh
@@ -31,7 +33,7 @@
 //! # Safety
 //!
 //! The format is little-endian and word sections are reinterpreted as
-//! `&[u32]` / `&[usize]` / `&[NodeId]` in place, so the crate requires a
+//! `&[u32]` / `&[u64]` / `&[NodeId]` in place, so the crate requires a
 //! little-endian 64-bit target (enforced at compile time below — both
 //! CI targets qualify). Every slice handed out is bounds-validated once
 //! at open/freeze time; a corrupted, truncated, or version-skewed file
@@ -63,14 +65,14 @@ use std::time::Instant;
 compile_error!("lcp-core frozen artifacts require a little-endian target (docs/FORMAT.md)");
 
 #[cfg(not(target_pointer_width = "64"))]
-compile_error!("lcp-core frozen artifacts require a 64-bit target (adjacency words are usize)");
+compile_error!("lcp-core frozen artifacts require a 64-bit target (offsets are read as usize)");
 
 /// `b"LCPCORE1"` as a little-endian word — also serves as the
 /// endianness probe: a byte-swapped reader sees garbage and rejects.
 pub const MAGIC: u64 = u64::from_le_bytes(*b"LCPCORE1");
 
 /// Bumped whenever the section layout changes incompatibly.
-pub const FORMAT_VERSION: u64 = 2;
+pub const FORMAT_VERSION: u64 = 3;
 
 /// Words in the fixed header (see `docs/FORMAT.md` for the word map).
 pub const HEADER_WORDS: usize = 16;
@@ -487,9 +489,9 @@ impl Layout {
             centers: sec(w32(n))?,
             skel_adj_off: sec(w32(np1))?,
             adj_off_local: sec(w32(t.checked_add(n)?))?,
-            ids: sec(t)?,
+            ids: sec(n)?,
             dist: sec(w32(t))?,
-            adj: sec(a)?,
+            adj: sec(w32(a))?,
             edge_off: sec(w32(np1))?,
             edge_keys: sec(e)?,
             node_labels: sec(nlw)?,
@@ -513,7 +515,7 @@ impl Layout {
             ("centers", "n", self.centers),
             ("skel_adj_off", "n + 1", self.skel_adj_off),
             ("adj_off_local", "T + n", self.adj_off_local),
-            ("ids", "T", self.ids),
+            ("ids", "n", self.ids),
             ("dist", "T", self.dist),
             ("adj", "A", self.adj),
             ("edge_off", "n + 1", self.edge_off),
@@ -622,9 +624,10 @@ impl<N, E> FrozenCore<N, E> {
         self.u32_sec(self.lay.adj_off_local, self.lay.t + self.lay.n)
     }
 
+    /// The id table: one [`NodeId`] per node, node order.
     #[inline]
     fn ids_sec(&self) -> &[NodeId] {
-        let w = self.u64_sec(self.lay.ids, self.lay.t);
+        let w = self.u64_sec(self.lay.ids, self.lay.n);
         // NodeId is #[repr(transparent)] over u64.
         unsafe { std::slice::from_raw_parts(w.as_ptr().cast::<NodeId>(), w.len()) }
     }
@@ -635,10 +638,8 @@ impl<N, E> FrozenCore<N, E> {
     }
 
     #[inline]
-    fn adj_sec(&self) -> &[usize] {
-        let w = self.u64_sec(self.lay.adj, self.lay.a);
-        // usize == u64 on the enforced 64-bit target.
-        unsafe { std::slice::from_raw_parts(w.as_ptr().cast::<usize>(), w.len()) }
+    fn adj_sec(&self) -> &[u32] {
+        self.u32_sec(self.lay.adj, self.lay.a)
     }
 
     #[inline]
@@ -662,7 +663,8 @@ impl<N, E> FrozenCore<N, E> {
     }
 
     /// Node `v`'s skeleton as a borrow-only [`SkelView`] straight into
-    /// the word image — the zero-copy bind primitive.
+    /// the word image — the zero-copy bind primitive. Its ids are the
+    /// core's whole id table, read through the ball's members.
     #[inline]
     pub(crate) fn skel_view(&self, v: usize) -> SkelView<'_, N, E> {
         let off = self.member_off();
@@ -674,7 +676,8 @@ impl<N, E> FrozenCore<N, E> {
         SkelView {
             center: self.centers()[v] as usize,
             radius: self.lay.radius,
-            ids: &self.ids_sec()[lo..hi],
+            ids: self.ids_sec(),
+            members: Some(&self.members_sec()[lo..hi]),
             adj_off: &self.adj_off_local()[lo + v..hi + v + 1],
             adj: &self.adj_sec()[alo..ahi],
             dist: &self.dist_sec()[lo..hi],
@@ -708,14 +711,15 @@ struct PoolWriter<N, E> {
     centers: Vec<u32>,
     skel_adj_off: Vec<u32>,
     edge_off: Vec<u32>,
+    /// The id of each ball's centre: ball `v` is node `v`'s.
+    ids: Vec<u64>,
     // One entry per ball member.
     members: Vec<u32>,
-    ids: Vec<u64>,
     dist: Vec<u32>,
     node_labels: Vec<N>,
     /// Each ball's `|ball| + 1` local CSR offsets, back to back.
     adj_off_local: Vec<u32>,
-    adj: Vec<u64>,
+    adj: Vec<u32>,
     // One entry per labelled edge of a ball.
     edge_keys: Vec<u64>,
     edge_labels: Vec<E>,
@@ -732,8 +736,8 @@ impl<N: Clone, E: Clone> PoolWriter<N, E> {
             centers: Vec::with_capacity(n),
             skel_adj_off: Vec::with_capacity(n + 1),
             edge_off: Vec::with_capacity(n + 1),
-            members: Vec::with_capacity(n),
             ids: Vec::with_capacity(n),
+            members: Vec::with_capacity(n),
             dist: Vec::with_capacity(n),
             node_labels: Vec::with_capacity(n),
             adj_off_local: Vec::with_capacity(2 * n),
@@ -744,20 +748,22 @@ impl<N: Clone, E: Clone> PoolWriter<N, E> {
     }
 
     /// Appends the next node's ball and its members (global indices in
-    /// view-local order).
+    /// view-local order). Balls come in node order, so the ball's centre
+    /// is the next node, and its id is the next entry of the id table.
     fn push(&mut self, sv: SkelView<'_, N, E>, members: &[u32]) {
         debug_assert_eq!(sv.n(), members.len());
+        debug_assert_eq!(members[sv.center] as usize, self.centers.len());
         // Offsets past u32 wrap here, but `finish` refuses such a core.
         self.member_off.push(self.members.len() as u32);
         self.centers.push(sv.center as u32);
         self.skel_adj_off.push(self.adj.len() as u32);
         self.edge_off.push(self.edge_keys.len() as u32);
+        self.ids.push(sv.id(sv.center).0);
         self.members.extend_from_slice(members);
-        self.ids.extend(sv.ids.iter().map(|id| id.0));
         self.dist.extend_from_slice(sv.dist);
         self.node_labels.extend_from_slice(sv.node_data);
         self.adj_off_local.extend_from_slice(sv.adj_off);
-        self.adj.extend(sv.adj.iter().map(|&w| w as u64));
+        self.adj.extend_from_slice(sv.adj);
         self.edge_keys.extend_from_slice(sv.edge_keys);
         self.edge_labels.extend_from_slice(sv.edge_labels);
     }
@@ -798,8 +804,8 @@ impl<N: Clone, E: Clone> PoolWriter<N, E> {
         pack_u32s(&mut words[lay.skel_adj_off..], &self.skel_adj_off);
         pack_u32s(&mut words[lay.adj_off_local..], &self.adj_off_local);
         pack_u32s(&mut words[lay.dist..], &self.dist);
-        words[lay.ids..lay.ids + t].copy_from_slice(&self.ids);
-        words[lay.adj..lay.adj + a].copy_from_slice(&self.adj);
+        words[lay.ids..lay.ids + n].copy_from_slice(&self.ids);
+        pack_u32s(&mut words[lay.adj..], &self.adj);
         pack_u32s(&mut words[lay.edge_off..], &self.edge_off);
         words[lay.edge_keys..lay.edge_keys + e].copy_from_slice(&self.edge_keys);
 
@@ -1066,15 +1072,33 @@ impl<N: PortableLabel + Clone, E: PortableLabel> FrozenCore<N, E> {
         })
     }
 
-    /// Structural validation of the numeric sections: every offset
-    /// array is monotone and ends on its pool length, every index is in
-    /// range, centers sit at distance 0 of their own ball, the member
-    /// table is symmetric, and each ball's edge keys are strictly
-    /// ascending pairs `u < w` of its members.
+    /// Structural validation of the numeric sections: every packed
+    /// section's padding half is zero, every offset array is monotone
+    /// and ends on its pool length, every index is in range, centers sit
+    /// at distance 0 of their own ball, the member table is symmetric,
+    /// and each ball's edge keys are strictly ascending pairs `u < w` of
+    /// its members.
     fn validate_structure(&self, path: &Path) -> Result<(), ArtifactError> {
         let lay = &self.lay;
         let (n, t, a, e) = (lay.n, lay.t, lay.a, lay.e);
         let bad = |sec: usize, idx: usize, detail: String| invalid(path, sec + idx / 2, detail);
+
+        let w = self.words.as_slice();
+        let packed = [
+            (lay.member_off, n + 1, "member_off"),
+            (lay.members, t, "members"),
+            (lay.centers, n, "centers"),
+            (lay.skel_adj_off, n + 1, "skel_adj_off"),
+            (lay.adj_off_local, t + n, "adj_off_local"),
+            (lay.dist, t, "dist"),
+            (lay.adj, a, "adj"),
+            (lay.edge_off, n + 1, "edge_off"),
+        ];
+        for (sec, len, name) in packed {
+            if len % 2 == 1 && w[sec + len / 2] >> 32 != 0 {
+                return Err(bad(sec, len, format!("{name} padding half is nonzero")));
+            }
+        }
 
         let check_offsets = |sec: usize, off: &[u32], pool: usize, name: &str| {
             if off[0] != 0 {
@@ -1215,10 +1239,10 @@ impl<N: PortableLabel + Clone, E: PortableLabel> FrozenCore<N, E> {
                 }
             }
             for i in sa[v] as usize..sa[v + 1] as usize {
-                if adj[i] >= ball {
-                    return Err(invalid(
-                        path,
-                        lay.adj + i,
+                if adj[i] as usize >= ball {
+                    return Err(bad(
+                        lay.adj,
+                        i,
                         format!("adjacency index {} outside ball of size {ball}", adj[i]),
                     ));
                 }
@@ -1704,15 +1728,15 @@ mod tests {
 
     #[test]
     fn saved_images_match_the_pinned_golden_digests() {
-        // Captured from the images v2 writers produce; a
+        // Captured from the images v3 writers produce; a
         // change here orphans artifact directories and breaks the
         // byte-identity of racing shard writes.
         let labelled = FrozenCore::build(&labelled_grid(3, 3), 2);
-        assert_eq!(saved_digest(&labelled, "labelled"), 0xdba7_1b96_ebd0_4c61);
+        assert_eq!(saved_digest(&labelled, "labelled"), 0xa9ea_80e3_9bec_820c);
 
         let grid = Instance::unlabeled(generators::grid(20, 20));
         let unlabelled = FrozenCore::<(), ()>::build(&grid, 2);
-        assert_eq!(saved_digest(&unlabelled, "grid"), 0x91b9_dbf6_1eda_66af);
+        assert_eq!(saved_digest(&unlabelled, "grid"), 0x3573_ef9e_4fc9_8d44);
 
         let mut inst = labelled_grid(4, 5);
         let mut store = builder(&inst, 2);
@@ -1723,7 +1747,7 @@ mod tests {
         store.set_node_label(7, &42);
         assert_eq!(
             saved_digest(&store.freeze(), "refrozen"),
-            0xa614_b967_7bb4_bc9b
+            0xe1f2_9285_d546_e7f4
         );
     }
 
@@ -1834,7 +1858,10 @@ mod tests {
         let n = core.n();
         for v in 0..n {
             let sv = core.skel_view(v);
-            let _ = (sv.center, sv.ids, sv.adj_off, sv.adj, sv.dist);
+            let _ = (sv.center, sv.adj_off, sv.adj, sv.dist);
+            for u in 0..sv.n() {
+                let _ = sv.id(u);
+            }
             let _ = (sv.node_data, sv.edge_keys, sv.edge_labels);
             let _ = core.members_of(v);
         }
@@ -1846,6 +1873,7 @@ mod tests {
             for u in view.nodes() {
                 let _ = (view.id(u), view.dist(u), view.node_label(u), view.proof(u));
                 for &w in view.neighbors(u) {
+                    let w = w as usize;
                     let _ = (view.proof(w), view.edge_label(u, w));
                 }
             }
@@ -2008,6 +2036,75 @@ mod tests {
         assert_eq!(offset, at(first));
     }
 
+    /// The `len` packed `u32`s of the section at word `at` of `words`.
+    fn packed_at(words: &[u64], at: usize, len: usize) -> Vec<u32> {
+        WordReader::new(&words[at..]).read_u32s(len).unwrap()
+    }
+
+    #[test]
+    fn bad_adjacency_halves_are_located_at_their_word() {
+        let words = labelled_image();
+        let lay = layout_of(&words);
+        let mo = packed_at(&words, lay.member_off, lay.n + 1);
+        let sa = packed_at(&words, lay.skel_adj_off, lay.n + 1);
+        // Entry `i` of ball `v`'s adjacency, in either half of its word.
+        for half in [0, 1] {
+            let (v, i) = (0..lay.n)
+                .find_map(|v| {
+                    let i = (sa[v]..sa[v + 1]).find(|i| i % 2 == half)?;
+                    Some((v, i as usize))
+                })
+                .unwrap();
+            let ball = u64::from(mo[v + 1] - mo[v]);
+            let mut bad = words.clone();
+            let shift = 32 * (i % 2);
+            let word = &mut bad[lay.adj + i / 2];
+            *word = (*word & !(u64::from(u32::MAX) << shift)) | (ball << shift);
+            let (offset, detail) = rejection("adjacency-half", &mut bad);
+            assert_eq!(offset, 8 * (lay.adj + i / 2) as u64, "{detail}");
+            assert!(detail.contains("outside ball"), "{detail}");
+        }
+    }
+
+    #[test]
+    fn nonzero_padding_halves_are_located_errors() {
+        // Nine nodes: `centers` holds an odd count, so its last word has
+        // a padding half.
+        let words = labelled_image();
+        let lay = layout_of(&words);
+        assert_eq!(lay.n % 2, 1);
+        let last = lay.centers + lay.n / 2;
+        let mut bad = words.clone();
+        bad[last] |= 1 << 32;
+        let (offset, detail) = rejection("padding", &mut bad);
+        assert_eq!(offset, 8 * last as u64, "{detail}");
+        assert!(detail.contains("centers padding"), "{detail}");
+    }
+
+    #[test]
+    fn header_counts_that_overflow_or_disagree_are_located_errors() {
+        let words = labelled_image();
+        let (n, a) = (words[4], words[6]);
+        // Word 4 sizes the id table (and every per-node section), word 6
+        // the packed adjacency. An overflow of the layout arithmetic is
+        // rejected at byte 24; a layout that does not fill the file
+        // exactly, at byte 112 (the file-length word).
+        for (word, value, offset) in [
+            (4, u64::MAX, 24),
+            (4, 1 << 63, 24),
+            (4, n + 1, 112),
+            (4, n - 1, 112),
+            (6, u64::MAX, 112),
+            (6, a + 2, 112),
+            (6, a - 2, 112),
+        ] {
+            let mut bad = words.clone();
+            bad[word] = value;
+            let (at, detail) = rejection("header-counts", &mut bad);
+            assert_eq!(at, offset, "word {word} = {value}: {detail}");
+        }
+    }
+
     #[test]
     fn node_labels_are_stored_once_per_node() {
         // A 3×3 grid at radius 2: Σ|ball| is far above n, yet the label
@@ -2029,9 +2126,69 @@ mod tests {
     }
 
     /// `docs/FORMAT.md` must list the image's sections in file order,
-    /// each with its entry count, as `Layout` lays them out.
+    /// each with its entry count, as `Layout` lays them out, and quote
+    /// the words per node that `Layout` gives the serving cells' cores.
     mod format_doc_sync {
         use super::*;
+
+        fn format_doc() -> String {
+            let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/FORMAT.md");
+            std::fs::read_to_string(path)
+                .unwrap_or_else(|e| panic!("docs/FORMAT.md must exist (tried {path}): {e}"))
+        }
+
+        /// The `(graph, labels, v3)` rows of the doc's words-per-node
+        /// table: lines `| cycle | labels | v2 | v3 |` (or `grid`).
+        fn documented_census(doc: &str) -> Vec<(String, String, usize)> {
+            doc.lines()
+                .filter_map(|line| {
+                    let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+                    let graph = *cells.get(1)?;
+                    if graph != "cycle" && graph != "grid" {
+                        return None;
+                    }
+                    let v3 = cells.get(4)?.parse().ok()?;
+                    Some((graph.to_string(), cells.get(2)?.to_string(), v3))
+                })
+                .collect()
+        }
+
+        /// Words per node of the saved image of `inst`'s radius-1 core,
+        /// header aside, rounded to the nearest word.
+        fn words_per_node<N: PortableLabel + Clone, E: PortableLabel + Clone>(
+            inst: &Instance<N, E>,
+        ) -> usize {
+            let lay = layout_of(&FrozenCore::build(inst, 1).render_file((0, 0)));
+            let body = (lay.total - HEADER_WORDS) as f64;
+            (body / inst.n() as f64).round() as usize
+        }
+
+        #[test]
+        fn word_census_matches_the_layout() {
+            let mut computed = Vec::new();
+            for (name, g) in [
+                ("cycle", generators::cycle(10_000)),
+                ("grid", generators::grid(100, 100)),
+            ] {
+                let tree = lcp_graph::spanning::bfs_spanning_tree(&g, 0).edges();
+                let leader: Vec<bool> = g.nodes().map(|v| v == 0).collect();
+                let unlabelled = Instance::unlabeled(g.clone());
+                let st = Instance::unlabeled(g.clone()).with_edge_set(tree);
+                let le = Instance::<bool>::with_node_data(g, leader);
+                for (labels, words) in [
+                    ("none", words_per_node(&unlabelled)),
+                    ("spanning-tree edge set", words_per_node(&st)),
+                    ("`bool` node labels", words_per_node(&le)),
+                ] {
+                    computed.push((name.to_string(), labels.to_string(), words));
+                }
+            }
+            assert_eq!(
+                documented_census(&format_doc()),
+                computed,
+                "docs/FORMAT.md's words-per-node table must quote what Layout gives"
+            );
+        }
 
         /// The `(name, entries)` rows of the doc's section table: lines
         /// `| k | \`name\` | \`count\` ... |`.
@@ -2049,9 +2206,7 @@ mod tests {
 
         #[test]
         fn section_table_matches_the_layout() {
-            let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/FORMAT.md");
-            let doc = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| panic!("docs/FORMAT.md must exist (tried {path}): {e}"));
+            let doc = format_doc();
             // Distinct, nonzero counts, so no two sections share an offset.
             let lay = Layout::new(1, [5, 17, 23, 7], 11, 13).unwrap();
             let sections = lay.sections();

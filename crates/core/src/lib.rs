@@ -52,7 +52,7 @@
 //!     fn verify(&self, view: &View) -> bool {
 //!         let me = view.proof(view.center());
 //!         view.neighbors(view.center()).iter().all(|&u| {
-//!             view.proof(u).first() != me.first()
+//!             view.proof(u as usize).first() != me.first()
 //!         })
 //!     }
 //! }

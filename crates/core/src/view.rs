@@ -55,19 +55,20 @@ pub trait Label: Copy + Send + Sync + 'static {
 
 /// The proof-independent part of a view: topology, identifiers, labels.
 ///
-/// Adjacency is stored in CSR form (one flat neighbour array plus
-/// offsets) and edge labels as a sorted key column beside a label
-/// column, so a skeleton is a handful of contiguous allocations
-/// regardless of ball size.
+/// Adjacency is stored in CSR form (one flat array of `u32` view-local
+/// neighbour indices plus offsets) and edge labels as a sorted key column
+/// beside a label column, so a skeleton is a handful of contiguous
+/// allocations regardless of ball size.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Skeleton<N, E> {
     pub(crate) center: usize,
     pub(crate) radius: usize,
+    /// The identifier of each view-local node.
     pub(crate) ids: Vec<NodeId>,
     /// CSR offsets into `adj`; node `u`'s neighbours are
     /// `adj[adj_off[u] as usize .. adj_off[u + 1] as usize]`.
     pub(crate) adj_off: Vec<u32>,
-    pub(crate) adj: Vec<usize>,
+    pub(crate) adj: Vec<u32>,
     pub(crate) dist: Vec<u32>,
     pub(crate) node_data: Vec<N>,
     /// Labelled edges as [`edge_key`]s, strictly ascending
@@ -101,7 +102,7 @@ impl<N: Clone, E: Clone> Skeleton<N, E> {
         Skeleton {
             center: sv.center,
             radius: sv.radius,
-            ids: sv.ids.to_vec(),
+            ids: (0..sv.n()).map(|u| sv.id(u)).collect(),
             adj_off: sv.adj_off.to_vec(),
             adj: sv.adj.to_vec(),
             dist: sv.dist.to_vec(),
@@ -120,6 +121,7 @@ impl<N, E> Skeleton<N, E> {
             center: self.center,
             radius: self.radius,
             ids: &self.ids,
+            members: None,
             adj_off: &self.adj_off,
             adj: &self.adj,
             dist: &self.dist,
@@ -137,15 +139,20 @@ impl<N, E> Skeleton<N, E> {
 /// Everything downstream of skeleton construction — [`View`], the
 /// verifier loops — consumes this type and is thereby agnostic to where
 /// the skeleton came from.
-#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct SkelView<'c, N, E> {
     pub(crate) center: usize,
     pub(crate) radius: usize,
+    /// Identifiers: one per view-local node when `members` is `None`;
+    /// otherwise a core's table of one id per node, which view-local
+    /// node `u` reads at `members[u]` (see [`SkelView::id`]).
     pub(crate) ids: &'c [NodeId],
+    /// The global index of each view-local node, for skeletons that read
+    /// a core's node-indexed id table.
+    pub(crate) members: Option<&'c [u32]>,
     /// CSR offsets into `adj`; node `u`'s neighbours are
     /// `adj[adj_off[u] as usize .. adj_off[u + 1] as usize]`.
     pub(crate) adj_off: &'c [u32],
-    pub(crate) adj: &'c [usize],
+    pub(crate) adj: &'c [u32],
     pub(crate) dist: &'c [u32],
     pub(crate) node_data: &'c [N],
     /// Labelled edges as [`edge_key`]s, strictly ascending
@@ -168,12 +175,57 @@ impl<N, E> Copy for SkelView<'_, N, E> {}
 impl<'c, N, E> SkelView<'c, N, E> {
     #[inline]
     pub(crate) fn n(&self) -> usize {
-        self.ids.len()
+        self.dist.len()
+    }
+
+    /// Identifier of view-local node `u`, wherever the ids are kept.
+    #[inline]
+    pub(crate) fn id(&self, u: usize) -> NodeId {
+        match self.members {
+            Some(members) => self.ids[members[u] as usize],
+            None => self.ids[u],
+        }
     }
 
     #[inline]
-    pub(crate) fn neighbors(&self, u: usize) -> &'c [usize] {
+    pub(crate) fn neighbors(&self, u: usize) -> &'c [u32] {
         &self.adj[self.adj_off[u] as usize..self.adj_off[u + 1] as usize]
+    }
+}
+
+// Manual PartialEq/Debug: two skeletons are equal when they show the
+// same ball, whether their ids sit per view node or in a core's table.
+impl<N: PartialEq, E: PartialEq> PartialEq for SkelView<'_, N, E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.center == other.center
+            && self.radius == other.radius
+            && self.n() == other.n()
+            && (0..self.n()).all(|u| self.id(u) == other.id(u))
+            && self.adj_off == other.adj_off
+            && self.adj == other.adj
+            && self.dist == other.dist
+            && self.node_data == other.node_data
+            && self.edge_keys == other.edge_keys
+            && self.edge_labels == other.edge_labels
+    }
+}
+
+impl<N: Eq, E: Eq> Eq for SkelView<'_, N, E> {}
+
+impl<N: std::fmt::Debug, E: std::fmt::Debug> std::fmt::Debug for SkelView<'_, N, E> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ids: Vec<NodeId> = (0..self.n()).map(|u| self.id(u)).collect();
+        f.debug_struct("SkelView")
+            .field("center", &self.center)
+            .field("radius", &self.radius)
+            .field("ids", &ids)
+            .field("adj_off", &self.adj_off)
+            .field("adj", &self.adj)
+            .field("dist", &self.dist)
+            .field("node_data", &self.node_data)
+            .field("edge_keys", &self.edge_keys)
+            .field("edge_labels", &self.edge_labels)
+            .finish()
     }
 }
 
@@ -386,8 +438,9 @@ pub(crate) fn build_skeleton<N: Clone, E: Clone>(
             if scratch.stamp[ow] != cur {
                 continue; // beyond the horizon
             }
-            let nw = scratch.local[ow] as usize;
+            let nw = scratch.local[ow];
             skel.adj.push(nw);
+            let nw = nw as usize;
             if has_edge_labels && nu < nw {
                 if let Some(label) = inst.edge_label(ou as usize, ow) {
                     skel.edge_keys.push(edge_key(nu, nw));
@@ -458,6 +511,7 @@ impl<'p, N, E> View<'p, N, E> {
         assert_eq!(node_data.len(), n, "node data length mismatch");
         assert_eq!(proofs.len(), n, "proof length mismatch");
         assert_eq!(dist[center], 0, "centre must be at distance 0");
+        assert!(u32::try_from(n).is_ok(), "view too large for u32 indices");
         for (u, list) in adj.iter().enumerate() {
             assert!(list.windows(2).all(|w| w[0] < w[1]), "adjacency unsorted");
             for &w in list {
@@ -478,7 +532,7 @@ impl<'p, N, E> View<'p, N, E> {
         adj_off.push(0u32);
         let mut flat = Vec::with_capacity(adj.iter().map(Vec::len).sum());
         for list in &adj {
-            flat.extend_from_slice(list);
+            flat.extend(list.iter().map(|&w| w as u32));
             adj_off.push(flat.len() as u32);
         }
         View {
@@ -514,21 +568,21 @@ impl<'p, N, E> View<'p, N, E> {
 
     /// Identifier of view node `u`.
     ///
+    /// A view bound from a prepared core reads the core's table of one
+    /// id per node, at `u`'s global index; an extracted or assembled
+    /// view keeps its own ids. Either way this is one indexed load.
+    ///
     /// # Panics
     ///
     /// Panics if `u` is out of range.
+    #[inline]
     pub fn id(&self, u: usize) -> NodeId {
-        self.skeleton().ids[u]
-    }
-
-    /// All identifiers in view-index order.
-    pub fn ids(&self) -> &[NodeId] {
-        self.skeleton().ids
+        self.skeleton().id(u)
     }
 
     /// View index of the node with identifier `id`, if visible.
     pub fn index_of(&self, id: NodeId) -> Option<usize> {
-        self.skeleton().ids.iter().position(|&x| x == id)
+        self.nodes().find(|&u| self.id(u) == id)
     }
 
     /// Distance from the centre (in the original graph, ≤ radius).
@@ -540,7 +594,11 @@ impl<'p, N, E> View<'p, N, E> {
         self.skeleton().dist[u] as usize
     }
 
-    /// Sorted neighbours of `u` within the view.
+    /// Sorted neighbours of `u` within the view, as view-local indices.
+    ///
+    /// Indices are `u32`, the width a prepared core stores them at
+    /// (every index is below [`Self::n`]), so a mapped core serves this
+    /// slice in place; widen with `as usize` to index the view.
     ///
     /// Note: for `u` at distance exactly `r` this can be a strict subset
     /// of its true neighbourhood — exactly as in the paper's `G[v,r]`.
@@ -548,7 +606,8 @@ impl<'p, N, E> View<'p, N, E> {
     /// # Panics
     ///
     /// Panics if `u` is out of range.
-    pub fn neighbors(&self, u: usize) -> &[usize] {
+    #[inline]
+    pub fn neighbors(&self, u: usize) -> &[u32] {
         self.skeleton().neighbors(u)
     }
 
@@ -563,7 +622,7 @@ impl<'p, N, E> View<'p, N, E> {
 
     /// Whether `{u, w}` is an edge of the view.
     pub fn has_edge(&self, u: usize, w: usize) -> bool {
-        u < self.n() && w < self.n() && self.neighbors(u).binary_search(&w).is_ok()
+        u < self.n() && w < self.n() && self.neighbors(u).binary_search(&(w as u32)).is_ok()
     }
 
     /// Iterates over view node indices.
@@ -576,6 +635,7 @@ impl<'p, N, E> View<'p, N, E> {
         let mut out = Vec::new();
         for u in self.nodes() {
             for &w in self.neighbors(u) {
+                let w = w as usize;
                 if u < w {
                     out.push((u, w));
                 }
@@ -674,11 +734,12 @@ impl<'p, N, E> View<'p, N, E> {
         let mut edge_labels = Vec::new();
         for (nu, &ou) in keep.iter().enumerate() {
             for &ow in self.neighbors(ou) {
+                let ow = ow as usize;
                 let nw = old_to_new[ow];
                 if nw == usize::MAX {
                     continue;
                 }
-                adj.push(nw);
+                adj.push(nw as u32);
                 if nu < nw {
                     if let Some(l) = self.edge_label(ou, ow) {
                         edge_keys.push(edge_key(nu, nw));
@@ -694,7 +755,7 @@ impl<'p, N, E> View<'p, N, E> {
             skel: SkelRef::Shared(Arc::new(Skeleton {
                 center: old_to_new[self.center()],
                 radius: new_radius,
-                ids: keep.iter().map(|&u| self.skeleton().ids[u]).collect(),
+                ids: keep.iter().map(|&u| self.id(u)).collect(),
                 adj_off,
                 adj,
                 dist: keep.iter().map(|&u| self.skeleton().dist[u]).collect(),
@@ -725,8 +786,7 @@ impl<'p, N, E> View<'p, N, E> {
     /// Materializes the view's topology as a standalone [`Graph`]
     /// (same identifiers), so graph algorithms can run on it.
     pub fn to_graph(&self) -> Graph {
-        let mut g =
-            Graph::from_ids(self.skeleton().ids.iter().copied()).expect("view ids are unique");
+        let mut g = Graph::from_ids(self.nodes().map(|u| self.id(u))).expect("view ids are unique");
         for (u, w) in self.edges() {
             g.add_edge(u, w).expect("view is simple");
         }
@@ -847,9 +907,8 @@ mod tests {
                 let view = View::extract(&inst, &Proof::empty(16), v, r);
                 let ball = lcp_graph::traversal::ball(inst.graph(), v, r);
                 let members: Vec<usize> = view
-                    .ids()
-                    .iter()
-                    .map(|&id| inst.graph().index_of(id).unwrap())
+                    .nodes()
+                    .map(|u| inst.graph().index_of(view.id(u)).unwrap())
                     .collect();
                 assert_eq!(members, ball, "ball mismatch at v={v} r={r}");
                 let dists = lcp_graph::traversal::bfs_distances(inst.graph(), v);

@@ -150,10 +150,11 @@ impl Scheme for Bipartite {
         let c = view.center();
         let mine = view.proof(c).first();
         mine.is_some()
-            && view
-                .neighbors(c)
-                .iter()
-                .all(|&u| view.proof(u).first().is_some_and(|b| Some(b) != mine))
+            && view.neighbors(c).iter().all(|&u| {
+                view.proof(u as usize)
+                    .first()
+                    .is_some_and(|b| Some(b) != mine)
+            })
     }
 }
 

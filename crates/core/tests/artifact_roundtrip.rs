@@ -41,6 +41,7 @@ impl Scheme for LabelFingerprint {
             h = h.wrapping_mul(31).wrapping_add(view.dist(u) as u64);
             h = h.wrapping_mul(3).wrapping_add(*view.node_label(u) as u64);
             for &w in view.neighbors(u) {
+                let w = w as usize;
                 h = h.wrapping_mul(131).wrapping_add(view.id(w).0);
                 if let Some(&e) = view.edge_label(u, w) {
                     h = h.wrapping_mul(257).wrapping_add(e as u64);

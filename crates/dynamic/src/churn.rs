@@ -328,6 +328,7 @@ mod tests {
                     h = h.wrapping_mul(2).wrapping_add(b as u64);
                 }
                 for &w in view.neighbors(u) {
+                    let w = w as usize;
                     h = h.wrapping_mul(131).wrapping_add(view.id(w).0);
                 }
             }

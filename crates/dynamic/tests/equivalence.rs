@@ -116,7 +116,7 @@ impl Scheme for LabelledParity {
             && view
                 .neighbors(c)
                 .iter()
-                .all(|&u| *view.node_label(u) <= *view.node_label(c) + 1)
+                .all(|&u| *view.node_label(u as usize) <= *view.node_label(c) + 1)
     }
 }
 

@@ -74,7 +74,7 @@ impl Scheme for Bipartite {
         let me = view.proof(view.center());
         view.neighbors(view.center())
             .iter()
-            .all(|&u| view.proof(u).first() != me.first())
+            .all(|&u| view.proof(u as usize).first() != me.first())
     }
 }
 
@@ -108,6 +108,7 @@ impl Scheme for Fingerprint {
                 h = h.wrapping_mul(2).wrapping_add(b as u64);
             }
             for &w in view.neighbors(u) {
+                let w = w as usize;
                 h = h.wrapping_mul(131).wrapping_add(view.id(w).0);
             }
         }
@@ -270,7 +271,10 @@ fn view_signature(store: &CoreBuilder, v: usize, proof: &Proof) -> Vec<(u64, usi
             (
                 view.id(u).0,
                 view.dist(u),
-                view.neighbors(u).iter().map(|&w| view.id(w).0).collect(),
+                view.neighbors(u)
+                    .iter()
+                    .map(|&w| view.id(w as usize).0)
+                    .collect(),
             )
         })
         .collect()

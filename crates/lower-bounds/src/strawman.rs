@@ -92,7 +92,7 @@ impl Scheme for ParityLeader {
         let same_parity: Vec<usize> = view
             .neighbors(c)
             .iter()
-            .copied()
+            .map(|&u| u as usize)
             .filter(|&u| view.proof(u).first() == Some(mine))
             .collect();
         if *view.node_label(c) {
@@ -200,7 +200,11 @@ where
         if mine.len() > self.budget {
             return false;
         }
-        if view.neighbors(c).iter().any(|&u| view.proof(u) != mine) {
+        if view
+            .neighbors(c)
+            .iter()
+            .any(|&u| view.proof(u as usize) != mine)
+        {
             return false;
         }
         // Attempt a full decode; if the encoding is complete, be strict.
@@ -214,7 +218,11 @@ where
                 .map(|&u| decoded.id(u))
                 .collect();
             claimed.sort_unstable();
-            let mut actual: Vec<_> = view.neighbors(c).iter().map(|&u| view.id(u)).collect();
+            let mut actual: Vec<_> = view
+                .neighbors(c)
+                .iter()
+                .map(|&u| view.id(u as usize))
+                .collect();
             actual.sort_unstable();
             return claimed == actual && (self.decide)(&decoded);
         }

@@ -43,7 +43,7 @@ impl Scheme for Bipartite {
         };
         view.neighbors(c)
             .iter()
-            .all(|&u| view.proof(u).first().is_some_and(|b| b != mine))
+            .all(|&u| view.proof(u as usize).first().is_some_and(|b| b != mine))
     }
 }
 

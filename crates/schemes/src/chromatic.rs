@@ -58,7 +58,7 @@ impl Scheme for ChromaticAtMost {
         };
         view.neighbors(c)
             .iter()
-            .all(|&u| color(u).is_some_and(|cu| cu != mine))
+            .all(|&u| color(u as usize).is_some_and(|cu| cu != mine))
     }
 }
 

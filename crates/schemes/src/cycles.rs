@@ -59,7 +59,7 @@ impl Scheme for EvenCycle {
         };
         view.neighbors(c)
             .iter()
-            .all(|&u| view.proof(u).first().is_some_and(|b| b != mine))
+            .all(|&u| view.proof(u as usize).first().is_some_and(|b| b != mine))
     }
 }
 
@@ -203,7 +203,7 @@ impl Scheme for MaxMatchingCycle {
         let incident = view
             .neighbors(c)
             .iter()
-            .filter(|&&u| view.edge_label(c, u).is_some())
+            .filter(|&&u| view.edge_label(c, u as usize).is_some())
             .count();
         if incident > 1 {
             return false;

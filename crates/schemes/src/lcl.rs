@@ -81,9 +81,13 @@ pub fn mis() -> LclProblem<bool> {
             let c = view.center();
             let mine = *view.node_label(c);
             if mine {
-                view.neighbors(c).iter().all(|&u| !*view.node_label(u))
+                view.neighbors(c)
+                    .iter()
+                    .all(|&u| !*view.node_label(u as usize))
             } else {
-                view.neighbors(c).iter().any(|&u| *view.node_label(u))
+                view.neighbors(c)
+                    .iter()
+                    .any(|&u| *view.node_label(u as usize))
             }
         },
         |inst| {
@@ -113,7 +117,7 @@ pub fn proper_coloring(k: usize) -> LclProblem<usize> {
                 && view
                     .neighbors(c)
                     .iter()
-                    .all(|&u| *view.node_label(u) != mine)
+                    .all(|&u| *view.node_label(u as usize) != mine)
         },
         move |inst| {
             inst.node_labels().iter().all(|&c| c < k)
@@ -142,7 +146,7 @@ pub fn agreement() -> LclProblem<u64> {
             let mine = *view.node_label(c);
             view.neighbors(c)
                 .iter()
-                .all(|&u| *view.node_label(u) == mine)
+                .all(|&u| *view.node_label(u as usize) == mine)
         },
         |inst| {
             // Agreement within every component.

@@ -38,11 +38,14 @@ impl Scheme for MaximalMatching {
         let labelled_degree = |u: usize| {
             view.neighbors(u)
                 .iter()
-                .filter(|&&w| view.edge_label(u, w).is_some())
+                .filter(|&&w| view.edge_label(u, w as usize).is_some())
                 .count()
         };
         match labelled_degree(c) {
-            0 => view.neighbors(c).iter().all(|&u| labelled_degree(u) >= 1),
+            0 => view
+                .neighbors(c)
+                .iter()
+                .all(|&u| labelled_degree(u as usize) >= 1),
             1 => true,
             _ => false,
         }
@@ -102,7 +105,7 @@ impl Scheme for MaximumMatchingBipartite {
         let matched_nbrs: Vec<usize> = view
             .neighbors(c)
             .iter()
-            .copied()
+            .map(|&u| u as usize)
             .filter(|&u| view.edge_label(c, u).is_some())
             .collect();
         // Validity: at most one matched edge at me.
@@ -114,6 +117,7 @@ impl Scheme for MaximumMatchingBipartite {
             return false;
         }
         for &u in view.neighbors(c) {
+            let u = u as usize;
             let Some(u_cover) = view.proof(u).first() else {
                 return false;
             };
@@ -242,6 +246,7 @@ impl Scheme for MaxWeightMatchingBipartite {
         };
         let mut matched_count = 0;
         for &u in view.neighbors(c) {
+            let u = u as usize;
             let Some(edge) = view.edge_label(c, u) else {
                 return false; // weighted instances label every edge
             };

@@ -164,6 +164,7 @@ impl Scheme for Acyclic {
         }
         let mut parents = 0;
         for &u in view.neighbors(c) {
+            let u = u as usize;
             let Some(cu) = view.label::<AcyclicCert>(u) else {
                 return false;
             };

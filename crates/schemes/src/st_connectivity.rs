@@ -257,6 +257,7 @@ impl Scheme for StConnectivity {
         // Decode all neighbours up front.
         let mut nbrs = Vec::with_capacity(view.degree(c));
         for &u in view.neighbors(c) {
+            let u = u as usize;
             let Some(cu) = cert(u) else {
                 return false;
             };
@@ -309,11 +310,11 @@ impl Scheme for StConnectivity {
                 let adj_s = view
                     .neighbors(c)
                     .iter()
-                    .any(|&u| *view.node_label(u) == StMark::S);
+                    .any(|&u| *view.node_label(u as usize) == StMark::S);
                 let adj_t = view
                     .neighbors(c)
                     .iter()
-                    .any(|&u| *view.node_label(u) == StMark::T);
+                    .any(|&u| *view.node_label(u as usize) == StMark::T);
                 // (ii) Exactly one predecessor and one successor.
                 let mut preds: Vec<Region> = Vec::new();
                 let mut succs: Vec<Region> = Vec::new();

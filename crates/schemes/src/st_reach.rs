@@ -60,7 +60,7 @@ impl Scheme for StReachability {
         let marked_nbrs = view
             .neighbors(c)
             .iter()
-            .filter(|&&u| view.proof(u).first() == Some(true))
+            .filter(|&&u| view.proof(u as usize).first() == Some(true))
             .count();
         match view.node_label(c) {
             StMark::S | StMark::T => marked && marked_nbrs == 1,
@@ -198,6 +198,7 @@ impl Scheme for StUnreachability {
         }
         // No traversable edge from the S side to the T side.
         view.neighbors(c).iter().all(|&u| {
+            let u = u as usize;
             let Some(theirs) = view.proof(u).first() else {
                 return false;
             };
@@ -360,7 +361,7 @@ impl Scheme for StReachabilityDirected {
         }
         // Port-ordered adjacency of a node (full list: dist(u) ≤ 1 < r).
         let ports_of = |u: usize| -> Vec<usize> {
-            let mut nbrs: Vec<usize> = view.neighbors(u).to_vec();
+            let mut nbrs: Vec<usize> = view.neighbors(u).iter().map(|&w| w as usize).collect();
             nbrs.sort_by_key(|&w| view.id(w));
             nbrs
         };
@@ -385,6 +386,7 @@ impl Scheme for StReachabilityDirected {
         // (none at s).
         let mut incoming = 0;
         for &u in view.neighbors(c) {
+            let u = u as usize;
             let Some(cu) = decode_dir(view.proof(u)) else {
                 return false;
             };

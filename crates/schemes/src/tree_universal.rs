@@ -176,6 +176,7 @@ where
         expected.sort_unstable();
         let mut got = Vec::with_capacity(view.degree(c));
         for &u in view.neighbors(c) {
+            let u = u as usize;
             let Some((u_pos, u_shape)) = decode(u) else {
                 return false;
             };

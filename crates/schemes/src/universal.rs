@@ -120,7 +120,11 @@ where
         let c = view.center();
         let mine = view.proof(c);
         // (a) Neighbour agreement on the exact string.
-        if view.neighbors(c).iter().any(|&u| view.proof(u) != mine) {
+        if view
+            .neighbors(c)
+            .iter()
+            .any(|&u| view.proof(u as usize) != mine)
+        {
             return false;
         }
         let Some(decoded) = Self::decode(mine) else {
@@ -136,7 +140,11 @@ where
             .map(|&u| decoded.id(u))
             .collect();
         claimed.sort_unstable();
-        let mut actual: Vec<NodeId> = view.neighbors(c).iter().map(|&u| view.id(u)).collect();
+        let mut actual: Vec<NodeId> = view
+            .neighbors(c)
+            .iter()
+            .map(|&u| view.id(u as usize))
+            .collect();
         actual.sort_unstable();
         if claimed != actual {
             return false;

@@ -31,7 +31,8 @@ fn ref_tree<N, E>(view: &View<N, E>, certs: impl Fn(usize) -> Option<TreeCert>) 
         }
     } else {
         let parent_ok = view.neighbors(c).iter().any(|&u| {
-            view.id(u).0 == mine.parent_id && certs(u).is_some_and(|cu| cu.dist + 1 == mine.dist)
+            view.id(u as usize).0 == mine.parent_id
+                && certs(u as usize).is_some_and(|cu| cu.dist + 1 == mine.dist)
         });
         if !parent_ok {
             return false;
@@ -42,7 +43,7 @@ fn ref_tree<N, E>(view: &View<N, E>, certs: impl Fn(usize) -> Option<TreeCert>) 
     }
     view.neighbors(c)
         .iter()
-        .all(|&u| certs(u).is_some_and(|cu| cu.root_id == mine.root_id))
+        .all(|&u| certs(u as usize).is_some_and(|cu| cu.root_id == mine.root_id))
 }
 
 /// Reference: the counting extension, run as a second pass.
@@ -58,6 +59,7 @@ fn ref_counting<N, E>(
     let my_id = view.id(c).0;
     let mut child_sum = 0u64;
     for &u in view.neighbors(c) {
+        let u = u as usize;
         let Some(cu) = certs(u) else {
             return false;
         };
@@ -85,6 +87,7 @@ fn ref_spanning_tree(view: &View) -> bool {
     let mine = certs(c).expect("the reference decodes the centre again");
     let my_id = view.id(c).0;
     for &u in view.neighbors(c) {
+        let u = u as usize;
         let Some(cu) = certs(u) else {
             return false;
         };

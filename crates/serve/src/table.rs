@@ -314,12 +314,23 @@ mod tests {
     /// it (`docs/FORMAT.md`).
     const V1_IMAGE: &[u8] = include_bytes!("../tests/fixtures/bipartite-cycle16-r1.v1.lcpc");
 
-    #[test]
-    fn v1_artifacts_in_a_preload_dir_are_rebuilt_then_mapped() {
-        use lcp_core::{ArtifactSource, ArtifactStore};
+    /// The same core as a version-2 writer saved it.
+    const V2_IMAGE: &[u8] = include_bytes!("../tests/fixtures/bipartite-cycle16-r1.v2.lcpc");
 
-        assert_eq!(V1_IMAGE[8..16], 1u64.to_le_bytes(), "a version-1 image");
-        let dir = std::env::temp_dir().join(format!("lcp-serve-v1-{}", std::process::id()));
+    /// Lays `image`, a core of an older format version, down as the
+    /// bipartite cycle(16) cell's file in a preload dir. Checks that the
+    /// store rejects it at byte 8 (the version word), rebuilds the core
+    /// and overwrites the file, and that the next table maps that file
+    /// with no build.
+    fn old_image_is_rebuilt_then_mapped(image: &[u8], version: u64) {
+        use lcp_core::{ArtifactSource, ArtifactStore, FrozenCore};
+
+        assert_eq!(
+            image[8..16],
+            version.to_le_bytes(),
+            "a version-{version} image"
+        );
+        let dir = std::env::temp_dir().join(format!("lcp-serve-v{version}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = || Arc::new(ArtifactStore::open(&dir).expect("open store"));
         let table = |store: &Arc<ArtifactStore>| {
@@ -327,18 +338,20 @@ mod tests {
         };
 
         // Lay down the cell's file, then overwrite it with the same
-        // cell's core as a version-1 writer saved it.
+        // cell's core as the older writer saved it.
         table(&store()).get_or_load(&coord(16)).unwrap();
         let files: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|entry| entry.unwrap().path())
             .collect();
         assert_eq!(files.len(), 1, "{files:?}");
-        std::fs::write(&files[0], V1_IMAGE).unwrap();
+        std::fs::write(&files[0], image).unwrap();
+        let err = FrozenCore::<(), ()>::open(&files[0], None).unwrap_err();
+        assert!(err.to_string().contains("invalid at byte 8:"), "{err}");
 
-        // The version-1 file is rejected, and the core rebuilt.
-        let v1 = store();
-        let first = table(&v1);
+        // The old file is rejected, and the core rebuilt.
+        let old = store();
+        let first = table(&old);
         let cell = first.get_or_load(&coord(16)).unwrap();
         assert_eq!(
             cell.check_completeness_within(&Deadline::none()),
@@ -346,9 +359,14 @@ mod tests {
         );
         let stats = first.stats();
         assert_eq!((stats.cores_built, stats.cores_loaded), (1, 0));
-        assert_eq!((v1.rejects(), v1.writes()), (1, 1));
+        assert_eq!((old.rejects(), old.writes()), (1, 1));
 
         // The rebuild overwrote it: the next daemon maps the file.
+        let written = std::fs::read(&files[0]).unwrap();
+        assert_eq!(
+            written[8..16],
+            lcp_core::frozen::FORMAT_VERSION.to_le_bytes()
+        );
         let next = table(&store());
         let cell = next.get_or_load(&coord(16)).unwrap();
         assert_eq!(
@@ -359,6 +377,16 @@ mod tests {
         assert_eq!((stats.cores_built, stats.cores_loaded), (0, 1));
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn v1_artifacts_in_a_preload_dir_are_rebuilt_then_mapped() {
+        old_image_is_rebuilt_then_mapped(V1_IMAGE, 1);
+    }
+
+    #[test]
+    fn v2_artifacts_in_a_preload_dir_are_rebuilt_then_mapped() {
+        old_image_is_rebuilt_then_mapped(V2_IMAGE, 2);
     }
 
     #[test]

@@ -208,6 +208,7 @@ mod tests {
                     .wrapping_add(view.id(u).0)
                     .wrapping_add(view.dist(u) as u64 * 7);
                 for &w in view.neighbors(u) {
+                    let w = w as usize;
                     h = h.wrapping_mul(17).wrapping_add(view.id(w).0);
                 }
             }
@@ -349,7 +350,7 @@ mod tests {
                 let covered = view
                     .neighbors(c)
                     .iter()
-                    .filter(|&&u| view.edge_label(c, u).is_some())
+                    .filter(|&&u| view.edge_label(c, u as usize).is_some())
                     .count();
                 covered <= 1
             }

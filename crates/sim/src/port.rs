@@ -89,7 +89,7 @@ impl<N: Clone, E: Clone> PortView<N, E> {
         let adj = view
             .nodes()
             .map(|u| {
-                let mut nbrs: Vec<usize> = view.neighbors(u).to_vec();
+                let mut nbrs: Vec<usize> = view.neighbors(u).iter().map(|&w| w as usize).collect();
                 nbrs.sort_by_key(|&w| view.id(w));
                 nbrs
             })

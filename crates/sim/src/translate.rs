@@ -190,10 +190,13 @@ where
         let anon_view = View::from_parts(
             restricted.center(),
             restricted.radius(),
-            restricted.ids().to_vec(),
+            restricted.nodes().map(|u| restricted.id(u)).collect(),
             restricted
                 .nodes()
-                .map(|u| restricted.neighbors(u).to_vec())
+                .map(|u| {
+                    let nbrs = restricted.neighbors(u);
+                    nbrs.iter().map(|&w| w as usize).collect()
+                })
                 .collect(),
             restricted.nodes().map(|u| restricted.dist(u)).collect(),
             labels,

@@ -71,7 +71,7 @@ proptest! {
             let gw = g.index_of(view.id(w)).unwrap();
             prop_assert!(g.has_edge(gu, gw));
         }
-        let members: Vec<usize> = view.ids().iter().map(|&id| g.index_of(id).unwrap()).collect();
+        let members: Vec<usize> = view.nodes().map(|u| g.index_of(view.id(u)).unwrap()).collect();
         for (i, &gu) in members.iter().enumerate() {
             for (j, &gw) in members.iter().enumerate().skip(i + 1) {
                 if g.has_edge(gu, gw) {
@@ -101,6 +101,7 @@ proptest! {
                         h = h.wrapping_mul(2).wrapping_add(b as u64);
                     }
                     for &w in view.neighbors(u) {
+                        let w = w as usize;
                         h = h.wrapping_mul(131).wrapping_add(view.id(w).0);
                     }
                 }
