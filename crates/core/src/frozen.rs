@@ -664,7 +664,8 @@ impl<N, E> FrozenCore<N, E> {
 
     /// Node `v`'s skeleton as a borrow-only [`SkelView`] straight into
     /// the word image — the zero-copy bind primitive. Its ids are the
-    /// core's whole id table, read through the ball's members.
+    /// core's whole id table, which a bound view reads at the ball's
+    /// members ([`Self::members_of`]).
     #[inline]
     pub(crate) fn skel_view(&self, v: usize) -> SkelView<'_, N, E> {
         let off = self.member_off();
@@ -677,7 +678,6 @@ impl<N, E> FrozenCore<N, E> {
             center: self.centers()[v] as usize,
             radius: self.lay.radius,
             ids: self.ids_sec(),
-            members: Some(&self.members_sec()[lo..hi]),
             adj_off: &self.adj_off_local()[lo + v..hi + v + 1],
             adj: &self.adj_sec()[alo..ahi],
             dist: &self.dist_sec()[lo..hi],
@@ -747,10 +747,11 @@ impl<N: Clone, E: Clone> PoolWriter<N, E> {
         }
     }
 
-    /// Appends the next node's ball and its members (global indices in
-    /// view-local order). Balls come in node order, so the ball's centre
-    /// is the next node, and its id is the next entry of the id table.
-    fn push(&mut self, sv: SkelView<'_, N, E>, members: &[u32]) {
+    /// Appends the next node's id, its ball and the ball's members
+    /// (global indices in view-local order). Balls come in node order,
+    /// so the ball's centre is the next node, and `id` the next entry of
+    /// the id table.
+    fn push(&mut self, id: NodeId, sv: SkelView<'_, N, E>, members: &[u32]) {
         debug_assert_eq!(sv.n(), members.len());
         debug_assert_eq!(members[sv.center] as usize, self.centers.len());
         // Offsets past u32 wrap here, but `finish` refuses such a core.
@@ -758,7 +759,7 @@ impl<N: Clone, E: Clone> PoolWriter<N, E> {
         self.centers.push(sv.center as u32);
         self.skel_adj_off.push(self.adj.len() as u32);
         self.edge_off.push(self.edge_keys.len() as u32);
-        self.ids.push(sv.id(sv.center).0);
+        self.ids.push(id.0);
         self.members.extend_from_slice(members);
         self.dist.extend_from_slice(sv.dist);
         self.node_labels.extend_from_slice(sv.node_data);
@@ -839,7 +840,7 @@ impl<N: Clone, E: Clone> FrozenCore<N, E> {
         let mut writer = PoolWriter::new(radius, n);
         for v in 0..n {
             build_skeleton(inst, v, radius, &mut scratch, &mut skel, &mut members);
-            writer.push(skel.as_view(), &members);
+            writer.push(skel.ids[skel.center], skel.as_view(), &members);
         }
         let core = writer.finish();
         metrics::PREPARES.inc();
@@ -1414,7 +1415,12 @@ impl<N, E> CoreBuilder<N, E> {
     #[inline]
     pub(crate) fn skel_view(&self, v: usize) -> SkelView<'_, N, E> {
         match self.balls.get(&v) {
-            Some((skel, _)) => skel.as_view(),
+            // Mutations keep the node set, so the base's id table
+            // serves the overlay's balls too.
+            Some((skel, _)) => SkelView {
+                ids: self.base.ids_sec(),
+                ..skel.as_view()
+            },
             None => self.base.skel_view(v),
         }
     }
@@ -1492,7 +1498,11 @@ impl<N: Clone, E: Clone> CoreBuilder<N, E> {
     pub fn freeze(&self) -> FrozenCore<N, E> {
         let mut writer = PoolWriter::new(self.radius(), self.n());
         for v in 0..self.n() {
-            writer.push(self.skel_view(v), self.members_of(v));
+            writer.push(
+                self.base.ids_sec()[v],
+                self.skel_view(v),
+                self.members_of(v),
+            );
         }
         writer.finish()
     }
@@ -1503,7 +1513,7 @@ impl<N: Clone, E: Clone> CoreBuilder<N, E> {
         let base = &self.base;
         self.balls.entry(v).or_insert_with(|| {
             (
-                Skeleton::from_view(base.skel_view(v)),
+                Skeleton::from_core_view(base.skel_view(v), base.members_of(v)),
                 base.members_of(v).to_vec(),
             )
         })
@@ -1532,6 +1542,12 @@ impl<N: Clone, E: Clone> CoreBuilder<N, E> {
         for &w in nodes {
             let (skel, ms) = &mut ball;
             build_skeleton(inst, w, radius, &mut scratch, skel, ms);
+            debug_assert!(
+                ms.iter()
+                    .zip(&skel.ids)
+                    .all(|(&m, &id)| self.base.ids_sec()[m as usize] == id),
+                "the instance keeps the base's ids"
+            );
             let old = self.skel_view(w);
             if self.members_of(w) == ms.as_slice()
                 && old.adj_off == skel.adj_off.as_slice()
@@ -1859,8 +1875,8 @@ mod tests {
         for v in 0..n {
             let sv = core.skel_view(v);
             let _ = (sv.center, sv.adj_off, sv.adj, sv.dist);
-            for u in 0..sv.n() {
-                let _ = sv.id(u);
+            for &m in core.members_of(v) {
+                let _ = sv.ids[m as usize];
             }
             let _ = (sv.node_data, sv.edge_keys, sv.edge_labels);
             let _ = core.members_of(v);
@@ -1967,7 +1983,7 @@ mod tests {
         let (mut skel, mut members) = (Skeleton::default(), Vec::new());
         for (v, &(inst, r)) in balls.iter().enumerate() {
             build_skeleton(inst, v, r, &mut scratch, &mut skel, &mut members);
-            writer.push(skel.as_view(), &members);
+            writer.push(skel.ids[skel.center], skel.as_view(), &members);
         }
         writer.finish().render_file((0xabcd, 0x1234))
     }

@@ -97,12 +97,13 @@ impl<N, E> Default for Skeleton<N, E> {
 }
 
 impl<N: Clone, E: Clone> Skeleton<N, E> {
-    /// An owned copy of a borrowed skeleton.
-    pub(crate) fn from_view(sv: SkelView<'_, N, E>) -> Self {
+    /// An owned copy of a core's borrowed skeleton, whose ids are the
+    /// core's table read at the ball's `members`.
+    pub(crate) fn from_core_view(sv: SkelView<'_, N, E>, members: &[u32]) -> Self {
         Skeleton {
             center: sv.center,
             radius: sv.radius,
-            ids: (0..sv.n()).map(|u| sv.id(u)).collect(),
+            ids: members.iter().map(|&m| sv.ids[m as usize]).collect(),
             adj_off: sv.adj_off.to_vec(),
             adj: sv.adj.to_vec(),
             dist: sv.dist.to_vec(),
@@ -121,7 +122,6 @@ impl<N, E> Skeleton<N, E> {
             center: self.center,
             radius: self.radius,
             ids: &self.ids,
-            members: None,
             adj_off: &self.adj_off,
             adj: &self.adj,
             dist: &self.dist,
@@ -139,16 +139,17 @@ impl<N, E> Skeleton<N, E> {
 /// Everything downstream of skeleton construction — [`View`], the
 /// verifier loops — consumes this type and is thereby agnostic to where
 /// the skeleton came from.
+///
+/// It is kept to 128 bytes, which the compiler copies inline: growing
+/// it by one slice made bound sweeps measurably slower.
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct SkelView<'c, N, E> {
     pub(crate) center: usize,
     pub(crate) radius: usize,
-    /// Identifiers: one per view-local node when `members` is `None`;
-    /// otherwise a core's table of one id per node, which view-local
-    /// node `u` reads at `members[u]` (see [`SkelView::id`]).
+    /// Identifiers. An owned [`Skeleton`]'s view holds one per view-local
+    /// node; a core's view holds the core's whole table of one id per
+    /// node, which a bound [`View`] reads at the ball's member indices.
     pub(crate) ids: &'c [NodeId],
-    /// The global index of each view-local node, for skeletons that read
-    /// a core's node-indexed id table.
-    pub(crate) members: Option<&'c [u32]>,
     /// CSR offsets into `adj`; node `u`'s neighbours are
     /// `adj[adj_off[u] as usize .. adj_off[u + 1] as usize]`.
     pub(crate) adj_off: &'c [u32],
@@ -178,54 +179,9 @@ impl<'c, N, E> SkelView<'c, N, E> {
         self.dist.len()
     }
 
-    /// Identifier of view-local node `u`, wherever the ids are kept.
-    #[inline]
-    pub(crate) fn id(&self, u: usize) -> NodeId {
-        match self.members {
-            Some(members) => self.ids[members[u] as usize],
-            None => self.ids[u],
-        }
-    }
-
     #[inline]
     pub(crate) fn neighbors(&self, u: usize) -> &'c [u32] {
         &self.adj[self.adj_off[u] as usize..self.adj_off[u + 1] as usize]
-    }
-}
-
-// Manual PartialEq/Debug: two skeletons are equal when they show the
-// same ball, whether their ids sit per view node or in a core's table.
-impl<N: PartialEq, E: PartialEq> PartialEq for SkelView<'_, N, E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.center == other.center
-            && self.radius == other.radius
-            && self.n() == other.n()
-            && (0..self.n()).all(|u| self.id(u) == other.id(u))
-            && self.adj_off == other.adj_off
-            && self.adj == other.adj
-            && self.dist == other.dist
-            && self.node_data == other.node_data
-            && self.edge_keys == other.edge_keys
-            && self.edge_labels == other.edge_labels
-    }
-}
-
-impl<N: Eq, E: Eq> Eq for SkelView<'_, N, E> {}
-
-impl<N: std::fmt::Debug, E: std::fmt::Debug> std::fmt::Debug for SkelView<'_, N, E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let ids: Vec<NodeId> = (0..self.n()).map(|u| self.id(u)).collect();
-        f.debug_struct("SkelView")
-            .field("center", &self.center)
-            .field("radius", &self.radius)
-            .field("ids", &ids)
-            .field("adj_off", &self.adj_off)
-            .field("adj", &self.adj)
-            .field("dist", &self.dist)
-            .field("node_data", &self.node_data)
-            .field("edge_keys", &self.edge_keys)
-            .field("edge_labels", &self.edge_labels)
-            .finish()
     }
 }
 
@@ -241,18 +197,16 @@ pub(crate) fn edge_key(u: usize, w: usize) -> u64 {
 ///
 /// Owned bindings copy the ball's bits into a private proof; borrowed
 /// bindings read straight out of the bound proof through the
-/// ball-membership table — the engine's zero-copy path.
+/// ball-membership table of a [`SkelRef::Flat`] skeleton — the engine's
+/// zero-copy path.
 #[derive(Clone, Debug)]
 enum Binding<'p> {
     /// A private proof, one slot per view-local node.
     Owned(Proof),
-    /// Borrowed slices of a whole proof; view-local node `u` reads
-    /// global slot `members[u]`, and its decoded label from the proof's
-    /// label column.
-    Borrowed {
-        proof: &'p Proof,
-        members: &'p [u32],
-    },
+    /// A whole proof, borrowed; view-local node `u` reads global slot
+    /// `members[u]` of its [`SkelRef::Flat`] skeleton, and its decoded
+    /// label from the proof's label column.
+    Borrowed(&'p Proof),
 }
 
 /// How a view holds its skeleton.
@@ -261,13 +215,32 @@ enum Binding<'p> {
 /// bindings borrow the prepared instance's cached skeleton instead, so
 /// stamping out a view costs no refcount traffic at all — the verifier
 /// loops construct millions of views per second.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum SkelRef<'p, N, E> {
     /// Shared ownership (extraction, simulator, restriction).
     Shared(Arc<Skeleton<N, E>>),
     /// Borrowed from a [`crate::engine::FrozenCore`] (in-process or
     /// mapped from an artifact file) — the engine's zero-copy path.
-    Flat(SkelView<'p, N, E>),
+    /// View-local node `u` is the core's node `members[u]`: its id is
+    /// `skel.ids[members[u]]`, the core's id table.
+    Flat {
+        skel: SkelView<'p, N, E>,
+        members: &'p [u32],
+    },
+}
+
+// Manual Clone: the derive would demand `N: Clone`/`E: Clone`, but
+// both arms share their storage.
+impl<N, E> Clone for SkelRef<'_, N, E> {
+    fn clone(&self) -> Self {
+        match self {
+            SkelRef::Shared(arc) => SkelRef::Shared(Arc::clone(arc)),
+            SkelRef::Flat { skel, members } => SkelRef::Flat {
+                skel: *skel,
+                members,
+            },
+        }
+    }
 }
 
 /// The radius-`r` view of one node: induced subgraph, identifiers, labels,
@@ -287,7 +260,21 @@ impl<N: PartialEq, E: PartialEq> PartialEq for View<'_, N, E> {
     /// Observational equality: same skeleton content, same proof bits —
     /// regardless of whether either side owns or borrows its binding.
     fn eq(&self, other: &Self) -> bool {
-        self.skeleton() == other.skeleton() && self.nodes().all(|u| self.proof(u) == other.proof(u))
+        // Field by field but for the ids, which a core-bound skeleton
+        // keeps in the core's table and an owned one per view node.
+        let (a, b) = (self.skeleton(), other.skeleton());
+        a.center == b.center
+            && a.radius == b.radius
+            && a.n() == b.n()
+            && a.adj_off == b.adj_off
+            && a.adj == b.adj
+            && a.dist == b.dist
+            && a.node_data == b.node_data
+            && a.edge_keys == b.edge_keys
+            && a.edge_labels == b.edge_labels
+            && self
+                .nodes()
+                .all(|u| self.id(u) == other.id(u) && self.proof(u) == other.proof(u))
     }
 }
 
@@ -468,8 +455,8 @@ impl<'p, N, E> View<'p, N, E> {
     pub(crate) fn bind(skel: SkelView<'p, N, E>, proof: &'p Proof, members: &'p [u32]) -> Self {
         debug_assert_eq!(skel.n(), members.len(), "one proof slot per view node");
         View {
-            skel: SkelRef::Flat(skel),
-            binding: Binding::Borrowed { proof, members },
+            skel: SkelRef::Flat { skel, members },
+            binding: Binding::Borrowed(proof),
         }
     }
 
@@ -478,7 +465,18 @@ impl<'p, N, E> View<'p, N, E> {
     fn skeleton(&self) -> SkelView<'_, N, E> {
         match &self.skel {
             SkelRef::Shared(arc) => arc.as_view(),
-            SkelRef::Flat(sv) => *sv,
+            SkelRef::Flat { skel, .. } => *skel,
+        }
+    }
+
+    /// The core's node behind view node `u` — the proof slot a borrowed
+    /// binding reads. A view with a shared skeleton never borrows its
+    /// proof, so its slots are its own.
+    #[inline(always)]
+    fn member(&self, u: usize) -> usize {
+        match &self.skel {
+            SkelRef::Flat { members, .. } => members[u] as usize,
+            SkelRef::Shared(_) => u,
         }
     }
 
@@ -570,14 +568,17 @@ impl<'p, N, E> View<'p, N, E> {
     ///
     /// A view bound from a prepared core reads the core's table of one
     /// id per node, at `u`'s global index; an extracted or assembled
-    /// view keeps its own ids. Either way this is one indexed load.
+    /// view keeps its own ids.
     ///
     /// # Panics
     ///
     /// Panics if `u` is out of range.
     #[inline]
     pub fn id(&self, u: usize) -> NodeId {
-        self.skeleton().id(u)
+        match &self.skel {
+            SkelRef::Shared(arc) => arc.ids[u],
+            SkelRef::Flat { skel, members } => skel.ids[members[u] as usize],
+        }
     }
 
     /// View index of the node with identifier `id`, if visible.
@@ -677,7 +678,7 @@ impl<'p, N, E> View<'p, N, E> {
     pub fn proof(&self, u: usize) -> ProofRef<'_> {
         match &self.binding {
             Binding::Owned(proof) => proof.get(u),
-            Binding::Borrowed { proof, members, .. } => proof.get(members[u] as usize),
+            Binding::Borrowed(proof) => proof.get(self.member(u)),
         }
     }
 
@@ -696,7 +697,7 @@ impl<'p, N, E> View<'p, N, E> {
     pub fn label<C: Label>(&self, u: usize) -> Option<C> {
         match &self.binding {
             Binding::Owned(proof) => C::decode(proof.get(u)),
-            Binding::Borrowed { proof, members } => proof.label(members[u] as usize),
+            Binding::Borrowed(proof) => proof.label(self.member(u)),
         }
     }
 
@@ -778,7 +779,7 @@ impl<'p, N, E> View<'p, N, E> {
     /// replaced.
     pub fn with_proofs_cleared(&self) -> View<'_, N, E> {
         View {
-            skel: SkelRef::Flat(self.skeleton()),
+            skel: self.skel.clone(),
             binding: Binding::Owned(Proof::empty(self.n())),
         }
     }
@@ -917,6 +918,11 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn skeleton_views_stay_within_an_inline_copy() {
+        assert_eq!(std::mem::size_of::<SkelView<'static, (), ()>>(), 128);
     }
 
     #[test]
